@@ -66,6 +66,7 @@ __all__ = [
     "joint_simulate",
     "n_value",
     "g_value",
+    "tail_route",
     "l_value",
     "rhs_bound",
     "check_bound",
@@ -529,42 +530,30 @@ def n_value(t: float, T: float, theta, s, model: ReferenceModel):
     return float(out) if out.ndim == 0 else out
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(160)
-#: integration reach beyond the integrand's lognormal bulk, in w units
+#: integration reach of the adaptive gbm oracle beyond the lognormal bulk, in w units
 _G_WINDOW = 16.0
 
 
-def _g_batch_gbm(model, theta, s, t, T, k_max, window=_G_WINDOW):
-    """Tail terms for many (theta, s) pairs at once, by fixed-node quadrature.
-
-    Valid for the lognormal transition only. The integrand is smooth on
-    [w_b, w_hi] (the tail is C^0 with its kink placed exactly at the lower
-    limit), so Gauss-Legendre converges spectrally.
-    """
+def _g_quadrature(model, theta, s, t, T, k_max):
+    """Tail terms for many (theta, s) pairs at once, by fixed-node quadrature
+    against the model's exact transition law."""
+    law = model.law
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     s = np.atleast_1d(np.asarray(s, dtype=np.float64))
     theta, s = np.broadcast_arrays(theta, s)
     weight = model.h.sq_integral(t, T)
     v = theta * theta * weight
     out = np.empty(s.shape, dtype=np.float64)
-    deg = (v == 0.0) | (s <= 0.0)
+    # no variance left, or a path already held at a boundary: Z_T = s
+    deg = (v == 0.0) | (s <= model.beta.lower) | (s >= model.beta.upper)
     if np.any(deg):
         out[deg] = clipped_phi(model.phi, k_max, s[deg])
-    live = ~deg
-    idx = np.nonzero(live)[0]
+    idx = np.nonzero(~deg)[0]
     phi_b = float(model.phi(k_max))
     for chunk in np.array_split(idx, max(1, idx.size // 16384)) if idx.size else []:
-        vv = v[chunk]
-        ss = s[chunk]
-        sqv = np.sqrt(vv)
-        w_b = (np.log(k_max / ss) + vv / 2.0) / sqv
-        w_hi = np.maximum(w_b, 2.0 * sqv) + window
-        mid = 0.5 * (w_hi + w_b)[:, None]
-        half = 0.5 * (w_hi - w_b)[:, None]
-        w = mid + half * _GL_NODES[None, :]
-        x = ss[:, None] * np.exp(-vv[:, None] / 2.0 + sqv[:, None] * w)
-        vals = (np.asarray(model.phi(x), dtype=np.float64) - phi_b) * norm_pdf(w)
-        out[chunk] = (vals * _GL_WEIGHTS[None, :]).sum(axis=1) * half[:, 0]
+        x, dens, half = law.tail_rule(s[chunk], v[chunk], k_max)
+        vals = (np.asarray(model.phi(x), dtype=np.float64) - phi_b) * dens
+        out[chunk] = (vals * law.weights[None, :]).sum(axis=1) * half
     return out
 
 
@@ -622,16 +611,33 @@ def g_value(
     )
 
 
+def _inner_mc_size(cfg, n_outer):
+    """Inner copies per outer path: small outer batches (the time-0 term is
+    a single point) get the whole path budget."""
+    return max(256, cfg.n_paths // max(1, n_outer))
+
+
+def tail_route(model: ReferenceModel, cfg: SimConfig, n_outer: int) -> dict:
+    """How check_bound computes the tail term G on n_outer paths: the route
+    and its budget, all deterministic in (model, cfg, n_outer)."""
+    if model.law is not None:
+        return {"route": "quadrature", "nodes": model.law.nodes, "window": model.law.window}
+    return {"route": "inner-mc", "n_inner": _inner_mc_size(cfg, n_outer), "dt": cfg.dt}
+
+
 def _g_batch(model, theta, s, t, T, k_max, cfg, stream_key):
-    """(values, ses) of the tail term per path; dispatches by model."""
+    """(values, ses) of the tail term per path.
+
+    Quadrature against the model's transition law when it has one; an
+    inner Monte Carlo run otherwise.
+    """
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     s = np.atleast_1d(np.asarray(s, dtype=np.float64))
-    if model.name == "gbm":
-        return _g_batch_gbm(model, theta, s, t, T, k_max), np.zeros(s.shape)
+    if model.law is not None:
+        return _g_quadrature(model, theta, s, t, T, k_max), np.zeros(s.shape)
     # inner Monte Carlo, vectorized across outer paths: n_inner copies of
-    # every outer path stepped together from its own (theta_i, s_i); small
-    # outer batches (the time-0 term is a single point) get the whole budget
-    n_inner = max(256, cfg.n_paths // max(1, s.size))
+    # every outer path stepped together from its own (theta_i, s_i)
+    n_inner = _inner_mc_size(cfg, s.size)
     # spawn prefix outside any reachable block index, so inner draws never
     # collide with the ensemble's own substreams
     rng = child_rng(cfg.seed, 2**31 - 1, stream_key)
@@ -1196,7 +1202,7 @@ def decomposition_check(
     h_term = h_strike + h_tail
 
     l_term = l_value(t, T, theta, s, strikes, model)
-    g_term = float(_g_batch_gbm(model, np.array([theta]), np.array([s]), t, T, strikes.k_max)[0])
+    g_term = float(_g_quadrature(model, np.array([theta]), np.array([s]), t, T, strikes.k_max)[0])
 
     if v > 0.0:
         sqv = math.sqrt(v)

@@ -31,6 +31,7 @@ from .bound import (
     densification_study,
     pin_point,
     pricing_residuals,
+    tail_route,
 )
 from .config import ResolvedConfig, load_document, parse_override, resolve, set_path
 from .errors import (
@@ -206,6 +207,7 @@ def _bound_payload(rc: ResolvedConfig, rep) -> dict:
         "gap_term_se": rep.nq_se,
         "tail_correction_mean": rep.g_corr_mean,
         "tail_correction_se": rep.g_corr_se,
+        "tail_route": tail_route(rc.model, rc.sim, rep.n_paths),
         "n_stable": rep.n_stable,
         "n_stability_z": rep.n_stability_z,
         "phi_prime_convention": rep.phi_prime_convention,

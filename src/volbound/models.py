@@ -9,6 +9,7 @@ workers process the blocks.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -16,14 +17,18 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.special import ive
 
 from .errors import ConfigurationError, DomainError
-from .special_functions import bessel_k
+from .special_functions import bessel_k, norm_pdf
 
 __all__ = [
     "TimeWeight",
     "StateDiffusion",
     "PhiFunction",
+    "TransitionLaw",
+    "LognormalLaw",
+    "SquaredBesselLaw",
     "ReferenceModel",
     "SimConfig",
     "PathEnsemble",
@@ -149,15 +154,121 @@ class PhiFunction:
         )
 
 
+# ===== exact transition laws =====
+
+
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+@dataclass(frozen=True)
+class TransitionLaw:
+    """Exact law of Z_T given Z_t = s, indexed by the variance v = sigma^2 int_t^T h^2.
+
+    A law integrates above a cutoff k by fixed-node Gauss-Legendre
+    quadrature: tail_rule(s, v, k) returns (x, dens, half) for 1-d arrays s
+    and v, such that
+
+        E[f(Z_T); Z_T > k] ~= half_i * sum_j weights_j f(x_ij) dens_ij.
+
+    The nodes span a window of ``window`` standard deviations of the
+    integration variable; absorbed_mass(s, v) is P(Z_T = lower boundary).
+    """
+
+    nodes: int
+    window: float
+
+    def __post_init__(self) -> None:
+        if self.nodes < 1:
+            raise ConfigurationError(f"tail quadrature needs at least one node, got {self.nodes}")
+        if not (self.window > 0.0 and math.isfinite(self.window)):
+            raise ConfigurationError(f"tail window must be positive and finite, got {self.window}")
+
+    @property
+    def weights(self) -> np.ndarray:
+        return _gauss_legendre(self.nodes)[1]
+
+    def _abscissae(self, lo, hi):
+        """Per-row nodes mapped onto [lo_i, hi_i], with the half-widths."""
+        mid = 0.5 * (hi + lo)[:, None]
+        half = 0.5 * (hi - lo)[:, None]
+        return mid + half * _gauss_legendre(self.nodes)[0][None, :], half[:, 0]
+
+
+@dataclass(frozen=True)
+class LognormalLaw(TransitionLaw):
+    """gbm: Z_T = s exp(-v/2 + sqrt(v) W), integrated in w = W.
+
+    The tail integrand is smooth on [w_k, w_hi] with its kink placed exactly
+    at the lower limit, so Gauss-Legendre converges spectrally.
+    """
+
+    nodes: int = 160
+    window: float = 16.0
+
+    def tail_rule(self, s, v, k):
+        sqv = np.sqrt(v)
+        w_k = (np.log(k / s) + v / 2.0) / sqv
+        w_hi = np.maximum(w_k, 2.0 * sqv) + self.window
+        w, half = self._abscissae(w_k, w_hi)
+        x = s[:, None] * np.exp(-v[:, None] / 2.0 + sqv[:, None] * w)
+        return x, norm_pdf(w), half
+
+    def absorbed_mass(self, s, v):
+        out = np.zeros(np.broadcast(s, v).shape)
+        return float(out) if out.ndim == 0 else out
+
+
+@dataclass(frozen=True)
+class SquaredBesselLaw(TransitionLaw):
+    """bessel0: Z_T = (v/2) Gamma(N) with N ~ Poisson(2s/v).
+
+    Z is (sigma^2/4) times a zero-dimensional squared Bessel process
+    (Feller 1951). The law has an atom exp(-2s/v) at 0 and on y > 0 the
+    density (2/v) sqrt(s/y) exp(-2(s+y)/v) I1(4 sqrt(sy)/v). In r = sqrt(y)
+    that density is (4/v) sqrt(s) ive(1, 4 sqrt(s) r/v) exp(-2(sqrt(s)-r)^2/v),
+    a bump of standard deviation sqrt(v)/2 around sqrt(s); the nodes cover
+    [sqrt(k), inf) only where that bump is not negligible, so the node count
+    need not grow with s/v.
+    """
+
+    nodes: int = 64
+    window: float = 16.0
+
+    def tail_rule(self, s, v, k):
+        a = np.sqrt(s)
+        reach = self.window * 0.5 * np.sqrt(v)
+        r_k = math.sqrt(k)
+        r, half = self._abscissae(np.maximum(r_k, a - reach), np.maximum(r_k, a) + reach)
+        a, v = a[:, None], v[:, None]
+        dens = (4.0 / v) * a * ive(1, 4.0 * a * r / v) * np.exp(-2.0 * np.square(a - r) / v)
+        return r * r, dens, half
+
+    def absorbed_mass(self, s, v):
+        s, v = np.broadcast_arrays(np.asarray(s, dtype=np.float64), np.asarray(v, dtype=np.float64))
+        with np.errstate(divide="ignore"):
+            out = np.where(s > 0.0, np.exp(-2.0 * s / v), 1.0)
+        return float(out) if out.ndim == 0 else out
+
+
 @dataclass(frozen=True)
 class ReferenceModel:
-    """A reference diffusion dZ = sigma h(t) beta(Z) dB with eigenfunction phi."""
+    """A reference diffusion dZ = sigma h(t) beta(Z) dB with eigenfunction phi.
+
+    law, when set, is the exact transition law of dZ = sigma beta(Z) dB;
+    it must describe beta, so replace it together with beta.
+    """
 
     name: str
     h: TimeWeight
     beta: StateDiffusion
     phi: PhiFunction
     z0: float
+    law: TransitionLaw | None = None
 
     def __post_init__(self) -> None:
         if not self.beta.contains(self.z0):
@@ -227,6 +338,7 @@ def builtin_model(name: str, z0: float | None = None) -> ReferenceModel:
                 deriv2=lambda z: np.full_like(np.asarray(z, dtype=np.float64), 2.0),
             ),
             z0=1.0 if z0 is None else float(z0),
+            law=LognormalLaw(),
         )
     if name == "bessel0":
         return ReferenceModel(
@@ -239,6 +351,7 @@ def builtin_model(name: str, z0: float | None = None) -> ReferenceModel:
             ),
             phi=PhiFunction(_phi_bessel0_value, _phi_bessel0_deriv1, _phi_bessel0_deriv2),
             z0=1.0 if z0 is None else float(z0),
+            law=SquaredBesselLaw(),
         )
     if name == "logdiff":
 

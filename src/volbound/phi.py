@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 
 from .errors import (
     ConfigurationError,
@@ -428,10 +428,18 @@ def martingale_check_integral(
 def semigroup_check(
     model: ReferenceModel, sigma: float, t: float, cfg: SimConfig
 ) -> MartingaleTestReport:
-    """Test the eigenvalue identity E[phi(Z_t)] = exp(sigma^2 t) phi(z0).
+    """Test the eigenvalue identity for E[phi(Z_t)].
 
     Only meaningful under a unit time weight, where the exponential tilt
-    is the semigroup's action on its eigenfunction.
+    is the semigroup's action on its eigenfunction. Without absorption
+    E[phi(Z_t)] = exp(sigma^2 t) phi(z0). A path absorbed at the lower
+    boundary holds phi(lower) and stops growing, so where the model's law
+    puts mass there and phi(lower) is finite and nonzero, the reference is
+    the stopped process's mean
+
+        exp(sigma^2 t) phi(z0) - sigma^2 phi(lower) int_0^t exp(sigma^2 (t-u)) P(tau <= u) du
+
+    with P(tau <= u) the law's absorbed mass at variance sigma^2 u.
     """
     if not model.h.is_unit:
         raise ConfigurationError(
@@ -442,5 +450,17 @@ def semigroup_check(
         raise DomainError(f"test time must be positive, got {t}")
     ens = simulate(model, sigma, model.z0, 0.0, [0.0, t], cfg)
     ref = math.exp(sigma * sigma * t) * float(model.phi(model.z0))
+    phi_lower = float(model.phi(model.beta.lower)) if model.law is not None else 0.0
+    if math.isfinite(phi_lower) and phi_lower != 0.0:
+        sig2 = sigma * sigma
+        lost, _ = quad(
+            lambda u: math.exp(sig2 * (t - u)) * float(model.law.absorbed_mass(model.z0, sig2 * u)),
+            0.0,
+            t,
+            epsabs=1e-14,
+            epsrel=1e-12,
+            limit=200,
+        )
+        ref -= sig2 * phi_lower * lost
     sample = np.asarray(model.phi(ens.states[:, -1]), dtype=np.float64)
     return _summarize([t], [sample], [ref])

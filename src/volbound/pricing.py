@@ -75,7 +75,9 @@ def _bs_call_core(z, strike, variance):
 
     ``variance`` is the total log variance accumulated between evaluation
     and expiry. Cells with zero variance, zero strike, or an absorbed
-    (zero) start take their exact limit values.
+    (zero) start take their exact limit values; the others are clamped to
+    the no-arbitrage range [max(z - K, 0), z], which the formula's rounding
+    can leave by an ulp.
     """
     scalar = np.ndim(z) == 0 and np.ndim(strike) == 0 and np.ndim(variance) == 0
     z, strike, variance = np.broadcast_arrays(
@@ -86,10 +88,11 @@ def _bs_call_core(z, strike, variance):
     out = np.maximum(z - strike, 0.0)
     live = (strike > 0.0) & (variance > 0.0) & (z > 0.0)
     if np.any(live):
-        s = np.sqrt(variance[live])
-        d1 = (np.log(z[live] / strike[live]) + variance[live] / 2.0) / s
-        vals = z[live] * norm_cdf(d1) - strike[live] * norm_cdf(d1 - s)
-        out[live] = np.maximum(vals, 0.0)
+        z_l, k_l, v_l = z[live], strike[live], variance[live]
+        s = np.sqrt(v_l)
+        d1 = (np.log(z_l / k_l) + v_l / 2.0) / s
+        vals = z_l * norm_cdf(d1) - k_l * norm_cdf(d1 - s)
+        out[live] = np.minimum(np.maximum(vals, out[live]), z_l)
     return float(out[0]) if scalar else out
 
 

@@ -80,3 +80,33 @@ def lognormal_phi_hat_oracle(z: float, k_m: float, v: float, phi) -> float:
     hi = max(w_k, 2.0 * s) + 40.0
     val, _ = quad(f, w_k, hi, epsabs=1e-16, epsrel=1e-12, limit=400)
     return val
+
+
+def besq0_phi_hat_oracle(z: float, k_m: float, v: float, phi) -> float:
+    """E[(phi(Z_T) - phi(k_m)) 1{Z_T > k_m}] for Z_T = (v/2) Gamma(N), N ~ Poisson(2z/v).
+
+    The density on y > 0 is summed as the Poisson mixture of Gamma
+    densities, in log space, and integrated by adaptive quadrature; it
+    shares no formula with the package's Bessel-function form.
+    """
+    from scipy.special import gammaln
+
+    lam = 2.0 * z / v
+    scale = 0.5 * v
+    spread = 14.0 * math.sqrt(lam) + 30.0
+    n = np.arange(max(1, int(lam - spread)), int(lam + spread) + 1, dtype=np.float64)
+    log_pois = n * math.log(lam) - lam - gammaln(n + 1.0)
+    phi_k = float(phi(k_m))
+
+    def f(y):
+        log_gamma = (n - 1.0) * math.log(y) - y / scale - gammaln(n) - n * math.log(scale)
+        return (float(phi(y)) - phi_k) * float(np.exp(log_pois + log_gamma).sum())
+
+    edges = [k_m]
+    if z > k_m:
+        edges.append(z)
+    total = 0.0
+    for a, b in zip(edges, edges[1:]):
+        total += quad(f, a, b, epsabs=1e-16, epsrel=1e-12, limit=400)[0]
+    total += quad(f, edges[-1], math.inf, epsabs=1e-16, epsrel=1e-12, limit=400)[0]
+    return total

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import lognormal_phi_hat_oracle
+from conftest import besq0_phi_hat_oracle, lognormal_phi_hat_oracle
 from volbound.bound import (
     BoundReport,
     DensificationStep,
@@ -23,7 +23,8 @@ from volbound.bound import (
     StrikeGrid,
     ThetaProcess,
     WeightVector,
-    _g_batch_gbm,
+    _g_batch,
+    _g_quadrature,
     _rhs_detail,
     build_q,
     check_bound,
@@ -40,9 +41,10 @@ from volbound.bound import (
     rhs_bound,
     self_consistent_scenario,
     step_vol_scenario,
+    tail_route,
 )
 from volbound.errors import ConfigurationError, DivergenceError, DomainError
-from volbound.models import SimConfig, TimeWeight, builtin_model
+from volbound.models import SimConfig, SquaredBesselLaw, TimeWeight, builtin_model
 
 GBM = builtin_model("gbm")
 BESSEL = builtin_model("bessel0")
@@ -338,7 +340,7 @@ class TestTailTerm:
     def test_batch_route_matches_scalar_route(self):
         thetas = np.array([0.2, 0.5, 0.35, 1.0, 0.05])
         states = np.array([1.0, 0.7, 1.4, 2.5, 0.9])
-        batch = _g_batch_gbm(GBM, thetas, states, 0.0, 1.0, 2.0)
+        batch = _g_quadrature(GBM, thetas, states, 0.0, 1.0, 2.0)
         for i in range(thetas.size):
             scalar = g_value(0.0, 1.0, float(thetas[i]), float(states[i]), 2.0, GBM).value
             assert batch[i] == pytest.approx(scalar, rel=1e-9, abs=1e-12)
@@ -361,14 +363,59 @@ class TestTailTerm:
 
     def test_inner_mc_agrees_across_streams(self):
         # scalar route and batch route use unrelated substreams; their
-        # estimates must agree statistically, not bitwise
+        # estimates must agree statistically, not bitwise. Without a law the
+        # batch route is the inner Monte Carlo too.
         cfg = SimConfig(n_paths=8000, dt=0.01, seed=17)
         a = g_value(0.0, 1.0, 0.5, 1.0, 1.5, BESSEL, cfg=cfg)
-        vals, ses = __import__("volbound.bound", fromlist=["_g_batch"])._g_batch(
-            BESSEL, np.array([0.5]), np.array([1.0]), 0.0, 1.0, 1.5, cfg, 0
+        vals, ses = _g_batch(
+            dataclasses.replace(BESSEL, law=None),
+            np.array([0.5]), np.array([1.0]), 0.0, 1.0, 1.5, cfg, 0,
         )
+        assert float(ses[0]) > 0.0
         z = (a.value - float(vals[0])) / math.hypot(a.se, float(ses[0]))
         assert abs(z) < 3.5
+
+    # (theta, s, T, k_max): bulk below, at, and far above the cutoff, and
+    # vols at which most of the mass is absorbed at 0
+    BESQ_TAIL_CASES = [
+        (0.2, 1.0, 1.0, 2.0), (0.5, 0.7, 1.0, 1.0), (1.0, 1.0, 1.0, 1.5),
+        (1.0, 2.5, 2.0, 2.0), (0.3, 3.0, 0.5, 2.0), (2.0, 0.3, 1.0, 0.5),
+        (0.1, 1.9, 1.0, 2.0), (1.5, 0.05, 2.5, 2.0),
+    ]
+
+    @pytest.mark.parametrize("theta,s,T,k_m", BESQ_TAIL_CASES)
+    def test_bessel_law_matches_oracle(self, theta, s, T, k_m):
+        got, ses = _g_batch(BESSEL, np.array([theta]), np.array([s]), 0.0, T, k_m, None, 0)
+        want = besq0_phi_hat_oracle(s, k_m, theta * theta * T, BESSEL.phi)
+        assert float(ses[0]) == 0.0
+        assert float(got[0]) == pytest.approx(want, rel=1e-10, abs=1e-14)
+
+    def test_bessel_law_matches_inner_mc_under_absorption(self):
+        # sigma = 1 from s = 1: exp(-2) of the mass sits in the atom at 0
+        cfg = SimConfig(n_paths=40000, dt=0.002, seed=5)
+        mc = g_value(0.0, 1.0, 1.0, 1.0, 0.5, BESSEL, cfg=cfg)
+        got, _ = _g_batch(BESSEL, np.array([1.0]), np.array([1.0]), 0.0, 1.0, 0.5, cfg, 0)
+        assert abs(mc.value - float(got[0])) < 3.5 * mc.se
+
+    def test_bessel_law_converged_in_nodes(self):
+        finer = dataclasses.replace(BESSEL, law=SquaredBesselLaw(nodes=128))
+        cases = self.BESQ_TAIL_CASES + [(0.05, 20.0, 0.5, 0.5)]
+        for theta, s, T, k_m in cases:
+            a = _g_quadrature(BESSEL, theta, s, 0.0, T, k_m)
+            b = _g_quadrature(finer, theta, s, 0.0, T, k_m)
+            assert b == pytest.approx(a, rel=1e-12)
+
+    def test_route_names_its_budget(self):
+        cfg = SimConfig(n_paths=4096, dt=0.01, seed=1)
+        assert tail_route(GBM, cfg, 4096) == {"route": "quadrature", "nodes": 160, "window": 16.0}
+        assert tail_route(dataclasses.replace(BESSEL, law=None), cfg, 8) == {
+            "route": "inner-mc", "n_inner": 512, "dt": 0.01
+        }
+
+    def test_paths_at_the_boundary_keep_their_clipped_value(self):
+        got = _g_quadrature(BESSEL, np.array([0.5, 0.5]), np.array([0.0, 1.0]), 0.0, 1.0, 1.5)
+        assert got[0] == 0.0
+        assert got[1] < 0.0
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -604,7 +651,7 @@ class TestMartingaleStructure:
             lt = np.array(
                 [l_value(0.5, T, float(a), float(b), KS3, GBM) for a, b in zip(th, sv)]
             )
-            gt = _g_batch_gbm(GBM, th, sv, 0.5, T, KS3.k_max)
+            gt = _g_quadrature(GBM, th, sv, 0.5, T, KS3.k_max)
             h_t = lt + gt
             se = h_t.std(ddof=1) / math.sqrt(h_t.size)
             assert abs(h_t.mean() - (l0 + g0)) < 3.5 * se

@@ -298,6 +298,9 @@ class TestCliCommands:
         assert main(["check-bound", "--config", str(cfg)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["results"]["bound"]["phi_prime_convention"] is True
+        assert doc["results"]["bound"]["tail_route"] == {
+            "route": "quadrature", "nodes": 64, "window": 16.0
+        }
         assert "repricing" not in doc["results"]  # no closed-form price map
 
     def test_out_file_and_summary_line(self, base_path, tmp_path, capsys):

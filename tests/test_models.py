@@ -269,6 +269,49 @@ class TestSimulate:
             SimConfig(n_paths=10, dt=0.1, seed=1, scheme="milstein")
 
 
+# ===== exact transition laws =====
+
+
+def _law_moment(law, s, v, f):
+    """E[f(Z_T); Z_T > 0] by the law's own tail rule, cutoff just above 0."""
+    x, dens, half = law.tail_rule(np.array([s]), np.array([v]), 1e-300)
+    return float((f(x) * dens * law.weights[None, :]).sum(axis=1)[0] * half[0])
+
+
+# (s, v) from a narrow bump far from 0 to an atom holding most of the mass
+BESQ_CASES = [(1.0, 0.01), (1.0, 0.25), (1.0, 1.0), (0.3, 2.0), (0.5, 4.0), (20.0, 0.5)]
+
+
+class TestSquaredBesselLaw:
+    LAW = builtin_model("bessel0").law
+
+    def test_atom_is_the_absorption_probability(self):
+        assert self.LAW.absorbed_mass(1.0, 1.0) == pytest.approx(math.exp(-2.0), rel=1e-15)
+        assert self.LAW.absorbed_mass(0.0, 1.0) == 1.0
+        assert self.LAW.absorbed_mass(1.0, 0.0) == 0.0
+
+    @pytest.mark.parametrize("s,v", BESQ_CASES)
+    def test_atom_plus_density_is_one(self, s, v):
+        mass = _law_moment(self.LAW, s, v, np.ones_like)
+        assert self.LAW.absorbed_mass(s, v) + mass == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("s,v", BESQ_CASES)
+    def test_mean_and_variance(self, s, v):
+        # Z is a martingale with d<Z> = sigma^2 Z dt: mean s, variance v s
+        mean = _law_moment(self.LAW, s, v, lambda x: x)
+        second = _law_moment(self.LAW, s, v, np.square)
+        assert mean == pytest.approx(s, rel=1e-12)
+        assert second - mean * mean == pytest.approx(v * s, rel=1e-10)
+
+    def test_absorbed_mass_matches_simulated_fraction(self):
+        m = builtin_model("bessel0")
+        n = 40000
+        e = simulate(m, 1.0, 0.5, 0.0, [0.0, 1.0], SimConfig(n_paths=n, dt=0.001, seed=12))
+        hit = float(np.isfinite(e.absorbed_at).mean())
+        p = self.LAW.absorbed_mass(0.5, 1.0)
+        assert abs(hit - p) < 3.5 * math.sqrt(p * (1.0 - p) / n)
+
+
 def test_piecewise_h_enters_dynamics():
     # with h doubled after t=0.5 the second half contributes 4x the variance
     h = TimeWeight(values=(1.0, 2.0), breakpoints=(0.5,))

@@ -237,6 +237,14 @@ class TestSemigroup:
         r = semigroup_check(BESSEL, 0.4, 0.5, SimConfig(n_paths=50000, dt=0.005, seed=22))
         assert r.verdict
 
+    def test_bessel0_absorbing_regime(self):
+        # sigma = 1: by t = 1 an e^-2 share of paths sits at 0, holding
+        # phi(0) = 1 instead of growing like exp(sigma^2 t) phi
+        r = semigroup_check(BESSEL, 1.0, 1.0, SimConfig(n_paths=20000, dt=0.001, seed=21))
+        assert r.references[0] == pytest.approx(0.3334107465740502, rel=1e-9)
+        assert r.references[0] < math.exp(1.0) * BESSEL.phi(1.0)
+        assert r.verdict
+
     def test_nonunit_weight_rejected(self):
         m = dataclasses.replace(GBM, h=TimeWeight(values=(2.0,)))
         with pytest.raises(ConfigurationError):

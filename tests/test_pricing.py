@@ -79,6 +79,10 @@ class TestClosedForm:
         value = bs_call_price(0.0, 1.5, k, sigma, z).value
         assert max(z - k, 0.0) <= value <= z
 
+    def test_rounding_cannot_price_below_intrinsic(self):
+        # the formula rounds to 2.9499999999999997 here, an ulp under intrinsic
+        assert bs_call_price(0.0, 1.5, 0.05, 0.41796875, 3.0).value >= 3.0 - 0.05
+
 
 class TestQuadrature:
     def test_matches_closed_form_on_grid(self):
@@ -197,7 +201,7 @@ class TestImpliedVol:
         # one ulp of price maps to eps*price/vega of sigma; skip cells where
         # float64 simply does not carry the digits being asserted
         vega = norm_pdf((math.log(1.0 / k) + sigma * sigma / 2.0) / sigma)
-        if 2.3e-16 * price / max(vega, 1e-300) > 1e-8:
+        if math.ulp(price) > 1e-8 * vega:
             return
         r = implied_vol(GBM, price, 0.0, 1.0, k, 1.0)
         assert r.sigma == pytest.approx(sigma, abs=1e-7)
