@@ -34,6 +34,7 @@ from .errors import (
     DomainError,
 )
 from .models import (
+    LognormalLaw,
     PhiFunction,
     ReferenceModel,
     SimConfig,
@@ -530,10 +531,6 @@ def n_value(t: float, T: float, theta, s, model: ReferenceModel):
     return float(out) if out.ndim == 0 else out
 
 
-#: integration reach of the adaptive gbm oracle beyond the lognormal bulk, in w units
-_G_WINDOW = 16.0
-
-
 def _g_quadrature(model, theta, s, t, T, k_max):
     """Tail terms for many (theta, s) pairs at once, by fixed-node quadrature
     against the model's exact transition law."""
@@ -565,7 +562,7 @@ def g_value(
     k_max: float,
     model: ReferenceModel,
     cfg: SimConfig | None = None,
-    window: float = _G_WINDOW,
+    window: float = LognormalLaw.window,
 ) -> PriceQuote:
     """Tail term E[clipped_phi(k_max, Z_T) | Z_t = s] at volatility theta.
 
@@ -619,10 +616,17 @@ def _inner_mc_size(cfg, n_outer):
 
 def tail_route(model: ReferenceModel, cfg: SimConfig, n_outer: int) -> dict:
     """How check_bound computes the tail term G on n_outer paths: the route
-    and its budget, all deterministic in (model, cfg, n_outer)."""
+    and its budget, all deterministic in (model, cfg, n_outer). The inner
+    Monte Carlo gives the outer paths n_inner copies each and the time-0
+    point n_inner_t0 copies."""
     if model.law is not None:
         return {"route": "quadrature", "nodes": model.law.nodes, "window": model.law.window}
-    return {"route": "inner-mc", "n_inner": _inner_mc_size(cfg, n_outer), "dt": cfg.dt}
+    return {
+        "route": "inner-mc",
+        "n_inner": _inner_mc_size(cfg, n_outer),
+        "n_inner_t0": _inner_mc_size(cfg, 1),
+        "dt": cfg.dt,
+    }
 
 
 def _g_batch(model, theta, s, t, T, k_max, cfg, stream_key):
@@ -1211,7 +1215,10 @@ def decomposition_check(
             x = s * math.exp(-v / 2.0 + sqv * w)
             return float(model.phi(x)) * norm_pdf(w)
 
-        m_term, _ = quad(m_integrand, -_G_WINDOW, 2.0 * sqv + _G_WINDOW, epsabs=1e-12, epsrel=1e-11, limit=300)
+        reach = LognormalLaw.window
+        m_term, _ = quad(
+            m_integrand, -reach, 2.0 * sqv + reach, epsabs=1e-12, epsrel=1e-11, limit=300
+        )
     else:
         m_term = float(model.phi(s))
     n_term = float(n_value(t, T, theta, s, model))

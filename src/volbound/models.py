@@ -14,7 +14,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 from scipy.special import ive
@@ -175,18 +175,13 @@ class TransitionLaw:
 
         E[f(Z_T); Z_T > k] ~= half_i * sum_j weights_j f(x_ij) dens_ij.
 
-    The nodes span a window of ``window`` standard deviations of the
-    integration variable; absorbed_mass(s, v) is P(Z_T = lower boundary).
+    The ``nodes`` nodes span a window of ``window`` standard deviations of
+    the integration variable. A law with an atom at the lower boundary also
+    gives its mass, P(Z_T = lower boundary), as absorbed_mass(s, v).
     """
 
-    nodes: int
-    window: float
-
-    def __post_init__(self) -> None:
-        if self.nodes < 1:
-            raise ConfigurationError(f"tail quadrature needs at least one node, got {self.nodes}")
-        if not (self.window > 0.0 and math.isfinite(self.window)):
-            raise ConfigurationError(f"tail window must be positive and finite, got {self.window}")
+    nodes: ClassVar[int]
+    window: ClassVar[float]
 
     @property
     def weights(self) -> np.ndarray:
@@ -207,8 +202,8 @@ class LognormalLaw(TransitionLaw):
     at the lower limit, so Gauss-Legendre converges spectrally.
     """
 
-    nodes: int = 160
-    window: float = 16.0
+    nodes: ClassVar[int] = 160
+    window: ClassVar[float] = 16.0
 
     def tail_rule(self, s, v, k):
         sqv = np.sqrt(v)
@@ -217,10 +212,6 @@ class LognormalLaw(TransitionLaw):
         w, half = self._abscissae(w_k, w_hi)
         x = s[:, None] * np.exp(-v[:, None] / 2.0 + sqv[:, None] * w)
         return x, norm_pdf(w), half
-
-    def absorbed_mass(self, s, v):
-        out = np.zeros(np.broadcast(s, v).shape)
-        return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -236,8 +227,8 @@ class SquaredBesselLaw(TransitionLaw):
     need not grow with s/v.
     """
 
-    nodes: int = 64
-    window: float = 16.0
+    nodes: ClassVar[int] = 64
+    window: ClassVar[float] = 16.0
 
     def tail_rule(self, s, v, k):
         a = np.sqrt(s)

@@ -434,8 +434,8 @@ def semigroup_check(
     is the semigroup's action on its eigenfunction. Without absorption
     E[phi(Z_t)] = exp(sigma^2 t) phi(z0). A path absorbed at the lower
     boundary holds phi(lower) and stops growing, so where the model's law
-    puts mass there and phi(lower) is finite and nonzero, the reference is
-    the stopped process's mean
+    has an atom there (it gives absorbed_mass) and phi(lower) is finite and
+    nonzero, the reference is the stopped process's mean
 
         exp(sigma^2 t) phi(z0) - sigma^2 phi(lower) int_0^t exp(sigma^2 (t-u)) P(tau <= u) du
 
@@ -450,11 +450,12 @@ def semigroup_check(
         raise DomainError(f"test time must be positive, got {t}")
     ens = simulate(model, sigma, model.z0, 0.0, [0.0, t], cfg)
     ref = math.exp(sigma * sigma * t) * float(model.phi(model.z0))
-    phi_lower = float(model.phi(model.beta.lower)) if model.law is not None else 0.0
+    absorbed_mass = getattr(model.law, "absorbed_mass", None)
+    phi_lower = float(model.phi(model.beta.lower)) if absorbed_mass is not None else 0.0
     if math.isfinite(phi_lower) and phi_lower != 0.0:
         sig2 = sigma * sigma
         lost, _ = quad(
-            lambda u: math.exp(sig2 * (t - u)) * float(model.law.absorbed_mass(model.z0, sig2 * u)),
+            lambda u: math.exp(sig2 * (t - u)) * float(absorbed_mass(model.z0, sig2 * u)),
             0.0,
             t,
             epsabs=1e-14,

@@ -92,7 +92,7 @@ def _bs_call_core(z, strike, variance):
         s = np.sqrt(v_l)
         d1 = (np.log(z_l / k_l) + v_l / 2.0) / s
         vals = z_l * norm_cdf(d1) - k_l * norm_cdf(d1 - s)
-        out[live] = np.minimum(np.maximum(vals, out[live]), z_l)
+        out[live] = np.minimum(np.maximum(vals, np.maximum(z_l - k_l, 0.0)), z_l)
     return float(out[0]) if scalar else out
 
 

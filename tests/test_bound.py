@@ -398,7 +398,10 @@ class TestTailTerm:
         assert abs(mc.value - float(got[0])) < 3.5 * mc.se
 
     def test_bessel_law_converged_in_nodes(self):
-        finer = dataclasses.replace(BESSEL, law=SquaredBesselLaw(nodes=128))
+        class Finer(SquaredBesselLaw):
+            nodes = 128
+
+        finer = dataclasses.replace(BESSEL, law=Finer())
         cases = self.BESQ_TAIL_CASES + [(0.05, 20.0, 0.5, 0.5)]
         for theta, s, T, k_m in cases:
             a = _g_quadrature(BESSEL, theta, s, 0.0, T, k_m)
@@ -409,7 +412,7 @@ class TestTailTerm:
         cfg = SimConfig(n_paths=4096, dt=0.01, seed=1)
         assert tail_route(GBM, cfg, 4096) == {"route": "quadrature", "nodes": 160, "window": 16.0}
         assert tail_route(dataclasses.replace(BESSEL, law=None), cfg, 8) == {
-            "route": "inner-mc", "n_inner": 512, "dt": 0.01
+            "route": "inner-mc", "n_inner": 512, "n_inner_t0": 4096, "dt": 0.01
         }
 
     def test_paths_at_the_boundary_keep_their_clipped_value(self):

@@ -303,6 +303,24 @@ class TestCliCommands:
         }
         assert "repricing" not in doc["results"]  # no closed-form price map
 
+    def test_check_bound_names_both_inner_mc_budgets_for_logdiff(self, tmp_path, capsys):
+        # logdiff has no transition law: the outer paths get 256 inner
+        # copies each, the single time-0 point the whole path budget
+        cfg = tmp_path / "ld.yaml"
+        cfg.write_text(
+            BASE.replace("model: gbm", "model: logdiff")
+            .replace("[1.0, 2.0, 3.0]", "[0.5, 0.75, 1.0]")
+            .replace("strikes: [0.0, 0.5, 1.0, 1.5, 2.0]", "strikes: [0.0, 0.25, 0.5]")
+            .replace("eval_time: 0.5", "eval_time: 0.25")
+            .replace("paths: 4000", "paths: 1024")
+            .replace("dt: 0.01", "dt: 0.02")
+        )
+        assert main(["check-bound", "--config", str(cfg)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["results"]["bound"]["tail_route"] == {
+            "route": "inner-mc", "n_inner": 256, "n_inner_t0": 1024, "dt": 0.02
+        }
+
     def test_out_file_and_summary_line(self, base_path, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert main(["check-bound", "--config", base_path, "--out", str(out)]) == 0
