@@ -21,6 +21,7 @@ Naming used throughout, with x for the state and b for a strike level:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from concurrent.futures import ThreadPoolExecutor
@@ -38,6 +39,7 @@ from .models import (
     PhiFunction,
     ReferenceModel,
     SimConfig,
+    SquaredBesselLaw,
     TimeWeight,
     _block_sizes,
     _refine_grid,
@@ -46,7 +48,7 @@ from .models import (
     simulate,
     worker_count,
 )
-from .pricing import PriceQuote, _bs_call_core
+from .pricing import PriceQuote, _bs_call_core, _bs_sq_call_core
 from .special_functions import norm_pdf
 
 __all__ = [
@@ -78,6 +80,11 @@ __all__ = [
     "step_vol_scenario",
     "meanrev_vol_scenario",
 ]
+
+
+#: reach, in standard-normal units past the bulk, of the adaptive lognormal
+#: quadratures kept as oracles (g_value, decomposition_check's M term)
+QUAD_REACH = 16.0
 
 
 # ===== grids, weights, and the convex power polynomial =====
@@ -531,6 +538,12 @@ def n_value(t: float, T: float, theta, s, model: ReferenceModel):
     return float(out) if out.ndim == 0 else out
 
 
+def _closed_form(model: ReferenceModel) -> bool:
+    """Whether G and L are closed form: a lognormal law and a quadratic phi,
+    for which Taylor's formula about any strike is exact."""
+    return isinstance(model.law, LognormalLaw) and model.phi.curvature is not None
+
+
 def _g_quadrature(model, theta, s, t, T, k_max):
     """Tail terms for many (theta, s) pairs at once, by fixed-node quadrature
     against the model's exact transition law."""
@@ -562,12 +575,12 @@ def g_value(
     k_max: float,
     model: ReferenceModel,
     cfg: SimConfig | None = None,
-    window: float = LognormalLaw.window,
 ) -> PriceQuote:
     """Tail term E[clipped_phi(k_max, Z_T) | Z_t = s] at volatility theta.
 
-    Quadrature against the lognormal transition density when the model has
-    one (gbm); otherwise an inner Monte Carlo run, which needs cfg.
+    Adaptive quadrature against the lognormal transition density, for any
+    phi, when the model's law is lognormal; otherwise an inner Monte Carlo
+    run, which needs cfg. The batch routes of check_bound are tested on it.
     """
     if not t <= T:
         raise DomainError(f"need t <= T, got t={t}, T={T}")
@@ -579,10 +592,10 @@ def g_value(
     v = theta * theta * weight
     if v == 0.0 or s <= 0.0:
         return PriceQuote(value=float(clipped_phi(model.phi, k_max, s)), se=0.0, n_paths=0)
-    if model.name == "gbm":
+    if isinstance(model.law, LognormalLaw):
         sqv = math.sqrt(v)
         w_b = (math.log(k_max / s) + v / 2.0) / sqv
-        w_hi = max(w_b, 2.0 * sqv) + window
+        w_hi = max(w_b, 2.0 * sqv) + QUAD_REACH
         phi_b = float(model.phi(k_max))
 
         def integrand(w):
@@ -619,7 +632,9 @@ def tail_route(model: ReferenceModel, cfg: SimConfig, n_outer: int) -> dict:
     and its budget, all deterministic in (model, cfg, n_outer). The inner
     Monte Carlo gives the outer paths n_inner copies each and the time-0
     point n_inner_t0 copies."""
-    if model.law is not None:
+    if _closed_form(model):
+        return {"route": "closed-form"}
+    if isinstance(model.law, SquaredBesselLaw):
         return {"route": "quadrature", "nodes": model.law.nodes, "window": model.law.window}
     return {
         "route": "inner-mc",
@@ -632,12 +647,18 @@ def tail_route(model: ReferenceModel, cfg: SimConfig, n_outer: int) -> dict:
 def _g_batch(model, theta, s, t, T, k_max, cfg, stream_key):
     """(values, ses) of the tail term per path.
 
-    Quadrature against the model's transition law when it has one; an
-    inner Monte Carlo run otherwise.
+    Closed form for a lognormal law with a quadratic phi, quadrature against
+    the squared-Bessel law, an inner Monte Carlo run otherwise.
     """
-    theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-    s = np.atleast_1d(np.asarray(s, dtype=np.float64))
-    if model.law is not None:
+    theta, s = (np.atleast_1d(np.asarray(a, dtype=np.float64)) for a in (theta, s))
+    if _closed_form(model):
+        theta, s = np.broadcast_arrays(theta, s)
+        # Taylor's formula about k_max is exact: G = phi' C + phi''/2 E[((Z_T - K)^+)^2]
+        v = theta * theta * model.h.sq_integral(t, T)
+        k = np.full(s.shape, float(k_max))
+        g = float(model.phi.deriv1(k_max)) * _bs_call_core(s, k, v)
+        return g + 0.5 * model.phi.curvature * _bs_sq_call_core(s, k, v), np.zeros(s.shape)
+    if isinstance(model.law, SquaredBesselLaw):
         return _g_quadrature(model, theta, s, t, T, k_max), np.zeros(s.shape)
     # inner Monte Carlo, vectorized across outer paths: n_inner copies of
     # every outer path stepped together from its own (theta_i, s_i)
@@ -672,58 +693,79 @@ def _g_batch(model, theta, s, t, T, k_max, cfg, stream_key):
 def l_value(
     t: float,
     T: float,
-    theta: float,
-    s: float,
+    theta,
+    s,
     strikes: StrikeGrid,
     model: ReferenceModel,
     cfg: SimConfig | None = None,
-    rel_tol: float = 1e-8,
-) -> float:
+):
     """Strike-band term: between-strike price shortfalls weighted by phi''.
 
     Always nonpositive: within each band the call price at K is below the
-    price at the band's left edge, and phi'' >= 0. The first band is
-    integrated in u with K = K_1 u^2, which absorbs an integrable
-    singularity of phi'' at zero strike.
+    price at the band's left edge, and phi'' >= 0. theta and s may be 1-d
+    arrays (an array of terms, one per pair) or scalars (a float).
+
+    Closed form for a lognormal law with a quadratic phi: int_a^b C dK =
+    (S2(a) - S2(b))/2 with S2(K) = E[((Z_T - K)^+)^2], so each band is
+    phi'' ((S2(K_j) - S2(K_j+1))/2 - C(K_j) dK_j), floored at its bound 0.
+    Otherwise the paths of a Monte Carlo run, which needs cfg, give an
+    empirical price curve; it is piecewise linear with a kink at every
+    path, so it is integrated on a fixed fine grid whose bias sits far
+    below the curve's statistical error.
     """
     if not t <= T:
         raise DomainError(f"need t <= T, got t={t}, T={T}")
-    if theta < 0.0:
+    if np.any(np.asarray(theta) < 0.0):
         raise DomainError(f"volatility parameter must be nonnegative, got {theta}")
-    ks = strikes.strikes
-    v = theta * theta * model.h.sq_integral(t, T)
-    smooth = model.name == "gbm"
-    if smooth:
-        def prices(k_arr):
-            return np.atleast_1d(_bs_call_core(s, k_arr, v))
+    scalar = np.ndim(theta) == 0 and np.ndim(s) == 0
+    theta, s = (np.atleast_1d(np.asarray(a, dtype=np.float64)) for a in (theta, s))
+    theta, s = np.broadcast_arrays(theta, s)
+    if _closed_form(model):
+        ks = np.asarray(strikes.strikes)
+        v = theta * theta * model.h.sq_integral(t, T)
+        z, k, v = np.broadcast_arrays(s[:, None], ks[None, :], v[:, None])
+        c = _bs_call_core(z, k, v)
+        s2 = _bs_sq_call_core(z, k, v)
+        bands = 0.5 * (s2[:, :-1] - s2[:, 1:]) - c[:, :-1] * np.diff(ks)
+        out = model.phi.curvature * np.minimum(bands, 0.0).sum(axis=1)
+    elif cfg is None:
+        raise ConfigurationError(
+            f"model {model.name!r} prices by inner Monte Carlo; pass a SimConfig"
+        )
     else:
-        if cfg is None:
-            raise ConfigurationError(
-                f"model {model.name!r} prices by inner Monte Carlo; pass a SimConfig"
-            )
-        ens = simulate(model, theta, s, t, [t, T], cfg)
-        z_T = ens.states[:, -1]
+        rule = functools.partial(_fixed_simpson, n_panels=4096)
+        out = np.array([
+            _band_integral(_empirical_prices(model, a, b, t, T, cfg), model.phi, strikes, rule)
+            for a, b in zip(theta.tolist(), s.tolist())
+        ])
+    return float(out[0]) if scalar else out
 
-        def prices(k_arr):
-            k_arr = np.atleast_1d(np.asarray(k_arr, dtype=np.float64))
-            out = np.empty(k_arr.shape, dtype=np.float64)
-            # chunk the strike nodes so the paths-by-nodes payoff matrix
-            # stays small on dense quadrature grids
-            for lo in range(0, k_arr.size, 512):
-                chunk = k_arr[lo : lo + 512]
-                out[lo : lo + chunk.size] = np.maximum(
-                    z_T[:, None] - chunk[None, :], 0.0
-                ).mean(axis=0)
-            return out
 
-    # the price curve bends hardest around K = s: an intrinsic kink at zero
-    # variance, a boundary layer of log-width ~sqrt(v) for small v. Panel
-    # doubling cannot find such a layer on its own, so seed splits at its
-    # center and edges; for large v they are simply harmless extra panels.
-    # An empirical curve is piecewise linear with a kink at every path, so
-    # a settling test can never pass on it: integrate those on a fixed fine
-    # grid instead, whose bias sits far below the curve's statistical error
-    splits = _layer_splits(s, v)
+def _empirical_prices(model, theta, s, t, T, cfg):
+    """Call prices at an array of strikes, averaged over simulated paths."""
+    z_T = simulate(model, theta, s, t, [t, T], cfg).states[:, -1]
+
+    def prices(k_arr):
+        k_arr = np.atleast_1d(np.asarray(k_arr, dtype=np.float64))
+        out = np.empty(k_arr.shape, dtype=np.float64)
+        # chunk the strike nodes so the paths-by-nodes payoff matrix
+        # stays small on dense quadrature grids
+        for lo in range(0, k_arr.size, 512):
+            chunk = k_arr[lo : lo + 512]
+            out[lo : lo + chunk.size] = np.maximum(z_T[:, None] - chunk[None, :], 0.0).mean(axis=0)
+        return out
+
+    return prices
+
+
+def _band_integral(prices, phi, strikes, integrate):
+    """sum_j int_{K_j}^{K_j+1} (C(K) - C(K_j)) phi''(K) dK by a numerical rule.
+
+    integrate(f, a, b) integrates a vectorized f over [a, b]. The first
+    band is integrated in u with K = K_1 u^2, which absorbs an integrable
+    singularity of phi'' at zero strike.
+    """
+    ks = strikes.strikes
     total = 0.0
     for j in range(len(ks) - 1):
         k_lo, k_hi = ks[j], ks[j + 1]
@@ -737,44 +779,17 @@ def l_value(
                 vals = np.zeros_like(u)
                 pos = u > 0.0
                 k = _k1 * u[pos] * u[pos]
-                vals[pos] = (
-                    (prices(k) - _c0)
-                    * np.asarray(model.phi.deriv2(k))
-                    * 2.0 * _k1 * u[pos]
-                )
+                vals[pos] = (prices(k) - _c0) * np.asarray(phi.deriv2(k)) * 2.0 * _k1 * u[pos]
                 return vals
 
-            if smooth:
-                u_splits = [math.sqrt(p / k_hi) for p in splits if 0.0 < p < k_hi]
-                total += _integrate_split(f, 0.0, 1.0, u_splits, rel_tol)
-            else:
-                total += _fixed_simpson(f, 0.0, 1.0, 4096)
+            total += integrate(f, 0.0, 1.0)
         else:
             def f(k, _c=c_lo):
                 k = np.asarray(k, dtype=np.float64)
-                return (prices(k) - _c) * np.asarray(model.phi.deriv2(k))
+                return (prices(k) - _c) * np.asarray(phi.deriv2(k))
 
-            if smooth:
-                total += _integrate_split(
-                    f, k_lo, k_hi, [p for p in splits if k_lo < p < k_hi], rel_tol
-                )
-            else:
-                total += _fixed_simpson(f, k_lo, k_hi, 4096)
+            total += integrate(f, k_lo, k_hi)
     return float(total)
-
-
-def _layer_splits(s, v):
-    if v == 0.0:
-        return (s,)
-    w = 6.0 * math.sqrt(v)
-    return (s * math.exp(-w), s, s * math.exp(w))
-
-
-def _integrate_split(f, a, b, splits, rel_tol):
-    edges = [a, *sorted(p for p in splits if a < p < b), b]
-    return sum(
-        _adaptive_simpson(f, lo, hi, rel_tol) for lo, hi in zip(edges, edges[1:])
-    )
 
 
 def _fixed_simpson(f, a, b, n_panels):
@@ -793,10 +808,7 @@ def _adaptive_simpson(f, a, b, rel_tol, max_panels=4096):
     n = 8
     prev = None
     while n <= max_panels:
-        xs = np.linspace(a, b, 2 * n + 1)
-        ys = np.asarray(f(xs), dtype=np.float64)
-        h = (b - a) / (2 * n)
-        est = h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-2:2].sum())
+        est = _fixed_simpson(f, a, b, n)
         if prev is not None and abs(est - prev) <= rel_tol * max(1.0, abs(est)):
             return est
         prev = est
@@ -945,14 +957,11 @@ def check_bound(
         z_stab = 0.0
 
     l_diag = []
-    if model.name == "gbm" and l_sample_paths > 0:
+    if _closed_form(model) and l_sample_paths > 0:
         take = np.unique(np.linspace(0, n - 1, min(n, l_sample_paths)).astype(int))
         for t_k in times:
             l0 = l_value(0.0, t_k, scn.sigma0, scn.s0, strikes, model)
-            lt = np.array(
-                [l_value(t, t_k, float(th), float(sv), strikes, model)
-                 for th, sv in zip(theta_t[take], s_t[take])]
-            )
+            lt = l_value(t, t_k, theta_t[take], s_t[take], strikes, model)
             if np.all(lt == lt[0]):
                 lt_mean, lt_se = float(lt[0]), 0.0
             else:
@@ -1161,52 +1170,29 @@ def decomposition_check(
 
     Under the reference law the conditional-expectation side H (strike
     bands off adaptive payoff quadrature, plus the tail by adaptive
-    quadrature) must reproduce L + G + (M - N), where L uses the closed
-    form, G the fixed-node batch, M the transition-density quadrature and
-    N exact arithmetic. Every term travels a different numerical route,
-    so the defect measures real disagreement, not shared bugs.
+    quadrature) must reproduce L + G + (M - N), where L and G use their
+    closed forms, M the transition-density quadrature and N exact
+    arithmetic. Every term travels a different numerical route, so the
+    defect measures real disagreement, not shared bugs.
     """
-    if model.name != "gbm":
+    if not _closed_form(model):
         raise ConfigurationError("the termwise check needs the closed-form model")
     from .pricing import quad_call_price
 
     v = theta * theta * model.h.sq_integral(t, T)
-    ks = strikes.strikes
 
     def q_prices(k_arr):
         return np.array(
             [quad_call_price(model, theta, t, T, float(k), s).value for k in np.atleast_1d(k_arr)]
         )
 
-    h_strike = 0.0
-    for j in range(len(ks) - 1):
-        k_lo, k_hi = ks[j], ks[j + 1]
-        c_lo = float(q_prices(k_lo)[0])
-        if j == 0:
-            def f(u, _k1=k_hi, _c0=c_lo):
-                u = np.asarray(u, dtype=np.float64)
-                vals = np.zeros_like(u)
-                pos = u > 0.0
-                k = _k1 * u[pos] * u[pos]
-                vals[pos] = (
-                    (q_prices(k) - _c0)
-                    * np.asarray(model.phi.deriv2(k))
-                    * 2.0 * _k1 * u[pos]
-                )
-                return vals
-
-            h_strike += _adaptive_simpson(f, 0.0, 1.0, 1e-8, max_panels=1024)
-        else:
-            def f(k, _c=c_lo):
-                k = np.asarray(k, dtype=np.float64)
-                return (q_prices(k) - _c) * np.asarray(model.phi.deriv2(k))
-
-            h_strike += _adaptive_simpson(f, k_lo, k_hi, 1e-8, max_panels=1024)
+    rule = functools.partial(_adaptive_simpson, rel_tol=1e-8, max_panels=1024)
+    h_strike = _band_integral(q_prices, model.phi, strikes, rule)
     h_tail = g_value(t, T, theta, s, strikes.k_max, model).value
     h_term = h_strike + h_tail
 
     l_term = l_value(t, T, theta, s, strikes, model)
-    g_term = float(_g_quadrature(model, np.array([theta]), np.array([s]), t, T, strikes.k_max)[0])
+    g_term = float(_g_batch(model, theta, s, t, T, strikes.k_max, None, 0)[0][0])
 
     if v > 0.0:
         sqv = math.sqrt(v)
@@ -1215,9 +1201,8 @@ def decomposition_check(
             x = s * math.exp(-v / 2.0 + sqv * w)
             return float(model.phi(x)) * norm_pdf(w)
 
-        reach = LognormalLaw.window
         m_term, _ = quad(
-            m_integrand, -reach, 2.0 * sqv + reach, epsabs=1e-12, epsrel=1e-11, limit=300
+            m_integrand, -QUAD_REACH, 2.0 * sqv + QUAD_REACH, epsabs=1e-12, epsrel=1e-11, limit=300
         )
     else:
         m_term = float(model.phi(s))

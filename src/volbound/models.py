@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import ive
 
 from .errors import ConfigurationError, DomainError
-from .special_functions import bessel_k, norm_pdf
+from .special_functions import bessel_k
 
 __all__ = [
     "TimeWeight",
@@ -131,13 +131,16 @@ class StateDiffusion:
 class PhiFunction:
     """Positive convex solution of (1/2) beta^2 phi'' = phi with derivatives.
 
-    All three callables accept floats or numpy arrays.
+    All three callables accept floats or numpy arrays. curvature is phi''
+    when that is a constant (phi quadratic) and None otherwise; under a
+    lognormal law it makes the bound's tail and strike-band terms closed form.
     """
 
     value: Callable
     deriv1: Callable
     deriv2: Callable
     provenance: str = "closed-form"
+    curvature: float | None = None
 
     def __call__(self, z):
         return self.value(z)
@@ -151,6 +154,7 @@ class PhiFunction:
             deriv1=lambda z: c * self.deriv1(z),
             deriv2=lambda z: c * self.deriv2(z),
             provenance=self.provenance,
+            curvature=None if self.curvature is None else c * self.curvature,
         )
 
 
@@ -167,51 +171,17 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class TransitionLaw:
-    """Exact law of Z_T given Z_t = s, indexed by the variance v = sigma^2 int_t^T h^2.
-
-    A law integrates above a cutoff k by fixed-node Gauss-Legendre
-    quadrature: tail_rule(s, v, k) returns (x, dens, half) for 1-d arrays s
-    and v, such that
-
-        E[f(Z_T); Z_T > k] ~= half_i * sum_j weights_j f(x_ij) dens_ij.
-
-    The ``nodes`` nodes span a window of ``window`` standard deviations of
-    the integration variable. A law with an atom at the lower boundary also
-    gives its mass, P(Z_T = lower boundary), as absorbed_mass(s, v).
-    """
-
-    nodes: ClassVar[int]
-    window: ClassVar[float]
-
-    @property
-    def weights(self) -> np.ndarray:
-        return _gauss_legendre(self.nodes)[1]
-
-    def _abscissae(self, lo, hi):
-        """Per-row nodes mapped onto [lo_i, hi_i], with the half-widths."""
-        mid = 0.5 * (hi + lo)[:, None]
-        half = 0.5 * (hi - lo)[:, None]
-        return mid + half * _gauss_legendre(self.nodes)[0][None, :], half[:, 0]
+    """Exact law of Z_T given Z_t = s, indexed by the variance v = sigma^2 int_t^T h^2."""
 
 
 @dataclass(frozen=True)
 class LognormalLaw(TransitionLaw):
-    """gbm: Z_T = s exp(-v/2 + sqrt(v) W), integrated in w = W.
+    """gbm: Z_T = s exp(-v/2 + sqrt(v) W), W standard normal.
 
-    The tail integrand is smooth on [w_k, w_hi] with its kink placed exactly
-    at the lower limit, so Gauss-Legendre converges spectrally.
+    Its call price and the second moment of the call payoff are closed form
+    (pricing._bs_call_core, pricing._bs_sq_call_core), so it needs no
+    quadrature rule.
     """
-
-    nodes: ClassVar[int] = 160
-    window: ClassVar[float] = 16.0
-
-    def tail_rule(self, s, v, k):
-        sqv = np.sqrt(v)
-        w_k = (np.log(k / s) + v / 2.0) / sqv
-        w_hi = np.maximum(w_k, 2.0 * sqv) + self.window
-        w, half = self._abscissae(w_k, w_hi)
-        x = s[:, None] * np.exp(-v[:, None] / 2.0 + sqv[:, None] * w)
-        return x, norm_pdf(w), half
 
 
 @dataclass(frozen=True)
@@ -219,22 +189,37 @@ class SquaredBesselLaw(TransitionLaw):
     """bessel0: Z_T = (v/2) Gamma(N) with N ~ Poisson(2s/v).
 
     Z is (sigma^2/4) times a zero-dimensional squared Bessel process
-    (Feller 1951). The law has an atom exp(-2s/v) at 0 and on y > 0 the
-    density (2/v) sqrt(s/y) exp(-2(s+y)/v) I1(4 sqrt(sy)/v). In r = sqrt(y)
-    that density is (4/v) sqrt(s) ive(1, 4 sqrt(s) r/v) exp(-2(sqrt(s)-r)^2/v),
-    a bump of standard deviation sqrt(v)/2 around sqrt(s); the nodes cover
-    [sqrt(k), inf) only where that bump is not negligible, so the node count
+    (Feller 1951). The law has an atom exp(-2s/v) at 0, its mass given by
+    absorbed_mass(s, v), and on y > 0 the density
+    (2/v) sqrt(s/y) exp(-2(s+y)/v) I1(4 sqrt(sy)/v). In r = sqrt(y) that
+    density is (4/v) sqrt(s) ive(1, 4 sqrt(s) r/v) exp(-2(sqrt(s)-r)^2/v),
+    a bump of standard deviation sqrt(v)/2 around sqrt(s).
+
+    The law integrates above a cutoff k by fixed-node Gauss-Legendre
+    quadrature: tail_rule(s, v, k) returns (x, dens, half) for 1-d arrays s
+    and v, such that
+
+        E[f(Z_T); Z_T > k] ~= half_i * sum_j weights_j f(x_ij) dens_ij.
+
+    The ``nodes`` nodes span ``window`` standard deviations of r and cover
+    [sqrt(k), inf) only where the bump is not negligible, so the node count
     need not grow with s/v.
     """
 
     nodes: ClassVar[int] = 64
     window: ClassVar[float] = 16.0
 
+    @property
+    def weights(self) -> np.ndarray:
+        return _gauss_legendre(self.nodes)[1]
+
     def tail_rule(self, s, v, k):
         a = np.sqrt(s)
         reach = self.window * 0.5 * np.sqrt(v)
         r_k = math.sqrt(k)
-        r, half = self._abscissae(np.maximum(r_k, a - reach), np.maximum(r_k, a) + reach)
+        lo, hi = np.maximum(r_k, a - reach), np.maximum(r_k, a) + reach
+        half = 0.5 * (hi - lo)
+        r = (0.5 * (hi + lo))[:, None] + half[:, None] * _gauss_legendre(self.nodes)[0][None, :]
         a, v = a[:, None], v[:, None]
         dens = (4.0 / v) * a * ive(1, 4.0 * a * r / v) * np.exp(-2.0 * np.square(a - r) / v)
         return r * r, dens, half
@@ -327,6 +312,7 @@ def builtin_model(name: str, z0: float | None = None) -> ReferenceModel:
                 value=lambda z: np.square(np.asarray(z, dtype=np.float64)),
                 deriv1=lambda z: 2.0 * np.asarray(z, dtype=np.float64),
                 deriv2=lambda z: np.full_like(np.asarray(z, dtype=np.float64), 2.0),
+                curvature=2.0,
             ),
             z0=1.0 if z0 is None else float(z0),
             law=LognormalLaw(),

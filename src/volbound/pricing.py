@@ -70,6 +70,17 @@ class ImpliedVolResult:
             )
 
 
+def _lognormal_cells(z, strike, variance):
+    """(scalar, z, strike, variance, live): the inputs as float arrays of one
+    broadcast shape, whether all three were scalars, and the cells with a
+    positive strike, variance and start, where the closed forms apply."""
+    scalar = np.ndim(z) == 0 and np.ndim(strike) == 0 and np.ndim(variance) == 0
+    z, strike, variance = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(a, dtype=np.float64)) for a in (z, strike, variance))
+    )
+    return scalar, z, strike, variance, (strike > 0.0) & (variance > 0.0) & (z > 0.0)
+
+
 def _bs_call_core(z, strike, variance):
     """Lognormal call value, vectorized; degenerate cells fall back to intrinsic.
 
@@ -79,20 +90,39 @@ def _bs_call_core(z, strike, variance):
     the no-arbitrage range [max(z - K, 0), z], which the formula's rounding
     can leave by an ulp.
     """
-    scalar = np.ndim(z) == 0 and np.ndim(strike) == 0 and np.ndim(variance) == 0
-    z, strike, variance = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(z, dtype=np.float64)),
-        np.atleast_1d(np.asarray(strike, dtype=np.float64)),
-        np.atleast_1d(np.asarray(variance, dtype=np.float64)),
-    )
+    scalar, z, strike, variance, live = _lognormal_cells(z, strike, variance)
     out = np.maximum(z - strike, 0.0)
-    live = (strike > 0.0) & (variance > 0.0) & (z > 0.0)
     if np.any(live):
         z_l, k_l, v_l = z[live], strike[live], variance[live]
         s = np.sqrt(v_l)
         d1 = (np.log(z_l / k_l) + v_l / 2.0) / s
         vals = z_l * norm_cdf(d1) - k_l * norm_cdf(d1 - s)
         out[live] = np.minimum(np.maximum(vals, np.maximum(z_l - k_l, 0.0)), z_l)
+    return float(out[0]) if scalar else out
+
+
+def _bs_sq_call_core(z, strike, variance):
+    """Lognormal second moment E[((Z_T - K)^+)^2] of the call payoff, vectorized.
+
+    Its strike derivative is -2 C(K), so it integrates call prices over
+    strikes in closed form. Cells with zero variance or an absorbed start
+    take the squared intrinsic value, zero strikes E[Z_T^2] = z^2 e^v; the
+    others are clamped to [max(z - K, 0)^2, z^2 e^v], the Jensen floor and
+    the zero-strike value.
+    """
+    scalar, z, strike, variance, live = _lognormal_cells(z, strike, variance)
+    floor = np.square(np.maximum(z - strike, 0.0))
+    out = floor.copy()
+    top = strike == 0.0
+    out[top] = np.square(z[top]) * np.exp(variance[top])
+    if np.any(live):
+        z_l, k_l, v_l = z[live], strike[live], variance[live]
+        s = np.sqrt(v_l)
+        d1 = (np.log(z_l / k_l) + v_l / 2.0) / s
+        second = np.square(z_l) * np.exp(v_l)
+        vals = second * norm_cdf(d1 + s) - 2.0 * k_l * z_l * norm_cdf(d1)
+        vals = vals + k_l * k_l * norm_cdf(d1 - s)
+        out[live] = np.minimum(np.maximum(vals, floor[live]), second)
     return float(out[0]) if scalar else out
 
 

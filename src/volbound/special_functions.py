@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
 __all__ = [
     "AccuracySpec",
@@ -26,7 +27,6 @@ __all__ = [
 ]
 
 _EULER_GAMMA = 0.5772156649015328606
-_SQRT1_2 = math.sqrt(0.5)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 # Regime boundaries for bessel_k. Below SERIES_MAX the ascending series is
@@ -50,11 +50,10 @@ class AccuracySpec:
     """Requested accuracy for special-function evaluation."""
 
     rel_tol: float = 1e-14
-    abs_tol: float = 1e-300
 
     def __post_init__(self) -> None:
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValueError("AccuracySpec tolerances must be positive")
+        if not self.rel_tol > 0.0:
+            raise ValueError("AccuracySpec rel_tol must be positive")
 
 
 DEFAULT_ACCURACY = AccuracySpec()
@@ -67,19 +66,18 @@ def norm_pdf(x):
     return float(out) if out.ndim == 0 else out
 
 
-_erfc_vec = np.vectorize(math.erfc, otypes=[np.float64])
-
-
 def norm_cdf(x):
     """Standard normal distribution function.
 
-    Computed as 0.5*erfc(-x/sqrt(2)); accurate to ~1 ulp over the whole real
-    line, in particular far better than 1e-12 absolute.
+    scipy.special.ndtr, compiled and elementwise; it agrees with
+    0.5*erfc(-x/sqrt(2)) to 3e-14 relative on [-30, 30], far better than
+    1e-12 absolute. It flushes to 0 below x ~ -37.6, where the exact value
+    is subnormal and math.erfc still resolves it.
     """
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise ValueError("norm_cdf requires finite input")
-    out = 0.5 * _erfc_vec(-arr * _SQRT1_2)
+    out = ndtr(arr)
     return float(out) if out.ndim == 0 else out
 
 

@@ -66,6 +66,27 @@ def lognormal_call_oracle(z: float, k: float, v: float) -> float:
     return val
 
 
+def lognormal_sq_call_oracle(z: float, k: float, v: float) -> float:
+    """E[((Z_T - k)^+)^2] under the same lognormal law, by quadrature.
+
+    The lower limit is clipped at -40 standard deviations, below which the
+    density is under 1e-347, so a deep in-the-money integrand with small v
+    is not spread over a window the quadrature cannot resolve.
+    """
+    if v == 0.0 or z == 0.0:
+        return max(z - k, 0.0) ** 2
+    s = math.sqrt(v)
+    w_k = -40.0 if k == 0.0 else max((math.log(k / z) + 0.5 * v) / s, -40.0)
+
+    def f(w):
+        x = z * math.exp(-0.5 * v + s * w)
+        return max(x - k, 0.0) ** 2 * math.exp(-0.5 * w * w) / math.sqrt(2.0 * math.pi)
+
+    hi = max(w_k, 2.0 * s) + 40.0
+    val, _ = quad(f, w_k, hi, epsabs=1e-16, epsrel=1e-13, limit=400)
+    return val
+
+
 def lognormal_phi_hat_oracle(z: float, k_m: float, v: float, phi) -> float:
     """E[(phi(Z_T) - phi(k_m)) 1{Z_T > k_m}] under the same lognormal law."""
     if v == 0.0:

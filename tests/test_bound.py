@@ -6,6 +6,7 @@ simulation-facing checks use fixed seeds and 3.5-sigma gates.
 """
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -23,6 +24,8 @@ from volbound.bound import (
     StrikeGrid,
     ThetaProcess,
     WeightVector,
+    _adaptive_simpson,
+    _band_integral,
     _g_batch,
     _g_quadrature,
     _rhs_detail,
@@ -44,7 +47,8 @@ from volbound.bound import (
     tail_route,
 )
 from volbound.errors import ConfigurationError, DivergenceError, DomainError
-from volbound.models import SimConfig, SquaredBesselLaw, TimeWeight, builtin_model
+from volbound.models import PhiFunction, SimConfig, SquaredBesselLaw, TimeWeight, builtin_model
+from volbound.pricing import _bs_call_core
 
 GBM = builtin_model("gbm")
 BESSEL = builtin_model("bessel0")
@@ -340,10 +344,19 @@ class TestTailTerm:
     def test_batch_route_matches_scalar_route(self):
         thetas = np.array([0.2, 0.5, 0.35, 1.0, 0.05])
         states = np.array([1.0, 0.7, 1.4, 2.5, 0.9])
-        batch = _g_quadrature(GBM, thetas, states, 0.0, 1.0, 2.0)
+        batch, _ = _g_batch(GBM, thetas, states, 0.0, 1.0, 2.0, None, 0)
         for i in range(thetas.size):
             scalar = g_value(0.0, 1.0, float(thetas[i]), float(states[i]), 2.0, GBM).value
             assert batch[i] == pytest.approx(scalar, rel=1e-9, abs=1e-12)
+
+    def test_deep_in_the_money_small_variance(self):
+        # the tail starts ~490 standard deviations below the bulk here, a
+        # window no fixed-node rule from w_k resolves (160 nodes: 0.25% low)
+        want = g_value(0.0, 1.0, 0.002, 4.0, 1.5, GBM).value
+        assert want == pytest.approx(13.750064000128, rel=1e-12)
+        got, ses = _g_batch(GBM, np.array([0.002]), np.array([4.0]), 0.0, 1.0, 1.5, None, 0)
+        assert float(ses[0]) == 0.0
+        assert float(got[0]) == pytest.approx(want, rel=1e-10)
 
     def test_cutoff_above_support_is_exactly_zero(self):
         assert g_value(0.0, 1.0, 0.2, 1.0, 1e9, GBM).value == 0.0
@@ -410,7 +423,8 @@ class TestTailTerm:
 
     def test_route_names_its_budget(self):
         cfg = SimConfig(n_paths=4096, dt=0.01, seed=1)
-        assert tail_route(GBM, cfg, 4096) == {"route": "quadrature", "nodes": 160, "window": 16.0}
+        assert tail_route(GBM, cfg, 4096) == {"route": "closed-form"}
+        assert tail_route(BESSEL, cfg, 4096) == {"route": "quadrature", "nodes": 64, "window": 16.0}
         assert tail_route(dataclasses.replace(BESSEL, law=None), cfg, 8) == {
             "route": "inner-mc", "n_inner": 512, "n_inner_t0": 4096, "dt": 0.01
         }
@@ -463,10 +477,30 @@ class TestStrikeBand:
         got = l_value(0.0, 1.0, theta, s, KS3, GBM)
         assert -band - 1e-9 <= got <= 1e-9
 
-    def test_refinement_stability(self):
-        a = l_value(0.0, 1.0, 0.35, 1.2, KS3, GBM)
-        b = l_value(0.0, 1.0, 0.35, 1.2, KS3, GBM, rel_tol=1e-10)
-        assert a == pytest.approx(b, abs=1e-6)
+    @pytest.mark.parametrize("t", [0.0, 0.25, 0.5])
+    def test_closed_form_matches_adaptive_simpson(self, t):
+        # the acceptance suite's decomposition cases, through the strike-band
+        # rule decomposition_check uses for H, on closed-form prices
+        theta, s, T = 0.3, 1.0, 1.0
+        v = theta * theta * (T - t)
+        rule = functools.partial(_adaptive_simpson, rel_tol=1e-8, max_panels=1024)
+
+        def prices(k):
+            return _bs_call_core(s, np.asarray(k, dtype=np.float64), v)
+
+        want = _band_integral(prices, GBM.phi, KS5, rule)
+        got = l_value(t, T, theta, s, KS5, GBM)
+        assert got == pytest.approx(want, abs=1e-8)
+
+    def test_vectorized_matches_scalar(self):
+        thetas = np.array([0.0, 0.2, 0.35, 1.0])
+        states = np.array([1.2, 0.6, 1.2, 2.0])
+        got = l_value(0.0, 1.0, thetas, states, KS5, GBM)
+        assert isinstance(got, np.ndarray) and got.shape == (4,)
+        for i in range(4):
+            want = l_value(0.0, 1.0, float(thetas[i]), float(states[i]), KS5, GBM)
+            assert isinstance(want, float)
+            assert got[i] == pytest.approx(want, rel=1e-14, abs=1e-300)
 
     def test_vanishing_first_strike_drops_out(self):
         tiny = l_value(0.0, 1.0, 0.2, 1.0, StrikeGrid(strikes=(0.0, 1e-6, 2.0)), GBM)
@@ -483,6 +517,49 @@ class TestStrikeBand:
             l_value(0.0, 1.0, -0.1, 1.0, KS3, GBM)
         with pytest.raises(ConfigurationError):
             l_value(0.0, 1.0, 0.5, 1.0, KS3, BESSEL)
+
+
+# phi(z) = 1/z also solves (1/2) z^2 phi'' = phi on gbm's law, but its
+# curvature is not constant, so neither G nor L may take the closed form
+INV = dataclasses.replace(GBM, phi=PhiFunction(
+    value=lambda z: 1.0 / np.asarray(z, dtype=np.float64),
+    deriv1=lambda z: -1.0 / np.square(np.asarray(z, dtype=np.float64)),
+    deriv2=lambda z: 2.0 / np.asarray(z, dtype=np.float64) ** 3,
+))
+
+
+class TestClosedFormGate:
+    CFG = SimConfig(n_paths=8000, dt=0.01, seed=19)
+
+    def test_tail_term_of_non_quadratic_phi_falls_back(self):
+        assert tail_route(INV, self.CFG, 1)["route"] == "inner-mc"
+        want = g_value(0.0, 1.0, 0.5, 1.0, 1.5, INV).value
+        assert want == pytest.approx(
+            lognormal_phi_hat_oracle(1.0, 1.5, 0.25, INV.phi), rel=1e-9, abs=1e-14
+        )
+        got, ses = _g_batch(INV, np.array([0.5]), np.array([1.0]), 0.0, 1.0, 1.5, self.CFG, 0)
+        assert float(ses[0]) > 0.0
+        assert abs(float(got[0]) - want) < 3.5 * float(ses[0])
+
+    def test_band_term_of_non_quadratic_phi_needs_a_sim_config(self):
+        with pytest.raises(ConfigurationError):
+            l_value(0.0, 1.0, 0.5, 1.0, KS3, INV)
+        with pytest.raises(ConfigurationError):
+            decomposition_check(INV, 0.3, 1.0, 0.0, 1.0, KS3)
+
+    def test_scaling_keeps_the_route_and_scales_exactly(self):
+        gbm2 = dataclasses.replace(GBM, phi=GBM.phi.scaled(2.0))
+        assert tail_route(gbm2, self.CFG, 1) == {"route": "closed-form"}
+        inv2 = dataclasses.replace(INV, phi=INV.phi.scaled(2.0))
+        assert tail_route(inv2, self.CFG, 1)["route"] == "inner-mc"
+        thetas = np.array([0.0, 0.002, 0.2, 0.5, 1.0])
+        states = np.array([1.2, 4.0, 0.7, 1.0, 2.5])
+        g1, _ = _g_batch(GBM, thetas, states, 0.0, 1.0, 1.5, None, 0)
+        g2, _ = _g_batch(gbm2, thetas, states, 0.0, 1.0, 1.5, None, 0)
+        assert np.array_equal(g2, 2.0 * g1)
+        l1 = l_value(0.0, 1.0, thetas, states, KS5, GBM)
+        l2 = l_value(0.0, 1.0, thetas, states, KS5, gbm2)
+        assert np.array_equal(l2, 2.0 * l1)
 
 
 class TestRightSide:
@@ -654,7 +731,7 @@ class TestMartingaleStructure:
             lt = np.array(
                 [l_value(0.5, T, float(a), float(b), KS3, GBM) for a, b in zip(th, sv)]
             )
-            gt = _g_quadrature(GBM, th, sv, 0.5, T, KS3.k_max)
+            gt, _ = _g_batch(GBM, th, sv, 0.5, T, KS3.k_max, None, 0)
             h_t = lt + gt
             se = h_t.std(ddof=1) / math.sqrt(h_t.size)
             assert abs(h_t.mean() - (l0 + g0)) < 3.5 * se

@@ -275,6 +275,7 @@ class TestCliCommands:
         b = doc["results"]["bound"]
         assert b["satisfied"] is True
         assert b["gap_term_mean"] == 0.0
+        assert b["tail_route"] == {"route": "closed-form"}
         # the embedded inputs recompute the embedded right side
         from volbound.bound import StrikeGrid, rhs_bound
         from volbound.models import builtin_model

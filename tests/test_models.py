@@ -130,6 +130,17 @@ class TestBuiltins:
         with pytest.raises(DomainError):
             m.phi.scaled(-1.0)
 
+    def test_phi_curvature(self):
+        # constant phi'' is recorded only where phi is quadratic
+        gbm = builtin_model("gbm").phi
+        assert gbm.curvature == 2.0
+        assert float(gbm.deriv2(0.7)) == gbm.curvature
+        assert gbm.scaled(2.0).curvature == 4.0
+        for name in ("bessel0", "logdiff"):
+            phi = builtin_model(name).phi
+            assert phi.curvature is None
+            assert phi.scaled(2.0).curvature is None
+
 
 # ===== rng substreams =====
 

@@ -85,6 +85,8 @@ class TestSolvePhi:
         assert np.max(np.abs(p.deriv1(zs) - 2.0 * zs)) < 1e-8
         assert np.max(np.abs(p.deriv2(zs) - 2.0)) < 1e-5
         assert p.provenance == "ode-solver"
+        # a numerical solution never claims constant curvature, even for z^2
+        assert p.curvature is None
 
     def test_slope_matched_recovers_bessel_phi(self):
         anchor = (1.0, float(BESSEL.phi(1.0)))

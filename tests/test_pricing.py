@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import lognormal_call_oracle
+from conftest import lognormal_call_oracle, lognormal_sq_call_oracle
 from volbound.errors import ConfigurationError, DomainError, SearchError
 from volbound.models import SimConfig, builtin_model
 from volbound.pricing import (
@@ -13,6 +13,8 @@ from volbound.pricing import (
     PriceQuote,
     bs_call_price,
     implied_vol,
+    _bs_call_core,
+    _bs_sq_call_core,
     mc_call_price,
     quad_call_price,
 )
@@ -82,6 +84,44 @@ class TestClosedForm:
     def test_rounding_cannot_price_below_intrinsic(self):
         # the formula rounds to 2.9499999999999997 here, an ulp under intrinsic
         assert bs_call_price(0.0, 1.5, 0.05, 0.41796875, 3.0).value >= 3.0 - 0.05
+
+
+class TestSecondMoment:
+    # (z, K, v): the degenerate cells, then deep in and out of the money
+    EDGE_CASES = [
+        (1.3, 0.8, 0.0), (0.5, 0.8, 0.0), (1.3, 0.0, 0.2), (0.0, 0.8, 0.2),
+        (0.0, 0.0, 0.2), (4.0, 1.5, 4e-6), (1.0, 3.0, 0.09), (1.0, 0.05, 2.0),
+    ]
+
+    def test_against_quadrature_oracle(self):
+        rng = np.random.default_rng(31)
+        random_cases = zip(
+            rng.uniform(0.1, 3.0, 40).tolist(),
+            rng.uniform(0.0, 3.0, 40).tolist(),
+            rng.uniform(1e-4, 2.0, 40).tolist(),
+        )
+        for z, k, v in [*self.EDGE_CASES, *random_cases]:
+            want = lognormal_sq_call_oracle(z, k, v)
+            assert _bs_sq_call_core(z, k, v) == pytest.approx(want, rel=1e-9, abs=1e-14)
+
+    def test_exact_limits(self):
+        assert _bs_sq_call_core(1.3, 0.8, 0.0) == (1.3 - 0.8) ** 2
+        assert _bs_sq_call_core(0.5, 0.8, 0.0) == 0.0
+        assert _bs_sq_call_core(0.0, 0.8, 0.2) == 0.0
+        assert _bs_sq_call_core(1.3, 0.0, 0.2) == 1.3 * 1.3 * math.exp(0.2)
+
+    def test_vectorized_and_bounded(self):
+        z, k, v = np.meshgrid([0.0, 0.4, 1.0, 2.5], [0.0, 0.3, 1.0, 4.0], [0.0, 1e-8, 0.1, 3.0])
+        got = _bs_sq_call_core(z, k, v)
+        assert got.shape == z.shape
+        for idx in np.ndindex(z.shape):
+            want = _bs_sq_call_core(float(z[idx]), float(k[idx]), float(v[idx]))
+            assert got[idx] == pytest.approx(want, rel=1e-14, abs=1e-300)
+        c = _bs_call_core(z, k, v)
+        # Jensen on both convex payoffs, and E[Z^2] from above
+        assert np.all(got >= np.square(np.maximum(z - k, 0.0)))
+        assert np.all(got >= np.square(c) * (1.0 - 1e-12))
+        assert np.all(got <= np.square(z) * np.exp(v))
 
 
 class TestQuadrature:

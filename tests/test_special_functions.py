@@ -146,6 +146,6 @@ def test_accuracy_spec_validation():
     with pytest.raises(ValueError):
         AccuracySpec(rel_tol=0.0)
     with pytest.raises(ValueError):
-        AccuracySpec(abs_tol=-1.0)
+        AccuracySpec(rel_tol=-1.0)
     spec = AccuracySpec(rel_tol=1e-10)
     assert bessel_k(0, 5.0, acc=spec) == pytest.approx(bessel_k(0, 5.0), rel=1e-9)
