@@ -5,11 +5,10 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .special_functions import AccuracySpec, bessel_k, norm_cdf, norm_pdf
+from .special_functions import bessel_k, norm_cdf, norm_pdf
 
 __all__ = [
     "__version__",
-    "AccuracySpec",
     "bessel_k",
     "norm_cdf",
     "norm_pdf",

@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.integrate import quad
@@ -41,12 +40,12 @@ from .models import (
     SimConfig,
     SquaredBesselLaw,
     TimeWeight,
-    _block_sizes,
+    _diffuse,
+    _map_blocks,
     _refine_grid,
     child_rng,
     rng_substream,
     simulate,
-    worker_count,
 )
 from .pricing import PriceQuote, _bs_call_core, _bs_sq_call_core
 from .special_functions import norm_pdf
@@ -409,71 +408,12 @@ class JointEnsemble:
         return self.s.shape[0]
 
 
-def _joint_block(scn, fine_grid, store_idx, rng, theta_rng, n):
-    model = scn.reference
-    proc = scn.theta_process
-    lower, upper = model.beta.lower, model.beta.upper
-    exact_s = model.name == "gbm"
-    s = np.full(n, float(scn.s0))
-    if proc.kind == "meanrev":
-        theta = np.full(n, proc.sigma0)
-    else:
-        theta = np.full(n, proc.deterministic_value(float(fine_grid[0])))
-    absorbed_at = np.full(n, np.nan)
-    m = len(store_idx)
-    s_out = np.empty((n, m))
-    th_out = np.empty((n, m))
-    store_pos = {int(j): col for col, j in enumerate(store_idx)}
-    if 0 in store_pos:
-        s_out[:, store_pos[0]] = s
-        th_out[:, store_pos[0]] = theta
-    rho = scn.correlation
-    rho_c = math.sqrt(max(0.0, 1.0 - rho * rho))
-    alive = np.isnan(absorbed_at)
-    for j in range(len(fine_grid) - 1):
-        t_lo = float(fine_grid[j])
-        step_dt = float(fine_grid[j + 1]) - t_lo
-        sqdt = math.sqrt(step_dt)
-        # fixed draw schedule: one S-draw (and one theta-draw when theta is
-        # stochastic) per step, so streams never depend on path history and
-        # the S-noise aligns across generators at a matched seed
-        xi = rng.standard_normal(n)
-        vol_t = np.maximum(theta, 0.0) * model.h(t_lo)
-        if exact_s:
-            v = vol_t * vol_t * step_dt
-            s = s * np.exp(-0.5 * v + np.sqrt(v) * xi)
-        else:
-            s_new = s + vol_t * np.asarray(model.beta(s)) * sqdt * xi
-            s = np.where(alive, s_new, s)
-            hit_lo = alive & (s <= lower)
-            s[hit_lo] = lower
-            absorbed_at[hit_lo] = fine_grid[j + 1]
-            if math.isfinite(upper):
-                hit_hi = alive & (s >= upper)
-                s[hit_hi] = upper
-                absorbed_at[hit_hi] = fine_grid[j + 1]
-            alive = np.isnan(absorbed_at)
-        if proc.kind == "meanrev":
-            xi_th = theta_rng.standard_normal(n)
-            corr = rho * xi + rho_c * xi_th
-            theta = theta + proc.rate * (proc.level - theta) * step_dt \
-                + proc.vol_of_vol * sqdt * corr
-        else:
-            theta = np.full(n, proc.deterministic_value(float(fine_grid[j + 1])))
-        col = store_pos.get(j + 1)
-        if col is not None:
-            s_out[:, col] = s
-            th_out[:, col] = theta
-    return s_out, th_out, absorbed_at
-
-
 def joint_simulate(scn: Scenario, time_grid, cfg: SimConfig) -> JointEnsemble:
     """Simulate paired (S, theta) paths, deterministic in (seed, grid).
 
-    The state follows dS = theta_t h(t) beta(S) dW with the exact
-    lognormal step for the gbm reference and Euler with boundary
-    absorption otherwise; theta follows its process specification with
-    noise from a separate substream so the S-draws line up across
+    The state follows dS = theta_t h(t) beta(S) dW, stepped like simulate
+    steps the reference diffusion; theta follows its process specification
+    with noise from a separate substream so the S-draws line up across
     generators at matched seeds. Negative excursions of a mean-reverting
     theta feed the state step clipped at zero.
     """
@@ -486,32 +426,48 @@ def joint_simulate(scn: Scenario, time_grid, cfg: SimConfig) -> JointEnsemble:
         )
     if grid.size > 1 and np.any(np.diff(grid) <= 0.0):
         raise DomainError("time grid must be strictly increasing")
-    breakpoints = tuple(scn.reference.h.breakpoints) + tuple(scn.theta_process.jump_times)
-    if grid.size == 1:
-        fine_grid, store_idx = grid, np.array([0])
-    else:
-        fine_grid, store_idx = _refine_grid(grid, cfg.dt, breakpoints)
-    sizes = _block_sizes(cfg.n_paths, cfg.block_size)
+    model, proc = scn.reference, scn.theta_process
+    breakpoints = tuple(model.h.breakpoints) + tuple(proc.jump_times)
+    fine_grid, store_idx = _refine_grid(grid, cfg.dt, breakpoints)
+    s = np.empty((cfg.n_paths, grid.size))
+    theta = np.empty((cfg.n_paths, grid.size))
+    absorbed = np.full(cfg.n_paths, np.nan)
+    if proc.kind != "meanrev":
+        theta[:] = [proc.deterministic_value(float(t)) for t in grid]
+    cols = {int(j): c for c, j in enumerate(store_idx)}
+    rho = scn.correlation
+    rho_c = math.sqrt(max(0.0, 1.0 - rho * rho))
 
-    def run_block(b):
-        return _joint_block(
-            scn,
-            fine_grid,
-            store_idx,
-            rng_substream(cfg.seed, b),
-            child_rng(cfg.seed, b, 1),
-            sizes[b],
+    def run_block(b, rows):
+        n = rows.stop - rows.start
+        if proc.kind == "meanrev":
+            theta_rng = child_rng(cfg.seed, b, 1)
+            th = np.full(n, proc.sigma0)
+            theta[rows, 0] = th
+
+            def advance(j, xi):
+                # one theta-draw per step, correlated with the step's S-draw
+                nonlocal th
+                step_dt = float(fine_grid[j]) - float(fine_grid[j - 1])
+                corr = rho * xi + rho_c * theta_rng.standard_normal(n)
+                th = th + proc.rate * (proc.level - th) * step_dt \
+                    + proc.vol_of_vol * math.sqrt(step_dt) * corr
+                if j in cols:
+                    theta[rows, cols[j]] = th
+                return np.maximum(th, 0.0)
+
+            theta0 = proc.sigma0
+        else:
+            def advance(j, xi):
+                return proc.deterministic_value(float(fine_grid[j]))
+
+            theta0 = advance(0, None)
+        _diffuse(
+            model, np.full(n, float(scn.s0)), fine_grid, rng_substream(cfg.seed, b), theta0,
+            s[rows], store_idx, absorbed[rows], advance,
         )
 
-    n_workers = min(worker_count(cfg), len(sizes))
-    if n_workers > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(run_block, range(len(sizes))))
-    else:
-        parts = [run_block(b) for b in range(len(sizes))]
-    s = np.concatenate([p[0] for p in parts], axis=0)
-    theta = np.concatenate([p[1] for p in parts], axis=0)
-    absorbed = np.concatenate([p[2] for p in parts], axis=0)
+    _map_blocks(cfg, run_block)
     return JointEnsemble(time_grid=grid, s=s, theta=theta, absorbed_at=absorbed)
 
 
@@ -666,24 +622,9 @@ def _g_batch(model, theta, s, t, T, k_max, cfg, stream_key):
     # spawn prefix outside any reachable block index, so inner draws never
     # collide with the ensemble's own substreams
     rng = child_rng(cfg.seed, 2**31 - 1, stream_key)
-    lower, upper = model.beta.lower, model.beta.upper
-    n_steps = max(1, math.ceil((T - t) / cfg.dt))
-    dt = (T - t) / n_steps
+    fine_grid, _ = _refine_grid(np.array([t, T]), cfg.dt, model.h.breakpoints)
     z = np.repeat(s[:, None], n_inner, axis=1)
-    alive = np.ones_like(z, dtype=bool)
-    vol_base = np.maximum(theta, 0.0)[:, None]
-    for j in range(n_steps):
-        xi = rng.standard_normal(z.shape)
-        h_t = model.h(float(t + j * dt))
-        z_new = z + vol_base * h_t * np.asarray(model.beta(z)) * math.sqrt(dt) * xi
-        z = np.where(alive, z_new, z)
-        hit_lo = alive & (z <= lower)
-        z[hit_lo] = lower
-        if math.isfinite(upper):
-            hit_hi = alive & (z >= upper)
-            z[hit_hi] = upper
-            alive = alive & ~hit_hi
-        alive = alive & ~hit_lo
+    z = _diffuse(model, z, fine_grid, rng, np.maximum(theta, 0.0)[:, None])
     sample = clipped_phi(model.phi, k_max, z)
     values = sample.mean(axis=1)
     ses = sample.std(ddof=1, axis=1) / math.sqrt(n_inner)
@@ -816,16 +757,21 @@ def _adaptive_simpson(f, a, b, rel_tol, max_panels=4096):
     raise DivergenceError(f"strike quadrature did not settle at {max_panels} panels")
 
 
-def _rhs_detail(coeffs, strikes: StrikeGrid, phi: PhiFunction):
-    ks = np.asarray(strikes.strikes)
+def _strike_slopes(phi: PhiFunction, ks: np.ndarray):
+    """(phi' at the strikes, whether the zero-strike convention was used)."""
     d = np.asarray(phi.deriv1(ks), dtype=np.float64)
-    convention = False
-    if not np.isfinite(d[0]):
+    convention = not np.isfinite(d[0])
+    if convention:
         # slope undefined at zero strike (its one-sided limit diverges):
         # reuse the next strike's slope so the first band contributes 0
         d = d.copy()
         d[0] = d[1]
-        convention = True
+    return d, convention
+
+
+def _rhs_detail(coeffs, strikes: StrikeGrid, phi: PhiFunction):
+    ks = np.asarray(strikes.strikes)
+    d, convention = _strike_slopes(phi, ks)
     if not np.all(np.isfinite(d)):
         raise DomainError("phi' is not finite at an interior strike")
     inner = float(np.sum(np.diff(ks) * np.diff(d)))
@@ -1043,7 +989,7 @@ def pricing_residuals(
     paths, so the standard error is that of the paired sample.
     """
     model = scn.reference
-    if model.name != "gbm":
+    if not isinstance(model.law, LognormalLaw):
         raise ConfigurationError(
             "pathwise repricing needs the closed-form price map; "
             f"model {model.name!r} does not have one"
@@ -1133,11 +1079,8 @@ def densification_study(
     convention = False
     for grid in schedule:
         ks = np.asarray(grid.strikes)
-        d = np.asarray(model.phi.deriv1(ks), dtype=np.float64)
-        if not np.isfinite(d[0]):
-            d = d.copy()
-            d[0] = d[1]
-            convention = True
+        d, zero_slope = _strike_slopes(model.phi, ks)
+        convention = convention or zero_slope
         diagnostic = float(grid.k_max * np.max(np.diff(d)))
         report = check_bound(scn, mats, grid, w, t, cfg, l_sample_paths=0)
         steps.append(

@@ -42,7 +42,7 @@ from .errors import (
     InfeasibleError,
     SearchError,
 )
-from .models import builtin_model
+from .models import LognormalLaw, builtin_model
 from .phi import (
     martingale_check_U,
     martingale_check_V,
@@ -159,7 +159,7 @@ def _cmd_price(rc: ResolvedConfig, args):
         "monte_carlo": {"value": mc.value, "se": mc.se, "n_paths": mc.n_paths},
     }
     verdict = True
-    if model.name == "gbm":
+    if isinstance(model.law, LognormalLaw):
         quad = quad_call_price(model, sigma, 0.0, T, strike, model.z0)
         closed = bs_call_price(0.0, T, strike, sigma, model.z0)
         gap = abs(mc.value - closed.value)
@@ -242,7 +242,7 @@ def _residual_payload(res) -> dict:
 def _cmd_check_bound(rc: ResolvedConfig, args):
     rep = check_bound(rc.scenario, rc.mats, rc.strikes, rc.weights, rc.eval_time, rc.sim)
     results = {"bound": _bound_payload(rc, rep)}
-    if rc.model.name == "gbm":
+    if isinstance(rc.model.law, LognormalLaw):
         res = pricing_residuals(rc.scenario, rc.mats, rc.strikes, rc.eval_time, rc.sim)
         results["repricing"] = _residual_payload(res)
     verdict = rep.satisfied and rep.n_stable
@@ -320,7 +320,7 @@ def _cmd_scan(rc: ResolvedConfig, args, base_doc):
             prc.scenario, prc.mats, prc.strikes, prc.weights, prc.eval_time, prc.sim
         )
         max_z = None
-        if prc.model.name == "gbm":
+        if isinstance(prc.model.law, LognormalLaw):
             res = pricing_residuals(
                 prc.scenario, prc.mats, prc.strikes, prc.eval_time, prc.sim
             )

@@ -319,13 +319,10 @@ def resolve(doc: dict) -> ResolvedConfig:
     paths = sim_sec.take_int("paths")
     dt = sim_sec.take_number("dt")
     seed = sim_sec.take_int("seed")
-    scheme = sim_sec.take_str("scheme", "euler-maruyama")
     block_size = sim_sec.take_int("block_size", 16384)
     sim_sec.finish()
     try:
-        sim = SimConfig(
-            n_paths=paths, dt=dt, seed=seed, scheme=scheme, block_size=block_size
-        )
+        sim = SimConfig(n_paths=paths, dt=dt, seed=seed, block_size=block_size)
     except VolboundError as exc:
         raise _wrap(top, "simulation", exc) from exc
 
@@ -401,7 +398,6 @@ def resolve(doc: dict) -> ResolvedConfig:
             "paths": paths,
             "dt": dt,
             "seed": seed,
-            "scheme": scheme,
             "block_size": block_size,
         },
     }

@@ -22,7 +22,7 @@ class DomainError(VolboundError, ValueError):
 
 
 class ConfigurationError(VolboundError, ValueError):
-    """A combination of options is invalid (e.g. scheme vs model)."""
+    """A combination of options is invalid (e.g. a route the model's law lacks)."""
 
 
 class ConfigParseError(ConfigurationError):

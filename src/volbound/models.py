@@ -33,7 +33,6 @@ __all__ = [
     "SimConfig",
     "PathEnsemble",
     "builtin_model",
-    "h_sq_integral",
     "simulate",
     "rng_substream",
     "worker_count",
@@ -95,11 +94,6 @@ class TimeWeight:
             v = self(lo)
             total += v * v * (hi - lo)
         return total
-
-
-def h_sq_integral(h: TimeWeight, a: float, b: float) -> float:
-    """Closed-form integral of h^2 over [a, b]."""
-    return h.sq_integral(a, b)
 
 
 # ===== state diffusion and eigenfunction =====
@@ -180,8 +174,12 @@ class LognormalLaw(TransitionLaw):
 
     Its call price and the second moment of the call payoff are closed form
     (pricing._bs_call_core, pricing._bs_sq_call_core), so it needs no
-    quadrature rule.
+    quadrature rule; step samples it exactly.
     """
+
+    def step(self, z, v, xi):
+        """Z_T from Z_t = z at variance v, given standard normal draws xi."""
+        return z * np.exp(-0.5 * v + np.sqrt(v) * xi)
 
 
 @dataclass(frozen=True)
@@ -375,7 +373,6 @@ class SimConfig:
     n_paths: int
     dt: float
     seed: int
-    scheme: str = "euler-maruyama"
     block_size: int = 16384
     n_workers: int | None = None
 
@@ -384,8 +381,6 @@ class SimConfig:
             raise ConfigurationError("n_paths must be >= 1")
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ConfigurationError("dt must be positive and finite")
-        if self.scheme not in ("euler-maruyama", "exact-gbm"):
-            raise ConfigurationError(f"unknown scheme {self.scheme!r}")
         if self.block_size < 1:
             raise ConfigurationError("block_size must be >= 1")
 
@@ -449,79 +444,76 @@ def _refine_grid(
         seg = a + (b - a) * np.arange(n_sub) / n_sub
         fine.append(seg)
     fine.append(np.array([t1]))
-    fine_grid = np.concatenate(fine) if fine else np.array([t0])
+    fine_grid = np.concatenate(fine)
     store_idx = np.searchsorted(fine_grid, time_grid)
     if not np.array_equal(fine_grid[store_idx], time_grid):
         raise AssertionError("internal grid refinement lost a user point")
     return fine_grid, store_idx
 
 
-def _euler_block(
-    model: ReferenceModel,
-    sigma: float,
-    z_start: float,
-    fine_grid: np.ndarray,
-    store_idx: np.ndarray,
-    rng: np.random.Generator,
-    n: int,
-) -> tuple[np.ndarray, np.ndarray]:
+def _diffuse(
+    model, z, fine_grid, rng, theta, out=None, store_idx=(), absorbed_at=None, advance=None
+):
+    """Step the states z along fine_grid under dZ = theta h(t) beta(Z) dW and
+    return the states at its end.
+
+    theta is a float or an array that broadcasts against z; it holds over
+    every step unless advance is given, in which case advance(j, xi) runs
+    once the states have reached fine_grid[j], with that step's normal draws
+    xi, and returns theta for the next step. A step is the law's exact step
+    when the model's law has one, otherwise an Euler step: a path that it
+    takes out of the open domain is set to the nearest boundary and frozen
+    there, and absorbed_at, when given, receives the time. Every step draws
+    one normal per state whatever the paths' history, so the stream position
+    never depends on it. out[..., c], when given, receives the states at
+    fine_grid[store_idx[c]].
+    """
+    exact_step = getattr(model.law, "step", None)
     lower, upper = model.beta.lower, model.beta.upper
-    z = np.full(n, float(z_start))
-    absorbed_at = np.full(n, np.nan)
-    if z_start == lower or z_start == upper:
-        absorbed_at[:] = fine_grid[0]
-    out = np.empty((n, len(store_idx)))
-    store_pos = {int(j): col for col, j in enumerate(store_idx)}
-    if 0 in store_pos:
-        out[:, store_pos[0]] = z
-    alive = np.isnan(absorbed_at)
-    for j in range(len(fine_grid) - 1):
-        t_lo = fine_grid[j]
-        step_dt = fine_grid[j + 1] - t_lo
-        # one draw per path per step regardless of absorption, so the stream
-        # position never depends on path history
-        xi = rng.standard_normal(n)
-        if sigma != 0.0:
-            vol = sigma * model.h(float(t_lo)) * math.sqrt(step_dt)
-            z_new = z + vol * model.beta(z) * xi
-            z = np.where(alive, z_new, z)
-            hit_lo = alive & (z <= lower)
-            z[hit_lo] = lower
-            absorbed_at[hit_lo] = fine_grid[j + 1]
+    alive = (z > lower) & (z < upper)
+    if absorbed_at is not None:
+        absorbed_at[~alive] = fine_grid[0]
+    cols = {int(j): c for c, j in enumerate(store_idx)}
+    if 0 in cols:
+        out[..., cols[0]] = z
+    for j in range(1, len(fine_grid)):
+        t_lo = float(fine_grid[j - 1])
+        step_dt = float(fine_grid[j]) - t_lo
+        xi = rng.standard_normal(z.shape)
+        vol = theta * model.h(t_lo)
+        if exact_step is not None:
+            z = exact_step(z, vol * vol * step_dt, xi)
+        else:
+            z = np.where(alive, z + vol * math.sqrt(step_dt) * model.beta(z) * xi, z)
+            hit = alive & (z <= lower)
+            z[hit] = lower
             if math.isfinite(upper):
                 hit_hi = alive & (z >= upper)
                 z[hit_hi] = upper
-                absorbed_at[hit_hi] = fine_grid[j + 1]
-            alive = np.isnan(absorbed_at)
-        col = store_pos.get(j + 1)
-        if col is not None:
-            out[:, col] = z
-    return out, absorbed_at
+                hit |= hit_hi
+            alive &= ~hit
+            if absorbed_at is not None:
+                absorbed_at[hit] = fine_grid[j]
+        if advance is not None:
+            theta = advance(j, xi)
+        c = cols.get(j)
+        if c is not None:
+            out[..., c] = z
+    return z
 
 
-def _exact_gbm_block(
-    model: ReferenceModel,
-    sigma: float,
-    z_start: float,
-    time_grid: np.ndarray,
-    rng: np.random.Generator,
-    n: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    z = np.full(n, float(z_start))
-    out = np.empty((n, len(time_grid)))
-    out[:, 0] = z
-    for j in range(len(time_grid) - 1):
-        v = sigma * sigma * model.h.sq_integral(float(time_grid[j]), float(time_grid[j + 1]))
-        if v > 0.0:
-            xi = rng.standard_normal(n)
-            z = z * np.exp(-0.5 * v + math.sqrt(v) * xi)
-        out[:, j + 1] = z
-    return out, np.full(n, np.nan)
-
-
-def _block_sizes(n_paths: int, block_size: int) -> list[int]:
-    full, rem = divmod(n_paths, block_size)
-    return [block_size] * full + ([rem] if rem else [])
+def _map_blocks(cfg: SimConfig, run_block) -> None:
+    """run_block(b, rows) for every path block b of cfg, rows being the
+    slice of its paths, on up to worker_count(cfg) threads."""
+    starts = range(0, cfg.n_paths, cfg.block_size)
+    jobs = [(b, slice(lo, min(lo + cfg.block_size, cfg.n_paths))) for b, lo in enumerate(starts)]
+    n_workers = min(worker_count(cfg), len(jobs))
+    if n_workers == 1:
+        for job in jobs:
+            run_block(*job)
+        return
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        list(pool.map(lambda job: run_block(*job), jobs))
 
 
 def simulate(
@@ -534,10 +526,11 @@ def simulate(
 ) -> PathEnsemble:
     """Simulate the reference diffusion from (t_start, z_start) on time_grid.
 
-    States are stored exactly at the requested grid times; integration between
-    them uses steps of size at most cfg.dt (euler-maruyama) or the exact
-    lognormal transition (exact-gbm, gbm only). A path whose proposed step
-    leaves the open domain is set to the nearest boundary and frozen there.
+    States are stored exactly at the requested grid times; between them the
+    paths take steps of at most cfg.dt, which also stop at the breakpoints of
+    h. A step is exact where the model's law samples it, an Euler step
+    otherwise; a path whose Euler step leaves the open domain is set to the
+    nearest boundary and frozen there.
     """
     if sigma < 0.0 or not math.isfinite(sigma):
         raise DomainError(f"sigma must be a finite nonnegative real, got {sigma}")
@@ -552,30 +545,17 @@ def simulate(
         raise DomainError(
             f"z_start {z_start} outside domain closure [{model.beta.lower}, {model.beta.upper}]"
         )
-    if cfg.scheme == "exact-gbm" and model.name != "gbm":
-        raise ConfigurationError("exact-gbm sampling requires the gbm model")
 
-    sizes = _block_sizes(cfg.n_paths, cfg.block_size)
-    if cfg.scheme == "exact-gbm":
-        def run_block(args):
-            b, nb = args
-            return _exact_gbm_block(model, sigma, z_start, grid, rng_substream(cfg.seed, b), nb)
-    else:
-        fine_grid, store_idx = _refine_grid(grid, cfg.dt, model.h.breakpoints)
+    fine_grid, store_idx = _refine_grid(grid, cfg.dt, model.h.breakpoints)
+    states = np.empty((cfg.n_paths, grid.size))
+    absorbed = np.full(cfg.n_paths, np.nan)
 
-        def run_block(args):
-            b, nb = args
-            return _euler_block(
-                model, sigma, z_start, fine_grid, store_idx, rng_substream(cfg.seed, b), nb
-            )
+    def run_block(b, rows):
+        z = np.full(rows.stop - rows.start, float(z_start))
+        _diffuse(
+            model, z, fine_grid, rng_substream(cfg.seed, b), sigma,
+            states[rows], store_idx, absorbed[rows],
+        )
 
-    jobs = list(enumerate(sizes))
-    n_workers = worker_count(cfg)
-    if n_workers == 1 or len(jobs) == 1:
-        results = [run_block(j) for j in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(run_block, jobs))
-    states = np.concatenate([r[0] for r in results], axis=0)
-    absorbed = np.concatenate([r[1] for r in results], axis=0)
+    _map_blocks(cfg, run_block)
     return PathEnsemble(time_grid=grid, states=states, absorbed_at=absorbed, sigma=float(sigma))

@@ -4,8 +4,7 @@ Three pricing routes with different noise profiles: the lognormal closed
 form (exact, gbm only), deterministic quadrature against the lognormal
 transition density (noise-free, gbm only), and Monte Carlo over simulated
 paths (any reference model, carries a standard error). Implied volatility
-inverts whichever forward map the model supports and records which one
-was used.
+inverts the closed form and records it as its forward map.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import ConfigurationError, DomainError, SearchError
-from .models import ReferenceModel, SimConfig, simulate
+from .models import LognormalLaw, ReferenceModel, SimConfig, simulate
 from .special_functions import norm_cdf, norm_pdf
 
 __all__ = [
@@ -184,15 +183,15 @@ def quad_call_price(
 ) -> PriceQuote:
     """Deterministic quadrature of the payoff against the transition density.
 
-    Only models with a known transition density are supported; that means
-    gbm, where log Z_T is normal with variance sigma^2 * int h^2. The
-    integral runs over a finite window in standard-normal units so that a
-    self-check can widen it and confirm the truncation is immaterial.
+    Only models with a lognormal law are supported (gbm), where log Z_T is
+    normal with variance sigma^2 * int h^2. The integral runs over a finite
+    window in standard-normal units so that a self-check can widen it and
+    confirm the truncation is immaterial.
     """
-    if model.name != "gbm":
+    if not isinstance(model.law, LognormalLaw):
         raise ConfigurationError(
-            f"quadrature pricing needs a known transition density; "
-            f"model {model.name!r} has none wired up"
+            f"quadrature pricing needs a lognormal transition law; "
+            f"model {model.name!r} has none"
         )
     _validate_quote_args(t, T, strike, sigma, z)
     if window <= 0.0:
@@ -218,26 +217,24 @@ def quad_call_price(
 
 
 def _forward_map(model, t, T, strike, z):
-    """Return (price_fn, slope_fn or None, label) for the model's pricer."""
-    if model.name == "gbm":
-        weight = model.h.sq_integral(t, T)
-
-        def price(sig):
-            return _bs_call_core(z, strike, sig * sig * weight)
-
-        def slope(sig):
-            v = sig * sig * weight
-            if v == 0.0 or strike == 0.0:
-                return 0.0
-            d1 = (math.log(z / strike) + v / 2.0) / math.sqrt(v)
-            return z * norm_pdf(d1) * math.sqrt(weight)
-
-        return price, slope, "gbm-closed-form"
+    """Return (price_fn, slope_fn, label) for the model's closed-form pricer."""
+    if not isinstance(model.law, LognormalLaw):
+        raise ConfigurationError(
+            f"implied vol needs a closed-form price map; model {model.name!r} has none"
+        )
+    weight = model.h.sq_integral(t, T)
 
     def price(sig):
-        return quad_call_price(model, sig, t, T, strike, z).value
+        return _bs_call_core(z, strike, sig * sig * weight)
 
-    return price, None, f"{model.name}-quadrature"
+    def slope(sig):
+        v = sig * sig * weight
+        if v == 0.0 or strike == 0.0:
+            return 0.0
+        d1 = (math.log(z / strike) + v / 2.0) / math.sqrt(v)
+        return z * norm_pdf(d1) * math.sqrt(weight)
+
+    return price, slope, "gbm-closed-form"
 
 
 def implied_vol(
@@ -313,7 +310,7 @@ def implied_vol(
         if it % 2 == 1:
             width_mark = hi - lo
         step_ok = False
-        if slope_fn is not None and not force_bisect:
+        if not force_bisect:
             dv = slope_fn(sig)
             if dv > 0.0:
                 cand = sig - f / dv

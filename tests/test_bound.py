@@ -47,7 +47,14 @@ from volbound.bound import (
     tail_route,
 )
 from volbound.errors import ConfigurationError, DivergenceError, DomainError
-from volbound.models import PhiFunction, SimConfig, SquaredBesselLaw, TimeWeight, builtin_model
+from volbound.models import (
+    PhiFunction,
+    SimConfig,
+    SquaredBesselLaw,
+    TimeWeight,
+    builtin_model,
+    simulate,
+)
 from volbound.pricing import _bs_call_core
 
 GBM = builtin_model("gbm")
@@ -300,6 +307,21 @@ class TestJointSimulate:
         p = math.exp(-2.0 * 0.2 / 1.0)
         assert abs(frac - p) < 4.0 * math.sqrt(p * (1.0 - p) / 5000)
 
+    @pytest.mark.parametrize(
+        "name,z0,sigma", [("gbm", 1.0, 0.3), ("bessel0", 0.3, 0.9), ("logdiff", 0.5, 0.6)]
+    )
+    def test_self_consistent_state_is_simulate_bit_for_bit(self, name, z0, sigma):
+        # one stepping kernel: a constant theta steps the state exactly as
+        # simulate steps the reference (bessel0 from 0.3 at sigma = 0.9
+        # absorbs about half its paths by t = 1, so the clamp is exercised)
+        m = builtin_model(name, z0=z0)
+        grid = [0.0, 0.3, 1.0]
+        cfg = SimConfig(n_paths=3000, dt=0.01, seed=23, block_size=1024)
+        ens = simulate(m, sigma, m.z0, 0.0, grid, cfg)
+        joint = joint_simulate(self_consistent_scenario(m, sigma), grid, cfg)
+        assert np.array_equal(ens.states, joint.s)
+        assert np.array_equal(ens.absorbed_at, joint.absorbed_at, equal_nan=True)
+
     def test_grid_validation(self):
         scn = self_consistent_scenario(GBM, 0.3)
         with pytest.raises(DomainError):
@@ -538,6 +560,34 @@ class TestClosedFormGate:
             lognormal_phi_hat_oracle(1.0, 1.5, 0.25, INV.phi), rel=1e-9, abs=1e-14
         )
         got, ses = _g_batch(INV, np.array([0.5]), np.array([1.0]), 0.0, 1.0, 1.5, self.CFG, 0)
+        assert float(ses[0]) > 0.0
+        assert abs(float(got[0]) - want) < 3.5 * float(ses[0])
+
+    # h triples at 0.1, inside the first dt = 0.25 step of [0, 1]
+    STEP_H = TimeWeight(values=(1.0, 3.0), breakpoints=(0.1,))
+    STEP_CFG = SimConfig(n_paths=40000, dt=0.25, seed=3)
+
+    def test_inner_mc_steps_through_breakpoints_of_h(self):
+        # Euler on both sides: the inner Monte Carlo and g_value's simulate
+        # route must step on the same refined grid (an inner run that reads
+        # h on a uniform grid misses the breakpoint and lands at z = -8.2)
+        euler = dataclasses.replace(INV, h=self.STEP_H, law=None)
+        with np.errstate(divide="ignore"):  # phi(0) = inf on absorbed paths
+            want = g_value(0.0, 1.0, 0.3, 1.0, 0.5, euler, self.STEP_CFG)
+            got, ses = _g_batch(
+                euler, np.array([0.3]), np.array([1.0]), 0.0, 1.0, 0.5, self.STEP_CFG, 0
+            )
+        z = (float(got[0]) - want.value) / math.hypot(float(ses[0]), want.se)
+        assert abs(z) < 3.5
+
+    def test_inner_mc_steps_the_lognormal_law_exactly(self):
+        # with its law kept, gbm's inner copies take exact lognormal steps,
+        # so only sampling error separates them from the quadrature oracle
+        model = dataclasses.replace(INV, h=self.STEP_H)
+        want = g_value(0.0, 1.0, 0.3, 1.0, 0.5, model).value
+        got, ses = _g_batch(
+            model, np.array([0.3]), np.array([1.0]), 0.0, 1.0, 0.5, self.STEP_CFG, 0
+        )
         assert float(ses[0]) > 0.0
         assert abs(float(got[0]) - want) < 3.5 * float(ses[0])
 

@@ -269,6 +269,13 @@ class TestCliCommands:
     def test_implied_vol_requires_a_price(self, base_path, capsys):
         assert main(["implied-vol", "--config", base_path]) == 2
 
+    def test_scheme_key_is_rejected(self, tmp_path, capsys):
+        # the model's transition law decides how it steps; no key selects it
+        p = tmp_path / "scheme.yaml"
+        p.write_text(BASE.replace("  seed: 11\n", "  seed: 11\n  scheme: exact-gbm\n"))
+        assert main(["price", "--config", str(p)]) == 2
+        assert "simulation.scheme" in capsys.readouterr().err
+
     def test_check_bound_report_is_auditable(self, base_path, capsys):
         assert main(["check-bound", "--config", base_path]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -12,7 +12,6 @@ from volbound.models import (
     SimConfig,
     TimeWeight,
     builtin_model,
-    h_sq_integral,
     rng_substream,
     simulate,
 )
@@ -26,24 +25,24 @@ class TestTimeWeight:
         h = TimeWeight(values=(2.0,))
         assert h.kind == "constant"
         assert h(0.0) == 2.0 and h(100.0) == 2.0
-        assert h_sq_integral(h, 0.0, 3.0) == pytest.approx(12.0)
+        assert h.sq_integral(0.0, 3.0) == pytest.approx(12.0)
 
     def test_piecewise(self):
         h = TimeWeight(values=(1.0, 2.0), breakpoints=(1.0,))
         assert h.kind == "piecewise-constant"
         assert h(0.5) == 1.0
         assert h(1.0) == 2.0  # right-continuous at the breakpoint
-        assert h_sq_integral(h, 0.0, 2.0) == pytest.approx(5.0)
-        assert h_sq_integral(h, 0.5, 1.5) == pytest.approx(0.5 + 2.0)
+        assert h.sq_integral(0.0, 2.0) == pytest.approx(5.0)
+        assert h.sq_integral(0.5, 1.5) == pytest.approx(0.5 + 2.0)
 
     def test_degenerate_interval(self):
         h = TimeWeight(values=(1.5,))
-        assert h_sq_integral(h, 1.0, 1.0) == 0.0
+        assert h.sq_integral(1.0, 1.0) == 0.0
 
     def test_reversed_bounds_rejected(self):
         h = TimeWeight(values=(1.0,))
         with pytest.raises(DomainError):
-            h_sq_integral(h, 2.0, 1.0)
+            h.sq_integral(2.0, 1.0)
 
     def test_invalid_construction(self):
         with pytest.raises(ConfigurationError):
@@ -62,8 +61,8 @@ class TestTimeWeight:
     def test_additivity(self, a, b, c):
         ts = sorted((a, b, c))
         h = TimeWeight(values=(1.0, 0.5, 2.0), breakpoints=(1.0, 3.0))
-        whole = h_sq_integral(h, ts[0], ts[2])
-        split = h_sq_integral(h, ts[0], ts[1]) + h_sq_integral(h, ts[1], ts[2])
+        whole = h.sq_integral(ts[0], ts[2])
+        split = h.sq_integral(ts[0], ts[1]) + h.sq_integral(ts[1], ts[2])
         assert whole == pytest.approx(split, abs=1e-12)
 
 
@@ -205,7 +204,7 @@ class TestSimulate:
 
     def test_exact_gbm_marginals(self):
         m = builtin_model("gbm")
-        e = simulate(m, 0.3, 1.0, 0.0, [0.0, 1.0], SimConfig(n_paths=60000, dt=1.0, seed=2, scheme="exact-gbm"))
+        e = simulate(m, 0.3, 1.0, 0.0, [0.0, 1.0], SimConfig(n_paths=60000, dt=1.0, seed=2))
         lz = np.log(e.states[:, -1])
         n = len(lz)
         assert abs(lz.mean() + 0.045) < 3.0 * lz.std(ddof=1) / math.sqrt(n)
@@ -214,15 +213,15 @@ class TestSimulate:
     def test_scheme_consistency_error_decreases_with_dt(self):
         # Matched seeds couple the two schemes step by step: both draw one
         # normal per grid step, so the pathwise log difference isolates the
-        # euler discretization error.
+        # euler discretization error. Without its law gbm steps by Euler.
         m = builtin_model("gbm")
+        euler = dataclasses.replace(m, law=None)
         errs = []
         for dt in (0.1, 0.01, 0.001):
             grid = np.linspace(0.0, 1.0, round(1.0 / dt) + 1)
-            cfg_e = SimConfig(n_paths=100_000, dt=dt, seed=31, scheme="euler-maruyama")
-            cfg_x = SimConfig(n_paths=100_000, dt=dt, seed=31, scheme="exact-gbm")
-            ze = simulate(m, 0.5, 1.0, 0.0, grid, cfg_e).states[:, -1]
-            zx = simulate(m, 0.5, 1.0, 0.0, grid, cfg_x).states[:, -1]
+            cfg = SimConfig(n_paths=100_000, dt=dt, seed=31)
+            ze = simulate(euler, 0.5, 1.0, 0.0, grid, cfg).states[:, -1]
+            zx = simulate(m, 0.5, 1.0, 0.0, grid, cfg).states[:, -1]
             errs.append(abs(np.mean(np.log(ze) - np.log(zx))))
         assert errs[0] > errs[1] > errs[2]
 
@@ -260,8 +259,6 @@ class TestSimulate:
     def test_errors(self):
         m = builtin_model("bessel0")
         cfg = SimConfig(n_paths=4, dt=0.1, seed=0)
-        with pytest.raises(ConfigurationError):
-            simulate(m, 0.2, 1.0, 0.0, [0.0, 1.0], SimConfig(n_paths=4, dt=0.1, seed=0, scheme="exact-gbm"))
         with pytest.raises(DomainError):
             simulate(m, 0.2, -1.0, 0.0, [0.0, 1.0], cfg)
         with pytest.raises(DomainError):
@@ -276,7 +273,8 @@ class TestSimulate:
             SimConfig(n_paths=0, dt=0.1, seed=1)
         with pytest.raises(ConfigurationError):
             SimConfig(n_paths=10, dt=0.0, seed=1)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(TypeError):
+            # the model's law, not a scheme option, decides how it steps
             SimConfig(n_paths=10, dt=0.1, seed=1, scheme="milstein")
 
 

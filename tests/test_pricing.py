@@ -183,7 +183,7 @@ class TestMonteCarlo:
         assert abs(q.value - 0.5) < 3.0 * q.se
 
     def test_exact_scheme_route(self):
-        cfg = SimConfig(n_paths=50000, dt=1.0, seed=4, scheme="exact-gbm")
+        cfg = SimConfig(n_paths=50000, dt=1.0, seed=4)
         q = mc_call_price(GBM, 0.25, 0.0, 1.0, 1.0, 1.0, cfg)
         want = bs_call_price(0.0, 1.0, 1.0, 0.25, 1.0).value
         assert abs(q.value - want) < 3.0 * q.se

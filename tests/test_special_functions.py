@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from volbound import special_functions as sf
-from volbound.special_functions import AccuracySpec, bessel_k, norm_cdf, norm_pdf
+from volbound.special_functions import bessel_k, norm_cdf, norm_pdf
 
 from conftest import bessel_k_oracle, norm_cdf_oracle
 
@@ -103,21 +102,6 @@ class TestBesselK:
         assert np.all(np.diff(k0) < 0.0) and np.all(np.diff(k1) < 0.0)
         assert np.all(np.isfinite(k0)) and np.all(np.isfinite(k1))
 
-    def test_crossover_consistency(self):
-        # adjacent regimes evaluated at the same x must agree
-        for x in (sf.SERIES_MAX, 1.5):
-            xa = np.array([x])
-            assert sf._k_series(0, xa)[0] == pytest.approx(sf._k_steed(xa)[0][0], rel=1e-11)
-            assert sf._k_series(1, xa)[0] == pytest.approx(sf._k_steed(xa)[1][0], rel=1e-11)
-        for x in (sf.ASYMPTOTIC_MIN, 18.0):
-            xa = np.array([x])
-            assert sf._k_steed(xa)[0][0] == pytest.approx(
-                sf._k_asymptotic(0, xa, 1e-14)[0], rel=1e-12
-            )
-            assert sf._k_steed(xa)[1][0] == pytest.approx(
-                sf._k_asymptotic(1, xa, 1e-14)[0], rel=1e-12
-            )
-
     def test_scalar_array_agree_bitwise(self):
         for x in (0.3, 2.7, 17.0):
             assert bessel_k(1, x) == bessel_k(1, np.array([x, x]))[0]
@@ -141,11 +125,3 @@ class TestBesselK:
         assert bessel_k(0, lo) > bessel_k(0, hi)
         assert bessel_k(1, lo) > bessel_k(1, hi)
 
-
-def test_accuracy_spec_validation():
-    with pytest.raises(ValueError):
-        AccuracySpec(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        AccuracySpec(rel_tol=-1.0)
-    spec = AccuracySpec(rel_tol=1e-10)
-    assert bessel_k(0, 5.0, acc=spec) == pytest.approx(bessel_k(0, 5.0), rel=1e-9)
