@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     ConfigurationError,
@@ -42,7 +41,8 @@ from .models import (
     TimeWeight,
     _diffuse,
     _map_blocks,
-    _refine_grid,
+    _samples_exactly,
+    _step_grid,
     child_rng,
     rng_substream,
     simulate,
@@ -269,7 +269,9 @@ class ThetaProcess:
 
     kind "constant": theta == sigma0. kind "step": deterministic
     piecewise-constant, jumping to jump_values[i] at jump_times[i].
-    kind "meanrev": dtheta = rate (level - theta) dt + vol_of_vol dW'.
+    kind "meanrev": dtheta = rate (level - theta) dt + vol_of_vol dW'; it
+    moves unless vol_of_vol is 0 and it starts at its level or has rate 0,
+    in which case it stays at sigma0 like a constant theta.
     """
 
     kind: str
@@ -300,9 +302,25 @@ class ThetaProcess:
             if self.rate < 0.0 or self.vol_of_vol < 0.0:
                 raise DomainError("mean reversion rate and vol-of-vol must be nonnegative")
 
+    @property
+    def moves(self) -> bool:
+        """Whether theta changes between any two instants (kind meanrev)."""
+        return self.kind == "meanrev" and (
+            self.vol_of_vol > 0.0 or (self.rate > 0.0 and self.level != self.sigma0)
+        )
+
+    @property
+    def change_times(self) -> tuple:
+        """The jump times at which a step theta changes value (a jump to the
+        value it already has is none)."""
+        if self.kind != "step":
+            return ()
+        before = (self.sigma0,) + self.jump_values[:-1]
+        return tuple(t for t, a, b in zip(self.jump_times, before, self.jump_values) if a != b)
+
     def deterministic_value(self, t: float) -> float:
-        """theta(t) for the non-stochastic kinds."""
-        if self.kind == "constant":
+        """theta(t) for a theta that does not move."""
+        if self.kind == "constant" or (self.kind == "meanrev" and not self.moves):
             return self.sigma0
         if self.kind == "step":
             out = self.sigma0
@@ -396,12 +414,14 @@ def meanrev_vol_scenario(
 
 @dataclass(frozen=True)
 class JointEnsemble:
-    """Paired (S, theta) paths on a common stored grid."""
+    """Paired (S, theta) paths on a common stored grid; steps is the number
+    of steps each path took."""
 
     time_grid: np.ndarray
     s: np.ndarray
     theta: np.ndarray
     absorbed_at: np.ndarray
+    steps: int = 0
 
     @property
     def n_paths(self) -> int:
@@ -412,10 +432,16 @@ def joint_simulate(scn: Scenario, time_grid, cfg: SimConfig) -> JointEnsemble:
     """Simulate paired (S, theta) paths, deterministic in (seed, grid).
 
     The state follows dS = theta_t h(t) beta(S) dW, stepped like simulate
-    steps the reference diffusion; theta follows its process specification
-    with noise from a separate substream so the S-draws line up across
-    generators at matched seeds. Negative excursions of a mean-reverting
-    theta feed the state step clipped at zero.
+    steps the reference diffusion: a theta that does not move changes only
+    at its change times, which join the stored times and h's breakpoints as
+    the ends of the state's steps. A moving theta follows its process on
+    substeps of at most cfg.dt, with noise from a separate substream; there
+    the state takes one normal-driven step per substep (the law's exact
+    step where it has one, Euler's otherwise). The S-draws line up across
+    generators at matched seeds until theta first differs between them;
+    after that an exact law's Poisson and Gamma draws, whose count depends
+    on the states, take different parts of the stream. Negative excursions
+    of a mean-reverting theta feed the state step clipped at zero.
     """
     grid = np.asarray([float(t) for t in time_grid], dtype=np.float64)
     if grid.ndim != 1 or grid.size == 0:
@@ -427,12 +453,11 @@ def joint_simulate(scn: Scenario, time_grid, cfg: SimConfig) -> JointEnsemble:
     if grid.size > 1 and np.any(np.diff(grid) <= 0.0):
         raise DomainError("time grid must be strictly increasing")
     model, proc = scn.reference, scn.theta_process
-    breakpoints = tuple(model.h.breakpoints) + tuple(proc.jump_times)
-    fine_grid, store_idx = _refine_grid(grid, cfg.dt, breakpoints)
+    fine_grid, store_idx = _step_grid(model, grid, cfg.dt, proc.change_times, proc.moves)
     s = np.empty((cfg.n_paths, grid.size))
     theta = np.empty((cfg.n_paths, grid.size))
     absorbed = np.full(cfg.n_paths, np.nan)
-    if proc.kind != "meanrev":
+    if not proc.moves:
         theta[:] = [proc.deterministic_value(float(t)) for t in grid]
     cols = {int(j): c for c, j in enumerate(store_idx)}
     rho = scn.correlation
@@ -440,7 +465,9 @@ def joint_simulate(scn: Scenario, time_grid, cfg: SimConfig) -> JointEnsemble:
 
     def run_block(b, rows):
         n = rows.stop - rows.start
-        if proc.kind == "meanrev":
+        advance = None
+        theta0 = proc.deterministic_value if proc.kind == "step" else proc.sigma0
+        if proc.moves:
             theta_rng = child_rng(cfg.seed, b, 1)
             th = np.full(n, proc.sigma0)
             theta[rows, 0] = th
@@ -456,19 +483,15 @@ def joint_simulate(scn: Scenario, time_grid, cfg: SimConfig) -> JointEnsemble:
                     theta[rows, cols[j]] = th
                 return np.maximum(th, 0.0)
 
-            theta0 = proc.sigma0
-        else:
-            def advance(j, xi):
-                return proc.deterministic_value(float(fine_grid[j]))
-
-            theta0 = advance(0, None)
         _diffuse(
             model, np.full(n, float(scn.s0)), fine_grid, rng_substream(cfg.seed, b), theta0,
             s[rows], store_idx, absorbed[rows], advance,
         )
 
     _map_blocks(cfg, run_block)
-    return JointEnsemble(time_grid=grid, s=s, theta=theta, absorbed_at=absorbed)
+    return JointEnsemble(
+        time_grid=grid, s=s, theta=theta, absorbed_at=absorbed, steps=len(fine_grid) - 1
+    )
 
 
 # ===== the bound's building blocks =====
@@ -549,6 +572,8 @@ def g_value(
     if v == 0.0 or s <= 0.0:
         return PriceQuote(value=float(clipped_phi(model.phi, k_max, s)), se=0.0, n_paths=0)
     if isinstance(model.law, LognormalLaw):
+        from scipy.integrate import quad
+
         sqv = math.sqrt(v)
         w_b = (math.log(k_max / s) + v / 2.0) / sqv
         w_hi = max(w_b, 2.0 * sqv) + QUAD_REACH
@@ -587,17 +612,20 @@ def tail_route(model: ReferenceModel, cfg: SimConfig, n_outer: int) -> dict:
     """How check_bound computes the tail term G on n_outer paths: the route
     and its budget, all deterministic in (model, cfg, n_outer). The inner
     Monte Carlo gives the outer paths n_inner copies each and the time-0
-    point n_inner_t0 copies."""
+    point n_inner_t0 copies; it names dt only where it takes Euler steps,
+    not one exact step per interval of h."""
     if _closed_form(model):
         return {"route": "closed-form"}
     if isinstance(model.law, SquaredBesselLaw):
         return {"route": "quadrature", "nodes": model.law.nodes, "window": model.law.window}
-    return {
+    route = {
         "route": "inner-mc",
         "n_inner": _inner_mc_size(cfg, n_outer),
         "n_inner_t0": _inner_mc_size(cfg, 1),
-        "dt": cfg.dt,
     }
+    if not _samples_exactly(model):
+        route["dt"] = cfg.dt
+    return route
 
 
 def _g_batch(model, theta, s, t, T, k_max, cfg, stream_key):
@@ -622,7 +650,7 @@ def _g_batch(model, theta, s, t, T, k_max, cfg, stream_key):
     # spawn prefix outside any reachable block index, so inner draws never
     # collide with the ensemble's own substreams
     rng = child_rng(cfg.seed, 2**31 - 1, stream_key)
-    fine_grid, _ = _refine_grid(np.array([t, T]), cfg.dt, model.h.breakpoints)
+    fine_grid, _ = _step_grid(model, np.array([t, T]), cfg.dt)
     z = np.repeat(s[:, None], n_inner, axis=1)
     z = _diffuse(model, z, fine_grid, rng, np.maximum(theta, 0.0)[:, None])
     sample = clipped_phi(model.phi, k_max, z)
@@ -792,7 +820,13 @@ def rhs_bound(coeffs, strikes: StrikeGrid, phi: PhiFunction) -> float:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Both sides of the universal bound for one scenario, with diagnostics."""
+    """Both sides of the universal bound for one scenario, with diagnostics.
+
+    absorbed_fraction is the share of simulated paths absorbed by time t;
+    absorbed_mass is the law's probability of the same where the law has an
+    atom and theta does not move, else None. steps is the number of steps
+    each path took.
+    """
 
     t: float
     lhs: float
@@ -808,6 +842,9 @@ class BoundReport:
     n_stability_z: float
     phi_prime_convention: bool
     n_paths: int
+    steps: int = 0
+    absorbed_fraction: float = 0.0
+    absorbed_mass: float | None = None
 
     def __post_init__(self):
         if self.rhs < 0.0:
@@ -849,6 +886,10 @@ def check_bound(
     theta_t = joint.theta[:, -1]
     s_t = joint.s[:, -1]
     n = s_t.size
+    mass_fn = getattr(model.law, "absorbed_mass", None)
+    mass = None
+    if mass_fn is not None and not scn.theta_process.moves:
+        mass = float(mass_fn(scn.s0, _state_variance(scn, t)))
 
     i_t1 = h.sq_integral(t, times[0])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -940,6 +981,18 @@ def check_bound(
         n_stability_z=float(z_stab),
         phi_prime_convention=convention,
         n_paths=n,
+        steps=joint.steps,
+        absorbed_fraction=float(np.mean(joint.absorbed_at <= t)),
+        absorbed_mass=mass,
+    )
+
+
+def _state_variance(scn: Scenario, t: float) -> float:
+    """int_0^t theta^2 h^2 for a theta that does not move."""
+    proc, h = scn.theta_process, scn.reference.h
+    edges = [0.0] + [c for c in proc.change_times if c < t] + [t]
+    return sum(
+        proc.deterministic_value(a) ** 2 * h.sq_integral(a, b) for a, b in zip(edges, edges[1:])
     )
 
 
@@ -964,6 +1017,7 @@ class ResidualTable:
     calibrated: np.ndarray
     min_tail_count: int
     n_paths: int
+    steps: int = 0
 
     @property
     def max_abs_z(self) -> float:
@@ -1033,6 +1087,7 @@ def pricing_residuals(
         calibrated=counts >= min_tail_count,
         min_tail_count=min_tail_count,
         n_paths=n,
+        steps=joint.steps,
     )
 
 
@@ -1052,6 +1107,7 @@ class DensificationReport:
     steps: tuple
     schedule_ok: bool
     phi_prime_convention: bool
+    path_steps: int = 0
 
 
 def densification_study(
@@ -1076,6 +1132,7 @@ def densification_study(
         t = 0.5 * mats.times[0]
     scn = self_consistent_scenario(model, sigma)
     steps = []
+    path_steps = 0
     convention = False
     for grid in schedule:
         ks = np.asarray(grid.strikes)
@@ -1083,6 +1140,7 @@ def densification_study(
         convention = convention or zero_slope
         diagnostic = float(grid.k_max * np.max(np.diff(d)))
         report = check_bound(scn, mats, grid, w, t, cfg, l_sample_paths=0)
+        path_steps += report.steps
         steps.append(
             DensificationStep(
                 k_max=grid.k_max,
@@ -1097,7 +1155,10 @@ def densification_study(
     diags = [s.diagnostic for s in steps]
     schedule_ok = all(b < a for a, b in zip(diags, diags[1:]))
     return DensificationReport(
-        steps=tuple(steps), schedule_ok=schedule_ok, phi_prime_convention=convention
+        steps=tuple(steps),
+        schedule_ok=schedule_ok,
+        phi_prime_convention=convention,
+        path_steps=path_steps,
     )
 
 
@@ -1120,6 +1181,8 @@ def decomposition_check(
     """
     if not _closed_form(model):
         raise ConfigurationError("the termwise check needs the closed-form model")
+    from scipy.integrate import quad
+
     from .pricing import quad_call_price
 
     v = theta * theta * model.h.sq_integral(t, T)

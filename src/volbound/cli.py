@@ -42,7 +42,7 @@ from .errors import (
     InfeasibleError,
     SearchError,
 )
-from .models import LognormalLaw, builtin_model
+from .models import LognormalLaw, builtin_model, stepping_route
 from .phi import (
     martingale_check_U,
     martingale_check_V,
@@ -109,14 +109,43 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _mart_payload(rep) -> dict:
+def _absorption(times, fraction, mass) -> dict:
+    """Absorbed share of the paths per stored time, next to the law's
+    absorbed mass where the law has an atom."""
+    out = {"times": list(times), "fraction": list(fraction)}
+    if mass is not None:
+        out["absorbed_mass"] = list(mass)
+    return out
+
+
+def _mart_payload(rep, model, sigma) -> dict:
+    mass_fn = getattr(model.law, "absorbed_mass", None)
+    mass = None
+    if mass_fn is not None:
+        mass = [mass_fn(model.z0, sigma * sigma * model.h.sq_integral(0.0, t)) for t in rep.times]
     return {
         "means": rep.means,
         "ses": rep.ses,
         "references": rep.references,
         "z_scores": rep.z_scores,
         "verdict": rep.verdict,
+        "absorption": _absorption(rep.times, rep.absorbed_fraction, mass),
     }
+
+
+def _stepping(routes) -> dict | list:
+    """The stepping routes of a command's simulations (models.stepping_route),
+    named once: the steps of simulations on one route add up. Simulations on
+    different routes (a scan over dt, or over a theta that moves at some
+    points only) give one entry per route."""
+    merged = {}
+    for route in routes:
+        key = tuple(item for item in route.items() if item[0] != "steps")
+        if key in merged and "steps" in route:
+            merged[key]["steps"] += route["steps"]
+        merged.setdefault(key, dict(route))
+    out = list(merged.values())
+    return out[0] if len(out) == 1 else out
 
 
 def _cmd_validate_phi(rc: ResolvedConfig | None, args):
@@ -157,6 +186,7 @@ def _cmd_price(rc: ResolvedConfig, args):
         "maturity": T,
         "strike": strike,
         "monte_carlo": {"value": mc.value, "se": mc.se, "n_paths": mc.n_paths},
+        "stepping": stepping_route(model, rc.sim.dt, mc.steps),
     }
     verdict = True
     if isinstance(model.law, LognormalLaw):
@@ -197,6 +227,7 @@ def _bound_payload(rc: ResolvedConfig, rep) -> dict:
     alphas = compute_alphas(rc.mats, rc.model.h)
     x0 = pin_point(rc.scenario.sigma0, rc.model.h.sq_integral(*rc.mats.times[:2]))
     qp = build_q(rc.weights, alphas, x0)
+    mass = None if rep.absorbed_mass is None else [rep.absorbed_mass]
     return {
         "t": rep.t,
         "lhs": rep.lhs,
@@ -208,6 +239,7 @@ def _bound_payload(rc: ResolvedConfig, rep) -> dict:
         "tail_correction_mean": rep.g_corr_mean,
         "tail_correction_se": rep.g_corr_se,
         "tail_route": tail_route(rc.model, rc.sim, rep.n_paths),
+        "absorption": _absorption([rep.t], [rep.absorbed_fraction], mass),
         "n_stable": rep.n_stable,
         "n_stability_z": rep.n_stability_z,
         "phi_prime_convention": rep.phi_prime_convention,
@@ -242,9 +274,13 @@ def _residual_payload(res) -> dict:
 def _cmd_check_bound(rc: ResolvedConfig, args):
     rep = check_bound(rc.scenario, rc.mats, rc.strikes, rc.weights, rc.eval_time, rc.sim)
     results = {"bound": _bound_payload(rc, rep)}
+    moving = rc.scenario.theta_process.moves
+    steps = rep.steps
     if isinstance(rc.model.law, LognormalLaw):
         res = pricing_residuals(rc.scenario, rc.mats, rc.strikes, rc.eval_time, rc.sim)
         results["repricing"] = _residual_payload(res)
+        steps += res.steps
+    results["stepping"] = stepping_route(rc.model, rc.sim.dt, steps, moving)
     verdict = rep.satisfied and rep.n_stable
     return results, verdict, None
 
@@ -275,6 +311,7 @@ def _cmd_densify(rc: ResolvedConfig, args):
         "schedule_ok": rep.schedule_ok,
         "phi_prime_convention": rep.phi_prime_convention,
         "steps": [dict(zip(header, row)) for row in rows],
+        "stepping": stepping_route(rc.model, rc.sim.dt, rep.path_steps),
     }
     verdict = rep.schedule_ok and all(s.satisfied for s in rep.steps)
     return results, verdict, (header, rows)
@@ -287,14 +324,17 @@ def _cmd_martingale_check(rc: ResolvedConfig, args):
     v = martingale_check_V(model, sigma, times, rc.sim)
     results = {
         "times": times,
-        "discounted_eigenfunction": _mart_payload(u),
-        "compensated_eigenfunction": _mart_payload(v),
+        "discounted_eigenfunction": _mart_payload(u, model, sigma),
+        "compensated_eigenfunction": _mart_payload(v, model, sigma),
     }
     verdict = u.verdict and v.verdict
+    steps = u.steps + v.steps
     if model.h.is_unit:
         sg = semigroup_check(model, sigma, times[-1], rc.sim)
-        results["semigroup"] = _mart_payload(sg)
+        results["semigroup"] = _mart_payload(sg, model, sigma)
         verdict = verdict and sg.verdict
+        steps += sg.steps
+    results["stepping"] = stepping_route(model, rc.sim.dt, steps)
     return results, verdict, None
 
 
@@ -310,6 +350,7 @@ def _cmd_scan(rc: ResolvedConfig, args, base_doc):
         "max_resid_z", "feasible", "conjunction_ok",
     ]
     rows = []
+    routes = []
     verdict = True
     for point in itertools.product(*(vals for _, vals in rc.scan_axes)):
         doc = copy.deepcopy(base_doc)
@@ -319,12 +360,17 @@ def _cmd_scan(rc: ResolvedConfig, args, base_doc):
         rep = check_bound(
             prc.scenario, prc.mats, prc.strikes, prc.weights, prc.eval_time, prc.sim
         )
+        steps = rep.steps
         max_z = None
         if isinstance(prc.model.law, LognormalLaw):
             res = pricing_residuals(
                 prc.scenario, prc.mats, prc.strikes, prc.eval_time, prc.sim
             )
             max_z = res.max_abs_z
+            steps += res.steps
+        routes.append(
+            stepping_route(prc.model, prc.sim.dt, steps, prc.scenario.theta_process.moves)
+        )
         # a scenario that reprices honestly cannot break the bound, so a
         # violated bound alongside quiet residuals marks an internal error
         conjunction_ok = True
@@ -343,6 +389,7 @@ def _cmd_scan(rc: ResolvedConfig, args, base_doc):
     results = {
         "axes": [{"key": k, "values": list(v)} for k, v in rc.scan_axes],
         "rows": [dict(zip(header, row)) for row in rows],
+        "stepping": _stepping(routes),
     }
     return results, verdict, (header, rows)
 

@@ -34,6 +34,7 @@ __all__ = [
     "PathEnsemble",
     "builtin_model",
     "simulate",
+    "stepping_route",
     "rng_substream",
     "worker_count",
     "WORKERS_ENV_VAR",
@@ -165,7 +166,12 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class TransitionLaw:
-    """Exact law of Z_T given Z_t = s, indexed by the variance v = sigma^2 int_t^T h^2."""
+    """Exact law of Z_T given Z_t = s, indexed by the variance v = sigma^2 int_t^T h^2.
+
+    A law with a sample(z, v, rng) method draws Z_T exactly over any
+    interval on which v grows linearly, so the stepping kernel takes one
+    step per interval between change points for it.
+    """
 
 
 @dataclass(frozen=True)
@@ -174,12 +180,17 @@ class LognormalLaw(TransitionLaw):
 
     Its call price and the second moment of the call payoff are closed form
     (pricing._bs_call_core, pricing._bs_sq_call_core), so it needs no
-    quadrature rule; step samples it exactly.
+    quadrature rule. step is the exact step driven by given normal draws,
+    which a moving theta correlates with its own noise; sample draws them.
     """
 
     def step(self, z, v, xi):
         """Z_T from Z_t = z at variance v, given standard normal draws xi."""
         return z * np.exp(-0.5 * v + np.sqrt(v) * xi)
+
+    def sample(self, z, v, rng):
+        """Draws of Z_T given Z_t = z at variance v."""
+        return self.step(z, v, rng.standard_normal(np.shape(z)))
 
 
 @dataclass(frozen=True)
@@ -192,6 +203,10 @@ class SquaredBesselLaw(TransitionLaw):
     (2/v) sqrt(s/y) exp(-2(s+y)/v) I1(4 sqrt(sy)/v). In r = sqrt(y) that
     density is (4/v) sqrt(s) ive(1, 4 sqrt(s) r/v) exp(-2(sqrt(s)-r)^2/v),
     a bump of standard deviation sqrt(v)/2 around sqrt(s).
+
+    sample draws Z_T by that Poisson mixture of Gammas (Glasserman 2004,
+    section 3.4); absorption_fraction places the absorption of a path that
+    reached the atom inside its step.
 
     The law integrates above a cutoff k by fixed-node Gauss-Legendre
     quadrature: tail_rule(s, v, k) returns (x, dens, half) for 1-d arrays s
@@ -227,6 +242,34 @@ class SquaredBesselLaw(TransitionLaw):
         with np.errstate(divide="ignore"):
             out = np.where(s > 0.0, np.exp(-2.0 * s / v), 1.0)
         return float(out) if out.ndim == 0 else out
+
+    #: Poisson mean above which a step's relative spread sqrt(v/s) is below
+    #: 5e-8 (numpy's Poisson sampler refuses means near 9e18): there a normal
+    #: with the law's mean s and variance v s stands in for the mixture
+    normal_mean: ClassVar[float] = 1e15
+
+    def sample(self, z, v, rng):
+        """Draws of Z_T given Z_t = z at variance v; z and v broadcast."""
+        z, v = np.broadcast_arrays(np.asarray(z, dtype=np.float64), np.asarray(v, dtype=np.float64))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lam = np.where(v > 0.0, 2.0 * z / v, 0.0)
+        big = lam > self.normal_mean
+        out = 0.5 * v * rng.standard_gamma(rng.poisson(np.where(big, 0.0, lam)))
+        out = np.where(v > 0.0, out, z)
+        if np.any(big):
+            zb = z[big]
+            out[big] = zb + np.sqrt(v[big] * zb) * rng.standard_normal(zb.size)
+        return out
+
+    def absorption_fraction(self, z, v, rng):
+        """Where a path from Z_t = z > 0 that sits at 0 after variance v was
+        absorbed, as a fraction of v, drawn from the law of tau given tau <= v.
+
+        P(absorbed by variance w) = exp(-2z/w), so with q = 2z/v and E a
+        standard exponential the fraction is q / (q + E).
+        """
+        q = 2.0 * np.asarray(z, dtype=np.float64) / v
+        return q / (q + rng.standard_exponential(q.shape))
 
 
 @dataclass(frozen=True)
@@ -365,9 +408,11 @@ def builtin_model(name: str, z0: float | None = None) -> ReferenceModel:
 class SimConfig:
     """Monte Carlo controls.
 
-    block_size fixes the path-to-substream assignment: path p lives in block
-    p // block_size, and block b always draws from rng_substream(seed, b).
-    Worker count therefore never changes results, only wall time.
+    dt bounds Euler steps and the substeps of a moving theta; a model whose
+    law samples exactly does not use it. block_size fixes the
+    path-to-substream assignment: path p lives in block p // block_size, and
+    block b always draws from rng_substream(seed, b). Worker count therefore
+    never changes results, only wall time.
     """
 
     n_paths: int
@@ -391,13 +436,15 @@ class PathEnsemble:
 
     states[p, j] is path p at time_grid[j]; absorbed paths are frozen at the
     boundary value from their absorption time onward. absorbed_at[p] is nan
-    for paths that never left the open domain.
+    for paths that never left the open domain. steps is the number of steps
+    each path took.
     """
 
     time_grid: np.ndarray
     states: np.ndarray
     absorbed_at: np.ndarray
     sigma: float
+    steps: int = 0
 
     @property
     def n_paths(self) -> int:
@@ -428,27 +475,49 @@ def worker_count(cfg: SimConfig) -> int:
     return os.cpu_count() or 1
 
 
-def _refine_grid(
-    time_grid: np.ndarray, dt: float, breakpoints: tuple[float, ...]
+def _samples_exactly(model: ReferenceModel, moving: bool = False) -> bool:
+    """Whether the stepping kernel spans each interval between change points
+    with one exact draw: the law samples exactly and theta does not move."""
+    return not moving and hasattr(model.law, "sample")
+
+
+def _step_grid(
+    model: ReferenceModel, time_grid: np.ndarray, dt: float, change_times=(), moving=False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Union of user grid, h breakpoints and dt substeps.
+    """The stepping kernel's grid for model: the stored times, the breakpoints
+    of h and theta's change times, with substeps of at most dt in between
+    unless the law samples each interval between them exactly.
 
     Returns (fine_grid, store_idx) with fine_grid[store_idx] == time_grid
-    exactly; every step of fine_grid is <= dt.
+    exactly.
     """
     t0, t1 = time_grid[0], time_grid[-1]
+    breakpoints = tuple(model.h.breakpoints) + tuple(change_times)
     anchors = np.array(sorted(set(time_grid.tolist()) | {b for b in breakpoints if t0 < b < t1}))
-    fine = []
-    for a, b in zip(anchors, anchors[1:]):
-        n_sub = max(1, math.ceil((b - a) / dt - 1e-12))
-        seg = a + (b - a) * np.arange(n_sub) / n_sub
-        fine.append(seg)
-    fine.append(np.array([t1]))
-    fine_grid = np.concatenate(fine)
+    if _samples_exactly(model, moving):
+        fine_grid = anchors
+    else:
+        fine = []
+        for a, b in zip(anchors, anchors[1:]):
+            n_sub = max(1, math.ceil((b - a) / dt - 1e-12))
+            fine.append(a + (b - a) * np.arange(n_sub) / n_sub)
+        fine.append(np.array([t1]))
+        fine_grid = np.concatenate(fine)
     store_idx = np.searchsorted(fine_grid, time_grid)
     if not np.array_equal(fine_grid[store_idx], time_grid):
         raise AssertionError("internal grid refinement lost a user point")
     return fine_grid, store_idx
+
+
+def stepping_route(model: ReferenceModel, dt: float, steps: int, moving: bool = False) -> dict:
+    """How the kernel steps model, with its budget: {"route": "exact-law",
+    "steps": steps} for one exact draw per interval between change points,
+    steps being the draws per path; otherwise the step is the law's exact
+    step ("exact-law", while theta moves) or Euler's ("euler") on substeps of
+    at most dt, and the budget is {"dt": dt}."""
+    if _samples_exactly(model, moving):
+        return {"route": "exact-law", "steps": int(steps)}
+    return {"route": "exact-law" if hasattr(model.law, "step") else "euler", "dt": dt}
 
 
 def _diffuse(
@@ -457,17 +526,23 @@ def _diffuse(
     """Step the states z along fine_grid under dZ = theta h(t) beta(Z) dW and
     return the states at its end.
 
-    theta is a float or an array that broadcasts against z; it holds over
-    every step unless advance is given, in which case advance(j, xi) runs
-    once the states have reached fine_grid[j], with that step's normal draws
-    xi, and returns theta for the next step. A step is the law's exact step
-    when the model's law has one, otherwise an Euler step: a path that it
-    takes out of the open domain is set to the nearest boundary and frozen
-    there, and absorbed_at, when given, receives the time. Every step draws
-    one normal per state whatever the paths' history, so the stream position
-    never depends on it. out[..., c], when given, receives the states at
-    fine_grid[store_idx[c]].
+    theta is a float, an array that broadcasts against z, or a function of
+    a step's start time; it holds over each step. Without advance, a model
+    whose law samples exactly takes the law's draw over each step, however
+    long: it may draw any number of variates per state (Poisson, Gamma and,
+    for a path absorbed in the step, an exponential that places tau inside
+    it), so the stream position depends on the states. Otherwise every step
+    draws one normal per state whatever the paths' history, and the step is
+    the law's exact step driven by it where the law has one, else an Euler
+    step: a path that it takes out of the open domain is set to the nearest
+    boundary and frozen there. advance(j, xi), when given, runs once the
+    states have reached fine_grid[j], with that step's normal draws xi, and
+    returns theta for the next step (a moving theta, on dt substeps).
+    absorbed_at, when given, receives absorption times; out[..., c], when
+    given, receives the states at fine_grid[store_idx[c]].
     """
+    sample = model.law.sample if advance is None and _samples_exactly(model) else None
+    absorb = getattr(model.law, "absorption_fraction", None)
     exact_step = getattr(model.law, "step", None)
     lower, upper = model.beta.lower, model.beta.upper
     alive = (z > lower) & (z < upper)
@@ -479,23 +554,36 @@ def _diffuse(
     for j in range(1, len(fine_grid)):
         t_lo = float(fine_grid[j - 1])
         step_dt = float(fine_grid[j]) - t_lo
-        xi = rng.standard_normal(z.shape)
-        vol = theta * model.h(t_lo)
-        if exact_step is not None:
-            z = exact_step(z, vol * vol * step_dt, xi)
+        vol = (theta(t_lo) if callable(theta) else theta) * model.h(t_lo)
+        if sample is not None:
+            v = vol * vol * step_dt
+            z_new = sample(z, v, rng)
+            if absorb is not None:
+                # a law with an atom absorbs only at the lower boundary
+                hit = alive & (z_new <= lower)
+                if np.any(hit):
+                    frac = absorb(z[hit], np.broadcast_to(v, z.shape)[hit], rng)
+                    if absorbed_at is not None:
+                        absorbed_at[hit] = t_lo + frac * step_dt
+                    alive &= ~hit
+            z = z_new
         else:
-            z = np.where(alive, z + vol * math.sqrt(step_dt) * model.beta(z) * xi, z)
-            hit = alive & (z <= lower)
-            z[hit] = lower
-            if math.isfinite(upper):
-                hit_hi = alive & (z >= upper)
-                z[hit_hi] = upper
-                hit |= hit_hi
-            alive &= ~hit
-            if absorbed_at is not None:
-                absorbed_at[hit] = fine_grid[j]
-        if advance is not None:
-            theta = advance(j, xi)
+            xi = rng.standard_normal(z.shape)
+            if exact_step is not None:
+                z = exact_step(z, vol * vol * step_dt, xi)
+            else:
+                z = np.where(alive, z + vol * math.sqrt(step_dt) * model.beta(z) * xi, z)
+                hit = alive & (z <= lower)
+                z[hit] = lower
+                if math.isfinite(upper):
+                    hit_hi = alive & (z >= upper)
+                    z[hit_hi] = upper
+                    hit |= hit_hi
+                alive &= ~hit
+                if absorbed_at is not None:
+                    absorbed_at[hit] = fine_grid[j]
+            if advance is not None:
+                theta = advance(j, xi)
         c = cols.get(j)
         if c is not None:
             out[..., c] = z
@@ -526,11 +614,12 @@ def simulate(
 ) -> PathEnsemble:
     """Simulate the reference diffusion from (t_start, z_start) on time_grid.
 
-    States are stored exactly at the requested grid times; between them the
-    paths take steps of at most cfg.dt, which also stop at the breakpoints of
-    h. A step is exact where the model's law samples it, an Euler step
-    otherwise; a path whose Euler step leaves the open domain is set to the
-    nearest boundary and frozen there.
+    States are stored exactly at the requested grid times. Where the model's
+    law samples exactly, each path takes one exact step per interval between
+    grid times and breakpoints of h, and cfg.dt is unused; otherwise it takes
+    Euler steps of at most cfg.dt that also stop at the breakpoints, and a
+    path whose step leaves the open domain is set to the nearest boundary and
+    frozen there.
     """
     if sigma < 0.0 or not math.isfinite(sigma):
         raise DomainError(f"sigma must be a finite nonnegative real, got {sigma}")
@@ -546,7 +635,7 @@ def simulate(
             f"z_start {z_start} outside domain closure [{model.beta.lower}, {model.beta.upper}]"
         )
 
-    fine_grid, store_idx = _refine_grid(grid, cfg.dt, model.h.breakpoints)
+    fine_grid, store_idx = _step_grid(model, grid, cfg.dt)
     states = np.empty((cfg.n_paths, grid.size))
     absorbed = np.full(cfg.n_paths, np.nan)
 
@@ -558,4 +647,7 @@ def simulate(
         )
 
     _map_blocks(cfg, run_block)
-    return PathEnsemble(time_grid=grid, states=states, absorbed_at=absorbed, sigma=float(sigma))
+    return PathEnsemble(
+        time_grid=grid, states=states, absorbed_at=absorbed, sigma=float(sigma),
+        steps=len(fine_grid) - 1,
+    )

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 from .errors import (
     ConfigurationError,
@@ -56,7 +55,11 @@ class OdeResidualReport:
 
 @dataclass(frozen=True)
 class MartingaleTestReport:
-    """Sample means of a tested process against its no-drift reference."""
+    """Sample means of a tested process against its no-drift reference.
+
+    absorbed_fraction is the share of simulated paths absorbed by each test
+    time, and steps the number of steps each path took.
+    """
 
     times: tuple
     means: tuple
@@ -64,6 +67,8 @@ class MartingaleTestReport:
     references: tuple
     z_scores: tuple
     verdict: bool
+    absorbed_fraction: tuple = ()
+    steps: int = 0
 
     def __post_init__(self):
         if any(se < 0.0 for se in self.ses):
@@ -132,6 +137,8 @@ class _TwoSidedSolution:
 
 
 def _integrate_both(beta, z_ref, value, slope, z_lo, z_hi):
+    from scipy.integrate import solve_ivp
+
     def rhs(z, y):
         b = float(beta(z))
         return (y[1], 2.0 * y[0] / (b * b))
@@ -279,8 +286,8 @@ def _check_times(times):
     return times
 
 
-def _summarize(times, samples, references):
-    """Fold per-time sample vectors into a MartingaleTestReport."""
+def _summarize(times, samples, references, ens):
+    """Fold per-time sample vectors into a MartingaleTestReport on ens."""
     means, ses, zs = [], [], []
     for x, ref in zip(samples, references):
         if np.all(x == x[0]):
@@ -305,6 +312,8 @@ def _summarize(times, samples, references):
         references=tuple(references),
         z_scores=tuple(zs),
         verdict=verdict,
+        absorbed_fraction=tuple(float(np.mean(ens.absorbed_at <= t)) for t in times),
+        steps=ens.steps,
     )
 
 
@@ -346,7 +355,7 @@ def martingale_check_U(
         states = ens.states[:, idx[t]]
         weight = np.exp(-sigma * sigma * _stopped_sq_integral(model.h, t, ens.absorbed_at))
         samples.append(weight * np.asarray(model.phi(states), dtype=np.float64))
-    return _summarize(times, samples, [ref] * len(times))
+    return _summarize(times, samples, [ref] * len(times), ens)
 
 
 def martingale_check_V(
@@ -386,7 +395,7 @@ def martingale_check_V(
     for t in times:
         i = idx[t]
         samples.append(phis[:, i] - sigma * sigma * cum[:, i])
-    return _summarize(times, samples, [ref] * len(times))
+    return _summarize(times, samples, [ref] * len(times), ens)
 
 
 def martingale_check_integral(
@@ -422,7 +431,7 @@ def martingale_check_integral(
     )
     idx = {t: i for i, t in enumerate(grid)}
     samples = [cum[:, idx[t]] for t in times]
-    return _summarize(times, samples, [0.0] * len(times))
+    return _summarize(times, samples, [0.0] * len(times), ens)
 
 
 def semigroup_check(
@@ -453,6 +462,8 @@ def semigroup_check(
     absorbed_mass = getattr(model.law, "absorbed_mass", None)
     phi_lower = float(model.phi(model.beta.lower)) if absorbed_mass is not None else 0.0
     if math.isfinite(phi_lower) and phi_lower != 0.0:
+        from scipy.integrate import quad
+
         sig2 = sigma * sigma
         lost, _ = quad(
             lambda u: math.exp(sig2 * (t - u)) * float(absorbed_mass(model.z0, sig2 * u)),
@@ -464,4 +475,4 @@ def semigroup_check(
         )
         ref -= sig2 * phi_lower * lost
     sample = np.asarray(model.phi(ens.states[:, -1]), dtype=np.float64)
-    return _summarize([t], [sample], [ref])
+    return _summarize([t], [sample], [ref], ens)

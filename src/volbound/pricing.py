@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConfigurationError, DomainError, SearchError
 from .models import LognormalLaw, ReferenceModel, SimConfig, simulate
@@ -39,12 +38,14 @@ class PriceQuote:
 
     Call prices are nonnegative, but the type is shared with signed
     expectations (eigenfunction tail terms), so only finiteness and a
-    nonnegative error are enforced here.
+    nonnegative error are enforced here. steps is the number of steps each
+    simulated path took (0 when nothing was simulated).
     """
 
     value: float
     se: float
     n_paths: int
+    steps: int = 0
 
     def __post_init__(self):
         if not (math.isfinite(self.value) and self.se >= 0.0):
@@ -166,10 +167,10 @@ def mc_call_price(
     n = payoff.size
     if np.all(payoff == payoff[0]):
         # degenerate sample (sigma=0 or an unreachable strike): exact, no noise
-        return PriceQuote(value=float(payoff[0]), se=0.0, n_paths=n)
+        return PriceQuote(value=float(payoff[0]), se=0.0, n_paths=n, steps=ens.steps)
     value = float(payoff.mean())
     se = float(payoff.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return PriceQuote(value=value, se=se, n_paths=n)
+    return PriceQuote(value=value, se=se, n_paths=n, steps=ens.steps)
 
 
 def quad_call_price(
@@ -196,6 +197,8 @@ def quad_call_price(
     _validate_quote_args(t, T, strike, sigma, z)
     if window <= 0.0:
         raise DomainError(f"integration window must be positive, got {window}")
+    from scipy.integrate import quad
+
     v = sigma * sigma * model.h.sq_integral(t, T)
     if v == 0.0 or z == 0.0:
         return PriceQuote(value=max(z - strike, 0.0), se=0.0, n_paths=0)

@@ -53,6 +53,8 @@ from volbound.models import (
     SquaredBesselLaw,
     TimeWeight,
     builtin_model,
+    child_rng,
+    rng_substream,
     simulate,
 )
 from volbound.pricing import _bs_call_core
@@ -226,10 +228,13 @@ class TestJointSimulate:
         assert np.array_equal(a.theta, b.theta)
 
     def test_interior_zero_jump_matches_to_rounding(self):
+        # a jump to the value theta already has is no change point, so it
+        # adds no step: the runs match bit for bit, not just to rounding
         grid = [0.0, 0.5, 1.0]
         a = joint_simulate(self_consistent_scenario(GBM, 0.3), grid, self.CFG)
         c = joint_simulate(step_vol_scenario(GBM, 0.3, 0.37, 0.0), grid, self.CFG)
-        np.testing.assert_allclose(c.s, a.s, rtol=1e-9)
+        assert np.array_equal(c.s, a.s)
+        assert c.steps == a.steps == 2
 
     def test_degenerate_meanrev_is_bitwise_constant_vol(self):
         grid = [0.0, 0.5, 1.0]
@@ -321,6 +326,45 @@ class TestJointSimulate:
         joint = joint_simulate(self_consistent_scenario(m, sigma), grid, cfg)
         assert np.array_equal(ens.states, joint.s)
         assert np.array_equal(ens.absorbed_at, joint.absorbed_at, equal_nan=True)
+
+    @pytest.mark.parametrize("model", [GBM, BESSEL], ids=["gbm", "bessel0"])
+    def test_steps_end_only_where_theta_changes(self, model):
+        grid = [0.0, 0.5, 1.0]
+
+        def steps(scn):
+            return joint_simulate(scn, grid, self.CFG).steps
+
+        assert steps(self_consistent_scenario(model, 0.3)) == 2
+        assert steps(step_vol_scenario(model, 0.3, 0.37, 0.0)) == 2
+        assert steps(step_vol_scenario(model, 0.3, 0.37, 0.1)) == 3
+        # a theta that cannot move steps as a constant one
+        assert steps(meanrev_vol_scenario(model, 0.3, 2.0, 0.3, 0.0)) == 2
+        assert steps(meanrev_vol_scenario(model, 0.3, 0.0, 0.5, 0.0)) == 2
+        # a moving theta takes dt substeps
+        assert steps(meanrev_vol_scenario(model, 0.3, 2.0, 0.4, 0.0)) == 100
+        assert steps(meanrev_vol_scenario(model, 0.3, 0.0, 0.3, 0.2)) == 100
+
+    def test_moving_theta_draw_schedule_is_kept(self):
+        # a moving theta and its state step on dt substeps as they always
+        # have: per substep one normal for S, then one for theta from its
+        # own substream, correlated through the S-draw
+        rate, level, nu, rho, dt, n = 2.0, 0.4, 0.5, -0.5, 0.01, 3000
+        scn = meanrev_vol_scenario(GBM, 0.3, rate, level, nu, correlation=rho)
+        ens = joint_simulate(scn, [0.0, 0.5], SimConfig(n_paths=n, dt=dt, seed=29))
+        rng, theta_rng = rng_substream(29, 0), child_rng(29, 0, 1)
+        rho_c = math.sqrt(1.0 - rho * rho)
+        z, th, vol = np.ones(n), np.full(n, 0.3), 0.3
+        fine = np.append(0.5 * np.arange(50) / 50, 0.5)
+        for lo, hi in zip(fine[:-1], fine[1:]):
+            step = hi - lo
+            xi = rng.standard_normal(n)
+            z = GBM.law.step(z, vol * vol * step, xi)
+            corr = rho * xi + rho_c * theta_rng.standard_normal(n)
+            th = th + rate * (level - th) * step + nu * math.sqrt(step) * corr
+            vol = np.maximum(th, 0.0) * 1.0
+        assert ens.steps == 50
+        assert np.array_equal(ens.s[:, -1], z)
+        assert np.array_equal(ens.theta[:, -1], th)
 
     def test_grid_validation(self):
         scn = self_consistent_scenario(GBM, 0.3)
@@ -450,6 +494,12 @@ class TestTailTerm:
         assert tail_route(dataclasses.replace(BESSEL, law=None), cfg, 8) == {
             "route": "inner-mc", "n_inner": 512, "n_inner_t0": 4096, "dt": 0.01
         }
+
+    def test_inner_mc_names_dt_only_for_euler(self):
+        # an exact law takes one inner step per interval of h: no dt to report
+        cfg = SimConfig(n_paths=4096, dt=0.01, seed=1)
+        assert tail_route(INV, cfg, 8) == {"route": "inner-mc", "n_inner": 512, "n_inner_t0": 4096}
+        assert tail_route(dataclasses.replace(INV, law=None), cfg, 8)["dt"] == 0.01
 
     def test_paths_at_the_boundary_keep_their_clipped_value(self):
         got = _g_quadrature(BESSEL, np.array([0.5, 0.5]), np.array([0.0, 1.0]), 0.0, 1.0, 1.5)
@@ -748,6 +798,23 @@ class TestBoundCheck:
         assert rep.satisfied
         assert rep.phi_prime_convention
         assert rep.l_diagnostics == ()
+        assert rep.steps == 1
+
+    def test_absorbed_fraction_next_to_the_law(self):
+        # from z0 = 0.3 at vol 1 a jump to 1.5 at t = 0.2 absorbs ~31% by t = 0.4
+        bes = builtin_model("bessel0", z0=0.3)
+        mats = MaturityGrid(times=(0.5, 1.0, 1.5))
+        ks = StrikeGrid(strikes=(0.0, 0.75, 1.5))
+        cfg = SimConfig(n_paths=4096, dt=0.02, seed=5)
+        rep = check_bound(step_vol_scenario(bes, 1.0, 0.2, 0.5), mats, ks, W1, 0.4, cfg)
+        assert rep.steps == 2
+        mass = math.exp(-2.0 * 0.3 / (1.0 * 0.2 + 1.5**2 * 0.2))
+        assert rep.absorbed_mass == pytest.approx(mass, rel=1e-14)
+        assert abs(rep.absorbed_fraction - mass) < 4.0 * math.sqrt(mass * (1.0 - mass) / 4096)
+        # a moving theta has no deterministic variance, so no law mass
+        moving = meanrev_vol_scenario(bes, 1.0, 1.0, 1.0, 0.3)
+        rep = check_bound(moving, mats, ks, W1, 0.4, SimConfig(n_paths=256, dt=0.02, seed=5))
+        assert rep.absorbed_mass is None and 0.0 < rep.absorbed_fraction < 1.0
 
     def test_time_window_validation(self):
         scn = self_consistent_scenario(GBM, 0.2)

@@ -329,6 +329,57 @@ class TestCliCommands:
             "route": "inner-mc", "n_inner": 256, "n_inner_t0": 1024, "dt": 0.02
         }
 
+    def test_simulating_commands_name_their_stepping_route(
+        self, base_path, scan_path, tmp_path, capsys
+    ):
+        def stepping(*argv):
+            assert main(list(argv)) in (0, 1)
+            return json.loads(capsys.readouterr().out)["results"]["stepping"]
+
+        # gbm's law samples exactly: one step per interval between the
+        # stored times, h's breakpoints and theta's change times
+        assert stepping("price", "--config", base_path) == {"route": "exact-law", "steps": 1}
+        # [0, 0.5] for the bound, [0, 0.5, 1, 2, 3] for the repricing
+        assert stepping("check-bound", "--config", base_path) == {
+            "route": "exact-law", "steps": 5
+        }
+        # the same per scan point, plus the jump at 0.75 where it is nonzero
+        assert stepping("scan", "--config", scan_path) == {"route": "exact-law", "steps": 17}
+        # U on [0, 0.25, 0.5, 1], V on 65 points, the semigroup on [0, 1]
+        assert stepping("martingale-check", "--config", base_path, "--paths", "64") == {
+            "route": "exact-law", "steps": 68
+        }
+        meanrev = tmp_path / "meanrev.yaml"
+        meanrev.write_text(
+            BASE.replace("generator: self-consistent", "generator: meanrev-vol\n"
+                         "theta: {rate: 1.0, level: 0.2, vol_of_vol: 0.1}")
+        )
+        assert stepping("check-bound", "--config", str(meanrev), "--paths", "256") == {
+            "route": "exact-law", "dt": 0.01
+        }
+        ld = tmp_path / "ld.yaml"
+        ld.write_text(BASE.replace("model: gbm", "model: logdiff"))
+        assert stepping("martingale-check", "--config", str(ld), "--paths", "64") == {
+            "route": "euler", "dt": 0.01
+        }
+
+    def test_absorbed_fraction_is_reported_next_to_the_law(self, base_path, tmp_path, capsys):
+        bes = tmp_path / "bes.yaml"
+        bes.write_text(
+            BASE.replace("model: gbm", "model: bessel0").replace("sigma: 0.2", "sigma: 1.0")
+        )
+        assert main(["martingale-check", "--config", str(bes)]) == 0
+        r = json.loads(capsys.readouterr().out)["results"]
+        for key in ("discounted_eigenfunction", "compensated_eigenfunction", "semigroup"):
+            ab = r[key]["absorption"]
+            assert ab["times"] == ([1.0] if key == "semigroup" else r["times"])
+            for t, frac, mass in zip(ab["times"], ab["fraction"], ab["absorbed_mass"]):
+                assert mass == pytest.approx(math.exp(-2.0 / t), rel=1e-14)
+                assert abs(frac - mass) < 4.0 * math.sqrt(mass * (1.0 - mass) / 4000)
+        assert main(["check-bound", "--config", base_path, "--paths", "256"]) == 0
+        ab = json.loads(capsys.readouterr().out)["results"]["bound"]["absorption"]
+        assert ab == {"times": [0.5], "fraction": [0.0]}  # gbm has no atom
+
     def test_out_file_and_summary_line(self, base_path, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert main(["check-bound", "--config", base_path, "--out", str(out)]) == 0

@@ -14,7 +14,9 @@ from volbound.models import (
     builtin_model,
     rng_substream,
     simulate,
+    stepping_route,
 )
+from volbound.pricing import mc_call_price
 
 
 # ===== time weight =====
@@ -329,3 +331,129 @@ def test_piecewise_h_enters_dynamics():
     lz = np.log(e.states[:, -1])
     want = 0.09 * h.sq_integral(0.0, 1.0)  # sigma^2 * int h^2 = 0.09 * 2.5
     assert abs(lz.var(ddof=1) - want) < 4.0 * want * math.sqrt(2.0 / len(lz))
+
+
+# ===== exact stepping =====
+
+
+def _two_sample_z(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return (a.mean() - b.mean()) / math.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
+
+
+class TestExactSampler:
+    LAW = builtin_model("bessel0").law
+    N = 200_000
+
+    @pytest.mark.parametrize("s,v", [(1.0, 0.25), (1.0, 1.0), (0.3, 2.0), (20.0, 0.5)])
+    def test_atom_mean_and_variance(self, s, v):
+        x = self.LAW.sample(np.full(self.N, s), v, rng_substream(41, 0))
+        p = self.LAW.absorbed_mass(s, v)
+        atom = float(np.mean(x == 0.0))
+        assert abs(atom - p) < 4.0 * math.sqrt(max(p * (1.0 - p), 1.0 / self.N) / self.N)
+        assert abs(x.mean() - s) < 4.0 * math.sqrt(v * s / self.N)
+        var = x.var(ddof=1)
+        se_var = math.sqrt((np.mean((x - x.mean()) ** 4) - var * var) / self.N)
+        assert abs(var - v * s) < 4.0 * se_var
+
+    def test_degenerate_steps(self):
+        rng = rng_substream(42, 0)
+        z = np.array([0.0, 0.7, 1.3])
+        assert np.array_equal(self.LAW.sample(z, 0.0, rng), z)  # no variance: no move
+        assert np.all(self.LAW.sample(np.zeros(64), 1.0, rng) == 0.0)  # the atom holds
+        # a Poisson mean past numpy's limit takes the normal with the law's moments
+        x = self.LAW.sample(np.ones(4000), 1e-17, rng)
+        assert abs(x.mean() - 1.0) < 4.0 * math.sqrt(1e-17 / x.size)
+        assert x.std(ddof=1) == pytest.approx(math.sqrt(1e-17), rel=0.1)
+
+    def test_absorption_time_follows_its_law(self):
+        # one exact step over [0, 1] places tau by the law P(tau <= u) = exp(-2z/(sigma^2 u))
+        z0, sigma = 0.5, 1.0
+        m = builtin_model("bessel0", z0=z0)
+        e = simulate(m, sigma, z0, 0.0, [0.0, 1.0], SimConfig(n_paths=self.N, dt=0.01, seed=43))
+        assert e.steps == 1
+        hit = np.isfinite(e.absorbed_at)
+        assert np.all(e.states[hit, -1] == 0.0) and np.all(e.states[~hit, -1] > 0.0)
+        assert np.all((e.absorbed_at[hit] > 0.0) & (e.absorbed_at[hit] <= 1.0))
+        for u in (0.2, 0.4, 0.7, 1.0):
+            p = math.exp(-2.0 * z0 / (sigma * sigma * u))
+            got = float(np.mean(e.absorbed_at <= u))
+            assert abs(got - p) < 4.0 * math.sqrt(p * (1.0 - p) / self.N)
+
+    def test_one_step_and_two_half_steps_agree(self):
+        m = builtin_model("bessel0", z0=0.5)
+        one = simulate(m, 1.0, 0.5, 0.0, [0.0, 1.0], SimConfig(n_paths=self.N, dt=0.01, seed=44))
+        two = simulate(
+            m, 1.0, 0.5, 0.0, [0.0, 0.5, 1.0], SimConfig(n_paths=self.N, dt=0.01, seed=45)
+        )
+        assert (one.steps, two.steps) == (1, 2)
+        z1, z2 = one.states[:, -1], two.states[:, -1]
+        for f in (lambda z: z == 0.0, lambda z: np.maximum(z - 0.5, 0.0), np.sqrt):
+            assert abs(_two_sample_z(f(z1), f(z2))) < 4.0
+        for u in (0.25, 0.5, 0.75):
+            assert abs(_two_sample_z(one.absorbed_at <= u, two.absorbed_at <= u)) < 4.0
+
+    def test_euler_oracle_prices_the_same_call(self):
+        # z0 = 1, sigma = 1, T = 1, K = 1: exact 0.38570 against Euler at
+        # dt 1e-3, 0.38548 +- 0.00165, in a scratch check at 2e5 paths
+        m = builtin_model("bessel0")
+        euler = dataclasses.replace(m, law=None)
+        exact = mc_call_price(
+            m, 1.0, 0.0, 1.0, 1.0, 1.0, SimConfig(n_paths=self.N, dt=1e-3, seed=46)
+        )
+        oracle = mc_call_price(
+            euler, 1.0, 0.0, 1.0, 1.0, 1.0, SimConfig(n_paths=40_000, dt=1e-3, seed=47)
+        )
+        assert (exact.steps, oracle.steps) == (1, 1000)
+        assert abs(exact.value - oracle.value) < 4.0 * math.hypot(exact.se, oracle.se)
+        # and the law's own quadrature of E[(Z_T - 1)^+]
+        want = _law_moment(self.LAW, 1.0, 1.0, lambda x: np.maximum(x - 1.0, 0.0))
+        assert abs(exact.value - want) < 4.0 * exact.se
+
+
+class TestStepping:
+    H = TimeWeight(values=(1.0, 2.0), breakpoints=(0.4,))
+    GRID = [0.0, 0.25, 1.0, 2.0]
+    CFG = SimConfig(n_paths=16, dt=0.01, seed=1)
+
+    @pytest.mark.parametrize("name", ["gbm", "bessel0"])
+    def test_exact_law_takes_one_step_per_anchor_interval(self, name):
+        m = dataclasses.replace(builtin_model(name), h=self.H)
+        e = simulate(m, 0.3, 1.0, 0.0, self.GRID, self.CFG)
+        assert e.steps == 4  # anchors 0, 0.25, 0.4 (h breaks), 1, 2
+        assert stepping_route(m, self.CFG.dt, e.steps) == {"route": "exact-law", "steps": 4}
+
+    def test_euler_takes_dt_substeps(self):
+        m = dataclasses.replace(builtin_model("gbm"), h=self.H, law=None)
+        e = simulate(m, 0.3, 1.0, 0.0, self.GRID, self.CFG)
+        assert e.steps == 200
+        assert stepping_route(m, self.CFG.dt, e.steps) == {"route": "euler", "dt": 0.01}
+        # while theta moves, the lognormal law steps exactly on dt substeps
+        gbm = builtin_model("gbm")
+        assert stepping_route(gbm, 0.01, 100, moving=True) == {"route": "exact-law", "dt": 0.01}
+
+    def test_euler_draw_schedule_is_kept(self):
+        # a model without an exact sampler steps as it always has: one
+        # normal per path per dt substep from its block's substream
+        m = builtin_model("logdiff")
+        sigma, dt, n = 0.6, 0.01, 3000
+        e = simulate(m, sigma, 0.5, 0.0, [0.0, 0.3, 1.0], SimConfig(n_paths=n, dt=dt, seed=23))
+        rng = rng_substream(23, 0)
+        z = np.full(n, 0.5)
+        alive = np.ones(n, dtype=bool)
+        tau = np.full(n, np.nan)
+        stored = [z.copy()]
+        for a, b, n_sub in ((0.0, 0.3, 30), (0.3, 1.0, 70)):
+            fine = np.append(a + (b - a) * np.arange(n_sub) / n_sub, b)
+            for lo, hi in zip(fine[:-1], fine[1:]):
+                xi = rng.standard_normal(n)
+                z = np.where(alive, z + sigma * math.sqrt(hi - lo) * m.beta(z) * xi, z)
+                hit = alive & ((z <= 0.0) | (z >= 1.0))
+                z[alive & (z <= 0.0)] = 0.0
+                z[alive & (z >= 1.0)] = 1.0
+                tau[hit] = hi
+                alive &= ~hit
+            stored.append(z.copy())
+        assert e.steps == 100
+        assert np.array_equal(e.states, np.column_stack(stored))
+        assert np.array_equal(e.absorbed_at, tau, equal_nan=True)

@@ -184,6 +184,20 @@ class TestMartingaleV:
         v = martingale_check_V(m, sigma, [0.5, 1.0], cfg)
         assert u.verdict == v.verdict
 
+    def test_exact_and_euler_agree_in_the_absorbing_regime(self):
+        # sigma = 1 absorbs 13.5% of the paths by t = 1; the exact law's
+        # absorption times stop the discount and the compensator as the
+        # Euler oracle's (law=None, dt 1e-3) do
+        euler = dataclasses.replace(BESSEL, law=None)
+        times = [0.25, 0.5, 1.0]
+        for check in (martingale_check_U, martingale_check_V):
+            a = check(BESSEL, 1.0, times, SimConfig(n_paths=20000, dt=1e-3, seed=48))
+            b = check(euler, 1.0, times, SimConfig(n_paths=20000, dt=1e-3, seed=49))
+            assert a.verdict and b.verdict
+            assert a.steps < 100 and b.steps >= 1000
+            for ma, sa, mb, sb in zip(a.means, a.ses, b.means, b.ses):
+                assert abs(ma - mb) < 4.0 * math.hypot(sa, sb)
+
     def test_piecewise_h_supported(self):
         m = dataclasses.replace(GBM, h=TimeWeight(values=(1.0, 2.0), breakpoints=(0.4,)))
         r = martingale_check_V(m, 0.3, [0.5, 1.0], CFG)
