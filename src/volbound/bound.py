@@ -37,11 +37,9 @@ from .models import (
     PhiFunction,
     ReferenceModel,
     SimConfig,
-    SquaredBesselLaw,
     TimeWeight,
     _diffuse,
     _map_blocks,
-    _samples_exactly,
     _step_grid,
     child_rng,
     rng_substream,
@@ -524,11 +522,10 @@ def _closed_form(model: ReferenceModel) -> bool:
 
 
 def _g_quadrature(model, theta, s, t, T, k_max):
-    """Tail terms for many (theta, s) pairs at once, by fixed-node quadrature
-    against the model's exact transition law."""
+    """Tail terms for many (theta, s) pairs of 1-d arrays, by fixed-node
+    quadrature against the model's exact transition law, plus its atom when
+    that lies above k_max."""
     law = model.law
-    theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-    s = np.atleast_1d(np.asarray(s, dtype=np.float64))
     theta, s = np.broadcast_arrays(theta, s)
     weight = model.h.sq_integral(t, T)
     v = theta * theta * weight
@@ -543,6 +540,9 @@ def _g_quadrature(model, theta, s, t, T, k_max):
         x, dens, half = law.tail_rule(s[chunk], v[chunk], k_max)
         vals = (np.asarray(model.phi(x), dtype=np.float64) - phi_b) * dens
         out[chunk] = (vals * law.weights[None, :]).sum(axis=1) * half
+        if law.atom is not None and law.atom > k_max:
+            mass = law.absorbed_mass(s[chunk], v[chunk])
+            out[chunk] += (float(model.phi(law.atom)) - phi_b) * mass
     return out
 
 
@@ -558,8 +558,8 @@ def g_value(
     """Tail term E[clipped_phi(k_max, Z_T) | Z_t = s] at volatility theta.
 
     Adaptive quadrature against the lognormal transition density, for any
-    phi, when the model's law is lognormal; otherwise an inner Monte Carlo
-    run, which needs cfg. The batch routes of check_bound are tested on it.
+    phi, when the model's law is lognormal; otherwise a Monte Carlo run from
+    (t, s), which needs cfg. check_bound's routes are tested on it.
     """
     if not t <= T:
         raise DomainError(f"need t <= T, got t={t}, T={T}")
@@ -588,7 +588,7 @@ def g_value(
     if cfg is None:
         raise ConfigurationError(
             f"model {model.name!r} has no transition density wired up; "
-            "pass a SimConfig for the inner Monte Carlo route"
+            "pass a SimConfig for the Monte Carlo route"
         )
     ens = simulate(model, theta, s, t, [t, T], cfg)
     sample = clipped_phi(model.phi, k_max, ens.states[:, -1])
@@ -602,61 +602,26 @@ def g_value(
     )
 
 
-def _inner_mc_size(cfg, n_outer):
-    """Inner copies per outer path: small outer batches (the time-0 term is
-    a single point) get the whole path budget."""
-    return max(256, cfg.n_paths // max(1, n_outer))
-
-
-def tail_route(model: ReferenceModel, cfg: SimConfig, n_outer: int) -> dict:
-    """How check_bound computes the tail term G on n_outer paths: the route
-    and its budget, all deterministic in (model, cfg, n_outer). The inner
-    Monte Carlo gives the outer paths n_inner copies each and the time-0
-    point n_inner_t0 copies; it names dt only where it takes Euler steps,
-    not one exact step per interval of h."""
+def tail_route(model: ReferenceModel) -> dict:
+    """How check_bound computes the tail term G: closed form, or quadrature
+    against the model's law with its node count and window."""
     if _closed_form(model):
         return {"route": "closed-form"}
-    if isinstance(model.law, SquaredBesselLaw):
-        return {"route": "quadrature", "nodes": model.law.nodes, "window": model.law.window}
-    route = {
-        "route": "inner-mc",
-        "n_inner": _inner_mc_size(cfg, n_outer),
-        "n_inner_t0": _inner_mc_size(cfg, 1),
-    }
-    if not _samples_exactly(model):
-        route["dt"] = cfg.dt
-    return route
+    if not hasattr(model.law, "tail_rule"):
+        raise ConfigurationError(f"model {model.name!r} has no transition law for its tail term")
+    return {"route": "quadrature", "nodes": model.law.nodes, "window": model.law.window}
 
 
-def _g_batch(model, theta, s, t, T, k_max, cfg, stream_key):
-    """(values, ses) of the tail term per path.
-
-    Closed form for a lognormal law with a quadratic phi, quadrature against
-    the squared-Bessel law, an inner Monte Carlo run otherwise.
-    """
-    theta, s = (np.atleast_1d(np.asarray(a, dtype=np.float64)) for a in (theta, s))
-    if _closed_form(model):
-        theta, s = np.broadcast_arrays(theta, s)
-        # Taylor's formula about k_max is exact: G = phi' C + phi''/2 E[((Z_T - K)^+)^2]
-        v = theta * theta * model.h.sq_integral(t, T)
-        k = np.full(s.shape, float(k_max))
-        g = float(model.phi.deriv1(k_max)) * _bs_call_core(s, k, v)
-        return g + 0.5 * model.phi.curvature * _bs_sq_call_core(s, k, v), np.zeros(s.shape)
-    if isinstance(model.law, SquaredBesselLaw):
-        return _g_quadrature(model, theta, s, t, T, k_max), np.zeros(s.shape)
-    # inner Monte Carlo, vectorized across outer paths: n_inner copies of
-    # every outer path stepped together from its own (theta_i, s_i)
-    n_inner = _inner_mc_size(cfg, s.size)
-    # spawn prefix outside any reachable block index, so inner draws never
-    # collide with the ensemble's own substreams
-    rng = child_rng(cfg.seed, 2**31 - 1, stream_key)
-    fine_grid, _ = _step_grid(model, np.array([t, T]), cfg.dt)
-    z = np.repeat(s[:, None], n_inner, axis=1)
-    z = _diffuse(model, z, fine_grid, rng, np.maximum(theta, 0.0)[:, None])
-    sample = clipped_phi(model.phi, k_max, z)
-    values = sample.mean(axis=1)
-    ses = sample.std(ddof=1, axis=1) / math.sqrt(n_inner)
-    return values, ses
+def _g_batch(model, theta, s, t, T, k_max):
+    """The tail term per (theta, s) pair of 1-d arrays, by tail_route's route."""
+    if tail_route(model)["route"] == "quadrature":
+        return _g_quadrature(model, theta, s, t, T, k_max)
+    theta, s = np.broadcast_arrays(theta, s)
+    # Taylor's formula about k_max is exact: G = phi' C + phi''/2 E[((Z_T - K)^+)^2]
+    v = theta * theta * model.h.sq_integral(t, T)
+    k = np.full(s.shape, float(k_max))
+    g = float(model.phi.deriv1(k_max)) * _bs_call_core(s, k, v)
+    return g + 0.5 * model.phi.curvature * _bs_sq_call_core(s, k, v)
 
 
 def l_value(
@@ -677,6 +642,8 @@ def l_value(
     Closed form for a lognormal law with a quadratic phi: int_a^b C dK =
     (S2(a) - S2(b))/2 with S2(K) = E[((Z_T - K)^+)^2], so each band is
     phi'' ((S2(K_j) - S2(K_j+1))/2 - C(K_j) dK_j), floored at its bound 0.
+    Where phi is infinite at zero strike, phi'' is not integrable against
+    C(K) - C(0) ~ -K P(Z_T > 0) there, so the term is -inf unless s = 0.
     Otherwise the paths of a Monte Carlo run, which needs cfg, give an
     empirical price curve; it is piecewise linear with a kink at every
     path, so it is integrated on a fixed fine grid whose bias sits far
@@ -697,10 +664,10 @@ def l_value(
         s2 = _bs_sq_call_core(z, k, v)
         bands = 0.5 * (s2[:, :-1] - s2[:, 1:]) - c[:, :-1] * np.diff(ks)
         out = model.phi.curvature * np.minimum(bands, 0.0).sum(axis=1)
+    elif np.isinf(_phi_at_zero(model)):
+        out = np.where(s > 0.0, -np.inf, 0.0)
     elif cfg is None:
-        raise ConfigurationError(
-            f"model {model.name!r} prices by inner Monte Carlo; pass a SimConfig"
-        )
+        raise ConfigurationError(f"model {model.name!r} prices by Monte Carlo; pass a SimConfig")
     else:
         rule = functools.partial(_fixed_simpson, n_panels=4096)
         out = np.array([
@@ -708,6 +675,11 @@ def l_value(
             for a, b in zip(theta.tolist(), s.tolist())
         ])
     return float(out[0]) if scalar else out
+
+
+def _phi_at_zero(model):
+    with np.errstate(divide="ignore"):
+        return float(model.phi(0.0))
 
 
 def _empirical_prices(model, theta, s, t, T, cfg):
@@ -897,11 +869,12 @@ def check_bound(
             model.phi(s_t), dtype=np.float64
         )
         x_t = np.exp(theta_t * theta_t * np.float64(i_12))
-    bad = ~(np.isfinite(n1) & np.isfinite(x_t))
-    if np.any(bad):
+    bad = np.nonzero(~(np.isfinite(n1) & np.isfinite(x_t)))[0]
+    if bad.size:
+        pairs = ", ".join(f"({theta_t[i]:.6g}, {s_t[i]:.6g})" for i in bad[:5])
         raise DivergenceError(
-            f"growth factor is not finite on {int(bad.sum())} paths, "
-            f"first indices {np.nonzero(bad)[0][:5].tolist()}"
+            f"growth factor at t={t} is not finite on {bad.size} of {n} paths of model "
+            f"{model.name!r}; first (theta_t, s_t): {pairs} on paths {bad[:5].tolist()}"
         )
     # Q >= 0 holds exactly in real arithmetic; floats may dip an ulp below
     # zero right next to the pinned root, so floor at zero
@@ -909,27 +882,16 @@ def check_bound(
     nq = n1 * qx
 
     g_corr = np.zeros(n)
-    g0_se_sq = 0.0
-    for k, (t_k, c_k) in enumerate(zip(times, qp.coeffs)):
+    for t_k, c_k in zip(times, qp.coeffs):
         if c_k == 0.0:
             continue
-        gt, gt_se = _g_batch(model, theta_t, s_t, t, t_k, strikes.k_max, cfg, 2 * k)
-        g0_arr, g0_se = _g_batch(
-            model,
-            np.array([scn.sigma0]),
-            np.array([scn.s0]),
-            0.0,
-            t_k,
-            strikes.k_max,
-            cfg,
-            2 * k + 1,
-        )
-        g_corr = g_corr + c_k * (float(g0_arr[0]) - gt)
-        g0_se_sq += (c_k * float(g0_se[0])) ** 2
+        gt = _g_batch(model, theta_t, s_t, t, t_k, strikes.k_max)
+        g0 = _g_batch(model, np.array([scn.sigma0]), np.array([scn.s0]), 0.0, t_k, strikes.k_max)
+        g_corr = g_corr + c_k * (float(g0[0]) - gt)
 
     ell = nq + g_corr
     lhs_raw = float(ell.mean())
-    se = math.sqrt(float(ell.var(ddof=1)) / n + g0_se_sq) if n > 1 else math.sqrt(g0_se_sq)
+    se = math.sqrt(float(ell.var(ddof=1)) / n) if n > 1 else 0.0
     rhs, convention = _rhs_detail(qp.coeffs, strikes, model.phi)
 
     n_q_full = np.exp(theta_t * theta_t * np.float64(h.sq_integral(t, times[-1]))) * np.asarray(
@@ -962,9 +924,7 @@ def check_bound(
     nq_mean = float(nq.mean())
     nq_se = float(nq.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     gc_mean = float(g_corr.mean())
-    gc_se = (
-        math.sqrt(float(g_corr.var(ddof=1)) / n + g0_se_sq) if n > 1 else math.sqrt(g0_se_sq)
-    )
+    gc_se = math.sqrt(float(g_corr.var(ddof=1)) / n) if n > 1 else 0.0
     lhs = abs(lhs_raw)
     return BoundReport(
         t=t,
@@ -1198,7 +1158,7 @@ def decomposition_check(
     h_term = h_strike + h_tail
 
     l_term = l_value(t, T, theta, s, strikes, model)
-    g_term = float(_g_batch(model, theta, s, t, T, strikes.k_max, None, 0)[0][0])
+    g_term = float(_g_batch(model, np.array([theta]), np.array([s]), t, T, strikes.k_max)[0])
 
     if v > 0.0:
         sqv = math.sqrt(v)

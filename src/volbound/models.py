@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import ive
 
 from .errors import ConfigurationError, DomainError
-from .special_functions import bessel_k
+from .special_functions import bessel_k, norm_pdf
 
 __all__ = [
     "TimeWeight",
@@ -29,6 +29,7 @@ __all__ = [
     "TransitionLaw",
     "LognormalLaw",
     "SquaredBesselLaw",
+    "LogBesselLaw",
     "ReferenceModel",
     "SimConfig",
     "PathEnsemble",
@@ -170,8 +171,33 @@ class TransitionLaw:
 
     A law with a sample(z, v, rng) method draws Z_T exactly over any
     interval on which v grows linearly, so the stepping kernel takes one
-    step per interval between change points for it.
+    step per interval between change points for it. A law with an atom
+    names the state it sits at (atom), where paths are absorbed: its mass is
+    absorbed_mass(s, v), and absorption_fraction(z, v, rng) places the
+    absorption of a path that reached it inside its step.
+
+    Every law integrates above a cutoff k by fixed-node Gauss-Legendre
+    quadrature: tail_rule(s, v, k) returns (x, dens, half) for 1-d arrays s
+    and v, such that, the atom left out,
+
+        E[f(Z_T); Z_T > k] ~= half_i * sum_j weights_j f(x_ij) dens_ij.
+
+    The ``nodes`` nodes span ``window`` standard deviations of the law's
+    bulk, clipped at the cutoff, so the node count need not grow with s/v.
     """
+
+    nodes: ClassVar[int] = 64
+    window: ClassVar[float] = 16.0
+    atom: ClassVar[float | None] = None
+
+    @property
+    def weights(self) -> np.ndarray:
+        return _gauss_legendre(self.nodes)[1]
+
+    def _abscissae(self, lo, hi):
+        """(nodes on [lo_i, hi_i] per row, half-widths)."""
+        half = 0.5 * (hi - lo)
+        return (0.5 * (hi + lo))[:, None] + half[:, None] * _gauss_legendre(self.nodes)[0], half
 
 
 @dataclass(frozen=True)
@@ -179,9 +205,9 @@ class LognormalLaw(TransitionLaw):
     """gbm: Z_T = s exp(-v/2 + sqrt(v) W), W standard normal.
 
     Its call price and the second moment of the call payoff are closed form
-    (pricing._bs_call_core, pricing._bs_sq_call_core), so it needs no
-    quadrature rule. step is the exact step driven by given normal draws,
-    which a moving theta correlates with its own noise; sample draws them.
+    (pricing._bs_call_core, pricing._bs_sq_call_core); tail_rule integrates
+    in W. step is the exact step driven by given normal draws, which a
+    moving theta correlates with its own noise; sample draws them.
     """
 
     def step(self, z, v, xi):
@@ -191,6 +217,11 @@ class LognormalLaw(TransitionLaw):
     def sample(self, z, v, rng):
         """Draws of Z_T given Z_t = z at variance v."""
         return self.step(z, v, rng.standard_normal(np.shape(z)))
+
+    def tail_rule(self, s, v, k):
+        w_k = (np.log(k / s) + 0.5 * v) / np.sqrt(v)
+        w, half = self._abscissae(np.maximum(w_k, -self.window), np.maximum(w_k, 0.0) + self.window)
+        return self.step(s[:, None], v[:, None], w), norm_pdf(w), half
 
 
 @dataclass(frozen=True)
@@ -205,37 +236,22 @@ class SquaredBesselLaw(TransitionLaw):
     a bump of standard deviation sqrt(v)/2 around sqrt(s).
 
     sample draws Z_T by that Poisson mixture of Gammas (Glasserman 2004,
-    section 3.4); absorption_fraction places the absorption of a path that
-    reached the atom inside its step.
-
-    The law integrates above a cutoff k by fixed-node Gauss-Legendre
-    quadrature: tail_rule(s, v, k) returns (x, dens, half) for 1-d arrays s
-    and v, such that
-
-        E[f(Z_T); Z_T > k] ~= half_i * sum_j weights_j f(x_ij) dens_ij.
-
-    The ``nodes`` nodes span ``window`` standard deviations of r and cover
-    [sqrt(k), inf) only where the bump is not negligible, so the node count
-    need not grow with s/v.
+    section 3.4); tail_rule integrates in r.
     """
 
-    nodes: ClassVar[int] = 64
-    window: ClassVar[float] = 16.0
+    atom: ClassVar[float] = 0.0
 
-    @property
-    def weights(self) -> np.ndarray:
-        return _gauss_legendre(self.nodes)[1]
+    @staticmethod
+    def _density(a, r, v):
+        """Density of r = sqrt(Z_T) at r given sqrt(s) = a, off the atom."""
+        return (4.0 / v) * a * ive(1, 4.0 * a * r / v) * np.exp(-2.0 * np.square(a - r) / v)
 
     def tail_rule(self, s, v, k):
         a = np.sqrt(s)
         reach = self.window * 0.5 * np.sqrt(v)
         r_k = math.sqrt(k)
-        lo, hi = np.maximum(r_k, a - reach), np.maximum(r_k, a) + reach
-        half = 0.5 * (hi - lo)
-        r = (0.5 * (hi + lo))[:, None] + half[:, None] * _gauss_legendre(self.nodes)[0][None, :]
-        a, v = a[:, None], v[:, None]
-        dens = (4.0 / v) * a * ive(1, 4.0 * a * r / v) * np.exp(-2.0 * np.square(a - r) / v)
-        return r * r, dens, half
+        r, half = self._abscissae(np.maximum(r_k, a - reach), np.maximum(r_k, a) + reach)
+        return r * r, self._density(a[:, None], r, v[:, None]), half
 
     def absorbed_mass(self, s, v):
         s, v = np.broadcast_arrays(np.asarray(s, dtype=np.float64), np.asarray(v, dtype=np.float64))
@@ -270,6 +286,54 @@ class SquaredBesselLaw(TransitionLaw):
         """
         q = 2.0 * np.asarray(z, dtype=np.float64) / v
         return q / (q + rng.standard_exponential(q.shape))
+
+
+_BESQ = SquaredBesselLaw()
+
+
+@dataclass(frozen=True)
+class LogBesselLaw(TransitionLaw):
+    """logdiff: Z_T = exp(-e^v X), X drawn from SquaredBesselLaw at state
+    -ln s and variance 2(1 - e^{-v}).
+
+    Y = -ln Z solves dY = theta^2 h^2 Y dt - theta h sqrt(2Y) dW, so e^{-A} Y,
+    A the variance accrued, runs SquaredBesselLaw's process on the clock
+    2(1 - e^{-A}) (Goeing-Jaeschke & Yor 2003). The atom X = 0 is Z = 1, of
+    mass s^{1/(1 - e^{-v})}, reached at A* = -ln(1 - w*/2) for the Bessel
+    clock w* of absorption. Z_T > k where X < (-ln k) e^{-v}: tail_rule
+    integrates in r = sqrt(X) below that level's root.
+    """
+
+    atom: ClassVar[float] = 1.0
+
+    @staticmethod
+    def _bessel(s, v):
+        """(state, variance) of the squared Bessel draw behind (s, v)."""
+        return -np.log(s), -2.0 * np.expm1(-v)
+
+    def tail_rule(self, s, v, k):
+        y, w = self._bessel(s, v)
+        a = np.sqrt(y)
+        reach = self.window * 0.5 * np.sqrt(w)
+        hi = np.minimum(np.sqrt(np.maximum(-np.log(k), 0.0) * np.exp(-v)), a + reach)
+        r, half = self._abscissae(np.minimum(hi, np.maximum(a - reach, 0.0)), hi)
+        dens = _BESQ._density(a[:, None], r, w[:, None])
+        return np.exp(-np.exp(v)[:, None] * r * r), dens, half
+
+    def absorbed_mass(self, s, v):
+        return _BESQ.absorbed_mass(*self._bessel(s, v))
+
+    def sample(self, z, v, rng):
+        """Draws of Z_T given Z_t = z at variance v; a path held at 0 stays."""
+        held = (z <= 0.0) | (v <= 0.0)
+        x = _BESQ.sample(*self._bessel(np.where(held, 1.0, z), v), rng)
+        return np.where(held, z, np.exp(-np.exp(v) * x))
+
+    def absorption_fraction(self, z, v, rng):
+        """Where a path from Z_t = z < 1 that sits at 1 after variance v was
+        absorbed, as a fraction of v."""
+        frac = _BESQ.absorption_fraction(*self._bessel(z, v), rng)
+        return -np.log1p(frac * np.expm1(-v)) / v
 
 
 @dataclass(frozen=True)
@@ -397,6 +461,7 @@ def builtin_model(name: str, z0: float | None = None) -> ReferenceModel:
             beta=StateDiffusion(beta_logdiff, 0.0, 1.0),
             phi=PhiFunction(_phi_logdiff_value, d1, d2),
             z0=0.5 if z0 is None else float(z0),
+            law=LogBesselLaw(),
         )
     raise ConfigurationError(f"unknown builtin model {name!r}; expected gbm, bessel0 or logdiff")
 
@@ -458,7 +523,7 @@ def rng_substream(seed: int, worker: int) -> np.random.Generator:
 
 
 def child_rng(seed: int, *key: int) -> np.random.Generator:
-    """Nested substream, e.g. per-path inner Monte Carlo."""
+    """Nested substream, e.g. the noise of a moving theta per path block."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(ss))
 
@@ -520,37 +585,33 @@ def stepping_route(model: ReferenceModel, dt: float, steps: int, moving: bool = 
     return {"route": "exact-law" if hasattr(model.law, "step") else "euler", "dt": dt}
 
 
-def _diffuse(
-    model, z, fine_grid, rng, theta, out=None, store_idx=(), absorbed_at=None, advance=None
-):
-    """Step the states z along fine_grid under dZ = theta h(t) beta(Z) dW and
-    return the states at its end.
+def _diffuse(model, z, fine_grid, rng, theta, out, store_idx, absorbed_at, advance=None):
+    """Step the states z along fine_grid under dZ = theta h(t) beta(Z) dW,
+    writing the states at fine_grid[store_idx[c]] to out[:, c] and the
+    absorption times to absorbed_at.
 
-    theta is a float, an array that broadcasts against z, or a function of
-    a step's start time; it holds over each step. Without advance, a model
+    theta is a float or a function of a step's start time (advance returns
+    one value per path); it holds over each step. Without advance, a model
     whose law samples exactly takes the law's draw over each step, however
     long: it may draw any number of variates per state (Poisson, Gamma and,
-    for a path absorbed in the step, an exponential that places tau inside
-    it), so the stream position depends on the states. Otherwise every step
-    draws one normal per state whatever the paths' history, and the step is
-    the law's exact step driven by it where the law has one, else an Euler
-    step: a path that it takes out of the open domain is set to the nearest
-    boundary and frozen there. advance(j, xi), when given, runs once the
-    states have reached fine_grid[j], with that step's normal draws xi, and
-    returns theta for the next step (a moving theta, on dt substeps).
-    absorbed_at, when given, receives absorption times; out[..., c], when
-    given, receives the states at fine_grid[store_idx[c]].
+    for a path that reached the law's atom in the step, an exponential that
+    places tau inside it), so the stream position depends on the states.
+    Otherwise every step draws one normal per state whatever the paths'
+    history, and the step is the law's exact step driven by it where the law
+    has one, else an Euler step: a path that it takes out of the open domain
+    is set to the nearest boundary and frozen there. advance(j, xi), when
+    given, runs once the states have reached fine_grid[j], with that step's
+    normal draws xi, and returns theta for the next step (a moving theta, on
+    dt substeps).
     """
     sample = model.law.sample if advance is None and _samples_exactly(model) else None
     absorb = getattr(model.law, "absorption_fraction", None)
     exact_step = getattr(model.law, "step", None)
     lower, upper = model.beta.lower, model.beta.upper
     alive = (z > lower) & (z < upper)
-    if absorbed_at is not None:
-        absorbed_at[~alive] = fine_grid[0]
+    absorbed_at[~alive] = fine_grid[0]
     cols = {int(j): c for c, j in enumerate(store_idx)}
-    if 0 in cols:
-        out[..., cols[0]] = z
+    out[:, cols[0]] = z
     for j in range(1, len(fine_grid)):
         t_lo = float(fine_grid[j - 1])
         step_dt = float(fine_grid[j]) - t_lo
@@ -559,12 +620,9 @@ def _diffuse(
             v = vol * vol * step_dt
             z_new = sample(z, v, rng)
             if absorb is not None:
-                # a law with an atom absorbs only at the lower boundary
-                hit = alive & (z_new <= lower)
+                hit = alive & (z_new == model.law.atom)
                 if np.any(hit):
-                    frac = absorb(z[hit], np.broadcast_to(v, z.shape)[hit], rng)
-                    if absorbed_at is not None:
-                        absorbed_at[hit] = t_lo + frac * step_dt
+                    absorbed_at[hit] = t_lo + absorb(z[hit], v, rng) * step_dt
                     alive &= ~hit
             z = z_new
         else:
@@ -580,14 +638,12 @@ def _diffuse(
                     z[hit_hi] = upper
                     hit |= hit_hi
                 alive &= ~hit
-                if absorbed_at is not None:
-                    absorbed_at[hit] = fine_grid[j]
+                absorbed_at[hit] = fine_grid[j]
             if advance is not None:
                 theta = advance(j, xi)
         c = cols.get(j)
         if c is not None:
-            out[..., c] = z
-    return z
+            out[:, c] = z
 
 
 def _map_blocks(cfg: SimConfig, run_block) -> None:

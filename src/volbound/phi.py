@@ -441,12 +441,11 @@ def semigroup_check(
 
     Only meaningful under a unit time weight, where the exponential tilt
     is the semigroup's action on its eigenfunction. Without absorption
-    E[phi(Z_t)] = exp(sigma^2 t) phi(z0). A path absorbed at the lower
-    boundary holds phi(lower) and stops growing, so where the model's law
-    has an atom there (it gives absorbed_mass) and phi(lower) is finite and
+    E[phi(Z_t)] = exp(sigma^2 t) phi(z0). A path absorbed at the law's atom
+    holds phi(atom) and stops growing, so where phi(atom) is finite and
     nonzero, the reference is the stopped process's mean
 
-        exp(sigma^2 t) phi(z0) - sigma^2 phi(lower) int_0^t exp(sigma^2 (t-u)) P(tau <= u) du
+        exp(sigma^2 t) phi(z0) - sigma^2 phi(atom) int_0^t exp(sigma^2 (t-u)) P(tau <= u) du
 
     with P(tau <= u) the law's absorbed mass at variance sigma^2 u.
     """
@@ -459,20 +458,20 @@ def semigroup_check(
         raise DomainError(f"test time must be positive, got {t}")
     ens = simulate(model, sigma, model.z0, 0.0, [0.0, t], cfg)
     ref = math.exp(sigma * sigma * t) * float(model.phi(model.z0))
-    absorbed_mass = getattr(model.law, "absorbed_mass", None)
-    phi_lower = float(model.phi(model.beta.lower)) if absorbed_mass is not None else 0.0
-    if math.isfinite(phi_lower) and phi_lower != 0.0:
+    atom = getattr(model.law, "atom", None)
+    phi_atom = 0.0 if atom is None else float(model.phi(atom))
+    if math.isfinite(phi_atom) and phi_atom != 0.0:
         from scipy.integrate import quad
 
-        sig2 = sigma * sigma
+        sig2, mass = sigma * sigma, model.law.absorbed_mass
         lost, _ = quad(
-            lambda u: math.exp(sig2 * (t - u)) * float(absorbed_mass(model.z0, sig2 * u)),
+            lambda u: math.exp(sig2 * (t - u)) * float(mass(model.z0, sig2 * u)),
             0.0,
             t,
             epsabs=1e-14,
             epsrel=1e-12,
             limit=200,
         )
-        ref -= sig2 * phi_lower * lost
+        ref -= sig2 * phi_atom * lost
     sample = np.asarray(model.phi(ens.states[:, -1]), dtype=np.float64)
     return _summarize([t], [sample], [ref], ens)

@@ -103,13 +103,10 @@ def lognormal_phi_hat_oracle(z: float, k_m: float, v: float, phi) -> float:
     return val
 
 
-def besq0_phi_hat_oracle(z: float, k_m: float, v: float, phi) -> float:
-    """E[(phi(Z_T) - phi(k_m)) 1{Z_T > k_m}] for Z_T = (v/2) Gamma(N), N ~ Poisson(2z/v).
-
-    The density on y > 0 is summed as the Poisson mixture of Gamma
-    densities, in log space, and integrated by adaptive quadrature; it
-    shares no formula with the package's Bessel-function form.
-    """
+def _besq0_density(z: float, v: float):
+    """Density on y > 0 of Z_T = (v/2) Gamma(N), N ~ Poisson(2z/v), summed as
+    the Poisson mixture of Gamma densities, in log space; it shares no
+    formula with the package's Bessel-function form."""
     from scipy.special import gammaln
 
     lam = 2.0 * z / v
@@ -117,11 +114,22 @@ def besq0_phi_hat_oracle(z: float, k_m: float, v: float, phi) -> float:
     spread = 14.0 * math.sqrt(lam) + 30.0
     n = np.arange(max(1, int(lam - spread)), int(lam + spread) + 1, dtype=np.float64)
     log_pois = n * math.log(lam) - lam - gammaln(n + 1.0)
+
+    def density(y):
+        log_gamma = (n - 1.0) * math.log(y) - y / scale - gammaln(n) - n * math.log(scale)
+        return float(np.exp(log_pois + log_gamma).sum())
+
+    return density
+
+
+def besq0_phi_hat_oracle(z: float, k_m: float, v: float, phi) -> float:
+    """E[(phi(Z_T) - phi(k_m)) 1{Z_T > k_m}] for Z_T = (v/2) Gamma(N), N ~ Poisson(2z/v),
+    by adaptive quadrature against the mixture density."""
+    density = _besq0_density(z, v)
     phi_k = float(phi(k_m))
 
     def f(y):
-        log_gamma = (n - 1.0) * math.log(y) - y / scale - gammaln(n) - n * math.log(scale)
-        return (float(phi(y)) - phi_k) * float(np.exp(log_pois + log_gamma).sum())
+        return (float(phi(y)) - phi_k) * density(y)
 
     edges = [k_m]
     if z > k_m:
@@ -131,3 +139,28 @@ def besq0_phi_hat_oracle(z: float, k_m: float, v: float, phi) -> float:
         total += quad(f, a, b, epsabs=1e-16, epsrel=1e-12, limit=400)[0]
     total += quad(f, edges[-1], math.inf, epsabs=1e-16, epsrel=1e-12, limit=400)[0]
     return total
+
+
+def logbesq0_phi_hat_oracle(z: float, k_m: float, v: float, phi) -> float:
+    """E[(phi(Z_T) - phi(k_m)) 1{Z_T > k_m}] for Z_T = exp(-e^v X), X the
+    squared Bessel draw above at state -ln z and variance 2(1 - e^{-v}).
+
+    Z_T > k_m exactly where X < (-ln k_m) e^{-v}; the atom X = 0 (Z_T = 1)
+    holds exp(-2(-ln z)/(2(1 - e^{-v}))), the rest is adaptive quadrature in x
+    against the mixture density.
+    """
+    if k_m >= 1.0:
+        return 0.0
+    y0, w = -math.log(z), -2.0 * math.expm1(-v)
+    density = _besq0_density(y0, w)
+    phi_k = float(phi(k_m))
+
+    def f(x):
+        return (float(phi(math.exp(-math.exp(v) * x))) - phi_k) * density(x)
+
+    x_k = -math.log(k_m) * math.exp(-v)
+    edges = [0.0, x_k] if x_k <= y0 else [0.0, y0, x_k]
+    total = sum(
+        quad(f, a, b, epsabs=1e-16, epsrel=1e-12, limit=400)[0] for a, b in zip(edges, edges[1:])
+    )
+    return total + (float(phi(1.0)) - phi_k) * math.exp(-y0 / (0.5 * w))

@@ -271,17 +271,20 @@ def test_strike_band_term_range():
         lv = l_value(0.0, 1.0, theta, 1.2, KS, GBM)
         cap = float(np.sum(np.diff(KS.strikes) * 2.0 * np.diff(KS.strikes)))
         ok = ok and lv <= 1e-10 and lv >= -cap - 1e-10 * max(1.0, cap)
-    # models priced by inner Monte Carlo; the slope of phi diverges at
-    # zero strike so only the upper end of the band range is finite
+    # bessel0 is priced by Monte Carlo; the slope of phi diverges at zero
+    # strike so only the upper end of the band range is finite
     mc_cases = [
         (BESSEL, 0.3, 1.0, (0.0, 0.75, 1.5)),
         (BESSEL, 0.6, 0.8, (0.0, 0.4, 0.9, 1.4)),
-        (LOGDIFF, 0.3, 0.5, (0.0, 0.25, 0.5, 0.75)),
     ]
     for i, (model, theta, s, strikes) in enumerate(mc_cases):
         lv = l_value(0.0, 1.0, theta, s, StrikeGrid(strikes=strikes), model,
                      cfg=SimConfig(n_paths=4096, dt=0.01, seed=300 + i))
         ok = ok and lv <= 1e-8
+    # logdiff's phi = -ln z is infinite at 0, so its first band is -inf
+    lv = l_value(0.0, 1.0, 0.3, 0.5, StrikeGrid(strikes=(0.0, 0.25, 0.5, 0.75)), LOGDIFF,
+                 cfg=SimConfig(n_paths=4096, dt=0.01, seed=302))
+    ok = ok and lv == -math.inf
     assert _verdict("strike-band term range", ok)
 
 

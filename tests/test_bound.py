@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import besq0_phi_hat_oracle, lognormal_phi_hat_oracle
+from conftest import besq0_phi_hat_oracle, logbesq0_phi_hat_oracle, lognormal_phi_hat_oracle
 from volbound.bound import (
     BoundReport,
     DensificationStep,
@@ -48,6 +48,8 @@ from volbound.bound import (
 )
 from volbound.errors import ConfigurationError, DivergenceError, DomainError
 from volbound.models import (
+    LogBesselLaw,
+    LognormalLaw,
     PhiFunction,
     SimConfig,
     SquaredBesselLaw,
@@ -61,6 +63,7 @@ from volbound.pricing import _bs_call_core
 
 GBM = builtin_model("gbm")
 BESSEL = builtin_model("bessel0")
+LOGDIFF = builtin_model("logdiff")
 
 MATS = MaturityGrid(times=(1.0, 2.0, 3.0))
 KS3 = StrikeGrid(strikes=(0.0, 1.0, 2.0))
@@ -410,7 +413,7 @@ class TestTailTerm:
     def test_batch_route_matches_scalar_route(self):
         thetas = np.array([0.2, 0.5, 0.35, 1.0, 0.05])
         states = np.array([1.0, 0.7, 1.4, 2.5, 0.9])
-        batch, _ = _g_batch(GBM, thetas, states, 0.0, 1.0, 2.0, None, 0)
+        batch = _g_batch(GBM, thetas, states, 0.0, 1.0, 2.0)
         for i in range(thetas.size):
             scalar = g_value(0.0, 1.0, float(thetas[i]), float(states[i]), 2.0, GBM).value
             assert batch[i] == pytest.approx(scalar, rel=1e-9, abs=1e-12)
@@ -420,8 +423,7 @@ class TestTailTerm:
         # window no fixed-node rule from w_k resolves (160 nodes: 0.25% low)
         want = g_value(0.0, 1.0, 0.002, 4.0, 1.5, GBM).value
         assert want == pytest.approx(13.750064000128, rel=1e-12)
-        got, ses = _g_batch(GBM, np.array([0.002]), np.array([4.0]), 0.0, 1.0, 1.5, None, 0)
-        assert float(ses[0]) == 0.0
+        got = _g_batch(GBM, np.array([0.002]), np.array([4.0]), 0.0, 1.0, 1.5)
         assert float(got[0]) == pytest.approx(want, rel=1e-10)
 
     def test_cutoff_above_support_is_exactly_zero(self):
@@ -440,19 +442,17 @@ class TestTailTerm:
         assert q.se > 0.0
         assert q.n_paths == 2000
 
-    def test_inner_mc_agrees_across_streams(self):
-        # scalar route and batch route use unrelated substreams; their
-        # estimates must agree statistically, not bitwise. Without a law the
-        # batch route is the inner Monte Carlo too.
-        cfg = SimConfig(n_paths=8000, dt=0.01, seed=17)
-        a = g_value(0.0, 1.0, 0.5, 1.0, 1.5, BESSEL, cfg=cfg)
-        vals, ses = _g_batch(
-            dataclasses.replace(BESSEL, law=None),
-            np.array([0.5]), np.array([1.0]), 0.0, 1.0, 1.5, cfg, 0,
-        )
-        assert float(ses[0]) > 0.0
-        z = (a.value - float(vals[0])) / math.hypot(a.se, float(ses[0]))
-        assert abs(z) < 3.5
+    def test_model_without_a_law_is_refused(self):
+        # G is closed form or quadrature against the law; there is no
+        # Monte Carlo fallback to take instead
+        bare = dataclasses.replace(BESSEL, name="bare", law=None)
+        with pytest.raises(ConfigurationError, match="'bare' has no transition law"):
+            _g_batch(bare, np.array([0.5]), np.array([1.0]), 0.0, 1.0, 1.5)
+        with pytest.raises(ConfigurationError, match="'bare'"):
+            tail_route(bare)
+        scn = self_consistent_scenario(bare, 0.5)
+        with pytest.raises(ConfigurationError, match="'bare'"):
+            check_bound(scn, MATS, KS3, W1, 0.5, SimConfig(n_paths=64, dt=0.01, seed=1))
 
     # (theta, s, T, k_max): bulk below, at, and far above the cutoff, and
     # vols at which most of the mass is absorbed at 0
@@ -464,42 +464,76 @@ class TestTailTerm:
 
     @pytest.mark.parametrize("theta,s,T,k_m", BESQ_TAIL_CASES)
     def test_bessel_law_matches_oracle(self, theta, s, T, k_m):
-        got, ses = _g_batch(BESSEL, np.array([theta]), np.array([s]), 0.0, T, k_m, None, 0)
+        got = _g_batch(BESSEL, np.array([theta]), np.array([s]), 0.0, T, k_m)
         want = besq0_phi_hat_oracle(s, k_m, theta * theta * T, BESSEL.phi)
-        assert float(ses[0]) == 0.0
         assert float(got[0]) == pytest.approx(want, rel=1e-10, abs=1e-14)
 
     def test_bessel_law_matches_inner_mc_under_absorption(self):
         # sigma = 1 from s = 1: exp(-2) of the mass sits in the atom at 0
         cfg = SimConfig(n_paths=40000, dt=0.002, seed=5)
         mc = g_value(0.0, 1.0, 1.0, 1.0, 0.5, BESSEL, cfg=cfg)
-        got, _ = _g_batch(BESSEL, np.array([1.0]), np.array([1.0]), 0.0, 1.0, 0.5, cfg, 0)
+        got = _g_batch(BESSEL, np.array([1.0]), np.array([1.0]), 0.0, 1.0, 0.5)
         assert abs(mc.value - float(got[0])) < 3.5 * mc.se
 
-    def test_bessel_law_converged_in_nodes(self):
-        class Finer(SquaredBesselLaw):
+    # besides the oracle cases: sigma = 1, where a third of the mass or more
+    # sits in the atom, and small variance, theta^2 T <= 1e-4
+    EDGE_CASES = [(1.0, 0.5, 1.0, 0.3), (1.0, 0.5, 1.0, 0.9), (0.01, 1.0, 1.0, 0.3),
+                  (0.01, 0.5, 1.0, 0.9), (0.005, 0.5, 2.0, 0.4999)]
+
+    @staticmethod
+    def _converged(model, law_cls, cases):
+        class Finer(law_cls):
             nodes = 128
 
-        finer = dataclasses.replace(BESSEL, law=Finer())
-        cases = self.BESQ_TAIL_CASES + [(0.05, 20.0, 0.5, 0.5)]
+        finer = dataclasses.replace(model, law=Finer())
         for theta, s, T, k_m in cases:
-            a = _g_quadrature(BESSEL, theta, s, 0.0, T, k_m)
-            b = _g_quadrature(finer, theta, s, 0.0, T, k_m)
-            assert b == pytest.approx(a, rel=1e-12)
+            a = _g_quadrature(model, np.array([theta]), np.array([s]), 0.0, T, k_m)
+            b = _g_quadrature(finer, np.array([theta]), np.array([s]), 0.0, T, k_m)
+            assert b[0] == pytest.approx(a[0], rel=1e-12)
+
+    def test_bessel_law_converged_in_nodes(self):
+        cases = self.BESQ_TAIL_CASES + [(0.05, 20.0, 0.5, 0.5)] + self.EDGE_CASES
+        self._converged(BESSEL, SquaredBesselLaw, cases)
+
+    def test_lognormal_law_converged_in_nodes(self):
+        cases = [(0.5, 1.0, 1.0, 1.5), (1.0, 2.5, 2.0, 2.0), (0.2, 1.0, 1.0, 2.0),
+                 (0.002, 4.0, 1.0, 1.5)] + self.EDGE_CASES
+        self._converged(INV, LognormalLaw, cases)
+
+    @pytest.mark.parametrize("k_m", [0.3, 0.9, 1.0, 1.5])
+    def test_logdiff_law_converged_in_nodes(self, k_m):
+        cases = [(theta, s, 1.0, k_m) for theta in (1.0, 0.3, 0.01) for s in (0.5, 0.95)]
+        self._converged(LOGDIFF, LogBesselLaw, cases)
 
     def test_route_names_its_budget(self):
-        cfg = SimConfig(n_paths=4096, dt=0.01, seed=1)
-        assert tail_route(GBM, cfg, 4096) == {"route": "closed-form"}
-        assert tail_route(BESSEL, cfg, 4096) == {"route": "quadrature", "nodes": 64, "window": 16.0}
-        assert tail_route(dataclasses.replace(BESSEL, law=None), cfg, 8) == {
-            "route": "inner-mc", "n_inner": 512, "n_inner_t0": 4096, "dt": 0.01
-        }
+        assert tail_route(GBM) == {"route": "closed-form"}
+        for model in (BESSEL, LOGDIFF, INV):
+            assert tail_route(model) == {"route": "quadrature", "nodes": 64, "window": 16.0}
 
-    def test_inner_mc_names_dt_only_for_euler(self):
-        # an exact law takes one inner step per interval of h: no dt to report
-        cfg = SimConfig(n_paths=4096, dt=0.01, seed=1)
-        assert tail_route(INV, cfg, 8) == {"route": "inner-mc", "n_inner": 512, "n_inner_t0": 4096}
-        assert tail_route(dataclasses.replace(INV, law=None), cfg, 8)["dt"] == 0.01
+    # (theta, s, T, k_max) for logdiff: sigma = 1 with a third of the mass at
+    # Z = 1, a cutoff near 1, small variance and a state near either end
+    LOGDIFF_TAIL_CASES = [
+        (1.0, 0.5, 1.0, 0.3), (1.0, 0.5, 1.0, 0.9), (0.3, 0.5, 1.0, 0.3), (0.1, 0.9, 1.0, 0.5),
+        (2.0, 0.2, 1.0, 0.5), (0.01, 0.5, 1.0, 0.3), (0.5, 0.99, 1.0, 0.995), (0.6, 0.05, 2.0, 0.2),
+    ]
+
+    @pytest.mark.parametrize("theta,s,T,k_m", LOGDIFF_TAIL_CASES)
+    def test_logdiff_law_matches_oracle(self, theta, s, T, k_m):
+        got = _g_batch(LOGDIFF, np.array([theta]), np.array([s]), 0.0, T, k_m)
+        want = logbesq0_phi_hat_oracle(s, k_m, theta * theta * T, LOGDIFF.phi)
+        assert float(got[0]) == pytest.approx(want, rel=1e-10, abs=1e-14)
+
+    def test_logdiff_law_matches_euler_oracle(self):
+        # g_value's Monte Carlo route on logdiff without its law (Euler, dt 1e-3)
+        cfg = SimConfig(n_paths=20000, dt=1e-3, seed=61)
+        mc = g_value(0.0, 1.0, 1.0, 0.5, 0.3, dataclasses.replace(LOGDIFF, law=None), cfg)
+        got = _g_batch(LOGDIFF, np.array([1.0]), np.array([0.5]), 0.0, 1.0, 0.3)
+        assert abs(mc.value - float(got[0])) < 3.5 * mc.se
+
+    def test_logdiff_cutoff_at_or_above_one_is_exactly_zero(self):
+        thetas, states = np.array([0.0, 0.3, 1.0, 2.0]), np.array([0.5, 0.5, 0.99, 1e-3])
+        for k_m in (1.0, 1.5):
+            assert np.all(_g_batch(LOGDIFF, thetas, states, 0.0, 1.0, k_m) == 0.0)
 
     def test_paths_at_the_boundary_keep_their_clipped_value(self):
         got = _g_quadrature(BESSEL, np.array([0.5, 0.5]), np.array([0.0, 1.0]), 0.0, 1.0, 1.5)
@@ -579,6 +613,18 @@ class TestStrikeBand:
         coarse = l_value(0.0, 1.0, 0.2, 1.0, StrikeGrid(strikes=(0.0, 2.0)), GBM)
         assert tiny == pytest.approx(coarse, abs=1e-4)
 
+    def test_logdiff_band_term_is_minus_infinity(self):
+        # C(K) - C(0) ~ -K near zero strike against phi'' = 1/K^2: the first
+        # band diverges wherever s > 0, and a path held at 0 prices 0 flat.
+        # A Monte Carlo price curve gave -17.05, -19.82 and -22.59 at 1024,
+        # 4096 and 16384 Simpson panels instead, moving by -2 ln 4 each time.
+        ks = StrikeGrid(strikes=(0.0, 0.25, 0.5, 0.75))
+        cfg = SimConfig(n_paths=4096, dt=0.01, seed=300)
+        assert l_value(0.0, 1.0, 0.3, 0.5, ks, LOGDIFF, cfg=cfg) == -math.inf
+        got = l_value(0.0, 1.0, np.array([0.3, 0.0, 0.3, 0.5]), np.array([0.5, 0.5, 0.0, 1.0]),
+                      ks, LOGDIFF)
+        assert got.tolist() == [-math.inf, -math.inf, 0.0, -math.inf]
+
     def test_inner_mc_route_is_nonpositive(self):
         cfg = SimConfig(n_paths=2000, dt=0.01, seed=17)
         got = l_value(0.0, 1.0, 0.5, 1.0, StrikeGrid(strikes=(0.0, 0.75, 1.5)), BESSEL, cfg=cfg)
@@ -601,61 +647,57 @@ INV = dataclasses.replace(GBM, phi=PhiFunction(
 
 
 class TestClosedFormGate:
-    CFG = SimConfig(n_paths=8000, dt=0.01, seed=19)
-
     def test_tail_term_of_non_quadratic_phi_falls_back(self):
-        assert tail_route(INV, self.CFG, 1)["route"] == "inner-mc"
+        # to quadrature against the lognormal law: deterministic, no se
+        assert tail_route(INV)["route"] == "quadrature"
         want = g_value(0.0, 1.0, 0.5, 1.0, 1.5, INV).value
         assert want == pytest.approx(
             lognormal_phi_hat_oracle(1.0, 1.5, 0.25, INV.phi), rel=1e-9, abs=1e-14
         )
-        got, ses = _g_batch(INV, np.array([0.5]), np.array([1.0]), 0.0, 1.0, 1.5, self.CFG, 0)
-        assert float(ses[0]) > 0.0
-        assert abs(float(got[0]) - want) < 3.5 * float(ses[0])
+        cases = [(0.5, 1.0, 1.0, 1.5), (1.0, 1.0, 1.0, 0.5), (0.2, 1.0, 1.0, 2.0),
+                 (1.0, 2.5, 2.0, 2.0), (0.01, 1.0, 1.0, 0.99), (0.002, 4.0, 1.0, 1.5)]
+        for theta, s, T, k_m in cases:
+            got = _g_batch(INV, np.array([theta]), np.array([s]), 0.0, T, k_m)
+            want = lognormal_phi_hat_oracle(s, k_m, theta * theta * T, INV.phi)
+            assert float(got[0]) == pytest.approx(want, rel=1e-9, abs=1e-14)
 
-    # h triples at 0.1, inside the first dt = 0.25 step of [0, 1]
+    # h triples at 0.1
     STEP_H = TimeWeight(values=(1.0, 3.0), breakpoints=(0.1,))
-    STEP_CFG = SimConfig(n_paths=40000, dt=0.25, seed=3)
 
     def test_inner_mc_steps_through_breakpoints_of_h(self):
-        # Euler on both sides: the inner Monte Carlo and g_value's simulate
-        # route must step on the same refined grid (an inner run that reads
-        # h on a uniform grid misses the breakpoint and lands at z = -8.2)
+        # g_value's Monte Carlo oracle, Euler without the law on dt = 0.04
+        # substeps that the breakpoint at 0.1 splits, meets the law's
+        # quadrature (the grid itself is checked in test_models' TestStepping)
         euler = dataclasses.replace(INV, h=self.STEP_H, law=None)
         with np.errstate(divide="ignore"):  # phi(0) = inf on absorbed paths
-            want = g_value(0.0, 1.0, 0.3, 1.0, 0.5, euler, self.STEP_CFG)
-            got, ses = _g_batch(
-                euler, np.array([0.3]), np.array([1.0]), 0.0, 1.0, 0.5, self.STEP_CFG, 0
-            )
-        z = (float(got[0]) - want.value) / math.hypot(float(ses[0]), want.se)
-        assert abs(z) < 3.5
+            mc = g_value(0.0, 1.0, 0.3, 1.0, 0.5, euler, SimConfig(n_paths=40000, dt=0.04, seed=3))
+        model = dataclasses.replace(INV, h=self.STEP_H)
+        got = _g_batch(model, np.array([0.3]), np.array([1.0]), 0.0, 1.0, 0.5)
+        assert abs(float(got[0]) - mc.value) < 3.5 * mc.se
 
-    def test_inner_mc_steps_the_lognormal_law_exactly(self):
-        # with its law kept, gbm's inner copies take exact lognormal steps,
-        # so only sampling error separates them from the quadrature oracle
+    def test_lognormal_rule_reads_breakpoints_of_h(self):
+        # the law's variance over [0, 1] is theta^2 int h^2, breakpoint included
         model = dataclasses.replace(INV, h=self.STEP_H)
         want = g_value(0.0, 1.0, 0.3, 1.0, 0.5, model).value
-        got, ses = _g_batch(
-            model, np.array([0.3]), np.array([1.0]), 0.0, 1.0, 0.5, self.STEP_CFG, 0
-        )
-        assert float(ses[0]) > 0.0
-        assert abs(float(got[0]) - want) < 3.5 * float(ses[0])
+        got = _g_batch(model, np.array([0.3]), np.array([1.0]), 0.0, 1.0, 0.5)
+        assert float(got[0]) == pytest.approx(want, rel=1e-9, abs=1e-14)
 
-    def test_band_term_of_non_quadratic_phi_needs_a_sim_config(self):
-        with pytest.raises(ConfigurationError):
-            l_value(0.0, 1.0, 0.5, 1.0, KS3, INV)
+    def test_band_term_of_non_quadratic_phi_diverges_at_zero_strike(self):
+        # phi = 1/z is infinite at 0, so the first band is -inf without a
+        # simulation; the termwise check still needs the closed form
+        assert l_value(0.0, 1.0, 0.5, 1.0, KS3, INV) == -math.inf
         with pytest.raises(ConfigurationError):
             decomposition_check(INV, 0.3, 1.0, 0.0, 1.0, KS3)
 
     def test_scaling_keeps_the_route_and_scales_exactly(self):
         gbm2 = dataclasses.replace(GBM, phi=GBM.phi.scaled(2.0))
-        assert tail_route(gbm2, self.CFG, 1) == {"route": "closed-form"}
+        assert tail_route(gbm2) == {"route": "closed-form"}
         inv2 = dataclasses.replace(INV, phi=INV.phi.scaled(2.0))
-        assert tail_route(inv2, self.CFG, 1)["route"] == "inner-mc"
+        assert tail_route(inv2)["route"] == "quadrature"
         thetas = np.array([0.0, 0.002, 0.2, 0.5, 1.0])
         states = np.array([1.2, 4.0, 0.7, 1.0, 2.5])
-        g1, _ = _g_batch(GBM, thetas, states, 0.0, 1.0, 1.5, None, 0)
-        g2, _ = _g_batch(gbm2, thetas, states, 0.0, 1.0, 1.5, None, 0)
+        g1 = _g_batch(GBM, thetas, states, 0.0, 1.0, 1.5)
+        g2 = _g_batch(gbm2, thetas, states, 0.0, 1.0, 1.5)
         assert np.array_equal(g2, 2.0 * g1)
         l1 = l_value(0.0, 1.0, thetas, states, KS5, GBM)
         l2 = l_value(0.0, 1.0, thetas, states, KS5, gbm2)
@@ -828,7 +870,9 @@ class TestBoundCheck:
     def test_overflowing_vol_is_reported_not_propagated(self):
         wild = meanrev_vol_scenario(GBM, 0.2, 0.0, 0.2, 4000.0)
         cfg = SimConfig(n_paths=64, dt=0.05, seed=2)
-        with pytest.raises(DivergenceError):
+        # the error names the phase, the model and the first offending pairs
+        named = r"growth factor at t=0\.5 .* model 'gbm'; first \(theta_t, s_t\): \("
+        with pytest.raises(DivergenceError, match=named):
             check_bound(wild, MATS, KS5, W1, 0.5, cfg)
 
 
@@ -848,7 +892,7 @@ class TestMartingaleStructure:
             lt = np.array(
                 [l_value(0.5, T, float(a), float(b), KS3, GBM) for a, b in zip(th, sv)]
             )
-            gt, _ = _g_batch(GBM, th, sv, 0.5, T, KS3.k_max, None, 0)
+            gt = _g_batch(GBM, th, sv, 0.5, T, KS3.k_max)
             h_t = lt + gt
             se = h_t.std(ddof=1) / math.sqrt(h_t.size)
             assert abs(h_t.mean() - (l0 + g0)) < 3.5 * se

@@ -311,23 +311,36 @@ class TestCliCommands:
         }
         assert "repricing" not in doc["results"]  # no closed-form price map
 
-    def test_check_bound_names_both_inner_mc_budgets_for_logdiff(self, tmp_path, capsys):
-        # logdiff has no transition law: the outer paths get 256 inner
-        # copies each, the single time-0 point the whole path budget
+    def test_check_bound_reports_the_logdiff_law(self, tmp_path, capsys, monkeypatch):
+        # logdiff steps by its exact law and integrates G against it; at
+        # sigma = 1 a path reaches the atom at Z = 1 by t = 0.25 with
+        # probability 0.5^(1 / (1 - e^-0.25)), and by t = 1 with 0.334
         cfg = tmp_path / "ld.yaml"
         cfg.write_text(
             BASE.replace("model: gbm", "model: logdiff")
+            .replace("sigma: 0.2", "sigma: 1.0")
             .replace("[1.0, 2.0, 3.0]", "[0.5, 0.75, 1.0]")
-            .replace("strikes: [0.0, 0.5, 1.0, 1.5, 2.0]", "strikes: [0.0, 0.25, 0.5]")
+            .replace("strikes: [0.0, 0.5, 1.0, 1.5, 2.0]", "strikes: [0.0, 0.45, 0.9]")
             .replace("eval_time: 0.5", "eval_time: 0.25")
-            .replace("paths: 4000", "paths: 1024")
-            .replace("dt: 0.01", "dt: 0.02")
+            .replace("paths: 4000", "paths: 2000")
         )
-        assert main(["check-bound", "--config", str(cfg)]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["results"]["bound"]["tail_route"] == {
-            "route": "inner-mc", "n_inner": 256, "n_inner_t0": 1024, "dt": 0.02
-        }
+        docs = {}
+        for workers in ("1", "2"):
+            monkeypatch.setenv("VOLBOUND_WORKERS", workers)
+            for cmd in ("check-bound", "martingale-check"):
+                main([cmd, "--config", str(cfg)])
+                docs[cmd, workers] = canonical_json(json.loads(capsys.readouterr().out))
+        for cmd in ("check-bound", "martingale-check"):
+            assert docs[cmd, "1"] == docs[cmd, "2"]
+        b = json.loads(docs["check-bound", "1"])["results"]
+        assert b["bound"]["tail_route"] == {"route": "quadrature", "nodes": 64, "window": 16.0}
+        assert b["stepping"] == {"route": "exact-law", "steps": 1}  # [0, 0.25]
+        ab = b["bound"]["absorption"]
+        mass = 0.5 ** (1.0 / -math.expm1(-0.25))
+        assert ab["absorbed_mass"] == [pytest.approx(mass, rel=1e-14)]
+        assert abs(ab["fraction"][0] - mass) < 4.0 * math.sqrt(mass * (1.0 - mass) / 2000)
+        sg = json.loads(docs["martingale-check", "1"])["results"]["semigroup"]["absorption"]
+        assert sg["absorbed_mass"] == [pytest.approx(0.33402391255973, rel=1e-12)]
 
     def test_simulating_commands_name_their_stepping_route(
         self, base_path, scan_path, tmp_path, capsys
@@ -357,9 +370,14 @@ class TestCliCommands:
         assert stepping("check-bound", "--config", str(meanrev), "--paths", "256") == {
             "route": "exact-law", "dt": 0.01
         }
+        # logdiff samples its law exactly, and takes Euler steps while theta moves
         ld = tmp_path / "ld.yaml"
         ld.write_text(BASE.replace("model: gbm", "model: logdiff"))
         assert stepping("martingale-check", "--config", str(ld), "--paths", "64") == {
+            "route": "exact-law", "steps": 68
+        }
+        ld.write_text(meanrev.read_text().replace("model: gbm", "model: logdiff"))
+        assert stepping("check-bound", "--config", str(ld), "--paths", "256") == {
             "route": "euler", "dt": 0.01
         }
 

@@ -228,14 +228,16 @@ class TestSimulate:
         assert errs[0] > errs[1] > errs[2]
 
     def test_absorption_fraction_matches_refined_oracle(self):
-        # oracle: the same scheme at dt/100 treated as ground truth
+        # Euler without the law, at dt 0.005, against the law's exact
+        # absorbed mass exp(-2 z0 / (sigma^2 T)) = 0.49935
         m = builtin_model("bessel0")
-        coarse = simulate(m, 1.2, 0.5, 0.0, [0.0, 1.0], SimConfig(n_paths=20000, dt=0.005, seed=21))
-        fine = simulate(m, 1.2, 0.5, 0.0, [0.0, 1.0], SimConfig(n_paths=20000, dt=0.00005, seed=22))
-        f1 = np.isfinite(coarse.absorbed_at).mean()
-        f2 = np.isfinite(fine.absorbed_at).mean()
-        se = math.sqrt(f1 * (1 - f1) / 20000 + f2 * (1 - f2) / 20000)
-        assert abs(f1 - f2) < 3.0 * se
+        euler = dataclasses.replace(m, law=None)
+        e = simulate(euler, 1.2, 0.5, 0.0, [0.0, 1.0], SimConfig(n_paths=20000, dt=0.005, seed=21))
+        assert e.steps == 200
+        f = np.isfinite(e.absorbed_at).mean()
+        p = m.law.absorbed_mass(0.5, 1.44)
+        assert p == pytest.approx(0.49935, abs=1e-5)
+        assert abs(f - p) < 3.0 * math.sqrt(f * (1 - f) / 20000)
 
     def test_absorbed_paths_frozen_at_boundary(self):
         m = builtin_model("bessel0")
@@ -247,9 +249,12 @@ class TestSimulate:
         assert np.all(e.states[early, 2] == 0.0)
 
     def test_logdiff_stays_in_domain_closure(self):
+        # by its exact law and by Euler without it
         m = builtin_model("logdiff")
-        e = simulate(m, 0.6, 0.5, 0.0, [0.0, 1.0], SimConfig(n_paths=10000, dt=0.005, seed=4))
-        assert e.states.min() >= 0.0 and e.states.max() <= 1.0
+        for model in (m, dataclasses.replace(m, law=None)):
+            cfg = SimConfig(n_paths=10000, dt=0.005, seed=4)
+            e = simulate(model, 0.6, 0.5, 0.0, [0.0, 1.0], cfg)
+            assert e.states.min() >= 0.0 and e.states.max() <= 1.0
 
     def test_grid_points_hit_exactly(self):
         m = builtin_model("gbm")
@@ -321,6 +326,58 @@ class TestSquaredBesselLaw:
         hit = float(np.isfinite(e.absorbed_at).mean())
         p = self.LAW.absorbed_mass(0.5, 1.0)
         assert abs(hit - p) < 3.5 * math.sqrt(p * (1.0 - p) / n)
+
+
+class TestLogBesselLaw:
+    """logdiff's law, tested where it can fail: sigma = 1, z0 = 0.5, T = 1,
+    with a third of the mass in the atom at Z = 1."""
+
+    LAW = builtin_model("logdiff").law
+    CASES = [(0.5, 1.0), (0.5, 0.01), (0.5, 1e-4), (0.9, 0.25), (0.05, 2.0), (0.999, 1.0)]
+    N = 200_000
+
+    def test_atom_sits_at_one(self):
+        assert self.LAW.atom == 1.0
+        assert self.LAW.absorbed_mass(0.5, 1.0) == pytest.approx(0.33402391255973, rel=1e-12)
+        assert self.LAW.absorbed_mass(1.0, 1.0) == 1.0
+        assert self.LAW.absorbed_mass(0.5, 0.0) == 0.0
+
+    @pytest.mark.parametrize("z,v", CASES)
+    def test_atom_plus_density_is_one_and_moments_hold(self, z, v):
+        # Z is a martingale and phi = -ln z an eigenfunction: E[Z_T] = z,
+        # E[phi(Z_T)] = e^v phi(z), with phi(1) = 0 on the atom
+        mass = self.LAW.absorbed_mass(z, v)
+        assert mass + _law_moment(self.LAW, z, v, np.ones_like) == pytest.approx(1.0, rel=1e-12)
+        assert mass + _law_moment(self.LAW, z, v, lambda x: x) == pytest.approx(z, rel=1e-12)
+        want = math.exp(v) * -math.log(z)
+        assert _law_moment(self.LAW, z, v, lambda x: -np.log(x)) == pytest.approx(want, rel=1e-12)
+
+    def test_sampled_atom_matches_its_mass(self):
+        for z, v in ((0.5, 1.0), (0.9, 0.25), (0.05, 2.0)):
+            x = self.LAW.sample(np.full(self.N, z), v, rng_substream(51, 0))
+            p = self.LAW.absorbed_mass(z, v)
+            assert np.all((x > 0.0) & (x <= 1.0))
+            assert abs(np.mean(x == 1.0) - p) < 4.0 * math.sqrt(p * (1.0 - p) / self.N)
+            assert abs(x.mean() - z) < 4.0 * x.std(ddof=1) / math.sqrt(self.N)
+
+    def test_absorption_time_follows_its_law(self):
+        # P(tau <= u) = z0^(1 / (1 - exp(-sigma^2 u))), from one exact step
+        m = builtin_model("logdiff")
+        e = simulate(m, 1.0, 0.5, 0.0, [0.0, 1.0], SimConfig(n_paths=self.N, dt=0.01, seed=52))
+        assert e.steps == 1
+        hit = np.isfinite(e.absorbed_at)
+        assert np.all(e.states[hit, -1] == 1.0) and np.all(e.states[~hit, -1] < 1.0)
+        assert np.all((e.absorbed_at[hit] > 0.0) & (e.absorbed_at[hit] <= 1.0))
+        for u in (0.1, 0.25, 0.5, 0.75, 1.0):
+            p = 0.5 ** (1.0 / -math.expm1(-u))
+            got = float(np.mean(e.absorbed_at <= u))
+            assert abs(got - p) < 4.0 * math.sqrt(p * (1.0 - p) / self.N)
+
+    def test_held_states_stay(self):
+        rng = rng_substream(53, 0)
+        z = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 64)])
+        assert np.array_equal(self.LAW.sample(z, 0.0, rng), z)  # no variance: no move
+        assert np.array_equal(self.LAW.sample(z[:2], 1.0, rng), z[:2])  # both ends hold
 
 
 def test_piecewise_h_enters_dynamics():
@@ -416,10 +473,10 @@ class TestStepping:
     GRID = [0.0, 0.25, 1.0, 2.0]
     CFG = SimConfig(n_paths=16, dt=0.01, seed=1)
 
-    @pytest.mark.parametrize("name", ["gbm", "bessel0"])
+    @pytest.mark.parametrize("name", ["gbm", "bessel0", "logdiff"])
     def test_exact_law_takes_one_step_per_anchor_interval(self, name):
         m = dataclasses.replace(builtin_model(name), h=self.H)
-        e = simulate(m, 0.3, 1.0, 0.0, self.GRID, self.CFG)
+        e = simulate(m, 0.3, m.z0, 0.0, self.GRID, self.CFG)
         assert e.steps == 4  # anchors 0, 0.25, 0.4 (h breaks), 1, 2
         assert stepping_route(m, self.CFG.dt, e.steps) == {"route": "exact-law", "steps": 4}
 
@@ -435,7 +492,7 @@ class TestStepping:
     def test_euler_draw_schedule_is_kept(self):
         # a model without an exact sampler steps as it always has: one
         # normal per path per dt substep from its block's substream
-        m = builtin_model("logdiff")
+        m = dataclasses.replace(builtin_model("logdiff"), law=None)
         sigma, dt, n = 0.6, 0.01, 3000
         e = simulate(m, sigma, 0.5, 0.0, [0.0, 0.3, 1.0], SimConfig(n_paths=n, dt=dt, seed=23))
         rng = rng_substream(23, 0)
