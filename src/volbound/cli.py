@@ -47,6 +47,7 @@ from .phi import (
     martingale_check_U,
     martingale_check_V,
     semigroup_check,
+    semigroup_route,
     verify_phi,
 )
 from .pricing import bs_call_price, implied_vol, mc_call_price, quad_call_price
@@ -331,7 +332,10 @@ def _cmd_martingale_check(rc: ResolvedConfig, args):
     steps = u.steps + v.steps
     if model.h.is_unit:
         sg = semigroup_check(model, sigma, times[-1], rc.sim)
-        results["semigroup"] = _mart_payload(sg, model, sigma)
+        results["semigroup"] = {
+            **_mart_payload(sg, model, sigma),
+            "reference_route": semigroup_route(model),
+        }
         verdict = verdict and sg.verdict
         steps += sg.steps
     results["stepping"] = stepping_route(model, rc.sim.dt, steps)

@@ -33,6 +33,7 @@ __all__ = [
     "martingale_check_V",
     "martingale_check_integral",
     "semigroup_check",
+    "semigroup_route",
 ]
 
 
@@ -379,22 +380,23 @@ def martingale_check_V(
     grid = [t for t in grid if t <= times[-1]]
     ens = simulate(model, sigma, model.z0, 0.0, grid, cfg)
     ref = float(model.phi(model.z0))
-    garr = np.asarray(grid)
-    phis = np.asarray(model.phi(ens.states), dtype=np.float64)
-    tau = ens.absorbed_at[:, None]
-    # per-segment overlap with [0, tau); h is constant on each segment
-    seg_lo, seg_hi = garr[:-1][None, :], garr[1:][None, :]
-    overlap = np.clip(np.fmin(tau, seg_hi) - seg_lo, 0.0, None)
-    hsq = np.asarray([float(model.h(x)) ** 2 for x in garr[:-1]])
-    increments = overlap * hsq[None, :] * 0.5 * (phis[:, :-1] + phis[:, 1:])
-    cum = np.concatenate(
-        [np.zeros((increments.shape[0], 1)), np.cumsum(increments, axis=1)], axis=1
-    )
-    idx = {t: i for i, t in enumerate(grid)}
-    samples = []
-    for t in times:
-        i = idx[t]
-        samples.append(phis[:, i] - sigma * sigma * cum[:, i])
+    tau = ens.absorbed_at
+    wanted = {grid.index(t) for t in times}
+    phi_lo = np.asarray(model.phi(ens.states[:, 0]), dtype=np.float64)
+    # -0.0, not 0.0, is the identity of float addition, so the running sums
+    # equal np.cumsum's bit for bit
+    cum = np.full(ens.n_paths, -0.0)
+    samples = [phi_lo] if 0 in wanted else []
+    # one grid segment at a time: h is constant on it, and its overlap with
+    # [0, tau) stops the integrand where the path was absorbed
+    for j in range(1, len(grid)):
+        seg_lo, seg_hi = grid[j - 1], grid[j]
+        phi_hi = np.asarray(model.phi(ens.states[:, j]), dtype=np.float64)
+        overlap = np.clip(np.fmin(tau, seg_hi) - seg_lo, 0.0, None)
+        cum += overlap * float(model.h(seg_lo)) ** 2 * 0.5 * (phi_lo + phi_hi)
+        if j in wanted:
+            samples.append(phi_hi - sigma * sigma * cum)
+        phi_lo = phi_hi
     return _summarize(times, samples, [ref] * len(times), ens)
 
 
@@ -412,7 +414,9 @@ def martingale_check_integral(
     The integral uses the left-point rule, which makes the discrete sum an
     exact martingale transform of the simulated increments. Without an
     explicit left derivative a backward difference stands in; for the
-    piecewise-linear g of interest it is exact away from the kink.
+    piecewise-linear g of interest it is exact away from the kink. g and
+    g_left_deriv are called on the states of one grid time, a 1-d array, at
+    a time.
     """
     times = _check_times(times)
     fine = np.linspace(0.0, times[-1], integration_points)
@@ -424,14 +428,32 @@ def martingale_check_integral(
             step = 1e-7 * np.maximum(1.0, np.abs(z))
             return (np.asarray(_g(z)) - np.asarray(_g(z - step))) / step
 
-    slopes = np.asarray(g_left_deriv(states[:, :-1]), dtype=np.float64)
-    increments = slopes * np.diff(states, axis=1)
-    cum = np.concatenate(
-        [np.zeros((states.shape[0], 1)), np.cumsum(increments, axis=1)], axis=1
-    )
-    idx = {t: i for i, t in enumerate(grid)}
-    samples = [cum[:, idx[t]] for t in times]
+    wanted = {grid.index(t) for t in times}
+    cum = np.full(states.shape[0], -0.0)  # as in martingale_check_V
+    samples = [np.zeros(states.shape[0])] if 0 in wanted else []
+    for j in range(1, len(grid)):
+        slopes = np.asarray(g_left_deriv(states[:, j - 1]), dtype=np.float64)
+        cum += slopes * (states[:, j] - states[:, j - 1])
+        if j in wanted:
+            samples.append(cum.copy())
     return _summarize(times, samples, [0.0] * len(times), ens)
+
+
+def semigroup_route(model: ReferenceModel) -> dict:
+    """How semigroup_check computes its reference E[phi(Z_t)], in
+    bound.tail_route's vocabulary: {"route": "closed-form"} where no path
+    holds a finite nonzero phi at the law's atom, else {"route":
+    "quadrature", "nodes": n, "window": w} for the law's expect."""
+    atom = getattr(model.law, "atom", None)
+    phi_atom = 0.0 if atom is None else float(model.phi(atom))
+    if not math.isfinite(phi_atom) or phi_atom == 0.0:
+        return {"route": "closed-form"}
+    if not hasattr(model.law, "expect"):
+        raise ConfigurationError(
+            f"model {model.name!r}: phi is {phi_atom} at its law's atom and the law "
+            "has no expect for the stopped process's mean"
+        )
+    return {"route": "quadrature", "nodes": model.law.nodes, "window": model.law.window}
 
 
 def semigroup_check(
@@ -443,11 +465,9 @@ def semigroup_check(
     is the semigroup's action on its eigenfunction. Without absorption
     E[phi(Z_t)] = exp(sigma^2 t) phi(z0). A path absorbed at the law's atom
     holds phi(atom) and stops growing, so where phi(atom) is finite and
-    nonzero, the reference is the stopped process's mean
-
-        exp(sigma^2 t) phi(z0) - sigma^2 phi(atom) int_0^t exp(sigma^2 (t-u)) P(tau <= u) du
-
-    with P(tau <= u) the law's absorbed mass at variance sigma^2 u.
+    nonzero, the reference is the stopped process's mean, taken from the
+    law: phi(atom) times the atom's mass plus phi against the density
+    (semigroup_route names which).
     """
     if not model.h.is_unit:
         raise ConfigurationError(
@@ -456,22 +476,10 @@ def semigroup_check(
         )
     if not t > 0.0:
         raise DomainError(f"test time must be positive, got {t}")
+    if semigroup_route(model)["route"] == "quadrature":
+        ref = model.law.expect(model.phi, model.z0, sigma * sigma * t)
+    else:
+        ref = math.exp(sigma * sigma * t) * float(model.phi(model.z0))
     ens = simulate(model, sigma, model.z0, 0.0, [0.0, t], cfg)
-    ref = math.exp(sigma * sigma * t) * float(model.phi(model.z0))
-    atom = getattr(model.law, "atom", None)
-    phi_atom = 0.0 if atom is None else float(model.phi(atom))
-    if math.isfinite(phi_atom) and phi_atom != 0.0:
-        from scipy.integrate import quad
-
-        sig2, mass = sigma * sigma, model.law.absorbed_mass
-        lost, _ = quad(
-            lambda u: math.exp(sig2 * (t - u)) * float(mass(model.z0, sig2 * u)),
-            0.0,
-            t,
-            epsabs=1e-14,
-            epsrel=1e-12,
-            limit=200,
-        )
-        ref -= sig2 * phi_atom * lost
     sample = np.asarray(model.phi(ens.states[:, -1]), dtype=np.float64)
     return _summarize([t], [sample], [ref], ens)

@@ -339,8 +339,10 @@ class TestCliCommands:
         mass = 0.5 ** (1.0 / -math.expm1(-0.25))
         assert ab["absorbed_mass"] == [pytest.approx(mass, rel=1e-14)]
         assert abs(ab["fraction"][0] - mass) < 4.0 * math.sqrt(mass * (1.0 - mass) / 2000)
-        sg = json.loads(docs["martingale-check", "1"])["results"]["semigroup"]["absorption"]
-        assert sg["absorbed_mass"] == [pytest.approx(0.33402391255973, rel=1e-12)]
+        sg = json.loads(docs["martingale-check", "1"])["results"]["semigroup"]
+        assert sg["absorption"]["absorbed_mass"] == [pytest.approx(0.33402391255973, rel=1e-12)]
+        # phi vanishes at logdiff's atom, so the closed form stands
+        assert sg["reference_route"] == {"route": "closed-form"}
 
     def test_simulating_commands_name_their_stepping_route(
         self, base_path, scan_path, tmp_path, capsys
@@ -394,6 +396,12 @@ class TestCliCommands:
             for t, frac, mass in zip(ab["times"], ab["fraction"], ab["absorbed_mass"]):
                 assert mass == pytest.approx(math.exp(-2.0 / t), rel=1e-14)
                 assert abs(frac - mass) < 4.0 * math.sqrt(mass * (1.0 - mass) / 4000)
+        # the stopped process's mean comes from the law: atom plus density
+        assert r["semigroup"]["reference_route"] == {
+            "route": "quadrature", "nodes": 64, "window": 16.0
+        }
+        ref = pytest.approx(0.33341074657405034, rel=1e-13, abs=0.0)
+        assert r["semigroup"]["references"] == [ref]
         assert main(["check-bound", "--config", base_path, "--paths", "256"]) == 0
         ab = json.loads(capsys.readouterr().out)["results"]["bound"]["absorption"]
         assert ab == {"times": [0.5], "fraction": [0.0]}  # gbm has no atom
@@ -487,6 +495,7 @@ class TestCliCommands:
         assert r["discounted_eigenfunction"]["verdict"] is True
         assert r["compensated_eigenfunction"]["verdict"] is True
         assert r["semigroup"]["verdict"] is True
+        assert r["semigroup"]["reference_route"] == {"route": "closed-form"}
 
     def test_exit_codes(self, base_path, tmp_path, capsys):
         assert main(["check-bound", "--config", str(tmp_path / "missing.yaml")]) == 3

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "volbound"
 
 # `x.name == ...`, `x.name != ...`, and the same with the operands swapped
@@ -28,11 +30,9 @@ def test_models_dispatch_on_their_law_not_their_name():
     assert name_comparisons(SRC) == []
 
 
-def test_cli_start_up_leaves_scipy_integrate_out():
-    # only the oracle routes (g_value, decomposition_check, quad_call_price,
-    # solve_phi, semigroup_check) integrate adaptively; importing the CLI
-    # must not pay for scipy.integrate
-    code = "import sys, volbound.cli; print('scipy.integrate' in sys.modules)"
+def integrate_loaded_after(code: str) -> bool:
+    """Whether scipy.integrate is imported once code has run in a fresh child."""
+    code += "\nimport sys; print('scipy.integrate' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -40,4 +40,28 @@ def test_cli_start_up_leaves_scipy_integrate_out():
         check=True,
         env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
     ).stdout
-    assert out.strip() == "False"
+    return out.strip().splitlines()[-1] == "True"
+
+
+def test_cli_start_up_leaves_scipy_integrate_out():
+    # only the oracle routes (g_value, decomposition_check, quad_call_price,
+    # solve_phi) integrate adaptively; importing the CLI must not pay for
+    # scipy.integrate
+    assert not integrate_loaded_after("import volbound.cli")
+
+
+@pytest.mark.parametrize("model", ["gbm", "bessel0", "logdiff"])
+def test_martingale_check_leaves_scipy_integrate_out(model, tmp_path):
+    # the semigroup reference is closed form, or, for bessel0's stopped
+    # process, its law's fixed-node rule; neither is an adaptive quadrature
+    cfg = tmp_path / f"{model}.yaml"
+    cfg.write_text(
+        f"model: {model}\nsigma: 1.0\nmaturities: [1.0, 2.0, 3.0]\n"
+        "strikes: [0.0, 0.5, 0.9]\nsimulation: {paths: 4000, dt: 0.001, seed: 1}\n"
+    )
+    run = (
+        "from volbound.cli import main\n"
+        f"argv = ['martingale-check', '--config', {str(cfg)!r}, '--set', 'simulation.paths=200']\n"
+        "assert main(argv) in (0, 1)"
+    )
+    assert not integrate_loaded_after(run)

@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from volbound import phi as phi_module
 from volbound.errors import ConfigurationError, DivergenceError, DomainError, InfeasibleError
-from volbound.models import SimConfig, StateDiffusion, TimeWeight, builtin_model
+from volbound.models import SimConfig, StateDiffusion, TimeWeight, builtin_model, simulate
 from volbound.phi import (
     MartingaleTestReport,
     OdeResidualReport,
@@ -13,6 +15,7 @@ from volbound.phi import (
     martingale_check_V,
     martingale_check_integral,
     semigroup_check,
+    semigroup_route,
     solve_phi,
     verify_phi,
 )
@@ -167,6 +170,37 @@ class TestMartingaleU:
             martingale_check_U(GBM, 0.3, [-1.0, 0.5], CFG)
 
 
+def spy_on_check(monkeypatch):
+    """Record the ensembles a check simulates and the samples it summarizes."""
+    seen = {"ens": [], "samples": []}
+
+    def spy_simulate(*args, **kwargs):
+        ens = simulate(*args, **kwargs)
+        seen["ens"].append(ens)
+        return ens
+
+    summarize = phi_module._summarize
+
+    def spy_summarize(times, samples, references, ens):
+        seen["samples"].append(samples)
+        return summarize(times, samples, references, ens)
+
+    monkeypatch.setattr(phi_module, "simulate", spy_simulate)
+    monkeypatch.setattr(phi_module, "_summarize", spy_summarize)
+    return seen
+
+
+def same_bytes(streamed, reference):
+    return len(streamed) == len(reference) and all(
+        a.tobytes() == b.tobytes() for a, b in zip(streamed, reference)
+    )
+
+
+#: bessel0 in the absorbing regime (sigma = 1) under an h whose breakpoint
+#: falls between the points of the integration grid
+BESSEL_STEP_H = dataclasses.replace(BESSEL, h=TimeWeight(values=(1.0, 1.5), breakpoints=(0.37,)))
+
+
 class TestMartingaleV:
     def test_sigma_zero_exact(self):
         r = martingale_check_V(GBM, 0.0, [1.0], CFG)
@@ -202,6 +236,47 @@ class TestMartingaleV:
         m = dataclasses.replace(GBM, h=TimeWeight(values=(1.0, 2.0), breakpoints=(0.4,)))
         r = martingale_check_V(m, 0.3, [0.5, 1.0], CFG)
         assert r.verdict
+
+    def test_streamed_compensator_matches_the_array_formula(self, monkeypatch):
+        seen = spy_on_check(monkeypatch)
+        sigma, times = 1.0, [0.0, 0.25, 0.5, 1.0]
+        martingale_check_V(BESSEL_STEP_H, sigma, times, SimConfig(n_paths=4000, dt=1e-3, seed=3))
+        (ens,), (streamed,) = seen["ens"], seen["samples"]
+        assert np.any(ens.absorbed_at < 1.0) and ens.time_grid.size == 66  # 65 and 0.37
+        # the compensator as paths x grid arrays, summed by np.cumsum
+        m, garr = BESSEL_STEP_H, ens.time_grid
+        phis = np.asarray(m.phi(ens.states), dtype=np.float64)
+        tau = ens.absorbed_at[:, None]
+        seg_lo, seg_hi = garr[:-1][None, :], garr[1:][None, :]
+        overlap = np.clip(np.fmin(tau, seg_hi) - seg_lo, 0.0, None)
+        hsq = np.asarray([float(m.h(x)) ** 2 for x in garr[:-1]])
+        increments = overlap * hsq[None, :] * 0.5 * (phis[:, :-1] + phis[:, 1:])
+        cum = np.concatenate(
+            [np.zeros((increments.shape[0], 1)), np.cumsum(increments, axis=1)], axis=1
+        )
+        cols = np.searchsorted(garr, times)
+        assert same_bytes(streamed, [phis[:, i] - sigma * sigma * cum[:, i] for i in cols])
+
+    def test_compensator_memory_does_not_grow_with_the_grid(self, monkeypatch):
+        # beyond the ensemble's states, V holds a few path vectors whatever
+        # the number of integration points; paths x grid temporaries would
+        # add ~1000 path vectors between 65 and 257 points
+        seen = spy_on_check(monkeypatch)
+        n_paths, excess = 4000, []
+        for points in (65, 257):
+            tracemalloc.start()
+            try:
+                martingale_check_V(
+                    BESSEL_STEP_H, 1.0, [0.25, 0.5, 1.0],
+                    SimConfig(n_paths=n_paths, dt=1e-3, seed=3), integration_points=points,
+                )
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            excess.append(peak - seen["ens"][-1].states.nbytes)
+        path_vector = 8 * n_paths
+        assert excess[0] < 32 * path_vector
+        assert excess[1] - excess[0] < path_vector
 
 
 class TestMartingaleIntegral:
@@ -239,15 +314,87 @@ class TestMartingaleIntegral:
         assert r.verdict
 
 
+    def test_streamed_integral_matches_the_array_formula(self, monkeypatch):
+        seen = spy_on_check(monkeypatch)
+        times = [0.0, 0.5, 1.0]
+        slope = lambda z: np.where(np.asarray(z) > 0.5, 1.0, 0.0)  # noqa: E731
+        martingale_check_integral(
+            BESSEL, lambda z: np.maximum(z - 0.5, 0.0), 1.0, times,
+            SimConfig(n_paths=4000, dt=1e-3, seed=3), g_left_deriv=slope,
+        )
+        (ens,), (streamed,) = seen["ens"], seen["samples"]
+        states = ens.states
+        increments = slope(states[:, :-1]) * np.diff(states, axis=1)
+        cum = np.concatenate(
+            [np.zeros((states.shape[0], 1)), np.cumsum(increments, axis=1)], axis=1
+        )
+        cols = np.searchsorted(ens.time_grid, times)
+        assert same_bytes(streamed, [cum[:, i] for i in cols])
+
+
+#: E[phi(Z_v)] for bessel0 from z0 at variance v, the stopped process's mean
+#: e^v phi(z0) - phi(0) int_0^v e^(v-w) e^(-2 z0/w) dw evaluated with mpmath
+#: at 40 digits
+BESSEL0_SEMIGROUP = {
+    (1.0, 1.0): 0.33341074657405034,
+    (2.0, 1.0): 0.1320448732523732,
+    (1.0, 27.0): 0.9309858636229483,
+    (0.05, 0.04): 0.7970535045309252,
+    (4.0, 0.04): 0.011522539328626713,
+    (0.3, 9.0): 0.9412905123400225,
+}
+
+
+def stopped_mean_by_quad(z0, v):
+    """The same formula by adaptive quadrature: an independent oracle while
+    e^v is small enough that the subtraction keeps its digits."""
+    from scipy.integrate import quad
+
+    law = BESSEL.law
+    lost, _ = quad(
+        lambda w: math.exp(v - w) * law.absorbed_mass(z0, w),
+        0.0, v, epsabs=1e-14, epsrel=1e-12, limit=200,
+    )
+    return math.exp(v) * float(BESSEL.phi(z0)) - float(BESSEL.phi(0.0)) * lost
+
+
 class TestSemigroup:
+    @pytest.mark.parametrize("z0,v", sorted(BESSEL0_SEMIGROUP))
+    def test_bessel0_law_expectation_against_mpmath(self, z0, v):
+        # without the r = sqrt(z0) y^2 substitution below sqrt(z0) the rule
+        # is 4e-14 off at (1, 1) and 1.1e-13 at (2, 1); with it, below 1e-14
+        got = BESSEL.law.expect(BESSEL.phi, z0, v)
+        assert got == pytest.approx(BESSEL0_SEMIGROUP[z0, v], rel=2e-14, abs=0.0)
+
+    @pytest.mark.parametrize("z0", [0.05, 0.3, 1.0, 4.0])
+    @pytest.mark.parametrize("v", [0.04, 0.25, 1.0, 4.0])
+    def test_bessel0_law_expectation_against_quadrature(self, z0, v):
+        got = BESSEL.law.expect(BESSEL.phi, z0, v)
+        assert got == pytest.approx(stopped_mean_by_quad(z0, v), rel=1e-12, abs=0.0)
+
+    def test_reference_routes(self):
+        assert semigroup_route(GBM) == {"route": "closed-form"}
+        assert semigroup_route(LOGDIFF) == {"route": "closed-form"}  # phi(1) = 0
+        assert semigroup_route(BESSEL) == {"route": "quadrature", "nodes": 64, "window": 16.0}
+        # an eigenfunction nonzero at logdiff's atom would need an expect
+        # that LogBesselLaw does not have
+        with pytest.raises(ConfigurationError, match="no expect"):
+            semigroup_route(dataclasses.replace(LOGDIFF, phi=BESSEL.phi))
+        r = semigroup_check(BESSEL, 3.0, 3.0, SimConfig(n_paths=200, dt=0.01, seed=1))
+        # the closed form minus the absorbed paths' loss read 0.9309539794921875
+        # here: two numbers of size e^27 cancelled
+        assert r.references[0] == pytest.approx(0.9309858636229483, rel=1e-13, abs=0.0)
+
     def test_gbm(self):
         r = semigroup_check(GBM, 0.2, 1.0, SimConfig(n_paths=50000, dt=0.01, seed=21))
         assert r.verdict
         assert r.references[0] == pytest.approx(math.exp(0.04), rel=1e-12)
 
-    def test_sigma_zero(self):
-        r = semigroup_check(GBM, 0.0, 1.0, CFG)
+    @pytest.mark.parametrize("model", [GBM, BESSEL], ids=["gbm", "bessel0"])
+    def test_sigma_zero(self, model):
+        r = semigroup_check(model, 0.0, 1.0, CFG)
         assert r.z_scores == (0.0,)
+        assert r.references == (float(model.phi(model.z0)),)
 
     def test_bessel0(self):
         r = semigroup_check(BESSEL, 0.4, 0.5, SimConfig(n_paths=50000, dt=0.005, seed=22))
