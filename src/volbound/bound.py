@@ -44,6 +44,7 @@ from .models import (
     child_rng,
     rng_substream,
     simulate,
+    worker_count,
 )
 from .pricing import PriceQuote, _bs_call_core, _bs_sq_call_core
 from .special_functions import norm_pdf
@@ -486,7 +487,7 @@ def joint_simulate(scn: Scenario, time_grid, cfg: SimConfig) -> JointEnsemble:
             s[rows], store_idx, absorbed[rows], advance,
         )
 
-    _map_blocks(cfg, run_block)
+    _map_blocks(cfg.n_paths, cfg.block_size, worker_count(cfg), run_block)
     return JointEnsemble(
         time_grid=grid, s=s, theta=theta, absorbed_at=absorbed, steps=len(fine_grid) - 1
     )
@@ -521,28 +522,47 @@ def _closed_form(model: ReferenceModel) -> bool:
     return isinstance(model.law, LognormalLaw) and model.phi.curvature is not None
 
 
-def _g_quadrature(model, theta, s, t, T, k_max):
+#: rows of (theta, s) pairs per block of _g_quadrature: one block's
+#: rows-by-nodes temporaries stay a few MB whatever the path count
+G_BLOCK_ROWS = 8192
+
+
+def _g_quadrature(model, theta, s, t, T, k_max, n_workers=1):
     """Tail terms for many (theta, s) pairs of 1-d arrays, by fixed-node
     quadrature against the model's exact transition law, plus its atom when
-    that lies above k_max."""
+    that lies above k_max.
+
+    Each row's sum over the nodes is its own reduction, so the blocks of
+    rows, run on up to n_workers threads, never change a result.
+    """
     law = model.law
     theta, s = np.broadcast_arrays(theta, s)
     weight = model.h.sq_integral(t, T)
     v = theta * theta * weight
     out = np.empty(s.shape, dtype=np.float64)
-    # no variance left, or a path already held at a boundary: Z_T = s
-    deg = (v == 0.0) | (s <= model.beta.lower) | (s >= model.beta.upper)
-    if np.any(deg):
-        out[deg] = clipped_phi(model.phi, k_max, s[deg])
-    idx = np.nonzero(~deg)[0]
     phi_b = float(model.phi(k_max))
-    for chunk in np.array_split(idx, max(1, idx.size // 16384)) if idx.size else []:
-        x, dens, half = law.tail_rule(s[chunk], v[chunk], k_max)
+    atom_gain = None
+    if law.atom is not None and law.atom > k_max:
+        atom_gain = float(model.phi(law.atom)) - phi_b
+
+    def run_block(_, rows):
+        s_b, v_b, out_b = s[rows], v[rows], out[rows]
+        # no variance left, or a path already held at a boundary: Z_T = s
+        deg = (v_b == 0.0) | (s_b <= model.beta.lower) | (s_b >= model.beta.upper)
+        if np.any(deg):
+            out_b[deg] = clipped_phi(model.phi, k_max, s_b[deg])
+        live = ~deg
+        if not np.any(live):
+            return
+        s_l, v_l = s_b[live], v_b[live]
+        x, dens, half = law.tail_rule(s_l, v_l, k_max)
         vals = (np.asarray(model.phi(x), dtype=np.float64) - phi_b) * dens
-        out[chunk] = (vals * law.weights[None, :]).sum(axis=1) * half
-        if law.atom is not None and law.atom > k_max:
-            mass = law.absorbed_mass(s[chunk], v[chunk])
-            out[chunk] += (float(model.phi(law.atom)) - phi_b) * mass
+        g = (vals * law.weights[None, :]).sum(axis=1) * half
+        if atom_gain is not None:
+            g += atom_gain * law.absorbed_mass(s_l, v_l)
+        out_b[live] = g
+
+    _map_blocks(s.size, G_BLOCK_ROWS, n_workers, run_block)
     return out
 
 
@@ -612,10 +632,11 @@ def tail_route(model: ReferenceModel) -> dict:
     return {"route": "quadrature", "nodes": model.law.nodes, "window": model.law.window}
 
 
-def _g_batch(model, theta, s, t, T, k_max):
-    """The tail term per (theta, s) pair of 1-d arrays, by tail_route's route."""
+def _g_batch(model, theta, s, t, T, k_max, n_workers=1):
+    """The tail term per (theta, s) pair of 1-d arrays, by tail_route's
+    route; the quadrature runs on up to n_workers threads."""
     if tail_route(model)["route"] == "quadrature":
-        return _g_quadrature(model, theta, s, t, T, k_max)
+        return _g_quadrature(model, theta, s, t, T, k_max, n_workers)
     theta, s = np.broadcast_arrays(theta, s)
     # Taylor's formula about k_max is exact: G = phi' C + phi''/2 E[((Z_T - K)^+)^2]
     v = theta * theta * model.h.sq_integral(t, T)
@@ -885,7 +906,7 @@ def check_bound(
     for t_k, c_k in zip(times, qp.coeffs):
         if c_k == 0.0:
             continue
-        gt = _g_batch(model, theta_t, s_t, t, t_k, strikes.k_max)
+        gt = _g_batch(model, theta_t, s_t, t, t_k, strikes.k_max, worker_count(cfg))
         g0 = _g_batch(model, np.array([scn.sigma0]), np.array([scn.s0]), 0.0, t_k, strikes.k_max)
         g_corr = g_corr + c_k * (float(g0[0]) - gt)
 

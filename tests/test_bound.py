@@ -8,6 +8,7 @@ simulation-facing checks use fixed seeds and 3.5-sigma gates.
 import dataclasses
 import functools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import besq0_phi_hat_oracle, logbesq0_phi_hat_oracle, lognormal_phi_hat_oracle
 from volbound.bound import (
+    G_BLOCK_ROWS,
     BoundReport,
     DensificationStep,
     MaturityGrid,
@@ -117,7 +119,7 @@ class TestAlphas:
         h = TimeWeight(values=(1.0, 2.0), breakpoints=(1.5,))
         alphas = compute_alphas(MATS, h)
         assert alphas[:2] == (0.0, 1.0)
-        assert alphas[2] == pytest.approx(6.5 / 2.5, rel=1e-15)
+        assert alphas[2] == pytest.approx(6.5 / 2.5, rel=1e-15, abs=0.0)
 
 
 class TestPinnedPolynomial:
@@ -381,7 +383,7 @@ class TestJointSimulate:
 
 class TestGrowthFactor:
     def test_unit_example(self):
-        assert n_value(0.0, 1.0, 0.2, 1.0, GBM) == pytest.approx(math.exp(0.04), rel=1e-15)
+        assert n_value(0.0, 1.0, 0.2, 1.0, GBM) == pytest.approx(math.exp(0.04), rel=1e-15, abs=0.0)
 
     def test_zero_interval_and_zero_vol(self):
         assert n_value(1.0, 1.0, 0.7, 2.0, GBM) == float(GBM.phi(2.0))
@@ -391,7 +393,7 @@ class TestGrowthFactor:
         out = n_value(0.0, 1.0, np.array([0.0, 0.2]), np.array([2.0, 1.0]), GBM)
         assert out.shape == (2,)
         assert out[0] == 4.0
-        assert out[1] == pytest.approx(math.exp(0.04), rel=1e-15)
+        assert out[1] == pytest.approx(math.exp(0.04), rel=1e-15, abs=0.0)
 
     def test_domain_checks(self):
         with pytest.raises(DomainError):
@@ -534,6 +536,32 @@ class TestTailTerm:
         thetas, states = np.array([0.0, 0.3, 1.0, 2.0]), np.array([0.5, 0.5, 0.99, 1e-3])
         for k_m in (1.0, 1.5):
             assert np.all(_g_batch(LOGDIFF, thetas, states, 0.0, 1.0, k_m) == 0.0)
+
+    @pytest.mark.parametrize("model,k_m", [(BESSEL, 0.5), (LOGDIFF, 0.3)])
+    def test_blocks_and_workers_never_change_results(self, model, k_m):
+        # three or more row blocks at sigma = 1, where much of the mass sits
+        # in the atom, with rows already held at the boundary and rows with
+        # no variance left; eight workers with a short switch interval stress
+        # the blocks' disjoint writes into one output
+        n = 2 * G_BLOCK_ROWS + 3617
+        rng = np.random.default_rng(3)
+        states = rng.uniform(0.05, 0.95, n) if model is LOGDIFF else rng.uniform(0.0, 3.0, n)
+        states[::101] = model.beta.lower
+        thetas = np.ones(n)
+        thetas[::89] = 0.0
+        one = _g_batch(model, thetas, states, 0.0, 1.0, k_m, n_workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (2, 8):
+                many = _g_batch(model, thetas, states, 0.0, 1.0, k_m, n_workers=workers)
+                assert many.tobytes() == one.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+        rows = np.arange(0, n, 7)
+        single = [_g_batch(model, thetas[i : i + 1], states[i : i + 1], 0.0, 1.0, k_m)[0]
+                  for i in rows]
+        assert np.array(single).tobytes() == one[rows].tobytes()
 
     def test_paths_at_the_boundary_keep_their_clipped_value(self):
         got = _g_quadrature(BESSEL, np.array([0.5, 0.5]), np.array([0.0, 1.0]), 0.0, 1.0, 1.5)
@@ -828,7 +856,7 @@ class TestBoundCheck:
         assert b.rhs == 2.0 * a.rhs
         assert b.nq_mean == 2.0 * a.nq_mean
         assert b.g_corr_mean == 2.0 * a.g_corr_mean
-        assert b.lhs == pytest.approx(2.0 * a.lhs, rel=1e-14)
+        assert b.lhs == pytest.approx(2.0 * a.lhs, rel=1e-14, abs=0.0)
 
     def test_absorbing_reference_self_consistent(self):
         bes = builtin_model("bessel0")
@@ -851,7 +879,7 @@ class TestBoundCheck:
         rep = check_bound(step_vol_scenario(bes, 1.0, 0.2, 0.5), mats, ks, W1, 0.4, cfg)
         assert rep.steps == 2
         mass = math.exp(-2.0 * 0.3 / (1.0 * 0.2 + 1.5**2 * 0.2))
-        assert rep.absorbed_mass == pytest.approx(mass, rel=1e-14)
+        assert rep.absorbed_mass == pytest.approx(mass, rel=1e-14, abs=0.0)
         assert abs(rep.absorbed_fraction - mass) < 4.0 * math.sqrt(mass * (1.0 - mass) / 4096)
         # a moving theta has no deterministic variance, so no law mass
         moving = meanrev_vol_scenario(bes, 1.0, 1.0, 1.0, 0.3)

@@ -311,6 +311,25 @@ class TestCliCommands:
         }
         assert "repricing" not in doc["results"]  # no closed-form price map
 
+    def test_bessel_tail_blocks_never_change_the_report(self, tmp_path, capsys, monkeypatch):
+        # 20000 paths: two simulation blocks and three blocks of the tail
+        # term's quadrature, split over one thread and over two
+        cfg = tmp_path / "bes.yaml"
+        cfg.write_text(
+            BASE.replace("model: gbm", "model: bessel0")
+            .replace("sigma: 0.2", "sigma: 1.0")
+            .replace("strikes: [0.0, 0.5, 1.0, 1.5, 2.0]", "strikes: [0.0, 0.75, 1.5]")
+            .replace("paths: 4000", "paths: 20000")
+        )
+        docs = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("VOLBOUND_WORKERS", workers)
+            assert main(["check-bound", "--config", str(cfg)]) in (0, 1)
+            docs.append(canonical_json(json.loads(capsys.readouterr().out)))
+        assert docs[0] == docs[1]
+        b = json.loads(docs[0])["results"]["bound"]
+        assert b["n_paths"] == 20000 and b["tail_correction_mean"] != 0.0
+
     def test_check_bound_reports_the_logdiff_law(self, tmp_path, capsys, monkeypatch):
         # logdiff steps by its exact law and integrates G against it; at
         # sigma = 1 a path reaches the atom at Z = 1 by t = 0.25 with
@@ -337,7 +356,7 @@ class TestCliCommands:
         assert b["stepping"] == {"route": "exact-law", "steps": 1}  # [0, 0.25]
         ab = b["bound"]["absorption"]
         mass = 0.5 ** (1.0 / -math.expm1(-0.25))
-        assert ab["absorbed_mass"] == [pytest.approx(mass, rel=1e-14)]
+        assert ab["absorbed_mass"] == [pytest.approx(mass, rel=1e-14, abs=0.0)]
         assert abs(ab["fraction"][0] - mass) < 4.0 * math.sqrt(mass * (1.0 - mass) / 2000)
         sg = json.loads(docs["martingale-check", "1"])["results"]["semigroup"]
         assert sg["absorption"]["absorbed_mass"] == [pytest.approx(0.33402391255973, rel=1e-12)]
@@ -394,7 +413,7 @@ class TestCliCommands:
             ab = r[key]["absorption"]
             assert ab["times"] == ([1.0] if key == "semigroup" else r["times"])
             for t, frac, mass in zip(ab["times"], ab["fraction"], ab["absorbed_mass"]):
-                assert mass == pytest.approx(math.exp(-2.0 / t), rel=1e-14)
+                assert mass == pytest.approx(math.exp(-2.0 / t), rel=1e-14, abs=0.0)
                 assert abs(frac - mass) < 4.0 * math.sqrt(mass * (1.0 - mass) / 4000)
         # the stopped process's mean comes from the law: atom plus density
         assert r["semigroup"]["reference_route"] == {
@@ -487,7 +506,7 @@ class TestCliCommands:
         steps = doc["results"]["steps"]
         assert doc["results"]["schedule_ok"] is True
         for step, n in zip(steps, (4, 16, 64)):
-            assert step["diagnostic"] == pytest.approx(2.0 / math.sqrt(n), rel=1e-14)
+            assert step["diagnostic"] == pytest.approx(2.0 / math.sqrt(n), rel=1e-14, abs=0.0)
 
     def test_martingale_check(self, base_path, capsys):
         assert main(["martingale-check", "--config", base_path, "--paths", "4000"]) == 0

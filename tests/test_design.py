@@ -1,5 +1,6 @@
 """Design guards: structural rules the source tree must keep."""
 
+import ast
 import os
 import re
 import subprocess
@@ -28,6 +29,38 @@ def test_models_dispatch_on_their_law_not_their_name():
     # transition law and eigenfunction, so a user model with the same law
     # takes the same routes as the builtin that carries it
     assert name_comparisons(SRC) == []
+
+
+def parsed_sources(src: Path):
+    for path in sorted(src.glob("*.py")):
+        yield path.name, ast.parse(path.read_text())
+
+
+def test_bessel_density_takes_the_real_argument_kernel():
+    # scipy.special.i1e is e^-x I1(x) for real x at a fraction of the cost of
+    # the complex-argument ive(1, x); the density's argument is never negative
+    uses = [
+        f"{name}:{node.lineno}"
+        for name, tree in parsed_sources(SRC)
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.ImportFrom) and node.module == "scipy.special"
+            and any(alias.name == "ive" for alias in node.names))
+        or (isinstance(node, ast.Attribute) and node.attr == "ive")
+    ]
+    assert uses == []
+
+
+def test_one_thread_pool_site():
+    # simulation blocks and the tail term's quadrature blocks share one pool
+    # helper, so one worker count governs both
+    calls, helper = [], range(0)
+    for name, tree in parsed_sources(SRC):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("ThreadPoolExecutor"):
+                calls.append((name, node.lineno))
+            if name == "models.py" and getattr(node, "name", None) == "_map_blocks":
+                helper = range(node.lineno, node.end_lineno + 1)
+    assert calls and all(name == "models.py" and line in helper for name, line in calls)
 
 
 def integrate_loaded_after(code: str) -> bool:

@@ -302,7 +302,7 @@ class TestSquaredBesselLaw:
     LAW = builtin_model("bessel0").law
 
     def test_atom_is_the_absorption_probability(self):
-        assert self.LAW.absorbed_mass(1.0, 1.0) == pytest.approx(math.exp(-2.0), rel=1e-15)
+        assert self.LAW.absorbed_mass(1.0, 1.0) == pytest.approx(math.exp(-2.0), rel=1e-15, abs=0.0)
         assert self.LAW.absorbed_mass(0.0, 1.0) == 1.0
         assert self.LAW.absorbed_mass(1.0, 0.0) == 0.0
 
@@ -318,6 +318,23 @@ class TestSquaredBesselLaw:
         second = _law_moment(self.LAW, s, v, np.square)
         assert mean == pytest.approx(s, rel=1e-12)
         assert second - mean * mean == pytest.approx(v * s, rel=1e-10)
+
+    # (a, r, v) -> density of r = sqrt(Z_T) given sqrt(s) = a, i.e.
+    # (4/v) a I1(4ar/v) exp(-2(a^2 + r^2)/v), by mpmath at 40 digits
+    # (mp.besseli, mp.exp), rounded to 17 significant digits; the Bessel
+    # argument x = 4ar/v runs from 0.06 to 3.5e4
+    DENSITY_CASES = [
+        ((1.0, 1.0, 0.1), 2.4992891629776824),  # x = 40
+        ((1.0, 0.5, 1.0), 0.52226969609611146),  # x = 2
+        ((2.0, 2.1, 0.01), 1.053560497130121),  # x = 1680
+        ((0.3, 0.2, 4.0), 0.0084374028629344903),  # x = 0.06
+        ((1.0, 1.3, 0.04), 0.03875748587660673),  # x = 130
+        ((3.0, 2.9, 0.001), 5.2894117040387037e-8),  # x = 3.48e4
+    ]
+
+    @pytest.mark.parametrize("arv,want", DENSITY_CASES)
+    def test_density_matches_mpmath(self, arv, want):
+        assert self.LAW._density(*arv) == pytest.approx(want, rel=2e-15, abs=0.0)
 
     def test_absorbed_mass_matches_simulated_fraction(self):
         m = builtin_model("bessel0")
