@@ -41,8 +41,8 @@ from .models import (
     _diffuse,
     _map_blocks,
     _step_grid,
-    child_rng,
     rng_substream,
+    sample_mean,
     simulate,
     worker_count,
 )
@@ -81,7 +81,7 @@ __all__ = [
 
 
 #: reach, in standard-normal units past the bulk, of the adaptive lognormal
-#: quadratures kept as oracles (g_value, decomposition_check's M term)
+#: quadrature kept as an oracle (_lognormal_quad)
 QUAD_REACH = 16.0
 
 
@@ -262,15 +262,20 @@ def build_q(w: WeightVector, alphas, x0: float) -> QPolynomial:
 # ===== scenarios and joint simulation =====
 
 
+#: the scenario generator, by its config name, behind each kind of theta process
+GENERATORS = {"constant": "self-consistent", "step": "step-vol", "meanrev": "meanrev-vol"}
+
+
 @dataclass(frozen=True)
 class ThetaProcess:
     """Volatility-process specification for scenario generation.
 
     kind "constant": theta == sigma0. kind "step": deterministic
     piecewise-constant, jumping to jump_values[i] at jump_times[i].
-    kind "meanrev": dtheta = rate (level - theta) dt + vol_of_vol dW'; it
-    moves unless vol_of_vol is 0 and it starts at its level or has rate 0,
-    in which case it stays at sigma0 like a constant theta.
+    kind "meanrev": dtheta = rate (level - theta) dt + vol_of_vol dW', W'
+    correlated with the state's noise by correlation; it moves unless
+    vol_of_vol is 0 and it starts at its level or has rate 0, in which case
+    it stays at sigma0 like a constant theta.
     """
 
     kind: str
@@ -280,12 +285,15 @@ class ThetaProcess:
     rate: float = 0.0
     level: float = 0.0
     vol_of_vol: float = 0.0
+    correlation: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("constant", "step", "meanrev"):
+        if self.kind not in GENERATORS:
             raise ConfigurationError(f"unknown theta process kind {self.kind!r}")
         if not (self.sigma0 > 0.0 and math.isfinite(self.sigma0)):
             raise DomainError(f"initial vol must be positive, got {self.sigma0}")
+        if not -1.0 <= self.correlation <= 1.0:
+            raise DomainError(f"correlation must lie in [-1, 1], got {self.correlation}")
         if self.kind == "step":
             jt = tuple(float(t) for t in self.jump_times)
             jv = tuple(float(v) for v in self.jump_values)
@@ -330,36 +338,16 @@ class ThetaProcess:
         raise ConfigurationError("mean-reverting theta has no deterministic path")
 
 
-_GENERATOR_KINDS = {
-    "self-consistent": "constant",
-    "step-vol": "step",
-    "meanrev-vol": "meanrev",
-}
-
-
 @dataclass(frozen=True)
 class Scenario:
     """A candidate market: the reference family plus a (S, theta) generator."""
 
     reference: ReferenceModel
-    generator: str
     theta_process: ThetaProcess
-    correlation: float = 0.0
 
-    def __post_init__(self):
-        want = _GENERATOR_KINDS.get(self.generator)
-        if want is None:
-            raise ConfigurationError(
-                f"unknown scenario generator {self.generator!r}; "
-                f"pick one of {sorted(_GENERATOR_KINDS)}"
-            )
-        if self.theta_process.kind != want:
-            raise ConfigurationError(
-                f"generator {self.generator!r} needs a {want!r} theta process, "
-                f"got {self.theta_process.kind!r}"
-            )
-        if not -1.0 <= self.correlation <= 1.0:
-            raise DomainError(f"correlation must lie in [-1, 1], got {self.correlation}")
+    @property
+    def generator(self) -> str:
+        return GENERATORS[self.theta_process.kind]
 
     @property
     def sigma0(self) -> float:
@@ -371,24 +359,16 @@ class Scenario:
 
 
 def self_consistent_scenario(model: ReferenceModel, sigma: float) -> Scenario:
-    return Scenario(
-        reference=model,
-        generator="self-consistent",
-        theta_process=ThetaProcess(kind="constant", sigma0=sigma),
-    )
+    return Scenario(model, ThetaProcess(kind="constant", sigma0=sigma))
 
 
 def step_vol_scenario(
     model: ReferenceModel, sigma: float, jump_time: float, jump_size: float
 ) -> Scenario:
     return Scenario(
-        reference=model,
-        generator="step-vol",
-        theta_process=ThetaProcess(
-            kind="step",
-            sigma0=sigma,
-            jump_times=(jump_time,),
-            jump_values=(sigma + jump_size,),
+        model,
+        ThetaProcess(
+            kind="step", sigma0=sigma, jump_times=(jump_time,), jump_values=(sigma + jump_size,)
         ),
     )
 
@@ -402,12 +382,11 @@ def meanrev_vol_scenario(
     correlation: float = 0.0,
 ) -> Scenario:
     return Scenario(
-        reference=model,
-        generator="meanrev-vol",
-        theta_process=ThetaProcess(
-            kind="meanrev", sigma0=sigma, rate=rate, level=level, vol_of_vol=vol_of_vol
+        model,
+        ThetaProcess(
+            kind="meanrev", sigma0=sigma, rate=rate, level=level, vol_of_vol=vol_of_vol,
+            correlation=correlation,
         ),
-        correlation=correlation,
     )
 
 
@@ -459,7 +438,7 @@ def joint_simulate(scn: Scenario, time_grid, cfg: SimConfig) -> JointEnsemble:
     if not proc.moves:
         theta[:] = [proc.deterministic_value(float(t)) for t in grid]
     cols = {int(j): c for c, j in enumerate(store_idx)}
-    rho = scn.correlation
+    rho = proc.correlation
     rho_c = math.sqrt(max(0.0, 1.0 - rho * rho))
 
     def run_block(b, rows):
@@ -467,7 +446,7 @@ def joint_simulate(scn: Scenario, time_grid, cfg: SimConfig) -> JointEnsemble:
         advance = None
         theta0 = proc.deterministic_value if proc.kind == "step" else proc.sigma0
         if proc.moves:
-            theta_rng = child_rng(cfg.seed, b, 1)
+            theta_rng = rng_substream(cfg.seed, b, 1)
             th = np.full(n, proc.sigma0)
             theta[rows, 0] = th
 
@@ -587,23 +566,13 @@ def g_value(
         raise DomainError(f"cutoff strike must be positive, got {k_max}")
     if theta < 0.0:
         raise DomainError(f"volatility parameter must be nonnegative, got {theta}")
-    weight = model.h.sq_integral(t, T)
-    v = theta * theta * weight
+    v = theta * theta * model.h.sq_integral(t, T)
     if v == 0.0 or s <= 0.0:
         return PriceQuote(value=float(clipped_phi(model.phi, k_max, s)), se=0.0, n_paths=0)
     if isinstance(model.law, LognormalLaw):
-        from scipy.integrate import quad
-
-        sqv = math.sqrt(v)
-        w_b = (math.log(k_max / s) + v / 2.0) / sqv
-        w_hi = max(w_b, 2.0 * sqv) + QUAD_REACH
         phi_b = float(model.phi(k_max))
-
-        def integrand(w):
-            x = s * math.exp(-v / 2.0 + sqv * w)
-            return (float(model.phi(x)) - phi_b) * norm_pdf(w)
-
-        value, _ = quad(integrand, w_b, w_hi, epsabs=1e-12, epsrel=1e-11, limit=300)
+        w_b = (math.log(k_max / s) + v / 2.0) / math.sqrt(v)
+        value = _lognormal_quad(lambda x: float(model.phi(x)) - phi_b, s, v, w_b)
         return PriceQuote(value=float(value), se=0.0, n_paths=0)
     if cfg is None:
         raise ConfigurationError(
@@ -611,15 +580,24 @@ def g_value(
             "pass a SimConfig for the Monte Carlo route"
         )
     ens = simulate(model, theta, s, t, [t, T], cfg)
-    sample = clipped_phi(model.phi, k_max, ens.states[:, -1])
-    n = sample.size
-    if np.all(sample == sample[0]):
-        return PriceQuote(value=float(sample[0]), se=0.0, n_paths=n)
-    return PriceQuote(
-        value=float(sample.mean()),
-        se=float(sample.std(ddof=1) / math.sqrt(n)),
-        n_paths=n,
-    )
+    mean, se = sample_mean(clipped_phi(model.phi, k_max, ens.states[:, -1]))
+    return PriceQuote(value=mean, se=se, n_paths=ens.n_paths)
+
+
+def _lognormal_quad(f, s: float, v: float, w_lo: float) -> float:
+    """int f(x) n(w) dw with x = s exp(-v/2 + sqrt(v) w) under the lognormal
+    law, by adaptive quadrature from w_lo to QUAD_REACH past
+    max(w_lo, 2 sqrt(v)): the oracle route of g_value and of
+    decomposition_check's M term."""
+    from scipy.integrate import quad
+
+    sqv = math.sqrt(v)
+
+    def integrand(w):
+        return f(s * math.exp(-v / 2.0 + sqv * w)) * norm_pdf(w)
+
+    w_hi = max(w_lo, 2.0 * sqv) + QUAD_REACH
+    return quad(integrand, w_lo, w_hi, epsabs=1e-12, epsrel=1e-11, limit=300)[0]
 
 
 def tail_route(model: ReferenceModel) -> dict:
@@ -672,10 +650,14 @@ def l_value(
     """
     if not t <= T:
         raise DomainError(f"need t <= T, got t={t}, T={T}")
-    if np.any(np.asarray(theta) < 0.0):
-        raise DomainError(f"volatility parameter must be nonnegative, got {theta}")
     scalar = np.ndim(theta) == 0 and np.ndim(s) == 0
     theta, s = (np.atleast_1d(np.asarray(a, dtype=np.float64)) for a in (theta, s))
+    negative = theta[theta < 0.0]
+    if negative.size:
+        raise DomainError(
+            f"volatility parameter must be nonnegative, got {negative.size} negative "
+            f"value(s), the first {negative[0]}"
+        )
     theta, s = np.broadcast_arrays(theta, s)
     if _closed_form(model):
         ks = np.asarray(strikes.strikes)
@@ -818,7 +800,8 @@ class BoundReport:
     absorbed_fraction is the share of simulated paths absorbed by time t;
     absorbed_mass is the law's probability of the same where the law has an
     atom and theta does not move, else None. steps is the number of steps
-    each path took.
+    each path took. q is the pinned polynomial Q, whose coefficients give
+    the right side.
     """
 
     t: float
@@ -838,6 +821,7 @@ class BoundReport:
     steps: int = 0
     absorbed_fraction: float = 0.0
     absorbed_mass: float | None = None
+    q: QPolynomial | None = None
 
     def __post_init__(self):
         if self.rhs < 0.0:
@@ -884,11 +868,8 @@ def check_bound(
     if mass_fn is not None and not scn.theta_process.moves:
         mass = float(mass_fn(scn.s0, _state_variance(scn, t)))
 
-    i_t1 = h.sq_integral(t, times[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        n1 = np.exp(theta_t * theta_t * np.float64(i_t1)) * np.asarray(
-            model.phi(s_t), dtype=np.float64
-        )
+        n1 = n_value(t, times[0], theta_t, s_t, model)
         x_t = np.exp(theta_t * theta_t * np.float64(i_12))
     bad = np.nonzero(~(np.isfinite(n1) & np.isfinite(x_t)))[0]
     if bad.size:
@@ -915,9 +896,7 @@ def check_bound(
     se = math.sqrt(float(ell.var(ddof=1)) / n) if n > 1 else 0.0
     rhs, convention = _rhs_detail(qp.coeffs, strikes, model.phi)
 
-    n_q_full = np.exp(theta_t * theta_t * np.float64(h.sq_integral(t, times[-1]))) * np.asarray(
-        model.phi(s_t), dtype=np.float64
-    )
+    n_q_full = n_value(t, times[-1], theta_t, s_t, model)
     half = n // 2
     if half >= 2:
         m1, m2 = n_q_full[:half], n_q_full[half:]
@@ -931,12 +910,9 @@ def check_bound(
         take = np.unique(np.linspace(0, n - 1, min(n, l_sample_paths)).astype(int))
         for t_k in times:
             l0 = l_value(0.0, t_k, scn.sigma0, scn.s0, strikes, model)
-            lt = l_value(t, t_k, theta_t[take], s_t[take], strikes, model)
-            if np.all(lt == lt[0]):
-                lt_mean, lt_se = float(lt[0]), 0.0
-            else:
-                lt_mean = float(lt.mean())
-                lt_se = float(lt.std(ddof=1) / math.sqrt(lt.size))
+            # L reads theta^2 only, and a mean-reverting theta can dip below 0
+            lt = l_value(t, t_k, np.abs(theta_t[take]), s_t[take], strikes, model)
+            lt_mean, lt_se = sample_mean(lt)
             l_diag.append(
                 {"maturity": t_k, "l0": l0, "lt_mean": lt_mean, "lt_se": lt_se,
                  "n_sampled": int(lt.size)}
@@ -965,6 +941,7 @@ def check_bound(
         steps=joint.steps,
         absorbed_fraction=float(np.mean(joint.absorbed_at <= t)),
         absorbed_mass=mass,
+        q=qp,
     )
 
 
@@ -1162,8 +1139,6 @@ def decomposition_check(
     """
     if not _closed_form(model):
         raise ConfigurationError("the termwise check needs the closed-form model")
-    from scipy.integrate import quad
-
     from .pricing import quad_call_price
 
     v = theta * theta * model.h.sq_integral(t, T)
@@ -1182,15 +1157,7 @@ def decomposition_check(
     g_term = float(_g_batch(model, np.array([theta]), np.array([s]), t, T, strikes.k_max)[0])
 
     if v > 0.0:
-        sqv = math.sqrt(v)
-
-        def m_integrand(w):
-            x = s * math.exp(-v / 2.0 + sqv * w)
-            return float(model.phi(x)) * norm_pdf(w)
-
-        m_term, _ = quad(
-            m_integrand, -QUAD_REACH, 2.0 * sqv + QUAD_REACH, epsabs=1e-12, epsrel=1e-11, limit=300
-        )
+        m_term = _lognormal_quad(lambda x: float(model.phi(x)), s, v, -QUAD_REACH)
     else:
         m_term = float(model.phi(s))
     n_term = float(n_value(t, T, theta, s, model))

@@ -25,11 +25,8 @@ import numpy as np
 from . import __version__
 from .bound import (
     StrikeGrid,
-    build_q,
     check_bound,
-    compute_alphas,
     densification_study,
-    pin_point,
     pricing_residuals,
     tail_route,
 )
@@ -79,15 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"volbound {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("validate-phi", "check the eigenfunction ODE for builtin models"),
-        ("price", "price the configured call by every available route"),
-        ("implied-vol", "invert the configured option price for its vol"),
-        ("check-bound", "evaluate both sides of the variation bound"),
-        ("scan", "sweep scenario parameters and map the feasible region"),
-        ("densify", "run the strike-grid densification study"),
-        ("martingale-check", "test the discounted eigenfunction processes"),
-    ):
+    for name, (help_text, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", metavar="PATH", help="scenario config file (YAML)")
         p.add_argument("--seed", type=int, help="override simulation.seed")
@@ -149,7 +138,7 @@ def _stepping(routes) -> dict | list:
     return out[0] if len(out) == 1 else out
 
 
-def _cmd_validate_phi(rc: ResolvedConfig | None, args):
+def _cmd_validate_phi(rc: ResolvedConfig | None, _doc):
     names = (rc.model.name,) if rc is not None else ("gbm", "bessel0", "logdiff")
     per = {}
     ok = True
@@ -178,7 +167,7 @@ def _need_pricing(rc: ResolvedConfig):
     return rc.pricing
 
 
-def _cmd_price(rc: ResolvedConfig, args):
+def _cmd_price(rc: ResolvedConfig, _doc):
     spec = _need_pricing(rc)
     model, sigma = rc.model, rc.scenario.sigma0
     T, strike = spec["maturity"], spec["strike"]
@@ -202,7 +191,7 @@ def _cmd_price(rc: ResolvedConfig, args):
     return results, verdict, None
 
 
-def _cmd_implied_vol(rc: ResolvedConfig, args):
+def _cmd_implied_vol(rc: ResolvedConfig, _doc):
     spec = _need_pricing(rc)
     if "price" not in spec:
         raise ConfigParseError(
@@ -225,9 +214,6 @@ def _cmd_implied_vol(rc: ResolvedConfig, args):
 
 
 def _bound_payload(rc: ResolvedConfig, rep) -> dict:
-    alphas = compute_alphas(rc.mats, rc.model.h)
-    x0 = pin_point(rc.scenario.sigma0, rc.model.h.sq_integral(*rc.mats.times[:2]))
-    qp = build_q(rc.weights, alphas, x0)
     mass = None if rep.absorbed_mass is None else [rep.absorbed_mass]
     return {
         "t": rep.t,
@@ -248,9 +234,9 @@ def _bound_payload(rc: ResolvedConfig, rep) -> dict:
         "band_diagnostics": list(rep.l_diagnostics),
         # enough to recompute the right side offline
         "rhs_inputs": {
-            "alphas": alphas,
-            "coefficients": qp.coeffs,
-            "pin_point": x0,
+            "alphas": rep.q.alphas,
+            "coefficients": rep.q.coeffs,
+            "pin_point": rep.q.x0,
             "strikes": rc.strikes.strikes,
             "weights": rc.weights.p,
         },
@@ -272,16 +258,24 @@ def _residual_payload(res) -> dict:
     }
 
 
-def _cmd_check_bound(rc: ResolvedConfig, args):
+def _bound_run(rc: ResolvedConfig):
+    """(check_bound's report, the repricing residuals where the law prices
+    in closed form, else None, and the stepping route of both)."""
     rep = check_bound(rc.scenario, rc.mats, rc.strikes, rc.weights, rc.eval_time, rc.sim)
-    results = {"bound": _bound_payload(rc, rep)}
-    moving = rc.scenario.theta_process.moves
+    res = None
     steps = rep.steps
     if isinstance(rc.model.law, LognormalLaw):
         res = pricing_residuals(rc.scenario, rc.mats, rc.strikes, rc.eval_time, rc.sim)
-        results["repricing"] = _residual_payload(res)
         steps += res.steps
-    results["stepping"] = stepping_route(rc.model, rc.sim.dt, steps, moving)
+    return rep, res, stepping_route(rc.model, rc.sim.dt, steps, rc.scenario.theta_process.moves)
+
+
+def _cmd_check_bound(rc: ResolvedConfig, _doc):
+    rep, res, route = _bound_run(rc)
+    results = {"bound": _bound_payload(rc, rep)}
+    if res is not None:
+        results["repricing"] = _residual_payload(res)
+    results["stepping"] = route
     verdict = rep.satisfied and rep.n_stable
     return results, verdict, None
 
@@ -293,7 +287,7 @@ def _uniform_grid(n: int) -> StrikeGrid:
     return StrikeGrid(strikes=tuple(k_max * i / n for i in range(n + 1)))
 
 
-def _cmd_densify(rc: ResolvedConfig, args):
+def _cmd_densify(rc: ResolvedConfig, _doc):
     if rc.densify_sizes is None:
         raise ConfigParseError(
             "the densify command needs a densify section (grid_sizes)", key="densify"
@@ -318,7 +312,7 @@ def _cmd_densify(rc: ResolvedConfig, args):
     return results, verdict, (header, rows)
 
 
-def _cmd_martingale_check(rc: ResolvedConfig, args):
+def _cmd_martingale_check(rc: ResolvedConfig, _doc):
     model, sigma = rc.model, rc.scenario.sigma0
     times = rc.martingale_times
     u = martingale_check_U(model, sigma, times, rc.sim)
@@ -342,7 +336,7 @@ def _cmd_martingale_check(rc: ResolvedConfig, args):
     return results, verdict, None
 
 
-def _cmd_scan(rc: ResolvedConfig, args, base_doc):
+def _cmd_scan(rc: ResolvedConfig, base_doc):
     if not rc.scan_axes:
         raise ConfigParseError(
             "the scan command needs a scan section (axes)", key="scan"
@@ -360,26 +354,12 @@ def _cmd_scan(rc: ResolvedConfig, args, base_doc):
         doc = copy.deepcopy(base_doc)
         for key, value in zip(keys, point):
             set_path(doc, key, value)
-        prc = resolve(doc)
-        rep = check_bound(
-            prc.scenario, prc.mats, prc.strikes, prc.weights, prc.eval_time, prc.sim
-        )
-        steps = rep.steps
-        max_z = None
-        if isinstance(prc.model.law, LognormalLaw):
-            res = pricing_residuals(
-                prc.scenario, prc.mats, prc.strikes, prc.eval_time, prc.sim
-            )
-            max_z = res.max_abs_z
-            steps += res.steps
-        routes.append(
-            stepping_route(prc.model, prc.sim.dt, steps, prc.scenario.theta_process.moves)
-        )
+        rep, res, route = _bound_run(resolve(doc))
+        max_z = None if res is None else res.max_abs_z
+        routes.append(route)
         # a scenario that reprices honestly cannot break the bound, so a
         # violated bound alongside quiet residuals marks an internal error
-        conjunction_ok = True
-        if max_z is not None:
-            conjunction_ok = rep.satisfied or max_z > 3.0
+        conjunction_ok = max_z is None or rep.satisfied or max_z > 3.0
         feasible = rep.satisfied and (max_z is None or max_z <= 3.0)
         rows.append(
             list(point)
@@ -396,6 +376,19 @@ def _cmd_scan(rc: ResolvedConfig, args, base_doc):
         "stepping": _stepping(routes),
     }
     return results, verdict, (header, rows)
+
+
+#: every command: its help text and the function that runs it on the
+#: resolved config and the document it came from (None without --config)
+_COMMANDS = {
+    "validate-phi": ("check the eigenfunction ODE for builtin models", _cmd_validate_phi),
+    "price": ("price the configured call by every available route", _cmd_price),
+    "implied-vol": ("invert the configured option price for its vol", _cmd_implied_vol),
+    "check-bound": ("evaluate both sides of the variation bound", _cmd_check_bound),
+    "scan": ("sweep scenario parameters and map the feasible region", _cmd_scan),
+    "densify": ("run the strike-grid densification study", _cmd_densify),
+    "martingale-check": ("test the discounted eigenfunction processes", _cmd_martingale_check),
+}
 
 
 def _run(args) -> int:
@@ -425,20 +418,7 @@ def _run(args) -> int:
         raise ConfigParseError(f"--config is required for {args.command}")
 
     started = time.perf_counter()
-    if args.command == "validate-phi":
-        results, verdict, table = _cmd_validate_phi(rc, args)
-    elif args.command == "price":
-        results, verdict, table = _cmd_price(rc, args)
-    elif args.command == "implied-vol":
-        results, verdict, table = _cmd_implied_vol(rc, args)
-    elif args.command == "check-bound":
-        results, verdict, table = _cmd_check_bound(rc, args)
-    elif args.command == "densify":
-        results, verdict, table = _cmd_densify(rc, args)
-    elif args.command == "martingale-check":
-        results, verdict, table = _cmd_martingale_check(rc, args)
-    else:
-        results, verdict, table = _cmd_scan(rc, args, base_doc)
+    results, verdict, table = _COMMANDS[args.command][1](rc, base_doc)
     elapsed = time.perf_counter() - started
 
     config_doc = rc.document if rc is not None else {}

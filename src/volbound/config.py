@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import yaml
 
 from .bound import (
+    GENERATORS,
     MaturityGrid,
     Scenario,
     StrikeGrid,
@@ -243,10 +244,11 @@ def _resolve_theta(gen, sigma, top: _Section):
     theta_doc = {"rate": rate, "level": level, "vol_of_vol": nu, "correlation": corr}
     try:
         proc = ThetaProcess(
-            kind="meanrev", sigma0=sigma, rate=rate, level=level, vol_of_vol=nu
+            kind="meanrev", sigma0=sigma, rate=rate, level=level, vol_of_vol=nu,
+            correlation=corr,
         )
     except VolboundError as exc:
-        raise _wrap(sec, "vol_of_vol", exc) from exc
+        raise _wrap(sec, "vol_of_vol" if -1.0 <= corr <= 1.0 else "correlation", exc) from exc
     return proc, theta_doc
 
 
@@ -270,23 +272,10 @@ def resolve(doc: dict) -> ResolvedConfig:
         top.fail("sigma", f"volatility must be positive, got {sigma}")
 
     gen = top.take_str("generator", "self-consistent")
-    if gen not in ("self-consistent", "step-vol", "meanrev-vol"):
+    if gen not in GENERATORS.values():
         top.fail("generator", f"unknown generator {gen!r}")
     theta_proc, theta_doc = _resolve_theta(gen, sigma, top)
-
-    correlation = 0.0
-    if gen == "meanrev-vol":
-        correlation = theta_doc["correlation"]
-
-    try:
-        scenario = Scenario(
-            reference=model,
-            generator=gen,
-            theta_process=theta_proc,
-            correlation=correlation,
-        )
-    except VolboundError as exc:
-        raise _wrap(top, "generator", exc) from exc
+    scenario = Scenario(model, theta_proc)
 
     try:
         mats = MaturityGrid(times=top.take_number_list("maturities"))

@@ -13,7 +13,7 @@ import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -37,6 +37,7 @@ __all__ = [
     "simulate",
     "stepping_route",
     "rng_substream",
+    "sample_mean",
     "worker_count",
     "WORKERS_ENV_VAR",
 ]
@@ -423,11 +424,16 @@ def _phi_bessel0_deriv2(z):
     return float(out) if out.ndim == 0 else out
 
 
-def _phi_logdiff_value(z):
-    z = np.asarray(z, dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        out = -np.log(z)
-    return float(out) if out.ndim == 0 else out
+def _logdiff_term(f):
+    """logdiff's phi or a derivative: f on float arrays, infinite at z = 0."""
+
+    def term(z):
+        z = np.asarray(z, dtype=np.float64)
+        with np.errstate(divide="ignore"):
+            out = f(z)
+        return float(out) if out.ndim == 0 else out
+
+    return term
 
 
 def builtin_model(name: str, z0: float | None = None) -> ReferenceModel:
@@ -475,23 +481,15 @@ def builtin_model(name: str, z0: float | None = None) -> ReferenceModel:
                 val = z * np.sqrt(np.maximum(-2.0 * np.log(z), 0.0))
             return np.where(z > 0.0, val, 0.0)
 
-        def d1(z):
-            z = np.asarray(z, dtype=np.float64)
-            with np.errstate(divide="ignore"):
-                out = -1.0 / z
-            return float(out) if out.ndim == 0 else out
-
-        def d2(z):
-            z = np.asarray(z, dtype=np.float64)
-            with np.errstate(divide="ignore"):
-                out = 1.0 / np.square(z)
-            return float(out) if out.ndim == 0 else out
-
         return ReferenceModel(
             name="logdiff",
             h=TimeWeight(values=(1.0,)),
             beta=StateDiffusion(beta_logdiff, 0.0, 1.0),
-            phi=PhiFunction(_phi_logdiff_value, d1, d2),
+            phi=PhiFunction(
+                _logdiff_term(lambda z: -np.log(z)),
+                _logdiff_term(lambda z: -1.0 / z),
+                _logdiff_term(lambda z: 1.0 / np.square(z)),
+            ),
             z0=0.5 if z0 is None else float(z0),
             law=LogBesselLaw(),
         )
@@ -540,7 +538,6 @@ class PathEnsemble:
     time_grid: np.ndarray
     states: np.ndarray
     absorbed_at: np.ndarray
-    sigma: float
     steps: int = 0
 
     @property
@@ -548,16 +545,20 @@ class PathEnsemble:
         return self.states.shape[0]
 
 
-def rng_substream(seed: int, worker: int) -> np.random.Generator:
-    """Dedicated RNG stream for (seed, worker), stable across runs and platforms."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(worker),))
-    return np.random.Generator(np.random.Philox(ss))
-
-
-def child_rng(seed: int, *key: int) -> np.random.Generator:
-    """Nested substream, e.g. the noise of a moving theta per path block."""
+def rng_substream(seed: int, *key: int) -> np.random.Generator:
+    """Dedicated RNG stream for (seed, *key), stable across runs and platforms:
+    key (b,) is path block b, and (b, 1) the noise of a moving theta on it."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def sample_mean(x) -> tuple[float, float]:
+    """(mean, standard error) of a 1-d sample; a sample whose values are all
+    equal (no noise, e.g. sigma = 0) gives its value exactly, with se 0."""
+    x = np.asarray(x, dtype=np.float64)
+    if np.all(x == x[0]):
+        return float(x[0]), 0.0
+    return float(x.mean()), float(x.std(ddof=1) / math.sqrt(x.size))
 
 
 def worker_count(cfg: SimConfig) -> int:
@@ -736,6 +737,5 @@ def simulate(
 
     _map_blocks(cfg.n_paths, cfg.block_size, worker_count(cfg), run_block)
     return PathEnsemble(
-        time_grid=grid, states=states, absorbed_at=absorbed, sigma=float(sigma),
-        steps=len(fine_grid) - 1,
+        time_grid=grid, states=states, absorbed_at=absorbed, steps=len(fine_grid) - 1
     )

@@ -22,7 +22,7 @@ from .errors import (
     DomainError,
     InfeasibleError,
 )
-from .models import PhiFunction, ReferenceModel, SimConfig, StateDiffusion, simulate
+from .models import PhiFunction, ReferenceModel, SimConfig, StateDiffusion, sample_mean, simulate
 
 __all__ = [
     "OdeResidualReport",
@@ -291,12 +291,7 @@ def _summarize(times, samples, references, ens):
     """Fold per-time sample vectors into a MartingaleTestReport on ens."""
     means, ses, zs = [], [], []
     for x, ref in zip(samples, references):
-        if np.all(x == x[0]):
-            # degenerate sample: exact value, no noise
-            mean, se = float(x[0]), 0.0
-        else:
-            mean = float(x.mean())
-            se = float(x.std(ddof=1) / math.sqrt(x.size))
+        mean, se = sample_mean(x)
         diff = mean - ref
         if se > 0.0:
             z = diff / se

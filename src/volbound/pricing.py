@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, SearchError
-from .models import LognormalLaw, ReferenceModel, SimConfig, simulate
+from .models import LognormalLaw, ReferenceModel, SimConfig, sample_mean, simulate
 from .special_functions import norm_cdf, norm_pdf
 
 __all__ = [
@@ -163,14 +163,9 @@ def mc_call_price(
     if T == t:
         return PriceQuote(value=max(z - strike, 0.0), se=0.0, n_paths=0)
     ens = simulate(model, sigma, z, t, [t, T], cfg)
-    payoff = np.maximum(ens.states[:, -1] - strike, 0.0)
-    n = payoff.size
-    if np.all(payoff == payoff[0]):
-        # degenerate sample (sigma=0 or an unreachable strike): exact, no noise
-        return PriceQuote(value=float(payoff[0]), se=0.0, n_paths=n, steps=ens.steps)
-    value = float(payoff.mean())
-    se = float(payoff.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return PriceQuote(value=value, se=se, n_paths=n, steps=ens.steps)
+    # sigma = 0 or an unreachable strike pays one value on every path: exact
+    value, se = sample_mean(np.maximum(ens.states[:, -1] - strike, 0.0))
+    return PriceQuote(value=value, se=se, n_paths=ens.n_paths, steps=ens.steps)
 
 
 def quad_call_price(

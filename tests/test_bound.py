@@ -8,6 +8,7 @@ simulation-facing checks use fixed seeds and 3.5-sigma gates.
 import dataclasses
 import functools
 import math
+import re
 import sys
 
 import numpy as np
@@ -57,7 +58,6 @@ from volbound.models import (
     SquaredBesselLaw,
     TimeWeight,
     builtin_model,
-    child_rng,
     rng_substream,
     simulate,
 )
@@ -189,21 +189,15 @@ class TestScenarios:
         assert proc.deterministic_value(0.5) == 0.6
         assert proc.deterministic_value(1.5) == 0.1
 
-    def test_generator_kind_must_match(self):
+    def test_generator_follows_theta_kind(self):
+        # a scenario names its generator from its theta process, so the two
+        # cannot disagree; an unknown kind is refused where it is built
+        step = ThetaProcess(kind="step", sigma0=0.2, jump_times=(1.0,), jump_values=(0.3,))
+        assert Scenario(GBM, step).generator == "step-vol"
+        assert self_consistent_scenario(GBM, 0.2).generator == "self-consistent"
+        assert meanrev_vol_scenario(GBM, 0.2, 1.0, 0.3, 0.4).generator == "meanrev-vol"
         with pytest.raises(ConfigurationError):
-            Scenario(
-                reference=GBM,
-                generator="self-consistent",
-                theta_process=ThetaProcess(
-                    kind="step", sigma0=0.2, jump_times=(1.0,), jump_values=(0.3,)
-                ),
-            )
-        with pytest.raises(ConfigurationError):
-            Scenario(
-                reference=GBM,
-                generator="garch",
-                theta_process=ThetaProcess(kind="constant", sigma0=0.2),
-            )
+            ThetaProcess(kind="garch", sigma0=0.2)
 
     def test_meanrev_has_no_deterministic_path(self):
         proc = ThetaProcess(kind="meanrev", sigma0=0.2, rate=1.0, level=0.3, vol_of_vol=0.4)
@@ -356,7 +350,7 @@ class TestJointSimulate:
         rate, level, nu, rho, dt, n = 2.0, 0.4, 0.5, -0.5, 0.01, 3000
         scn = meanrev_vol_scenario(GBM, 0.3, rate, level, nu, correlation=rho)
         ens = joint_simulate(scn, [0.0, 0.5], SimConfig(n_paths=n, dt=dt, seed=29))
-        rng, theta_rng = rng_substream(29, 0), child_rng(29, 0, 1)
+        rng, theta_rng = rng_substream(29, 0), rng_substream(29, 0, 1)
         rho_c = math.sqrt(1.0 - rho * rho)
         z, th, vol = np.ones(n), np.full(n, 0.3), 0.3
         fine = np.append(0.5 * np.arange(50) / 50, 0.5)
@@ -793,6 +787,21 @@ class TestBoundCheck:
         assert not rep.phi_prime_convention
         assert rep.n_paths == 20000
 
+    def test_negative_meanrev_theta_enters_the_band_term_as_its_modulus(self):
+        # a mean-reverting theta crosses below 0 on some paths; L reads
+        # theta^2 only, so check_bound hands l_value |theta_t|
+        scn = meanrev_vol_scenario(GBM, 0.2, 2.0, 0.3, 0.4, correlation=-0.5)
+        cfg = SimConfig(n_paths=2000, dt=0.01, seed=11)
+        theta_t = joint_simulate(scn, [0.0, 0.5], cfg).theta[:, -1]
+        negative = theta_t[theta_t < 0.0]
+        assert negative.size > 0
+        message = f"got {negative.size} negative value(s), the first {negative[0]}"
+        with pytest.raises(DomainError, match=re.escape(message) + "$"):
+            l_value(0.5, 1.0, theta_t, np.ones_like(theta_t), KS5, GBM)
+        rep = check_bound(scn, MATS, KS5, W1, 0.5, cfg)
+        assert [d["maturity"] for d in rep.l_diagnostics] == list(MATS.times)
+        assert all(math.isfinite(d["lt_mean"]) and d["lt_mean"] <= 0.0 for d in rep.l_diagnostics)
+
     def test_self_consistent_band_diagnostics(self):
         rep = check_bound(self_consistent_scenario(GBM, 0.2), MATS, KS5, W1, 0.5, self.CFG)
         assert len(rep.l_diagnostics) == 3
@@ -997,13 +1006,15 @@ class TestDensification:
 
     def test_canonical_schedule_diagnostic(self):
         # phi = z^2 with uniform spacing K_m/n and K_m = n^(1/4): the
-        # diagnostic is K_m * 2 * (K_m/n) = 2/sqrt(n), exactly
+        # diagnostic is K_m * 2 * (K_m/n) = 2/sqrt(n); the strikes k_max i/n
+        # and their differences round, so it lands within a few ulps of that
+        # (8.2e-15 relative at n = 64)
         schedule = [self.uniform_grid(n) for n in (4, 16, 64, 256)]
         report = densification_study(GBM, 0.2, MATS, W1, schedule, self.CFG)
         assert report.schedule_ok
         assert not report.phi_prime_convention
         for step, n in zip(report.steps, (4, 16, 64, 256)):
-            assert step.diagnostic == pytest.approx(2.0 / math.sqrt(n), rel=1e-15)
+            assert step.diagnostic == pytest.approx(2.0 / math.sqrt(n), rel=1e-14, abs=0.0)
             assert step.satisfied
             assert step.n_strikes == n + 1
 

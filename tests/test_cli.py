@@ -151,6 +151,16 @@ class TestConfigParsing:
             parse_config(doc + "theta: {rate: 1.0, level: 0.3}\n")
         assert err.value.key == "theta.vol_of_vol"
 
+    def test_bad_correlation_names_its_key_and_line(self):
+        doc = BASE.replace("generator: self-consistent", "generator: meanrev-vol") + (
+            "theta:\n  rate: 1.0\n  level: 0.3\n  vol_of_vol: 0.4\n  correlation: 1.5\n"
+        )
+        with pytest.raises(ConfigParseError) as err:
+            parse_config(doc)
+        assert "correlation must lie in [-1, 1]" in str(err.value)
+        assert err.value.key == "theta.correlation"
+        assert err.value.line == doc.splitlines().index("  correlation: 1.5") + 1
+
     def test_overrides_apply_before_validation(self):
         rc = parse_config(BASE, overrides=["simulation.seed=99", "sigma=0.5"])
         assert rc.sim.seed == 99
@@ -450,6 +460,26 @@ class TestCliCommands:
             outs.append(json.loads(out.read_text()))
         capsys.readouterr()
         assert canonical_json(outs[0]) == canonical_json(outs[1])
+
+    @pytest.mark.parametrize("command", ["check-bound", "scan"])
+    def test_meanrev_readme_example_runs(self, command, tmp_path, capsys):
+        # the README's meanrev-vol theta goes below 0 on some paths by the
+        # evaluation time; the band diagnostics must still run on them
+        cfg = tmp_path / "meanrev.yaml"
+        cfg.write_text(
+            BASE.replace(
+                "generator: self-consistent",
+                "generator: meanrev-vol\n"
+                "theta: {rate: 2.0, level: 0.3, vol_of_vol: 0.4, correlation: -0.5}",
+            )
+            + "scan:\n  axes:\n    - key: theta.vol_of_vol\n      values: [0.0, 0.4]\n"
+        )
+        assert main([command, "--config", str(cfg), "--paths", "2000"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        if command == "check-bound":
+            assert len(results["bound"]["band_diagnostics"]) == 3
+        else:
+            assert [r["theta.vol_of_vol"] for r in results["rows"]] == [0.0, 0.4]
 
     def test_single_point_scan_matches_check_bound(self, scan_path, base_path, tmp_path, capsys):
         out = tmp_path / "scan.json"

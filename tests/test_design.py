@@ -63,6 +63,48 @@ def test_one_thread_pool_site():
     assert calls and all(name == "models.py" and line in helper for name, line in calls)
 
 
+def sites(match) -> set[str]:
+    """module.name of each top-level function or class holding a node that
+    match accepts."""
+    return {
+        f"{name.removesuffix('.py')}.{top.name}"
+        for name, tree in parsed_sources(SRC)
+        for top in tree.body
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+        and any(match(node) for node in ast.walk(top))
+    }
+
+
+def test_one_rng_stream_constructor():
+    # every random stream is the Philox substream of (seed, *key)
+    def seeds(node):
+        return isinstance(node, ast.Call) and ast.unparse(node.func).endswith("SeedSequence")
+
+    assert sites(seeds) == {"models.rng_substream"}
+
+
+def test_one_sample_mean():
+    # the exact shortcut for a sample without noise is taken in one place,
+    # with the mean and standard error that go with it
+    shortcut = re.compile(r"np\.all\((\w+) == \1\[0\]\)")
+
+    def takes_shortcut(node):
+        return isinstance(node, ast.Call) and shortcut.fullmatch(ast.unparse(node))
+
+    assert sites(takes_shortcut) == {"models.sample_mean"}
+
+
+def test_adaptive_quadrature_only_in_the_oracles():
+    # scipy's adaptive quad is an oracle route: one lognormal integral for the
+    # bound's terms and the quadrature call price
+    def uses_quad(node):
+        if isinstance(node, ast.ImportFrom):
+            return node.module == "scipy.integrate" and any(a.name == "quad" for a in node.names)
+        return isinstance(node, ast.Attribute) and node.attr == "quad"
+
+    assert sites(uses_quad) == {"bound._lognormal_quad", "pricing.quad_call_price"}
+
+
 def integrate_loaded_after(code: str) -> bool:
     """Whether scipy.integrate is imported once code has run in a fresh child."""
     code += "\nimport sys; print('scipy.integrate' in sys.modules)"

@@ -13,6 +13,7 @@ from volbound.models import (
     TimeWeight,
     builtin_model,
     rng_substream,
+    sample_mean,
     simulate,
     stepping_route,
 )
@@ -161,6 +162,27 @@ class TestSubstreams:
         a = rng_substream(123, 0).standard_normal(8)
         b = rng_substream(124, 0).standard_normal(8)
         assert not np.array_equal(a, b)
+
+    def test_nested_key_is_its_own_stream(self):
+        # (block, 1) carries a moving theta's noise next to block's state draws
+        a = rng_substream(123, 0).standard_normal(8)
+        b = rng_substream(123, 0, 1).standard_normal(8)
+        assert not np.array_equal(a, b)
+        assert np.array_equal(b, rng_substream(123, 0, 1).standard_normal(8))
+
+
+class TestSampleMean:
+    def test_mean_and_standard_error_bit_for_bit(self):
+        x = 1.0 + 3.0 * rng_substream(5, 0).standard_normal(1001)
+        assert sample_mean(x) == (float(x.mean()), float(x.std(ddof=1) / math.sqrt(x.size)))
+
+    def test_sample_of_equal_values_is_exact(self):
+        # numpy's mean of seven copies of 0.1 is 0.09999999999999999; a
+        # sample without noise reports its one value, with no error
+        x = np.full(7, 0.1)
+        assert float(x.mean()) != 0.1
+        assert sample_mean(x) == (0.1, 0.0)
+        assert sample_mean(np.array([2.5])) == (2.5, 0.0)
 
 
 # ===== simulation =====
