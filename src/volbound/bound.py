@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,6 +45,7 @@ from .models import (
     sample_mean,
     simulate,
     worker_count,
+    z_score,
 )
 from .pricing import PriceQuote, _bs_call_core, _bs_sq_call_core
 from .special_functions import norm_pdf
@@ -83,6 +84,9 @@ __all__ = [
 #: reach, in standard-normal units past the bulk, of the adaptive lognormal
 #: quadrature kept as an oracle (_lognormal_quad)
 QUAD_REACH = 16.0
+
+#: in-the-money paths a repricing cell needs before its z-score is gated on
+MIN_TAIL_COUNT = 25
 
 
 # ===== grids, weights, and the convex power polynomial =====
@@ -230,29 +234,23 @@ def pin_point(sigma: float, i_12: float) -> float:
 def build_q(w: WeightVector, alphas, x0: float) -> QPolynomial:
     """Pin the double root: the linear and constant coefficients are forced.
 
-    The two leading coefficients are accumulated in the same operation
-    order the evaluators use, which cancels exactly in floats; the closing
-    numerical check is then conservative.
+    The two leading coefficients are the negated slope and value of the
+    other terms at x0, taken by the evaluators' own accumulations
+    (QPolynomial._slope_tail, _tail), so they cancel exactly in floats; the
+    closing numerical check is then conservative.
     """
     alphas = tuple(float(a) for a in alphas)
     if len(alphas) < 3 or len(w.p) != len(alphas) - 2:
         raise DomainError(
             f"{len(w.p)} weights cannot dress {len(alphas)} exponents (need q-2)"
         )
-    if not (x0 > 0.0 and math.isfinite(x0)):
-        raise DomainError(f"pin point must be positive and finite, got {x0}")
-    # accumulate through the same ufunc ops the evaluators use (0-d array
-    # pow, not numpy scalar pow: the two can differ in the last bit)
+    # a 0-d array, as the evaluators see x0 (numpy scalar pow can differ
+    # from 0-d array pow in the last bit)
     x0a = np.asarray(x0, dtype=np.float64)
-    slope = np.zeros(())
-    for a, c in zip(alphas[2:], w.p):
-        slope = slope + c * a * x0a ** (a - 1.0)
-    p2 = float(-slope)
-    tail = p2 * x0a
-    for a, c in zip(alphas[2:], w.p):
-        tail = tail + c * x0a**a
-    p1 = float(-tail)
-    qp = QPolynomial(alphas=alphas, coeffs=(p1, p2) + tuple(w.p), x0=float(x0))
+    qp = QPolynomial(alphas=alphas, coeffs=(0.0, 0.0) + w.p, x0=float(x0))
+    p2 = float(-qp._slope_tail(x0a))
+    qp = replace(qp, coeffs=(0.0, p2) + w.p)
+    qp = replace(qp, coeffs=(float(-qp._tail(x0a)), p2) + w.p)
     scale = max(1.0, sum(abs(c) * x0**a for a, c in zip(alphas, qp.coeffs)))
     if abs(qp.value(x0)) > 1e-10 * scale or abs(qp.deriv1(x0)) > 1e-10 * scale:
         raise DivergenceError("double-root pinning failed its numerical check")
@@ -466,7 +464,7 @@ def joint_simulate(scn: Scenario, time_grid, cfg: SimConfig) -> JointEnsemble:
             s[rows], store_idx, absorbed[rows], advance,
         )
 
-    _map_blocks(cfg.n_paths, cfg.block_size, worker_count(cfg), run_block)
+    _map_blocks(cfg.n_paths, cfg.block_size, worker_count(), run_block)
     return JointEnsemble(
         time_grid=grid, s=s, theta=theta, absorbed_at=absorbed, steps=len(fine_grid) - 1
     )
@@ -643,10 +641,8 @@ def l_value(
     phi'' ((S2(K_j) - S2(K_j+1))/2 - C(K_j) dK_j), floored at its bound 0.
     Where phi is infinite at zero strike, phi'' is not integrable against
     C(K) - C(0) ~ -K P(Z_T > 0) there, so the term is -inf unless s = 0.
-    Otherwise the paths of a Monte Carlo run, which needs cfg, give an
-    empirical price curve; it is piecewise linear with a kink at every
-    path, so it is integrated on a fixed fine grid whose bias sits far
-    below the curve's statistical error.
+    Otherwise it is the mean of _band_payoff over the paths of a Monte
+    Carlo run, which needs cfg.
     """
     if not t <= T:
         raise DomainError(f"need t <= T, got t={t}, T={T}")
@@ -672,10 +668,9 @@ def l_value(
     elif cfg is None:
         raise ConfigurationError(f"model {model.name!r} prices by Monte Carlo; pass a SimConfig")
     else:
-        rule = functools.partial(_fixed_simpson, n_panels=4096)
+        runs = (simulate(model, a, b, t, [t, T], cfg) for a, b in zip(theta.tolist(), s.tolist()))
         out = np.array([
-            _band_integral(_empirical_prices(model, a, b, t, T, cfg), model.phi, strikes, rule)
-            for a, b in zip(theta.tolist(), s.tolist())
+            sample_mean(_band_payoff(model.phi, strikes, ens.states[:, -1]))[0] for ens in runs
         ])
     return float(out[0]) if scalar else out
 
@@ -685,21 +680,19 @@ def _phi_at_zero(model):
         return float(model.phi(0.0))
 
 
-def _empirical_prices(model, theta, s, t, T, cfg):
-    """Call prices at an array of strikes, averaged over simulated paths."""
-    z_T = simulate(model, theta, s, t, [t, T], cfg).states[:, -1]
+def _band_payoff(phi: PhiFunction, strikes: StrikeGrid, z):
+    """The strike-band term on each path: L's integrand with C(K) replaced by
+    the payoff (z - K)^+, integrated by parts in K.
 
-    def prices(k_arr):
-        k_arr = np.atleast_1d(np.asarray(k_arr, dtype=np.float64))
-        out = np.empty(k_arr.shape, dtype=np.float64)
-        # chunk the strike nodes so the paths-by-nodes payoff matrix
-        # stays small on dense quadrature grids
-        for lo in range(0, k_arr.size, 512):
-            chunk = k_arr[lo : lo + 512]
-            out[lo : lo + chunk.size] = np.maximum(z_T[:, None] - chunk[None, :], 0.0).mean(axis=0)
-        return out
-
-    return prices
+    With m = clip(z, K_j, K_j+1) band j gives exactly
+    phi(m) - phi(K_j) - (m - K_j) phi'(K_j+1), which convexity keeps <= 0,
+    so E[_band_payoff(Z_T)] is L. phi must be finite at zero strike.
+    """
+    ks = np.asarray(strikes.strikes)
+    lo, hi = ks[:-1], ks[1:]
+    m = np.clip(np.asarray(z, dtype=np.float64)[:, None], lo, hi)
+    bands = np.asarray(phi(m), dtype=np.float64) - np.asarray(phi(lo), dtype=np.float64)
+    return (bands - (m - lo) * np.asarray(phi.deriv1(hi), dtype=np.float64)).sum(axis=1)
 
 
 def _band_integral(prices, phi, strikes, integrate):
@@ -850,8 +843,6 @@ def check_bound(
     times = mats.times
     if not 0.0 <= t <= times[0]:
         raise DomainError(f"evaluation time {t} must lie in [0, {times[0]}]")
-    if len(w.p) != mats.q - 2:
-        raise DomainError(f"{len(w.p)} weights do not fit {mats.q} maturities")
     h = model.h
     i_12 = h.sq_integral(times[0], times[1])
     x0 = pin_point(scn.sigma0, i_12)
@@ -887,7 +878,7 @@ def check_bound(
     for t_k, c_k in zip(times, qp.coeffs):
         if c_k == 0.0:
             continue
-        gt = _g_batch(model, theta_t, s_t, t, t_k, strikes.k_max, worker_count(cfg))
+        gt = _g_batch(model, theta_t, s_t, t, t_k, strikes.k_max, worker_count())
         g0 = _g_batch(model, np.array([scn.sigma0]), np.array([scn.s0]), 0.0, t_k, strikes.k_max)
         g_corr = g_corr + c_k * (float(g0[0]) - gt)
 
@@ -918,8 +909,7 @@ def check_bound(
                  "n_sampled": int(lt.size)}
             )
 
-    nq_mean = float(nq.mean())
-    nq_se = float(nq.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    nq_mean, nq_se = sample_mean(nq)
     gc_mean = float(g_corr.mean())
     gc_se = math.sqrt(float(g_corr.var(ddof=1)) / n) if n > 1 else 0.0
     lhs = abs(lhs_raw)
@@ -962,8 +952,9 @@ class ResidualTable:
     sampled: deep out-of-the-money cells with a handful of in-the-money
     paths have standard errors dominated by whichever rare paths happened
     to land, and their z is not close to normal. calibrated marks cells
-    with at least min_tail_count in-the-money paths; max_abs_z reads only
-    those (falling back to the full table if nothing is calibrated).
+    with at least min_tail_count (MIN_TAIL_COUNT) in-the-money paths;
+    max_abs_z reads only those (falling back to the full table if nothing
+    is calibrated).
     """
 
     maturities: tuple
@@ -991,7 +982,6 @@ def pricing_residuals(
     strikes: StrikeGrid,
     t: float,
     cfg: SimConfig,
-    min_tail_count: int = 25,
 ) -> ResidualTable:
     """Mean payoff minus mean model price, per maturity and strike.
 
@@ -1025,16 +1015,9 @@ def pricing_residuals(
         v = theta_t * theta_t * model.h.sq_integral(t, t_i)
         for j, k in enumerate(ks):
             payoff = np.maximum(s_ti - k, 0.0)
-            d = payoff - _bs_call_core(s_t, k, v)
-            mean = float(d.mean())
-            se = float(d.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-            res[i, j] = mean
-            ses[i, j] = se
+            mean, se = sample_mean(payoff - _bs_call_core(s_t, k, v))
+            res[i, j], ses[i, j], zs[i, j] = mean, se, z_score(mean, se)
             counts[i, j] = int(np.count_nonzero(payoff > 0.0))
-            if se > 0.0:
-                zs[i, j] = mean / se
-            else:
-                zs[i, j] = 0.0 if mean == 0.0 else math.inf
     return ResidualTable(
         maturities=times,
         strikes=ks,
@@ -1042,8 +1025,8 @@ def pricing_residuals(
         ses=ses,
         z_scores=zs,
         tail_counts=counts,
-        calibrated=counts >= min_tail_count,
-        min_tail_count=min_tail_count,
+        calibrated=counts >= MIN_TAIL_COUNT,
+        min_tail_count=MIN_TAIL_COUNT,
         n_paths=n,
         steps=joint.steps,
     )
@@ -1051,8 +1034,8 @@ def pricing_residuals(
 
 @dataclass(frozen=True)
 class DensificationStep:
-    k_max: float
     n_strikes: int
+    k_max: float
     diagnostic: float
     rhs: float
     lhs: float
@@ -1101,8 +1084,8 @@ def densification_study(
         path_steps += report.steps
         steps.append(
             DensificationStep(
-                k_max=grid.k_max,
                 n_strikes=len(grid.strikes),
+                k_max=grid.k_max,
                 diagnostic=diagnostic,
                 rhs=report.rhs,
                 lhs=report.lhs,

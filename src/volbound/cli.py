@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import itertools
 import sys
 import time
@@ -58,7 +59,8 @@ _PHI_GRIDS = {
     "logdiff": (0.005, 0.995, 1e-10),
 }
 
-_TABULAR = ("scan", "densify")
+#: the commands with a CSV form: the key of their rows in the results
+_TABULAR = {"scan": "rows", "densify": "steps"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -156,7 +158,7 @@ def _cmd_validate_phi(rc: ResolvedConfig | None, _doc):
             "passed": rep.passed,
         }
         ok = ok and rep.passed
-    return {"models": per}, ok, None
+    return {"models": per}, ok
 
 
 def _need_pricing(rc: ResolvedConfig):
@@ -188,7 +190,7 @@ def _cmd_price(rc: ResolvedConfig, _doc):
         results["closed_form"] = {"value": closed.value}
         results["mc_vs_closed_form"] = {"gap": gap, "gate": gate}
         verdict = gap <= gate
-    return results, verdict, None
+    return results, verdict
 
 
 def _cmd_implied_vol(rc: ResolvedConfig, _doc):
@@ -210,7 +212,7 @@ def _cmd_implied_vol(rc: ResolvedConfig, _doc):
         "price_residual": res.residual,
         "forward_map": res.forward_map,
     }
-    return results, True, None
+    return results, True
 
 
 def _bound_payload(rc: ResolvedConfig, rep) -> dict:
@@ -244,18 +246,10 @@ def _bound_payload(rc: ResolvedConfig, rep) -> dict:
 
 
 def _residual_payload(res) -> dict:
-    return {
-        "maturities": res.maturities,
-        "strikes": res.strikes,
-        "residuals": res.residuals,
-        "ses": res.ses,
-        "z_scores": res.z_scores,
-        "tail_counts": res.tail_counts,
-        "calibrated": res.calibrated,
-        "min_tail_count": res.min_tail_count,
-        "max_abs_z": res.max_abs_z,
-        "n_paths": res.n_paths,
-    }
+    # the steps go into the command's stepping route instead
+    payload = dataclasses.asdict(res)
+    del payload["steps"]
+    return {**payload, "max_abs_z": res.max_abs_z}
 
 
 def _bound_run(rc: ResolvedConfig):
@@ -277,7 +271,7 @@ def _cmd_check_bound(rc: ResolvedConfig, _doc):
         results["repricing"] = _residual_payload(res)
     results["stepping"] = route
     verdict = rep.satisfied and rep.n_stable
-    return results, verdict, None
+    return results, verdict
 
 
 def _uniform_grid(n: int) -> StrikeGrid:
@@ -297,19 +291,14 @@ def _cmd_densify(rc: ResolvedConfig, _doc):
     rep = densification_study(
         rc.model, rc.scenario.sigma0, rc.mats, rc.weights, schedule, rc.sim, t=t
     )
-    header = ["n_strikes", "k_max", "diagnostic", "rhs", "lhs", "lhs_se", "satisfied"]
-    rows = [
-        [s.n_strikes, s.k_max, s.diagnostic, s.rhs, s.lhs, s.lhs_se, s.satisfied]
-        for s in rep.steps
-    ]
     results = {
         "schedule_ok": rep.schedule_ok,
         "phi_prime_convention": rep.phi_prime_convention,
-        "steps": [dict(zip(header, row)) for row in rows],
+        "steps": [dataclasses.asdict(s) for s in rep.steps],
         "stepping": stepping_route(rc.model, rc.sim.dt, rep.path_steps),
     }
     verdict = rep.schedule_ok and all(s.satisfied for s in rep.steps)
-    return results, verdict, (header, rows)
+    return results, verdict
 
 
 def _cmd_martingale_check(rc: ResolvedConfig, _doc):
@@ -333,7 +322,7 @@ def _cmd_martingale_check(rc: ResolvedConfig, _doc):
         verdict = verdict and sg.verdict
         steps += sg.steps
     results["stepping"] = stepping_route(model, rc.sim.dt, steps)
-    return results, verdict, None
+    return results, verdict
 
 
 def _cmd_scan(rc: ResolvedConfig, base_doc):
@@ -342,11 +331,6 @@ def _cmd_scan(rc: ResolvedConfig, base_doc):
             "the scan command needs a scan section (axes)", key="scan"
         )
     keys = [k for k, _ in rc.scan_axes]
-    header = keys + [
-        "lhs", "lhs_se", "rhs", "satisfied",
-        "gap_term_mean", "tail_correction_mean",
-        "max_resid_z", "feasible", "conjunction_ok",
-    ]
     rows = []
     routes = []
     verdict = True
@@ -361,25 +345,24 @@ def _cmd_scan(rc: ResolvedConfig, base_doc):
         # violated bound alongside quiet residuals marks an internal error
         conjunction_ok = max_z is None or rep.satisfied or max_z > 3.0
         feasible = rep.satisfied and (max_z is None or max_z <= 3.0)
-        rows.append(
-            list(point)
-            + [
-                rep.lhs, rep.lhs_se, rep.rhs, rep.satisfied,
-                rep.nq_mean, rep.g_corr_mean,
-                max_z, feasible, conjunction_ok,
-            ]
-        )
+        rows.append({
+            **dict(zip(keys, point)),
+            "lhs": rep.lhs, "lhs_se": rep.lhs_se, "rhs": rep.rhs, "satisfied": rep.satisfied,
+            "gap_term_mean": rep.nq_mean, "tail_correction_mean": rep.g_corr_mean,
+            "max_resid_z": max_z, "feasible": feasible, "conjunction_ok": conjunction_ok,
+        })
         verdict = verdict and conjunction_ok
     results = {
         "axes": [{"key": k, "values": list(v)} for k, v in rc.scan_axes],
-        "rows": [dict(zip(header, row)) for row in rows],
+        "rows": rows,
         "stepping": _stepping(routes),
     }
-    return results, verdict, (header, rows)
+    return results, verdict
 
 
 #: every command: its help text and the function that runs it on the
-#: resolved config and the document it came from (None without --config)
+#: resolved config and the document it came from (None without --config),
+#: returning (results, verdict)
 _COMMANDS = {
     "validate-phi": ("check the eigenfunction ODE for builtin models", _cmd_validate_phi),
     "price": ("price the configured call by every available route", _cmd_price),
@@ -418,7 +401,7 @@ def _run(args) -> int:
         raise ConfigParseError(f"--config is required for {args.command}")
 
     started = time.perf_counter()
-    results, verdict, table = _COMMANDS[args.command][1](rc, base_doc)
+    results, verdict = _COMMANDS[args.command][1](rc, base_doc)
     elapsed = time.perf_counter() - started
 
     config_doc = rc.document if rc is not None else {}
@@ -426,8 +409,8 @@ def _run(args) -> int:
     report["timing"] = {"wall_seconds": elapsed}
 
     if args.format == "csv":
-        header, rows = table
-        text = render_csv(header, rows)
+        rows = results[_TABULAR[args.command]]
+        text = render_csv(list(rows[0]), [list(row.values()) for row in rows])
     else:
         text = render_json(report)
 

@@ -179,6 +179,16 @@ class _Section:
             self.fail(key, f"expected a section (mapping), got {value!r}")
         return _Section(value, self._key(key))
 
+    def build(self, key, make):
+        """make(), whose errors are located at key, except a ConfigParseError
+        from a typed read inside make, which already names its own key."""
+        try:
+            return make()
+        except ConfigParseError:
+            raise
+        except VolboundError as exc:
+            raise ConfigParseError(str(exc), key=self._key(key), line=self._line(key)) from exc
+
     def finish(self):
         if self.pending:
             key = sorted(self.pending)[0]
@@ -206,10 +216,6 @@ class ResolvedConfig:
         return self.scenario.reference
 
 
-def _wrap(section: _Section, key: str, exc: VolboundError) -> ConfigParseError:
-    return ConfigParseError(str(exc), key=section._key(key), line=section._line(key))
-
-
 def _resolve_theta(gen, sigma, top: _Section):
     theta_doc = {}
     if gen == "self-consistent":
@@ -229,10 +235,10 @@ def _resolve_theta(gen, sigma, top: _Section):
             jv = sec.take_number_list("jump_values")
         sec.finish()
         theta_doc = {"jump_times": list(jt), "jump_values": list(jv)}
-        try:
-            proc = ThetaProcess(kind="step", sigma0=sigma, jump_times=jt, jump_values=jv)
-        except VolboundError as exc:
-            raise _wrap(sec, "jump_values", exc) from exc
+        proc = sec.build(
+            "jump_values",
+            lambda: ThetaProcess(kind="step", sigma0=sigma, jump_times=jt, jump_values=jv),
+        )
         return proc, theta_doc
 
     # meanrev-vol
@@ -242,13 +248,13 @@ def _resolve_theta(gen, sigma, top: _Section):
     corr = sec.take_number("correlation", 0.0)
     sec.finish()
     theta_doc = {"rate": rate, "level": level, "vol_of_vol": nu, "correlation": corr}
-    try:
-        proc = ThetaProcess(
+    proc = sec.build(
+        "vol_of_vol" if -1.0 <= corr <= 1.0 else "correlation",
+        lambda: ThetaProcess(
             kind="meanrev", sigma0=sigma, rate=rate, level=level, vol_of_vol=nu,
             correlation=corr,
-        )
-    except VolboundError as exc:
-        raise _wrap(sec, "vol_of_vol" if -1.0 <= corr <= 1.0 else "correlation", exc) from exc
+        ),
+    )
     return proc, theta_doc
 
 
@@ -262,10 +268,7 @@ def resolve(doc: dict) -> ResolvedConfig:
 
     model_name = top.take_str("model")
     z0 = top.take_number("z0", None)
-    try:
-        model = builtin_model(model_name, z0=z0)
-    except VolboundError as exc:
-        raise _wrap(top, "model" if z0 is None else "z0", exc) from exc
+    model = top.build("model" if z0 is None else "z0", lambda: builtin_model(model_name, z0=z0))
 
     sigma = top.take_number("sigma")
     if sigma <= 0.0:
@@ -277,20 +280,13 @@ def resolve(doc: dict) -> ResolvedConfig:
     theta_proc, theta_doc = _resolve_theta(gen, sigma, top)
     scenario = Scenario(model, theta_proc)
 
-    try:
-        mats = MaturityGrid(times=top.take_number_list("maturities"))
-    except VolboundError as exc:
-        raise _wrap(top, "maturities", exc) from exc
-    try:
-        strikes = StrikeGrid(strikes=top.take_number_list("strikes"))
-    except VolboundError as exc:
-        raise _wrap(top, "strikes", exc) from exc
+    mats = top.build("maturities", lambda: MaturityGrid(times=top.take_number_list("maturities")))
+    strikes = top.build("strikes", lambda: StrikeGrid(strikes=top.take_number_list("strikes")))
 
     wdefault = (1.0,) * (mats.q - 2)
-    try:
-        weights = WeightVector(p=top.take_number_list("weights", wdefault))
-    except VolboundError as exc:
-        raise _wrap(top, "weights", exc) from exc
+    weights = top.build(
+        "weights", lambda: WeightVector(p=top.take_number_list("weights", wdefault))
+    )
     if len(weights.p) != mats.q - 2:
         top.fail(
             "weights",
@@ -310,10 +306,9 @@ def resolve(doc: dict) -> ResolvedConfig:
     seed = sim_sec.take_int("seed")
     block_size = sim_sec.take_int("block_size", 16384)
     sim_sec.finish()
-    try:
-        sim = SimConfig(n_paths=paths, dt=dt, seed=seed, block_size=block_size)
-    except VolboundError as exc:
-        raise _wrap(top, "simulation", exc) from exc
+    sim = top.build(
+        "simulation", lambda: SimConfig(n_paths=paths, dt=dt, seed=seed, block_size=block_size)
+    )
 
     pricing = None
     psec = top.take_section("pricing", None)

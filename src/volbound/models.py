@@ -38,6 +38,7 @@ __all__ = [
     "stepping_route",
     "rng_substream",
     "sample_mean",
+    "z_score",
     "worker_count",
     "WORKERS_ENV_VAR",
 ]
@@ -514,7 +515,6 @@ class SimConfig:
     dt: float
     seed: int
     block_size: int = 16384
-    n_workers: int | None = None
 
     def __post_init__(self) -> None:
         if self.n_paths < 1:
@@ -561,9 +561,16 @@ def sample_mean(x) -> tuple[float, float]:
     return float(x.mean()), float(x.std(ddof=1) / math.sqrt(x.size))
 
 
-def worker_count(cfg: SimConfig) -> int:
-    if cfg.n_workers is not None:
-        return max(1, int(cfg.n_workers))
+def z_score(diff: float, se: float) -> float:
+    """diff in units of its standard error se; with se 0 (no noise), 0 where
+    there is no difference and inf where there is one."""
+    if se > 0.0:
+        return diff / se
+    return 0.0 if diff == 0.0 else math.inf
+
+
+def worker_count() -> int:
+    """Threads for path and quadrature blocks: VOLBOUND_WORKERS, else all CPUs."""
     env = os.environ.get(WORKERS_ENV_VAR)
     if env:
         try:
@@ -735,7 +742,7 @@ def simulate(
             states[rows], store_idx, absorbed[rows],
         )
 
-    _map_blocks(cfg.n_paths, cfg.block_size, worker_count(cfg), run_block)
+    _map_blocks(cfg.n_paths, cfg.block_size, worker_count(), run_block)
     return PathEnsemble(
         time_grid=grid, states=states, absorbed_at=absorbed, steps=len(fine_grid) - 1
     )

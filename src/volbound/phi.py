@@ -22,7 +22,9 @@ from .errors import (
     DomainError,
     InfeasibleError,
 )
-from .models import PhiFunction, ReferenceModel, SimConfig, StateDiffusion, sample_mean, simulate
+from .models import (
+    PhiFunction, ReferenceModel, SimConfig, StateDiffusion, sample_mean, simulate, z_score,
+)
 
 __all__ = [
     "OdeResidualReport",
@@ -292,14 +294,9 @@ def _summarize(times, samples, references, ens):
     means, ses, zs = [], [], []
     for x, ref in zip(samples, references):
         mean, se = sample_mean(x)
-        diff = mean - ref
-        if se > 0.0:
-            z = diff / se
-        else:
-            z = 0.0 if diff == 0.0 else math.inf
         means.append(mean)
         ses.append(se)
-        zs.append(z)
+        zs.append(z_score(mean - ref, se))
     verdict = all(abs(z) <= 3.0 for z in zs)
     return MartingaleTestReport(
         times=tuple(times),

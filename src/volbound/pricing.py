@@ -214,27 +214,6 @@ def quad_call_price(
     return PriceQuote(value=max(value, 0.0), se=0.0, n_paths=0)
 
 
-def _forward_map(model, t, T, strike, z):
-    """Return (price_fn, slope_fn, label) for the model's closed-form pricer."""
-    if not isinstance(model.law, LognormalLaw):
-        raise ConfigurationError(
-            f"implied vol needs a closed-form price map; model {model.name!r} has none"
-        )
-    weight = model.h.sq_integral(t, T)
-
-    def price(sig):
-        return _bs_call_core(z, strike, sig * sig * weight)
-
-    def slope(sig):
-        v = sig * sig * weight
-        if v == 0.0 or strike == 0.0:
-            return 0.0
-        d1 = (math.log(z / strike) + v / 2.0) / math.sqrt(v)
-        return z * norm_pdf(d1) * math.sqrt(weight)
-
-    return price, slope, "gbm-closed-form"
-
-
 def implied_vol(
     model: ReferenceModel,
     price: float,
@@ -265,7 +244,21 @@ def implied_vol(
             f"price {price} violates the arbitrage interior ({intrinsic}, {z})"
         )
 
-    price_fn, slope_fn, label = _forward_map(model, t, T, strike, z)
+    if not isinstance(model.law, LognormalLaw):
+        raise ConfigurationError(
+            f"implied vol needs a closed-form price map; model {model.name!r} has none"
+        )
+    weight = model.h.sq_integral(t, T)
+
+    def price_fn(sig):
+        return _bs_call_core(z, strike, sig * sig * weight)
+
+    def slope_fn(sig):
+        v = sig * sig * weight
+        if v == 0.0 or strike == 0.0:
+            return 0.0
+        d1 = (math.log(z / strike) + v / 2.0) / math.sqrt(v)
+        return z * norm_pdf(d1) * math.sqrt(weight)
 
     lo, hi = 1e-4, 5.0
     evals = 0
@@ -336,5 +329,5 @@ def implied_vol(
         iterations=evals,
         bracket=bracket,
         residual=float(residual),
-        forward_map=label,
+        forward_map="gbm-closed-form",
     )

@@ -29,6 +29,7 @@ from volbound.bound import (
     WeightVector,
     _adaptive_simpson,
     _band_integral,
+    _band_payoff,
     _g_batch,
     _g_quadrature,
     _rhs_detail,
@@ -51,6 +52,7 @@ from volbound.bound import (
 )
 from volbound.errors import ConfigurationError, DivergenceError, DomainError
 from volbound.models import (
+    WORKERS_ENV_VAR,
     LogBesselLaw,
     LognormalLaw,
     PhiFunction,
@@ -62,6 +64,7 @@ from volbound.models import (
     simulate,
 )
 from volbound.pricing import _bs_call_core
+from volbound.special_functions import norm_pdf
 
 GBM = builtin_model("gbm")
 BESSEL = builtin_model("bessel0")
@@ -256,12 +259,13 @@ class TestJointSimulate:
         assert np.array_equal(ens.s[:, :3], base.s[:, :3])
         assert not np.array_equal(ens.s[:, 3], base.s[:, 3])
 
-    def test_worker_count_never_changes_results(self):
+    def test_worker_count_never_changes_results(self, monkeypatch):
         scn = meanrev_vol_scenario(GBM, 0.3, 2.0, 0.4, 0.5, correlation=-0.5)
-        cfg1 = SimConfig(n_paths=40000, dt=0.01, seed=7, n_workers=1)
-        cfg8 = SimConfig(n_paths=40000, dt=0.01, seed=7, n_workers=8)
-        a = joint_simulate(scn, [0.0, 1.0], cfg1)
-        b = joint_simulate(scn, [0.0, 1.0], cfg8)
+        cfg = SimConfig(n_paths=40000, dt=0.01, seed=7)
+        monkeypatch.setenv(WORKERS_ENV_VAR, "1")
+        a = joint_simulate(scn, [0.0, 1.0], cfg)
+        monkeypatch.setenv(WORKERS_ENV_VAR, "8")
+        b = joint_simulate(scn, [0.0, 1.0], cfg)
         assert np.array_equal(a.s, b.s)
         assert np.array_equal(a.theta, b.theta)
 
@@ -646,6 +650,35 @@ class TestStrikeBand:
         got = l_value(0.0, 1.0, np.array([0.3, 0.0, 0.3, 0.5]), np.array([0.5, 0.5, 0.0, 1.0]),
                       ks, LOGDIFF)
         assert got.tolist() == [-math.inf, -math.inf, 0.0, -math.inf]
+
+    @pytest.mark.parametrize("theta,s,strikes", [
+        (0.3, 1.0, (0.0, 0.5, 1.0, 1.5, 2.0)),
+        (0.8, 0.6, (0.0, 0.25, 1.2)),
+        (0.15, 1.7, (0.0, 1.0, 1.6, 1.9, 3.0)),
+    ])
+    def test_band_payoff_integrates_to_the_closed_form(self, theta, s, strikes):
+        # the Monte Carlo route's pathwise payoff, integrated against the
+        # lognormal law by adaptive quadrature split at its kinks (the strikes)
+        from scipy.integrate import quad
+
+        ks = StrikeGrid(strikes=strikes)
+
+        def integrand(w):
+            x = s * math.exp(-0.5 * theta * theta + theta * w)
+            return float(_band_payoff(GBM.phi, ks, np.array([x]))[0]) * norm_pdf(w)
+
+        kinks = [(math.log(k / s) + 0.5 * theta * theta) / theta for k in strikes[1:]]
+        got = quad(integrand, -40.0, 40.0, points=kinks, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+        assert got == pytest.approx(l_value(0.0, 1.0, theta, s, ks, GBM), rel=1e-12)
+
+    def test_band_payoff_is_nonpositive_on_every_path(self):
+        # convexity holds each band's payoff at or below 0 on every path,
+        # absorbed paths (z = 0, where bessel0's phi' diverges) included
+        ens = simulate(BESSEL, 1.0, 1.0, 0.0, [0.0, 1.0], SimConfig(n_paths=20000, dt=0.01, seed=41))
+        z = ens.states[:, -1]
+        assert np.any(z == 0.0)
+        got = _band_payoff(BESSEL.phi, StrikeGrid(strikes=(0.0, 0.25, 0.75, 1.5, 3.0)), z)
+        assert got.shape == z.shape and np.all(got <= 0.0)
 
     def test_inner_mc_route_is_nonpositive(self):
         cfg = SimConfig(n_paths=2000, dt=0.01, seed=17)

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,6 +161,18 @@ class TestConfigParsing:
         assert "correlation must lie in [-1, 1]" in str(err.value)
         assert err.value.key == "theta.correlation"
         assert err.value.line == doc.splitlines().index("  correlation: 1.5") + 1
+
+    @pytest.mark.parametrize("key", ["maturities", "strikes", "weights"])
+    def test_type_error_in_a_grid_names_its_key_once(self, key):
+        # the typed read's own location is not wrapped a second time
+        doc = BASE + "weights: [1.0]\n"
+        doc = "\n".join(f"{key}: [abc]" if ln.startswith(f"{key}:") else ln
+                        for ln in doc.splitlines())
+        with pytest.raises(ConfigParseError) as err:
+            parse_config(doc)
+        line = doc.splitlines().index(f"{key}: [abc]") + 1
+        where = f"[key: {key}] (line {line})"
+        assert str(err.value) == f"expected numbers in the list, got 'abc' {where}"
 
     def test_overrides_apply_before_validation(self):
         rc = parse_config(BASE, overrides=["simulation.seed=99", "sigma=0.5"])
@@ -480,6 +493,14 @@ class TestCliCommands:
             assert len(results["bound"]["band_diagnostics"]) == 3
         else:
             assert [r["theta.vol_of_vol"] for r in results["rows"]] == [0.0, 0.4]
+
+    def test_readme_working_config_runs_its_scan(self, tmp_path, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        cfg = tmp_path / "readme.yaml"
+        cfg.write_text(readme.split("A working config:\n\n```yaml\n")[1].split("```")[0])
+        assert main(["scan", "--config", str(cfg), "--paths", "2000"]) == 0
+        rows = json.loads(capsys.readouterr().out)["results"]["rows"]
+        assert [r["theta.jump_size"] for r in rows] == [0.0, 0.1, 0.3, 0.5]
 
     def test_single_point_scan_matches_check_bound(self, scan_path, base_path, tmp_path, capsys):
         out = tmp_path / "scan.json"

@@ -140,3 +140,13 @@ def test_martingale_check_leaves_scipy_integrate_out(model, tmp_path):
         "assert main(argv) in (0, 1)"
     )
     assert not integrate_loaded_after(run)
+
+
+def test_one_z_score_rule():
+    # a difference without noise (se = 0) reads z = 0 when there is none and
+    # inf otherwise; every verdict takes that rule from one place
+    def takes_rule(node):
+        return (isinstance(node, ast.IfExp) and "inf" in ast.unparse(node)
+                and ast.unparse(node.test).endswith("== 0.0"))
+
+    assert sites(takes_rule) == {"models.z_score"}

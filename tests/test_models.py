@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from volbound.errors import ConfigurationError, DomainError
 from volbound.models import (
+    WORKERS_ENV_VAR,
     PathEnsemble,
     SimConfig,
     TimeWeight,
@@ -189,16 +190,21 @@ class TestSampleMean:
 
 
 class TestSimulate:
-    def test_worker_count_never_changes_results(self):
-        m = builtin_model("gbm")
-        grids = [0.0, 0.3, 1.0]
-        ens = [
-            simulate(m, 0.4, 1.0, 0.0, grids, SimConfig(n_paths=3000, dt=0.02, seed=5, n_workers=w))
-            for w in (1, 2, 8)
-        ]
-        for e in ens[1:]:
-            assert np.array_equal(ens[0].states, e.states)
-            assert np.array_equal(ens[0].absorbed_at, e.absorbed_at, equal_nan=True)
+    def test_worker_count_never_changes_results(self, monkeypatch):
+        # three blocks, so several threads run, each taking draws on 20
+        # stored intervals; on bessel0 at sigma = 1 paths absorb, and each
+        # block's stream position depends on its states
+        cfg = SimConfig(n_paths=3072, dt=0.02, seed=5, block_size=1024)
+        grid = np.linspace(0.0, 1.0, 21)
+        for name, sigma in (("gbm", 0.4), ("bessel0", 1.0)):
+            ens = []
+            for workers in ("1", "2", "8"):
+                monkeypatch.setenv(WORKERS_ENV_VAR, workers)
+                ens.append(simulate(builtin_model(name), sigma, 1.0, 0.0, grid, cfg))
+            assert np.any(ens[0].absorbed_at <= 1.0) == (name == "bessel0")
+            for e in ens[1:]:
+                assert np.array_equal(ens[0].states, e.states)
+                assert np.array_equal(ens[0].absorbed_at, e.absorbed_at, equal_nan=True)
 
     def test_sigma_zero_paths_constant(self):
         m = builtin_model("gbm")
