@@ -47,7 +47,7 @@ from .models import (
     worker_count,
     z_score,
 )
-from .pricing import PriceQuote, _bs_call_core, _bs_sq_call_core
+from .pricing import PriceQuote, _bs_call_core, _bs_call_moments
 from .special_functions import norm_pdf
 
 __all__ = [
@@ -322,6 +322,20 @@ class ThetaProcess:
             return ()
         before = (self.sigma0,) + self.jump_values[:-1]
         return tuple(t for t, a, b in zip(self.jump_times, before, self.jump_values) if a != b)
+
+    def until(self, t: float) -> "ThetaProcess":
+        """The process that agrees with this one on [0, t]: a step theta keeps
+        its jumps at times <= t (deterministic_value(t) reads a jump at t),
+        and is constant at sigma0 when none is left; any other theta is its
+        own history."""
+        if self.kind != "step":
+            return self
+        kept = sum(1 for jt in self.jump_times if jt <= t)
+        if kept == 0:
+            return ThetaProcess(kind="constant", sigma0=self.sigma0)
+        return replace(
+            self, jump_times=self.jump_times[:kept], jump_values=self.jump_values[:kept]
+        )
 
     def deterministic_value(self, t: float) -> float:
         """theta(t) for a theta that does not move."""
@@ -617,8 +631,8 @@ def _g_batch(model, theta, s, t, T, k_max, n_workers=1):
     # Taylor's formula about k_max is exact: G = phi' C + phi''/2 E[((Z_T - K)^+)^2]
     v = theta * theta * model.h.sq_integral(t, T)
     k = np.full(s.shape, float(k_max))
-    g = float(model.phi.deriv1(k_max)) * _bs_call_core(s, k, v)
-    return g + 0.5 * model.phi.curvature * _bs_sq_call_core(s, k, v)
+    c, s2 = _bs_call_moments(s, k, v)
+    return float(model.phi.deriv1(k_max)) * c + 0.5 * model.phi.curvature * s2
 
 
 def l_value(
@@ -659,8 +673,7 @@ def l_value(
         ks = np.asarray(strikes.strikes)
         v = theta * theta * model.h.sq_integral(t, T)
         z, k, v = np.broadcast_arrays(s[:, None], ks[None, :], v[:, None])
-        c = _bs_call_core(z, k, v)
-        s2 = _bs_sq_call_core(z, k, v)
+        c, s2 = _bs_call_moments(z, k, v)
         bands = 0.5 * (s2[:, :-1] - s2[:, 1:]) - c[:, :-1] * np.diff(ks)
         out = model.phi.curvature * np.minimum(bands, 0.0).sum(axis=1)
     elif np.isinf(_phi_at_zero(model)):

@@ -252,10 +252,31 @@ def _residual_payload(res) -> dict:
     return {**payload, "max_abs_z": res.max_abs_z}
 
 
-def _bound_run(rc: ResolvedConfig):
+def _history_key(rc: ResolvedConfig) -> tuple:
+    """Everything check_bound reads of a resolved config. The market enters
+    only up to the evaluation time, so theta enters as its history there;
+    a builtin model is fixed by its name and start."""
+    return (
+        rc.scenario.theta_process.until(rc.eval_time), rc.model.name, rc.model.z0,
+        rc.mats, rc.strikes, rc.weights, rc.eval_time, rc.sim,
+    )
+
+
+def _bound_run(rc: ResolvedConfig, reports=None):
     """(check_bound's report, the repricing residuals where the law prices
-    in closed form, else None, and the stepping route of both)."""
-    rep = check_bound(rc.scenario, rc.mats, rc.strikes, rc.weights, rc.eval_time, rc.sim)
+    in closed form, else None, and the stepping route of both).
+
+    reports, when given, holds check_bound's reports by _history_key: a
+    config whose key is there reuses that report, which is the one it would
+    compute. Its steps still count toward this run's route.
+    """
+    reports = {} if reports is None else reports
+    key = _history_key(rc)
+    if key not in reports:
+        reports[key] = check_bound(
+            rc.scenario, rc.mats, rc.strikes, rc.weights, rc.eval_time, rc.sim
+        )
+    rep = reports[key]
     res = None
     steps = rep.steps
     if isinstance(rc.model.law, LognormalLaw):
@@ -333,12 +354,13 @@ def _cmd_scan(rc: ResolvedConfig, base_doc):
     keys = [k for k, _ in rc.scan_axes]
     rows = []
     routes = []
+    reports = {}
     verdict = True
     for point in itertools.product(*(vals for _, vals in rc.scan_axes)):
         doc = copy.deepcopy(base_doc)
         for key, value in zip(keys, point):
             set_path(doc, key, value)
-        rep, res, route = _bound_run(resolve(doc))
+        rep, res, route = _bound_run(resolve(doc), reports)
         max_z = None if res is None else res.max_abs_z
         routes.append(route)
         # a scenario that reprices honestly cannot break the bound, so a

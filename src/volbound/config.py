@@ -302,13 +302,17 @@ def resolve(doc: dict) -> ResolvedConfig:
 
     sim_sec = top.take_section("simulation")
     paths = sim_sec.take_int("paths")
+    if paths < 1:
+        sim_sec.fail("paths", f"paths must be >= 1, got {paths}")
     dt = sim_sec.take_number("dt")
+    if dt <= 0.0:
+        sim_sec.fail("dt", f"dt must be positive, got {dt}")
     seed = sim_sec.take_int("seed")
     block_size = sim_sec.take_int("block_size", 16384)
+    if block_size < 1:
+        sim_sec.fail("block_size", f"block_size must be >= 1, got {block_size}")
     sim_sec.finish()
-    sim = top.build(
-        "simulation", lambda: SimConfig(n_paths=paths, dt=dt, seed=seed, block_size=block_size)
-    )
+    sim = SimConfig(n_paths=paths, dt=dt, seed=seed, block_size=block_size)
 
     pricing = None
     psec = top.take_section("pricing", None)

@@ -207,9 +207,9 @@ class LognormalLaw(TransitionLaw):
     """gbm: Z_T = s exp(-v/2 + sqrt(v) W), W standard normal.
 
     Its call price and the second moment of the call payoff are closed form
-    (pricing._bs_call_core, pricing._bs_sq_call_core); tail_rule integrates
-    in W. step is the exact step driven by given normal draws, which a
-    moving theta correlates with its own noise; sample draws them.
+    (pricing._bs_call_moments); tail_rule integrates in W. step is the
+    exact step driven by given normal draws, which a moving theta
+    correlates with its own noise; sample draws them.
     """
 
     def step(self, z, v, xi):

@@ -71,14 +71,30 @@ class ImpliedVolResult:
 
 
 def _lognormal_cells(z, strike, variance):
-    """(scalar, z, strike, variance, live): the inputs as float arrays of one
-    broadcast shape, whether all three were scalars, and the cells with a
-    positive strike, variance and start, where the closed forms apply."""
+    """(scalar, z, strike, variance, cells): the inputs as float arrays of one
+    broadcast shape, whether all three were scalars, and an index of the
+    cells with a positive strike, variance and start, where the closed forms
+    apply: None when there are none, the whole array when all are (taken as
+    a view, not copied)."""
     scalar = np.ndim(z) == 0 and np.ndim(strike) == 0 and np.ndim(variance) == 0
     z, strike, variance = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(a, dtype=np.float64)) for a in (z, strike, variance))
     )
-    return scalar, z, strike, variance, (strike > 0.0) & (variance > 0.0) & (z > 0.0)
+    live = (strike > 0.0) & (variance > 0.0) & (z > 0.0)
+    cells = slice(None) if live.all() else live if live.any() else None
+    return scalar, z, strike, variance, cells
+
+
+def _live_calls(z, strike, variance):
+    """(C, sqrt v, d1, N(d1), N(d1 - sqrt v)) on live cells: the lognormal
+    call value clamped to the no-arbitrage range [max(z - K, 0), z], which
+    the formula's rounding can leave by an ulp, and the pieces it was built
+    from."""
+    s = np.sqrt(variance)
+    d1 = (np.log(z / strike) + variance / 2.0) / s
+    n1, n2 = norm_cdf(d1), norm_cdf(d1 - s)
+    vals = z * n1 - strike * n2
+    return np.minimum(np.maximum(vals, np.maximum(z - strike, 0.0)), z), s, d1, n1, n2
 
 
 def _bs_call_core(z, strike, variance):
@@ -87,43 +103,42 @@ def _bs_call_core(z, strike, variance):
     ``variance`` is the total log variance accumulated between evaluation
     and expiry. Cells with zero variance, zero strike, or an absorbed
     (zero) start take their exact limit values; the others are clamped to
-    the no-arbitrage range [max(z - K, 0), z], which the formula's rounding
-    can leave by an ulp.
+    the no-arbitrage range [max(z - K, 0), z].
     """
-    scalar, z, strike, variance, live = _lognormal_cells(z, strike, variance)
+    scalar, z, strike, variance, cells = _lognormal_cells(z, strike, variance)
     out = np.maximum(z - strike, 0.0)
-    if np.any(live):
-        z_l, k_l, v_l = z[live], strike[live], variance[live]
-        s = np.sqrt(v_l)
-        d1 = (np.log(z_l / k_l) + v_l / 2.0) / s
-        vals = z_l * norm_cdf(d1) - k_l * norm_cdf(d1 - s)
-        out[live] = np.minimum(np.maximum(vals, np.maximum(z_l - k_l, 0.0)), z_l)
+    if cells is not None:
+        out[cells] = _live_calls(z[cells], strike[cells], variance[cells])[0]
     return float(out[0]) if scalar else out
 
 
-def _bs_sq_call_core(z, strike, variance):
-    """Lognormal second moment E[((Z_T - K)^+)^2] of the call payoff, vectorized.
+def _bs_call_moments(z, strike, variance):
+    """(C, S2): the lognormal call value, as _bs_call_core gives it, and the
+    second moment S2(K) = E[((Z_T - K)^+)^2] of its payoff, vectorized, from
+    one evaluation of d1, N(d1) and N(d1 - sqrt v).
 
-    Its strike derivative is -2 C(K), so it integrates call prices over
+    S2's strike derivative is -2 C(K), so it integrates call prices over
     strikes in closed form. Cells with zero variance or an absorbed start
     take the squared intrinsic value, zero strikes E[Z_T^2] = z^2 e^v; the
     others are clamped to [max(z - K, 0)^2, z^2 e^v], the Jensen floor and
     the zero-strike value.
     """
-    scalar, z, strike, variance, live = _lognormal_cells(z, strike, variance)
-    floor = np.square(np.maximum(z - strike, 0.0))
-    out = floor.copy()
+    scalar, z, strike, variance, cells = _lognormal_cells(z, strike, variance)
+    call = np.maximum(z - strike, 0.0)
+    floor = np.square(call)
+    second = floor.copy()
     top = strike == 0.0
-    out[top] = np.square(z[top]) * np.exp(variance[top])
-    if np.any(live):
-        z_l, k_l, v_l = z[live], strike[live], variance[live]
-        s = np.sqrt(v_l)
-        d1 = (np.log(z_l / k_l) + v_l / 2.0) / s
-        second = np.square(z_l) * np.exp(v_l)
-        vals = second * norm_cdf(d1 + s) - 2.0 * k_l * z_l * norm_cdf(d1)
-        vals = vals + k_l * k_l * norm_cdf(d1 - s)
-        out[live] = np.minimum(np.maximum(vals, floor[live]), second)
-    return float(out[0]) if scalar else out
+    second[top] = np.square(z[top]) * np.exp(variance[top])
+    if cells is not None:
+        z_l, k_l, v_l = z[cells], strike[cells], variance[cells]
+        call[cells], s, d1, n1, n2 = _live_calls(z_l, k_l, v_l)
+        z2 = np.square(z_l) * np.exp(v_l)
+        vals = z2 * norm_cdf(d1 + s) - 2.0 * k_l * z_l * n1
+        vals = vals + k_l * k_l * n2
+        second[cells] = np.minimum(np.maximum(vals, floor[cells]), z2)
+    if scalar:
+        return float(call[0]), float(second[0])
+    return call, second
 
 
 def _validate_quote_args(t, T, strike, sigma, z):

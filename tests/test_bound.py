@@ -211,6 +211,27 @@ class TestScenarios:
         with pytest.raises(DomainError):
             meanrev_vol_scenario(GBM, 0.2, 1.0, 0.3, 0.4, correlation=1.5)
 
+    def test_history_keeps_the_jumps_up_to_t(self):
+        proc = ThetaProcess(
+            kind="step", sigma0=0.2, jump_times=(0.5, 1.5), jump_values=(0.6, 0.1)
+        )
+        # a jump at exactly t is part of the history: theta(t) reads it
+        assert proc.until(0.5) == ThetaProcess(
+            kind="step", sigma0=0.2, jump_times=(0.5,), jump_values=(0.6,)
+        )
+        assert proc.until(1.5) == proc
+        assert proc.until(0.4999) == ThetaProcess(kind="constant", sigma0=0.2)
+        for t in (0.0, 0.25, 0.5, 1.0, 1.5, 2.0):
+            for u in np.linspace(0.0, t, 9):
+                assert proc.until(t).deterministic_value(u) == proc.deterministic_value(u)
+
+    def test_history_of_other_kinds_is_the_process(self):
+        const = ThetaProcess(kind="constant", sigma0=0.2)
+        moving = ThetaProcess(kind="meanrev", sigma0=0.2, rate=1.0, level=0.3, vol_of_vol=0.4)
+        still = ThetaProcess(kind="meanrev", sigma0=0.2, rate=1.0, level=0.2)
+        for proc in (const, moving, still):
+            assert proc.until(0.5) is proc
+
     def test_initial_data_comes_from_reference(self):
         scn = self_consistent_scenario(builtin_model("gbm", z0=2.5), 0.4)
         assert scn.s0 == 2.5
@@ -879,6 +900,19 @@ class TestBoundCheck:
         b = check_bound(step_vol_scenario(GBM, 0.2, 0.75, 0.4), MATS, KS5, W1, 0.5, self.CFG, l_sample_paths=0)
         assert a.lhs == b.lhs
         assert a.rhs == b.rhs
+
+    @pytest.mark.parametrize("model", [GBM, BESSEL], ids=["gbm", "bessel0"])
+    @pytest.mark.parametrize("jump_time", [0.25, 0.5, 0.75])
+    def test_report_is_that_of_the_history_up_to_t(self, model, jump_time):
+        # check_bound reads the market up to t only: the step scenario and
+        # its history twin give the same report, bit for bit
+        cfg = SimConfig(n_paths=2000, dt=0.01, seed=5)
+        scn = step_vol_scenario(model, 0.3, jump_time, 0.2)
+        twin = Scenario(model, scn.theta_process.until(0.5))
+        a = check_bound(scn, MATS, KS5, W1, 0.5, cfg)
+        b = check_bound(twin, MATS, KS5, W1, 0.5, cfg)
+        assert a == b
+        assert repr(a) == repr(b)
 
     def test_meanrev_report_is_finite_and_consistent(self):
         rep = check_bound(

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from volbound import cli
 from volbound.cli import main
 from volbound.config import parse_config, parse_override, resolve, set_path
 from volbound.errors import ConfigParseError
@@ -62,6 +63,20 @@ def base_path(tmp_path):
     p = tmp_path / "base.yaml"
     p.write_text(BASE)
     return str(p)
+
+
+@pytest.fixture
+def bound_calls(monkeypatch):
+    """The scenarios the CLI hands check_bound, in order."""
+    calls = []
+    check_bound = cli.check_bound
+
+    def counted(scn, *args, **kwargs):
+        calls.append(scn)
+        return check_bound(scn, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "check_bound", counted)
+    return calls
 
 
 @pytest.fixture
@@ -173,6 +188,36 @@ class TestConfigParsing:
         line = doc.splitlines().index(f"{key}: [abc]") + 1
         where = f"[key: {key}] (line {line})"
         assert str(err.value) == f"expected numbers in the list, got 'abc' {where}"
+
+    @pytest.mark.parametrize(
+        "key, source",
+        [
+            ("paths", "file"), ("paths", "set"), ("paths", "flag"),
+            ("dt", "file"), ("dt", "set"), ("dt", "flag"),
+            ("block_size", "file"), ("block_size", "set"),
+        ],
+    )
+    def test_simulation_errors_name_their_key(self, key, source, tmp_path, capsys):
+        # the bad value is named by its own dotted key, in the config's words
+        text = BASE.replace("  seed: 11\n", "  seed: 11\n  block_size: 16384\n")
+        argv = []
+        if source == "file":
+            text = text.replace(f"  {key}: ", f"  {key}: 0 #")
+        elif source == "set":
+            argv = ["--set", f"simulation.{key}=0"]
+        else:
+            argv = [f"--{key}", "0"]
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(text)
+        assert main(["check-bound", "--config", str(cfg), *argv]) == 2
+        err = capsys.readouterr().err
+        line = next(i for i, ln in enumerate(text.splitlines(), 1) if ln.startswith(f"  {key}:"))
+        message = {
+            "paths": "paths must be >= 1, got 0",
+            "dt": "dt must be positive, got 0.0",
+            "block_size": "block_size must be >= 1, got 0",
+        }[key]
+        assert err == f"volbound: config error: {message} [key: simulation.{key}] (line {line})\n"
 
     def test_overrides_apply_before_validation(self):
         rc = parse_config(BASE, overrides=["simulation.seed=99", "sigma=0.5"])
@@ -517,6 +562,65 @@ class TestCliCommands:
         bound = json.loads(cb.read_text())["results"]["bound"]
         assert rows[0]["lhs"] == bound["lhs"]
         assert rows[0]["rhs"] == bound["rhs"]
+
+    #: the scan row's columns copied from check-bound's bound block
+    BOUND_COLUMNS = (
+        "lhs", "lhs_se", "rhs", "satisfied", "gap_term_mean", "tail_correction_mean",
+    )
+
+    @pytest.mark.parametrize(
+        "model, key, values, evaluations",
+        [
+            # before, at and after eval_time: three histories
+            ("gbm", "theta.jump_time", [0.25, 0.5, 0.75], 3),
+            # a jump after eval_time: one history
+            ("gbm", "theta.jump_size", [0.0, 0.1, 0.3], 1),
+            # the same on bessel0, whose tail term is a quadrature
+            ("bessel0", "theta.jump_time", [0.25, 0.5, 0.75], 3),
+            ("bessel0", "theta.jump_size", [0.0, 0.1, 0.3], 1),
+            # the simulation block and the model's start are part of the key
+            ("gbm", "simulation.seed", [11, 12], 2),
+            ("gbm", "z0", [1.0, 1.5], 2),
+        ],
+    )
+    def test_scan_rows_equal_standalone_check_bound(
+        self, model, key, values, evaluations, tmp_path, capsys, bound_calls
+    ):
+        text = SCAN.replace("model: gbm", f"model: {model}").replace("paths: 4000", "paths: 1500")
+        text = text.replace("key: theta.jump_size\n      values: [0.0, 0.1, 0.3]",
+                            f"key: {key}\n      values: {values}")
+        cfg = tmp_path / "scan.yaml"
+        cfg.write_text(text)
+        assert main(["scan", "--config", str(cfg)]) in (0, 1)
+        rows = json.loads(capsys.readouterr().out)["results"]["rows"]
+        assert len(bound_calls) == evaluations
+        assert [r[key] for r in rows] == values
+        for row, value in zip(rows, values):
+            assert main(["check-bound", "--config", str(cfg), "--set", f"{key}={value}"]) in (0, 1)
+            alone = json.loads(capsys.readouterr().out)["results"]
+            want = {col: alone["bound"][col] for col in self.BOUND_COLUMNS}
+            assert json.dumps({col: row[col] for col in want}) == json.dumps(want)
+            # the residuals are each point's own
+            if "repricing" in alone:
+                assert row["max_resid_z"] == alone["repricing"]["max_abs_z"]
+            else:
+                assert row["max_resid_z"] is None
+
+    def test_moving_theta_never_shares_an_evaluation(self, tmp_path, capsys, bound_calls):
+        # a moving theta's history is the whole process, so a scan over the
+        # correlation of its noise evaluates the bound at every point
+        cfg = tmp_path / "meanrev.yaml"
+        cfg.write_text(
+            BASE.replace(
+                "generator: self-consistent",
+                "generator: meanrev-vol\ntheta: {rate: 2.0, level: 0.3, vol_of_vol: 0.4}",
+            )
+            + "scan:\n  axes:\n    - key: theta.correlation\n      values: [0.0, -0.5, 0.5]\n"
+        )
+        assert main(["scan", "--config", str(cfg), "--paths", "1000"]) in (0, 1)
+        rows = json.loads(capsys.readouterr().out)["results"]["rows"]
+        assert [scn.theta_process.correlation for scn in bound_calls] == [0.0, -0.5, 0.5]
+        assert len({row["lhs"] for row in rows}) == 3
 
     def test_scan_sweep_structure(self, scan_path, capsys):
         assert main(["scan", "--config", scan_path]) == 0

@@ -14,7 +14,7 @@ from volbound.pricing import (
     bs_call_price,
     implied_vol,
     _bs_call_core,
-    _bs_sq_call_core,
+    _bs_call_moments,
     mc_call_price,
     quad_call_price,
 )
@@ -86,6 +86,10 @@ class TestClosedForm:
         assert bs_call_price(0.0, 1.5, 0.05, 0.41796875, 3.0).value >= 3.0 - 0.05
 
 
+def _second_moment(z, k, v):
+    return _bs_call_moments(z, k, v)[1]
+
+
 class TestSecondMoment:
     # (z, K, v): the degenerate cells, then deep in and out of the money
     EDGE_CASES = [
@@ -102,26 +106,54 @@ class TestSecondMoment:
         )
         for z, k, v in [*self.EDGE_CASES, *random_cases]:
             want = lognormal_sq_call_oracle(z, k, v)
-            assert _bs_sq_call_core(z, k, v) == pytest.approx(want, rel=1e-9, abs=1e-14)
+            assert _second_moment(z, k, v) == pytest.approx(want, rel=1e-9, abs=1e-14)
 
     def test_exact_limits(self):
-        assert _bs_sq_call_core(1.3, 0.8, 0.0) == (1.3 - 0.8) ** 2
-        assert _bs_sq_call_core(0.5, 0.8, 0.0) == 0.0
-        assert _bs_sq_call_core(0.0, 0.8, 0.2) == 0.0
-        assert _bs_sq_call_core(1.3, 0.0, 0.2) == 1.3 * 1.3 * math.exp(0.2)
+        assert _second_moment(1.3, 0.8, 0.0) == (1.3 - 0.8) ** 2
+        assert _second_moment(0.5, 0.8, 0.0) == 0.0
+        assert _second_moment(0.0, 0.8, 0.2) == 0.0
+        assert _second_moment(1.3, 0.0, 0.2) == 1.3 * 1.3 * math.exp(0.2)
+        # scalar cells in, floats out, the call price included
+        assert _bs_call_moments(1.3, 0.0, 0.2) == (1.3, 1.3 * 1.3 * math.exp(0.2))
+        assert all(type(x) is float for x in _bs_call_moments(1.2, 0.9, 0.09))
 
     def test_vectorized_and_bounded(self):
         z, k, v = np.meshgrid([0.0, 0.4, 1.0, 2.5], [0.0, 0.3, 1.0, 4.0], [0.0, 1e-8, 0.1, 3.0])
-        got = _bs_sq_call_core(z, k, v)
+        got = _second_moment(z, k, v)
         assert got.shape == z.shape
         for idx in np.ndindex(z.shape):
-            want = _bs_sq_call_core(float(z[idx]), float(k[idx]), float(v[idx]))
+            want = _second_moment(float(z[idx]), float(k[idx]), float(v[idx]))
             assert got[idx] == pytest.approx(want, rel=1e-14, abs=1e-300)
         c = _bs_call_core(z, k, v)
         # Jensen on both convex payoffs, and E[Z^2] from above
         assert np.all(got >= np.square(np.maximum(z - k, 0.0)))
         assert np.all(got >= np.square(c) * (1.0 - 1e-12))
         assert np.all(got <= np.square(z) * np.exp(v))
+
+
+# one cell of (z, K, v): live values mixed with the degenerate K = 0, v = 0, z = 0
+_CELL = st.tuples(
+    st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+    st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+    st.one_of(st.just(0.0), st.floats(1e-10, 9.0)),
+)
+
+
+class TestFusedMoments:
+    @given(st.lists(_CELL, min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_call_is_bs_call_core_bit_for_bit(self, cells):
+        z, k, v = (np.array(col) for col in zip(*cells))
+        c, s2 = _bs_call_moments(z, k, v)
+        want = _bs_call_core(z, k, v)
+        assert c.shape == s2.shape == want.shape
+        assert np.array_equal(c.view(np.int64), want.view(np.int64))
+        # a mixed array takes its live cells by mask, a cell alone as a whole
+        alone = np.array([_bs_call_core(*cell) for cell in cells])
+        assert np.array_equal(c.view(np.int64), alone.view(np.int64))
+        # S2 keeps its clamps on every cell, live or degenerate
+        assert np.all(s2 >= np.square(np.maximum(z - k, 0.0)))
+        assert np.all(s2 <= np.square(z) * np.exp(v))
 
 
 class TestQuadrature:
