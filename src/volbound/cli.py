@@ -37,7 +37,6 @@ from .errors import (
     ConfigurationError,
     DivergenceError,
     DomainError,
-    InfeasibleError,
     SearchError,
 )
 from .models import LognormalLaw, builtin_model, stepping_route
@@ -454,7 +453,7 @@ def main(argv=None) -> int:
     except (ConfigurationError, DomainError) as exc:
         print(f"volbound: invalid input: {exc}", file=sys.stderr)
         return 2
-    except (SearchError, InfeasibleError, DivergenceError) as exc:
+    except (SearchError, DivergenceError) as exc:
         print(f"volbound: computation failed: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -370,6 +370,8 @@ def resolve(doc: dict) -> ResolvedConfig:
         msec.finish()
         if any(t <= 0.0 for t in martingale_times):
             msec.fail("times", "check times must be positive")
+        if any(b <= a for a, b in zip(martingale_times, martingale_times[1:])):
+            msec.fail("times", f"check times must increase strictly, got {list(martingale_times)}")
 
     top.finish()
 

@@ -8,7 +8,6 @@ __all__ = [
     "ConfigurationError",
     "ConfigParseError",
     "SearchError",
-    "InfeasibleError",
     "DivergenceError",
 ]
 
@@ -44,10 +43,6 @@ class ConfigParseError(ConfigurationError):
 
 class SearchError(VolboundError, ArithmeticError):
     """An iterative search failed to bracket or converge."""
-
-
-class InfeasibleError(VolboundError, ArithmeticError):
-    """No admissible solution exists for the requested problem."""
 
 
 class DivergenceError(VolboundError, ArithmeticError):

@@ -137,7 +137,6 @@ class PhiFunction:
     value: Callable
     deriv1: Callable
     deriv2: Callable
-    provenance: str = "closed-form"
     curvature: float | None = None
 
     def __call__(self, z):
@@ -151,7 +150,6 @@ class PhiFunction:
             value=lambda z: c * self.value(z),
             deriv1=lambda z: c * self.deriv1(z),
             deriv2=lambda z: c * self.deriv2(z),
-            provenance=self.provenance,
             curvature=None if self.curvature is None else c * self.curvature,
         )
 

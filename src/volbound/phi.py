@@ -1,9 +1,8 @@
-"""Eigenfunction validation, construction, and martingale diagnostics.
+"""Eigenfunction validation and martingale diagnostics.
 
 The eigenfunction condition is the state-space ODE
 (1/2) beta(z)^2 phi''(z) = phi(z) with phi positive and convex.
-`verify_phi` checks a candidate pointwise, `solve_phi` builds one
-numerically when no closed form is at hand, and the martingale checks
+`verify_phi` checks a candidate pointwise, and the martingale checks
 test the dynamic consequences on simulated ensembles: the discounted
 process, its compensated form, and payoff-style stochastic integrals
 all have to be flat in expectation.
@@ -16,21 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    DivergenceError,
-    DomainError,
-    InfeasibleError,
-)
-from .models import (
-    PhiFunction, ReferenceModel, SimConfig, StateDiffusion, sample_mean, simulate, z_score,
-)
+from .errors import ConfigurationError, DomainError
+from .models import ReferenceModel, SimConfig, sample_mean, simulate, z_score
 
 __all__ = [
     "OdeResidualReport",
     "MartingaleTestReport",
     "verify_phi",
-    "solve_phi",
     "martingale_check_U",
     "martingale_check_V",
     "martingale_check_integral",
@@ -114,167 +105,6 @@ def verify_phi(model: ReferenceModel, grid, tol: float) -> OdeResidualReport:
         convex=convex,
         passed=passed,
     )
-
-
-# ===== numeric construction =====
-
-
-class _TwoSidedSolution:
-    """Dense ODE solution glued from a left and a right integration leg."""
-
-    def __init__(self, z_ref, left, right, component):
-        self._z_ref = z_ref
-        self._left = left
-        self._right = right
-        self._component = component
-
-    def __call__(self, z):
-        z_arr = np.atleast_1d(np.asarray(z, dtype=np.float64))
-        out = np.empty_like(z_arr)
-        right = z_arr >= self._z_ref
-        if np.any(right):
-            out[right] = self._right.sol(z_arr[right])[self._component]
-        if np.any(~right):
-            out[~right] = self._left.sol(z_arr[~right])[self._component]
-        return float(out[0]) if np.ndim(z) == 0 else out
-
-
-def _integrate_both(beta, z_ref, value, slope, z_lo, z_hi):
-    from scipy.integrate import solve_ivp
-
-    def rhs(z, y):
-        b = float(beta(z))
-        return (y[1], 2.0 * y[0] / (b * b))
-
-    legs = []
-    for target in (z_hi, z_lo):
-        sol = solve_ivp(
-            rhs,
-            (z_ref, target),
-            (value, slope),
-            method="DOP853",
-            dense_output=True,
-            rtol=1e-12,
-            atol=1e-14 * max(1.0, value),
-        )
-        if not sol.success:
-            raise DivergenceError(f"ODE integration failed toward {target}: {sol.message}")
-        legs.append(sol)
-    return legs
-
-
-def solve_phi(
-    beta: StateDiffusion,
-    anchor: tuple,
-    window: tuple,
-    mesh: int = 512,
-    slope: float | None = None,
-) -> PhiFunction:
-    """Construct a positive eigenfunction numerically on a window.
-
-    With ``slope`` given, the solution is pinned by value and slope at the
-    anchor (the ODE has a two-dimensional solution space, so both are
-    needed to single one out). Without it, a shooting search picks the
-    smallest anchor slope whose solution stays positive across the whole
-    window, which is the minimal-growth choice.
-    """
-    z_ref, value = anchor
-    z_lo, z_hi = window
-    if not value > 0.0:
-        raise DomainError(f"anchor value must be positive, got {value}")
-    if not z_lo < z_hi:
-        raise DomainError(f"window must be increasing, got ({z_lo}, {z_hi})")
-    if not (beta.contains(z_lo) and beta.contains(z_hi)):
-        raise DomainError(
-            f"window ({z_lo}, {z_hi}) must sit strictly inside "
-            f"({beta.lower}, {beta.upper})"
-        )
-    if not z_lo <= z_ref <= z_hi:
-        raise DomainError(f"anchor state {z_ref} outside the window ({z_lo}, {z_hi})")
-    if mesh < 8:
-        raise ConfigurationError(f"mesh must have at least 8 points, got {mesh}")
-    zs = np.linspace(z_lo, z_hi, mesh)
-    bvals = np.asarray(beta(zs), dtype=np.float64)
-    if not np.all(np.isfinite(bvals)) or np.any(bvals == 0.0):
-        raise DomainError("beta is singular or vanishes on the window")
-
-    if slope is not None:
-        legs = _integrate_both(beta, z_ref, value, slope, z_lo, z_hi)
-        chosen_slope = slope
-    else:
-        legs, chosen_slope = _shoot_positive(beta, z_ref, value, z_lo, z_hi, zs)
-
-    right, left = legs
-    val_fn = _TwoSidedSolution(z_ref, left, right, 0)
-    d1_fn = _TwoSidedSolution(z_ref, left, right, 1)
-    fd_h = max(1e-7, 1e-5 * (z_hi - z_lo))
-
-    def d2_fn(z, _d1=d1_fn, _h=fd_h):
-        # the dense legs extrapolate smoothly for the half-stencil that
-        # pokes past a window edge, so no clamping is needed
-        z_arr = np.atleast_1d(np.asarray(z, dtype=np.float64))
-        out = (_d1(z_arr + _h) - _d1(z_arr - _h)) / (2.0 * _h)
-        return float(out[0]) if np.ndim(z) == 0 else out
-
-    vals = val_fn(zs)
-    if not np.all(vals > 0.0):
-        raise InfeasibleError(
-            "no positive solution: the integrated eigenfunction crosses zero "
-            f"on ({z_lo}, {z_hi}) with anchor slope {chosen_slope}"
-        )
-    resid = 0.5 * bvals * bvals * d2_fn(zs) - vals
-    worst = float(np.max(np.abs(resid)))
-    if worst > 1e-8 * max(1.0, float(np.max(np.abs(vals)))):
-        raise DivergenceError(f"solved eigenfunction misses its residual target: {worst:.3e}")
-    return PhiFunction(value=val_fn, deriv1=d1_fn, deriv2=d2_fn, provenance="ode-solver")
-
-
-def _shoot_positive(beta, z_ref, value, z_lo, z_hi, zs):
-    """Bisect the anchor slope down to the smallest positive-solution one."""
-
-    def attempt(s):
-        legs = _integrate_both(beta, z_ref, value, s, z_lo, z_hi)
-        right, left = legs
-        probe = _TwoSidedSolution(z_ref, left, right, 0)
-        return legs, bool(np.all(probe(zs) > 0.0))
-
-    s_good = 0.0
-    legs_good, ok = attempt(s_good)
-    step = max(1.0, abs(value))
-    tries = 0
-    while not ok:
-        s_good += step
-        step *= 2.0
-        tries += 1
-        if tries > 60:
-            raise InfeasibleError("no positive solution found on the window")
-        legs_good, ok = attempt(s_good)
-
-    s_bad = s_good - max(1.0, abs(value))
-    _, bad_ok = attempt(s_bad)
-    tries = 0
-    step = max(1.0, abs(value))
-    while bad_ok:
-        s_bad -= step
-        step *= 2.0
-        tries += 1
-        if tries > 60:
-            raise InfeasibleError(
-                "every anchor slope keeps the solution positive; "
-                "no minimal-growth boundary to shoot for"
-            )
-        _, bad_ok = attempt(s_bad)
-
-    for _ in range(80):
-        mid = 0.5 * (s_bad + s_good)
-        legs_mid, ok = attempt(mid)
-        if ok:
-            s_good, legs_good = mid, legs_mid
-        else:
-            s_bad = mid
-        if s_good - s_bad <= 1e-13 * max(1.0, abs(s_good)):
-            break
-    return legs_good, s_good
 
 
 # ===== martingale diagnostics =====

@@ -10,6 +10,7 @@ inverts the closed form and records it as its forward map.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,6 +259,9 @@ def implied_vol(
         raise DomainError(
             f"price {price} violates the arbitrage interior ({intrinsic}, {z})"
         )
+    if price < sys.float_info.min:
+        # below it the call price is not monotone in sigma, so a root is not the quoted vol
+        raise DomainError(f"price {price} is below float64's normal range: sigma is unrecoverable")
 
     if not isinstance(model.law, LognormalLaw):
         raise ConfigurationError(

@@ -219,6 +219,23 @@ class TestConfigParsing:
         }[key]
         assert err == f"volbound: config error: {message} [key: simulation.{key}] (line {line})\n"
 
+    @pytest.mark.parametrize("times", ["[0.5, 0.25]", "[0.5, 0.5]"])
+    @pytest.mark.parametrize("source", ["file", "set"])
+    def test_martingale_times_out_of_order_name_their_key(self, times, source, tmp_path, capsys):
+        # descending or repeated check times fail in the config layer, with
+        # the key and line, not later in the martingale checks
+        in_file = f"  times: {times if source == 'file' else '[0.25, 0.5]'}"
+        text = BASE + f"\nmartingale:\n{in_file}\n"
+        argv = ["--set", f"martingale.times={times}"] if source == "set" else []
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(text)
+        assert main(["martingale-check", "--config", str(cfg), *argv]) == 2
+        line = text.splitlines().index(in_file) + 1
+        assert capsys.readouterr().err == (
+            f"volbound: config error: check times must increase strictly, got {times} "
+            f"[key: martingale.times] (line {line})\n"
+        )
+
     def test_overrides_apply_before_validation(self):
         rc = parse_config(BASE, overrides=["simulation.seed=99", "sigma=0.5"])
         assert rc.sim.seed == 99

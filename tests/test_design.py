@@ -105,6 +105,21 @@ def test_adaptive_quadrature_only_in_the_oracles():
     assert sites(uses_quad) == {"bound._lognormal_quad", "pricing.quad_call_price"}
 
 
+def test_no_numeric_eigenfunction_construction():
+    # every builtin model carries its eigenfunction in closed form and
+    # verify_phi checks it on a grid; nothing integrates the eigenfunction
+    # ODE, and no error type is kept for a construction that cannot succeed
+    def ode_or_infeasible(node):
+        if isinstance(node, ast.ImportFrom):
+            return any(a.name in ("solve_ivp", "InfeasibleError") for a in node.names)
+        if isinstance(node, ast.ClassDef):
+            return node.name == "InfeasibleError"
+        return (isinstance(node, ast.Attribute) and node.attr == "solve_ivp") or (
+            isinstance(node, ast.Name) and node.id in ("solve_ivp", "InfeasibleError"))
+
+    assert sites(ode_or_infeasible) == set()
+
+
 def integrate_loaded_after(code: str) -> bool:
     """Whether scipy.integrate is imported once code has run in a fresh child."""
     code += "\nimport sys; print('scipy.integrate' in sys.modules)"
@@ -119,9 +134,8 @@ def integrate_loaded_after(code: str) -> bool:
 
 
 def test_cli_start_up_leaves_scipy_integrate_out():
-    # only the oracle routes (g_value, decomposition_check, quad_call_price,
-    # solve_phi) integrate adaptively; importing the CLI must not pay for
-    # scipy.integrate
+    # only the oracle routes (g_value, decomposition_check, quad_call_price)
+    # integrate adaptively; importing the CLI must not pay for scipy.integrate
     assert not integrate_loaded_after("import volbound.cli")
 
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from volbound import phi as phi_module
-from volbound.errors import ConfigurationError, DivergenceError, DomainError, InfeasibleError
-from volbound.models import SimConfig, StateDiffusion, TimeWeight, builtin_model, simulate
+from volbound.errors import ConfigurationError, DomainError
+from volbound.models import SimConfig, TimeWeight, builtin_model, simulate
 from volbound.phi import (
     MartingaleTestReport,
     OdeResidualReport,
@@ -16,7 +16,6 @@ from volbound.phi import (
     martingale_check_integral,
     semigroup_check,
     semigroup_route,
-    solve_phi,
     verify_phi,
 )
 
@@ -78,67 +77,6 @@ class TestVerifyPhi:
         r = verify_phi(bad, np.linspace(0.5, 2.0, 10), 1e-8)
         assert not r.passed
         assert r.max_abs == pytest.approx(0.1, abs=1e-12)
-
-
-class TestSolvePhi:
-    def test_slope_matched_recovers_square(self):
-        p = solve_phi(GBM.beta, (1.0, 1.0), (0.5, 2.0), slope=2.0)
-        zs = np.linspace(0.5, 2.0, 33)
-        assert np.max(np.abs(p(zs) - zs**2)) < 1e-8
-        assert np.max(np.abs(p.deriv1(zs) - 2.0 * zs)) < 1e-8
-        assert np.max(np.abs(p.deriv2(zs) - 2.0)) < 1e-5
-        assert p.provenance == "ode-solver"
-        # a numerical solution never claims constant curvature, even for z^2
-        assert p.curvature is None
-
-    def test_slope_matched_recovers_bessel_phi(self):
-        anchor = (1.0, float(BESSEL.phi(1.0)))
-        p = solve_phi(BESSEL.beta, anchor, (0.5, 2.0), slope=float(BESSEL.phi.deriv1(1.0)))
-        zs = np.linspace(0.5, 2.0, 25)
-        assert np.max(np.abs(p(zs) - BESSEL.phi(zs))) < 1e-6
-
-    def test_shooting_finds_minimal_growth_solution(self):
-        # for beta(z)=z on [0.5, 2] the smallest positive solution through
-        # (1,1) is a z^2 + (1-a)/z touching zero at the right edge, a=-1/7
-        p = solve_phi(GBM.beta, (1.0, 1.0), (0.5, 2.0))
-        zs = np.linspace(0.5, 2.0, 33)
-        a = -1.0 / 7.0
-        want = a * zs**2 + (1.0 - a) / zs
-        assert np.max(np.abs(p(zs) - want)) < 1e-9
-        assert np.all(p(zs) > 0.0)
-
-    def test_solved_phi_passes_verification(self):
-        p = solve_phi(GBM.beta, (1.0, 1.0), (0.5, 2.0), slope=2.0)
-        model = dataclasses.replace(GBM, phi=p)
-        r = verify_phi(model, np.linspace(0.55, 1.95, 40), 1e-8)
-        assert r.passed
-
-    def test_anchor_value_must_be_positive(self):
-        with pytest.raises(DomainError):
-            solve_phi(GBM.beta, (1.0, 0.0), (0.5, 2.0), slope=2.0)
-        with pytest.raises(DomainError):
-            solve_phi(GBM.beta, (1.0, -1.0), (0.5, 2.0))
-
-    def test_window_validation(self):
-        with pytest.raises(DomainError):
-            solve_phi(GBM.beta, (1.0, 1.0), (2.0, 0.5))
-        with pytest.raises(DomainError):
-            solve_phi(LOGDIFF.beta, (0.5, 1.0), (0.2, 1.5))  # outside (0,1)
-        with pytest.raises(DomainError):
-            solve_phi(GBM.beta, (5.0, 1.0), (0.5, 2.0))  # anchor off-window
-
-    def test_crossing_solution_rejected(self):
-        with pytest.raises(InfeasibleError):
-            solve_phi(GBM.beta, (1.0, 1.0), (0.5, 2.0), slope=-50.0)
-
-    def test_singular_beta_rejected(self):
-        dead = StateDiffusion(
-            evaluator=lambda z: np.where(np.abs(np.asarray(z) - 1.0) < 0.3, 0.0, np.asarray(z)),
-            lower=0.0,
-            upper=math.inf,
-        )
-        with pytest.raises(DomainError):
-            solve_phi(dead, (1.0, 1.0), (0.5, 2.0), slope=2.0)
 
 
 CFG = SimConfig(n_paths=20000, dt=0.01, seed=42)
