@@ -73,6 +73,7 @@ __all__ = [
     "rhs_bound",
     "check_bound",
     "pricing_residuals",
+    "densify_grid",
     "densification_study",
     "decomposition_check",
     "self_consistent_scenario",
@@ -87,6 +88,9 @@ QUAD_REACH = 16.0
 
 #: in-the-money paths a repricing cell needs before its z-score is gated on
 MIN_TAIL_COUNT = 25
+
+#: paths, spread over the ensemble, on which check_bound samples L at time t
+L_SAMPLE_PATHS = 256
 
 
 # ===== grids, weights, and the convex power polynomial =====
@@ -843,7 +847,6 @@ def check_bound(
     w: WeightVector,
     t: float,
     cfg: SimConfig,
-    l_sample_paths: int = 256,
 ) -> BoundReport:
     """Evaluate both sides of the universal bound for a scenario at time t.
 
@@ -895,23 +898,19 @@ def check_bound(
         g0 = _g_batch(model, np.array([scn.sigma0]), np.array([scn.s0]), 0.0, t_k, strikes.k_max)
         g_corr = g_corr + c_k * (float(g0[0]) - gt)
 
-    ell = nq + g_corr
-    lhs_raw = float(ell.mean())
-    se = math.sqrt(float(ell.var(ddof=1)) / n) if n > 1 else 0.0
+    lhs_raw, se = sample_mean(nq + g_corr)
     rhs, convention = _rhs_detail(qp.coeffs, strikes, model.phi)
 
     n_q_full = n_value(t, times[-1], theta_t, s_t, model)
     half = n // 2
+    z_stab = 0.0
     if half >= 2:
-        m1, m2 = n_q_full[:half], n_q_full[half:]
-        denom = math.sqrt(m1.var(ddof=1) / m1.size + m2.var(ddof=1) / m2.size)
-        z_stab = (float(m1.mean()) - float(m2.mean())) / denom if denom > 0.0 else 0.0
-    else:
-        z_stab = 0.0
+        (m1, se1), (m2, se2) = sample_mean(n_q_full[:half]), sample_mean(n_q_full[half:])
+        z_stab = z_score(m1 - m2, math.hypot(se1, se2))
 
     l_diag = []
-    if _closed_form(model) and l_sample_paths > 0:
-        take = np.unique(np.linspace(0, n - 1, min(n, l_sample_paths)).astype(int))
+    if _closed_form(model):
+        take = np.unique(np.linspace(0, n - 1, min(n, L_SAMPLE_PATHS)).astype(int))
         for t_k in times:
             l0 = l_value(0.0, t_k, scn.sigma0, scn.s0, strikes, model)
             # L reads theta^2 only, and a mean-reverting theta can dip below 0
@@ -923,8 +922,7 @@ def check_bound(
             )
 
     nq_mean, nq_se = sample_mean(nq)
-    gc_mean = float(g_corr.mean())
-    gc_se = math.sqrt(float(g_corr.var(ddof=1)) / n) if n > 1 else 0.0
+    gc_mean, gc_se = sample_mean(g_corr)
     lhs = abs(lhs_raw)
     return BoundReport(
         t=t,
@@ -938,7 +936,7 @@ def check_bound(
         g_corr_se=gc_se,
         l_diagnostics=tuple(l_diag),
         n_stable=abs(z_stab) <= 3.0,
-        n_stability_z=float(z_stab),
+        n_stability_z=z_stab,
         phi_prime_convention=convention,
         n_paths=n,
         steps=joint.steps,
@@ -1048,12 +1046,10 @@ def pricing_residuals(
 @dataclass(frozen=True)
 class DensificationStep:
     n_strikes: int
+    k_min: float
     k_max: float
     diagnostic: float
     rhs: float
-    lhs: float
-    lhs_se: float
-    satisfied: bool
 
 
 @dataclass(frozen=True)
@@ -1061,7 +1057,31 @@ class DensificationReport:
     steps: tuple
     schedule_ok: bool
     phi_prime_convention: bool
-    path_steps: int = 0
+
+
+def densify_grid(model: ReferenceModel, n: int) -> StrikeGrid:
+    """Grid n of the densification schedule: n + 1 strikes at equal steps of
+    phi' up to K_m, which is n^(1/4) on an unbounded state domain and
+    upper (1 - n^(-1/4)) on a bounded one. The steps start at the strike 0
+    where phi'(0) is finite (for phi = z^2 the grid is K_m i/n), else at
+    K_1 = K_m/sqrt(n), after the strike 0."""
+    upper = model.beta.upper
+    k_m = n**0.25 if math.isinf(upper) else upper * (1.0 - n**-0.25)
+    slope = model.phi.deriv1
+    k_lo = 0.0 if np.isfinite(slope(0.0)) else k_m / math.sqrt(n)
+    d_lo, d_hi = slope(np.array([k_lo, k_m]))
+    m = n if k_lo == 0.0 else n - 1
+    targets = d_lo + (d_hi - d_lo) * np.arange(1, m) / m
+    # phi' increases (phi is convex): bisect for the least strike reaching
+    # each target, until no bracket can shrink
+    lo, hi = np.full(targets.size, k_lo), np.full(targets.size, k_m)
+    mid = 0.5 * (lo + hi)
+    while np.any((lo < mid) & (mid < hi)):
+        below = slope(mid) < targets
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        mid = 0.5 * (lo + hi)
+    knots = [k_lo, *hi.tolist(), k_m]
+    return StrikeGrid(strikes=tuple(knots if k_lo == 0.0 else [0.0, *knots]))
 
 
 def densification_study(
@@ -1070,49 +1090,36 @@ def densification_study(
     mats: MaturityGrid,
     w: WeightVector,
     grid_schedule,
-    cfg: SimConfig,
-    t: float | None = None,
 ) -> DensificationReport:
     """Track the bound along a schedule of finer, wider strike grids.
 
-    Per grid: the densification diagnostic K_m * max_j dphi'_j, the exact
-    right side, and the self-consistent left side. The schedule is
-    flagged healthy when the diagnostic strictly decreases.
+    Per grid: the diagnostic K_m * max_j dphi'_j and the exact right side.
+    The self-consistent left side is exactly 0: X_t sits at the pin, so
+    N Q(X_t) = 0 on every path, and E[G(t, T_k, sigma, S_t)] = G(0, T_k,
+    sigma, s0) by the Markov property. The schedule is flagged healthy when
+    the diagnostic strictly decreases.
     """
     schedule = list(grid_schedule)
     if not schedule:
         raise DomainError("grid schedule cannot be empty")
-    if t is None:
-        t = 0.5 * mats.times[0]
     scn = self_consistent_scenario(model, sigma)
+    i_12 = model.h.sq_integral(mats.times[0], mats.times[1])
+    qp = build_q(w, compute_alphas(mats, model.h), pin_point(scn.sigma0, i_12))
     steps = []
-    path_steps = 0
     convention = False
     for grid in schedule:
-        ks = np.asarray(grid.strikes)
-        d, zero_slope = _strike_slopes(model.phi, ks)
+        d, zero_slope = _strike_slopes(model.phi, np.asarray(grid.strikes))
         convention = convention or zero_slope
-        diagnostic = float(grid.k_max * np.max(np.diff(d)))
-        report = check_bound(scn, mats, grid, w, t, cfg, l_sample_paths=0)
-        path_steps += report.steps
-        steps.append(
-            DensificationStep(
-                n_strikes=len(grid.strikes),
-                k_max=grid.k_max,
-                diagnostic=diagnostic,
-                rhs=report.rhs,
-                lhs=report.lhs,
-                lhs_se=report.lhs_se,
-                satisfied=report.satisfied,
-            )
-        )
+        steps.append(DensificationStep(
+            n_strikes=len(grid.strikes), k_min=grid.strikes[1], k_max=grid.k_max,
+            diagnostic=float(grid.k_max * np.max(np.diff(d))),
+            rhs=rhs_bound(qp.coeffs, grid, model.phi),
+        ))
     diags = [s.diagnostic for s in steps]
-    schedule_ok = all(b < a for a, b in zip(diags, diags[1:]))
     return DensificationReport(
         steps=tuple(steps),
-        schedule_ok=schedule_ok,
+        schedule_ok=all(b < a for a, b in zip(diags, diags[1:])),
         phi_prime_convention=convention,
-        path_steps=path_steps,
     )
 
 

@@ -25,9 +25,9 @@ import numpy as np
 
 from . import __version__
 from .bound import (
-    StrikeGrid,
     check_bound,
     densification_study,
+    densify_grid,
     pricing_residuals,
     tail_route,
 )
@@ -294,31 +294,19 @@ def _cmd_check_bound(rc: ResolvedConfig, _doc):
     return results, verdict
 
 
-def _uniform_grid(n: int) -> StrikeGrid:
-    # the canonical vanishing-diagnostic family: cutoff n^(1/4), spacing
-    # cutoff/n; custom schedules go through the library API
-    k_max = n**0.25
-    return StrikeGrid(strikes=tuple(k_max * i / n for i in range(n + 1)))
-
-
 def _cmd_densify(rc: ResolvedConfig, _doc):
     if rc.densify_sizes is None:
         raise ConfigParseError(
             "the densify command needs a densify section (grid_sizes)", key="densify"
         )
-    schedule = [_uniform_grid(n) for n in rc.densify_sizes]
-    t = rc.eval_time if rc.eval_time > 0.0 else None
-    rep = densification_study(
-        rc.model, rc.scenario.sigma0, rc.mats, rc.weights, schedule, rc.sim, t=t
-    )
+    schedule = [densify_grid(rc.model, n) for n in rc.densify_sizes]
+    rep = densification_study(rc.model, rc.scenario.sigma0, rc.mats, rc.weights, schedule)
     results = {
         "schedule_ok": rep.schedule_ok,
         "phi_prime_convention": rep.phi_prime_convention,
         "steps": [dataclasses.asdict(s) for s in rep.steps],
-        "stepping": stepping_route(rc.model, rc.sim.dt, rep.path_steps),
     }
-    verdict = rep.schedule_ok and all(s.satisfied for s in rep.steps)
-    return results, verdict
+    return results, rep.schedule_ok
 
 
 def _cmd_martingale_check(rc: ResolvedConfig, _doc):

@@ -339,6 +339,8 @@ def resolve(doc: dict) -> ResolvedConfig:
         for n in sizes:
             if isinstance(n, bool) or not isinstance(n, int) or n < 2:
                 dsec.fail("grid_sizes", f"grid sizes must be integers >= 2, got {n!r}")
+        if any(b <= a for a, b in zip(sizes, sizes[1:])):
+            dsec.fail("grid_sizes", f"grid sizes must increase strictly, got {sizes}")
         densify_sizes = tuple(sizes)
 
     scan_axes = ()

@@ -294,10 +294,7 @@ def test_densification_schedule():
         return StrikeGrid(strikes=tuple(k_max * i / n for i in range(n + 1)))
 
     sizes = (4, 16, 64, 256)
-    study = densification_study(
-        GBM, 0.2, MATS, W1, [uniform_grid(n) for n in sizes],
-        SimConfig(n_paths=2000, dt=0.01, seed=5),
-    )
+    study = densification_study(GBM, 0.2, MATS, W1, [uniform_grid(n) for n in sizes])
     diag_err = max(
         abs(step.diagnostic - 2.0 / math.sqrt(n)) / (2.0 / math.sqrt(n))
         for step, n in zip(study.steps, sizes)

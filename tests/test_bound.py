@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import volbound.bound as bound_module
 from conftest import besq0_phi_hat_oracle, logbesq0_phi_hat_oracle, lognormal_phi_hat_oracle
 from volbound.bound import (
     G_BLOCK_ROWS,
@@ -39,6 +40,7 @@ from volbound.bound import (
     compute_alphas,
     decomposition_check,
     densification_study,
+    densify_grid,
     g_value,
     joint_simulate,
     l_value,
@@ -841,6 +843,29 @@ class TestBoundCheck:
         assert not rep.phi_prime_convention
         assert rep.n_paths == 20000
 
+    @pytest.mark.parametrize(
+        "model,sigma,strikes",
+        [
+            (GBM, 0.2, KS5),
+            (BESSEL, 1.0, KS5),
+            (LOGDIFF, 0.2, StrikeGrid(strikes=(0.0, 0.3, 0.6, 0.9))),
+            (LOGDIFF, 1.0, StrikeGrid(strikes=(0.0, 0.3, 0.6, 0.9))),
+        ],
+        ids=["gbm", "bessel0-absorbing", "logdiff", "logdiff-absorbing"],
+    )
+    def test_self_consistent_left_side_vanishes_in_mean(self, model, sigma, strikes):
+        # the identity densification_study rests on: X_t sits at the pin, so
+        # the gap term is 0 on every path, and the tail corrections average
+        # to 0 by the Markov property, also where paths absorb (bessel0 at
+        # sigma 1: ~1.8% by t; logdiff: 17%) and where G does not vanish
+        rep = check_bound(
+            self_consistent_scenario(model, sigma), MATS, strikes, W1, 0.5,
+            SimConfig(n_paths=20000, dt=0.01, seed=1),
+        )
+        assert rep.nq_mean == 0.0
+        assert rep.g_corr_se > 0.0
+        assert abs(rep.g_corr_mean) <= 3.0 * rep.g_corr_se
+
     def test_negative_meanrev_theta_enters_the_band_term_as_its_modulus(self):
         # a mean-reverting theta crosses below 0 on some paths; L reads
         # theta^2 only, so check_bound hands l_value |theta_t|
@@ -865,15 +890,15 @@ class TestBoundCheck:
             assert abs(z) < 3.5
 
     def test_deterministic_given_seed(self):
-        a = check_bound(self_consistent_scenario(GBM, 0.2), MATS, KS5, W1, 0.5, self.CFG, l_sample_paths=0)
-        b = check_bound(self_consistent_scenario(GBM, 0.2), MATS, KS5, W1, 0.5, self.CFG, l_sample_paths=0)
+        a = check_bound(self_consistent_scenario(GBM, 0.2), MATS, KS5, W1, 0.5, self.CFG)
+        b = check_bound(self_consistent_scenario(GBM, 0.2), MATS, KS5, W1, 0.5, self.CFG)
         assert a == b
 
     def test_right_side_is_scenario_independent(self):
         # same weights, strikes, vol and eigenfunction: the right side is
         # the same number no matter what generator produced the paths
         reps = [
-            check_bound(scn, MATS, KS5, W1, 0.5, self.CFG, l_sample_paths=0)
+            check_bound(scn, MATS, KS5, W1, 0.5, self.CFG)
             for scn in (
                 self_consistent_scenario(GBM, 0.2),
                 step_vol_scenario(GBM, 0.2, 0.75, 0.4),
@@ -896,8 +921,8 @@ class TestBoundCheck:
     def test_jump_after_t_reads_identically(self):
         # the check only consumes time-t data; a jump beyond t has not
         # happened yet at matched seeds, so the report coincides
-        a = check_bound(self_consistent_scenario(GBM, 0.2), MATS, KS5, W1, 0.5, self.CFG, l_sample_paths=0)
-        b = check_bound(step_vol_scenario(GBM, 0.2, 0.75, 0.4), MATS, KS5, W1, 0.5, self.CFG, l_sample_paths=0)
+        a = check_bound(self_consistent_scenario(GBM, 0.2), MATS, KS5, W1, 0.5, self.CFG)
+        b = check_bound(step_vol_scenario(GBM, 0.2, 0.75, 0.4), MATS, KS5, W1, 0.5, self.CFG)
         assert a.lhs == b.lhs
         assert a.rhs == b.rhs
 
@@ -916,8 +941,7 @@ class TestBoundCheck:
 
     def test_meanrev_report_is_finite_and_consistent(self):
         rep = check_bound(
-            meanrev_vol_scenario(GBM, 0.2, 1.5, 0.5, 0.6, -0.7), MATS, KS5, W1, 0.5, self.CFG,
-            l_sample_paths=0,
+            meanrev_vol_scenario(GBM, 0.2, 1.5, 0.5, 0.6, -0.7), MATS, KS5, W1, 0.5, self.CFG
         )
         assert math.isfinite(rep.lhs) and math.isfinite(rep.lhs_se)
         assert rep.nq_mean > 0.0
@@ -927,8 +951,8 @@ class TestBoundCheck:
         gbm2 = dataclasses.replace(GBM, phi=GBM.phi.scaled(2.0))
         scn1 = step_vol_scenario(GBM, 0.2, 0.25, 0.4)
         scn2 = step_vol_scenario(gbm2, 0.2, 0.25, 0.4)
-        a = check_bound(scn1, MATS, KS5, W1, 0.5, self.CFG, l_sample_paths=0)
-        b = check_bound(scn2, MATS, KS5, W1, 0.5, self.CFG, l_sample_paths=0)
+        a = check_bound(scn1, MATS, KS5, W1, 0.5, self.CFG)
+        b = check_bound(scn2, MATS, KS5, W1, 0.5, self.CFG)
         assert b.rhs == 2.0 * a.rhs
         assert b.nq_mean == 2.0 * a.nq_mean
         assert b.g_corr_mean == 2.0 * a.g_corr_mean
@@ -1064,8 +1088,6 @@ class TestRepricingResiduals:
 
 
 class TestDensification:
-    CFG = SimConfig(n_paths=4000, dt=0.02, seed=5)
-
     @staticmethod
     def uniform_grid(n):
         k_m = n**0.25
@@ -1077,17 +1099,16 @@ class TestDensification:
         # and their differences round, so it lands within a few ulps of that
         # (8.2e-15 relative at n = 64)
         schedule = [self.uniform_grid(n) for n in (4, 16, 64, 256)]
-        report = densification_study(GBM, 0.2, MATS, W1, schedule, self.CFG)
+        report = densification_study(GBM, 0.2, MATS, W1, schedule)
         assert report.schedule_ok
         assert not report.phi_prime_convention
         for step, n in zip(report.steps, (4, 16, 64, 256)):
             assert step.diagnostic == pytest.approx(2.0 / math.sqrt(n), rel=1e-14, abs=0.0)
-            assert step.satisfied
             assert step.n_strikes == n + 1
 
     def test_right_side_shrinks_along_schedule(self):
         schedule = [self.uniform_grid(n) for n in (4, 16, 64)]
-        report = densification_study(GBM, 0.2, MATS, W1, schedule, self.CFG)
+        report = densification_study(GBM, 0.2, MATS, W1, schedule)
         rhs = [s.rhs for s in report.steps]
         assert rhs[1] == pytest.approx(rhs[0] / 2.0, rel=1e-12)
         assert rhs[2] == pytest.approx(rhs[1] / 2.0, rel=1e-12)
@@ -1098,12 +1119,59 @@ class TestDensification:
             StrikeGrid(strikes=tuple(0.5 * i for i in range(int(2 * km) + 1)))
             for km in (2.0, 4.0)
         ]
-        report = densification_study(GBM, 0.2, MATS, W1, bad, self.CFG)
+        report = densification_study(GBM, 0.2, MATS, W1, bad)
         assert not report.schedule_ok
 
     def test_empty_schedule_rejected(self):
         with pytest.raises(DomainError):
-            densification_study(GBM, 0.2, MATS, W1, [], self.CFG)
+            densification_study(GBM, 0.2, MATS, W1, [])
+
+    @pytest.mark.parametrize("sigma", [0.0, -0.2])
+    def test_vol_must_be_positive(self, sigma):
+        with pytest.raises(DomainError, match="initial vol must be positive"):
+            densification_study(GBM, sigma, MATS, W1, [self.uniform_grid(4)])
+
+    @pytest.mark.parametrize("model", [GBM, BESSEL, LOGDIFF], ids=["gbm", "bessel0", "logdiff"])
+    def test_derived_schedule_stays_in_the_domain_and_densifies(self, model):
+        sizes = (4, 16, 64, 256)
+        grids = [densify_grid(model, n) for n in sizes]
+        for grid, n in zip(grids, sizes):
+            ks = np.asarray(grid.strikes)
+            assert ks.size == n + 1
+            assert np.all(np.diff(ks) > 0.0)
+            assert all(model.beta.in_closure(k) for k in ks)
+            assert grid.k_max < model.beta.upper
+        report = densification_study(model, 0.2, MATS, W1, grids)
+        assert report.schedule_ok
+        assert [s.k_min for s in report.steps] == [g.strikes[1] for g in grids]
+        rhs = [s.rhs for s in report.steps]
+        assert all(b < a for a, b in zip(rhs, rhs[1:]))
+
+    def test_derived_schedule_on_gbm_is_the_uniform_grid(self):
+        for n in (2, 4, 16, 64, 256, 1024):
+            got = np.asarray(densify_grid(GBM, n).strikes)
+            want = np.asarray(self.uniform_grid(n).strikes)
+            assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_derived_schedule_steps_phi_prime_evenly_past_a_diverging_slope(self):
+        # phi'(0) diverges on bessel0 and logdiff: the strike 0, then K_m/sqrt(n)
+        # and n - 1 equal steps of phi' up to K_m
+        for model, k_m in ((BESSEL, 64**0.25), (LOGDIFF, 1.0 - 64**-0.25)):
+            ks = np.asarray(densify_grid(model, 64).strikes)
+            assert ks[0] == 0.0 and ks[-1] == k_m
+            assert ks[1] == k_m / 8.0
+            steps = np.diff(model.phi.deriv1(ks[1:]))
+            assert steps == pytest.approx(np.full(63, steps.mean()), rel=1e-12)
+
+    def test_study_simulates_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("densification_study simulated paths")
+
+        monkeypatch.setattr(bound_module, "joint_simulate", refuse)
+        monkeypatch.setattr(bound_module, "simulate", refuse)
+        for model in (GBM, BESSEL, LOGDIFF):
+            grids = [densify_grid(model, n) for n in (4, 16)]
+            assert densification_study(model, 0.2, MATS, W1, grids).schedule_ok
 
 
 class TestDecomposition:
@@ -1130,7 +1198,7 @@ class TestImpossibleConjunction:
         # residuals blow up: at least one detector always fires
         cfg = SimConfig(n_paths=20000, dt=0.01, seed=11)
         scn = step_vol_scenario(GBM, 0.2, 0.75, 0.4)
-        rep = check_bound(scn, MATS, KS5, W1, 0.5, cfg, l_sample_paths=0)
+        rep = check_bound(scn, MATS, KS5, W1, 0.5, cfg)
         res = pricing_residuals(scn, MATS, KS5, 0.5, cfg)
         assert (not rep.satisfied) or res.max_abs_z > 3.0
         assert res.max_abs_z > 10.0

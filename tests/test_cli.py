@@ -236,6 +236,23 @@ class TestConfigParsing:
             f"[key: martingale.times] (line {line})\n"
         )
 
+    @pytest.mark.parametrize("sizes", ["[16, 4]", "[4, 4]"])
+    @pytest.mark.parametrize("source", ["file", "set"])
+    def test_densify_grid_sizes_out_of_order_name_their_key(self, sizes, source, tmp_path, capsys):
+        # descending or repeated grid sizes fail in the config layer, with
+        # the key and line, before any grid is built
+        in_file = f"  grid_sizes: {sizes if source == 'file' else '[4, 16]'}"
+        text = BASE + f"\ndensify:\n{in_file}\n"
+        argv = ["--set", f"densify.grid_sizes={sizes}"] if source == "set" else []
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(text)
+        assert main(["densify", "--config", str(cfg), *argv]) == 2
+        line = text.splitlines().index(in_file) + 1
+        assert capsys.readouterr().err == (
+            f"volbound: config error: grid sizes must increase strictly, got {sizes} "
+            f"[key: densify.grid_sizes] (line {line})\n"
+        )
+
     def test_overrides_apply_before_validation(self):
         rc = parse_config(BASE, overrides=["simulation.seed=99", "sigma=0.5"])
         assert rc.sim.seed == 99
@@ -679,6 +696,24 @@ class TestCliCommands:
         assert doc["results"]["schedule_ok"] is True
         for step, n in zip(steps, (4, 16, 64)):
             assert step["diagnostic"] == pytest.approx(2.0 / math.sqrt(n), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("model", ["gbm", "bessel0", "logdiff"])
+    def test_densify_passes_on_every_model_without_paths(self, model, tmp_path, capsys):
+        # the schedule comes from the state domain and phi, and the left side
+        # is exactly 0, so the study neither fails on a model nor reads the
+        # simulation block
+        cfg = tmp_path / "densify.yaml"
+        cfg.write_text(
+            BASE.replace("model: gbm", f"model: {model}")
+            + "\ndensify:\n  grid_sizes: [4, 16, 64, 256]\n"
+        )
+        assert main(["densify", "--config", str(cfg)]) == 0
+        own = json.loads(capsys.readouterr().out)["results"]
+        assert own["schedule_ok"] is True
+        assert [s["n_strikes"] for s in own["steps"]] == [5, 17, 65, 257]
+        assert "stepping" not in own
+        assert main(["densify", "--config", str(cfg), "--paths", "16", "--seed", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"] == own
 
     def test_martingale_check(self, base_path, capsys):
         assert main(["martingale-check", "--config", base_path, "--paths", "4000"]) == 0

@@ -94,6 +94,15 @@ def test_one_sample_mean():
     assert sites(takes_shortcut) == {"models.sample_mean"}
 
 
+def test_one_standard_error_rule():
+    # every standard error of a sample mean comes from sample_mean, so two
+    # reported errors of one sample cannot differ in their last bits
+    def takes_ddof(node):
+        return isinstance(node, ast.keyword) and node.arg == "ddof"
+
+    assert sites(takes_ddof) == {"models.sample_mean"}
+
+
 def test_adaptive_quadrature_only_in_the_oracles():
     # scipy's adaptive quad is an oracle route: one lognormal integral for the
     # bound's terms and the quadrature call price
