@@ -33,17 +33,18 @@ from .errors import (
     DomainError,
 )
 from .models import (
+    GENERATORS,
     LognormalLaw,
+    PathEnsemble,
     PhiFunction,
     ReferenceModel,
     SimConfig,
+    ThetaProcess,
     TimeWeight,
-    _diffuse,
     _map_blocks,
-    _step_grid,
-    rng_substream,
     sample_mean,
     simulate,
+    step_paths,
     worker_count,
     z_score,
 )
@@ -55,9 +56,7 @@ __all__ = [
     "StrikeGrid",
     "WeightVector",
     "QPolynomial",
-    "ThetaProcess",
     "Scenario",
-    "JointEnsemble",
     "BoundReport",
     "ResidualTable",
     "DensificationStep",
@@ -264,96 +263,6 @@ def build_q(w: WeightVector, alphas, x0: float) -> QPolynomial:
 # ===== scenarios and joint simulation =====
 
 
-#: the scenario generator, by its config name, behind each kind of theta process
-GENERATORS = {"constant": "self-consistent", "step": "step-vol", "meanrev": "meanrev-vol"}
-
-
-@dataclass(frozen=True)
-class ThetaProcess:
-    """Volatility-process specification for scenario generation.
-
-    kind "constant": theta == sigma0. kind "step": deterministic
-    piecewise-constant, jumping to jump_values[i] at jump_times[i].
-    kind "meanrev": dtheta = rate (level - theta) dt + vol_of_vol dW', W'
-    correlated with the state's noise by correlation; it moves unless
-    vol_of_vol is 0 and it starts at its level or has rate 0, in which case
-    it stays at sigma0 like a constant theta.
-    """
-
-    kind: str
-    sigma0: float
-    jump_times: tuple = ()
-    jump_values: tuple = ()
-    rate: float = 0.0
-    level: float = 0.0
-    vol_of_vol: float = 0.0
-    correlation: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in GENERATORS:
-            raise ConfigurationError(f"unknown theta process kind {self.kind!r}")
-        if not (self.sigma0 > 0.0 and math.isfinite(self.sigma0)):
-            raise DomainError(f"initial vol must be positive, got {self.sigma0}")
-        if not -1.0 <= self.correlation <= 1.0:
-            raise DomainError(f"correlation must lie in [-1, 1], got {self.correlation}")
-        if self.kind == "step":
-            jt = tuple(float(t) for t in self.jump_times)
-            jv = tuple(float(v) for v in self.jump_values)
-            object.__setattr__(self, "jump_times", jt)
-            object.__setattr__(self, "jump_values", jv)
-            if len(jt) != len(jv) or not jt:
-                raise ConfigurationError("step process needs matching jump times and values")
-            if any(b <= a for a, b in zip(jt, jt[1:])) or jt[0] <= 0.0:
-                raise DomainError("jump times must be strictly increasing and positive")
-            if any(v < 0.0 for v in jv):
-                raise DomainError("stepped vol values must be nonnegative")
-        if self.kind == "meanrev":
-            if self.rate < 0.0 or self.vol_of_vol < 0.0:
-                raise DomainError("mean reversion rate and vol-of-vol must be nonnegative")
-
-    @property
-    def moves(self) -> bool:
-        """Whether theta changes between any two instants (kind meanrev)."""
-        return self.kind == "meanrev" and (
-            self.vol_of_vol > 0.0 or (self.rate > 0.0 and self.level != self.sigma0)
-        )
-
-    @property
-    def change_times(self) -> tuple:
-        """The jump times at which a step theta changes value (a jump to the
-        value it already has is none)."""
-        if self.kind != "step":
-            return ()
-        before = (self.sigma0,) + self.jump_values[:-1]
-        return tuple(t for t, a, b in zip(self.jump_times, before, self.jump_values) if a != b)
-
-    def until(self, t: float) -> "ThetaProcess":
-        """The process that agrees with this one on [0, t]: a step theta keeps
-        its jumps at times <= t (deterministic_value(t) reads a jump at t),
-        and is constant at sigma0 when none is left; any other theta is its
-        own history."""
-        if self.kind != "step":
-            return self
-        kept = sum(1 for jt in self.jump_times if jt <= t)
-        if kept == 0:
-            return ThetaProcess(kind="constant", sigma0=self.sigma0)
-        return replace(
-            self, jump_times=self.jump_times[:kept], jump_values=self.jump_values[:kept]
-        )
-
-    def deterministic_value(self, t: float) -> float:
-        """theta(t) for a theta that does not move."""
-        if self.kind == "constant" or (self.kind == "meanrev" and not self.moves):
-            return self.sigma0
-        if self.kind == "step":
-            out = self.sigma0
-            for jt, jv in zip(self.jump_times, self.jump_values):
-                if t >= jt:
-                    out = jv
-            return out
-        raise ConfigurationError("mean-reverting theta has no deterministic path")
-
-
 @dataclass(frozen=True)
 class Scenario:
     """A candidate market: the reference family plus a (S, theta) generator."""
@@ -406,86 +315,16 @@ def meanrev_vol_scenario(
     )
 
 
-@dataclass(frozen=True)
-class JointEnsemble:
-    """Paired (S, theta) paths on a common stored grid; steps is the number
-    of steps each path took."""
+def joint_simulate(scn: Scenario, time_grid, cfg: SimConfig) -> PathEnsemble:
+    """Paired (S, theta) paths of the scenario from its initial data at time
+    0, deterministic in (seed, grid): models.step_paths under the scenario's
+    theta process.
 
-    time_grid: np.ndarray
-    s: np.ndarray
-    theta: np.ndarray
-    absorbed_at: np.ndarray
-    steps: int = 0
-
-    @property
-    def n_paths(self) -> int:
-        return self.s.shape[0]
-
-
-def joint_simulate(scn: Scenario, time_grid, cfg: SimConfig) -> JointEnsemble:
-    """Simulate paired (S, theta) paths, deterministic in (seed, grid).
-
-    The state follows dS = theta_t h(t) beta(S) dW, stepped like simulate
-    steps the reference diffusion: a theta that does not move changes only
-    at its change times, which join the stored times and h's breakpoints as
-    the ends of the state's steps. A moving theta follows its process on
-    substeps of at most cfg.dt, with noise from a separate substream; there
-    the state takes one normal-driven step per substep (the law's exact
-    step where it has one, Euler's otherwise). The S-draws line up across
-    generators at matched seeds until theta first differs between them;
-    after that an exact law's Poisson and Gamma draws, whose count depends
-    on the states, take different parts of the stream. Negative excursions
-    of a mean-reverting theta feed the state step clipped at zero.
+    The S-draws line up across generators at matched seeds until theta first
+    differs between them; after that an exact law's Poisson and Gamma draws,
+    whose count depends on the states, take different parts of the stream.
     """
-    grid = np.asarray([float(t) for t in time_grid], dtype=np.float64)
-    if grid.ndim != 1 or grid.size == 0:
-        raise DomainError("time grid must be a nonempty 1-d sequence")
-    if grid[0] != 0.0:
-        raise DomainError(
-            f"joint scenarios anchor their initial data at time 0, got {grid[0]}"
-        )
-    if grid.size > 1 and np.any(np.diff(grid) <= 0.0):
-        raise DomainError("time grid must be strictly increasing")
-    model, proc = scn.reference, scn.theta_process
-    fine_grid, store_idx = _step_grid(model, grid, cfg.dt, proc.change_times, proc.moves)
-    s = np.empty((cfg.n_paths, grid.size))
-    theta = np.empty((cfg.n_paths, grid.size))
-    absorbed = np.full(cfg.n_paths, np.nan)
-    if not proc.moves:
-        theta[:] = [proc.deterministic_value(float(t)) for t in grid]
-    cols = {int(j): c for c, j in enumerate(store_idx)}
-    rho = proc.correlation
-    rho_c = math.sqrt(max(0.0, 1.0 - rho * rho))
-
-    def run_block(b, rows):
-        n = rows.stop - rows.start
-        advance = None
-        theta0 = proc.deterministic_value if proc.kind == "step" else proc.sigma0
-        if proc.moves:
-            theta_rng = rng_substream(cfg.seed, b, 1)
-            th = np.full(n, proc.sigma0)
-            theta[rows, 0] = th
-
-            def advance(j, xi):
-                # one theta-draw per step, correlated with the step's S-draw
-                nonlocal th
-                step_dt = float(fine_grid[j]) - float(fine_grid[j - 1])
-                corr = rho * xi + rho_c * theta_rng.standard_normal(n)
-                th = th + proc.rate * (proc.level - th) * step_dt \
-                    + proc.vol_of_vol * math.sqrt(step_dt) * corr
-                if j in cols:
-                    theta[rows, cols[j]] = th
-                return np.maximum(th, 0.0)
-
-        _diffuse(
-            model, np.full(n, float(scn.s0)), fine_grid, rng_substream(cfg.seed, b), theta0,
-            s[rows], store_idx, absorbed[rows], advance,
-        )
-
-    _map_blocks(cfg.n_paths, cfg.block_size, worker_count(), run_block)
-    return JointEnsemble(
-        time_grid=grid, s=s, theta=theta, absorbed_at=absorbed, steps=len(fine_grid) - 1
-    )
+    return step_paths(scn.reference, scn.theta_process, scn.s0, 0.0, time_grid, cfg)
 
 
 # ===== the bound's building blocks =====
@@ -522,13 +361,14 @@ def _closed_form(model: ReferenceModel) -> bool:
 G_BLOCK_ROWS = 8192
 
 
-def _g_quadrature(model, theta, s, t, T, k_max, n_workers=1):
+def _g_quadrature(model, theta, s, t, T, k_max):
     """Tail terms for many (theta, s) pairs of 1-d arrays, by fixed-node
     quadrature against the model's exact transition law, plus its atom when
     that lies above k_max.
 
     Each row's sum over the nodes is its own reduction, so the blocks of
-    rows, run on up to n_workers threads, never change a result.
+    rows, run on the shared worker pool (worker_count), never change a
+    result.
     """
     law = model.law
     theta, s = np.broadcast_arrays(theta, s)
@@ -557,7 +397,7 @@ def _g_quadrature(model, theta, s, t, T, k_max, n_workers=1):
             g += atom_gain * law.absorbed_mass(s_l, v_l)
         out_b[live] = g
 
-    _map_blocks(s.size, G_BLOCK_ROWS, n_workers, run_block)
+    _map_blocks(s.size, G_BLOCK_ROWS, worker_count(), run_block)
     return out
 
 
@@ -626,11 +466,11 @@ def tail_route(model: ReferenceModel) -> dict:
     return {"route": "quadrature", "nodes": model.law.nodes, "window": model.law.window}
 
 
-def _g_batch(model, theta, s, t, T, k_max, n_workers=1):
+def _g_batch(model, theta, s, t, T, k_max):
     """The tail term per (theta, s) pair of 1-d arrays, by tail_route's
-    route; the quadrature runs on up to n_workers threads."""
+    route."""
     if tail_route(model)["route"] == "quadrature":
-        return _g_quadrature(model, theta, s, t, T, k_max, n_workers)
+        return _g_quadrature(model, theta, s, t, T, k_max)
     theta, s = np.broadcast_arrays(theta, s)
     # Taylor's formula about k_max is exact: G = phi' C + phi''/2 E[((Z_T - K)^+)^2]
     v = theta * theta * model.h.sq_integral(t, T)
@@ -868,7 +708,7 @@ def check_bound(
     grid = [0.0] if t == 0.0 else [0.0, t]
     joint = joint_simulate(scn, grid, cfg)
     theta_t = joint.theta[:, -1]
-    s_t = joint.s[:, -1]
+    s_t = joint.states[:, -1]
     n = s_t.size
     mass_fn = getattr(model.law, "absorbed_mass", None)
     mass = None
@@ -894,7 +734,7 @@ def check_bound(
     for t_k, c_k in zip(times, qp.coeffs):
         if c_k == 0.0:
             continue
-        gt = _g_batch(model, theta_t, s_t, t, t_k, strikes.k_max, worker_count())
+        gt = _g_batch(model, theta_t, s_t, t, t_k, strikes.k_max)
         g0 = _g_batch(model, np.array([scn.sigma0]), np.array([scn.s0]), 0.0, t_k, strikes.k_max)
         g_corr = g_corr + c_k * (float(g0[0]) - gt)
 
@@ -1014,7 +854,7 @@ def pricing_residuals(
     joint = joint_simulate(scn, grid, cfg)
     idx = {tt: i for i, tt in enumerate(grid)}
     theta_t = joint.theta[:, idx[t]]
-    s_t = joint.s[:, idx[t]]
+    s_t = joint.states[:, idx[t]]
     n = s_t.size
     ks = strikes.strikes
     res = np.empty((mats.q, len(ks)))
@@ -1022,7 +862,7 @@ def pricing_residuals(
     zs = np.empty_like(res)
     counts = np.empty(res.shape, dtype=np.int64)
     for i, t_i in enumerate(times):
-        s_ti = joint.s[:, idx[t_i]]
+        s_ti = joint.states[:, idx[t_i]]
         v = theta_t * theta_t * model.h.sq_integral(t, t_i)
         for j, k in enumerate(ks):
             payoff = np.maximum(s_ti - k, 0.0)

@@ -314,23 +314,18 @@ def _cmd_martingale_check(rc: ResolvedConfig, _doc):
     times = rc.martingale_times
     u = martingale_check_U(model, sigma, times, rc.sim)
     v = martingale_check_V(model, sigma, times, rc.sim)
+    sg = semigroup_check(model, sigma, times[-1], rc.sim)
     results = {
         "times": times,
         "discounted_eigenfunction": _mart_payload(u, model, sigma),
         "compensated_eigenfunction": _mart_payload(v, model, sigma),
-    }
-    verdict = u.verdict and v.verdict
-    steps = u.steps + v.steps
-    if model.h.is_unit:
-        sg = semigroup_check(model, sigma, times[-1], rc.sim)
-        results["semigroup"] = {
+        "semigroup": {
             **_mart_payload(sg, model, sigma),
             "reference_route": semigroup_route(model),
-        }
-        verdict = verdict and sg.verdict
-        steps += sg.steps
-    results["stepping"] = stepping_route(model, rc.sim.dt, steps)
-    return results, verdict
+        },
+        "stepping": stepping_route(model, rc.sim.dt, u.steps + v.steps + sg.steps),
+    }
+    return results, u.verdict and v.verdict and sg.verdict
 
 
 def _cmd_scan(rc: ResolvedConfig, base_doc):

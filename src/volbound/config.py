@@ -14,16 +14,9 @@ from dataclasses import dataclass
 
 import yaml
 
-from .bound import (
-    GENERATORS,
-    MaturityGrid,
-    Scenario,
-    StrikeGrid,
-    ThetaProcess,
-    WeightVector,
-)
+from .bound import MaturityGrid, Scenario, StrikeGrid, WeightVector
 from .errors import ConfigParseError, VolboundError
-from .models import ReferenceModel, SimConfig, builtin_model
+from .models import GENERATORS, ReferenceModel, SimConfig, ThetaProcess, builtin_model
 
 _MISSING = object()
 
@@ -90,7 +83,8 @@ def parse_override(text: str):
 
 
 def set_path(doc: dict, dotted: str, value) -> None:
-    """Assign into a nested mapping, creating intermediate sections."""
+    """Assign into a nested mapping, creating intermediate sections. The key
+    set has no source line, so an error on its value names the key alone."""
     parts = dotted.split(".")
     node = doc
     for part in parts[:-1]:
@@ -100,6 +94,8 @@ def set_path(doc: dict, dotted: str, value) -> None:
             node[part] = nxt
         node = nxt
     node[parts[-1]] = value
+    if isinstance(node, LocatedDict):
+        node.key_lines.pop(parts[-1], None)
 
 
 class _Section:

@@ -13,7 +13,7 @@ import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -31,9 +31,12 @@ __all__ = [
     "SquaredBesselLaw",
     "LogBesselLaw",
     "ReferenceModel",
+    "GENERATORS",
+    "ThetaProcess",
     "SimConfig",
     "PathEnsemble",
     "builtin_model",
+    "step_paths",
     "simulate",
     "stepping_route",
     "rng_substream",
@@ -74,10 +77,6 @@ class TimeWeight:
             raise ConfigurationError("time weight values must be positive and finite")
         if any(b1 >= b2 for b1, b2 in zip(breakpoints, breakpoints[1:])):
             raise ConfigurationError("breakpoints must be strictly increasing")
-
-    @property
-    def kind(self) -> str:
-        return "constant" if len(self.values) == 1 else "piecewise-constant"
 
     @property
     def is_unit(self) -> bool:
@@ -495,6 +494,100 @@ def builtin_model(name: str, z0: float | None = None) -> ReferenceModel:
     raise ConfigurationError(f"unknown builtin model {name!r}; expected gbm, bessel0 or logdiff")
 
 
+# ===== volatility processes =====
+
+
+#: the scenario generator, by its config name, behind each kind of theta process
+GENERATORS = {"constant": "self-consistent", "step": "step-vol", "meanrev": "meanrev-vol"}
+
+
+@dataclass(frozen=True)
+class ThetaProcess:
+    """Volatility-process specification for scenario generation.
+
+    kind "constant": theta == sigma0. kind "step": deterministic
+    piecewise-constant, jumping to jump_values[i] at jump_times[i].
+    kind "meanrev": dtheta = rate (level - theta) dt + vol_of_vol dW', W'
+    correlated with the state's noise by correlation; it moves unless
+    vol_of_vol is 0 and it starts at its level or has rate 0, in which case
+    it stays at sigma0 like a constant theta.
+    """
+
+    kind: str
+    sigma0: float
+    jump_times: tuple = ()
+    jump_values: tuple = ()
+    rate: float = 0.0
+    level: float = 0.0
+    vol_of_vol: float = 0.0
+    correlation: float = 0.0
+
+    def __post_init__(self):
+        if self.kind not in GENERATORS:
+            raise ConfigurationError(f"unknown theta process kind {self.kind!r}")
+        if not (self.sigma0 > 0.0 and math.isfinite(self.sigma0)):
+            raise DomainError(f"initial vol must be positive, got {self.sigma0}")
+        if not -1.0 <= self.correlation <= 1.0:
+            raise DomainError(f"correlation must lie in [-1, 1], got {self.correlation}")
+        if self.kind == "step":
+            jt = tuple(float(t) for t in self.jump_times)
+            jv = tuple(float(v) for v in self.jump_values)
+            object.__setattr__(self, "jump_times", jt)
+            object.__setattr__(self, "jump_values", jv)
+            if len(jt) != len(jv) or not jt:
+                raise ConfigurationError("step process needs matching jump times and values")
+            if any(b <= a for a, b in zip(jt, jt[1:])) or jt[0] <= 0.0:
+                raise DomainError("jump times must be strictly increasing and positive")
+            if any(v < 0.0 for v in jv):
+                raise DomainError("stepped vol values must be nonnegative")
+        if self.kind == "meanrev":
+            if self.rate < 0.0 or self.vol_of_vol < 0.0:
+                raise DomainError("mean reversion rate and vol-of-vol must be nonnegative")
+
+    @property
+    def moves(self) -> bool:
+        """Whether theta changes between any two instants (kind meanrev)."""
+        return self.kind == "meanrev" and (
+            self.vol_of_vol > 0.0 or (self.rate > 0.0 and self.level != self.sigma0)
+        )
+
+    @property
+    def change_times(self) -> tuple:
+        """The jump times at which a step theta changes value (a jump to the
+        value it already has is none)."""
+        if self.kind != "step":
+            return ()
+        before = (self.sigma0,) + self.jump_values[:-1]
+        return tuple(t for t, a, b in zip(self.jump_times, before, self.jump_values) if a != b)
+
+    def until(self, t: float) -> "ThetaProcess":
+        """The process that agrees with this one on [0, t]: a step theta keeps
+        its jumps at times <= t (deterministic_value(t) reads a jump at t),
+        and is constant at sigma0 when none is left; any other theta is its
+        own history."""
+        if self.kind != "step":
+            return self
+        kept = sum(1 for jt in self.jump_times if jt <= t)
+        if kept == 0:
+            return ThetaProcess(kind="constant", sigma0=self.sigma0)
+        return replace(
+            self, jump_times=self.jump_times[:kept], jump_values=self.jump_values[:kept]
+        )
+
+    def deterministic_value(self, t: float) -> float:
+        """theta(t) for a theta that does not move."""
+        if self.kind == "constant" or (self.kind == "meanrev" and not self.moves):
+            return self.sigma0
+        if self.kind == "step":
+            out = self.sigma0
+            for jt, jv in zip(self.jump_times, self.jump_values):
+                if t >= jt:
+                    out = jv
+            return out
+        raise ConfigurationError("mean-reverting theta has no deterministic path")
+
+
+
 # ===== simulation =====
 
 
@@ -530,13 +623,15 @@ class PathEnsemble:
     states[p, j] is path p at time_grid[j]; absorbed paths are frozen at the
     boundary value from their absorption time onward. absorbed_at[p] is nan
     for paths that never left the open domain. steps is the number of steps
-    each path took.
+    each path took. theta[p, j] is the volatility of path p at time_grid[j]
+    when the paths were stepped under a ThetaProcess, else None.
     """
 
     time_grid: np.ndarray
     states: np.ndarray
     absorbed_at: np.ndarray
     steps: int = 0
+    theta: np.ndarray | None = None
 
     @property
     def n_paths(self) -> int:
@@ -578,14 +673,14 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _samples_exactly(model: ReferenceModel, moving: bool = False) -> bool:
+def _samples_exactly(model: ReferenceModel, moving: bool) -> bool:
     """Whether the stepping kernel spans each interval between change points
     with one exact draw: the law samples exactly and theta does not move."""
     return not moving and hasattr(model.law, "sample")
 
 
 def _step_grid(
-    model: ReferenceModel, time_grid: np.ndarray, dt: float, change_times=(), moving=False
+    model: ReferenceModel, time_grid: np.ndarray, dt: float, change_times, moving: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """The stepping kernel's grid for model: the stored times, the breakpoints
     of h and theta's change times, with substeps of at most dt in between
@@ -623,67 +718,6 @@ def stepping_route(model: ReferenceModel, dt: float, steps: int, moving: bool = 
     return {"route": "exact-law" if hasattr(model.law, "step") else "euler", "dt": dt}
 
 
-def _diffuse(model, z, fine_grid, rng, theta, out, store_idx, absorbed_at, advance=None):
-    """Step the states z along fine_grid under dZ = theta h(t) beta(Z) dW,
-    writing the states at fine_grid[store_idx[c]] to out[:, c] and the
-    absorption times to absorbed_at.
-
-    theta is a float or a function of a step's start time (advance returns
-    one value per path); it holds over each step. Without advance, a model
-    whose law samples exactly takes the law's draw over each step, however
-    long: it may draw any number of variates per state (Poisson, Gamma and,
-    for a path that reached the law's atom in the step, an exponential that
-    places tau inside it), so the stream position depends on the states.
-    Otherwise every step draws one normal per state whatever the paths'
-    history, and the step is the law's exact step driven by it where the law
-    has one, else an Euler step: a path that it takes out of the open domain
-    is set to the nearest boundary and frozen there. advance(j, xi), when
-    given, runs once the states have reached fine_grid[j], with that step's
-    normal draws xi, and returns theta for the next step (a moving theta, on
-    dt substeps).
-    """
-    sample = model.law.sample if advance is None and _samples_exactly(model) else None
-    absorb = getattr(model.law, "absorption_fraction", None)
-    exact_step = getattr(model.law, "step", None)
-    lower, upper = model.beta.lower, model.beta.upper
-    alive = (z > lower) & (z < upper)
-    absorbed_at[~alive] = fine_grid[0]
-    cols = {int(j): c for c, j in enumerate(store_idx)}
-    out[:, cols[0]] = z
-    for j in range(1, len(fine_grid)):
-        t_lo = float(fine_grid[j - 1])
-        step_dt = float(fine_grid[j]) - t_lo
-        vol = (theta(t_lo) if callable(theta) else theta) * model.h(t_lo)
-        if sample is not None:
-            v = vol * vol * step_dt
-            z_new = sample(z, v, rng)
-            if absorb is not None:
-                hit = alive & (z_new == model.law.atom)
-                if np.any(hit):
-                    absorbed_at[hit] = t_lo + absorb(z[hit], v, rng) * step_dt
-                    alive &= ~hit
-            z = z_new
-        else:
-            xi = rng.standard_normal(z.shape)
-            if exact_step is not None:
-                z = exact_step(z, vol * vol * step_dt, xi)
-            else:
-                z = np.where(alive, z + vol * math.sqrt(step_dt) * model.beta(z) * xi, z)
-                hit = alive & (z <= lower)
-                z[hit] = lower
-                if math.isfinite(upper):
-                    hit_hi = alive & (z >= upper)
-                    z[hit_hi] = upper
-                    hit |= hit_hi
-                alive &= ~hit
-                absorbed_at[hit] = fine_grid[j]
-            if advance is not None:
-                theta = advance(j, xi)
-        c = cols.get(j)
-        if c is not None:
-            out[:, c] = z
-
-
 def _map_blocks(n_rows: int, block_size: int, n_workers: int, run_block) -> None:
     """run_block(b, rows) for every block b of block_size consecutive rows
     out of n_rows, rows being its slice, on up to n_workers threads."""
@@ -698,25 +732,36 @@ def _map_blocks(n_rows: int, block_size: int, n_workers: int, run_block) -> None
         list(pool.map(lambda job: run_block(*job), jobs))
 
 
-def simulate(
+def step_paths(
     model: ReferenceModel,
-    sigma: float,
+    theta: float | ThetaProcess,
     z_start: float,
     t_start: float,
     time_grid,
     cfg: SimConfig,
 ) -> PathEnsemble:
-    """Simulate the reference diffusion from (t_start, z_start) on time_grid.
+    """The path engine: paths of dZ = theta_t h(t) beta(Z) dW from
+    (t_start, z_start), stored exactly at the times of time_grid.
 
-    States are stored exactly at the requested grid times. Where the model's
-    law samples exactly, each path takes one exact step per interval between
-    grid times and breakpoints of h, and cfg.dt is unused; otherwise it takes
-    Euler steps of at most cfg.dt that also stop at the breakpoints, and a
-    path whose step leaves the open domain is set to the nearest boundary and
-    frozen there.
+    theta is a volatility or a ThetaProcess, whose values at the stored
+    times the ensemble keeps. A theta that does not move changes only at its
+    change times, which join the stored times and the breakpoints of h as
+    the ends of the steps. There a model whose law samples exactly takes the
+    law's draw over each step, however long: it may draw any number of
+    variates per state (Poisson, Gamma and, for a path that reached the
+    law's atom in the step, an exponential that places tau inside it), so
+    the stream position depends on the states. Otherwise the steps are
+    substeps of at most cfg.dt, and every one draws one normal per state
+    whatever the paths' history: the step is the law's exact step driven by
+    it where the law has one, else Euler's, and a path that an Euler step
+    takes out of the open domain is set to the nearest boundary and frozen
+    there. A moving theta follows its process on those substeps with one
+    draw per substep from substream (b, 1), correlated with the state's
+    draw; its negative excursions feed the state step clipped at zero.
     """
-    if sigma < 0.0 or not math.isfinite(sigma):
-        raise DomainError(f"sigma must be a finite nonnegative real, got {sigma}")
+    proc = theta if isinstance(theta, ThetaProcess) else None
+    if proc is None and (theta < 0.0 or not math.isfinite(theta)):
+        raise DomainError(f"sigma must be a finite nonnegative real, got {theta}")
     grid = np.asarray(time_grid, dtype=np.float64)
     if grid.ndim != 1 or len(grid) < 1:
         raise DomainError("time_grid must be a nonempty 1-d sequence")
@@ -729,18 +774,98 @@ def simulate(
             f"z_start {z_start} outside domain closure [{model.beta.lower}, {model.beta.upper}]"
         )
 
-    fine_grid, store_idx = _step_grid(model, grid, cfg.dt)
+    moves = proc is not None and proc.moves
+    change_times = () if proc is None else proc.change_times
+    fine_grid, store_idx = _step_grid(model, grid, cfg.dt, change_times, moves)
+    cols = {int(j): c for c, j in enumerate(store_idx)}
     states = np.empty((cfg.n_paths, grid.size))
     absorbed = np.full(cfg.n_paths, np.nan)
 
+    def theta_at(t):
+        """theta over a step from t, for a theta that does not move."""
+        return theta if proc is None else proc.deterministic_value(t)
+
+    thetas = None if proc is None else np.empty((cfg.n_paths, grid.size))
+    if proc is not None and not moves:
+        thetas[:] = [theta_at(float(t)) for t in grid]
+    sample = model.law.sample if _samples_exactly(model, moves) else None
+    absorb = getattr(model.law, "absorption_fraction", None)
+    exact_step = getattr(model.law, "step", None)
+    lower, upper = model.beta.lower, model.beta.upper
+
     def run_block(b, rows):
+        rng = rng_substream(cfg.seed, b)
+        out, absorbed_at = states[rows], absorbed[rows]
         z = np.full(rows.stop - rows.start, float(z_start))
-        _diffuse(
-            model, z, fine_grid, rng_substream(cfg.seed, b), sigma,
-            states[rows], store_idx, absorbed[rows],
-        )
+        alive = (z > lower) & (z < upper)
+        absorbed_at[~alive] = fine_grid[0]
+        out[:, 0] = z
+        if moves:
+            theta_rng = rng_substream(cfg.seed, b, 1)
+            rho = proc.correlation
+            rho_c = math.sqrt(max(0.0, 1.0 - rho * rho))
+            th = np.full(z.size, proc.sigma0)
+            thetas[rows, 0] = th
+            vol_theta = proc.sigma0
+        for j in range(1, len(fine_grid)):
+            t_lo = float(fine_grid[j - 1])
+            step_dt = float(fine_grid[j]) - t_lo
+            vol = (vol_theta if moves else theta_at(t_lo)) * model.h(t_lo)
+            if sample is not None:
+                v = vol * vol * step_dt
+                z_new = sample(z, v, rng)
+                if absorb is not None:
+                    hit = alive & (z_new == model.law.atom)
+                    if np.any(hit):
+                        absorbed_at[hit] = t_lo + absorb(z[hit], v, rng) * step_dt
+                        alive &= ~hit
+                z = z_new
+            else:
+                xi = rng.standard_normal(z.shape)
+                if exact_step is not None:
+                    z = exact_step(z, vol * vol * step_dt, xi)
+                else:
+                    z = np.where(alive, z + vol * math.sqrt(step_dt) * model.beta(z) * xi, z)
+                    hit = alive & (z <= lower)
+                    z[hit] = lower
+                    if math.isfinite(upper):
+                        hit_hi = alive & (z >= upper)
+                        z[hit_hi] = upper
+                        hit |= hit_hi
+                    alive &= ~hit
+                    absorbed_at[hit] = fine_grid[j]
+                if moves:
+                    corr = rho * xi + rho_c * theta_rng.standard_normal(z.size)
+                    th = th + proc.rate * (proc.level - th) * step_dt \
+                        + proc.vol_of_vol * math.sqrt(step_dt) * corr
+                    vol_theta = np.maximum(th, 0.0)
+            c = cols.get(j)
+            if c is not None:
+                out[:, c] = z
+                if moves:
+                    thetas[rows, c] = th
 
     _map_blocks(cfg.n_paths, cfg.block_size, worker_count(), run_block)
     return PathEnsemble(
-        time_grid=grid, states=states, absorbed_at=absorbed, steps=len(fine_grid) - 1
+        time_grid=grid, states=states, absorbed_at=absorbed, steps=len(fine_grid) - 1,
+        theta=thetas,
     )
+
+
+def simulate(
+    model: ReferenceModel,
+    sigma: float,
+    z_start: float,
+    t_start: float,
+    time_grid,
+    cfg: SimConfig,
+) -> PathEnsemble:
+    """Simulate the reference diffusion at volatility sigma from
+    (t_start, z_start) on time_grid: step_paths at a constant theta.
+
+    Where the model's law samples exactly, each path takes one exact step
+    per interval between grid times and breakpoints of h, and cfg.dt is
+    unused; otherwise it takes Euler steps of at most cfg.dt that also stop
+    at the breakpoints.
+    """
+    return step_paths(model, sigma, z_start, t_start, time_grid, cfg)

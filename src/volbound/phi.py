@@ -283,25 +283,20 @@ def semigroup_check(
 ) -> MartingaleTestReport:
     """Test the eigenvalue identity for E[phi(Z_t)].
 
-    Only meaningful under a unit time weight, where the exponential tilt
-    is the semigroup's action on its eigenfunction. Without absorption
-    E[phi(Z_t)] = exp(sigma^2 t) phi(z0). A path absorbed at the law's atom
-    holds phi(atom) and stops growing, so where phi(atom) is finite and
-    nonzero, the reference is the stopped process's mean, taken from the
-    law: phi(atom) times the atom's mass plus phi against the density
-    (semigroup_route names which).
+    The law of Z_t is indexed by the variance v = sigma^2 int_0^t h^2, so
+    without absorption E[phi(Z_t)] = exp(v) phi(z0) whatever the time
+    weight. A path absorbed at the law's atom holds phi(atom) and stops
+    growing, so where phi(atom) is finite and nonzero, the reference is the
+    stopped process's mean, taken from the law at v: phi(atom) times the
+    atom's mass plus phi against the density (semigroup_route names which).
     """
-    if not model.h.is_unit:
-        raise ConfigurationError(
-            "semigroup identity requires the unit time weight; "
-            f"model {model.name!r} carries kind {model.h.kind!r}"
-        )
     if not t > 0.0:
         raise DomainError(f"test time must be positive, got {t}")
+    v = sigma * sigma * model.h.sq_integral(0.0, t)
     if semigroup_route(model)["route"] == "quadrature":
-        ref = model.law.expect(model.phi, model.z0, sigma * sigma * t)
+        ref = model.law.expect(model.phi, model.z0, v)
     else:
-        ref = math.exp(sigma * sigma * t) * float(model.phi(model.z0))
+        ref = math.exp(v) * float(model.phi(model.z0))
     ens = simulate(model, sigma, model.z0, 0.0, [0.0, t], cfg)
     sample = np.asarray(model.phi(ens.states[:, -1]), dtype=np.float64)
     return _summarize([t], [sample], [ref], ens)

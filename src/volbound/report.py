@@ -66,10 +66,7 @@ def canonical_json(report: dict) -> str:
 
 
 def render_json(report: dict) -> str:
-    body = strip_timing(report)
-    if "timing" in report:
-        body = dict(body, timing=report["timing"])
-    return json.dumps(body, sort_keys=True, indent=2) + "\n"
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 def _cell(value) -> str:

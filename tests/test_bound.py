@@ -249,7 +249,7 @@ class TestJointSimulate:
         grid = [0.0, 0.5, 1.0]
         a = joint_simulate(self_consistent_scenario(GBM, 0.3), grid, self.CFG)
         b = joint_simulate(step_vol_scenario(GBM, 0.3, 0.5, 0.0), grid, self.CFG)
-        assert np.array_equal(a.s, b.s)
+        assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.theta, b.theta)
 
     def test_interior_zero_jump_matches_to_rounding(self):
@@ -258,7 +258,7 @@ class TestJointSimulate:
         grid = [0.0, 0.5, 1.0]
         a = joint_simulate(self_consistent_scenario(GBM, 0.3), grid, self.CFG)
         c = joint_simulate(step_vol_scenario(GBM, 0.3, 0.37, 0.0), grid, self.CFG)
-        assert np.array_equal(c.s, a.s)
+        assert np.array_equal(c.states, a.states)
         assert c.steps == a.steps == 2
 
     def test_degenerate_meanrev_is_bitwise_constant_vol(self):
@@ -270,7 +270,7 @@ class TestJointSimulate:
             self.CFG,
         )
         assert np.all(d.theta == 0.3)
-        assert np.array_equal(d.s, a.s)
+        assert np.array_equal(d.states, a.states)
 
     def test_jump_applies_from_jump_time(self):
         scn = step_vol_scenario(GBM, 0.3, 0.5, 0.3)
@@ -279,8 +279,8 @@ class TestJointSimulate:
         assert np.all(ens.theta[:, 1] == 0.3)
         assert np.all(ens.theta[:, 2] == 0.6)
         base = joint_simulate(self_consistent_scenario(GBM, 0.3), [0.0, 0.25, 0.5, 1.0], self.CFG)
-        assert np.array_equal(ens.s[:, :3], base.s[:, :3])
-        assert not np.array_equal(ens.s[:, 3], base.s[:, 3])
+        assert np.array_equal(ens.states[:, :3], base.states[:, :3])
+        assert not np.array_equal(ens.states[:, 3], base.states[:, 3])
 
     def test_worker_count_never_changes_results(self, monkeypatch):
         scn = meanrev_vol_scenario(GBM, 0.3, 2.0, 0.4, 0.5, correlation=-0.5)
@@ -289,12 +289,12 @@ class TestJointSimulate:
         a = joint_simulate(scn, [0.0, 1.0], cfg)
         monkeypatch.setenv(WORKERS_ENV_VAR, "8")
         b = joint_simulate(scn, [0.0, 1.0], cfg)
-        assert np.array_equal(a.s, b.s)
+        assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.theta, b.theta)
 
     def test_state_stays_a_martingale(self):
         ens = joint_simulate(self_consistent_scenario(GBM, 0.3), [0.0, 1.0], self.CFG)
-        s1 = ens.s[:, -1]
+        s1 = ens.states[:, -1]
         se = s1.std(ddof=1) / math.sqrt(s1.size)
         assert abs(s1.mean() - 1.0) < 3.5 * se
 
@@ -322,8 +322,8 @@ class TestJointSimulate:
         cfg = SimConfig(n_paths=20000, dt=0.01, seed=31)
         up = joint_simulate(meanrev_vol_scenario(GBM, 0.3, 1.0, 0.3, 0.4, 0.8), grid, cfg)
         dn = joint_simulate(meanrev_vol_scenario(GBM, 0.3, 1.0, 0.3, 0.4, -0.8), grid, cfg)
-        c_up = np.corrcoef(np.log(up.s[:, -1]), up.theta[:, -1])[0, 1]
-        c_dn = np.corrcoef(np.log(dn.s[:, -1]), dn.theta[:, -1])[0, 1]
+        c_up = np.corrcoef(np.log(up.states[:, -1]), up.theta[:, -1])[0, 1]
+        c_dn = np.corrcoef(np.log(dn.states[:, -1]), dn.theta[:, -1])[0, 1]
         assert c_up > 0.1
         assert c_dn < -0.1
 
@@ -333,7 +333,7 @@ class TestJointSimulate:
             self_consistent_scenario(bes, 1.0), [0.0, 1.0], SimConfig(n_paths=5000, dt=0.002, seed=3)
         )
         hit = np.isfinite(ens.absorbed_at)
-        assert np.all(ens.s[hit, -1] == 0.0)
+        assert np.all(ens.states[hit, -1] == 0.0)
         frac = hit.mean()
         p = math.exp(-2.0 * 0.2 / 1.0)
         assert abs(frac - p) < 4.0 * math.sqrt(p * (1.0 - p) / 5000)
@@ -350,7 +350,7 @@ class TestJointSimulate:
         cfg = SimConfig(n_paths=3000, dt=0.01, seed=23, block_size=1024)
         ens = simulate(m, sigma, m.z0, 0.0, grid, cfg)
         joint = joint_simulate(self_consistent_scenario(m, sigma), grid, cfg)
-        assert np.array_equal(ens.states, joint.s)
+        assert np.array_equal(ens.states, joint.states)
         assert np.array_equal(ens.absorbed_at, joint.absorbed_at, equal_nan=True)
 
     @pytest.mark.parametrize("model", [GBM, BESSEL], ids=["gbm", "bessel0"])
@@ -389,7 +389,7 @@ class TestJointSimulate:
             th = th + rate * (level - th) * step + nu * math.sqrt(step) * corr
             vol = np.maximum(th, 0.0) * 1.0
         assert ens.steps == 50
-        assert np.array_equal(ens.s[:, -1], z)
+        assert np.array_equal(ens.states[:, -1], z)
         assert np.array_equal(ens.theta[:, -1], th)
 
     def test_grid_validation(self):
@@ -559,7 +559,7 @@ class TestTailTerm:
             assert np.all(_g_batch(LOGDIFF, thetas, states, 0.0, 1.0, k_m) == 0.0)
 
     @pytest.mark.parametrize("model,k_m", [(BESSEL, 0.5), (LOGDIFF, 0.3)])
-    def test_blocks_and_workers_never_change_results(self, model, k_m):
+    def test_blocks_and_workers_never_change_results(self, model, k_m, monkeypatch):
         # three or more row blocks at sigma = 1, where much of the mass sits
         # in the atom, with rows already held at the boundary and rows with
         # no variance left; eight workers with a short switch interval stress
@@ -570,12 +570,14 @@ class TestTailTerm:
         states[::101] = model.beta.lower
         thetas = np.ones(n)
         thetas[::89] = 0.0
-        one = _g_batch(model, thetas, states, 0.0, 1.0, k_m, n_workers=1)
+        monkeypatch.setenv(WORKERS_ENV_VAR, "1")
+        one = _g_batch(model, thetas, states, 0.0, 1.0, k_m)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for workers in (2, 8):
-                many = _g_batch(model, thetas, states, 0.0, 1.0, k_m, n_workers=workers)
+                monkeypatch.setenv(WORKERS_ENV_VAR, str(workers))
+                many = _g_batch(model, thetas, states, 0.0, 1.0, k_m)
                 assert many.tobytes() == one.tobytes()
         finally:
             sys.setswitchinterval(interval)
@@ -1013,7 +1015,7 @@ class TestMartingaleStructure:
         ens = joint_simulate(self_consistent_scenario(GBM, 0.25), [0.0, 0.5], cfg)
         take = np.linspace(0, 2047, 96).astype(int)
         th = ens.theta[take, -1]
-        sv = ens.s[take, -1]
+        sv = ens.states[take, -1]
         for T in (1.0, 2.0):
             l0 = l_value(0.0, T, 0.25, 1.0, KS3, GBM)
             g0 = g_value(0.0, T, 0.25, 1.0, KS3.k_max, GBM).value

@@ -198,7 +198,8 @@ class TestConfigParsing:
         ],
     )
     def test_simulation_errors_name_their_key(self, key, source, tmp_path, capsys):
-        # the bad value is named by its own dotted key, in the config's words
+        # the bad value is named by its own dotted key, in the config's words,
+        # and by its line only where the file holds it
         text = BASE.replace("  seed: 11\n", "  seed: 11\n  block_size: 16384\n")
         argv = []
         if source == "file":
@@ -212,18 +213,19 @@ class TestConfigParsing:
         assert main(["check-bound", "--config", str(cfg), *argv]) == 2
         err = capsys.readouterr().err
         line = next(i for i, ln in enumerate(text.splitlines(), 1) if ln.startswith(f"  {key}:"))
+        where = f" (line {line})" if source == "file" else ""
         message = {
             "paths": "paths must be >= 1, got 0",
             "dt": "dt must be positive, got 0.0",
             "block_size": "block_size must be >= 1, got 0",
         }[key]
-        assert err == f"volbound: config error: {message} [key: simulation.{key}] (line {line})\n"
+        assert err == f"volbound: config error: {message} [key: simulation.{key}]{where}\n"
 
     @pytest.mark.parametrize("times", ["[0.5, 0.25]", "[0.5, 0.5]"])
     @pytest.mark.parametrize("source", ["file", "set"])
     def test_martingale_times_out_of_order_name_their_key(self, times, source, tmp_path, capsys):
         # descending or repeated check times fail in the config layer, with
-        # the key and line, not later in the martingale checks
+        # the key and the file's line, not later in the martingale checks
         in_file = f"  times: {times if source == 'file' else '[0.25, 0.5]'}"
         text = BASE + f"\nmartingale:\n{in_file}\n"
         argv = ["--set", f"martingale.times={times}"] if source == "set" else []
@@ -231,16 +233,17 @@ class TestConfigParsing:
         cfg.write_text(text)
         assert main(["martingale-check", "--config", str(cfg), *argv]) == 2
         line = text.splitlines().index(in_file) + 1
+        where = f" (line {line})" if source == "file" else ""
         assert capsys.readouterr().err == (
             f"volbound: config error: check times must increase strictly, got {times} "
-            f"[key: martingale.times] (line {line})\n"
+            f"[key: martingale.times]{where}\n"
         )
 
     @pytest.mark.parametrize("sizes", ["[16, 4]", "[4, 4]"])
     @pytest.mark.parametrize("source", ["file", "set"])
     def test_densify_grid_sizes_out_of_order_name_their_key(self, sizes, source, tmp_path, capsys):
         # descending or repeated grid sizes fail in the config layer, with
-        # the key and line, before any grid is built
+        # the key and the file's line, before any grid is built
         in_file = f"  grid_sizes: {sizes if source == 'file' else '[4, 16]'}"
         text = BASE + f"\ndensify:\n{in_file}\n"
         argv = ["--set", f"densify.grid_sizes={sizes}"] if source == "set" else []
@@ -248,9 +251,25 @@ class TestConfigParsing:
         cfg.write_text(text)
         assert main(["densify", "--config", str(cfg), *argv]) == 2
         line = text.splitlines().index(in_file) + 1
+        where = f" (line {line})" if source == "file" else ""
         assert capsys.readouterr().err == (
             f"volbound: config error: grid sizes must increase strictly, got {sizes} "
-            f"[key: densify.grid_sizes] (line {line})\n"
+            f"[key: densify.grid_sizes]{where}\n"
+        )
+
+    @pytest.mark.parametrize("command, argv", [
+        ("price", ["--set", "sigma=-0.1"]),
+        ("scan", []),
+    ])
+    def test_replaced_values_cite_no_file_line(self, command, argv, tmp_path, capsys):
+        # a value from --set or from a scan axis replaces the file's
+        # "sigma: 0.2" on line 2; the error names the key, not that line
+        scan = "scan:\n  axes:\n    - key: sigma\n      values: [0.2, -0.1]\n"
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(BASE + scan)
+        assert main([command, "--config", str(cfg), *argv]) == 2
+        assert capsys.readouterr().err == (
+            "volbound: config error: volatility must be positive, got -0.1 [key: sigma]\n"
         )
 
     def test_overrides_apply_before_validation(self):

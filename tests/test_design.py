@@ -83,6 +83,24 @@ def test_one_rng_stream_constructor():
     assert sites(seeds) == {"models.rng_substream"}
 
 
+def test_one_path_engine():
+    # reference paths and joint (S, theta) paths come from one function: only
+    # it opens the path blocks' random streams, and the bound reaches none of
+    # the engine's private parts
+    def opens_stream(node):
+        return isinstance(node, ast.Call) and ast.unparse(node.func).endswith("rng_substream")
+
+    assert sites(opens_stream) == {"models.step_paths"}
+    bound = dict(parsed_sources(SRC))["bound.py"]
+    imported = {
+        alias.name
+        for node in ast.walk(bound)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert imported.isdisjoint({"_diffuse", "_step_grid", "rng_substream"})
+
+
 def test_one_sample_mean():
     # the exact shortcut for a sample without noise is taken in one place,
     # with the mean and standard error that go with it

@@ -27,13 +27,11 @@ from volbound.pricing import mc_call_price
 class TestTimeWeight:
     def test_constant(self):
         h = TimeWeight(values=(2.0,))
-        assert h.kind == "constant"
         assert h(0.0) == 2.0 and h(100.0) == 2.0
         assert h.sq_integral(0.0, 3.0) == pytest.approx(12.0)
 
     def test_piecewise(self):
         h = TimeWeight(values=(1.0, 2.0), breakpoints=(1.0,))
-        assert h.kind == "piecewise-constant"
         assert h(0.5) == 1.0
         assert h(1.0) == 2.0  # right-continuous at the breakpoint
         assert h.sq_integral(0.0, 2.0) == pytest.approx(5.0)

@@ -350,10 +350,18 @@ class TestSemigroup:
         assert r.references[0] < math.exp(1.0) * BESSEL.phi(1.0)
         assert r.verdict
 
-    def test_nonunit_weight_rejected(self):
-        m = dataclasses.replace(GBM, h=TimeWeight(values=(2.0,)))
-        with pytest.raises(ConfigurationError):
-            semigroup_check(m, 0.2, 1.0, CFG)
+    @pytest.mark.parametrize("model,sigma", [(GBM, 0.2), (BESSEL, 1.0)], ids=["gbm", "bessel0"])
+    def test_any_time_weight(self, model, sigma):
+        # the law of Z_t is indexed by v = sigma^2 int_0^t h^2, so under a
+        # piecewise h the reference is the unit weight's at that v; bessel0
+        # at sigma = 1 (v = 2.5) holds 45% of its paths absorbed at 0
+        h = TimeWeight(values=(0.5, 2.0), breakpoints=(0.4,))
+        v = sigma * sigma * h.sq_integral(0.0, 1.0)
+        r = semigroup_check(dataclasses.replace(model, h=h), sigma, 1.0,
+                            SimConfig(n_paths=20000, dt=0.01, seed=24))
+        unit = semigroup_check(model, math.sqrt(v), 1.0, CFG).references[0]
+        assert r.references[0] == pytest.approx(unit, rel=1e-14, abs=0.0)
+        assert r.verdict
 
     def test_bad_time(self):
         with pytest.raises(DomainError):
