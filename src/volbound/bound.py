@@ -21,7 +21,6 @@ Naming used throughout, with x for the state and b for a strike level:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -41,6 +40,7 @@ from .models import (
     SimConfig,
     ThetaProcess,
     TimeWeight,
+    _gauss_legendre,
     _map_blocks,
     sample_mean,
     simulate,
@@ -48,8 +48,13 @@ from .models import (
     worker_count,
     z_score,
 )
-from .pricing import PriceQuote, _bs_call_core, _bs_call_moments
-from .special_functions import norm_pdf
+from .pricing import (
+    PriceQuote,
+    _bs_call_core,
+    _bs_call_moments,
+    _lognormal_quad,
+    quad_call_price,
+)
 
 __all__ = [
     "MaturityGrid",
@@ -80,10 +85,6 @@ __all__ = [
     "meanrev_vol_scenario",
 ]
 
-
-#: reach, in standard-normal units past the bulk, of the adaptive lognormal
-#: quadrature kept as an oracle (_lognormal_quad)
-QUAD_REACH = 16.0
 
 #: in-the-money paths a repricing cell needs before its z-score is gated on
 MIN_TAIL_COUNT = 25
@@ -440,22 +441,6 @@ def g_value(
     return PriceQuote(value=mean, se=se, n_paths=ens.n_paths)
 
 
-def _lognormal_quad(f, s: float, v: float, w_lo: float) -> float:
-    """int f(x) n(w) dw with x = s exp(-v/2 + sqrt(v) w) under the lognormal
-    law, by adaptive quadrature from w_lo to QUAD_REACH past
-    max(w_lo, 2 sqrt(v)): the oracle route of g_value and of
-    decomposition_check's M term."""
-    from scipy.integrate import quad
-
-    sqv = math.sqrt(v)
-
-    def integrand(w):
-        return f(s * math.exp(-v / 2.0 + sqv * w)) * norm_pdf(w)
-
-    w_hi = max(w_lo, 2.0 * sqv) + QUAD_REACH
-    return quad(integrand, w_lo, w_hi, epsabs=1e-12, epsrel=1e-11, limit=300)[0]
-
-
 def tail_route(model: ReferenceModel) -> dict:
     """How check_bound computes the tail term G: closed form, or quadrature
     against the model's law with its node count and window."""
@@ -552,62 +537,16 @@ def _band_payoff(phi: PhiFunction, strikes: StrikeGrid, z):
     return (bands - (m - lo) * np.asarray(phi.deriv1(hi), dtype=np.float64)).sum(axis=1)
 
 
-def _band_integral(prices, phi, strikes, integrate):
-    """sum_j int_{K_j}^{K_j+1} (C(K) - C(K_j)) phi''(K) dK by a numerical rule.
-
-    integrate(f, a, b) integrates a vectorized f over [a, b]. The first
-    band is integrated in u with K = K_1 u^2, which absorbs an integrable
-    singularity of phi'' at zero strike.
-    """
-    ks = strikes.strikes
-    total = 0.0
-    for j in range(len(ks) - 1):
-        k_lo, k_hi = ks[j], ks[j + 1]
-        c_lo = float(prices(np.array([k_lo]))[0])
-        if j == 0:
-            def f(u, _k1=k_hi, _c0=c_lo):
-                # the u=0 node is an integrable endpoint: (C(K)-C(0)) is O(K)
-                # and kills any phi'' blowup, so pin it to its limit 0 and
-                # keep phi.deriv2 away from the boundary entirely
-                u = np.asarray(u, dtype=np.float64)
-                vals = np.zeros_like(u)
-                pos = u > 0.0
-                k = _k1 * u[pos] * u[pos]
-                vals[pos] = (prices(k) - _c0) * np.asarray(phi.deriv2(k)) * 2.0 * _k1 * u[pos]
-                return vals
-
-            total += integrate(f, 0.0, 1.0)
-        else:
-            def f(k, _c=c_lo):
-                k = np.asarray(k, dtype=np.float64)
-                return (prices(k) - _c) * np.asarray(phi.deriv2(k))
-
-            total += integrate(f, k_lo, k_hi)
-    return float(total)
-
-
-def _fixed_simpson(f, a, b, n_panels):
-    if b <= a:
-        return 0.0
-    xs = np.linspace(a, b, 2 * n_panels + 1)
-    ys = np.asarray(f(xs), dtype=np.float64)
-    h = (b - a) / (2 * n_panels)
-    return h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-2:2].sum())
-
-
-def _adaptive_simpson(f, a, b, rel_tol, max_panels=4096):
-    """Composite Simpson with panel doubling until the estimate settles."""
-    if b <= a:
-        return 0.0
-    n = 8
-    prev = None
-    while n <= max_panels:
-        est = _fixed_simpson(f, a, b, n)
-        if prev is not None and abs(est - prev) <= rel_tol * max(1.0, abs(est)):
-            return est
-        prev = est
-        n *= 2
-    raise DivergenceError(f"strike quadrature did not settle at {max_panels} panels")
+def _band_integral(prices, phi, strikes):
+    """sum_j int_{K_j}^{K_j+1} (C(K) - C(K_j)) phi''(K) dK by the 64-node
+    Gauss-Legendre rule on each band; prices maps a 1-d array of strikes to
+    call prices."""
+    ks = np.asarray(strikes.strikes)
+    x, w = _gauss_legendre(64)
+    half = 0.5 * np.diff(ks)
+    k = (0.5 * (ks[:-1] + ks[1:]))[:, None] + half[:, None] * x
+    gaps = prices(k.ravel()).reshape(k.shape) - prices(ks[:-1])[:, None]
+    return float(half @ ((gaps * np.asarray(phi.deriv2(k))) @ w))
 
 
 def _strike_slopes(phi: PhiFunction, ks: np.ndarray):
@@ -974,25 +913,20 @@ def decomposition_check(
     """Termwise consistency of the price-space decomposition, all routes split.
 
     Under the reference law the conditional-expectation side H (strike
-    bands off adaptive payoff quadrature, plus the tail by adaptive
-    quadrature) must reproduce L + G + (M - N), where L and G use their
+    bands of quadrature call prices by _band_integral's fixed rule, plus
+    the tail by adaptive quadrature) must reproduce L + G + (M - N), where L and G use their
     closed forms, M the transition-density quadrature and N exact
     arithmetic. Every term travels a different numerical route, so the
     defect measures real disagreement, not shared bugs.
     """
     if not _closed_form(model):
         raise ConfigurationError("the termwise check needs the closed-form model")
-    from .pricing import quad_call_price
-
     v = theta * theta * model.h.sq_integral(t, T)
 
-    def q_prices(k_arr):
-        return np.array(
-            [quad_call_price(model, theta, t, T, float(k), s).value for k in np.atleast_1d(k_arr)]
-        )
+    def q_prices(ks):
+        return np.array([quad_call_price(model, theta, t, T, k, s).value for k in ks.tolist()])
 
-    rule = functools.partial(_adaptive_simpson, rel_tol=1e-8, max_panels=1024)
-    h_strike = _band_integral(q_prices, model.phi, strikes, rule)
+    h_strike = _band_integral(q_prices, model.phi, strikes)
     h_tail = g_value(t, T, theta, s, strikes.k_max, model).value
     h_term = h_strike + h_tail
 
@@ -1000,7 +934,7 @@ def decomposition_check(
     g_term = float(_g_batch(model, np.array([theta]), np.array([s]), t, T, strikes.k_max)[0])
 
     if v > 0.0:
-        m_term = _lognormal_quad(lambda x: float(model.phi(x)), s, v, -QUAD_REACH)
+        m_term = _lognormal_quad(lambda x: float(model.phi(x)), s, v, -math.inf)
     else:
         m_term = float(model.phi(s))
     n_term = float(n_value(t, T, theta, s, model))

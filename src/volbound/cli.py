@@ -39,7 +39,7 @@ from .errors import (
     DomainError,
     SearchError,
 )
-from .models import LognormalLaw, builtin_model, stepping_route
+from .models import BUILTIN_MODELS, LognormalLaw, builtin_model, stepping_route
 from .phi import (
     martingale_check_U,
     martingale_check_V,
@@ -50,13 +50,8 @@ from .phi import (
 from .pricing import bs_call_price, implied_vol, mc_call_price, quad_call_price
 from .report import build_report, render_csv, render_json
 
-# state grids and tolerances for the eigenfunction ODE check, chosen to
-# stay inside each model's open domain
-_PHI_GRIDS = {
-    "gbm": (0.05, 10.0, 1e-10),
-    "bessel0": (0.05, 10.0, 1e-8),
-    "logdiff": (0.005, 0.995, 1e-10),
-}
+#: residual tolerance of the eigenfunction ODE check
+PHI_TOLERANCE = 1e-10
 
 #: the commands with a CSV form: the key of their rows in the results
 _TABULAR = {"scan": "rows", "densify": "steps"}
@@ -140,16 +135,19 @@ def _stepping(routes) -> dict | list:
 
 
 def _cmd_validate_phi(rc: ResolvedConfig | None, _doc):
-    names = (rc.model.name,) if rc is not None else ("gbm", "bessel0", "logdiff")
+    models = (rc.model,) if rc is not None else tuple(map(builtin_model, BUILTIN_MODELS))
     per = {}
     ok = True
-    for name in names:
-        model = rc.model if rc is not None else builtin_model(name)
-        lo, hi, tol = _PHI_GRIDS[name]
-        rep = verify_phi(model, np.linspace(lo, hi, 200), tol)
-        per[name] = {
+    for model in models:
+        # inside the open domain: [0.05, 10] if it is unbounded, else inset
+        # by 0.5% of its width
+        lower, upper = model.beta.lower, model.beta.upper
+        inset = 0.005 * (upper - lower)
+        lo, hi = (0.05, 10.0) if np.isinf(inset) else (lower + inset, upper - inset)
+        rep = verify_phi(model, np.linspace(lo, hi, 200), PHI_TOLERANCE)
+        per[model.name] = {
             "grid": [lo, hi, 200],
-            "tolerance": tol,
+            "tolerance": PHI_TOLERANCE,
             "max_abs_residual": rep.max_abs,
             "relative_scale": rep.rel_scale,
             "positive": rep.positive,
@@ -334,15 +332,24 @@ def _cmd_scan(rc: ResolvedConfig, base_doc):
             "the scan command needs a scan section (axes)", key="scan"
         )
     keys = [k for k, _ in rc.scan_axes]
-    rows = []
-    routes = []
-    reports = {}
-    verdict = True
+    # every point is resolved before any is computed, so a bad axis value
+    # fails at once, named as the user wrote it
+    points = []
     for point in itertools.product(*(vals for _, vals in rc.scan_axes)):
         doc = copy.deepcopy(base_doc)
         for key, value in zip(keys, point):
             set_path(doc, key, value)
-        rep, res, route = _bound_run(resolve(doc), reports)
+        try:
+            points.append((point, resolve(doc)))
+        except ConfigParseError as exc:
+            where = ", ".join(f"{k}={v}" for k, v in zip(keys, point))
+            raise ConfigParseError(f"scan point {where}: {exc}") from exc
+    rows = []
+    routes = []
+    reports = {}
+    verdict = True
+    for point, point_rc in points:
+        rep, res, route = _bound_run(point_rc, reports)
         max_z = None if res is None else res.max_abs_z
         routes.append(route)
         # a scenario that reprices honestly cannot break the bound, so a

@@ -35,6 +35,7 @@ __all__ = [
     "ThetaProcess",
     "SimConfig",
     "PathEnsemble",
+    "BUILTIN_MODELS",
     "builtin_model",
     "step_paths",
     "simulate",
@@ -392,34 +393,19 @@ class ReferenceModel:
 # ===== builtin models =====
 
 
-def _phi_bessel0_value(z):
-    z = np.asarray(z, dtype=np.float64)
-    out = np.ones_like(z)
-    pos = z > 0.0
-    if np.any(pos):
-        u = 2.0 * np.sqrt(2.0 * z[pos])
-        out[pos] = u * bessel_k(1, u)
-    return float(out) if out.ndim == 0 else out
+def _bessel0_term(fill, f):
+    """bessel0's phi or a derivative: fill at z <= 0, f(u, z, pos) on the
+    positive cells z[pos], with u = 2 sqrt(2 z[pos])."""
 
+    def term(z):
+        z = np.asarray(z, dtype=np.float64)
+        out = np.full_like(z, fill)
+        pos = z > 0.0
+        if np.any(pos):
+            out[pos] = f(2.0 * np.sqrt(2.0 * z[pos]), z, pos)
+        return float(out) if out.ndim == 0 else out
 
-def _phi_bessel0_deriv1(z):
-    z = np.asarray(z, dtype=np.float64)
-    out = np.full_like(z, -np.inf)
-    pos = z > 0.0
-    if np.any(pos):
-        u = 2.0 * np.sqrt(2.0 * z[pos])
-        out[pos] = -4.0 * bessel_k(0, u)
-    return float(out) if out.ndim == 0 else out
-
-
-def _phi_bessel0_deriv2(z):
-    z = np.asarray(z, dtype=np.float64)
-    out = np.full_like(z, np.inf)
-    pos = z > 0.0
-    if np.any(pos):
-        u = 2.0 * np.sqrt(2.0 * z[pos])
-        out[pos] = 4.0 * math.sqrt(2.0) * bessel_k(1, u) / np.sqrt(z[pos])
-    return float(out) if out.ndim == 0 else out
+    return term
 
 
 def _logdiff_term(f):
@@ -432,6 +418,10 @@ def _logdiff_term(f):
         return float(out) if out.ndim == 0 else out
 
     return term
+
+
+#: the builtin reference models, by name
+BUILTIN_MODELS = ("gbm", "bessel0", "logdiff")
 
 
 def builtin_model(name: str, z0: float | None = None) -> ReferenceModel:
@@ -467,7 +457,13 @@ def builtin_model(name: str, z0: float | None = None) -> ReferenceModel:
                 0.0,
                 math.inf,
             ),
-            phi=PhiFunction(_phi_bessel0_value, _phi_bessel0_deriv1, _phi_bessel0_deriv2),
+            phi=PhiFunction(
+                _bessel0_term(1.0, lambda u, z, pos: u * bessel_k(1, u)),
+                _bessel0_term(-np.inf, lambda u, z, pos: -4.0 * bessel_k(0, u)),
+                _bessel0_term(
+                    np.inf, lambda u, z, pos: 4.0 * math.sqrt(2.0) * bessel_k(1, u) / np.sqrt(z[pos])
+                ),
+            ),
             z0=1.0 if z0 is None else float(z0),
             law=SquaredBesselLaw(),
         )
@@ -491,7 +487,7 @@ def builtin_model(name: str, z0: float | None = None) -> ReferenceModel:
             z0=0.5 if z0 is None else float(z0),
             law=LogBesselLaw(),
         )
-    raise ConfigurationError(f"unknown builtin model {name!r}; expected gbm, bessel0 or logdiff")
+    raise ConfigurationError(f"unknown builtin model {name!r}; expected one of {BUILTIN_MODELS}")
 
 
 # ===== volatility processes =====

@@ -28,9 +28,9 @@ __all__ = [
     "implied_vol",
 ]
 
-#: default integration half-width, in standard-normal units, for the
-#: quadrature pricer; the integrand is below 1e-40 beyond it
-DEFAULT_WINDOW = 14.0
+#: reach, in standard-normal units past the bulk, of the adaptive lognormal
+#: quadrature kept as an oracle (_lognormal_quad)
+QUAD_REACH = 16.0
 
 
 @dataclass(frozen=True)
@@ -184,6 +184,24 @@ def mc_call_price(
     return PriceQuote(value=value, se=se, n_paths=ens.n_paths, steps=ens.steps)
 
 
+def _lognormal_quad(f, s: float, v: float, w_lo: float) -> float:
+    """int f(x) n(w) dw with x = s exp(-v/2 + sqrt(v) w) under the lognormal
+    law, by adaptive quadrature from max(w_lo, -QUAD_REACH) (n is below 1e-55
+    there, and a start far below the bulk lets the first nodes miss it) to
+    QUAD_REACH past max(w_lo, 2 sqrt(v)): the package's one adaptive integral,
+    the oracle route of quad_call_price, g_value and decomposition_check."""
+    from scipy.integrate import quad
+
+    sqv = math.sqrt(v)
+
+    def integrand(w):
+        return f(s * math.exp(-v / 2.0 + sqv * w)) * norm_pdf(w)
+
+    w_lo = max(w_lo, -QUAD_REACH)
+    w_hi = max(w_lo, 2.0 * sqv) + QUAD_REACH
+    return quad(integrand, w_lo, w_hi, epsabs=1e-13, epsrel=1e-12, limit=300)[0]
+
+
 def quad_call_price(
     model: ReferenceModel,
     sigma: float,
@@ -191,14 +209,12 @@ def quad_call_price(
     T: float,
     strike: float,
     z: float,
-    window: float = DEFAULT_WINDOW,
 ) -> PriceQuote:
     """Deterministic quadrature of the payoff against the transition density.
 
     Only models with a lognormal law are supported (gbm), where log Z_T is
-    normal with variance sigma^2 * int h^2. The integral runs over a finite
-    window in standard-normal units so that a self-check can widen it and
-    confirm the truncation is immaterial.
+    normal with variance sigma^2 * int h^2; _lognormal_quad integrates the
+    payoff from the strike.
     """
     if not isinstance(model.law, LognormalLaw):
         raise ConfigurationError(
@@ -206,28 +222,12 @@ def quad_call_price(
             f"model {model.name!r} has none"
         )
     _validate_quote_args(t, T, strike, sigma, z)
-    if window <= 0.0:
-        raise DomainError(f"integration window must be positive, got {window}")
-    from scipy.integrate import quad
-
     v = sigma * sigma * model.h.sq_integral(t, T)
     if v == 0.0 or z == 0.0:
         return PriceQuote(value=max(z - strike, 0.0), se=0.0, n_paths=0)
-    s = math.sqrt(v)
-    w_hi = s + window
-    if strike == 0.0:
-        w_lo = -window
-    else:
-        w_lo = (math.log(strike / z) + v / 2.0) / s
-        if w_lo >= w_hi:
-            return PriceQuote(value=0.0, se=0.0, n_paths=0)
-
-    def integrand(w):
-        x = z * math.exp(-v / 2.0 + s * w)
-        return max(x - strike, 0.0) * norm_pdf(w)
-
-    value, _ = quad(integrand, w_lo, w_hi, epsabs=1e-13, epsrel=1e-12, limit=200)
-    return PriceQuote(value=max(value, 0.0), se=0.0, n_paths=0)
+    w_lo = -QUAD_REACH if strike == 0.0 else (math.log(strike / z) + v / 2.0) / math.sqrt(v)
+    value = max(_lognormal_quad(lambda x: max(x - strike, 0.0), z, v, w_lo), 0.0)
+    return PriceQuote(value=value, se=0.0, n_paths=0)
 
 
 def implied_vol(

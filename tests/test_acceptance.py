@@ -62,7 +62,7 @@ def test_eigenfunction_ode_residuals():
     cases = [
         (GBM, np.linspace(0.05, 10.0, 200), 1e-10),
         (LOGDIFF, np.linspace(0.005, 0.995, 200), 1e-10),
-        (BESSEL, np.linspace(0.05, 10.0, 200), 1e-8),
+        (BESSEL, np.linspace(0.05, 10.0, 200), 1e-10),
     ]
     worst = []
     ok = True
@@ -110,7 +110,7 @@ def test_monte_carlo_and_quadrature_pricing():
         worst_z = max(worst_z, abs(q.value - ref) / q.se)
         qq = quad_call_price(GBM, 0.2, 0.0, T, K, 1.0)
         worst_quad = max(worst_quad, abs(qq.value - ref))
-    ok = worst_z <= 3.0 and worst_quad <= 1e-9
+    ok = worst_z <= 3.0 and worst_quad <= 1e-12
     assert _verdict(
         "Monte-Carlo and quadrature pricing vs closed form",
         ok,
@@ -248,7 +248,7 @@ def test_price_space_decomposition():
         out = decomposition_check(GBM, 0.3, 1.0, t, 1.0, KS)
         worst = max(worst, abs(out["defect"]))
     assert _verdict(
-        "price-space decomposition identity", worst <= 1e-6, f"worst defect {worst:.1e}"
+        "price-space decomposition identity", worst <= 1e-12, f"worst defect {worst:.1e}"
     )
 
 

@@ -6,7 +6,6 @@ simulation-facing checks use fixed seeds and 3.5-sigma gates.
 """
 
 import dataclasses
-import functools
 import math
 import re
 import sys
@@ -28,7 +27,6 @@ from volbound.bound import (
     StrikeGrid,
     ThetaProcess,
     WeightVector,
-    _adaptive_simpson,
     _band_integral,
     _band_payoff,
     _g_batch,
@@ -635,19 +633,18 @@ class TestStrikeBand:
         assert -band - 1e-9 <= got <= 1e-9
 
     @pytest.mark.parametrize("t", [0.0, 0.25, 0.5])
-    def test_closed_form_matches_adaptive_simpson(self, t):
+    def test_closed_form_matches_band_rule(self, t):
         # the acceptance suite's decomposition cases, through the strike-band
         # rule decomposition_check uses for H, on closed-form prices
         theta, s, T = 0.3, 1.0, 1.0
         v = theta * theta * (T - t)
-        rule = functools.partial(_adaptive_simpson, rel_tol=1e-8, max_panels=1024)
 
         def prices(k):
-            return _bs_call_core(s, np.asarray(k, dtype=np.float64), v)
+            return _bs_call_core(s, k, v)
 
-        want = _band_integral(prices, GBM.phi, KS5, rule)
+        want = _band_integral(prices, GBM.phi, KS5)
         got = l_value(t, T, theta, s, KS5, GBM)
-        assert got == pytest.approx(want, abs=1e-8)
+        assert got == pytest.approx(want, rel=0.0, abs=1e-13)
 
     def test_vectorized_matches_scalar(self):
         thetas = np.array([0.0, 0.2, 0.35, 1.0])
@@ -1184,7 +1181,7 @@ class TestDecomposition:
     def test_routes_agree(self, theta, s, t, T):
         ks = StrikeGrid(strikes=(0.0, 0.8, 1.6, 2.4))
         out = decomposition_check(GBM, theta, s, t, T, ks)
-        assert abs(out["defect"]) < 1e-6
+        assert abs(out["defect"]) <= 1e-12
         assert out["m"] == pytest.approx(out["n"], rel=1e-9)
         assert out["l"] <= 1e-9
 

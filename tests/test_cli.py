@@ -263,13 +263,15 @@ class TestConfigParsing:
     ])
     def test_replaced_values_cite_no_file_line(self, command, argv, tmp_path, capsys):
         # a value from --set or from a scan axis replaces the file's
-        # "sigma: 0.2" on line 2; the error names the key, not that line
+        # "sigma: 0.2" on line 2; the error names the key, not that line, and
+        # scan names the point it came from
+        point = "scan point sigma=-0.1: " if command == "scan" else ""
         scan = "scan:\n  axes:\n    - key: sigma\n      values: [0.2, -0.1]\n"
         cfg = tmp_path / "bad.yaml"
         cfg.write_text(BASE + scan)
         assert main([command, "--config", str(cfg), *argv]) == 2
         assert capsys.readouterr().err == (
-            "volbound: config error: volatility must be positive, got -0.1 [key: sigma]\n"
+            f"volbound: config error: {point}volatility must be positive, got -0.1 [key: sigma]\n"
         )
 
     def test_overrides_apply_before_validation(self):
@@ -696,6 +698,15 @@ class TestCliCommands:
         first = lines[1].split(",")
         assert first[0] == "0.0"
         assert first[4] == "true"
+
+    def test_scan_rejects_a_bad_axis_value_before_computing(self, tmp_path, capsys, bound_calls):
+        # the third point's jump takes theta below zero: no point runs, and the
+        # error names the axis value as written, not the key it resolves to
+        cfg = tmp_path / "scan.yaml"
+        cfg.write_text(SCAN.replace("[0.0, 0.1, 0.3]", "[0.0, 0.1, -0.5]"))
+        assert main(["scan", "--config", str(cfg)]) == 2
+        assert bound_calls == []
+        assert "theta.jump_size=-0.5" in capsys.readouterr().err
 
     def test_densify_canonical_schedule(self, base_path, capsys):
         code = main(

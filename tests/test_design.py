@@ -122,14 +122,28 @@ def test_one_standard_error_rule():
 
 
 def test_adaptive_quadrature_only_in_the_oracles():
-    # scipy's adaptive quad is an oracle route: one lognormal integral for the
-    # bound's terms and the quadrature call price
+    # scipy's adaptive quad is an oracle route: one lognormal integral serves
+    # the quadrature call price and the bound's terms
     def uses_quad(node):
         if isinstance(node, ast.ImportFrom):
             return node.module == "scipy.integrate" and any(a.name == "quad" for a in node.names)
         return isinstance(node, ast.Attribute) and node.attr == "quad"
 
-    assert sites(uses_quad) == {"bound._lognormal_quad", "pricing.quad_call_price"}
+    assert sites(uses_quad) == {"pricing._lognormal_quad"}
+
+
+def test_builtin_names_spelled_only_in_models():
+    # the builtin models are named in one place; everything else derives
+    # what it needs (grids, defaults) from the model or takes the names
+    # from models.BUILTIN_MODELS
+    spelled = {
+        f"{name}:{node.lineno}"
+        for name, tree in parsed_sources(SRC)
+        if name != "models.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in ("gbm", "bessel0", "logdiff")
+    }
+    assert spelled == set()
 
 
 def test_no_numeric_eigenfunction_construction():

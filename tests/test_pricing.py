@@ -159,20 +159,19 @@ class TestFusedMoments:
 
 class TestQuadrature:
     def test_matches_closed_form_on_grid(self):
-        for k in (0.2, 0.6, 1.0, 1.4, 2.0):
-            for T in (0.25, 1.0, 4.0):
-                want = bs_call_price(0.0, T, k, 0.3, 1.0).value
-                got = quad_call_price(GBM, 0.3, 0.0, T, k, 1.0).value
-                assert got == pytest.approx(want, abs=1e-9)
+        # the integral's reach is immaterial out to sigma = 1 and K = 5; at
+        # sigma = 1e-3 a strike of 0.01 sits 9000 sd below the bulk, which
+        # the quadrature must not start from
+        for sigma in (1e-3, 0.1, 0.3, 1.0):
+            for k in (0.01, 0.2, 0.6, 1.0, 1.4, 2.0, 5.0):
+                for T in (0.25, 1.0, 4.0):
+                    want = bs_call_price(0.0, T, k, sigma, 1.0).value
+                    got = quad_call_price(GBM, sigma, 0.0, T, k, 1.0).value
+                    assert got == pytest.approx(want, rel=0.0, abs=1e-12)
 
     def test_zero_strike(self):
         got = quad_call_price(GBM, 0.4, 0.0, 2.0, 0.0, 1.7).value
         assert got == pytest.approx(1.7, abs=1e-12)
-
-    def test_window_doubling_immaterial(self):
-        a = quad_call_price(GBM, 0.3, 0.0, 1.0, 1.0, 1.0, window=14.0).value
-        b = quad_call_price(GBM, 0.3, 0.0, 1.0, 1.0, 1.0, window=28.0).value
-        assert abs(a - b) < 1e-12
 
     def test_rejects_models_without_density(self):
         with pytest.raises(ConfigurationError):
