@@ -537,15 +537,19 @@ def _band_payoff(phi: PhiFunction, strikes: StrikeGrid, z):
     return (bands - (m - lo) * np.asarray(phi.deriv1(hi), dtype=np.float64)).sum(axis=1)
 
 
-def _band_integral(prices, phi, strikes):
+def _band_integral(prices, phi, strikes, splits=()):
     """sum_j int_{K_j}^{K_j+1} (C(K) - C(K_j)) phi''(K) dK by the 64-node
-    Gauss-Legendre rule on each band; prices maps a 1-d array of strikes to
-    call prices."""
+    Gauss-Legendre rule on each band, split further at the points of splits
+    that fall inside it; prices maps a 1-d array of strikes to call
+    prices."""
     ks = np.asarray(strikes.strikes)
+    edges = np.union1d(ks, [b for b in splits if ks[0] < b < ks[-1]])
+    # the band each sub-interval lies in, whose left edge its gaps start from
+    band = np.searchsorted(ks, edges[:-1], side="right") - 1
     x, w = _gauss_legendre(64)
-    half = 0.5 * np.diff(ks)
-    k = (0.5 * (ks[:-1] + ks[1:]))[:, None] + half[:, None] * x
-    gaps = prices(k.ravel()).reshape(k.shape) - prices(ks[:-1])[:, None]
+    half = 0.5 * np.diff(edges)
+    k = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half[:, None] * x
+    gaps = prices(k.ravel()).reshape(k.shape) - prices(ks[:-1])[band][:, None]
     return float(half @ ((gaps * np.asarray(phi.deriv2(k))) @ w))
 
 
@@ -767,20 +771,31 @@ class ResidualTable:
 
 
 def pricing_residuals(
-    scn: Scenario,
+    scenarios,
     mats: MaturityGrid,
     strikes: StrikeGrid,
     t: float,
     cfg: SimConfig,
-) -> ResidualTable:
-    """Mean payoff minus mean model price, per maturity and strike.
+) -> tuple:
+    """Mean payoff minus mean model price, per maturity and strike: one
+    ResidualTable per scenario of a group that shares its model and its theta
+    history up to t.
 
     Tests the unconditional consequence of the repricing identity: the
     pathwise difference (S_T - K)^+ - C(T, t, K, theta_t, S_t) has mean 0
     when the scenario reprices like the reference. Differences share
     paths, so the standard error is that of the paired sample.
+
+    Each scenario's paths are its own joint_simulate run, as if it were
+    alone, of which only the maturity columns are kept. The prices read the
+    paths at t only, so each (T_i, K) cell is priced once for the whole
+    group; that needs S_t and theta_t of every member to equal the first
+    member's bit for bit, which is checked.
     """
-    model = scn.reference
+    scenarios = tuple(scenarios)
+    if not scenarios:
+        raise DomainError("need at least one scenario to reprice")
+    model = scenarios[0].reference
     if not isinstance(model.law, LognormalLaw):
         raise ConfigurationError(
             "pathwise repricing needs the closed-form price map; "
@@ -790,35 +805,64 @@ def pricing_residuals(
     if not 0.0 <= t <= times[0]:
         raise DomainError(f"evaluation time {t} must lie in [0, {times[0]}]")
     grid = sorted({0.0, t, *times})
-    joint = joint_simulate(scn, grid, cfg)
-    idx = {tt: i for i, tt in enumerate(grid)}
-    theta_t = joint.theta[:, idx[t]]
-    s_t = joint.states[:, idx[t]]
-    n = s_t.size
+    at_t = grid.index(t)
+    n = cfg.n_paths
+    # ends[g, i] holds member g's paths at maturity i, all a group keeps
+    ends = np.empty((len(scenarios), mats.q, n))
+    steps = []
+    for g, scn in enumerate(scenarios):
+        joint = joint_simulate(scn, grid, cfg)
+        if g == 0:
+            s_t, theta_t = joint.states[:, at_t].copy(), joint.theta[:, at_t]
+            if theta_t.strides[0]:
+                # a moving theta's column, copied so its path matrix can go;
+                # one that does not move is a broadcast row and costs nothing
+                theta_t = theta_t.copy()
+        elif not (
+            np.array_equal(joint.states[:, at_t], s_t)
+            and np.array_equal(joint.theta[:, at_t], theta_t)
+        ):
+            raise DomainError(
+                f"scenario {g} of the group ({scn.theta_process}) does not share scenario 0's "
+                f"(S_t, theta_t) at t={t}: its history differs at or before t"
+            )
+        for i, t_i in enumerate(times):
+            ends[g, i] = joint.states[:, grid.index(t_i)]
+        steps.append(joint.steps)
+        # freed before the next member is simulated
+        del joint
+
     ks = strikes.strikes
-    res = np.empty((mats.q, len(ks)))
-    ses = np.empty_like(res)
-    zs = np.empty_like(res)
-    counts = np.empty(res.shape, dtype=np.int64)
+    shape = (len(scenarios), mats.q, len(ks))
+    res, ses, zs = np.empty(shape), np.empty(shape), np.empty(shape)
+    counts = np.empty(shape, dtype=np.int64)
+    payoff, diff = np.empty(n), np.empty(n)
     for i, t_i in enumerate(times):
-        s_ti = joint.states[:, idx[t_i]]
         v = theta_t * theta_t * model.h.sq_integral(t, t_i)
         for j, k in enumerate(ks):
-            payoff = np.maximum(s_ti - k, 0.0)
-            mean, se = sample_mean(payoff - _bs_call_core(s_t, k, v))
-            res[i, j], ses[i, j], zs[i, j] = mean, se, z_score(mean, se)
-            counts[i, j] = int(np.count_nonzero(payoff > 0.0))
-    return ResidualTable(
-        maturities=times,
-        strikes=ks,
-        residuals=res,
-        ses=ses,
-        z_scores=zs,
-        tail_counts=counts,
-        calibrated=counts >= MIN_TAIL_COUNT,
-        min_tail_count=MIN_TAIL_COUNT,
-        n_paths=n,
-        steps=joint.steps,
+            price = _bs_call_core(s_t, k, v)
+            for g in range(len(scenarios)):
+                np.subtract(ends[g, i], k, out=payoff)
+                np.maximum(payoff, 0.0, out=payoff)
+                mean, se = sample_mean(np.subtract(payoff, price, out=diff))
+                res[g, i, j], ses[g, i, j], zs[g, i, j] = mean, se, z_score(mean, se)
+                counts[g, i, j] = np.count_nonzero(payoff > 0.0)
+            # freed before the next cell is priced
+            del price
+    return tuple(
+        ResidualTable(
+            maturities=times,
+            strikes=ks,
+            residuals=res[g],
+            ses=ses[g],
+            z_scores=zs[g],
+            tail_counts=counts[g],
+            calibrated=counts[g] >= MIN_TAIL_COUNT,
+            min_tail_count=MIN_TAIL_COUNT,
+            n_paths=n,
+            steps=steps[g],
+        )
+        for g in range(len(scenarios))
     )
 
 
@@ -913,8 +957,9 @@ def decomposition_check(
     """Termwise consistency of the price-space decomposition, all routes split.
 
     Under the reference law the conditional-expectation side H (strike
-    bands of quadrature call prices by _band_integral's fixed rule, plus
-    the tail by adaptive quadrature) must reproduce L + G + (M - N), where L and G use their
+    bands of quadrature call prices by _band_integral's fixed rule, split at
+    the spot and 10 standard deviations either side, plus the tail by
+    adaptive quadrature) must reproduce L + G + (M - N), where L and G use their
     closed forms, M the transition-density quadrature and N exact
     arithmetic. Every term travels a different numerical route, so the
     defect measures real disagreement, not shared bugs.
@@ -926,7 +971,10 @@ def decomposition_check(
     def q_prices(ks):
         return np.array([quad_call_price(model, theta, t, T, k, s).value for k in ks.tolist()])
 
-    h_strike = _band_integral(q_prices, model.phi, strikes)
+    # C(K) bends sharply only within ~sqrt(v) s of the spot (a kink at s once
+    # v = 0), which no fixed rule over a whole band resolves: split there
+    reach = math.exp(10.0 * math.sqrt(v))
+    h_strike = _band_integral(q_prices, model.phi, strikes, (s / reach, s, s * reach))
     h_tail = g_value(t, T, theta, s, strikes.k_max, model).value
     h_term = h_strike + h_tail
 

@@ -22,6 +22,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .bound import (
@@ -38,8 +39,9 @@ from .errors import (
     DivergenceError,
     DomainError,
     SearchError,
+    VolboundError,
 )
-from .models import BUILTIN_MODELS, LognormalLaw, builtin_model, stepping_route
+from .models import BUILTIN_MODELS, LognormalLaw, builtin_model, stepping_route, worker_count
 from .phi import (
     martingale_check_U,
     martingale_check_V,
@@ -250,40 +252,41 @@ def _residual_payload(res) -> dict:
 
 
 def _history_key(rc: ResolvedConfig) -> tuple:
-    """Everything check_bound reads of a resolved config. The market enters
-    only up to the evaluation time, so theta enters as its history there;
-    a builtin model is fixed by its name and start."""
+    """Everything check_bound reads of a resolved config, and everything
+    pricing_residuals prices from. The market enters only up to the
+    evaluation time, so theta enters as its history there; a builtin model
+    is fixed by its name and start."""
     return (
         rc.scenario.theta_process.until(rc.eval_time), rc.model.name, rc.model.z0,
         rc.mats, rc.strikes, rc.weights, rc.eval_time, rc.sim,
     )
 
 
-def _bound_run(rc: ResolvedConfig, reports=None):
-    """(check_bound's report, the repricing residuals where the law prices
-    in closed form, else None, and the stepping route of both).
-
-    reports, when given, holds check_bound's reports by _history_key: a
-    config whose key is there reuses that report, which is the one it would
-    compute. Its steps still count toward this run's route.
-    """
-    reports = {} if reports is None else reports
-    key = _history_key(rc)
-    if key not in reports:
-        reports[key] = check_bound(
-            rc.scenario, rc.mats, rc.strikes, rc.weights, rc.eval_time, rc.sim
-        )
-    rep = reports[key]
-    res = None
-    steps = rep.steps
+def _bound_run(rcs):
+    """(check_bound's report, each config's repricing residuals, each
+    config's stepping route) for resolved configs that share one
+    _history_key, which makes the report theirs alike. The residuals are
+    None where the law has no closed-form price; the report's steps count
+    toward every route."""
+    rc = rcs[0]
+    rep = check_bound(rc.scenario, rc.mats, rc.strikes, rc.weights, rc.eval_time, rc.sim)
+    tables = (None,) * len(rcs)
     if isinstance(rc.model.law, LognormalLaw):
-        res = pricing_residuals(rc.scenario, rc.mats, rc.strikes, rc.eval_time, rc.sim)
-        steps += res.steps
-    return rep, res, stepping_route(rc.model, rc.sim.dt, steps, rc.scenario.theta_process.moves)
+        tables = pricing_residuals(
+            [p.scenario for p in rcs], rc.mats, rc.strikes, rc.eval_time, rc.sim
+        )
+    routes = [
+        stepping_route(
+            p.model, p.sim.dt, rep.steps + (0 if res is None else res.steps),
+            p.scenario.theta_process.moves,
+        )
+        for p, res in zip(rcs, tables)
+    ]
+    return rep, tables, routes
 
 
 def _cmd_check_bound(rc: ResolvedConfig, _doc):
-    rep, res, route = _bound_run(rc)
+    rep, (res,), (route,) = _bound_run([rc])
     results = {"bound": _bound_payload(rc, rep)}
     if res is not None:
         results["repricing"] = _residual_payload(res)
@@ -344,25 +347,35 @@ def _cmd_scan(rc: ResolvedConfig, base_doc):
         except ConfigParseError as exc:
             where = ", ".join(f"{k}={v}" for k, v in zip(keys, point))
             raise ConfigParseError(f"scan point {where}: {exc}") from exc
-    rows = []
-    routes = []
-    reports = {}
-    verdict = True
-    for point, point_rc in points:
-        rep, res, route = _bound_run(point_rc, reports)
-        max_z = None if res is None else res.max_abs_z
-        routes.append(route)
-        # a scenario that reprices honestly cannot break the bound, so a
-        # violated bound alongside quiet residuals marks an internal error
-        conjunction_ok = max_z is None or rep.satisfied or max_z > 3.0
-        feasible = rep.satisfied and (max_z is None or max_z <= 3.0)
-        rows.append({
-            **dict(zip(keys, point)),
-            "lhs": rep.lhs, "lhs_se": rep.lhs_se, "rhs": rep.rhs, "satisfied": rep.satisfied,
-            "gap_term_mean": rep.nq_mean, "tail_correction_mean": rep.g_corr_mean,
-            "max_resid_z": max_z, "feasible": feasible, "conjunction_ok": conjunction_ok,
-        })
-        verdict = verdict and conjunction_ok
+    # points that share a history share its bound and its repricing run:
+    # one computation per group, in order of first appearance
+    groups = {}
+    for i, (_, point_rc) in enumerate(points):
+        groups.setdefault(_history_key(point_rc), []).append(i)
+    rows = [None] * len(points)
+    routes = [None] * len(points)
+    for members in groups.values():
+        try:
+            rep, tables, group_routes = _bound_run([points[i][1] for i in members])
+        except VolboundError as exc:
+            where = "; ".join(
+                ", ".join(f"{k}={v}" for k, v in zip(keys, points[i][0])) for i in members
+            )
+            raise type(exc)(f"scan point {where}: {exc}") from exc
+        for i, res, route in zip(members, tables, group_routes):
+            max_z = None if res is None else res.max_abs_z
+            routes[i] = route
+            # a scenario that reprices honestly cannot break the bound, so a
+            # violated bound alongside quiet residuals marks an internal error
+            conjunction_ok = max_z is None or rep.satisfied or max_z > 3.0
+            feasible = rep.satisfied and (max_z is None or max_z <= 3.0)
+            rows[i] = {
+                **dict(zip(keys, points[i][0])),
+                "lhs": rep.lhs, "lhs_se": rep.lhs_se, "rhs": rep.rhs, "satisfied": rep.satisfied,
+                "gap_term_mean": rep.nq_mean, "tail_correction_mean": rep.g_corr_mean,
+                "max_resid_z": max_z, "feasible": feasible, "conjunction_ok": conjunction_ok,
+            }
+    verdict = all(row["conjunction_ok"] for row in rows)
     results = {
         "axes": [{"key": k, "values": list(v)} for k, v in rc.scan_axes],
         "rows": rows,
@@ -411,13 +424,22 @@ def _run(args) -> int:
     elif args.command != "validate-phi":
         raise ConfigParseError(f"--config is required for {args.command}")
 
+    workers = worker_count()
     started = time.perf_counter()
     results, verdict = _COMMANDS[args.command][1](rc, base_doc)
     elapsed = time.perf_counter() - started
 
     config_doc = rc.document if rc is not None else {}
     report = build_report(args.command, config_doc, results, verdict)
-    report["timing"] = {"wall_seconds": elapsed}
+    # how this run was made, outside the canonical body: no reported number
+    # depends on it
+    report["timing"] = {
+        "wall_seconds": elapsed,
+        "workers": workers,
+        "python": ".".join(map(str, sys.version_info[:3])),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+    }
 
     if args.format == "csv":
         rows = results[_TABULAR[args.command]]

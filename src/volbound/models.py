@@ -620,7 +620,8 @@ class PathEnsemble:
     boundary value from their absorption time onward. absorbed_at[p] is nan
     for paths that never left the open domain. steps is the number of steps
     each path took. theta[p, j] is the volatility of path p at time_grid[j]
-    when the paths were stepped under a ThetaProcess, else None.
+    when the paths were stepped under a ThetaProcess, else None; for a theta
+    that does not move it is one row broadcast over the paths, read-only.
     """
 
     time_grid: np.ndarray
@@ -781,9 +782,12 @@ def step_paths(
         """theta over a step from t, for a theta that does not move."""
         return theta if proc is None else proc.deterministic_value(t)
 
-    thetas = None if proc is None else np.empty((cfg.n_paths, grid.size))
-    if proc is not None and not moves:
-        thetas[:] = [theta_at(float(t)) for t in grid]
+    # a theta that does not move is one row, read-only, shared by every path
+    thetas = None
+    if moves:
+        thetas = np.empty((cfg.n_paths, grid.size))
+    elif proc is not None:
+        thetas = np.broadcast_to(np.array([theta_at(float(t)) for t in grid]), states.shape)
     sample = model.law.sample if _samples_exactly(model, moves) else None
     absorb = getattr(model.law, "absorption_fraction", None)
     exact_step = getattr(model.law, "step", None)

@@ -86,16 +86,45 @@ def _lognormal_cells(z, strike, variance):
     return scalar, z, strike, variance, cells
 
 
-def _live_calls(z, strike, variance):
-    """(C, sqrt v, d1, N(d1), N(d1 - sqrt v)) on live cells: the lognormal
-    call value clamped to the no-arbitrage range [max(z - K, 0), z], which
-    the formula's rounding can leave by an ulp, and the pieces it was built
-    from."""
+def _d1(z, strike, variance):
+    """(sqrt v, d1) on live cells, d1 = (log(z / K) + v / 2) / sqrt v built
+    in place."""
     s = np.sqrt(variance)
-    d1 = (np.log(z / strike) + variance / 2.0) / s
-    n1, n2 = norm_cdf(d1), norm_cdf(d1 - s)
-    vals = z * n1 - strike * n2
-    return np.minimum(np.maximum(vals, np.maximum(z - strike, 0.0)), z), s, d1, n1, n2
+    d1 = np.divide(z, strike)
+    np.log(d1, out=d1)
+    d1 += variance / 2.0
+    d1 /= s
+    return s, d1
+
+
+def _clamp_call(vals, z, strike):
+    """vals, lognormal call values on live cells, clamped in place to the
+    no-arbitrage range [max(z - K, 0), z], which the formula's rounding can
+    leave by an ulp."""
+    floor = np.subtract(z, strike)
+    np.maximum(floor, 0.0, out=floor)
+    np.maximum(vals, floor, out=vals)
+    return np.minimum(vals, z, out=vals)
+
+
+def _live_calls(z, strike, variance):
+    """The lognormal call z N(d1) - K N(d1 - sqrt v) on live cells, clamped.
+
+    Built in place, freeing each piece once used, so that at most three
+    arrays of the cells' shape are alive at once: the repricing table
+    prices every path of an ensemble in one call.
+    """
+    s, d1 = _d1(z, strike, variance)
+    n1 = norm_cdf(d1)
+    d1 -= s
+    del s
+    n2 = norm_cdf(d1)
+    del d1
+    n1 *= z
+    n2 *= strike
+    n1 -= n2
+    del n2
+    return _clamp_call(n1, z, strike)
 
 
 def _bs_call_core(z, strike, variance):
@@ -107,9 +136,12 @@ def _bs_call_core(z, strike, variance):
     the no-arbitrage range [max(z - K, 0), z].
     """
     scalar, z, strike, variance, cells = _lognormal_cells(z, strike, variance)
-    out = np.maximum(z - strike, 0.0)
-    if cells is not None:
-        out[cells] = _live_calls(z[cells], strike[cells], variance[cells])[0]
+    if isinstance(cells, slice):
+        out = _live_calls(z, strike, variance)
+    else:
+        out = np.maximum(z - strike, 0.0)
+        if cells is not None:
+            out[cells] = _live_calls(z[cells], strike[cells], variance[cells])
     return float(out[0]) if scalar else out
 
 
@@ -132,7 +164,9 @@ def _bs_call_moments(z, strike, variance):
     second[top] = np.square(z[top]) * np.exp(variance[top])
     if cells is not None:
         z_l, k_l, v_l = z[cells], strike[cells], variance[cells]
-        call[cells], s, d1, n1, n2 = _live_calls(z_l, k_l, v_l)
+        s, d1 = _d1(z_l, k_l, v_l)
+        n1, n2 = norm_cdf(d1), norm_cdf(d1 - s)
+        call[cells] = _clamp_call(z_l * n1 - k_l * n2, z_l, k_l)
         z2 = np.square(z_l) * np.exp(v_l)
         vals = z2 * norm_cdf(d1 + s) - 2.0 * k_l * z_l * n1
         vals = vals + k_l * k_l * n2

@@ -319,7 +319,7 @@ def test_no_impossible_conjunction():
     for size in (0.0, 0.1, 0.3, 0.5):
         scn = step_vol_scenario(GBM, 0.2, 0.75, size)
         rep = check_bound(scn, MATS, KS, W1, 0.5, cfg)
-        tbl = pricing_residuals(scn, MATS, KS, 0.5, cfg)
+        (tbl,) = pricing_residuals([scn], MATS, KS, 0.5, cfg)
         hard_violation = rep.lhs > rep.rhs + 3.0 * rep.lhs_se
         looks_honest = tbl.max_abs_z <= 3.0
         ok = ok and not (hard_violation and looks_honest)

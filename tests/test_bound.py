@@ -9,6 +9,7 @@ import dataclasses
 import math
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +63,7 @@ from volbound.models import (
     builtin_model,
     rng_substream,
     simulate,
+    step_paths,
 )
 from volbound.pricing import _bs_call_core
 from volbound.special_functions import norm_pdf
@@ -279,6 +281,28 @@ class TestJointSimulate:
         base = joint_simulate(self_consistent_scenario(GBM, 0.3), [0.0, 0.25, 0.5, 1.0], self.CFG)
         assert np.array_equal(ens.states[:, :3], base.states[:, :3])
         assert not np.array_equal(ens.states[:, 3], base.states[:, 3])
+
+    def test_theta_that_does_not_move_is_one_read_only_row(self):
+        proc = step_vol_scenario(GBM, 0.3, 0.5, 0.3).theta_process
+        grid = [0.0, 0.25, 0.5, 1.0]
+        cfg = SimConfig(n_paths=2**15, dt=0.01, seed=7, block_size=2**11)
+
+        def peak(theta):
+            tracemalloc.start()
+            try:
+                ens = step_paths(GBM, theta, 1.0, 0.0, grid, cfg)
+                return ens, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        ens, with_theta = peak(proc)
+        _, without = peak(0.3)
+        assert not ens.theta.flags.writeable
+        assert ens.theta.shape == ens.states.shape
+        for j, t in enumerate(grid):
+            assert np.all(ens.theta[:, j] == proc.deterministic_value(t))
+        # no paths-by-times matrix: an n x 4 one would add 4 * 8n bytes
+        assert with_theta - without < 8 * cfg.n_paths
 
     def test_worker_count_never_changes_results(self, monkeypatch):
         scn = meanrev_vol_scenario(GBM, 0.3, 2.0, 0.4, 0.5, correlation=-0.5)
@@ -1045,7 +1069,8 @@ class TestRepricingResiduals:
     CFG = SimConfig(n_paths=20000, dt=0.01, seed=11)
 
     def test_self_consistent_reprices_cleanly(self):
-        res = pricing_residuals(self_consistent_scenario(GBM, 0.2), MATS, KS5, 0.5, self.CFG)
+        scn = self_consistent_scenario(GBM, 0.2)
+        (res,) = pricing_residuals([scn], MATS, KS5, 0.5, self.CFG)
         assert res.max_abs_z < 3.5
         assert res.residuals.shape == (3, 5)
         # the zero-strike column is the plain martingale statement
@@ -1055,26 +1080,79 @@ class TestRepricingResiduals:
         # K=2 at T=1 under sigma=0.2 is in the money on ~2e-4 of paths, so
         # its z-score is hit-count noise, not a unit normal; the cell stays
         # in the table but is excluded from max_abs_z
-        res = pricing_residuals(self_consistent_scenario(GBM, 0.2), MATS, KS5, 0.5, self.CFG)
+        scn = self_consistent_scenario(GBM, 0.2)
+        (res,) = pricing_residuals([scn], MATS, KS5, 0.5, self.CFG)
         assert np.array_equal(res.calibrated, res.tail_counts >= res.min_tail_count)
         assert not res.calibrated[0, -1]
         assert np.all(res.calibrated[:, 0])
         assert res.max_abs_z == float(np.max(np.abs(res.z_scores[res.calibrated])))
 
     def test_vol_jump_inside_window_is_flagged(self):
-        res = pricing_residuals(step_vol_scenario(GBM, 0.2, 0.75, 0.4), MATS, KS5, 0.5, self.CFG)
+        scn = step_vol_scenario(GBM, 0.2, 0.75, 0.4)
+        (res,) = pricing_residuals([scn], MATS, KS5, 0.5, self.CFG)
         assert res.max_abs_z > 3.0
 
     def test_stochastic_vol_is_flagged(self):
-        res = pricing_residuals(
-            meanrev_vol_scenario(GBM, 0.2, 1.5, 0.5, 0.6, -0.7), MATS, KS5, 0.5, self.CFG
-        )
+        scn = meanrev_vol_scenario(GBM, 0.2, 1.5, 0.5, 0.6, -0.7)
+        (res,) = pricing_residuals([scn], MATS, KS5, 0.5, self.CFG)
         assert res.max_abs_z > 3.0
+
+    #: step thetas that agree up to t = 0.5: every jump, of any size, falls after it
+    GROUP = (
+        self_consistent_scenario(GBM, 0.2),
+        step_vol_scenario(GBM, 0.2, 0.75, 0.4),
+        step_vol_scenario(GBM, 0.2, 0.6, -0.1),
+        step_vol_scenario(GBM, 0.2, 2.5, 0.0),
+        Scenario(GBM, ThetaProcess(
+            kind="step", sigma0=0.2, jump_times=(1.0, 1.5), jump_values=(0.5, 0.1),
+        )),
+    )
+
+    def test_a_group_gives_each_member_its_table_alone(self):
+        cfg = SimConfig(n_paths=5000, dt=0.01, seed=3)
+        grouped = pricing_residuals(self.GROUP, MATS, KS5, 0.5, cfg)
+        assert len(grouped) == len(self.GROUP)
+        for scn, got in zip(self.GROUP, grouped):
+            (alone,) = pricing_residuals([scn], MATS, KS5, 0.5, cfg)
+            for field in dataclasses.fields(alone):
+                a, b = getattr(got, field.name), getattr(alone, field.name)
+                assert np.array_equal(a, b), field.name
+        # the members' own paths, not the first one's, feed the payoffs
+        assert grouped[0].max_abs_z < 3.5 < grouped[1].max_abs_z
+
+    @pytest.mark.parametrize("jump_time", [0.25, 0.5])
+    def test_a_group_whose_histories_differ_by_t_raises(self, jump_time):
+        cfg = SimConfig(n_paths=500, dt=0.01, seed=3)
+        group = (self.GROUP[0], step_vol_scenario(GBM, 0.2, jump_time, 0.1))
+        with pytest.raises(DomainError, match=r"scenario 1 of the group .* at t=0\.5"):
+            pricing_residuals(group, MATS, KS5, 0.5, cfg)
+
+    @pytest.mark.parametrize("n_paths", [2**14, 2**16])
+    @pytest.mark.parametrize("members", [1, 4])
+    def test_memory_is_linear_in_paths_and_bounded_per_group(
+        self, n_paths, members, monkeypatch
+    ):
+        # a group holds its members' maturity columns, q per member, and a
+        # fixed number of columns besides: S_t, the variance, the payoff
+        # buffers and the pricing temporaries, or one ensemble being
+        # simulated. One worker and small blocks keep the stepping kernel's
+        # per-block temporaries to a fraction of a column.
+        monkeypatch.setenv(WORKERS_ENV_VAR, "1")
+        group = self.GROUP[:members]
+        cfg = SimConfig(n_paths=n_paths, dt=0.01, seed=3, block_size=n_paths // 16)
+        pricing_residuals(group, MATS, KS5, 0.5, SimConfig(n_paths=64, dt=0.01, seed=3))
+        tracemalloc.start()
+        try:
+            pricing_residuals(group, MATS, KS5, 0.5, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (members * MATS.q + 8) * 8 * n_paths
 
     def test_needs_closed_form_reference(self):
         with pytest.raises(ConfigurationError):
             pricing_residuals(
-                self_consistent_scenario(BESSEL, 0.5),
+                [self_consistent_scenario(BESSEL, 0.5)],
                 MaturityGrid(times=(0.5, 1.0, 1.5)),
                 KS3,
                 0.25,
@@ -1083,7 +1161,7 @@ class TestRepricingResiduals:
 
     def test_time_validation(self):
         with pytest.raises(DomainError):
-            pricing_residuals(self_consistent_scenario(GBM, 0.2), MATS, KS5, 2.0, self.CFG)
+            pricing_residuals([self_consistent_scenario(GBM, 0.2)], MATS, KS5, 2.0, self.CFG)
 
 
 class TestDensification:
@@ -1176,7 +1254,16 @@ class TestDensification:
 class TestDecomposition:
     @pytest.mark.parametrize(
         "theta,s,t,T",
-        [(0.3, 1.1, 0.5, 1.5), (0.6, 0.8, 0.0, 1.0)],
+        [
+            (0.3, 1.1, 0.5, 1.5),
+            (0.6, 0.8, 0.0, 1.0),
+            # C(K) bends within a few sqrt(v) of the spot, a kink at v = 0,
+            # inside the band [0.8, 1.6]
+            (0.0, 1.1, 0.0, 1.0),
+            (1e-3, 1.1, 0.0, 1.0),
+            (1e-2, 1.1, 0.0, 1.0),
+            (0.2, 1.1, 0.0, 1.0),
+        ],
     )
     def test_routes_agree(self, theta, s, t, T):
         ks = StrikeGrid(strikes=(0.0, 0.8, 1.6, 2.4))
@@ -1198,7 +1285,7 @@ class TestImpossibleConjunction:
         cfg = SimConfig(n_paths=20000, dt=0.01, seed=11)
         scn = step_vol_scenario(GBM, 0.2, 0.75, 0.4)
         rep = check_bound(scn, MATS, KS5, W1, 0.5, cfg)
-        res = pricing_residuals(scn, MATS, KS5, 0.5, cfg)
+        (res,) = pricing_residuals([scn], MATS, KS5, 0.5, cfg)
         assert (not rep.satisfied) or res.max_abs_z > 3.0
         assert res.max_abs_z > 10.0
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from volbound import cli
 from volbound.cli import main
@@ -573,6 +574,15 @@ class TestCliCommands:
             outs.append(json.loads(out.read_text()))
         capsys.readouterr()
         assert canonical_json(outs[0]) == canonical_json(outs[1])
+        # the timing block says how each run was made, outside the body
+        for doc, workers in zip(outs, (1, 8)):
+            assert doc["timing"] == {
+                "wall_seconds": doc["timing"]["wall_seconds"],
+                "workers": workers,
+                "python": ".".join(map(str, sys.version_info[:3])),
+                "numpy": np.__version__,
+                "scipy": scipy.__version__,
+            }
 
     @pytest.mark.parametrize("command", ["check-bound", "scan"])
     def test_meanrev_readme_example_runs(self, command, tmp_path, capsys):
@@ -660,6 +670,63 @@ class TestCliCommands:
                 assert row["max_resid_z"] == alone["repricing"]["max_abs_z"]
             else:
                 assert row["max_resid_z"] is None
+
+    def test_grouped_scan_is_the_points_run_one_at_a_time(self, tmp_path, capsys, monkeypatch):
+        # jumps at 0.75 and 1.5 fall after eval_time, so those four points
+        # share one history; a jump at 0.25 or 0.5 makes a point its own
+        text = SCAN.replace("paths: 4000", "paths: 1500").replace(
+            "key: theta.jump_size\n      values: [0.0, 0.1, 0.3]",
+            "key: theta.jump_time\n      values: [0.25, 0.75, 0.5, 1.5]\n"
+            "    - key: theta.jump_size\n      values: [0.1, 0.3]",
+        )
+        cfg = tmp_path / "scan.yaml"
+        cfg.write_text(text)
+        runs = []
+        residual_groups = []
+        pricing_residuals = cli.pricing_residuals
+
+        def counted(scenarios, *args):
+            residual_groups.append(len(scenarios))
+            return pricing_residuals(scenarios, *args)
+
+        monkeypatch.setattr(cli, "pricing_residuals", counted)
+        for workers in ("1", "2"):
+            monkeypatch.setenv("VOLBOUND_WORKERS", workers)
+            assert main(["scan", "--config", str(cfg)]) in (0, 1)
+            runs.append(json.loads(capsys.readouterr().out))
+        assert residual_groups == [1, 1, 4, 1, 1] * 2
+        # a key no two points share: every point is a group of one
+        monkeypatch.setattr(cli, "_history_key", lambda rc: object())
+        assert main(["scan", "--config", str(cfg)]) in (0, 1)
+        runs.append(json.loads(capsys.readouterr().out))
+        assert residual_groups[10:] == [1] * 8
+        assert canonical_json(runs[0]) == canonical_json(runs[1]) == canonical_json(runs[2])
+
+    @pytest.mark.parametrize(
+        "axes, code, named, error",
+        [
+            # theta jumps to 60 before eval_time: exp(60^2 (1 - 0.5)) overflows
+            ("    - key: theta.jump_time\n      values: [0.75, 0.25]\n"
+             "    - key: theta.jump_size\n      values: [0.1, 60.0]\n",
+             1, "theta.jump_time=0.25, theta.jump_size=60.0", "growth factor at t=0.5"),
+            # the pin point exp(40^2) overflows for both points of the sigma 40 group
+            ("    - key: sigma\n      values: [0.2, 40.0]\n"
+             "    - key: theta.jump_size\n      values: [0.0, 0.1]\n",
+             2, "sigma=40.0, theta.jump_size=0.0; sigma=40.0, theta.jump_size=0.1",
+             "pin point must be positive and finite"),
+        ],
+    )
+    def test_a_failing_scan_group_names_its_points(
+        self, axes, code, named, error, tmp_path, capsys
+    ):
+        cfg = tmp_path / "scan.yaml"
+        cfg.write_text(SCAN.replace("paths: 4000", "paths: 200").split("scan:\n")[0]
+                       + "scan:\n  axes:\n" + axes)
+        with np.errstate(over="ignore"):
+            assert main(["scan", "--config", str(cfg)]) == code
+        err = capsys.readouterr().err
+        assert f"scan point {named}: {error}" in err
+        assert err.count("scan point") == 1
 
     def test_moving_theta_never_shares_an_evaluation(self, tmp_path, capsys, bound_calls):
         # a moving theta's history is the whole process, so a scan over the
