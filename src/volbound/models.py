@@ -617,22 +617,24 @@ class PathEnsemble:
     """Simulated paths sampled on time_grid.
 
     states[p, j] is path p at time_grid[j]; absorbed paths are frozen at the
-    boundary value from their absorption time onward. absorbed_at[p] is nan
-    for paths that never left the open domain. steps is the number of steps
-    each path took. theta[p, j] is the volatility of path p at time_grid[j]
-    when the paths were stepped under a ThetaProcess, else None; for a theta
-    that does not move it is one row broadcast over the paths, read-only.
+    boundary value from their absorption time onward. states is None after a
+    run that handed each stored column to a visitor instead of storing it
+    (step_paths' visit). absorbed_at[p] is nan for paths that never left the
+    open domain. steps is the number of steps each path took. theta[p, j] is
+    the volatility of path p at time_grid[j] when the paths were stepped
+    under a ThetaProcess, else None; for a theta that does not move it is one
+    row broadcast over the paths, read-only.
     """
 
     time_grid: np.ndarray
-    states: np.ndarray
+    states: np.ndarray | None
     absorbed_at: np.ndarray
     steps: int = 0
     theta: np.ndarray | None = None
 
     @property
     def n_paths(self) -> int:
-        return self.states.shape[0]
+        return self.absorbed_at.size
 
 
 def rng_substream(seed: int, *key: int) -> np.random.Generator:
@@ -736,6 +738,7 @@ def step_paths(
     t_start: float,
     time_grid,
     cfg: SimConfig,
+    visit=None,
 ) -> PathEnsemble:
     """The path engine: paths of dZ = theta_t h(t) beta(Z) dW from
     (t_start, z_start), stored exactly at the times of time_grid.
@@ -755,6 +758,15 @@ def step_paths(
     there. A moving theta follows its process on those substeps with one
     draw per substep from substream (b, 1), correlated with the state's
     draw; its negative excursions feed the state step clipped at zero.
+
+    visit(rows, c, z, absorbed_at) is called on the worker thread of each
+    block right after it draws stored column c: rows is the block's slice
+    of the paths, z their states at time_grid[c] and absorbed_at their
+    absorption times so far (nan for a path not absorbed by then). The
+    default stores z as column c of the ensemble's states; with a visitor
+    given, no paths x grid state matrix is allocated and states is None.
+    The visitor must not keep z or absorbed_at, which the engine goes on to
+    change.
     """
     proc = theta if isinstance(theta, ThetaProcess) else None
     if proc is None and (theta < 0.0 or not math.isfinite(theta)):
@@ -774,8 +786,13 @@ def step_paths(
     moves = proc is not None and proc.moves
     change_times = () if proc is None else proc.change_times
     fine_grid, store_idx = _step_grid(model, grid, cfg.dt, change_times, moves)
-    cols = {int(j): c for c, j in enumerate(store_idx)}
-    states = np.empty((cfg.n_paths, grid.size))
+    states = None
+    if visit is None:
+        states = np.empty((cfg.n_paths, grid.size))
+
+        def visit(rows, c, z, absorbed_at):
+            states[rows, c] = z
+
     absorbed = np.full(cfg.n_paths, np.nan)
 
     def theta_at(t):
@@ -787,7 +804,8 @@ def step_paths(
     if moves:
         thetas = np.empty((cfg.n_paths, grid.size))
     elif proc is not None:
-        thetas = np.broadcast_to(np.array([theta_at(float(t)) for t in grid]), states.shape)
+        row = np.array([theta_at(float(t)) for t in grid])
+        thetas = np.broadcast_to(row, (cfg.n_paths, grid.size))
     sample = model.law.sample if _samples_exactly(model, moves) else None
     absorb = getattr(model.law, "absorption_fraction", None)
     exact_step = getattr(model.law, "step", None)
@@ -795,11 +813,11 @@ def step_paths(
 
     def run_block(b, rows):
         rng = rng_substream(cfg.seed, b)
-        out, absorbed_at = states[rows], absorbed[rows]
+        absorbed_at = absorbed[rows]
         z = np.full(rows.stop - rows.start, float(z_start))
         alive = (z > lower) & (z < upper)
         absorbed_at[~alive] = fine_grid[0]
-        out[:, 0] = z
+        visit(rows, 0, z, absorbed_at)
         if moves:
             theta_rng = rng_substream(cfg.seed, b, 1)
             rho = proc.correlation
@@ -807,6 +825,7 @@ def step_paths(
             th = np.full(z.size, proc.sigma0)
             thetas[rows, 0] = th
             vol_theta = proc.sigma0
+        c = 1  # the next stored column; the last fine point is stored, so c stays in range
         for j in range(1, len(fine_grid)):
             t_lo = float(fine_grid[j - 1])
             step_dt = float(fine_grid[j]) - t_lo
@@ -839,11 +858,11 @@ def step_paths(
                     th = th + proc.rate * (proc.level - th) * step_dt \
                         + proc.vol_of_vol * math.sqrt(step_dt) * corr
                     vol_theta = np.maximum(th, 0.0)
-            c = cols.get(j)
-            if c is not None:
-                out[:, c] = z
+            if j == store_idx[c]:
+                visit(rows, c, z, absorbed_at)
                 if moves:
                     thetas[rows, c] = th
+                c += 1
 
     _map_blocks(cfg.n_paths, cfg.block_size, worker_count(), run_block)
     return PathEnsemble(

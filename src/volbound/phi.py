@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .models import ReferenceModel, SimConfig, sample_mean, simulate, z_score
+from .models import ReferenceModel, SimConfig, sample_mean, simulate, step_paths, z_score
 
 __all__ = [
     "OdeResidualReport",
@@ -192,34 +192,40 @@ def martingale_check_V(
 
     The compensator sigma^2 int_0^{t ^ tau} h^2 phi(Z_s) ds is accumulated
     by the trapezoid rule on a refined grid; the integrand stops at the
-    absorption time like the state does.
+    absorption time like the state does. It is accumulated block by block
+    as the engine draws each grid column, so memory is a few path vectors
+    per test time whatever integration_points is.
     """
     times = _check_times(times)
     if integration_points < 2:
         raise ConfigurationError("need at least 2 integration points")
-    fine = np.linspace(0.0, times[-1], integration_points)
-    grid = _simulation_grid(times, extra=np.union1d(fine, model.h.breakpoints))
-    grid = [t for t in grid if t <= times[-1]]
-    ens = simulate(model, sigma, model.z0, 0.0, grid, cfg)
-    ref = float(model.phi(model.z0))
-    tau = ens.absorbed_at
-    wanted = {grid.index(t) for t in times}
-    phi_lo = np.asarray(model.phi(ens.states[:, 0]), dtype=np.float64)
+    fine = np.union1d(np.linspace(0.0, times[-1], integration_points), model.h.breakpoints)
+    # an array, not a list of floats: the grid is V's only per-point state
+    grid = np.array(_simulation_grid(times, extra=fine))
+    grid = grid[grid <= times[-1]]
+    wanted = {int(np.searchsorted(grid, t)): np.empty(cfg.n_paths) for t in times}
+    phi_lo = np.empty(cfg.n_paths)
     # -0.0, not 0.0, is the identity of float addition, so the running sums
     # equal np.cumsum's bit for bit
-    cum = np.full(ens.n_paths, -0.0)
-    samples = [phi_lo] if 0 in wanted else []
-    # one grid segment at a time: h is constant on it, and its overlap with
-    # [0, tau) stops the integrand where the path was absorbed
-    for j in range(1, len(grid)):
-        seg_lo, seg_hi = grid[j - 1], grid[j]
-        phi_hi = np.asarray(model.phi(ens.states[:, j]), dtype=np.float64)
-        overlap = np.clip(np.fmin(tau, seg_hi) - seg_lo, 0.0, None)
-        cum += overlap * float(model.h(seg_lo)) ** 2 * 0.5 * (phi_lo + phi_hi)
-        if j in wanted:
-            samples.append(phi_hi - sigma * sigma * cum)
-        phi_lo = phi_hi
-    return _summarize(times, samples, [ref] * len(times), ens)
+    cum = np.full(cfg.n_paths, -0.0)
+
+    def visit(rows, c, z, absorbed_at):
+        # grid segment c - 1 ends at column c: h is constant on it, and its
+        # overlap with [0, tau) stops the integrand where the path was
+        # absorbed; a path absorbed after the column still reads nan, and
+        # fmin gives seg_hi as it would for its tau > seg_hi
+        phi_hi = np.asarray(model.phi(z), dtype=np.float64)
+        if c > 0:
+            seg_lo, seg_hi = grid[c - 1], grid[c]
+            overlap = np.clip(np.fmin(absorbed_at, seg_hi) - seg_lo, 0.0, None)
+            cum[rows] += overlap * float(model.h(seg_lo)) ** 2 * 0.5 * (phi_lo[rows] + phi_hi)
+        phi_lo[rows] = phi_hi
+        if c in wanted:
+            wanted[c][rows] = phi_hi - sigma * sigma * cum[rows]
+
+    ens = step_paths(model, sigma, model.z0, 0.0, grid, cfg, visit=visit)
+    ref = float(model.phi(model.z0))
+    return _summarize(times, list(wanted.values()), [ref] * len(times), ens)
 
 
 def martingale_check_integral(

@@ -584,6 +584,20 @@ class TestCliCommands:
                 "scipy": scipy.__version__,
             }
 
+    def test_martingale_reports_reproduce_across_workers(self, tmp_path, capsys, monkeypatch):
+        # 40000 paths are three blocks; on bessel0 at sigma = 1 paths absorb,
+        # and the compensated check sums each block's columns as it is drawn
+        cfg = tmp_path / "bes.yaml"
+        cfg.write_text(
+            BASE.replace("model: gbm", "model: bessel0").replace("sigma: 0.2", "sigma: 1.0")
+        )
+        bodies = []
+        for workers in ("1", "2", "8"):
+            monkeypatch.setenv("VOLBOUND_WORKERS", workers)
+            assert main(["martingale-check", "--config", str(cfg), "--paths", "40000"]) == 0
+            bodies.append(canonical_json(json.loads(capsys.readouterr().out)))
+        assert bodies[0] == bodies[1] == bodies[2]
+
     @pytest.mark.parametrize("command", ["check-bound", "scan"])
     def test_meanrev_readme_example_runs(self, command, tmp_path, capsys):
         # the README's meanrev-vol theta goes below 0 on some paths by the

@@ -16,6 +16,7 @@ from volbound.models import (
     rng_substream,
     sample_mean,
     simulate,
+    step_paths,
     stepping_route,
 )
 from volbound.pricing import mc_call_price
@@ -203,6 +204,39 @@ class TestSimulate:
             for e in ens[1:]:
                 assert np.array_equal(ens[0].states, e.states)
                 assert np.array_equal(ens[0].absorbed_at, e.absorbed_at, equal_nan=True)
+
+    @pytest.mark.parametrize("workers", ["1", "8"])
+    @pytest.mark.parametrize("law", ["exact", "euler"])
+    def test_visitor_sees_each_stored_column_as_it_is_drawn(self, law, workers, monkeypatch):
+        # a visited run stores nothing; each block hands over each stored
+        # column once, equal to a stored run's, with the absorption times
+        # of the paths absorbed by that column's time
+        monkeypatch.setenv(WORKERS_ENV_VAR, workers)
+        m = builtin_model("bessel0")
+        if law == "euler":
+            m = dataclasses.replace(m, law=None)
+        cfg = SimConfig(n_paths=3072, dt=0.01, seed=5, block_size=1024)
+        grid = np.linspace(0.0, 1.0, 11)
+        stored = simulate(m, 1.0, 1.0, 0.0, grid, cfg)
+        z_seen = np.full(stored.states.shape, np.nan)
+        tau_seen = np.full(stored.states.shape, -1.0)
+        visits = np.zeros((3, grid.size), dtype=int)
+
+        def visit(rows, c, z, absorbed_at):
+            z_seen[rows, c] = z
+            tau_seen[rows, c] = absorbed_at
+            visits[rows.start // cfg.block_size, c] += 1
+
+        ens = step_paths(m, 1.0, 1.0, 0.0, grid, cfg, visit=visit)
+        assert ens.states is None and ens.n_paths == cfg.n_paths
+        assert ens.steps == stored.steps
+        assert np.all(visits == 1)
+        assert np.array_equal(z_seen, stored.states)
+        tau = stored.absorbed_at
+        assert np.array_equal(ens.absorbed_at, tau, equal_nan=True)
+        assert np.any(tau <= 1.0)
+        by_then = np.where(tau[:, None] <= grid[None, :], tau[:, None], np.nan)
+        assert np.array_equal(tau_seen, by_then, equal_nan=True)
 
     def test_sigma_zero_paths_constant(self):
         m = builtin_model("gbm")

@@ -7,7 +7,7 @@ import pytest
 
 from volbound import phi as phi_module
 from volbound.errors import ConfigurationError, DomainError
-from volbound.models import SimConfig, TimeWeight, builtin_model, simulate
+from volbound.models import SimConfig, TimeWeight, builtin_model, simulate, step_paths
 from volbound.phi import (
     MartingaleTestReport,
     OdeResidualReport,
@@ -109,13 +109,17 @@ class TestMartingaleU:
 
 
 def spy_on_check(monkeypatch):
-    """Record the ensembles a check simulates and the samples it summarizes."""
+    """Record the ensembles a check simulates, stored or visited, and the
+    samples it summarizes."""
     seen = {"ens": [], "samples": []}
 
-    def spy_simulate(*args, **kwargs):
-        ens = simulate(*args, **kwargs)
-        seen["ens"].append(ens)
-        return ens
+    def spy_on(engine):
+        def spy(*args, **kwargs):
+            ens = engine(*args, **kwargs)
+            seen["ens"].append(ens)
+            return ens
+
+        return spy
 
     summarize = phi_module._summarize
 
@@ -123,7 +127,8 @@ def spy_on_check(monkeypatch):
         seen["samples"].append(samples)
         return summarize(times, samples, references, ens)
 
-    monkeypatch.setattr(phi_module, "simulate", spy_simulate)
+    monkeypatch.setattr(phi_module, "simulate", spy_on(simulate))
+    monkeypatch.setattr(phi_module, "step_paths", spy_on(step_paths))
     monkeypatch.setattr(phi_module, "_summarize", spy_summarize)
     return seen
 
@@ -176,45 +181,59 @@ class TestMartingaleV:
         assert r.verdict
 
     def test_streamed_compensator_matches_the_array_formula(self, monkeypatch):
-        seen = spy_on_check(monkeypatch)
-        sigma, times = 1.0, [0.0, 0.25, 0.5, 1.0]
-        martingale_check_V(BESSEL_STEP_H, sigma, times, SimConfig(n_paths=4000, dt=1e-3, seed=3))
-        (ens,), (streamed,) = seen["ens"], seen["samples"]
-        assert np.any(ens.absorbed_at < 1.0) and ens.time_grid.size == 66  # 65 and 0.37
-        # the compensator as paths x grid arrays, summed by np.cumsum
-        m, garr = BESSEL_STEP_H, ens.time_grid
-        phis = np.asarray(m.phi(ens.states), dtype=np.float64)
-        tau = ens.absorbed_at[:, None]
-        seg_lo, seg_hi = garr[:-1][None, :], garr[1:][None, :]
-        overlap = np.clip(np.fmin(tau, seg_hi) - seg_lo, 0.0, None)
-        hsq = np.asarray([float(m.h(x)) ** 2 for x in garr[:-1]])
-        increments = overlap * hsq[None, :] * 0.5 * (phis[:, :-1] + phis[:, 1:])
-        cum = np.concatenate(
-            [np.zeros((increments.shape[0], 1)), np.cumsum(increments, axis=1)], axis=1
-        )
-        cols = np.searchsorted(garr, times)
-        assert same_bytes(streamed, [phis[:, i] - sigma * sigma * cum[:, i] for i in cols])
-
-    def test_compensator_memory_does_not_grow_with_the_grid(self, monkeypatch):
-        # beyond the ensemble's states, V holds a few path vectors whatever
-        # the number of integration points; paths x grid temporaries would
-        # add ~1000 path vectors between 65 and 257 points
-        seen = spy_on_check(monkeypatch)
-        n_paths, excess = 4000, []
-        for points in (65, 257):
-            tracemalloc.start()
-            try:
-                martingale_check_V(
-                    BESSEL_STEP_H, 1.0, [0.25, 0.5, 1.0],
-                    SimConfig(n_paths=n_paths, dt=1e-3, seed=3), integration_points=points,
+        # V sees each column of four 1000-path blocks as the engine draws it;
+        # the reference is a stored run of the same grid and SimConfig, whose
+        # per-block substreams give the same draws
+        times = [0.0, 0.25, 0.5, 1.0]
+        cfg = SimConfig(n_paths=4000, dt=1e-3, seed=3, block_size=1000)
+        for workers in ("1", "4"):
+            monkeypatch.setenv("VOLBOUND_WORKERS", workers)
+            for m, sigma in ((BESSEL_STEP_H, 1.0), (LOGDIFF, 1.0), (GBM, 0.3)):
+                seen = spy_on_check(monkeypatch)
+                martingale_check_V(m, sigma, times, cfg)
+                (ens,), (streamed,) = seen["ens"], seen["samples"]
+                assert ens.states is None
+                ref = simulate(m, sigma, m.z0, 0.0, ens.time_grid, cfg)
+                assert ref.absorbed_at.tobytes() == ens.absorbed_at.tobytes()
+                if m is BESSEL_STEP_H:
+                    assert np.any(ens.absorbed_at < 1.0)
+                    assert ens.time_grid.size == 66  # 65 and 0.37
+                # the compensator as paths x grid arrays, summed by np.cumsum
+                garr = ens.time_grid
+                phis = np.asarray(m.phi(ref.states), dtype=np.float64)
+                tau = ref.absorbed_at[:, None]
+                seg_lo, seg_hi = garr[:-1][None, :], garr[1:][None, :]
+                overlap = np.clip(np.fmin(tau, seg_hi) - seg_lo, 0.0, None)
+                hsq = np.asarray([float(m.h(x)) ** 2 for x in garr[:-1]])
+                increments = overlap * hsq[None, :] * 0.5 * (phis[:, :-1] + phis[:, 1:])
+                cum = np.concatenate(
+                    [np.zeros((increments.shape[0], 1)), np.cumsum(increments, axis=1)], axis=1
                 )
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            excess.append(peak - seen["ens"][-1].states.nbytes)
-        path_vector = 8 * n_paths
-        assert excess[0] < 32 * path_vector
-        assert excess[1] - excess[0] < path_vector
+                cols = np.searchsorted(garr, times)
+                want = [phis[:, i] - sigma * sigma * cum[:, i] for i in cols]
+                assert same_bytes(streamed, want)
+
+    def test_compensator_memory_does_not_grow_with_the_grid(self):
+        # V's whole peak is a few path vectors per test time, whatever the
+        # number of integration points: a paths x grid state matrix alone
+        # would be 65 and 257 path vectors. The growth includes CPython's
+        # tuple free list, which here keeps ~96 bytes per step until it is
+        # full (0.6 path vectors over the 192 extra steps at n = 4000)
+        for n_paths in (4000, 2**16):
+            peaks = []
+            for points in (65, 257):
+                tracemalloc.start()
+                try:
+                    martingale_check_V(
+                        BESSEL_STEP_H, 1.0, [0.25, 0.5, 1.0],
+                        SimConfig(n_paths=n_paths, dt=1e-3, seed=3), integration_points=points,
+                    )
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            path_vector = 8 * n_paths
+            assert max(peaks) <= 16 * path_vector
+            assert peaks[1] - peaks[0] < path_vector
 
 
 class TestMartingaleIntegral:
