@@ -182,8 +182,9 @@ class TransitionLaw:
 
         E[f(Z_T); Z_T > k] ~= half_i * sum_j weights_j f(x_ij) dens_ij.
 
-    The ``nodes`` nodes span ``window`` standard deviations of the law's
-    bulk, clipped at the cutoff, so the node count need not grow with s/v.
+    The rule's ``nodes`` nodes reach ``window`` standard deviations either
+    side of the law's bulk, clipped at the cutoff, so the node count need
+    not grow with s/v.
     """
 
     nodes: ClassVar[int] = 64
@@ -242,6 +243,14 @@ class SquaredBesselLaw(TransitionLaw):
     """
 
     atom: ClassVar[float] = 0.0
+    #: tail_rule's budget: beyond 8 sd the bump is below e^-32 of its peak
+    nodes: ClassVar[int] = 48
+    window: ClassVar[float] = 8.0
+    #: expect's budget for each of its two rules, one either side of sqrt(s):
+    #: bessel0's phi, ~exp(-2 sqrt(2) r), tilts the integrand about
+    #: 1.4 sqrt(v) sd toward 0, past what an 8-sd reach covers
+    expect_nodes: ClassVar[int] = 64
+    expect_window: ClassVar[float] = 16.0
 
     @staticmethod
     def _density(a, r, v):
@@ -259,16 +268,16 @@ class SquaredBesselLaw(TransitionLaw):
         """E[f(Z_T)] given Z_t = s at variance v, the atom included.
 
         f(0) times the atom's mass, plus the density's integral in r by one
-        fixed-node rule on each side of sqrt(s) across the window. Where the
-        window reaches r = 0 the lower side runs in y with r = sqrt(s) y^2,
+        expect_nodes rule on each side of sqrt(s), reaching expect_window sd.
+        Where that reaches r = 0 the lower side runs in y with r = sqrt(s) y^2,
         which smooths an r^2 ln r kink of f(r^2) at 0 (bessel0's phi) and
         keeps the rule at ~1e-14 relative.
         """
         if v <= 0.0:
             return float(f(s))
-        x, w = _gauss_legendre(self.nodes)
+        x, w = _gauss_legendre(self.expect_nodes)
         a = math.sqrt(s)
-        reach = self.window * 0.5 * math.sqrt(v)
+        reach = self.expect_window * 0.5 * math.sqrt(v)
 
         def piece(lo, hi):
             half = 0.5 * (hi - lo)
@@ -333,10 +342,13 @@ class LogBesselLaw(TransitionLaw):
     2(1 - e^{-A}) (Goeing-Jaeschke & Yor 2003). The atom X = 0 is Z = 1, of
     mass s^{1/(1 - e^{-v})}, reached at A* = -ln(1 - w*/2) for the Bessel
     clock w* of absorption. Z_T > k where X < (-ln k) e^{-v}: tail_rule
-    integrates in r = sqrt(X) below that level's root.
+    integrates in r = sqrt(X) below that level's root, on
+    SquaredBesselLaw's tail budget.
     """
 
     atom: ClassVar[float] = 1.0
+    nodes: ClassVar[int] = SquaredBesselLaw.nodes
+    window: ClassVar[float] = SquaredBesselLaw.window
 
     @staticmethod
     def _bessel(s, v):

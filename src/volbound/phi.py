@@ -243,35 +243,43 @@ def martingale_check_integral(
     exact martingale transform of the simulated increments. Without an
     explicit left derivative a backward difference stands in; for the
     piecewise-linear g of interest it is exact away from the kink. g and
-    g_left_deriv are called on the states of one grid time, a 1-d array, at
-    a time.
+    g_left_deriv are called elementwise on the states of one path block at
+    one grid time, a 1-d array. The sum is accumulated block by block as
+    the engine draws each grid column, as in martingale_check_V, so memory
+    is a few path vectors per test time whatever integration_points is.
     """
     times = _check_times(times)
     fine = np.linspace(0.0, times[-1], integration_points)
-    grid = _simulation_grid(times, extra=fine)
-    ens = simulate(model, sigma, model.z0, 0.0, grid, cfg)
-    states = ens.states
+    grid = np.array(_simulation_grid(times, extra=fine))
     if g_left_deriv is None:
         def g_left_deriv(z, _g=g):
             step = 1e-7 * np.maximum(1.0, np.abs(z))
             return (np.asarray(_g(z)) - np.asarray(_g(z - step))) / step
 
-    wanted = {grid.index(t) for t in times}
-    cum = np.full(states.shape[0], -0.0)  # as in martingale_check_V
-    samples = [np.zeros(states.shape[0])] if 0 in wanted else []
-    for j in range(1, len(grid)):
-        slopes = np.asarray(g_left_deriv(states[:, j - 1]), dtype=np.float64)
-        cum += slopes * (states[:, j] - states[:, j - 1])
-        if j in wanted:
-            samples.append(cum.copy())
-    return _summarize(times, samples, [0.0] * len(times), ens)
+    wanted = {int(np.searchsorted(grid, t)): np.empty(cfg.n_paths) for t in times}
+    z_lo = np.empty(cfg.n_paths)
+    slope_lo = np.empty(cfg.n_paths)
+    cum = np.full(cfg.n_paths, -0.0)  # as in martingale_check_V
+
+    def visit(rows, c, z, absorbed_at):
+        if c > 0:
+            cum[rows] += slope_lo[rows] * (z - z_lo[rows])
+        z_lo[rows] = z
+        slope_lo[rows] = np.asarray(g_left_deriv(z), dtype=np.float64)
+        if c in wanted:
+            # the sum over no increments is +0.0, not cum's starting -0.0
+            wanted[c][rows] = cum[rows] if c > 0 else 0.0
+
+    ens = step_paths(model, sigma, model.z0, 0.0, grid, cfg, visit=visit)
+    return _summarize(times, list(wanted.values()), [0.0] * len(times), ens)
 
 
 def semigroup_route(model: ReferenceModel) -> dict:
     """How semigroup_check computes its reference E[phi(Z_t)], in
     bound.tail_route's vocabulary: {"route": "closed-form"} where no path
     holds a finite nonzero phi at the law's atom, else {"route":
-    "quadrature", "nodes": n, "window": w} for the law's expect."""
+    "quadrature", "nodes": n, "window": w} for the law's expect, whose two
+    rules, one either side of sqrt(z0), evaluate n nodes in all."""
     atom = getattr(model.law, "atom", None)
     phi_atom = 0.0 if atom is None else float(model.phi(atom))
     if not math.isfinite(phi_atom) or phi_atom == 0.0:
@@ -281,7 +289,8 @@ def semigroup_route(model: ReferenceModel) -> dict:
             f"model {model.name!r}: phi is {phi_atom} at its law's atom and the law "
             "has no expect for the stopped process's mean"
         )
-    return {"route": "quadrature", "nodes": model.law.nodes, "window": model.law.window}
+    law = model.law
+    return {"route": "quadrature", "nodes": 2 * law.expect_nodes, "window": law.expect_window}
 
 
 def semigroup_check(

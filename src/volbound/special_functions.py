@@ -35,7 +35,8 @@ def norm_cdf(x):
     is subnormal and math.erfc still resolves it.
     """
     arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    # a nan anywhere makes min and max nan, and every comparison false
+    if arr.size and not -math.inf < arr.min() <= arr.max() < math.inf:
         raise ValueError("norm_cdf requires finite input")
     out = ndtr(arr)
     return float(out) if out.ndim == 0 else out
@@ -51,7 +52,7 @@ def bessel_k(order: int, x):
     if order not in (0, 1):
         raise ValueError(f"bessel_k supports orders 0 and 1, got {order!r}")
     arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+    if arr.size and not 0.0 < arr.min() <= arr.max() < math.inf:
         raise ValueError("bessel_k requires finite x > 0")
     out = k0(arr) if order == 0 else k1(arr)
     return float(out) if out.ndim == 0 else out

@@ -552,8 +552,55 @@ class TestTailTerm:
 
     def test_route_names_its_budget(self):
         assert tail_route(GBM) == {"route": "closed-form"}
-        for model in (BESSEL, LOGDIFF, INV):
-            assert tail_route(model) == {"route": "quadrature", "nodes": 64, "window": 16.0}
+        for model in (BESSEL, LOGDIFF):
+            assert tail_route(model) == {"route": "quadrature", "nodes": 48, "window": 8.0}
+        assert tail_route(INV) == {"route": "quadrature", "nodes": 64, "window": 16.0}
+
+    def test_route_budget_is_the_rule_tail_rule_runs(self):
+        # a cutoff far below the bulk clips nothing, so each row's interval
+        # reaches window sd either side of the bulk's centre, in the
+        # variable the rule runs in: r = sqrt(Z_T) for bessel0, the root of
+        # the squared Bessel draw for logdiff, W for the lognormal law
+        v = np.array([0.01, 0.5, 1.0])
+        for model, s, sd in (
+            (BESSEL, np.array([20.0, 30.0, 40.0]), 0.5 * np.sqrt(v)),
+            (LOGDIFF, np.array([1e-6, 1e-20, 1e-30]), 0.5 * np.sqrt(-2.0 * np.expm1(-v))),
+            (INV, np.array([1.0, 2.0, 0.5]), np.ones(3)),
+        ):
+            route = tail_route(model)
+            x, dens, half = model.law.tail_rule(s, v, 1e-300)
+            assert x.shape == dens.shape == (s.size, route["nodes"])
+            assert model.law.weights.shape == (route["nodes"],)
+            np.testing.assert_allclose(half / sd, route["window"], rtol=1e-14)
+
+    @pytest.mark.parametrize("model", [BESSEL, LOGDIFF], ids=["bessel0", "logdiff"])
+    def test_tail_budget_is_no_worse_than_the_wide_rule(self, model):
+        # 3000 seeded cases, 30 (theta, s) pairs at each of 100 (T, k_max),
+        # against a 256-node rule reaching 16 sd: the law's budget is nowhere
+        # worse than a 64-node rule reaching 16 sd. Errors are scaled by
+        # phi(k_max), which bounds |G| for a decreasing phi
+        def rule(nodes, window):
+            law = type("Rule", (type(model.law),), {"nodes": nodes, "window": window})()
+            return dataclasses.replace(model, law=law)
+
+        reference, wide = rule(256, 16.0), rule(64, 16.0)
+        rng = np.random.default_rng(1)
+        worst = {"law": 0.0, "wide": 0.0}
+        for _ in range(100):
+            theta = np.exp(rng.uniform(math.log(0.01), math.log(3.0), 30))
+            T = rng.uniform(0.05, 3.0)
+            if model is BESSEL:
+                s = np.exp(rng.uniform(math.log(0.01), math.log(30.0), 30))
+                k_m = math.exp(rng.uniform(math.log(1e-3), math.log(30.0)))
+            else:
+                s = rng.uniform(0.01, 0.99, 30)
+                k_m = rng.uniform(1e-3, 0.999)
+            want = _g_quadrature(reference, theta, s, 0.0, T, k_m)
+            for name, m in (("law", model), ("wide", wide)):
+                err = np.abs(_g_quadrature(m, theta, s, 0.0, T, k_m) - want).max()
+                worst[name] = max(worst[name], err / float(model.phi(k_m)))
+        assert worst["law"] <= worst["wide"]
+        assert worst["wide"] < 1e-10
 
     # (theta, s, T, k_max) for logdiff: sigma = 1 with a third of the mass at
     # Z = 1, a cutoff near 1, small variance and a state near either end

@@ -431,7 +431,7 @@ class TestCliCommands:
         doc = json.loads(capsys.readouterr().out)
         assert doc["results"]["bound"]["phi_prime_convention"] is True
         assert doc["results"]["bound"]["tail_route"] == {
-            "route": "quadrature", "nodes": 64, "window": 16.0
+            "route": "quadrature", "nodes": 48, "window": 8.0
         }
         assert "repricing" not in doc["results"]  # no closed-form price map
 
@@ -476,7 +476,7 @@ class TestCliCommands:
         for cmd in ("check-bound", "martingale-check"):
             assert docs[cmd, "1"] == docs[cmd, "2"]
         b = json.loads(docs["check-bound", "1"])["results"]
-        assert b["bound"]["tail_route"] == {"route": "quadrature", "nodes": 64, "window": 16.0}
+        assert b["bound"]["tail_route"] == {"route": "quadrature", "nodes": 48, "window": 8.0}
         assert b["stepping"] == {"route": "exact-law", "steps": 1}  # [0, 0.25]
         ab = b["bound"]["absorption"]
         mass = 0.5 ** (1.0 / -math.expm1(-0.25))
@@ -539,9 +539,10 @@ class TestCliCommands:
             for t, frac, mass in zip(ab["times"], ab["fraction"], ab["absorbed_mass"]):
                 assert mass == pytest.approx(math.exp(-2.0 / t), rel=1e-14, abs=0.0)
                 assert abs(frac - mass) < 4.0 * math.sqrt(mass * (1.0 - mass) / 4000)
-        # the stopped process's mean comes from the law: atom plus density
+        # the stopped process's mean comes from the law: atom plus density,
+        # by a 64-node rule on each side of sqrt(z0)
         assert r["semigroup"]["reference_route"] == {
-            "route": "quadrature", "nodes": 64, "window": 16.0
+            "route": "quadrature", "nodes": 128, "window": 16.0
         }
         ref = pytest.approx(0.33341074657405034, rel=1e-13, abs=0.0)
         assert r["semigroup"]["references"] == [ref]

@@ -272,21 +272,54 @@ class TestMartingaleIntegral:
 
 
     def test_streamed_integral_matches_the_array_formula(self, monkeypatch):
-        seen = spy_on_check(monkeypatch)
+        # the sum sees each column of four 1000-path blocks as the engine
+        # draws it; the reference is a stored run of the same grid and
+        # SimConfig, whose per-block substreams give the same draws
         times = [0.0, 0.5, 1.0]
         slope = lambda z: np.where(np.asarray(z) > 0.5, 1.0, 0.0)  # noqa: E731
-        martingale_check_integral(
-            BESSEL, lambda z: np.maximum(z - 0.5, 0.0), 1.0, times,
-            SimConfig(n_paths=4000, dt=1e-3, seed=3), g_left_deriv=slope,
-        )
-        (ens,), (streamed,) = seen["ens"], seen["samples"]
-        states = ens.states
-        increments = slope(states[:, :-1]) * np.diff(states, axis=1)
-        cum = np.concatenate(
-            [np.zeros((states.shape[0], 1)), np.cumsum(increments, axis=1)], axis=1
-        )
-        cols = np.searchsorted(ens.time_grid, times)
-        assert same_bytes(streamed, [cum[:, i] for i in cols])
+        cfg = SimConfig(n_paths=4000, dt=1e-3, seed=3, block_size=1000)
+        for workers in ("1", "4"):
+            monkeypatch.setenv("VOLBOUND_WORKERS", workers)
+            for m, sigma in ((BESSEL, 1.0), (GBM, 0.3)):
+                seen = spy_on_check(monkeypatch)
+                martingale_check_integral(
+                    m, lambda z: np.maximum(z - 0.5, 0.0), sigma, times, cfg, g_left_deriv=slope,
+                )
+                (ens,), (streamed,) = seen["ens"], seen["samples"]
+                assert ens.states is None
+                ref = simulate(m, sigma, m.z0, 0.0, ens.time_grid, cfg)
+                assert ref.absorbed_at.tobytes() == ens.absorbed_at.tobytes()
+                if m is BESSEL:
+                    assert np.any(ens.absorbed_at < 1.0)
+                states = ref.states
+                increments = slope(states[:, :-1]) * np.diff(states, axis=1)
+                cum = np.concatenate(
+                    [np.zeros((states.shape[0], 1)), np.cumsum(increments, axis=1)], axis=1
+                )
+                cols = np.searchsorted(ens.time_grid, times)
+                assert same_bytes(streamed, [cum[:, i] for i in cols])
+
+    def test_sum_memory_does_not_grow_with_the_grid(self):
+        # as for V's compensator: the whole peak is a few path vectors per
+        # test time, where a paths x grid state matrix alone would be 65 and
+        # 257 path vectors. At 2^16 paths the fixed overhead and CPython's
+        # tuple free list (see V's test) are well below one path vector
+        slope = lambda z: np.where(z > 0.5, 1.0, 0.0)  # noqa: E731
+        n_paths, peaks = 2**16, []
+        for points in (65, 257):
+            tracemalloc.start()
+            try:
+                martingale_check_integral(
+                    BESSEL_STEP_H, lambda z: np.maximum(z - 0.5, 0.0), 1.0, [0.25, 0.5, 1.0],
+                    SimConfig(n_paths=n_paths, dt=1e-3, seed=3), g_left_deriv=slope,
+                    integration_points=points,
+                )
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        path_vector = 8 * n_paths
+        assert max(peaks) <= 16 * path_vector
+        assert peaks[1] - peaks[0] < path_vector
 
 
 #: E[phi(Z_v)] for bessel0 from z0 at variance v, the stopped process's mean
@@ -332,7 +365,8 @@ class TestSemigroup:
     def test_reference_routes(self):
         assert semigroup_route(GBM) == {"route": "closed-form"}
         assert semigroup_route(LOGDIFF) == {"route": "closed-form"}  # phi(1) = 0
-        assert semigroup_route(BESSEL) == {"route": "quadrature", "nodes": 64, "window": 16.0}
+        # two 64-node rules, one either side of sqrt(z0)
+        assert semigroup_route(BESSEL) == {"route": "quadrature", "nodes": 128, "window": 16.0}
         # an eigenfunction nonzero at logdiff's atom would need an expect
         # that LogBesselLaw does not have
         with pytest.raises(ConfigurationError, match="no expect"):

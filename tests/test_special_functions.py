@@ -44,6 +44,19 @@ class TestNormCdf:
             norm_cdf(float("nan"))
         with pytest.raises(ValueError):
             norm_cdf(float("inf"))
+        with pytest.raises(ValueError):
+            norm_cdf(float("-inf"))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_one_bad_element_inside_an_array(self, bad):
+        xs = np.array([[-1.0, 0.5], [2.0, 3.0]])
+        xs[1, 0] = bad
+        with pytest.raises(ValueError):
+            norm_cdf(xs)
+
+    def test_empty_array_gives_empty(self):
+        out = norm_cdf(np.empty((0, 3)))
+        assert out.shape == (0, 3)
 
     def test_array_input(self):
         xs = np.array([-1.0, 0.0, 1.0])
@@ -115,6 +128,22 @@ class TestBesselK:
             bessel_k(2, 1.0)
         with pytest.raises(ValueError):
             bessel_k(0, float("nan"))
+        with pytest.raises(ValueError):
+            bessel_k(1, float("inf"))
+        with pytest.raises(ValueError):
+            bessel_k(0, float("-inf"))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1e-300])
+    def test_rejects_one_bad_element_inside_an_array(self, bad):
+        xs = np.array([[0.5, 1.0], [2.0, 3.0]])
+        xs[1, 0] = bad
+        for order in (0, 1):
+            with pytest.raises(ValueError):
+                bessel_k(order, xs)
+
+    def test_empty_array_gives_empty(self):
+        for order in (0, 1):
+            assert bessel_k(order, np.empty(0)).shape == (0,)
 
     @given(st.floats(0.01, 30.0), st.floats(0.01, 30.0))
     @settings(max_examples=150, deadline=None)
