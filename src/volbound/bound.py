@@ -42,6 +42,7 @@ from .models import (
     TimeWeight,
     _gauss_legendre,
     _map_blocks,
+    bisect_increasing,
     sample_mean,
     simulate,
     step_paths,
@@ -895,15 +896,8 @@ def densify_grid(model: ReferenceModel, n: int) -> StrikeGrid:
     d_lo, d_hi = slope(np.array([k_lo, k_m]))
     m = n if k_lo == 0.0 else n - 1
     targets = d_lo + (d_hi - d_lo) * np.arange(1, m) / m
-    # phi' increases (phi is convex): bisect for the least strike reaching
-    # each target, until no bracket can shrink
-    lo, hi = np.full(targets.size, k_lo), np.full(targets.size, k_m)
-    mid = 0.5 * (lo + hi)
-    while np.any((lo < mid) & (mid < hi)):
-        below = slope(mid) < targets
-        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-        mid = 0.5 * (lo + hi)
-    knots = [k_lo, *hi.tolist(), k_m]
+    # phi' increases (phi is convex): the least strike reaching each target
+    knots = [k_lo, *bisect_increasing(slope, targets, k_lo, k_m).tolist(), k_m]
     return StrikeGrid(strikes=tuple(knots if k_lo == 0.0 else [0.0, *knots]))
 
 

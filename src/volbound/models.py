@@ -43,6 +43,7 @@ __all__ = [
     "rng_substream",
     "sample_mean",
     "z_score",
+    "bisect_increasing",
     "worker_count",
     "WORKERS_ENV_VAR",
 ]
@@ -671,6 +672,21 @@ def z_score(diff: float, se: float) -> float:
     if se > 0.0:
         return diff / se
     return 0.0 if diff == 0.0 else math.inf
+
+
+def bisect_increasing(f, targets, lo: float, hi: float) -> np.ndarray:
+    """Per target, the least x in (lo, hi] with f(x) >= target, for f
+    nondecreasing and vectorized, with f(lo) < target <= f(hi). Bisects until
+    no bracket can shrink, so the float below each returned x falls short of
+    its target: the package's one root finder."""
+    targets = np.asarray(targets, dtype=np.float64)
+    lo, hi = np.full(targets.shape, lo), np.full(targets.shape, hi)
+    mid = 0.5 * (lo + hi)
+    while np.any((lo < mid) & (mid < hi)):
+        below = f(mid) < targets
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        mid = 0.5 * (lo + hi)
+    return hi
 
 
 def worker_count() -> int:

@@ -16,7 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, SearchError
-from .models import LognormalLaw, ReferenceModel, SimConfig, sample_mean, simulate
+from .models import (
+    LognormalLaw,
+    ReferenceModel,
+    SimConfig,
+    bisect_increasing,
+    sample_mean,
+    simulate,
+)
 from .special_functions import norm_cdf, norm_pdf
 
 __all__ = [
@@ -31,6 +38,10 @@ __all__ = [
 #: reach, in standard-normal units past the bulk, of the adaptive lognormal
 #: quadrature kept as an oracle (_lognormal_quad)
 QUAD_REACH = 16.0
+
+#: absolute price residual above which implied_vol reports that its
+#: bisection stalled
+PRICE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -271,14 +282,14 @@ def implied_vol(
     T: float,
     strike: float,
     z: float,
-    tol: float = 1e-10,
 ) -> ImpliedVolResult:
     """Invert the model's forward map for the volatility matching ``price``.
 
-    Bracketing plus bisection-safeguarded Newton. The loop runs to
-    sigma-space bracket collapse, not just to the price tolerance: near
-    degenerate cells the price curve is so flat that a price residual
-    alone pins sigma to far fewer digits than the bracket does.
+    Brackets the quote, then bisects the closed-form price to the least
+    sigma pricing at or above it: the float just below sigma prices under
+    the quote. iterations counts price evaluations. Near degenerate cells
+    the price curve is so flat that many sigmas price within an ulp of the
+    quote; this one is the least of them.
     """
     if not (math.isfinite(price) and math.isfinite(strike) and strike >= 0.0):
         raise DomainError(f"need finite price and nonnegative strike, got {price}, {strike}")
@@ -286,8 +297,6 @@ def implied_vol(
         raise DomainError(f"start value must be positive, got {z}")
     if T <= t:
         raise DomainError(f"no volatility is recoverable at zero maturity (t={t}, T={T})")
-    if tol <= 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
     intrinsic = max(z - strike, 0.0)
     if not intrinsic < price < z:
         raise DomainError(
@@ -302,85 +311,34 @@ def implied_vol(
             f"implied vol needs a closed-form price map; model {model.name!r} has none"
         )
     weight = model.h.sq_integral(t, T)
+    evals = 0
 
     def price_fn(sig):
+        nonlocal evals
+        evals += 1
         return _bs_call_core(z, strike, sig * sig * weight)
 
-    def slope_fn(sig):
-        v = sig * sig * weight
-        if v == 0.0 or strike == 0.0:
-            return 0.0
-        d1 = (math.log(z / strike) + v / 2.0) / math.sqrt(v)
-        return z * norm_pdf(d1) * math.sqrt(weight)
-
     lo, hi = 1e-4, 5.0
-    evals = 0
-    f_lo = price_fn(lo) - price
-    f_hi = price_fn(hi) - price
-    evals += 2
-    while f_lo > 0.0:
+    while price_fn(lo) >= price:
         lo /= 4.0
         if lo < 1e-12:
             raise SearchError(f"no bracket: price {price} below the sigma->0 limit")
-        f_lo = price_fn(lo) - price
-        evals += 1
-    while f_hi < 0.0:
+    while price_fn(hi) < price:
         hi *= 2.0
         if hi > 1024.0:
             raise SearchError(f"no bracket: price {price} above the large-sigma limit")
-        f_hi = price_fn(hi) - price
-        evals += 1
-    if not f_lo <= 0.0 <= f_hi:
-        raise SearchError("forward map is not monotone on the bracket")
 
-    bracket = (lo, hi)
-    sig = 0.5 * (lo + hi)
-    width_mark = hi - lo
-    for it in range(200):
-        if hi - lo <= 1e-12 * max(1.0, lo):
-            break
-        f = price_fn(sig) - price
-        evals += 1
-        if f == 0.0:
-            lo = hi = sig
-            break
-        if f > 0.0:
-            hi = sig
-        else:
-            lo = sig
-        # Newton is allowed only while the bracket keeps halving; otherwise
-        # it can creep for hundreds of steps on exponentially flat tails
-        force_bisect = it % 2 == 1 and (hi - lo) > 0.5 * width_mark
-        if it % 2 == 1:
-            width_mark = hi - lo
-        step_ok = False
-        if not force_bisect:
-            dv = slope_fn(sig)
-            if dv > 0.0:
-                cand = sig - f / dv
-                if lo < cand < hi:
-                    sig = cand
-                    step_ok = True
-        if not step_ok:
-            sig = 0.5 * (lo + hi)
-
-    sig = min(max(sig, lo), hi)
-    b_lo, b_hi = bracket
-    if sig <= b_lo:
-        b_lo /= 2.0  # root sat exactly on the initial endpoint
-    if sig >= b_hi:
-        b_hi *= 2.0
-    bracket = (b_lo, b_hi)
+    sig = float(bisect_increasing(price_fn, [price], lo, hi)[0])
     residual = abs(price_fn(sig) - price)
-    evals += 1
-    if residual > tol:
+    if residual > PRICE_TOL:
         raise SearchError(
-            f"implied-vol iteration stalled: residual {residual:.3e} above tol {tol:.3e}"
+            f"implied-vol iteration stalled: residual {residual:.3e} above tol {PRICE_TOL:.3e}"
         )
     return ImpliedVolResult(
-        sigma=float(sig),
+        sigma=sig,
         iterations=evals,
-        bracket=bracket,
+        # a root on the search's upper end still sits inside the reported bracket
+        bracket=(lo, hi if sig < hi else 2.0 * hi),
         residual=float(residual),
         forward_map="gbm-closed-form",
     )

@@ -258,6 +258,52 @@ class TestConfigParsing:
             f"[key: densify.grid_sizes]{where}\n"
         )
 
+    @pytest.mark.parametrize("old, new, argv, message", [
+        ("sigma: 0.2", "sigma: .nan", [],
+         "expected a finite number, got nan [key: sigma] (line 2)"),
+        ("model: gbm", "model: 3", [], "expected a string, got 3 [key: model] (line 1)"),
+        ("strikes: [0.0, 0.5, 1.0, 1.5, 2.0]", "strikes: 1.0", [],
+         "expected a non-empty list of numbers, got 1.0 [key: strikes] (line 6)"),
+        ("simulation:\n  paths: 4000\n  dt: 0.01\n  seed: 11", "simulation: 5", [],
+         "expected a section (mapping), got 5 [key: simulation] (line 9)"),
+        ("generator: self-consistent", "generator: jumpy", [],
+         "unknown generator 'jumpy' [key: generator] (line 3)"),
+        ("  maturity: 1.0", "  maturity: 0", [],
+         "maturity must be positive, got 0.0 [key: pricing.maturity] (line 15)"),
+        ("  strike: 1.0", "  strike: -0.5", [],
+         "strike cannot be negative, got -0.5 [key: pricing.strike] (line 16)"),
+        (None, "densify:\n  grid_sizes: 4\n", [],
+         "expected a non-empty list of integers, got 4 [key: densify.grid_sizes] (line 18)"),
+        (None, "densify:\n  grid_sizes: [1, 4]\n", [],
+         "grid sizes must be integers >= 2, got 1 [key: densify.grid_sizes] (line 18)"),
+        (None, "scan:\n  axes: 3\n", [],
+         "expected a non-empty list of axis sections [key: scan.axes] (line 18)"),
+        (None, "scan:\n  axes: [3]\n", [],
+         "each axis must be a mapping, got 3 [key: scan.axes] (line 18)"),
+        (None, "martingale:\n  times: [0.0, 1.0]\n", [],
+         "check times must be positive [key: martingale.times] (line 18)"),
+        (None, "", ["--set", "sigma=[0.2"],
+         "override value '[0.2' is not a YAML scalar [key: sigma]"),
+    ], ids=[
+        "non-finite", "model-not-string", "scalar-strikes", "scalar-simulation",
+        "unknown-generator", "maturity", "negative-strike", "scalar-grid-sizes",
+        "grid-size-below-2", "scalar-axes", "scalar-axis", "martingale-time", "set-not-yaml",
+    ])
+    def test_outside_input_is_rejected_with_key_and_line(
+        self, old, new, argv, message, tmp_path, capsys
+    ):
+        # each check on the config file or a --set value exits 2 with one
+        # line naming the bad key, and its line where the file holds it
+        if old is None:
+            text = BASE + new
+        else:
+            assert old in BASE
+            text = BASE.replace(old, new)
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(text)
+        assert main(["price", "--config", str(cfg), *argv]) == 2
+        assert capsys.readouterr().err == f"volbound: config error: {message}\n"
+
     @pytest.mark.parametrize("command, argv", [
         ("price", ["--set", "sigma=-0.1"]),
         ("scan", []),

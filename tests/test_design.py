@@ -205,3 +205,20 @@ def test_one_z_score_rule():
                 and ast.unparse(node.test).endswith("== 0.0"))
 
     assert sites(takes_rule) == {"models.z_score"}
+
+
+# the midpoint of two names: 0.5 * (a + b), (a + b) * 0.5 or (a + b) / 2
+MIDPOINT = re.compile(r"0\.5 \* \(\w+ \+ \w+\)|\(\w+ \+ \w+\) (\* 0\.5|/ 2(\.0)?)")
+
+
+def test_one_root_finder():
+    # the densification schedule and the implied volatility both invert an
+    # increasing function by one bisection to adjacent floats: no other loop
+    # halves a bracket
+    def halves_a_bracket(node):
+        return isinstance(node, (ast.While, ast.For)) and any(
+            isinstance(n, ast.BinOp) and MIDPOINT.fullmatch(ast.unparse(n))
+            for n in ast.walk(node)
+        )
+
+    assert sites(halves_a_bracket) == {"models.bisect_increasing"}

@@ -81,6 +81,10 @@ class TestVerifyPhi:
 
 CFG = SimConfig(n_paths=20000, dt=0.01, seed=42)
 
+#: bessel0 in the absorbing regime (sigma = 1) under an h whose breakpoint
+#: falls between the points of the integration grid
+BESSEL_STEP_H = dataclasses.replace(BESSEL, h=TimeWeight(values=(1.0, 1.5), breakpoints=(0.37,)))
+
 
 class TestMartingaleU:
     def test_gbm_flat(self):
@@ -98,6 +102,35 @@ class TestMartingaleU:
         cfg = SimConfig(n_paths=100000, dt=0.005, seed=7)
         r = martingale_check_U(BESSEL, 0.5, [0.5, 1.0], cfg)
         assert r.verdict
+
+    def test_stopped_clock_under_a_stepped_h(self, monkeypatch):
+        # sigma = 1 absorbs a third of the paths by t = 1, on both sides of
+        # h's breakpoint 0.37: an absorbed path's discount stops at sigma^2
+        # int_0^tau h^2, as the Euler oracle's (law=None) does at its own
+        # absorption times. A clock of min(tau, t) alone would leave the
+        # unabsorbed paths' discount at e^-1, not e^-1.79, at t = 1
+        clocks = []
+        stopped_sq_integral = phi_module._stopped_sq_integral
+
+        def spy(h, t, absorbed_at):
+            clock = stopped_sq_integral(h, t, absorbed_at)
+            clocks.append((t, absorbed_at, clock))
+            return clock
+
+        monkeypatch.setattr(phi_module, "_stopped_sq_integral", spy)
+        times = [0.25, 0.5, 1.0]
+        euler = dataclasses.replace(BESSEL_STEP_H, law=None)
+        a = martingale_check_U(BESSEL_STEP_H, 1.0, times, SimConfig(n_paths=20000, dt=1e-3, seed=3))
+        b = martingale_check_U(euler, 1.0, times, SimConfig(n_paths=20000, dt=1e-3, seed=48))
+        assert a.verdict and b.verdict
+        assert a.absorbed_fraction[0] > 0.0 and a.absorbed_fraction[-1] > 0.3
+        for ma, sa, mb, sb in zip(a.means, a.ses, b.means, b.ses):
+            assert abs(ma - mb) < 4.0 * math.hypot(sa, sb)
+        h = BESSEL_STEP_H.h
+        assert len(clocks) == 6
+        for t, absorbed_at, clock in clocks:
+            stop = np.fmin(absorbed_at, t)  # nan: never absorbed
+            assert clock.tolist() == [h.sq_integral(0.0, x) for x in stop.tolist()]
 
     def test_times_validation(self):
         with pytest.raises(DomainError):
@@ -137,11 +170,6 @@ def same_bytes(streamed, reference):
     return len(streamed) == len(reference) and all(
         a.tobytes() == b.tobytes() for a, b in zip(streamed, reference)
     )
-
-
-#: bessel0 in the absorbing regime (sigma = 1) under an h whose breakpoint
-#: falls between the points of the integration grid
-BESSEL_STEP_H = dataclasses.replace(BESSEL, h=TimeWeight(values=(1.0, 1.5), breakpoints=(0.37,)))
 
 
 class TestMartingaleV:
@@ -218,16 +246,23 @@ class TestMartingaleV:
         # number of integration points: a paths x grid state matrix alone
         # would be 65 and 257 path vectors. The growth includes CPython's
         # tuple free list, which here keeps ~96 bytes per step until it is
-        # full (0.6 path vectors over the 192 extra steps at n = 4000)
+        # full (0.6 path vectors over the 192 extra steps at n = 4000). An
+        # untraced run of the largest check (four blocks of 257 points) fills
+        # it first, so that the reading does not depend on how full the tests
+        # run before this one left it: 0.28 of the growth bound, not 0.7-0.9
+        def run(n_paths, points):
+            martingale_check_V(
+                BESSEL_STEP_H, 1.0, [0.25, 0.5, 1.0],
+                SimConfig(n_paths=n_paths, dt=1e-3, seed=3), integration_points=points,
+            )
+
+        run(2**16, 257)
         for n_paths in (4000, 2**16):
             peaks = []
             for points in (65, 257):
                 tracemalloc.start()
                 try:
-                    martingale_check_V(
-                        BESSEL_STEP_H, 1.0, [0.25, 0.5, 1.0],
-                        SimConfig(n_paths=n_paths, dt=1e-3, seed=3), integration_points=points,
-                    )
+                    run(n_paths, points)
                     peaks.append(tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()

@@ -258,6 +258,21 @@ class TestImpliedVol:
         r = implied_vol(GBM, price, 0.0, 1.0, 1.0, 1.0)
         assert r.sigma == pytest.approx(7.0, rel=1e-7)
 
+    @pytest.mark.parametrize("sigma, k", [(0.2, 1.0), (0.02, 1.5), (7.0, 0.5), (1e-5, 1.0)])
+    def test_sigma_is_the_least_float_reaching_the_quote(self, sigma, k):
+        # bisection to adjacent floats: the float below sigma prices under the
+        # quote and sigma at or above it. sigma = 1e-5 lies below the default
+        # bracket, whose lower end is first moved down to reach it
+        price = bs_call_price(0.0, 1.0, k, sigma, 1.0).value
+        r = implied_vol(GBM, price, 0.0, 1.0, k, 1.0)
+        below = math.nextafter(r.sigma, 0.0)
+        price_at = lambda sig: _bs_call_core(1.0, k, sig * sig)  # noqa: E731
+        assert price_at(below) < price <= price_at(r.sigma)
+        assert r.sigma == pytest.approx(sigma, rel=1e-7)
+        assert r.bracket[0] < r.sigma < r.bracket[1]
+        if sigma < 1e-4:
+            assert r.bracket[0] < sigma
+
     def test_non_gbm_forward_map_rejected(self):
         with pytest.raises(ConfigurationError):
             implied_vol(builtin_model("bessel0"), 0.1, 0.0, 1.0, 0.6, 0.5)
