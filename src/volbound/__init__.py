@@ -12,7 +12,6 @@ __all__ = [
     "bessel_k",
     "norm_cdf",
     "norm_pdf",
-    "TimeWeight",
     "ReferenceModel",
     "SimConfig",
     "builtin_model",
@@ -53,7 +52,6 @@ from .config import parse_config  # noqa: E402
 from .models import (  # noqa: E402
     ReferenceModel,
     SimConfig,
-    TimeWeight,
     builtin_model,
     simulate,
 )

@@ -13,8 +13,8 @@ Naming used throughout, with x for the state and b for a strike level:
 
 * ``clipped_phi(b, x)`` = (phi(x) - phi(b)) 1_{x > b}, the convex tail of
   the eigenfunction beyond b.
-* growth factor N  = exp(theta^2 int_t^T h^2) phi(s).
-* moment ratio  X  = exp(theta^2 int_{T1}^{T2} h^2).
+* growth factor N  = exp(theta^2 (T - t)) phi(s).
+* moment ratio  X  = exp(theta^2 (T2 - T1)).
 * tail term     G  = E[clipped_phi(K_m, Z_T) | Z_t = s] at vol theta.
 * strike-band   L  = sum_j int_{K_j}^{K_{j+1}} (C(K) - C(K_j)) phi''(K) dK.
 """
@@ -39,7 +39,6 @@ from .models import (
     ReferenceModel,
     SimConfig,
     ThetaProcess,
-    TimeWeight,
     _gauss_legendre,
     _map_blocks,
     bisect_increasing,
@@ -215,18 +214,14 @@ class QPolynomial:
         return float(acc) if acc.ndim == 0 else acc
 
 
-def compute_alphas(mats: MaturityGrid, h: TimeWeight) -> tuple:
-    """Maturity exponents: weighted time from T1, normalized by the first gap."""
+def compute_alphas(mats: MaturityGrid) -> tuple:
+    """Maturity exponents: time from T1, normalized by the first gap."""
     times = mats.times
-    denom = h.sq_integral(times[0], times[1])
-    if denom <= 0.0:
-        raise DomainError("first maturity gap carries no weighted time")
-    alphas = tuple(h.sq_integral(times[0], tk) / denom for tk in times)
-    return alphas
+    return tuple((tk - times[0]) / (times[1] - times[0]) for tk in times)
 
 
 def pin_point(sigma: float, i_12: float) -> float:
-    """The pinned abscissa exp(sigma^2 * weighted first-gap time).
+    """The pinned abscissa exp(sigma^2 i_12), i_12 = T2 - T1 the first gap.
 
     Everything that must cancel exactly at the pin (the forced polynomial
     coefficients, the self-consistent gap term, report audit values) goes
@@ -340,15 +335,14 @@ def clipped_phi(phi: PhiFunction, b: float, x):
 
 
 def n_value(t: float, T: float, theta, s, model: ReferenceModel):
-    """Growth factor exp(theta^2 int_t^T h^2) phi(s); exact arithmetic."""
+    """Growth factor exp(theta^2 (T - t)) phi(s); exact arithmetic."""
     if not t <= T:
         raise DomainError(f"need t <= T, got t={t}, T={T}")
     theta = np.asarray(theta, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
     if not np.all((s >= model.beta.lower) & (s <= model.beta.upper)):
         raise DomainError("state outside the domain closure")
-    weight = model.h.sq_integral(t, T)
-    out = np.exp(theta * theta * weight) * np.asarray(model.phi(s), dtype=np.float64)
+    out = np.exp(theta * theta * (T - t)) * np.asarray(model.phi(s), dtype=np.float64)
     return float(out) if out.ndim == 0 else out
 
 
@@ -374,8 +368,7 @@ def _g_quadrature(model, theta, s, t, T, k_max):
     """
     law = model.law
     theta, s = np.broadcast_arrays(theta, s)
-    weight = model.h.sq_integral(t, T)
-    v = theta * theta * weight
+    v = theta * theta * (T - t)
     out = np.empty(s.shape, dtype=np.float64)
     phi_b = float(model.phi(k_max))
     atom_gain = None
@@ -424,7 +417,7 @@ def g_value(
         raise DomainError(f"cutoff strike must be positive, got {k_max}")
     if theta < 0.0:
         raise DomainError(f"volatility parameter must be nonnegative, got {theta}")
-    v = theta * theta * model.h.sq_integral(t, T)
+    v = theta * theta * (T - t)
     if v == 0.0 or s <= 0.0:
         return PriceQuote(value=float(clipped_phi(model.phi, k_max, s)), se=0.0, n_paths=0)
     if isinstance(model.law, LognormalLaw):
@@ -459,7 +452,7 @@ def _g_batch(model, theta, s, t, T, k_max):
         return _g_quadrature(model, theta, s, t, T, k_max)
     theta, s = np.broadcast_arrays(theta, s)
     # Taylor's formula about k_max is exact: G = phi' C + phi''/2 E[((Z_T - K)^+)^2]
-    v = theta * theta * model.h.sq_integral(t, T)
+    v = theta * theta * (T - t)
     k = np.full(s.shape, float(k_max))
     c, s2 = _bs_call_moments(s, k, v)
     return float(model.phi.deriv1(k_max)) * c + 0.5 * model.phi.curvature * s2
@@ -501,7 +494,7 @@ def l_value(
     theta, s = np.broadcast_arrays(theta, s)
     if _closed_form(model):
         ks = np.asarray(strikes.strikes)
-        v = theta * theta * model.h.sq_integral(t, T)
+        v = theta * theta * (T - t)
         z, k, v = np.broadcast_arrays(s[:, None], ks[None, :], v[:, None])
         c, s2 = _bs_call_moments(z, k, v)
         bands = 0.5 * (s2[:, :-1] - s2[:, 1:]) - c[:, :-1] * np.diff(ks)
@@ -643,11 +636,8 @@ def check_bound(
     times = mats.times
     if not 0.0 <= t <= times[0]:
         raise DomainError(f"evaluation time {t} must lie in [0, {times[0]}]")
-    h = model.h
-    i_12 = h.sq_integral(times[0], times[1])
-    x0 = pin_point(scn.sigma0, i_12)
-    alphas = compute_alphas(mats, h)
-    qp = build_q(w, alphas, x0)
+    i_12 = times[1] - times[0]
+    qp = build_q(w, compute_alphas(mats), pin_point(scn.sigma0, i_12))
 
     grid = [0.0] if t == 0.0 else [0.0, t]
     joint = joint_simulate(scn, grid, cfg)
@@ -731,12 +721,10 @@ def check_bound(
 
 
 def _state_variance(scn: Scenario, t: float) -> float:
-    """int_0^t theta^2 h^2 for a theta that does not move."""
-    proc, h = scn.theta_process, scn.reference.h
+    """int_0^t theta^2 for a theta that does not move."""
+    proc = scn.theta_process
     edges = [0.0] + [c for c in proc.change_times if c < t] + [t]
-    return sum(
-        proc.deterministic_value(a) ** 2 * h.sq_integral(a, b) for a, b in zip(edges, edges[1:])
-    )
+    return sum(proc.deterministic_value(a) ** 2 * (b - a) for a, b in zip(edges, edges[1:]))
 
 
 @dataclass(frozen=True)
@@ -839,7 +827,7 @@ def pricing_residuals(
     counts = np.empty(shape, dtype=np.int64)
     payoff, diff = np.empty(n), np.empty(n)
     for i, t_i in enumerate(times):
-        v = theta_t * theta_t * model.h.sq_integral(t, t_i)
+        v = theta_t * theta_t * (t_i - t)
         for j, k in enumerate(ks):
             price = _bs_call_core(s_t, k, v)
             for g in range(len(scenarios)):
@@ -920,8 +908,8 @@ def densification_study(
     if not schedule:
         raise DomainError("grid schedule cannot be empty")
     scn = self_consistent_scenario(model, sigma)
-    i_12 = model.h.sq_integral(mats.times[0], mats.times[1])
-    qp = build_q(w, compute_alphas(mats, model.h), pin_point(scn.sigma0, i_12))
+    i_12 = mats.times[1] - mats.times[0]
+    qp = build_q(w, compute_alphas(mats), pin_point(scn.sigma0, i_12))
     steps = []
     convention = False
     for grid in schedule:
@@ -960,7 +948,8 @@ def decomposition_check(
     """
     if not _closed_form(model):
         raise ConfigurationError("the termwise check needs the closed-form model")
-    v = theta * theta * model.h.sq_integral(t, T)
+    n_term = float(n_value(t, T, theta, s, model))  # first: it rejects T < t
+    v = theta * theta * (T - t)
 
     def q_prices(ks):
         return np.array([quad_call_price(model, theta, t, T, k, s).value for k in ks.tolist()])
@@ -979,7 +968,6 @@ def decomposition_check(
         m_term = _lognormal_quad(lambda x: float(model.phi(x)), s, v, -math.inf)
     else:
         m_term = float(model.phi(s))
-    n_term = float(n_value(t, T, theta, s, model))
 
     defect = (h_term - l_term - g_term) - (m_term - n_term)
     return {

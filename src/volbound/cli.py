@@ -110,7 +110,7 @@ def _mart_payload(rep, model, sigma) -> dict:
     mass_fn = getattr(model.law, "absorbed_mass", None)
     mass = None
     if mass_fn is not None:
-        mass = [mass_fn(model.z0, sigma * sigma * model.h.sq_integral(0.0, t)) for t in rep.times]
+        mass = [mass_fn(model.z0, sigma * sigma * t) for t in rep.times]
     return {
         "means": rep.means,
         "ses": rep.ses,

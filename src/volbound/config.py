@@ -10,6 +10,7 @@ reproduces the run.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import yaml
@@ -30,7 +31,20 @@ class LocatedDict(dict):
         return getattr(self, "key_lines", {}).get(key)
 
 
-class _LineLoader(yaml.SafeLoader):
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that also reads YAML 1.2 floats such as 1e-3 or json's
+    1e-05, which YAML 1.1 (PyYAML) takes for strings."""
+
+
+# appended after YAML 1.1's int and float resolvers, which keep what they match
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
+    list("-+.0123456789"),
+)
+
+
+class _LineLoader(_Loader):
     pass
 
 
@@ -74,7 +88,7 @@ def parse_override(text: str):
     if not sep or not key:
         raise ConfigParseError(f"override must look like key=value, got {text!r}")
     try:
-        value = yaml.safe_load(raw) if raw.strip() else None
+        value = yaml.load(raw, Loader=_Loader) if raw.strip() else None
     except yaml.YAMLError as exc:
         raise ConfigParseError(
             f"override value {raw!r} is not a YAML scalar", key=key

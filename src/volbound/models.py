@@ -1,5 +1,6 @@
-"""Reference diffusion families dZ = sigma h(t) beta(Z) dB and their
-convex eigenfunctions phi solving (1/2) beta^2 phi'' = phi.
+"""Reference diffusion families dZ = sigma beta(Z) dB (a time weight h(t) is
+the clock change t -> int_0^t h^2 of them) and their convex eigenfunctions
+phi solving (1/2) beta^2 phi'' = phi.
 
 Simulation is organized in fixed-size path blocks, each with its own RNG
 substream, so ensembles are bit-identical for a given seed no matter how many
@@ -8,7 +9,6 @@ workers process the blocks.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import os
@@ -23,7 +23,6 @@ from .errors import ConfigurationError, DomainError
 from .special_functions import bessel_k, norm_pdf
 
 __all__ = [
-    "TimeWeight",
     "StateDiffusion",
     "PhiFunction",
     "TransitionLaw",
@@ -49,56 +48,6 @@ __all__ = [
 ]
 
 WORKERS_ENV_VAR = "VOLBOUND_WORKERS"
-
-
-# ===== deterministic time weight =====
-
-
-@dataclass(frozen=True)
-class TimeWeight:
-    """Deterministic weight h(t), constant or piecewise constant.
-
-    values[i] applies on [breakpoints[i-1], breakpoints[i]); the first piece
-    extends to -inf and the last to +inf. All values must be positive, so h
-    never vanishes.
-    """
-
-    values: tuple[float, ...]
-    breakpoints: tuple[float, ...] = ()
-
-    def __post_init__(self) -> None:
-        values = tuple(float(v) for v in self.values)
-        breakpoints = tuple(float(b) for b in self.breakpoints)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "breakpoints", breakpoints)
-        if len(values) != len(breakpoints) + 1:
-            raise ConfigurationError(
-                f"need len(values) == len(breakpoints) + 1, got {len(values)} and {len(breakpoints)}"
-            )
-        if not all(v > 0.0 and math.isfinite(v) for v in values):
-            raise ConfigurationError("time weight values must be positive and finite")
-        if any(b1 >= b2 for b1, b2 in zip(breakpoints, breakpoints[1:])):
-            raise ConfigurationError("breakpoints must be strictly increasing")
-
-    @property
-    def is_unit(self) -> bool:
-        return len(self.values) == 1 and self.values[0] == 1.0
-
-    def __call__(self, t: float) -> float:
-        return self.values[bisect.bisect_right(self.breakpoints, t)]
-
-    def sq_integral(self, a: float, b: float) -> float:
-        """Integral of h(s)^2 over [a, b] in closed form."""
-        if b < a:
-            raise DomainError(f"integration bounds reversed: [{a}, {b}]")
-        if b == a:
-            return 0.0
-        edges = [a] + [t for t in self.breakpoints if a < t < b] + [b]
-        total = 0.0
-        for lo, hi in zip(edges, edges[1:]):
-            v = self(lo)
-            total += v * v * (hi - lo)
-        return total
 
 
 # ===== state diffusion and eigenfunction =====
@@ -168,7 +117,7 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class TransitionLaw:
-    """Exact law of Z_T given Z_t = s, indexed by the variance v = sigma^2 int_t^T h^2.
+    """Exact law of Z_T given Z_t = s, indexed by the variance v = sigma^2 (T - t).
 
     A law with a sample(z, v, rng) method draws Z_T exactly over any
     interval on which v grows linearly, so the stepping kernel takes one
@@ -338,7 +287,7 @@ class LogBesselLaw(TransitionLaw):
     """logdiff: Z_T = exp(-e^v X), X drawn from SquaredBesselLaw at state
     -ln s and variance 2(1 - e^{-v}).
 
-    Y = -ln Z solves dY = theta^2 h^2 Y dt - theta h sqrt(2Y) dW, so e^{-A} Y,
+    Y = -ln Z solves dY = theta^2 Y dt - theta sqrt(2Y) dW, so e^{-A} Y,
     A the variance accrued, runs SquaredBesselLaw's process on the clock
     2(1 - e^{-A}) (Goeing-Jaeschke & Yor 2003). The atom X = 0 is Z = 1, of
     mass s^{1/(1 - e^{-v})}, reached at A* = -ln(1 - w*/2) for the Bessel
@@ -383,14 +332,13 @@ class LogBesselLaw(TransitionLaw):
 
 @dataclass(frozen=True)
 class ReferenceModel:
-    """A reference diffusion dZ = sigma h(t) beta(Z) dB with eigenfunction phi.
+    """A reference diffusion dZ = sigma beta(Z) dB with eigenfunction phi.
 
     law, when set, is the exact transition law of dZ = sigma beta(Z) dB;
     it must describe beta, so replace it together with beta.
     """
 
     name: str
-    h: TimeWeight
     beta: StateDiffusion
     phi: PhiFunction
     z0: float
@@ -450,7 +398,6 @@ def builtin_model(name: str, z0: float | None = None) -> ReferenceModel:
     if name == "gbm":
         return ReferenceModel(
             name="gbm",
-            h=TimeWeight(values=(1.0,)),
             beta=StateDiffusion(lambda z: np.asarray(z, dtype=np.float64), 0.0, math.inf),
             phi=PhiFunction(
                 value=lambda z: np.square(np.asarray(z, dtype=np.float64)),
@@ -464,7 +411,6 @@ def builtin_model(name: str, z0: float | None = None) -> ReferenceModel:
     if name == "bessel0":
         return ReferenceModel(
             name="bessel0",
-            h=TimeWeight(values=(1.0,)),
             beta=StateDiffusion(
                 lambda z: np.sqrt(np.maximum(np.asarray(z, dtype=np.float64), 0.0)),
                 0.0,
@@ -490,7 +436,6 @@ def builtin_model(name: str, z0: float | None = None) -> ReferenceModel:
 
         return ReferenceModel(
             name="logdiff",
-            h=TimeWeight(values=(1.0,)),
             beta=StateDiffusion(beta_logdiff, 0.0, 1.0),
             phi=PhiFunction(
                 _logdiff_term(lambda z: -np.log(z)),
@@ -709,16 +654,15 @@ def _samples_exactly(model: ReferenceModel, moving: bool) -> bool:
 def _step_grid(
     model: ReferenceModel, time_grid: np.ndarray, dt: float, change_times, moving: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The stepping kernel's grid for model: the stored times, the breakpoints
-    of h and theta's change times, with substeps of at most dt in between
-    unless the law samples each interval between them exactly.
+    """The stepping kernel's grid for model: the stored times and theta's
+    change times, with substeps of at most dt in between unless the law
+    samples each interval between them exactly.
 
     Returns (fine_grid, store_idx) with fine_grid[store_idx] == time_grid
     exactly.
     """
     t0, t1 = time_grid[0], time_grid[-1]
-    breakpoints = tuple(model.h.breakpoints) + tuple(change_times)
-    anchors = np.array(sorted(set(time_grid.tolist()) | {b for b in breakpoints if t0 < b < t1}))
+    anchors = np.array(sorted(set(time_grid.tolist()) | {b for b in change_times if t0 < b < t1}))
     if _samples_exactly(model, moving):
         fine_grid = anchors
     else:
@@ -768,17 +712,17 @@ def step_paths(
     cfg: SimConfig,
     visit=None,
 ) -> PathEnsemble:
-    """The path engine: paths of dZ = theta_t h(t) beta(Z) dW from
+    """The path engine: paths of dZ = theta_t beta(Z) dW from
     (t_start, z_start), stored exactly at the times of time_grid.
 
     theta is a volatility or a ThetaProcess, whose values at the stored
     times the ensemble keeps. A theta that does not move changes only at its
-    change times, which join the stored times and the breakpoints of h as
-    the ends of the steps. There a model whose law samples exactly takes the
-    law's draw over each step, however long: it may draw any number of
-    variates per state (Poisson, Gamma and, for a path that reached the
-    law's atom in the step, an exponential that places tau inside it), so
-    the stream position depends on the states. Otherwise the steps are
+    change times, which join the stored times as the ends of the steps.
+    There a model whose law samples exactly takes the law's draw over each
+    step, however long: it may draw any number of variates per state
+    (Poisson, Gamma and, for a path that reached the law's atom in the step,
+    an exponential that places tau inside it), so the stream position
+    depends on the states. Otherwise the steps are
     substeps of at most cfg.dt, and every one draws one normal per state
     whatever the paths' history: the step is the law's exact step driven by
     it where the law has one, else Euler's, and a path that an Euler step
@@ -857,7 +801,7 @@ def step_paths(
         for j in range(1, len(fine_grid)):
             t_lo = float(fine_grid[j - 1])
             step_dt = float(fine_grid[j]) - t_lo
-            vol = (vol_theta if moves else theta_at(t_lo)) * model.h(t_lo)
+            vol = vol_theta if moves else theta_at(t_lo)
             if sample is not None:
                 v = vol * vol * step_dt
                 z_new = sample(z, v, rng)
@@ -911,8 +855,7 @@ def simulate(
     (t_start, z_start) on time_grid: step_paths at a constant theta.
 
     Where the model's law samples exactly, each path takes one exact step
-    per interval between grid times and breakpoints of h, and cfg.dt is
-    unused; otherwise it takes Euler steps of at most cfg.dt that also stop
-    at the breakpoints.
+    per interval between grid times, and cfg.dt is unused; otherwise it takes
+    Euler steps of at most cfg.dt.
     """
     return step_paths(model, sigma, z_start, t_start, time_grid, cfg)

@@ -147,24 +147,12 @@ def _simulation_grid(times, extra=None):
     return sorted(pts)
 
 
-def _stopped_sq_integral(h, t, absorbed_at):
-    """Per-path value of int_0^{min(t, tau)} h(s)^2 ds."""
-    tau_eff = np.fmin(absorbed_at, t)  # fmin: NaN means never absorbed
-    if h.is_unit:
-        return tau_eff
-    out = np.full(tau_eff.shape, h.sq_integral(0.0, t))
-    stopped = tau_eff < t
-    if np.any(stopped):
-        out[stopped] = [h.sq_integral(0.0, float(x)) for x in tau_eff[stopped]]
-    return out
-
-
 def martingale_check_U(
     model: ReferenceModel, sigma: float, times, cfg: SimConfig
 ) -> MartingaleTestReport:
     """Test that the discounted eigenfunction process has constant mean.
 
-    The tested object is exp(-sigma^2 int_0^{t ^ tau} h^2) phi(Z_{t ^ tau}):
+    The tested object is exp(-sigma^2 (t ^ tau)) phi(Z_{t ^ tau}):
     on paths absorbed at tau both the discount and the state freeze there,
     which is exactly the stopped process whose mean is phi(z0) at every t.
     """
@@ -176,7 +164,7 @@ def martingale_check_U(
     samples = []
     for t in times:
         states = ens.states[:, idx[t]]
-        weight = np.exp(-sigma * sigma * _stopped_sq_integral(model.h, t, ens.absorbed_at))
+        weight = np.exp(-sigma * sigma * np.fmin(ens.absorbed_at, t))  # nan: never absorbed
         samples.append(weight * np.asarray(model.phi(states), dtype=np.float64))
     return _summarize(times, samples, [ref] * len(times), ens)
 
@@ -190,7 +178,7 @@ def martingale_check_V(
 ) -> MartingaleTestReport:
     """Test the compensated form: phi(Z_t) minus its accumulated drift.
 
-    The compensator sigma^2 int_0^{t ^ tau} h^2 phi(Z_s) ds is accumulated
+    The compensator sigma^2 int_0^{t ^ tau} phi(Z_s) ds is accumulated
     by the trapezoid rule on a refined grid; the integrand stops at the
     absorption time like the state does. It is accumulated block by block
     as the engine draws each grid column, so memory is a few path vectors
@@ -199,7 +187,7 @@ def martingale_check_V(
     times = _check_times(times)
     if integration_points < 2:
         raise ConfigurationError("need at least 2 integration points")
-    fine = np.union1d(np.linspace(0.0, times[-1], integration_points), model.h.breakpoints)
+    fine = np.linspace(0.0, times[-1], integration_points)
     # an array, not a list of floats: the grid is V's only per-point state
     grid = np.array(_simulation_grid(times, extra=fine))
     grid = grid[grid <= times[-1]]
@@ -210,15 +198,15 @@ def martingale_check_V(
     cum = np.full(cfg.n_paths, -0.0)
 
     def visit(rows, c, z, absorbed_at):
-        # grid segment c - 1 ends at column c: h is constant on it, and its
-        # overlap with [0, tau) stops the integrand where the path was
-        # absorbed; a path absorbed after the column still reads nan, and
-        # fmin gives seg_hi as it would for its tau > seg_hi
+        # grid segment c - 1 ends at column c: its overlap with [0, tau)
+        # stops the integrand where the path was absorbed; a path absorbed
+        # after the column still reads nan, and fmin gives seg_hi as it
+        # would for its tau > seg_hi
         phi_hi = np.asarray(model.phi(z), dtype=np.float64)
         if c > 0:
             seg_lo, seg_hi = grid[c - 1], grid[c]
             overlap = np.clip(np.fmin(absorbed_at, seg_hi) - seg_lo, 0.0, None)
-            cum[rows] += overlap * float(model.h(seg_lo)) ** 2 * 0.5 * (phi_lo[rows] + phi_hi)
+            cum[rows] += overlap * 0.5 * (phi_lo[rows] + phi_hi)
         phi_lo[rows] = phi_hi
         if c in wanted:
             wanted[c][rows] = phi_hi - sigma * sigma * cum[rows]
@@ -298,16 +286,16 @@ def semigroup_check(
 ) -> MartingaleTestReport:
     """Test the eigenvalue identity for E[phi(Z_t)].
 
-    The law of Z_t is indexed by the variance v = sigma^2 int_0^t h^2, so
-    without absorption E[phi(Z_t)] = exp(v) phi(z0) whatever the time
-    weight. A path absorbed at the law's atom holds phi(atom) and stops
-    growing, so where phi(atom) is finite and nonzero, the reference is the
-    stopped process's mean, taken from the law at v: phi(atom) times the
-    atom's mass plus phi against the density (semigroup_route names which).
+    The law of Z_t is indexed by the variance v = sigma^2 t, so without
+    absorption E[phi(Z_t)] = exp(v) phi(z0). A path absorbed at the law's
+    atom holds phi(atom) and stops growing, so where phi(atom) is finite and
+    nonzero, the reference is the stopped process's mean, taken from the law
+    at v: phi(atom) times the atom's mass plus phi against the density
+    (semigroup_route names which).
     """
     if not t > 0.0:
         raise DomainError(f"test time must be positive, got {t}")
-    v = sigma * sigma * model.h.sq_integral(0.0, t)
+    v = sigma * sigma * t
     if semigroup_route(model)["route"] == "quadrature":
         ref = model.law.expect(model.phi, model.z0, v)
     else:

@@ -199,7 +199,7 @@ def _validate_quote_args(t, T, strike, sigma, z):
 
 
 def bs_call_price(t: float, T: float, strike: float, sigma: float, z: float) -> PriceQuote:
-    """Closed-form lognormal call price with unit time weight.
+    """Closed-form lognormal call price at variance sigma^2 (T - t).
 
     The zero-strike and zero-variance cases return their limits (the
     start value and the intrinsic value) rather than evaluating the
@@ -258,7 +258,7 @@ def quad_call_price(
     """Deterministic quadrature of the payoff against the transition density.
 
     Only models with a lognormal law are supported (gbm), where log Z_T is
-    normal with variance sigma^2 * int h^2; _lognormal_quad integrates the
+    normal with variance sigma^2 (T - t); _lognormal_quad integrates the
     payoff from the strike.
     """
     if not isinstance(model.law, LognormalLaw):
@@ -267,7 +267,7 @@ def quad_call_price(
             f"model {model.name!r} has none"
         )
     _validate_quote_args(t, T, strike, sigma, z)
-    v = sigma * sigma * model.h.sq_integral(t, T)
+    v = sigma * sigma * (T - t)
     if v == 0.0 or z == 0.0:
         return PriceQuote(value=max(z - strike, 0.0), se=0.0, n_paths=0)
     w_lo = -QUAD_REACH if strike == 0.0 else (math.log(strike / z) + v / 2.0) / math.sqrt(v)
@@ -310,13 +310,12 @@ def implied_vol(
         raise ConfigurationError(
             f"implied vol needs a closed-form price map; model {model.name!r} has none"
         )
-    weight = model.h.sq_integral(t, T)
     evals = 0
 
     def price_fn(sig):
         nonlocal evals
         evals += 1
-        return _bs_call_core(z, strike, sig * sig * weight)
+        return _bs_call_core(z, strike, sig * sig * (T - t))
 
     lo, hi = 1e-4, 5.0
     while price_fn(lo) >= price:

@@ -144,8 +144,8 @@ def test_pinned_polynomial_suite():
         weights = WeightVector(p=tuple(rng.uniform(0.1, 5.0, size=q - 2)))
         sigma = float(rng.uniform(0.05, 1.0))
         mats = MaturityGrid(times=times)
-        alphas = compute_alphas(mats, GBM.h)
-        x0 = pin_point(sigma, GBM.h.sq_integral(times[0], times[1]))
+        alphas = compute_alphas(mats)
+        x0 = pin_point(sigma, times[1] - times[0])
         qp = build_q(weights, alphas, x0)
 
         scale0 = sum(abs(c) * x0**a for a, c in zip(qp.alphas, qp.coeffs))
@@ -163,7 +163,7 @@ def test_pinned_polynomial_suite():
 
     # three equidistant maturities, unweighted: the polynomial is (x - x0)^2
     x0 = pin_point(0.2, 1.0)
-    qp = build_q(W1, compute_alphas(MATS, GBM.h), x0)
+    qp = build_q(W1, compute_alphas(MATS), x0)
     expected = (x0 * x0, -2.0 * x0, 1.0)
     coeff_err = max(
         abs(c - e) / max(1.0, abs(e)) for c, e in zip(qp.coeffs, expected)

@@ -1,7 +1,7 @@
 """Bound-engine tests.
 
 Closed-form expectations here are derived in-line (hand integrals over
-piecewise-linear payoffs, exponent patterns for the unit time weight);
+piecewise-linear payoffs, exponent patterns of the maturity gaps);
 simulation-facing checks use fixed seeds and 3.5-sigma gates.
 """
 
@@ -59,7 +59,6 @@ from volbound.models import (
     PhiFunction,
     SimConfig,
     SquaredBesselLaw,
-    TimeWeight,
     builtin_model,
     rng_substream,
     simulate,
@@ -112,19 +111,11 @@ class TestGrids:
 
 class TestAlphas:
     def test_unit_weight_equidistant(self):
-        assert compute_alphas(MATS, GBM.h) == (0.0, 1.0, 2.0)
+        assert compute_alphas(MATS) == (0.0, 1.0, 2.0)
 
     def test_unit_weight_uneven(self):
         mats = MaturityGrid(times=(0.0, 0.5, 1.5, 3.5))
-        assert compute_alphas(mats, GBM.h) == (0.0, 1.0, 3.0, 7.0)
-
-    def test_piecewise_weight_changes_exponents(self):
-        # h = 1 before 1.5 and 2 after: int_1^2 h^2 = 0.5 + 0.5*4 = 2.5,
-        # int_1^3 h^2 = 0.5 + 1.5*4 = 6.5, so the last exponent is 2.6
-        h = TimeWeight(values=(1.0, 2.0), breakpoints=(1.5,))
-        alphas = compute_alphas(MATS, h)
-        assert alphas[:2] == (0.0, 1.0)
-        assert alphas[2] == pytest.approx(6.5 / 2.5, rel=1e-15, abs=0.0)
+        assert compute_alphas(mats) == (0.0, 1.0, 3.0, 7.0)
 
 
 class TestPinnedPolynomial:
@@ -808,27 +799,6 @@ class TestClosedFormGate:
             got = _g_batch(INV, np.array([theta]), np.array([s]), 0.0, T, k_m)
             want = lognormal_phi_hat_oracle(s, k_m, theta * theta * T, INV.phi)
             assert float(got[0]) == pytest.approx(want, rel=1e-9, abs=1e-14)
-
-    # h triples at 0.1
-    STEP_H = TimeWeight(values=(1.0, 3.0), breakpoints=(0.1,))
-
-    def test_inner_mc_steps_through_breakpoints_of_h(self):
-        # g_value's Monte Carlo oracle, Euler without the law on dt = 0.04
-        # substeps that the breakpoint at 0.1 splits, meets the law's
-        # quadrature (the grid itself is checked in test_models' TestStepping)
-        euler = dataclasses.replace(INV, h=self.STEP_H, law=None)
-        with np.errstate(divide="ignore"):  # phi(0) = inf on absorbed paths
-            mc = g_value(0.0, 1.0, 0.3, 1.0, 0.5, euler, SimConfig(n_paths=40000, dt=0.04, seed=3))
-        model = dataclasses.replace(INV, h=self.STEP_H)
-        got = _g_batch(model, np.array([0.3]), np.array([1.0]), 0.0, 1.0, 0.5)
-        assert abs(float(got[0]) - mc.value) < 3.5 * mc.se
-
-    def test_lognormal_rule_reads_breakpoints_of_h(self):
-        # the law's variance over [0, 1] is theta^2 int h^2, breakpoint included
-        model = dataclasses.replace(INV, h=self.STEP_H)
-        want = g_value(0.0, 1.0, 0.3, 1.0, 0.5, model).value
-        got = _g_batch(model, np.array([0.3]), np.array([1.0]), 0.0, 1.0, 0.5)
-        assert float(got[0]) == pytest.approx(want, rel=1e-9, abs=1e-14)
 
     def test_band_term_of_non_quadratic_phi_diverges_at_zero_strike(self):
         # phi = 1/z is infinite at 0, so the first band is -inf without a

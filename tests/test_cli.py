@@ -610,6 +610,24 @@ class TestCliCommands:
         capsys.readouterr()
         assert json.loads(out.read_text())["config"]["simulation"]["seed"] == 77
 
+    def test_exponent_floats_are_numbers(self, base_path, tmp_path, capsys):
+        # YAML 1.1 reads 1e-3 as a string; the loader takes YAML 1.2's floats
+        # in a file, in --set, and in a report's own config block, where json
+        # writes 1e-05
+        assert parse_config(BASE.replace("dt: 0.01", "dt: 1e-3")).sim.dt == 0.001
+        assert parse_override("simulation.dt=2.5e2") == ("simulation.dt", 250.0)
+        first, again = tmp_path / "first.json", tmp_path / "again.json"
+        args = ["check-bound", "--paths", "256"]
+        assert main([*args, "--config", base_path, "--set", "simulation.dt=1e-05",
+                     "--out", str(first)]) == 0
+        report = json.loads(first.read_text())
+        assert '"dt": 1e-05' in json.dumps(report["config"])
+        echoed = tmp_path / "echoed.yaml"
+        echoed.write_text(json.dumps(report["config"]))
+        assert main([*args, "--config", str(echoed), "--out", str(again)]) == 0
+        capsys.readouterr()
+        assert canonical_json(json.loads(again.read_text())) == canonical_json(report)
+
     def test_reports_reproduce_across_runs_and_workers(
         self, base_path, tmp_path, capsys, monkeypatch
     ):

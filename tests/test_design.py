@@ -222,3 +222,29 @@ def test_one_root_finder():
         )
 
     assert sites(halves_a_bracket) == {"models.bisect_increasing"}
+
+
+#: import name -> distribution name, where the two differ
+DISTRIBUTIONS = {"yaml": "pyyaml"}
+
+
+def test_test_imports_are_declared():
+    # CI installs the package with its test extra and nothing more, so every
+    # third-party module a test imports is a dependency or in that extra
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((SRC.parents[1] / "pyproject.toml").read_text())["project"]
+    declared = {
+        re.match(r"[\w.-]+", req).group().lower()
+        for req in project["dependencies"] + project["optional-dependencies"]["test"]
+    }
+    tests = Path(__file__).resolve().parent
+    local = {SRC.name} | {path.stem for path in tests.glob("*.py")}
+    imported = set()
+    for path in sorted(tests.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - local
+    assert sorted({DISTRIBUTIONS.get(m, m) for m in third_party} - declared) == []

@@ -3,15 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from volbound.errors import ConfigurationError, DomainError
 from volbound.models import (
     WORKERS_ENV_VAR,
     PathEnsemble,
     SimConfig,
-    TimeWeight,
+    ThetaProcess,
     builtin_model,
     rng_substream,
     sample_mean,
@@ -20,53 +18,6 @@ from volbound.models import (
     stepping_route,
 )
 from volbound.pricing import mc_call_price
-
-
-# ===== time weight =====
-
-
-class TestTimeWeight:
-    def test_constant(self):
-        h = TimeWeight(values=(2.0,))
-        assert h(0.0) == 2.0 and h(100.0) == 2.0
-        assert h.sq_integral(0.0, 3.0) == pytest.approx(12.0)
-
-    def test_piecewise(self):
-        h = TimeWeight(values=(1.0, 2.0), breakpoints=(1.0,))
-        assert h(0.5) == 1.0
-        assert h(1.0) == 2.0  # right-continuous at the breakpoint
-        assert h.sq_integral(0.0, 2.0) == pytest.approx(5.0)
-        assert h.sq_integral(0.5, 1.5) == pytest.approx(0.5 + 2.0)
-
-    def test_degenerate_interval(self):
-        h = TimeWeight(values=(1.5,))
-        assert h.sq_integral(1.0, 1.0) == 0.0
-
-    def test_reversed_bounds_rejected(self):
-        h = TimeWeight(values=(1.0,))
-        with pytest.raises(DomainError):
-            h.sq_integral(2.0, 1.0)
-
-    def test_invalid_construction(self):
-        with pytest.raises(ConfigurationError):
-            TimeWeight(values=(1.0, 2.0))  # missing breakpoint
-        with pytest.raises(ConfigurationError):
-            TimeWeight(values=(0.0,))  # h must not vanish
-        with pytest.raises(ConfigurationError):
-            TimeWeight(values=(1.0, 2.0, 3.0), breakpoints=(2.0, 1.0))
-
-    @given(
-        st.floats(0.0, 5.0),
-        st.floats(0.0, 5.0),
-        st.floats(0.0, 5.0),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_additivity(self, a, b, c):
-        ts = sorted((a, b, c))
-        h = TimeWeight(values=(1.0, 0.5, 2.0), breakpoints=(1.0, 3.0))
-        whole = h.sq_integral(ts[0], ts[2])
-        split = h.sq_integral(ts[0], ts[1]) + h.sq_integral(ts[1], ts[2])
-        assert whole == pytest.approx(split, abs=1e-12)
 
 
 # ===== builtin models =====
@@ -457,16 +408,6 @@ class TestLogBesselLaw:
         assert np.array_equal(self.LAW.sample(z[:2], 1.0, rng), z[:2])  # both ends hold
 
 
-def test_piecewise_h_enters_dynamics():
-    # with h doubled after t=0.5 the second half contributes 4x the variance
-    h = TimeWeight(values=(1.0, 2.0), breakpoints=(0.5,))
-    m = dataclasses.replace(builtin_model("gbm"), h=h)
-    e = simulate(m, 0.3, 1.0, 0.0, [0.0, 1.0], SimConfig(n_paths=60000, dt=0.002, seed=8))
-    lz = np.log(e.states[:, -1])
-    want = 0.09 * h.sq_integral(0.0, 1.0)  # sigma^2 * int h^2 = 0.09 * 2.5
-    assert abs(lz.var(ddof=1) - want) < 4.0 * want * math.sqrt(2.0 / len(lz))
-
-
 # ===== exact stepping =====
 
 
@@ -546,19 +487,19 @@ class TestExactSampler:
 
 
 class TestStepping:
-    H = TimeWeight(values=(1.0, 2.0), breakpoints=(0.4,))
     GRID = [0.0, 0.25, 1.0, 2.0]
     CFG = SimConfig(n_paths=16, dt=0.01, seed=1)
 
     @pytest.mark.parametrize("name", ["gbm", "bessel0", "logdiff"])
     def test_exact_law_takes_one_step_per_anchor_interval(self, name):
-        m = dataclasses.replace(builtin_model(name), h=self.H)
-        e = simulate(m, 0.3, m.z0, 0.0, self.GRID, self.CFG)
-        assert e.steps == 4  # anchors 0, 0.25, 0.4 (h breaks), 1, 2
+        m = builtin_model(name)
+        theta = ThetaProcess(kind="step", sigma0=0.3, jump_times=(0.4,), jump_values=(0.6,))
+        e = step_paths(m, theta, m.z0, 0.0, self.GRID, self.CFG)
+        assert e.steps == 4  # anchors 0, 0.25, 0.4 (theta jumps), 1, 2
         assert stepping_route(m, self.CFG.dt, e.steps) == {"route": "exact-law", "steps": 4}
 
     def test_euler_takes_dt_substeps(self):
-        m = dataclasses.replace(builtin_model("gbm"), h=self.H, law=None)
+        m = dataclasses.replace(builtin_model("gbm"), law=None)
         e = simulate(m, 0.3, 1.0, 0.0, self.GRID, self.CFG)
         assert e.steps == 200
         assert stepping_route(m, self.CFG.dt, e.steps) == {"route": "euler", "dt": 0.01}

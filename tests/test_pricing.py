@@ -177,17 +177,6 @@ class TestQuadrature:
         with pytest.raises(ConfigurationError):
             quad_call_price(builtin_model("bessel0"), 0.3, 0.0, 1.0, 1.0, 1.0)
 
-    def test_time_weight_enters_variance(self):
-        import dataclasses
-
-        from volbound.models import TimeWeight
-
-        m = dataclasses.replace(GBM, h=TimeWeight(values=(2.0,)))
-        # h=2 quadruples the variance: same as sigma doubled under h=1
-        want = bs_call_price(0.0, 1.0, 1.0, 0.6, 1.0).value
-        got = quad_call_price(m, 0.3, 0.0, 1.0, 1.0, 1.0).value
-        assert got == pytest.approx(want, abs=1e-9)
-
 
 class TestMonteCarlo:
     def test_agrees_with_closed_form(self):
