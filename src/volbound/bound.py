@@ -5,7 +5,8 @@ family: option prices written on it depend on (t, vol, state) only, so a
 candidate market (S_t, theta_t) that reprices calls like the reference at
 finitely many strikes and maturities is constrained. The constraint is a
 two-sided bound on a weighted combination of exponential-moment terms; it
-is evaluated here pathwise over simulated scenarios, together with the
+is evaluated here exactly from the reference law where theta does not move,
+and over simulated scenario paths where it does, together with the
 strike-grid densification diagnostics that make the bound collapse to a
 constant-volatility statement in the limit.
 
@@ -48,6 +49,7 @@ from .models import (
     worker_count,
     z_score,
 )
+from .phi import phi_mean, semigroup_route
 from .pricing import (
     PriceQuote,
     _bs_call_core,
@@ -352,23 +354,22 @@ def _closed_form(model: ReferenceModel) -> bool:
     return isinstance(model.law, LognormalLaw) and model.phi.curvature is not None
 
 
-#: rows of (theta, s) pairs per block of _g_quadrature: one block's
+#: rows of (s, v) pairs per block of _g_quadrature: one block's
 #: rows-by-nodes temporaries stay a few MB whatever the path count
 G_BLOCK_ROWS = 8192
 
 
-def _g_quadrature(model, theta, s, t, T, k_max):
-    """Tail terms for many (theta, s) pairs of 1-d arrays, by fixed-node
-    quadrature against the model's exact transition law, plus its atom when
-    that lies above k_max.
+def _g_quadrature(model, s, v, k_max):
+    """Tail terms for many (s, v) pairs of 1-d arrays, v the variance left
+    to the maturity, by fixed-node quadrature against the model's exact
+    transition law, plus its atom when that lies above k_max.
 
     Each row's sum over the nodes is its own reduction, so the blocks of
     rows, run on the shared worker pool (worker_count), never change a
     result.
     """
     law = model.law
-    theta, s = np.broadcast_arrays(theta, s)
-    v = theta * theta * (T - t)
+    s, v = np.broadcast_arrays(s, v)
     out = np.empty(s.shape, dtype=np.float64)
     phi_b = float(model.phi(k_max))
     atom_gain = None
@@ -445,17 +446,24 @@ def tail_route(model: ReferenceModel) -> dict:
     return {"route": "quadrature", "nodes": model.law.nodes, "window": model.law.window}
 
 
-def _g_batch(model, theta, s, t, T, k_max):
-    """The tail term per (theta, s) pair of 1-d arrays, by tail_route's
-    route."""
+def _g_tail(model, s, v, k_max):
+    """The tail term per (s, v) pair of 1-d arrays, by tail_route's route:
+    E[clipped_phi(k_max, Z)] for Z drawn from the law at state s and
+    variance v."""
     if tail_route(model)["route"] == "quadrature":
-        return _g_quadrature(model, theta, s, t, T, k_max)
-    theta, s = np.broadcast_arrays(theta, s)
+        return _g_quadrature(model, s, v, k_max)
+    s, v = np.broadcast_arrays(s, v)
     # Taylor's formula about k_max is exact: G = phi' C + phi''/2 E[((Z_T - K)^+)^2]
-    v = theta * theta * (T - t)
     k = np.full(s.shape, float(k_max))
     c, s2 = _bs_call_moments(s, k, v)
     return float(model.phi.deriv1(k_max)) * c + 0.5 * model.phi.curvature * s2
+
+
+def _g_batch(model, theta, s, t, T, k_max):
+    """The tail term per (theta, s) pair of 1-d arrays: _g_tail at the
+    variance theta^2 (T - t)."""
+    theta, s = np.broadcast_arrays(theta, s)
+    return _g_tail(model, s, theta * theta * (T - t), k_max)
 
 
 def l_value(
@@ -584,11 +592,14 @@ def rhs_bound(coeffs, strikes: StrikeGrid, phi: PhiFunction) -> float:
 class BoundReport:
     """Both sides of the universal bound for one scenario, with diagnostics.
 
+    lhs_route names how the left side was computed (check_bound): exactly
+    from the law, with every se 0, or as the mean over the simulated paths.
     absorbed_fraction is the share of simulated paths absorbed by time t;
     absorbed_mass is the law's probability of the same where the law has an
-    atom and theta does not move, else None. steps is the number of steps
-    each path took. q is the pinned polynomial Q, whose coefficients give
-    the right side.
+    atom and theta does not move, else None. On the exact route these, like
+    n_stable, describe the simulation only; the left side does not read the
+    paths. steps is the number of steps each path took. q is the pinned
+    polynomial Q, whose coefficients give the right side.
     """
 
     t: float
@@ -609,6 +620,7 @@ class BoundReport:
     absorbed_fraction: float = 0.0
     absorbed_mass: float | None = None
     q: QPolynomial | None = None
+    lhs_route: dict | None = None
 
     def __post_init__(self):
         if self.rhs < 0.0:
@@ -627,17 +639,23 @@ def check_bound(
 ) -> BoundReport:
     """Evaluate both sides of the universal bound for a scenario at time t.
 
-    The left side is the ensemble mean of the pathwise combination
-    N * Q(X) + sum_k c_k (G0_k - Gt_k); the right side is exact
-    arithmetic and identical across scenarios sharing (weights, strikes,
-    phi). satisfied means lhs <= rhs + 3 se.
+    The left side is the mean of N * Q(X_t) + sum_k c_k (G0_k - Gt_k) over
+    the market's time-t state; the right side is exact arithmetic and
+    identical across scenarios sharing (weights, strikes, phi). satisfied
+    means lhs <= rhs + 3 se.
+
+    Where theta does not move, S_t has the law at s0 and variance v_t, the
+    integral of theta^2 up to t, so the left side is exact (_lhs_exact) and
+    its se is 0. A moving theta takes the mean over the simulated paths
+    (_lhs_paths). Either way one step of joint_simulate over [0, t] gives
+    the simulation-health diagnostics: n_stable, the absorbed fraction and,
+    for a closed-form model, the band terms L.
     """
     model = scn.reference
     times = mats.times
     if not 0.0 <= t <= times[0]:
         raise DomainError(f"evaluation time {t} must lie in [0, {times[0]}]")
-    i_12 = times[1] - times[0]
-    qp = build_q(w, compute_alphas(mats), pin_point(scn.sigma0, i_12))
+    qp = build_q(w, compute_alphas(mats), pin_point(scn.sigma0, times[1] - times[0]))
 
     grid = [0.0] if t == 0.0 else [0.0, t]
     joint = joint_simulate(scn, grid, cfg)
@@ -647,32 +665,18 @@ def check_bound(
     mass_fn = getattr(model.law, "absorbed_mass", None)
     mass = None
     if mass_fn is not None and not scn.theta_process.moves:
-        mass = float(mass_fn(scn.s0, _state_variance(scn, t)))
+        mass = float(mass_fn(scn.s0, _variance_clock(scn.theta_process, t, t)))
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        n1 = n_value(t, times[0], theta_t, s_t, model)
-        x_t = np.exp(theta_t * theta_t * np.float64(i_12))
-    bad = np.nonzero(~(np.isfinite(n1) & np.isfinite(x_t)))[0]
-    if bad.size:
-        pairs = ", ".join(f"({theta_t[i]:.6g}, {s_t[i]:.6g})" for i in bad[:5])
-        raise DivergenceError(
-            f"growth factor at t={t} is not finite on {bad.size} of {n} paths of model "
-            f"{model.name!r}; first (theta_t, s_t): {pairs} on paths {bad[:5].tolist()}"
+    if scn.theta_process.moves:
+        (nq_mean, nq_se), (gc_mean, gc_se), (lhs_raw, se) = _lhs_paths(
+            scn, qp, times, strikes.k_max, t, theta_t, s_t
         )
-    # Q >= 0 holds exactly in real arithmetic; floats may dip an ulp below
-    # zero right next to the pinned root, so floor at zero
-    qx = np.maximum(qp.value(x_t), 0.0)
-    nq = n1 * qx
-
-    g_corr = np.zeros(n)
-    for t_k, c_k in zip(times, qp.coeffs):
-        if c_k == 0.0:
-            continue
-        gt = _g_batch(model, theta_t, s_t, t, t_k, strikes.k_max)
-        g0 = _g_batch(model, np.array([scn.sigma0]), np.array([scn.s0]), 0.0, t_k, strikes.k_max)
-        g_corr = g_corr + c_k * (float(g0[0]) - gt)
-
-    lhs_raw, se = sample_mean(nq + g_corr)
+        route = {"route": "monte-carlo", "paths": n}
+    else:
+        nq_mean, gc_mean = _lhs_exact(scn, qp, times, strikes.k_max, t)
+        nq_se = gc_se = se = 0.0
+        lhs_raw = nq_mean + gc_mean
+        route = {"route": "exact", "phi_mean": semigroup_route(model)}
     rhs, convention = _rhs_detail(qp.coeffs, strikes, model.phi)
 
     n_q_full = n_value(t, times[-1], theta_t, s_t, model)
@@ -695,8 +699,6 @@ def check_bound(
                  "n_sampled": int(lt.size)}
             )
 
-    nq_mean, nq_se = sample_mean(nq)
-    gc_mean, gc_se = sample_mean(g_corr)
     lhs = abs(lhs_raw)
     return BoundReport(
         t=t,
@@ -717,14 +719,88 @@ def check_bound(
         absorbed_fraction=float(np.mean(joint.absorbed_at <= t)),
         absorbed_mass=mass,
         q=qp,
+        lhs_route=route,
     )
 
 
-def _state_variance(scn: Scenario, t: float) -> float:
-    """int_0^t theta^2 for a theta that does not move."""
+def _lhs_paths(scn, qp, times, k_max, t, theta_t, s_t):
+    """(mean, se) of N Q(X_t), of the tail corrections and of their sum over
+    the paths' (theta_t, s_t)."""
+    model = scn.reference
+    n = s_t.size
+    with np.errstate(over="ignore", invalid="ignore"):
+        n1 = n_value(t, times[0], theta_t, s_t, model)
+        x_t = np.exp(theta_t * theta_t * np.float64(times[1] - times[0]))
+    bad = np.nonzero(~(np.isfinite(n1) & np.isfinite(x_t)))[0]
+    if bad.size:
+        pairs = ", ".join(f"({theta_t[i]:.6g}, {s_t[i]:.6g})" for i in bad[:5])
+        raise DivergenceError(
+            f"growth factor at t={t} is not finite on {bad.size} of {n} paths of model "
+            f"{model.name!r}; first (theta_t, s_t): {pairs} on paths {bad[:5].tolist()}"
+        )
+    # Q >= 0 holds exactly in real arithmetic; floats may dip an ulp below
+    # zero right next to the pinned root, so floor at zero
+    nq = n1 * np.maximum(qp.value(x_t), 0.0)
+
+    g_corr = np.zeros(n)
+    for t_k, c_k in zip(times, qp.coeffs):
+        if c_k == 0.0:
+            continue
+        gt = _g_batch(model, theta_t, s_t, t, t_k, k_max)
+        g0 = _g_batch(model, np.array([scn.sigma0]), np.array([scn.s0]), 0.0, t_k, k_max)
+        g_corr = g_corr + c_k * (float(g0[0]) - gt)
+    return sample_mean(nq), sample_mean(g_corr), sample_mean(nq + g_corr)
+
+
+def _lhs_exact(scn, qp, times, k_max, t):
+    """(E[N Q(X_t)], E[sum_k c_k (G0_k - Gt_k)]) for a theta that does not
+    move: theta_t is a number and S_t has the law at s0 and variance v_t, so
+
+        E[N Q(X_t)] = exp(theta_t^2 (T_1 - t)) Q(X_t) E[phi(S_t)],
+        E[G(t, T_k, theta_t, S_t)] = G(s0, v_t + theta_t^2 (T_k - t))
+
+    by Chapman-Kolmogorov in the variance clock. X_t is pin_point's
+    expression at theta_t, and each variance accrues over the same
+    intervals as G0's, so the self-consistent left side is 0.0 exactly.
+    """
+    model = scn.reference
     proc = scn.theta_process
-    edges = [0.0] + [c for c in proc.change_times if c < t] + [t]
-    return sum(proc.deterministic_value(a) ** 2 * (b - a) for a, b in zip(edges, edges[1:]))
+    theta_t = proc.deterministic_value(t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_t = pin_point(theta_t, times[1] - times[0])
+        n1 = np.exp(theta_t * theta_t * (times[0] - t)) * phi_mean(
+            model, scn.s0, _variance_clock(proc, t, t)
+        )
+    if not (math.isfinite(n1) and math.isfinite(x_t)):
+        raise DivergenceError(
+            f"growth factor at t={t} is not finite under the law of model {model.name!r}: "
+            f"theta_t {theta_t:.6g}, E[N] {n1:.6g}, X_t {x_t:.6g}"
+        )
+    # Q >= 0, floored as on the paths
+    nq = float(n1 * np.maximum(qp.value(x_t), 0.0))
+
+    g_corr = 0.0
+    for t_k, c_k in zip(times, qp.coeffs):
+        if c_k == 0.0:
+            continue
+        gt = _g_tail(model, np.array([scn.s0]), np.array([_variance_clock(proc, t, t_k)]), k_max)
+        g0 = _g_batch(model, np.array([scn.sigma0]), np.array([scn.s0]), 0.0, t_k, k_max)
+        g_corr = g_corr + c_k * (float(g0[0]) - float(gt[0]))
+    return nq, g_corr
+
+
+def _variance_clock(proc: ThetaProcess, t: float, T: float) -> float:
+    """int_0^T theta^2 for a theta that does not move, held at theta_t after
+    t <= T: the variance of Z_T given Z_0 = s0 when the market runs the
+    reference dynamics at theta_t from t on. At t = T it is the variance v_t
+    of S_t. A jump at t is theta_t's (as deterministic_value reads it): it
+    opens the segment [t, T], which adds an exact 0.0 when T = t."""
+    edges = [0.0] + [c for c in proc.change_times if c <= t] + [T]
+    clock = 0.0
+    for a, b in zip(edges, edges[1:]):
+        theta = proc.deterministic_value(a)
+        clock += theta * theta * (b - a)
+    return clock
 
 
 @dataclass(frozen=True)

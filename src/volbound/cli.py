@@ -227,6 +227,7 @@ def _bound_payload(rc: ResolvedConfig, rep) -> dict:
         "tail_correction_mean": rep.g_corr_mean,
         "tail_correction_se": rep.g_corr_se,
         "tail_route": tail_route(rc.model),
+        "lhs_route": rep.lhs_route,
         "absorption": _absorption([rep.t], [rep.absorbed_fraction], mass),
         "n_stable": rep.n_stable,
         "n_stability_z": rep.n_stability_z,

@@ -32,16 +32,41 @@ class LocatedDict(dict):
 
 
 class _Loader(yaml.SafeLoader):
-    """SafeLoader that also reads YAML 1.2 floats such as 1e-3 or json's
-    1e-05, which YAML 1.1 (PyYAML) takes for strings."""
+    """SafeLoader that reads integers and floats as YAML 1.2's core schema
+    does: 010 is ten, 0o10 eight and 0x10 sixteen, while YAML 1.1 (PyYAML)
+    takes 010 for octal, 1:30 for 90 in base 60 and 1_000 for 1000, which
+    stay strings here; 1e-3 and json's 1e-05 are floats, which 1.1 takes for
+    strings."""
 
 
-# appended after YAML 1.1's int and float resolvers, which keep what they match
+_INT = re.compile(r"^(?:[-+]?[0-9]+|0o[0-7]+|0x[0-9a-fA-F]+)$")
+
+# YAML 1.1's int resolver dropped, then 1.2's added ahead of its float
+# resolver, which also matches digits alone; 1.1's float resolver, kept,
+# needs a dot
+_Loader.yaml_implicit_resolvers = {
+    first: [(tag, regexp) for tag, regexp in resolvers if tag != "tag:yaml.org,2002:int"]
+    for first, resolvers in yaml.SafeLoader.yaml_implicit_resolvers.items()
+}
+_Loader.add_implicit_resolver("tag:yaml.org,2002:int", _INT, list("-+0123456789"))
 _Loader.add_implicit_resolver(
     "tag:yaml.org,2002:float",
     re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
     list("-+.0123456789"),
 )
+
+
+def _construct_int(loader, node):
+    value = loader.construct_scalar(node)
+    if not _INT.match(value):
+        raise yaml.constructor.ConstructorError(
+            None, None, f"{value!r} is not a YAML 1.2 integer", node.start_mark
+        )
+    # base 10 unless prefixed: a leading zero is not octal
+    return int(value, 0) if value[:2] in ("0o", "0x") else int(value)
+
+
+_Loader.add_constructor("tag:yaml.org,2002:int", _construct_int)
 
 
 class _LineLoader(_Loader):

@@ -25,6 +25,7 @@ __all__ = [
     "martingale_check_U",
     "martingale_check_V",
     "martingale_check_integral",
+    "phi_mean",
     "semigroup_check",
     "semigroup_route",
 ]
@@ -263,7 +264,8 @@ def martingale_check_integral(
 
 
 def semigroup_route(model: ReferenceModel) -> dict:
-    """How semigroup_check computes its reference E[phi(Z_t)], in
+    """How phi_mean computes E[phi(Z_t)] under the law (semigroup_check's
+    reference, and a factor of check_bound's exact left side), in
     bound.tail_route's vocabulary: {"route": "closed-form"} where no path
     holds a finite nonzero phi at the law's atom, else {"route":
     "quadrature", "nodes": n, "window": w} for the law's expect, whose two
@@ -281,6 +283,19 @@ def semigroup_route(model: ReferenceModel) -> dict:
     return {"route": "quadrature", "nodes": 2 * law.expect_nodes, "window": law.expect_window}
 
 
+def phi_mean(model: ReferenceModel, z: float, v: float) -> float:
+    """E[phi(Z)] for Z drawn from the model's law at state z and variance v,
+    a path absorbed at the law's atom holding phi(atom), by semigroup_route's
+    route: the law's expect, or exp(v) phi(z) where the atom adds nothing."""
+    if semigroup_route(model)["route"] == "quadrature":
+        return model.law.expect(model.phi, z, v)
+    try:
+        growth = math.exp(v)
+    except OverflowError:
+        growth = math.inf
+    return growth * float(model.phi(z))
+
+
 def semigroup_check(
     model: ReferenceModel, sigma: float, t: float, cfg: SimConfig
 ) -> MartingaleTestReport:
@@ -291,15 +306,11 @@ def semigroup_check(
     atom holds phi(atom) and stops growing, so where phi(atom) is finite and
     nonzero, the reference is the stopped process's mean, taken from the law
     at v: phi(atom) times the atom's mass plus phi against the density
-    (semigroup_route names which).
+    (phi_mean, whose route semigroup_route names).
     """
     if not t > 0.0:
         raise DomainError(f"test time must be positive, got {t}")
-    v = sigma * sigma * t
-    if semigroup_route(model)["route"] == "quadrature":
-        ref = model.law.expect(model.phi, model.z0, v)
-    else:
-        ref = math.exp(v) * float(model.phi(model.z0))
+    ref = phi_mean(model, model.z0, sigma * sigma * t)
     ens = simulate(model, sigma, model.z0, 0.0, [0.0, t], cfg)
     sample = np.asarray(model.phi(ens.states[:, -1]), dtype=np.float64)
     return _summarize([t], [sample], [ref], ens)

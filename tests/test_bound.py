@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import volbound.bound as bound_module
+import volbound.models as models_module
 from conftest import besq0_phi_hat_oracle, logbesq0_phi_hat_oracle, lognormal_phi_hat_oracle
 from volbound.bound import (
     G_BLOCK_ROWS,
@@ -61,9 +62,11 @@ from volbound.models import (
     SquaredBesselLaw,
     builtin_model,
     rng_substream,
+    sample_mean,
     simulate,
     step_paths,
 )
+from volbound.phi import semigroup_route
 from volbound.pricing import _bs_call_core
 from volbound.special_functions import norm_pdf
 
@@ -81,6 +84,26 @@ def pin_point(sigma, i12):
     """x0 exactly as the bound check builds it, so float comparisons carry."""
     s = np.float64(sigma)
     return float(np.exp(s * s * np.float64(i12)))
+
+
+def per_path_left_side(scn, mats, strikes, w, t, cfg):
+    """The left side's two parts on each simulated path, N Q(X_t) and
+    sum_k c_k (G0_k - Gt_k), from one joint_simulate step over [0, t] and the
+    tail term at every path's (theta_t, s_t): the Monte Carlo estimator the
+    exact left side stands in for."""
+    model = scn.reference
+    times = mats.times
+    i12 = times[1] - times[0]
+    qp = build_q(w, compute_alphas(mats), pin_point(scn.sigma0, i12))
+    joint = joint_simulate(scn, [0.0, t], cfg)
+    theta_t, s_t = joint.theta[:, -1], joint.states[:, -1]
+    x_t = np.exp(theta_t * theta_t * np.float64(i12))
+    nq = n_value(t, times[0], theta_t, s_t, model) * np.maximum(qp.value(x_t), 0.0)
+    g_corr = np.zeros(s_t.size)
+    for t_k, c_k in zip(times, qp.coeffs):
+        g0 = _g_batch(model, np.array([scn.sigma0]), np.array([scn.s0]), 0.0, t_k, strikes.k_max)
+        g_corr = g_corr + c_k * (float(g0[0]) - _g_batch(model, theta_t, s_t, t, t_k, strikes.k_max))
+    return nq, g_corr
 
 
 class TestGrids:
@@ -523,8 +546,9 @@ class TestTailTerm:
 
         finer = dataclasses.replace(model, law=Finer())
         for theta, s, T, k_m in cases:
-            a = _g_quadrature(model, np.array([theta]), np.array([s]), 0.0, T, k_m)
-            b = _g_quadrature(finer, np.array([theta]), np.array([s]), 0.0, T, k_m)
+            s_v = np.array([s]), np.array([theta * theta * T])
+            a = _g_quadrature(model, *s_v, k_m)
+            b = _g_quadrature(finer, *s_v, k_m)
             assert b[0] == pytest.approx(a[0], rel=1e-12)
 
     def test_bessel_law_converged_in_nodes(self):
@@ -586,9 +610,9 @@ class TestTailTerm:
             else:
                 s = rng.uniform(0.01, 0.99, 30)
                 k_m = rng.uniform(1e-3, 0.999)
-            want = _g_quadrature(reference, theta, s, 0.0, T, k_m)
+            want = _g_quadrature(reference, s, theta * theta * T, k_m)
             for name, m in (("law", model), ("wide", wide)):
-                err = np.abs(_g_quadrature(m, theta, s, 0.0, T, k_m) - want).max()
+                err = np.abs(_g_quadrature(m, s, theta * theta * T, k_m) - want).max()
                 worst[name] = max(worst[name], err / float(model.phi(k_m)))
         assert worst["law"] <= worst["wide"]
         assert worst["wide"] < 1e-10
@@ -647,7 +671,7 @@ class TestTailTerm:
         assert np.array(single).tobytes() == one[rows].tobytes()
 
     def test_paths_at_the_boundary_keep_their_clipped_value(self):
-        got = _g_quadrature(BESSEL, np.array([0.5, 0.5]), np.array([0.0, 1.0]), 0.0, 1.0, 1.5)
+        got = _g_quadrature(BESSEL, np.array([0.0, 1.0]), np.array([0.25, 0.25]), 1.5)
         assert got[0] == 0.0
         assert got[1] < 0.0
 
@@ -894,17 +918,131 @@ class TestBoundCheck:
         ids=["gbm", "bessel0-absorbing", "logdiff", "logdiff-absorbing"],
     )
     def test_self_consistent_left_side_vanishes_in_mean(self, model, sigma, strikes):
-        # the identity densification_study rests on: X_t sits at the pin, so
-        # the gap term is 0 on every path, and the tail corrections average
-        # to 0 by the Markov property, also where paths absorb (bessel0 at
-        # sigma 1: ~1.8% by t; logdiff: 17%) and where G does not vanish
-        rep = check_bound(
-            self_consistent_scenario(model, sigma), MATS, strikes, W1, 0.5,
-            SimConfig(n_paths=20000, dt=0.01, seed=1),
+        # the identity the exact left side and densification_study rest on:
+        # X_t sits at the pin, so the gap term is 0 on every path, and the
+        # tail corrections average to 0 by the Markov property, also where
+        # paths absorb (bessel0 at sigma 1: ~1.8% by t; logdiff: 17%) and
+        # where G does not vanish
+        scn = self_consistent_scenario(model, sigma)
+        nq, g_corr = per_path_left_side(
+            scn, MATS, strikes, W1, 0.5, SimConfig(n_paths=20000, dt=0.01, seed=1)
         )
-        assert rep.nq_mean == 0.0
-        assert rep.g_corr_se > 0.0
-        assert abs(rep.g_corr_mean) <= 3.0 * rep.g_corr_se
+        assert np.all(nq == 0.0)
+        g_corr_mean, g_corr_se = sample_mean(g_corr)
+        assert g_corr_se > 0.0
+        assert abs(g_corr_mean) <= 3.0 * g_corr_se
+
+    #: (model, strikes) with G != 0: logdiff's grid ends below its atom at 1
+    LEFT_SIDE_MODELS = [(GBM, KS5), (BESSEL, KS5), (LOGDIFF, StrikeGrid(strikes=(0.0, 0.3, 0.6, 0.9)))]
+
+    @pytest.mark.parametrize("model,strikes", LEFT_SIDE_MODELS, ids=["gbm", "bessel0", "logdiff"])
+    @pytest.mark.parametrize(
+        "sigma,jump_time,jump",
+        [(0.2, 0.25, 0.3), (0.2, 0.25, -0.1), (1.0, 0.25, 0.5), (1.0, 0.25, -0.5),
+         (0.2, 0.5, 0.3), (1.0, 0.5, -0.5)],
+        ids=["up", "down", "up-absorbing", "down-absorbing", "up-at-t", "down-absorbing-at-t"],
+    )
+    def test_exact_left_side_matches_the_per_path_estimator(
+        self, model, strikes, sigma, jump_time, jump
+    ):
+        # a step theta that jumps before t: S_t has the law at the variance
+        # accrued over both levels, and each part of the exact left side
+        # sits within 4 se of the per-path mean (at sigma 1 the law absorbs
+        # 0.2% to 8.5% of bessel0's mass by t and 7.6% to 29% of logdiff's;
+        # seeds 7 to 11 give |z| <= 2.8 in every case). A jump at t itself
+        # leaves S_t at the old level's variance and sets theta_t, and so the
+        # variance from t to each maturity, to the new one.
+        scn = step_vol_scenario(model, sigma, jump_time, jump)
+        cfg = SimConfig(n_paths=100_000, dt=0.01, seed=7)
+        rep = check_bound(scn, MATS, strikes, W1, 0.5, cfg)
+        assert rep.lhs_route == {"route": "exact", "phi_mean": semigroup_route(model)}
+        assert rep.lhs_se == rep.nq_se == rep.g_corr_se == 0.0
+        assert rep.lhs == abs(rep.nq_mean + rep.g_corr_mean)
+        nq, g_corr = per_path_left_side(scn, MATS, strikes, W1, 0.5, cfg)
+        for exact, sample in ((rep.nq_mean, nq), (rep.g_corr_mean, g_corr),
+                              (rep.nq_mean + rep.g_corr_mean, nq + g_corr)):
+            mean, se = sample_mean(sample)
+            assert se > 0.0
+            assert abs(exact - mean) <= 4.0 * se
+
+    def test_moving_theta_keeps_the_per_path_route(self):
+        # a moving theta's left side is the per-path estimator's mean, bit
+        # for bit
+        scn = meanrev_vol_scenario(BESSEL, 1.0, 2.0, 0.8, 0.4, correlation=-0.5)
+        cfg = SimConfig(n_paths=3000, dt=0.01, seed=3)
+        rep = check_bound(scn, MATS, KS5, W1, 0.5, cfg)
+        nq, g_corr = per_path_left_side(scn, MATS, KS5, W1, 0.5, cfg)
+        assert rep.lhs_route == {"route": "monte-carlo", "paths": 3000}
+        assert (rep.nq_mean, rep.nq_se) == sample_mean(nq)
+        assert (rep.g_corr_mean, rep.g_corr_se) == sample_mean(g_corr)
+        lhs, se = sample_mean(nq + g_corr)
+        assert (rep.lhs, rep.lhs_se) == (abs(lhs), se)
+        assert se > 0.0
+
+    @pytest.mark.parametrize("model,strikes", LEFT_SIDE_MODELS, ids=["gbm", "bessel0", "logdiff"])
+    @pytest.mark.parametrize("sigma", [0.2, 1.0])
+    def test_self_consistent_left_side_is_exactly_zero(self, model, strikes, sigma):
+        # on the README strikes and along the densification schedule, and
+        # for any theta that does not move before t
+        cfg = SimConfig(n_paths=256, dt=0.01, seed=2)
+        for grid in (strikes, *(densify_grid(model, n) for n in (4, 16, 64))):
+            reps = [
+                check_bound(scn, MATS, grid, W1, 0.5, cfg)
+                for scn in (
+                    self_consistent_scenario(model, sigma),
+                    meanrev_vol_scenario(model, sigma, 2.0, sigma, 0.0),
+                )
+            ]
+            for rep in reps:
+                fields = (rep.lhs, rep.lhs_se, rep.nq_mean, rep.nq_se, rep.g_corr_mean,
+                          rep.g_corr_se)
+                assert [repr(f) for f in fields] == ["0.0"] * 6
+            assert repr(reps[0]) == repr(reps[1])
+
+    @pytest.mark.parametrize("model,strikes", LEFT_SIDE_MODELS, ids=["gbm", "bessel0", "logdiff"])
+    def test_jumps_after_t_give_the_self_consistent_report(self, model, strikes):
+        cfg = SimConfig(n_paths=2000, dt=0.01, seed=5)
+        a = check_bound(self_consistent_scenario(model, 0.3), MATS, strikes, W1, 0.5, cfg)
+        b = check_bound(
+            Scenario(model, ThetaProcess(kind="step", sigma0=0.3, jump_times=(0.75, 0.9),
+                                         jump_values=(0.6, 0.1))),
+            MATS, strikes, W1, 0.5, cfg,
+        )
+        assert repr(a) == repr(b)
+        assert a.lhs == 0.0
+
+    @pytest.mark.parametrize("model,strikes", LEFT_SIDE_MODELS, ids=["gbm", "bessel0", "logdiff"])
+    def test_exact_left_side_costs_one_tail_row_per_call(self, model, strikes, monkeypatch):
+        # the per-path tail quadrature is the cost the exact route removes:
+        # under a theta that does not move every tail term has one row and
+        # nothing is simulated but the one joint_simulate step; a moving
+        # theta still integrates the tail on every path
+        rows = {"batch": [], "tail": []}
+        g_batch, g_tail = bound_module._g_batch, bound_module._g_tail
+
+        def counted_batch(model, theta, s, *args):
+            rows["batch"].append(len(s))
+            return g_batch(model, theta, s, *args)
+
+        def counted_tail(model, s, *args):
+            rows["tail"].append(len(s))
+            return g_tail(model, s, *args)
+
+        def no_simulate(*args, **kwargs):
+            raise AssertionError("simulate called")
+
+        monkeypatch.setattr(bound_module, "_g_batch", counted_batch)
+        monkeypatch.setattr(bound_module, "_g_tail", counted_tail)
+        monkeypatch.setattr(bound_module, "simulate", no_simulate)
+        monkeypatch.setattr(models_module, "simulate", no_simulate)
+        cfg = SimConfig(n_paths=20000, dt=0.01, seed=4)
+        for scn in (self_consistent_scenario(model, 0.5), step_vol_scenario(model, 0.5, 0.25, 0.3)):
+            check_bound(scn, MATS, strikes, W1, 0.5, cfg)
+        assert rows["batch"] and rows["tail"]
+        assert set(rows["batch"]) == set(rows["tail"]) == {1}
+        if model is BESSEL:
+            check_bound(meanrev_vol_scenario(model, 0.5, 2.0, 0.8, 0.4), MATS, strikes, W1, 0.5, cfg)
+            assert 20000 in rows["batch"] and 20000 in rows["tail"]
 
     def test_negative_meanrev_theta_enters_the_band_term_as_its_modulus(self):
         # a mean-reverting theta crosses below 0 on some paths; L reads

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -453,6 +454,10 @@ class TestCliCommands:
         assert b["satisfied"] is True
         assert b["gap_term_mean"] == 0.0
         assert b["tail_route"] == {"route": "closed-form"}
+        assert b["lhs_route"] == {"route": "exact", "phi_mean": {"route": "closed-form"}}
+        # the self-consistent left side is exact: 0.0, not -0.0 or noise
+        zero_fields = ("lhs", "lhs_se", "gap_term_mean", "tail_correction_mean")
+        assert [math.copysign(1.0, b[k]) if b[k] == 0.0 else b[k] for k in zero_fields] == [1.0] * 4
         # the embedded inputs recompute the embedded right side
         from volbound.bound import StrikeGrid, rhs_bound
         from volbound.models import builtin_model
@@ -479,15 +484,23 @@ class TestCliCommands:
         assert doc["results"]["bound"]["tail_route"] == {
             "route": "quadrature", "nodes": 48, "window": 8.0
         }
+        assert doc["results"]["bound"]["lhs_route"] == {
+            "route": "exact", "phi_mean": {"route": "quadrature", "nodes": 128, "window": 16.0}
+        }
         assert "repricing" not in doc["results"]  # no closed-form price map
 
     def test_bessel_tail_blocks_never_change_the_report(self, tmp_path, capsys, monkeypatch):
         # 20000 paths: two simulation blocks and three blocks of the tail
-        # term's quadrature, split over one thread and over two
+        # term's quadrature, split over one thread and over two; a moving
+        # theta, since only its left side integrates the tail on every path
         cfg = tmp_path / "bes.yaml"
         cfg.write_text(
             BASE.replace("model: gbm", "model: bessel0")
             .replace("sigma: 0.2", "sigma: 1.0")
+            .replace(
+                "generator: self-consistent",
+                "generator: meanrev-vol\ntheta: {rate: 2.0, level: 0.8, vol_of_vol: 0.4}",
+            )
             .replace("strikes: [0.0, 0.5, 1.0, 1.5, 2.0]", "strikes: [0.0, 0.75, 1.5]")
             .replace("paths: 4000", "paths: 20000")
         )
@@ -499,6 +512,7 @@ class TestCliCommands:
         assert docs[0] == docs[1]
         b = json.loads(docs[0])["results"]["bound"]
         assert b["n_paths"] == 20000 and b["tail_correction_mean"] != 0.0
+        assert b["lhs_route"] == {"route": "monte-carlo", "paths": 20000}
 
     def test_check_bound_reports_the_logdiff_law(self, tmp_path, capsys, monkeypatch):
         # logdiff steps by its exact law and integrates G against it; at
@@ -627,6 +641,31 @@ class TestCliCommands:
         assert main([*args, "--config", str(echoed), "--out", str(again)]) == 0
         capsys.readouterr()
         assert canonical_json(json.loads(again.read_text())) == canonical_json(report)
+
+    def test_integers_follow_yaml_1_2(self, base_path, tmp_path, capsys):
+        # YAML 1.1 reads 010 as octal 8, 1:30 as 90 (base 60) and 1_000 as
+        # 1000; under YAML 1.2's core schema 010 is ten, 0o10 and 0x10 keep
+        # their prefixes, and the other two are strings, rejected by name
+        assert parse_config(BASE.replace("seed: 11", "seed: 010")).sim.seed == 10
+        assert parse_config(BASE.replace("seed: 11", "seed: 0o10")).sim.seed == 8
+        assert parse_config(BASE.replace("seed: 11", "seed: 0x10")).sim.seed == 16
+        assert parse_override("simulation.seed=010") == ("simulation.seed", 10)
+        out = tmp_path / "seed.json"
+        assert main(["check-bound", "--config", base_path, "--paths", "256",
+                     "--set", "simulation.seed=010", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert json.loads(out.read_text())["config"]["simulation"]["seed"] == 10
+        for text in ("1:30", "1_000"):
+            message = f"expected an integer, got '{text}' [key: simulation.paths] (line 10)"
+            with pytest.raises(ConfigParseError, match=re.escape(message)):
+                parse_config(BASE.replace("paths: 4000", f"paths: {text}"))
+            bad = tmp_path / "bad.yaml"
+            bad.write_text(BASE.replace("seed: 11", f"seed: {text}"))
+            assert main(["check-bound", "--config", str(bad)]) == 2
+            assert "simulation.seed" in capsys.readouterr().err
+            assert main(["check-bound", "--config", base_path,
+                         "--set", f"simulation.seed={text}"]) == 2
+            assert "simulation.seed" in capsys.readouterr().err
 
     def test_reports_reproduce_across_runs_and_workers(
         self, base_path, tmp_path, capsys, monkeypatch
