@@ -40,23 +40,16 @@ from .models import (
     ReferenceModel,
     SimConfig,
     ThetaProcess,
-    _gauss_legendre,
     _map_blocks,
     bisect_increasing,
     sample_mean,
-    simulate,
+    simulate,  # not called here: the benchmark's tracer looks up volbound.bound.simulate
     step_paths,
     worker_count,
     z_score,
 )
 from .phi import phi_mean, semigroup_route
-from .pricing import (
-    PriceQuote,
-    _bs_call_core,
-    _bs_call_moments,
-    _lognormal_quad,
-    quad_call_price,
-)
+from .pricing import _bs_call_core, _bs_call_moments
 
 __all__ = [
     "MaturityGrid",
@@ -73,7 +66,6 @@ __all__ = [
     "build_q",
     "joint_simulate",
     "n_value",
-    "g_value",
     "tail_route",
     "l_value",
     "rhs_bound",
@@ -81,7 +73,6 @@ __all__ = [
     "pricing_residuals",
     "densify_grid",
     "densification_study",
-    "decomposition_check",
     "self_consistent_scenario",
     "step_vol_scenario",
     "meanrev_vol_scenario",
@@ -397,45 +388,6 @@ def _g_quadrature(model, s, v, k_max):
     return out
 
 
-def g_value(
-    t: float,
-    T: float,
-    theta: float,
-    s: float,
-    k_max: float,
-    model: ReferenceModel,
-    cfg: SimConfig | None = None,
-) -> PriceQuote:
-    """Tail term E[clipped_phi(k_max, Z_T) | Z_t = s] at volatility theta.
-
-    Adaptive quadrature against the lognormal transition density, for any
-    phi, when the model's law is lognormal; otherwise a Monte Carlo run from
-    (t, s), which needs cfg. check_bound's routes are tested on it.
-    """
-    if not t <= T:
-        raise DomainError(f"need t <= T, got t={t}, T={T}")
-    if not k_max > 0.0:
-        raise DomainError(f"cutoff strike must be positive, got {k_max}")
-    if theta < 0.0:
-        raise DomainError(f"volatility parameter must be nonnegative, got {theta}")
-    v = theta * theta * (T - t)
-    if v == 0.0 or s <= 0.0:
-        return PriceQuote(value=float(clipped_phi(model.phi, k_max, s)), se=0.0, n_paths=0)
-    if isinstance(model.law, LognormalLaw):
-        phi_b = float(model.phi(k_max))
-        w_b = (math.log(k_max / s) + v / 2.0) / math.sqrt(v)
-        value = _lognormal_quad(lambda x: float(model.phi(x)) - phi_b, s, v, w_b)
-        return PriceQuote(value=float(value), se=0.0, n_paths=0)
-    if cfg is None:
-        raise ConfigurationError(
-            f"model {model.name!r} has no transition density wired up; "
-            "pass a SimConfig for the Monte Carlo route"
-        )
-    ens = simulate(model, theta, s, t, [t, T], cfg)
-    mean, se = sample_mean(clipped_phi(model.phi, k_max, ens.states[:, -1]))
-    return PriceQuote(value=mean, se=se, n_paths=ens.n_paths)
-
-
 def tail_route(model: ReferenceModel) -> dict:
     """How check_bound computes the tail term G: closed form, or quadrature
     against the model's law with its node count and window."""
@@ -466,31 +418,22 @@ def _g_batch(model, theta, s, t, T, k_max):
     return _g_tail(model, s, theta * theta * (T - t), k_max)
 
 
-def l_value(
-    t: float,
-    T: float,
-    theta,
-    s,
-    strikes: StrikeGrid,
-    model: ReferenceModel,
-    cfg: SimConfig | None = None,
-):
+def l_value(t: float, T: float, theta, s, strikes: StrikeGrid, model: ReferenceModel):
     """Strike-band term: between-strike price shortfalls weighted by phi''.
 
     Always nonpositive: within each band the call price at K is below the
     price at the band's left edge, and phi'' >= 0. theta and s may be 1-d
     arrays (an array of terms, one per pair) or scalars (a float).
 
-    Closed form for a lognormal law with a quadratic phi: int_a^b C dK =
-    (S2(a) - S2(b))/2 with S2(K) = E[((Z_T - K)^+)^2], so each band is
+    Closed form, for a lognormal law with a quadratic phi only: int_a^b C dK
+    = (S2(a) - S2(b))/2 with S2(K) = E[((Z_T - K)^+)^2], so each band is
     phi'' ((S2(K_j) - S2(K_j+1))/2 - C(K_j) dK_j), floored at its bound 0.
-    Where phi is infinite at zero strike, phi'' is not integrable against
-    C(K) - C(0) ~ -K P(Z_T > 0) there, so the term is -inf unless s = 0.
-    Otherwise it is the mean of _band_payoff over the paths of a Monte
-    Carlo run, which needs cfg.
+    Any other model is refused.
     """
     if not t <= T:
         raise DomainError(f"need t <= T, got t={t}, T={T}")
+    if not _closed_form(model):
+        raise ConfigurationError(f"model {model.name!r} has no closed-form strike-band term")
     scalar = np.ndim(theta) == 0 and np.ndim(s) == 0
     theta, s = (np.atleast_1d(np.asarray(a, dtype=np.float64)) for a in (theta, s))
     negative = theta[theta < 0.0]
@@ -499,60 +442,13 @@ def l_value(
             f"volatility parameter must be nonnegative, got {negative.size} negative "
             f"value(s), the first {negative[0]}"
         )
-    theta, s = np.broadcast_arrays(theta, s)
-    if _closed_form(model):
-        ks = np.asarray(strikes.strikes)
-        v = theta * theta * (T - t)
-        z, k, v = np.broadcast_arrays(s[:, None], ks[None, :], v[:, None])
-        c, s2 = _bs_call_moments(z, k, v)
-        bands = 0.5 * (s2[:, :-1] - s2[:, 1:]) - c[:, :-1] * np.diff(ks)
-        out = model.phi.curvature * np.minimum(bands, 0.0).sum(axis=1)
-    elif np.isinf(_phi_at_zero(model)):
-        out = np.where(s > 0.0, -np.inf, 0.0)
-    elif cfg is None:
-        raise ConfigurationError(f"model {model.name!r} prices by Monte Carlo; pass a SimConfig")
-    else:
-        runs = (simulate(model, a, b, t, [t, T], cfg) for a, b in zip(theta.tolist(), s.tolist()))
-        out = np.array([
-            sample_mean(_band_payoff(model.phi, strikes, ens.states[:, -1]))[0] for ens in runs
-        ])
+    ks = np.asarray(strikes.strikes)
+    v = theta * theta * (T - t)
+    z, k, v = np.broadcast_arrays(s[:, None], ks[None, :], v[:, None])
+    c, s2 = _bs_call_moments(z, k, v)
+    bands = 0.5 * (s2[:, :-1] - s2[:, 1:]) - c[:, :-1] * np.diff(ks)
+    out = model.phi.curvature * np.minimum(bands, 0.0).sum(axis=1)
     return float(out[0]) if scalar else out
-
-
-def _phi_at_zero(model):
-    with np.errstate(divide="ignore"):
-        return float(model.phi(0.0))
-
-
-def _band_payoff(phi: PhiFunction, strikes: StrikeGrid, z):
-    """The strike-band term on each path: L's integrand with C(K) replaced by
-    the payoff (z - K)^+, integrated by parts in K.
-
-    With m = clip(z, K_j, K_j+1) band j gives exactly
-    phi(m) - phi(K_j) - (m - K_j) phi'(K_j+1), which convexity keeps <= 0,
-    so E[_band_payoff(Z_T)] is L. phi must be finite at zero strike.
-    """
-    ks = np.asarray(strikes.strikes)
-    lo, hi = ks[:-1], ks[1:]
-    m = np.clip(np.asarray(z, dtype=np.float64)[:, None], lo, hi)
-    bands = np.asarray(phi(m), dtype=np.float64) - np.asarray(phi(lo), dtype=np.float64)
-    return (bands - (m - lo) * np.asarray(phi.deriv1(hi), dtype=np.float64)).sum(axis=1)
-
-
-def _band_integral(prices, phi, strikes, splits=()):
-    """sum_j int_{K_j}^{K_j+1} (C(K) - C(K_j)) phi''(K) dK by the 64-node
-    Gauss-Legendre rule on each band, split further at the points of splits
-    that fall inside it; prices maps a 1-d array of strikes to call
-    prices."""
-    ks = np.asarray(strikes.strikes)
-    edges = np.union1d(ks, [b for b in splits if ks[0] < b < ks[-1]])
-    # the band each sub-interval lies in, whose left edge its gaps start from
-    band = np.searchsorted(ks, edges[:-1], side="right") - 1
-    x, w = _gauss_legendre(64)
-    half = 0.5 * np.diff(edges)
-    k = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half[:, None] * x
-    gaps = prices(k.ravel()).reshape(k.shape) - prices(ks[:-1])[band][:, None]
-    return float(half @ ((gaps * np.asarray(phi.deriv2(k))) @ w))
 
 
 def _strike_slopes(phi: PhiFunction, ks: np.ndarray):
@@ -1003,54 +899,3 @@ def densification_study(
         phi_prime_convention=convention,
     )
 
-
-def decomposition_check(
-    model: ReferenceModel,
-    theta: float,
-    s: float,
-    t: float,
-    T: float,
-    strikes: StrikeGrid,
-) -> dict:
-    """Termwise consistency of the price-space decomposition, all routes split.
-
-    Under the reference law the conditional-expectation side H (strike
-    bands of quadrature call prices by _band_integral's fixed rule, split at
-    the spot and 10 standard deviations either side, plus the tail by
-    adaptive quadrature) must reproduce L + G + (M - N), where L and G use their
-    closed forms, M the transition-density quadrature and N exact
-    arithmetic. Every term travels a different numerical route, so the
-    defect measures real disagreement, not shared bugs.
-    """
-    if not _closed_form(model):
-        raise ConfigurationError("the termwise check needs the closed-form model")
-    n_term = float(n_value(t, T, theta, s, model))  # first: it rejects T < t
-    v = theta * theta * (T - t)
-
-    def q_prices(ks):
-        return np.array([quad_call_price(model, theta, t, T, k, s).value for k in ks.tolist()])
-
-    # C(K) bends sharply only within ~sqrt(v) s of the spot (a kink at s once
-    # v = 0), which no fixed rule over a whole band resolves: split there
-    reach = math.exp(10.0 * math.sqrt(v))
-    h_strike = _band_integral(q_prices, model.phi, strikes, (s / reach, s, s * reach))
-    h_tail = g_value(t, T, theta, s, strikes.k_max, model).value
-    h_term = h_strike + h_tail
-
-    l_term = l_value(t, T, theta, s, strikes, model)
-    g_term = float(_g_batch(model, np.array([theta]), np.array([s]), t, T, strikes.k_max)[0])
-
-    if v > 0.0:
-        m_term = _lognormal_quad(lambda x: float(model.phi(x)), s, v, -math.inf)
-    else:
-        m_term = float(model.phi(s))
-
-    defect = (h_term - l_term - g_term) - (m_term - n_term)
-    return {
-        "h": h_term,
-        "l": l_term,
-        "g": g_term,
-        "m": m_term,
-        "n": n_term,
-        "defect": defect,
-    }

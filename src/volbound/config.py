@@ -32,27 +32,34 @@ class LocatedDict(dict):
 
 
 class _Loader(yaml.SafeLoader):
-    """SafeLoader that reads integers and floats as YAML 1.2's core schema
-    does: 010 is ten, 0o10 eight and 0x10 sixteen, while YAML 1.1 (PyYAML)
-    takes 010 for octal, 1:30 for 90 in base 60 and 1_000 for 1000, which
-    stay strings here; 1e-3 and json's 1e-05 are floats, which 1.1 takes for
-    strings."""
+    """SafeLoader that resolves plain scalars as YAML 1.2's core schema does:
+    010 is ten, 0o10 eight and 0x10 sixteen; 1e-3, json's 1e-05, .inf and
+    .nan are floats; true and false are the only booleans. YAML 1.1 (PyYAML)
+    takes 010 for octal, 1:30 for 90 in base 60, 1_000 and 1_000.0 for
+    1000, yes/no/on/off for booleans and 1e-3 for a string; here the first
+    four stay strings, which a typed key rejects by name."""
 
 
 _INT = re.compile(r"^(?:[-+]?[0-9]+|0o[0-7]+|0x[0-9a-fA-F]+)$")
+_CORE_TAGS = {f"tag:yaml.org,2002:{kind}" for kind in ("int", "float", "bool")}
 
-# YAML 1.1's int resolver dropped, then 1.2's added ahead of its float
-# resolver, which also matches digits alone; 1.1's float resolver, kept,
-# needs a dot
+# YAML 1.1's int, float and bool resolvers dropped, then 1.2's added, the
+# int's ahead of the float's, which also matches digits alone
 _Loader.yaml_implicit_resolvers = {
-    first: [(tag, regexp) for tag, regexp in resolvers if tag != "tag:yaml.org,2002:int"]
+    first: [(tag, regexp) for tag, regexp in resolvers if tag not in _CORE_TAGS]
     for first, resolvers in yaml.SafeLoader.yaml_implicit_resolvers.items()
 }
 _Loader.add_implicit_resolver("tag:yaml.org,2002:int", _INT, list("-+0123456789"))
 _Loader.add_implicit_resolver(
     "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
+    re.compile(
+        r"^(?:[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?"
+        r"|[-+]?\.(?:inf|Inf|INF)|\.(?:nan|NaN|NAN))$"
+    ),
     list("-+.0123456789"),
+)
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:bool", re.compile(r"^(?:true|True|TRUE|false|False|FALSE)$"), list("tTfF")
 )
 
 

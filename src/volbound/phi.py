@@ -4,8 +4,8 @@ The eigenfunction condition is the state-space ODE
 (1/2) beta(z)^2 phi''(z) = phi(z) with phi positive and convex.
 `verify_phi` checks a candidate pointwise, and the martingale checks
 test the dynamic consequences on simulated ensembles: the discounted
-process, its compensated form, and payoff-style stochastic integrals
-all have to be flat in expectation.
+process and its compensated form have to be flat in expectation, and
+E[phi(Z_t)] has to match its semigroup reference.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "verify_phi",
     "martingale_check_U",
     "martingale_check_V",
-    "martingale_check_integral",
     "phi_mean",
     "semigroup_check",
     "semigroup_route",
@@ -215,52 +214,6 @@ def martingale_check_V(
     ens = step_paths(model, sigma, model.z0, 0.0, grid, cfg, visit=visit)
     ref = float(model.phi(model.z0))
     return _summarize(times, list(wanted.values()), [ref] * len(times), ens)
-
-
-def martingale_check_integral(
-    model: ReferenceModel,
-    g,
-    sigma: float,
-    times,
-    cfg: SimConfig,
-    g_left_deriv=None,
-    integration_points: int = 65,
-) -> MartingaleTestReport:
-    """Test E[int_0^t g'_-(Z_s) dZ_s] = 0 for a convex integrand g.
-
-    The integral uses the left-point rule, which makes the discrete sum an
-    exact martingale transform of the simulated increments. Without an
-    explicit left derivative a backward difference stands in; for the
-    piecewise-linear g of interest it is exact away from the kink. g and
-    g_left_deriv are called elementwise on the states of one path block at
-    one grid time, a 1-d array. The sum is accumulated block by block as
-    the engine draws each grid column, as in martingale_check_V, so memory
-    is a few path vectors per test time whatever integration_points is.
-    """
-    times = _check_times(times)
-    fine = np.linspace(0.0, times[-1], integration_points)
-    grid = np.array(_simulation_grid(times, extra=fine))
-    if g_left_deriv is None:
-        def g_left_deriv(z, _g=g):
-            step = 1e-7 * np.maximum(1.0, np.abs(z))
-            return (np.asarray(_g(z)) - np.asarray(_g(z - step))) / step
-
-    wanted = {int(np.searchsorted(grid, t)): np.empty(cfg.n_paths) for t in times}
-    z_lo = np.empty(cfg.n_paths)
-    slope_lo = np.empty(cfg.n_paths)
-    cum = np.full(cfg.n_paths, -0.0)  # as in martingale_check_V
-
-    def visit(rows, c, z, absorbed_at):
-        if c > 0:
-            cum[rows] += slope_lo[rows] * (z - z_lo[rows])
-        z_lo[rows] = z
-        slope_lo[rows] = np.asarray(g_left_deriv(z), dtype=np.float64)
-        if c in wanted:
-            # the sum over no increments is +0.0, not cum's starting -0.0
-            wanted[c][rows] = cum[rows] if c > 0 else 0.0
-
-    ens = step_paths(model, sigma, model.z0, 0.0, grid, cfg, visit=visit)
-    return _summarize(times, list(wanted.values()), [0.0] * len(times), ens)
 
 
 def semigroup_route(model: ReferenceModel) -> dict:

@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 #: reach, in standard-normal units past the bulk, of the adaptive lognormal
-#: quadrature kept as an oracle (_lognormal_quad)
+#: quadrature (_lognormal_quad)
 QUAD_REACH = 16.0
 
 #: absolute price residual above which implied_vol reports that its
@@ -46,12 +46,10 @@ PRICE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class PriceQuote:
-    """A priced expectation with its sampling error (zero when deterministic).
+    """A call price with its sampling error (zero when deterministic).
 
-    Call prices are nonnegative, but the type is shared with signed
-    expectations (eigenfunction tail terms), so only finiteness and a
-    nonnegative error are enforced here. steps is the number of steps each
-    simulated path took (0 when nothing was simulated).
+    Only finiteness and a nonnegative error are enforced here. steps is the
+    number of steps each simulated path took (0 when nothing was simulated).
     """
 
     value: float
@@ -234,7 +232,7 @@ def _lognormal_quad(f, s: float, v: float, w_lo: float) -> float:
     law, by adaptive quadrature from max(w_lo, -QUAD_REACH) (n is below 1e-55
     there, and a start far below the bulk lets the first nodes miss it) to
     QUAD_REACH past max(w_lo, 2 sqrt(v)): the package's one adaptive integral,
-    the oracle route of quad_call_price, g_value and decomposition_check."""
+    behind quad_call_price, which `price` reports next to the closed form."""
     from scipy.integrate import quad
 
     sqv = math.sqrt(v)

@@ -56,15 +56,6 @@ def build_report(command: str, config_doc: dict, results: dict, verdict: bool) -
     }
 
 
-def strip_timing(report: dict) -> dict:
-    return {k: v for k, v in report.items() if k != "timing"}
-
-
-def canonical_json(report: dict) -> str:
-    """The byte-stable serialization used for files and for comparison."""
-    return json.dumps(strip_timing(report), sort_keys=True, indent=2) + "\n"
-
-
 def render_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 

@@ -1,16 +1,22 @@
 """Shared test oracles.
 
 Every oracle here is computed by a route independent of the implementation it
-checks (quadrature of integral representations, closed forms, or brute-force
-refinement).
+checks (quadrature of integral representations, closed forms, Monte Carlo over
+simulated paths, or brute-force refinement). No command runs them, so they
+live beside the tests that read them rather than in the package.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 from scipy.integrate import quad
+
+from volbound.bound import _g_batch, clipped_phi, l_value, n_value
+from volbound.models import sample_mean, simulate, step_paths, z_score
+from volbound.phi import MartingaleTestReport
 
 
 def bessel_k_oracle(order: int, x: float) -> float:
@@ -49,14 +55,18 @@ def lognormal_call_oracle(z: float, k: float, v: float) -> float:
     """E[(Z_T - k)^+] with Z_T = z*exp(-v/2 + sqrt(v) W), W standard normal.
 
     Quadrature of the payoff against the standard normal density; independent
-    of both the closed-form pricer and the package quadrature pricer.
+    of both the closed-form pricer and the package quadrature pricer. The
+    lower limit is clipped at -40 standard deviations, as in
+    lognormal_sq_call_oracle: a deep in-the-money strike at small v would
+    otherwise start it thousands of them below the bulk, which it then
+    misses.
     """
     if v == 0.0:
         return max(z - k, 0.0)
     if k == 0.0:
         return z
     s = math.sqrt(v)
-    w_k = (math.log(k / z) + 0.5 * v) / s
+    w_k = max((math.log(k / z) + 0.5 * v) / s, -40.0)
 
     def f(w):
         return (z * math.exp(-0.5 * v + s * w) - k) * math.exp(-0.5 * w * w) / math.sqrt(2.0 * math.pi)
@@ -164,3 +174,141 @@ def logbesq0_phi_hat_oracle(z: float, k_m: float, v: float, phi) -> float:
         quad(f, a, b, epsabs=1e-16, epsrel=1e-12, limit=400)[0] for a, b in zip(edges, edges[1:])
     )
     return total + (float(phi(1.0)) - phi_k) * math.exp(-y0 / (0.5 * w))
+
+
+def tail_mc_oracle(model, theta: float, s: float, T: float, k_max: float, cfg):
+    """(mean, se) of clipped_phi(k_max, Z_T) over the paths of one simulate run
+    from Z_0 = s at volatility theta: the tail term G by Monte Carlo."""
+    ens = simulate(model, theta, s, 0.0, [0.0, T], cfg)
+    return sample_mean(clipped_phi(model.phi, k_max, ens.states[:, -1]))
+
+
+def band_payoff(phi, strikes, z):
+    """The strike-band term on each path: L's integrand with C(K) replaced by
+    the payoff (z - K)^+, integrated by parts in K.
+
+    With m = clip(z, K_j, K_j+1) band j gives exactly
+    phi(m) - phi(K_j) - (m - K_j) phi'(K_j+1), which convexity keeps <= 0,
+    so E[band_payoff(Z_T)] is L. phi must be finite at zero strike.
+    """
+    ks = np.asarray(strikes.strikes)
+    lo, hi = ks[:-1], ks[1:]
+    m = np.clip(np.asarray(z, dtype=np.float64)[:, None], lo, hi)
+    bands = np.asarray(phi(m), dtype=np.float64) - np.asarray(phi(lo), dtype=np.float64)
+    return (bands - (m - lo) * np.asarray(phi.deriv1(hi), dtype=np.float64)).sum(axis=1)
+
+
+def band_integral_oracle(prices, phi, strikes, splits=()):
+    """sum_j int_{K_j}^{K_j+1} (C(K) - C(K_j)) phi''(K) dK by the 64-node
+    Gauss-Legendre rule on each band, split further at the points of splits
+    that fall inside it; prices maps a 1-d array of strikes to call
+    prices."""
+    ks = np.asarray(strikes.strikes)
+    edges = np.union1d(ks, [b for b in splits if ks[0] < b < ks[-1]])
+    # the band each sub-interval lies in, whose left edge its gaps start from
+    band = np.searchsorted(ks, edges[:-1], side="right") - 1
+    x, w = np.polynomial.legendre.leggauss(64)
+    half = 0.5 * np.diff(edges)
+    k = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half[:, None] * x
+    gaps = prices(k.ravel()).reshape(k.shape) - prices(ks[:-1])[band][:, None]
+    return float(half @ ((gaps * np.asarray(phi.deriv2(k))) @ w))
+
+
+def decomposition_check(model, theta: float, s: float, t: float, T: float, strikes) -> dict:
+    """Termwise consistency of the price-space decomposition, all routes split.
+
+    Under the lognormal law the conditional-expectation side H (strike bands
+    of quadrature call prices by band_integral_oracle, split at the spot and
+    10 standard deviations either side, plus the tail by quadrature) must
+    reproduce L + G + (M - N): L, G and N from the package's closed forms,
+    M by quadrature of phi against the law. A constant phi'' and the
+    eigenfunction ODE under beta(z) = z leave phi = (phi''/2) z^2, so M is
+    phi''/2 times the second moment at zero strike. Every term travels a different
+    numerical route, so the defect measures real disagreement, not shared
+    bugs.
+    """
+    # first: l_value refuses T < t and a model without the closed forms
+    l_term = l_value(t, T, theta, s, strikes, model)
+    g_term = float(_g_batch(model, np.array([theta]), np.array([s]), t, T, strikes.k_max)[0])
+    n_term = float(n_value(t, T, theta, s, model))
+    v = theta * theta * (T - t)
+
+    def q_prices(ks):
+        return np.array([lognormal_call_oracle(s, k, v) for k in ks.tolist()])
+
+    # C(K) bends sharply only within ~sqrt(v) s of the spot (a kink at s once
+    # v = 0), which no fixed rule over a whole band resolves: split there
+    reach = math.exp(10.0 * math.sqrt(v))
+    h_strike = band_integral_oracle(q_prices, model.phi, strikes, (s / reach, s, s * reach))
+    h_term = h_strike + lognormal_phi_hat_oracle(s, strikes.k_max, v, model.phi)
+    m_term = 0.5 * model.phi.curvature * lognormal_sq_call_oracle(s, 0.0, v)
+    defect = (h_term - l_term - g_term) - (m_term - n_term)
+    return {"h": h_term, "l": l_term, "g": g_term, "m": m_term, "n": n_term, "defect": defect}
+
+
+def stochastic_integral_samples(model, g, sigma, times, cfg, g_left_deriv=None,
+                                integration_points=65):
+    """(ensemble, samples): int_0^t g'_-(Z_s) dZ_s on every path at each of
+    times, by the left-point rule on the test times and integration_points
+    equally spaced points, which makes the sum an exact martingale transform
+    of the simulated increments.
+
+    Without an explicit left derivative a backward difference stands in; for
+    a piecewise-linear g it is exact away from the kink. The sums grow block
+    by block as step_paths draws each column, so memory is a few path
+    vectors per test time whatever integration_points is.
+    """
+    times = [float(x) for x in times]
+    grid = np.union1d(times, np.linspace(0.0, times[-1], integration_points))
+    if g_left_deriv is None:
+        def g_left_deriv(z):
+            step = 1e-7 * np.maximum(1.0, np.abs(z))
+            return (np.asarray(g(z)) - np.asarray(g(z - step))) / step
+
+    wanted = {int(np.searchsorted(grid, t)): np.empty(cfg.n_paths) for t in times}
+    z_lo = np.empty(cfg.n_paths)
+    slope_lo = np.empty(cfg.n_paths)
+    # -0.0, not 0.0, is the identity of float addition, so the running sums
+    # equal np.cumsum's bit for bit
+    cum = np.full(cfg.n_paths, -0.0)
+
+    def visit(rows, c, z, absorbed_at):
+        if c > 0:
+            cum[rows] += slope_lo[rows] * (z - z_lo[rows])
+        z_lo[rows] = z
+        slope_lo[rows] = np.asarray(g_left_deriv(z), dtype=np.float64)
+        if c in wanted:
+            # the sum over no increments is +0.0, not cum's starting -0.0
+            wanted[c][rows] = cum[rows] if c > 0 else 0.0
+
+    ens = step_paths(model, sigma, model.z0, 0.0, grid, cfg, visit=visit)
+    return ens, list(wanted.values())
+
+
+def martingale_check_integral(model, g, sigma, times, cfg, g_left_deriv=None,
+                              integration_points=65) -> MartingaleTestReport:
+    """Test E[int_0^t g'_-(Z_s) dZ_s] = 0 for a convex integrand g: the
+    verdict asks |z| <= 3 at every test time."""
+    _, samples = stochastic_integral_samples(
+        model, g, sigma, times, cfg, g_left_deriv, integration_points
+    )
+    means, ses = zip(*(sample_mean(x) for x in samples))
+    zs = tuple(z_score(m, se) for m, se in zip(means, ses))
+    return MartingaleTestReport(
+        times=tuple(times),
+        means=means,
+        ses=ses,
+        references=(0.0,) * len(zs),
+        z_scores=zs,
+        verdict=all(abs(z) <= 3.0 for z in zs),
+    )
+
+
+def strip_timing(report: dict) -> dict:
+    return {k: v for k, v in report.items() if k != "timing"}
+
+
+def canonical_json(report: dict) -> str:
+    """A report's body, without its timing block, as the CLI serializes it:
+    the byte-stable form two runs are compared in."""
+    return json.dumps(strip_timing(report), sort_keys=True, indent=2) + "\n"

@@ -18,7 +18,15 @@ from hypothesis import strategies as st
 
 import volbound.bound as bound_module
 import volbound.models as models_module
-from conftest import besq0_phi_hat_oracle, logbesq0_phi_hat_oracle, lognormal_phi_hat_oracle
+from conftest import (
+    band_integral_oracle,
+    band_payoff,
+    besq0_phi_hat_oracle,
+    decomposition_check,
+    logbesq0_phi_hat_oracle,
+    lognormal_phi_hat_oracle,
+    tail_mc_oracle,
+)
 from volbound.bound import (
     G_BLOCK_ROWS,
     BoundReport,
@@ -29,8 +37,6 @@ from volbound.bound import (
     StrikeGrid,
     ThetaProcess,
     WeightVector,
-    _band_integral,
-    _band_payoff,
     _g_batch,
     _g_quadrature,
     _rhs_detail,
@@ -38,10 +44,8 @@ from volbound.bound import (
     check_bound,
     clipped_phi,
     compute_alphas,
-    decomposition_check,
     densification_study,
     densify_grid,
-    g_value,
     joint_simulate,
     l_value,
     meanrev_vol_scenario,
@@ -465,7 +469,7 @@ class TestGrowthFactor:
 class TestTailTerm:
     def test_quadrature_matches_oracle(self):
         for theta, s, k_m in ((0.2, 1.0, 2.0), (0.5, 0.7, 1.0), (1.0, 2.5, 2.0)):
-            got = g_value(0.0, 1.0, theta, s, k_m, GBM).value
+            got = float(_g_batch(GBM, np.array([theta]), np.array([s]), 0.0, 1.0, k_m)[0])
             want = lognormal_phi_hat_oracle(s, k_m, theta * theta, GBM.phi)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-14)
 
@@ -474,32 +478,32 @@ class TestTailTerm:
         states = np.array([1.0, 0.7, 1.4, 2.5, 0.9])
         batch = _g_batch(GBM, thetas, states, 0.0, 1.0, 2.0)
         for i in range(thetas.size):
-            scalar = g_value(0.0, 1.0, float(thetas[i]), float(states[i]), 2.0, GBM).value
+            scalar = lognormal_phi_hat_oracle(float(states[i]), 2.0, float(thetas[i] * thetas[i]), GBM.phi)
             assert batch[i] == pytest.approx(scalar, rel=1e-9, abs=1e-12)
 
     def test_deep_in_the_money_small_variance(self):
         # the tail starts ~490 standard deviations below the bulk here, a
         # window no fixed-node rule from w_k resolves (160 nodes: 0.25% low)
-        want = g_value(0.0, 1.0, 0.002, 4.0, 1.5, GBM).value
+        want = lognormal_phi_hat_oracle(4.0, 1.5, 0.002 * 0.002, GBM.phi)
         assert want == pytest.approx(13.750064000128, rel=1e-12)
         got = _g_batch(GBM, np.array([0.002]), np.array([4.0]), 0.0, 1.0, 1.5)
         assert float(got[0]) == pytest.approx(want, rel=1e-10)
 
     def test_cutoff_above_support_is_exactly_zero(self):
-        assert g_value(0.0, 1.0, 0.2, 1.0, 1e9, GBM).value == 0.0
+        for model in (GBM, INV):
+            assert _g_batch(model, np.array([0.2]), np.array([1.0]), 0.0, 1.0, 1e9)[0] == 0.0
 
     def test_zero_vol_is_the_clipped_value(self):
-        q = g_value(0.0, 1.0, 0.0, 3.0, 2.0, GBM)
-        assert q.value == 5.0  # phi(3)-phi(2) = 9-4 with the state above the cutoff
-        assert q.se == 0.0
-        assert g_value(0.0, 1.0, 0.0, 1.5, 2.0, GBM).value == 0.0
+        # phi(3) - phi(2) = 9 - 4 with the state above the cutoff, 0 below it
+        got = _g_batch(GBM, np.zeros(2), np.array([3.0, 1.5]), 0.0, 1.0, 2.0)
+        assert got.tolist() == [5.0, 0.0]
 
     def test_decreasing_phi_gives_negative_tail(self):
         cfg = SimConfig(n_paths=2000, dt=0.01, seed=17)
-        q = g_value(0.0, 1.0, 0.5, 1.0, 1.5, BESSEL, cfg=cfg)
-        assert q.value < 0.0
-        assert q.se > 0.0
-        assert q.n_paths == 2000
+        mean, se = tail_mc_oracle(BESSEL, 0.5, 1.0, 1.0, 1.5, cfg)
+        assert mean < 0.0
+        assert se > 0.0
+        assert _g_batch(BESSEL, np.array([0.5]), np.array([1.0]), 0.0, 1.0, 1.5)[0] < 0.0
 
     def test_model_without_a_law_is_refused(self):
         # G is closed form or quadrature against the law; there is no
@@ -530,9 +534,9 @@ class TestTailTerm:
     def test_bessel_law_matches_inner_mc_under_absorption(self):
         # sigma = 1 from s = 1: exp(-2) of the mass sits in the atom at 0
         cfg = SimConfig(n_paths=40000, dt=0.002, seed=5)
-        mc = g_value(0.0, 1.0, 1.0, 1.0, 0.5, BESSEL, cfg=cfg)
+        mean, se = tail_mc_oracle(BESSEL, 1.0, 1.0, 1.0, 0.5, cfg)
         got = _g_batch(BESSEL, np.array([1.0]), np.array([1.0]), 0.0, 1.0, 0.5)
-        assert abs(mc.value - float(got[0])) < 3.5 * mc.se
+        assert abs(mean - float(got[0])) < 3.5 * se
 
     # besides the oracle cases: sigma = 1, where a third of the mass or more
     # sits in the atom, and small variance, theta^2 T <= 1e-4
@@ -631,11 +635,11 @@ class TestTailTerm:
         assert float(got[0]) == pytest.approx(want, rel=1e-10, abs=1e-14)
 
     def test_logdiff_law_matches_euler_oracle(self):
-        # g_value's Monte Carlo route on logdiff without its law (Euler, dt 1e-3)
+        # the Monte Carlo tail on logdiff without its law (Euler, dt 1e-3)
         cfg = SimConfig(n_paths=20000, dt=1e-3, seed=61)
-        mc = g_value(0.0, 1.0, 1.0, 0.5, 0.3, dataclasses.replace(LOGDIFF, law=None), cfg)
+        mean, se = tail_mc_oracle(dataclasses.replace(LOGDIFF, law=None), 1.0, 0.5, 1.0, 0.3, cfg)
         got = _g_batch(LOGDIFF, np.array([1.0]), np.array([0.5]), 0.0, 1.0, 0.3)
-        assert abs(mc.value - float(got[0])) < 3.5 * mc.se
+        assert abs(mean - float(got[0])) < 3.5 * se
 
     def test_logdiff_cutoff_at_or_above_one_is_exactly_zero(self):
         thetas, states = np.array([0.0, 0.3, 1.0, 2.0]), np.array([0.5, 0.5, 0.99, 1e-3])
@@ -675,16 +679,6 @@ class TestTailTerm:
         assert got[0] == 0.0
         assert got[1] < 0.0
 
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            g_value(1.0, 0.5, 0.2, 1.0, 2.0, GBM)
-        with pytest.raises(DomainError):
-            g_value(0.0, 1.0, 0.2, 1.0, 0.0, GBM)
-        with pytest.raises(DomainError):
-            g_value(0.0, 1.0, -0.2, 1.0, 2.0, GBM)
-        with pytest.raises(ConfigurationError):
-            g_value(0.0, 1.0, 0.5, 1.0, 1.5, BESSEL)
-
 
 class TestStrikeBand:
     def test_zero_vol_below_first_strike(self):
@@ -721,14 +715,14 @@ class TestStrikeBand:
     @pytest.mark.parametrize("t", [0.0, 0.25, 0.5])
     def test_closed_form_matches_band_rule(self, t):
         # the acceptance suite's decomposition cases, through the strike-band
-        # rule decomposition_check uses for H, on closed-form prices
+        # rule the decomposition oracle uses for H, on closed-form prices
         theta, s, T = 0.3, 1.0, 1.0
         v = theta * theta * (T - t)
 
         def prices(k):
             return _bs_call_core(s, k, v)
 
-        want = _band_integral(prices, GBM.phi, KS5)
+        want = band_integral_oracle(prices, GBM.phi, KS5)
         got = l_value(t, T, theta, s, KS5, GBM)
         assert got == pytest.approx(want, rel=0.0, abs=1e-13)
 
@@ -747,33 +741,21 @@ class TestStrikeBand:
         coarse = l_value(0.0, 1.0, 0.2, 1.0, StrikeGrid(strikes=(0.0, 2.0)), GBM)
         assert tiny == pytest.approx(coarse, abs=1e-4)
 
-    def test_logdiff_band_term_is_minus_infinity(self):
-        # C(K) - C(0) ~ -K near zero strike against phi'' = 1/K^2: the first
-        # band diverges wherever s > 0, and a path held at 0 prices 0 flat.
-        # A Monte Carlo price curve gave -17.05, -19.82 and -22.59 at 1024,
-        # 4096 and 16384 Simpson panels instead, moving by -2 ln 4 each time.
-        ks = StrikeGrid(strikes=(0.0, 0.25, 0.5, 0.75))
-        cfg = SimConfig(n_paths=4096, dt=0.01, seed=300)
-        assert l_value(0.0, 1.0, 0.3, 0.5, ks, LOGDIFF, cfg=cfg) == -math.inf
-        got = l_value(0.0, 1.0, np.array([0.3, 0.0, 0.3, 0.5]), np.array([0.5, 0.5, 0.0, 1.0]),
-                      ks, LOGDIFF)
-        assert got.tolist() == [-math.inf, -math.inf, 0.0, -math.inf]
-
     @pytest.mark.parametrize("theta,s,strikes", [
         (0.3, 1.0, (0.0, 0.5, 1.0, 1.5, 2.0)),
         (0.8, 0.6, (0.0, 0.25, 1.2)),
         (0.15, 1.7, (0.0, 1.0, 1.6, 1.9, 3.0)),
     ])
     def test_band_payoff_integrates_to_the_closed_form(self, theta, s, strikes):
-        # the Monte Carlo route's pathwise payoff, integrated against the
-        # lognormal law by adaptive quadrature split at its kinks (the strikes)
+        # the pathwise band payoff, integrated against the lognormal law by
+        # adaptive quadrature split at its kinks (the strikes)
         from scipy.integrate import quad
 
         ks = StrikeGrid(strikes=strikes)
 
         def integrand(w):
             x = s * math.exp(-0.5 * theta * theta + theta * w)
-            return float(_band_payoff(GBM.phi, ks, np.array([x]))[0]) * norm_pdf(w)
+            return float(band_payoff(GBM.phi, ks, np.array([x]))[0]) * norm_pdf(w)
 
         kinks = [(math.log(k / s) + 0.5 * theta * theta) / theta for k in strikes[1:]]
         got = quad(integrand, -40.0, 40.0, points=kinks, epsabs=0.0, epsrel=1e-13, limit=500)[0]
@@ -785,19 +767,20 @@ class TestStrikeBand:
         ens = simulate(BESSEL, 1.0, 1.0, 0.0, [0.0, 1.0], SimConfig(n_paths=20000, dt=0.01, seed=41))
         z = ens.states[:, -1]
         assert np.any(z == 0.0)
-        got = _band_payoff(BESSEL.phi, StrikeGrid(strikes=(0.0, 0.25, 0.75, 1.5, 3.0)), z)
+        got = band_payoff(BESSEL.phi, StrikeGrid(strikes=(0.0, 0.25, 0.75, 1.5, 3.0)), z)
         assert got.shape == z.shape and np.all(got <= 0.0)
-
-    def test_inner_mc_route_is_nonpositive(self):
-        cfg = SimConfig(n_paths=2000, dt=0.01, seed=17)
-        got = l_value(0.0, 1.0, 0.5, 1.0, StrikeGrid(strikes=(0.0, 0.75, 1.5)), BESSEL, cfg=cfg)
-        assert got <= 1e-9
 
     def test_validation(self):
         with pytest.raises(DomainError):
             l_value(0.0, 1.0, -0.1, 1.0, KS3, GBM)
-        with pytest.raises(ConfigurationError):
-            l_value(0.0, 1.0, 0.5, 1.0, KS3, BESSEL)
+        with pytest.raises(DomainError):
+            l_value(1.0, 0.5, 0.2, 1.0, KS3, GBM)
+        # L is closed form only: a law other than the lognormal, or a phi
+        # without constant curvature (INV's is infinite at zero strike), is
+        # refused by name
+        for model in (BESSEL, LOGDIFF, INV):
+            with pytest.raises(ConfigurationError, match=f"'{model.name}' has no closed-form"):
+                l_value(0.0, 1.0, 0.5, 0.5, KS3, model)
 
 
 # phi(z) = 1/z also solves (1/2) z^2 phi'' = phi on gbm's law, but its
@@ -813,23 +796,12 @@ class TestClosedFormGate:
     def test_tail_term_of_non_quadratic_phi_falls_back(self):
         # to quadrature against the lognormal law: deterministic, no se
         assert tail_route(INV)["route"] == "quadrature"
-        want = g_value(0.0, 1.0, 0.5, 1.0, 1.5, INV).value
-        assert want == pytest.approx(
-            lognormal_phi_hat_oracle(1.0, 1.5, 0.25, INV.phi), rel=1e-9, abs=1e-14
-        )
         cases = [(0.5, 1.0, 1.0, 1.5), (1.0, 1.0, 1.0, 0.5), (0.2, 1.0, 1.0, 2.0),
                  (1.0, 2.5, 2.0, 2.0), (0.01, 1.0, 1.0, 0.99), (0.002, 4.0, 1.0, 1.5)]
         for theta, s, T, k_m in cases:
             got = _g_batch(INV, np.array([theta]), np.array([s]), 0.0, T, k_m)
             want = lognormal_phi_hat_oracle(s, k_m, theta * theta * T, INV.phi)
             assert float(got[0]) == pytest.approx(want, rel=1e-9, abs=1e-14)
-
-    def test_band_term_of_non_quadratic_phi_diverges_at_zero_strike(self):
-        # phi = 1/z is infinite at 0, so the first band is -inf without a
-        # simulation; the termwise check still needs the closed form
-        assert l_value(0.0, 1.0, 0.5, 1.0, KS3, INV) == -math.inf
-        with pytest.raises(ConfigurationError):
-            decomposition_check(INV, 0.3, 1.0, 0.0, 1.0, KS3)
 
     def test_scaling_keeps_the_route_and_scales_exactly(self):
         gbm2 = dataclasses.replace(GBM, phi=GBM.phi.scaled(2.0))
@@ -1194,7 +1166,7 @@ class TestMartingaleStructure:
         sv = ens.states[take, -1]
         for T in (1.0, 2.0):
             l0 = l_value(0.0, T, 0.25, 1.0, KS3, GBM)
-            g0 = g_value(0.0, T, 0.25, 1.0, KS3.k_max, GBM).value
+            g0 = lognormal_phi_hat_oracle(1.0, KS3.k_max, 0.25 * 0.25 * T, GBM.phi)
             lt = np.array(
                 [l_value(0.5, T, float(a), float(b), KS3, GBM) for a, b in zip(th, sv)]
             )

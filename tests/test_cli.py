@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 import scipy
 
+from conftest import canonical_json, strip_timing
 from volbound import cli
 from volbound.cli import main
-from volbound.config import parse_config, parse_override, resolve, set_path
+from volbound.config import load_document, parse_config, parse_override, resolve, set_path
 from volbound.errors import ConfigParseError
-from volbound.report import canonical_json, plain, render_csv, strip_timing
+from volbound.report import plain, render_csv
 
 BASE = """\
 model: gbm
@@ -666,6 +667,23 @@ class TestCliCommands:
             assert main(["check-bound", "--config", base_path,
                          "--set", f"simulation.seed={text}"]) == 2
             assert "simulation.seed" in capsys.readouterr().err
+
+    def test_floats_and_bools_follow_yaml_1_2(self, base_path, capsys):
+        # YAML 1.1 reads 1_000.0 as 1000.0, 1:30.0 as 90.0 (base 60) and
+        # yes/no/on/off as booleans; under YAML 1.2's core schema they are
+        # strings, which a number key rejects by name, and by line in a file
+        assert load_document("a: 1_000.0\nb: 1:30.0\nc: yes\nd: on") == {
+            "a": "1_000.0", "b": "1:30.0", "c": "yes", "d": "on"
+        }
+        doc = load_document("a: true\nb: FALSE\nc: -.inf\nd: .5e1\ne: .nan")
+        assert doc["a"] is True and doc["b"] is False
+        assert doc["c"] == -math.inf and doc["d"] == 5.0 and math.isnan(doc["e"])
+        for text in ("1_000.0", "1:30.0", "yes", "no", "on", "off"):
+            message = f"expected a number, got '{text}' [key: sigma]"
+            with pytest.raises(ConfigParseError, match=re.escape(message + " (line 2)")):
+                parse_config(BASE.replace("sigma: 0.2", f"sigma: {text}"))
+            assert main(["check-bound", "--config", base_path, "--set", f"sigma={text}"]) == 2
+            assert capsys.readouterr().err == f"volbound: config error: {message}\n"
 
     def test_reports_reproduce_across_runs_and_workers(
         self, base_path, tmp_path, capsys, monkeypatch

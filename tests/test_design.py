@@ -123,13 +123,37 @@ def test_one_standard_error_rule():
 
 def test_adaptive_quadrature_only_in_the_oracles():
     # scipy's adaptive quad is an oracle route: one lognormal integral serves
-    # the quadrature call price and the bound's terms
+    # the quadrature call price that `price` reports beside the closed form;
+    # the tests' own oracles live in tests/conftest.py
     def uses_quad(node):
         if isinstance(node, ast.ImportFrom):
             return node.module == "scipy.integrate" and any(a.name == "quad" for a in node.names)
         return isinstance(node, ast.Attribute) and node.attr == "quad"
 
     assert sites(uses_quad) == {"pricing._lognormal_quad"}
+
+
+def test_every_definition_is_reached():
+    # the package ships only what runs: each top-level function or class is
+    # named somewhere in src/volbound outside its own body, or is part of
+    # the package's public interface; an oracle that only tests call
+    # belongs in tests/conftest.py
+    import volbound
+
+    trees = dict(parsed_sources(SRC))
+    unreached = []
+    for name, tree in trees.items():
+        for top in tree.body:
+            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)) or top.name in volbound.__all__:
+                continue
+            own = {id(node) for node in ast.walk(top)}
+            if not any(
+                id(node) not in own and top.name in (getattr(node, "id", None), getattr(node, "attr", None))
+                for other in trees.values()
+                for node in ast.walk(other)
+            ):
+                unreached.append(f"{name.removesuffix('.py')}.{top.name}")
+    assert unreached == []
 
 
 def test_builtin_names_spelled_only_in_models():
@@ -175,8 +199,8 @@ def integrate_loaded_after(code: str) -> bool:
 
 
 def test_cli_start_up_leaves_scipy_integrate_out():
-    # only the oracle routes (g_value, decomposition_check, quad_call_price)
-    # integrate adaptively; importing the CLI must not pay for scipy.integrate
+    # only quad_call_price integrates adaptively, and only `price` calls it;
+    # importing the CLI must not pay for scipy.integrate
     assert not integrate_loaded_after("import volbound.cli")
 
 

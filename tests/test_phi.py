@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import martingale_check_integral, stochastic_integral_samples
 from volbound import phi as phi_module
 from volbound.errors import ConfigurationError, DomainError
 from volbound.models import SimConfig, builtin_model, simulate, step_paths
@@ -13,7 +14,6 @@ from volbound.phi import (
     OdeResidualReport,
     martingale_check_U,
     martingale_check_V,
-    martingale_check_integral,
     semigroup_check,
     semigroup_route,
     verify_phi,
@@ -298,11 +298,9 @@ class TestMartingaleIntegral:
         for workers in ("1", "4"):
             monkeypatch.setenv("VOLBOUND_WORKERS", workers)
             for m, sigma in ((BESSEL, 1.0), (GBM, 0.3)):
-                seen = spy_on_check(monkeypatch)
-                martingale_check_integral(
+                ens, streamed = stochastic_integral_samples(
                     m, lambda z: np.maximum(z - 0.5, 0.0), sigma, times, cfg, g_left_deriv=slope,
                 )
-                (ens,), (streamed,) = seen["ens"], seen["samples"]
                 assert ens.states is None
                 ref = simulate(m, sigma, m.z0, 0.0, ens.time_grid, cfg)
                 assert ref.absorbed_at.tobytes() == ens.absorbed_at.tobytes()
