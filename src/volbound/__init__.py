@@ -16,9 +16,6 @@ __all__ = [
     "SimConfig",
     "builtin_model",
     "simulate",
-    "bs_call_price",
-    "mc_call_price",
-    "quad_call_price",
     "implied_vol",
     "verify_phi",
     "MaturityGrid",
@@ -56,9 +53,4 @@ from .models import (  # noqa: E402
     simulate,
 )
 from .phi import verify_phi  # noqa: E402
-from .pricing import (  # noqa: E402
-    bs_call_price,
-    implied_vol,
-    mc_call_price,
-    quad_call_price,
-)
+from .pricing import implied_vol  # noqa: E402

@@ -134,7 +134,8 @@ class TransitionLaw:
 
     The rule's ``nodes`` nodes reach ``window`` standard deviations either
     side of the law's bulk, clipped at the cutoff, so the node count need
-    not grow with s/v.
+    not grow with s/v. call(z, K, v) prices a call on that rule unless the
+    law has a closed form, and call_route() names which.
     """
 
     nodes: ClassVar[int] = 64
@@ -149,6 +150,34 @@ class TransitionLaw:
         """(nodes on [lo_i, hi_i] per row, half-widths)."""
         half = 0.5 * (hi - lo)
         return (0.5 * (hi + lo))[:, None] + half[:, None] * _gauss_legendre(self.nodes)[0], half
+
+    def call_route(self) -> dict:
+        """How call prices: by tail_rule, named with its budget."""
+        return {"route": "quadrature", "nodes": self.nodes, "window": self.window}
+
+    def call(self, z, strike: float, v):
+        """Call price E[(Z_T - K)^+] given Z_t = z at variance v, clamped to
+        [(z - K)^+, z]; z and v broadcast, strike is a scalar, and zero
+        variance gives the intrinsic value.
+
+        The tail term with phi(x) = x: tail_rule integrates x - K from the
+        strike up, so no node straddles the payoff's kink, and an atom above
+        the strike adds (atom - K) times its mass.
+        """
+        scalar = np.ndim(z) == 0 and np.ndim(v) == 0
+        z, v = np.broadcast_arrays(
+            *(np.atleast_1d(np.asarray(a, dtype=np.float64)) for a in (z, v))
+        )
+        out = np.maximum(z - strike, 0.0)
+        live = v > 0.0
+        if np.any(live):
+            z_l, v_l = z[live], v[live]
+            x, dens, half = self.tail_rule(z_l, v_l, strike)
+            body = ((x - strike) * dens * self.weights[None, :]).sum(axis=1) * half
+            if self.atom is not None and self.atom > strike:
+                body += (self.atom - strike) * self.absorbed_mass(z_l, v_l)
+            out[live] = np.minimum(np.maximum(body, out[live]), z_l)
+        return float(out[0]) if scalar else out
 
 
 @dataclass(frozen=True)
@@ -169,8 +198,18 @@ class LognormalLaw(TransitionLaw):
         """Draws of Z_T given Z_t = z at variance v."""
         return self.step(z, v, rng.standard_normal(np.shape(z)))
 
+    def call_route(self) -> dict:
+        return {"route": "closed-form"}
+
+    def call(self, z, strike, v):
+        """The closed-form call price (pricing._bs_call_core)."""
+        from .pricing import _bs_call_core  # pricing imports this module
+
+        return _bs_call_core(z, strike, v)
+
     def tail_rule(self, s, v, k):
-        w_k = (np.log(k / s) + 0.5 * v) / np.sqrt(v)
+        with np.errstate(divide="ignore"):  # k = 0 starts the rule at -window
+            w_k = (np.log(k / s) + 0.5 * v) / np.sqrt(v)
         w, half = self._abscissae(np.maximum(w_k, -self.window), np.maximum(w_k, 0.0) + self.window)
         return self.step(s[:, None], v[:, None], w), norm_pdf(w), half
 
@@ -299,6 +338,11 @@ class LogBesselLaw(TransitionLaw):
     atom: ClassVar[float] = 1.0
     nodes: ClassVar[int] = SquaredBesselLaw.nodes
     window: ClassVar[float] = SquaredBesselLaw.window
+    #: tail_rule caps v here, where e^v is still finite. Past it the atom
+    #: holds s to double precision, and Z_T > k > 0 needs X < (-ln k) e^-v,
+    #: a mass of order e^-700 (-ln k): the cap moves no call price or tail
+    #: term by more than that
+    tail_variance: ClassVar[float] = 700.0
 
     @staticmethod
     def _bessel(s, v):
@@ -306,10 +350,12 @@ class LogBesselLaw(TransitionLaw):
         return -np.log(s), -2.0 * np.expm1(-v)
 
     def tail_rule(self, s, v, k):
+        v = np.minimum(v, self.tail_variance)
         y, w = self._bessel(s, v)
         a = np.sqrt(y)
         reach = self.window * 0.5 * np.sqrt(w)
-        hi = np.minimum(np.sqrt(np.maximum(-np.log(k), 0.0) * np.exp(-v)), a + reach)
+        with np.errstate(divide="ignore"):  # k = 0 reaches the rule's top, a + reach
+            hi = np.minimum(np.sqrt(np.maximum(-np.log(k), 0.0) * np.exp(-v)), a + reach)
         r, half = self._abscissae(np.minimum(hi, np.maximum(a - reach, 0.0)), hi)
         dens = _BESQ._density(a[:, None], r, w[:, None])
         return np.exp(-np.exp(v)[:, None] * r * r), dens, half

@@ -1,10 +1,8 @@
 """Call-option pricing and implied-volatility inversion.
 
-Three pricing routes with different noise profiles: the lognormal closed
-form (exact, gbm only), deterministic quadrature against the lognormal
-transition density (noise-free, gbm only), and Monte Carlo over simulated
-paths (any reference model, carries a standard error). Implied volatility
-inverts the closed form and records it as its forward map.
+The lognormal closed form, vectorized (gbm's law prices by it, and the bound's
+closed-form tail and band terms build on it), and implied volatility by
+inverting a model's law.call.
 """
 
 from __future__ import annotations
@@ -17,51 +15,20 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, SearchError
 from .models import (
-    LognormalLaw,
     ReferenceModel,
-    SimConfig,
     bisect_increasing,
-    sample_mean,
-    simulate,
+    simulate,  # not called here: the benchmark's tracer looks up volbound.pricing.simulate
 )
-from .special_functions import norm_cdf, norm_pdf
+from .special_functions import norm_cdf
 
 __all__ = [
-    "PriceQuote",
     "ImpliedVolResult",
-    "bs_call_price",
-    "mc_call_price",
-    "quad_call_price",
     "implied_vol",
 ]
-
-#: reach, in standard-normal units past the bulk, of the adaptive lognormal
-#: quadrature (_lognormal_quad)
-QUAD_REACH = 16.0
 
 #: absolute price residual above which implied_vol reports that its
 #: bisection stalled
 PRICE_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class PriceQuote:
-    """A call price with its sampling error (zero when deterministic).
-
-    Only finiteness and a nonnegative error are enforced here. steps is the
-    number of steps each simulated path took (0 when nothing was simulated).
-    """
-
-    value: float
-    se: float
-    n_paths: int
-    steps: int = 0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.value) and self.se >= 0.0):
-            raise DomainError(
-                f"quote must be finite with se >= 0, got value={self.value} se={self.se}"
-            )
 
 
 @dataclass(frozen=True)
@@ -185,94 +152,6 @@ def _bs_call_moments(z, strike, variance):
     return call, second
 
 
-def _validate_quote_args(t, T, strike, sigma, z):
-    if not (math.isfinite(t) and math.isfinite(T) and T >= t):
-        raise DomainError(f"need finite T >= t, got t={t} T={T}")
-    if not (math.isfinite(strike) and strike >= 0.0):
-        raise DomainError(f"strike must be nonnegative, got {strike}")
-    if not (math.isfinite(z) and z >= 0.0):
-        raise DomainError(f"start value must be nonnegative, got {z}")
-    if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise DomainError(f"sigma must be nonnegative, got {sigma}")
-
-
-def bs_call_price(t: float, T: float, strike: float, sigma: float, z: float) -> PriceQuote:
-    """Closed-form lognormal call price at variance sigma^2 (T - t).
-
-    The zero-strike and zero-variance cases return their limits (the
-    start value and the intrinsic value) rather than evaluating the
-    formula, whose log-moneyness term is undefined there.
-    """
-    _validate_quote_args(t, T, strike, sigma, z)
-    value = _bs_call_core(z, strike, sigma * sigma * (T - t))
-    return PriceQuote(value=float(value), se=0.0, n_paths=0)
-
-
-def mc_call_price(
-    model: ReferenceModel,
-    sigma: float,
-    t: float,
-    T: float,
-    strike: float,
-    z: float,
-    cfg: SimConfig,
-) -> PriceQuote:
-    """Monte-Carlo call price; absorbed paths pay their frozen boundary value."""
-    _validate_quote_args(t, T, strike, sigma, z)
-    if T == t:
-        return PriceQuote(value=max(z - strike, 0.0), se=0.0, n_paths=0)
-    ens = simulate(model, sigma, z, t, [t, T], cfg)
-    # sigma = 0 or an unreachable strike pays one value on every path: exact
-    value, se = sample_mean(np.maximum(ens.states[:, -1] - strike, 0.0))
-    return PriceQuote(value=value, se=se, n_paths=ens.n_paths, steps=ens.steps)
-
-
-def _lognormal_quad(f, s: float, v: float, w_lo: float) -> float:
-    """int f(x) n(w) dw with x = s exp(-v/2 + sqrt(v) w) under the lognormal
-    law, by adaptive quadrature from max(w_lo, -QUAD_REACH) (n is below 1e-55
-    there, and a start far below the bulk lets the first nodes miss it) to
-    QUAD_REACH past max(w_lo, 2 sqrt(v)): the package's one adaptive integral,
-    behind quad_call_price, which `price` reports next to the closed form."""
-    from scipy.integrate import quad
-
-    sqv = math.sqrt(v)
-
-    def integrand(w):
-        return f(s * math.exp(-v / 2.0 + sqv * w)) * norm_pdf(w)
-
-    w_lo = max(w_lo, -QUAD_REACH)
-    w_hi = max(w_lo, 2.0 * sqv) + QUAD_REACH
-    return quad(integrand, w_lo, w_hi, epsabs=1e-13, epsrel=1e-12, limit=300)[0]
-
-
-def quad_call_price(
-    model: ReferenceModel,
-    sigma: float,
-    t: float,
-    T: float,
-    strike: float,
-    z: float,
-) -> PriceQuote:
-    """Deterministic quadrature of the payoff against the transition density.
-
-    Only models with a lognormal law are supported (gbm), where log Z_T is
-    normal with variance sigma^2 (T - t); _lognormal_quad integrates the
-    payoff from the strike.
-    """
-    if not isinstance(model.law, LognormalLaw):
-        raise ConfigurationError(
-            f"quadrature pricing needs a lognormal transition law; "
-            f"model {model.name!r} has none"
-        )
-    _validate_quote_args(t, T, strike, sigma, z)
-    v = sigma * sigma * (T - t)
-    if v == 0.0 or z == 0.0:
-        return PriceQuote(value=max(z - strike, 0.0), se=0.0, n_paths=0)
-    w_lo = -QUAD_REACH if strike == 0.0 else (math.log(strike / z) + v / 2.0) / math.sqrt(v)
-    value = max(_lognormal_quad(lambda x: max(x - strike, 0.0), z, v, w_lo), 0.0)
-    return PriceQuote(value=value, se=0.0, n_paths=0)
-
-
 def implied_vol(
     model: ReferenceModel,
     price: float,
@@ -281,11 +160,13 @@ def implied_vol(
     strike: float,
     z: float,
 ) -> ImpliedVolResult:
-    """Invert the model's forward map for the volatility matching ``price``.
+    """Invert the model's forward map, its law's call price, for the
+    volatility matching ``price``.
 
-    Brackets the quote, then bisects the closed-form price to the least
-    sigma pricing at or above it: the float just below sigma prices under
-    the quote. iterations counts price evaluations. Near degenerate cells
+    Brackets the quote, then bisects law.call to the least sigma pricing at
+    or above it: the float just below sigma prices under the quote.
+    forward_map names the model and the call's route (law.call_route), and
+    iterations counts price evaluations. Near degenerate cells
     the price curve is so flat that many sigmas price within an ulp of the
     quote; this one is the least of them.
     """
@@ -304,16 +185,17 @@ def implied_vol(
         # below it the call price is not monotone in sigma, so a root is not the quoted vol
         raise DomainError(f"price {price} is below float64's normal range: sigma is unrecoverable")
 
-    if not isinstance(model.law, LognormalLaw):
+    if model.law is None:
         raise ConfigurationError(
-            f"implied vol needs a closed-form price map; model {model.name!r} has none"
+            f"implied vol needs a transition law; model {model.name!r} has none"
         )
+    call = model.law.call
     evals = 0
 
     def price_fn(sig):
         nonlocal evals
         evals += 1
-        return _bs_call_core(z, strike, sig * sig * (T - t))
+        return call(z, strike, sig * sig * (T - t))
 
     lo, hi = 1e-4, 5.0
     while price_fn(lo) >= price:
@@ -337,5 +219,5 @@ def implied_vol(
         # a root on the search's upper end still sits inside the reported bracket
         bracket=(lo, hi if sig < hi else 2.0 * hi),
         residual=float(residual),
-        forward_map="gbm-closed-form",
+        forward_map=f"{model.name}-{model.law.call_route()['route']}",
     )

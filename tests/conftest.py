@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -174,6 +175,22 @@ def logbesq0_phi_hat_oracle(z: float, k_m: float, v: float, phi) -> float:
         quad(f, a, b, epsabs=1e-16, epsrel=1e-12, limit=400)[0] for a, b in zip(edges, edges[1:])
     )
     return total + (float(phi(1.0)) - phi_k) * math.exp(-y0 / (0.5 * w))
+
+
+class McQuote(NamedTuple):
+    value: float
+    se: float
+    steps: int
+
+
+def mc_call_price(model, sigma: float, t: float, T: float, strike: float, z: float, cfg):
+    """(value, se, steps) of the call E[(Z_T - K)^+] from Z_t = z by Monte
+    Carlo: the mean payoff over the paths of one simulate run, steps the
+    steps each path took. Absorbed paths pay their frozen boundary value."""
+    ens = simulate(model, sigma, z, t, [t, T], cfg)
+    # sigma = 0 or an unreachable strike pays one value on every path: exact
+    value, se = sample_mean(np.maximum(ens.states[:, -1] - strike, 0.0))
+    return McQuote(value, se, ens.steps)
 
 
 def tail_mc_oracle(model, theta: float, s: float, T: float, k_max: float, cfg):

@@ -5,7 +5,6 @@ run this file directly with python3). The tolerances here are the ones the
 package promises, not what the implementation happens to achieve today.
 """
 
-import itertools
 import json
 import math
 import os
@@ -16,7 +15,12 @@ import tempfile
 import numpy as np
 from scipy.integrate import quad
 
-from conftest import decomposition_check, martingale_check_integral
+from conftest import (
+    decomposition_check,
+    lognormal_call_oracle,
+    martingale_check_integral,
+    mc_call_price,
+)
 from volbound.bound import (
     MaturityGrid,
     StrikeGrid,
@@ -39,7 +43,7 @@ from volbound.phi import (
     semigroup_check,
     verify_phi,
 )
-from volbound.pricing import bs_call_price, implied_vol, mc_call_price, quad_call_price
+from volbound.pricing import implied_vol
 from volbound.special_functions import bessel_k
 
 GBM = builtin_model("gbm")
@@ -99,36 +103,45 @@ def test_bessel_k_against_integral_oracle():
 
 
 def test_monte_carlo_and_quadrature_pricing():
-    strikes = (0.5, 0.8, 1.0, 1.25, 1.5)
-    mats = (0.5, 1.0, 2.0)
+    # every law's call price against Monte Carlo over its exact sampler: gbm's
+    # closed form on a grid, the quadrature of bessel0 and logdiff where their
+    # atoms hold mass (sigma = 1); gbm's also against an adaptive quadrature
+    cells = [(GBM, 0.2, T, K) for T in (0.5, 1.0, 2.0) for K in (0.5, 0.8, 1.0, 1.25, 1.5)]
+    cells += [(m, 1.0, 1.0, K * m.z0) for m in (BESSEL, LOGDIFF) for K in (0.5, 1.0, 1.5)]
     worst_z = 0.0
     worst_quad = 0.0
-    for i, (T, K) in enumerate(itertools.product(mats, strikes)):
-        ref = bs_call_price(0.0, T, K, 0.2, 1.0).value
+    for i, (m, sigma, T, K) in enumerate(cells):
+        ref = m.law.call(m.z0, K, sigma * sigma * T)
         cfg = SimConfig(n_paths=100_000, dt=0.005, seed=3000 + i)
-        q = mc_call_price(GBM, 0.2, 0.0, T, K, 1.0, cfg)
-        worst_z = max(worst_z, abs(q.value - ref) / q.se)
-        qq = quad_call_price(GBM, 0.2, 0.0, T, K, 1.0)
-        worst_quad = max(worst_quad, abs(qq.value - ref))
+        q = mc_call_price(m, sigma, 0.0, T, K, m.z0, cfg)
+        worst_z = max(worst_z, abs(z_score(q.value - ref, q.se)))
+        if m is GBM:
+            worst_quad = max(worst_quad, abs(lognormal_call_oracle(1.0, K, 0.04 * T) - ref))
     ok = worst_z <= 3.0 and worst_quad <= 1e-12
     assert _verdict(
-        "Monte-Carlo and quadrature pricing vs closed form",
+        "law call prices vs Monte Carlo and quadrature",
         ok,
         f"worst |z| {worst_z:.2f}, worst quad gap {worst_quad:.1e}",
     )
 
 
 def test_implied_vol_round_trip():
-    # ten years: at short maturity the deep in-the-money low-vol cell prices
-    # below float resolution of its intrinsic value and nothing can invert it
-    T, z = 10.0, 1.0
+    # gbm over ten years: at short maturity the deep in-the-money low-vol cell
+    # prices below float resolution of its intrinsic value and nothing can
+    # invert it. bessel0 and logdiff over one year, wherever the price moves
+    # with sigma (vega >= 1e-3), since logdiff's flattens toward z (1 - K)
     worst = 0.0
-    for sigma in (0.05, 0.2, 0.5, 1.0):
-        for moneyness in (0.5, 1.0, 1.5):
-            k = moneyness * z
-            price = bs_call_price(0.0, T, k, sigma, z).value
-            got = implied_vol(GBM, price, 0.0, T, k, z).sigma
-            worst = max(worst, abs(got - sigma))
+    for m, T in ((GBM, 10.0), (BESSEL, 1.0), (LOGDIFF, 1.0)):
+        z = m.z0
+        for sigma in (0.05, 0.2, 0.5, 1.0):
+            for moneyness in (0.5, 1.0, 1.5):
+                k = moneyness * z
+                price = m.law.call(z, k, sigma * sigma * T)
+                up, down = (m.law.call(z, k, s * s * T) for s in (sigma + 1e-6, sigma - 1e-6))
+                if (up - down) / 2e-6 < 1e-3:
+                    continue
+                got = implied_vol(m, price, 0.0, T, k, z).sigma
+                worst = max(worst, abs(got - sigma))
     assert _verdict("implied-vol round trip", worst <= 1e-8, f"worst err {worst:.1e}")
 
 

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 import scipy
 
-from conftest import canonical_json, strip_timing
+from conftest import canonical_json, lognormal_call_oracle, mc_call_price, strip_timing
 from volbound import cli
 from volbound.cli import main
 from volbound.config import load_document, parse_config, parse_override, resolve, set_path
 from volbound.errors import ConfigParseError
+from volbound.models import SimConfig, builtin_model
 from volbound.report import plain, render_csv
 
 BASE = """\
@@ -420,23 +421,63 @@ class TestCliCommands:
         assert set(doc["results"]["models"]) == {"gbm", "bessel0", "logdiff"}
 
     def test_price_all_routes_agree(self, base_path, capsys):
+        # price reports gbm's closed form; the test oracles, adaptive
+        # quadrature and Monte Carlo, agree with it
         assert main(["price", "--config", base_path]) == 0
         r = json.loads(capsys.readouterr().out)["results"]
-        assert r["mc_vs_closed_form"]["gap"] <= r["mc_vs_closed_form"]["gate"]
-        assert r["quadrature"]["value"] == pytest.approx(
-            r["closed_form"]["value"], abs=1e-9
-        )
+        assert r["route"] == {"route": "closed-form"}
+        assert r["value"] == 0.07965567455405798
+        assert r["value"] == pytest.approx(lognormal_call_oracle(1.0, 1.0, 0.2 * 0.2), abs=1e-12)
+        gbm = builtin_model("gbm")
+        mc = mc_call_price(gbm, 0.2, 0.0, 1.0, 1.0, 1.0, SimConfig(n_paths=4000, dt=0.01, seed=11))
+        assert abs(r["value"] - mc.value) <= 3.0 * mc.se
+
+    @pytest.mark.parametrize("name, strike, route", [
+        ("gbm", 1.0, {"route": "closed-form"}),
+        ("bessel0", 1.0, {"route": "quadrature", "nodes": 48, "window": 8.0}),
+        ("logdiff", 0.4, {"route": "quadrature", "nodes": 48, "window": 8.0}),
+    ])
+    def test_price_reads_the_law_on_every_model(self, name, strike, route, tmp_path, capsys):
+        cfg = tmp_path / "p.yaml"
+        cfg.write_text(BASE.replace("model: gbm", f"model: {name}"))
+        m = builtin_model(name)
+
+        def price(k):
+            assert main(["price", "--config", str(cfg), "--set", f"pricing.strike={k}"]) == 0
+            out = capsys.readouterr()
+            assert out.err == ""
+            return json.loads(out.out)["results"]
+
+        r = price(strike)
+        assert r["route"] == route
+        assert r["value"] == m.law.call(m.z0, strike, 0.2 * 0.2 * 1.0)
+        # at strike 0 the call is the start itself, with no warning on stderr
+        assert price(0.0)["value"] == pytest.approx(m.z0, rel=0.0, abs=1e-12)
+        if name == "logdiff":
+            # Z never exceeds 1, so no strike at or above 1 pays
+            for k in (1.0, 1.5):
+                value = price(k)["value"]
+                assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
     def test_implied_vol_round_trip(self, base_path, capsys):
-        from volbound.pricing import bs_call_price
-
-        price = bs_call_price(0.0, 1.0, 1.0, 0.2, 1.0).value
+        price = builtin_model("gbm").law.call(1.0, 1.0, 0.2 * 0.2)
         code = main(
             ["implied-vol", "--config", base_path, "--set", f"pricing.price={price!r}"]
         )
         assert code == 0
         r = json.loads(capsys.readouterr().out)["results"]
         assert r["implied_vol"] == pytest.approx(0.2, abs=1e-8)
+        assert r["forward_map"] == "gbm-closed-form"
+
+    def test_implied_vol_inverts_bessel0(self, tmp_path, capsys):
+        cfg = tmp_path / "bes.yaml"
+        cfg.write_text(BASE.replace("model: gbm", "model: bessel0"))
+        price = builtin_model("bessel0").law.call(1.0, 1.0, 0.2 * 0.2)
+        code = main(["implied-vol", "--config", str(cfg), "--set", f"pricing.price={price!r}"])
+        assert code == 0
+        r = json.loads(capsys.readouterr().out)["results"]
+        assert r["implied_vol"] == pytest.approx(0.2, rel=0.0, abs=1e-8)
+        assert r["forward_map"] == "bessel0-quadrature"
 
     def test_implied_vol_requires_a_price(self, base_path, capsys):
         assert main(["implied-vol", "--config", base_path]) == 2
@@ -556,9 +597,8 @@ class TestCliCommands:
             return json.loads(capsys.readouterr().out)["results"]["stepping"]
 
         # gbm's law samples exactly: one step per interval between the
-        # stored times, h's breakpoints and theta's change times
-        assert stepping("price", "--config", base_path) == {"route": "exact-law", "steps": 1}
-        # [0, 0.5] for the bound, [0, 0.5, 1, 2, 3] for the repricing
+        # stored times and theta's change times. [0, 0.5] for the bound,
+        # [0, 0.5, 1, 2, 3] for the repricing
         assert stepping("check-bound", "--config", base_path) == {
             "route": "exact-law", "steps": 5
         }
@@ -971,3 +1011,14 @@ class TestCliCommands:
         )
         assert proc.returncode == 2
         assert "csv is only available" in proc.stderr
+
+
+def test_readme_python_examples_run():
+    # the README's Python blocks, run in order in one namespace as a reader
+    # would paste them, so no example can go stale
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)

@@ -121,16 +121,40 @@ def test_one_standard_error_rule():
     assert sites(takes_ddof) == {"models.sample_mean"}
 
 
-def test_adaptive_quadrature_only_in_the_oracles():
-    # scipy's adaptive quad is an oracle route: one lognormal integral serves
-    # the quadrature call price that `price` reports beside the closed form;
-    # the tests' own oracles live in tests/conftest.py
-    def uses_quad(node):
-        if isinstance(node, ast.ImportFrom):
-            return node.module == "scipy.integrate" and any(a.name == "quad" for a in node.names)
-        return isinstance(node, ast.Attribute) and node.attr == "quad"
+def names_scipy_integrate(node) -> bool:
+    """Whether node imports scipy.integrate or reaches into it."""
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        return module.startswith("scipy.integrate") or (
+            module == "scipy" and any(a.name == "integrate" for a in node.names))
+    if isinstance(node, ast.Import):
+        return any(a.name.startswith("scipy.integrate") for a in node.names)
+    return isinstance(node, ast.Attribute) and ast.unparse(node) == "scipy.integrate"
 
-    assert sites(uses_quad) == {"pricing._lognormal_quad"}
+
+def test_adaptive_quadrature_only_in_the_oracles():
+    # scipy's adaptive quadrature is an oracle route, and the oracles live in
+    # tests/conftest.py: every law prices by a closed form or its fixed-node
+    # rule, so nothing in the package names scipy.integrate
+    uses = [
+        f"{name}:{node.lineno}"
+        for name, tree in parsed_sources(SRC)
+        for node in ast.walk(tree)
+        if names_scipy_integrate(node)
+    ]
+    assert uses == []
+
+
+def test_law_type_checks_only_shrink():
+    # a route follows from what a law can do (call, tail_rule, sample), not
+    # from its type; the checks that remain may go, and none may be added
+    def checks_lognormal(node):
+        return (isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance"
+                and "LognormalLaw" in ast.unparse(node.args[1]))
+
+    assert sites(checks_lognormal) <= {
+        "bound._closed_form", "bound.pricing_residuals", "cli._bound_run",
+    }
 
 
 def test_every_definition_is_reached():
@@ -199,9 +223,25 @@ def integrate_loaded_after(code: str) -> bool:
 
 
 def test_cli_start_up_leaves_scipy_integrate_out():
-    # only quad_call_price integrates adaptively, and only `price` calls it;
     # importing the CLI must not pay for scipy.integrate
     assert not integrate_loaded_after("import volbound.cli")
+
+
+@pytest.mark.parametrize("command", ["price", "implied-vol"])
+@pytest.mark.parametrize("model, z0", [("gbm", 1.0), ("bessel0", 1.0), ("logdiff", 0.5)])
+def test_pricing_commands_leave_scipy_integrate_out(command, model, z0, tmp_path):
+    # every law prices a call by its closed form or its fixed-node rule
+    cfg = tmp_path / f"{model}.yaml"
+    cfg.write_text(
+        f"model: {model}\nsigma: 0.5\nmaturities: [1.0, 2.0, 3.0]\n"
+        "strikes: [0.0, 0.5, 0.9]\nsimulation: {paths: 16, dt: 0.01, seed: 1}\n"
+        f"pricing: {{maturity: 1.0, strike: {z0}, price: {0.1 * z0}}}\n"
+    )
+    run = (
+        "from volbound.cli import main\n"
+        f"assert main([{command!r}, '--config', {str(cfg)!r}]) == 0"
+    )
+    assert not integrate_loaded_after(run)
 
 
 @pytest.mark.parametrize("model", ["gbm", "bessel0", "logdiff"])

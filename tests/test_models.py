@@ -4,6 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from conftest import (
+    besq0_phi_hat_oracle,
+    logbesq0_phi_hat_oracle,
+    lognormal_call_oracle,
+    mc_call_price,
+)
 from volbound.errors import ConfigurationError, DomainError
 from volbound.models import (
     WORKERS_ENV_VAR,
@@ -17,7 +23,6 @@ from volbound.models import (
     step_paths,
     stepping_route,
 )
-from volbound.pricing import mc_call_price
 
 
 # ===== builtin models =====
@@ -406,6 +411,68 @@ class TestLogBesselLaw:
         z = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 64)])
         assert np.array_equal(self.LAW.sample(z, 0.0, rng), z)  # no variance: no move
         assert np.array_equal(self.LAW.sample(z[:2], 1.0, rng), z[:2])  # both ends hold
+
+
+#: each law at a start inside its domain, priced at a small variance and at
+#: v = 1, where bessel0's atom holds e^-2 at z = 1 and logdiff's a third
+LAW_CASES = [
+    (name, z, v)
+    for name, z in (("gbm", 1.0), ("bessel0", 1.0), ("logdiff", 0.5))
+    for v in (1e-3, 1.0)
+]
+
+
+def _call_oracle(name, z, k, v):
+    """The call price by a route independent of law.call: adaptive
+    quadrature against the law's density, the atom added in closed form."""
+    if name == "gbm":
+        return lognormal_call_oracle(z, k, v)
+    oracle = besq0_phi_hat_oracle if name == "bessel0" else logbesq0_phi_hat_oracle
+    return oracle(z, k, v, lambda x: x)
+
+
+class TestLawCall:
+    """The contract every transition law's call(z, K, v) keeps."""
+
+    @pytest.mark.parametrize("name,z,v", LAW_CASES)
+    def test_limits_and_shape(self, name, z, v):
+        law = builtin_model(name).law
+        ks = np.linspace(0.0, 2.0 * z, 41)
+        c = np.array([law.call(z, k, v) for k in ks])
+        # the hard limits hold exactly, with the zero strike at z itself
+        assert np.all((np.maximum(z - ks, 0.0) <= c) & (c <= z))
+        assert c[0] == pytest.approx(z, rel=0.0, abs=1e-12 * z)
+        # nonincreasing and convex in the strike
+        assert np.all(np.diff(c) <= 1e-12 * z)
+        assert np.all(np.diff(c, 2) >= -1e-12 * z)
+        # nondecreasing in the variance
+        grown = np.array([[law.call(z, k, f * v) for k in ks] for f in (1.0, 1.5, 2.0, 4.0)])
+        assert np.all(np.diff(grown, axis=0) >= -1e-12 * z)
+
+    @pytest.mark.parametrize("name,z,v", LAW_CASES)
+    def test_matches_its_oracle(self, name, z, v):
+        law = builtin_model(name).law
+        for k in (0.25 * z, 0.9 * z, z, 1.1 * z, 1.8 * z):
+            want = _call_oracle(name, z, k, v)
+            assert law.call(z, k, v) == pytest.approx(want, rel=0.0, abs=1e-12 * z)
+
+    @pytest.mark.parametrize("name,z,v", [c for c in LAW_CASES if c[0] != "gbm"])
+    def test_atom_mass_is_the_share_of_draws_there(self, name, z, v):
+        law = builtin_model(name).law
+        n = 200_000
+        x = law.sample(np.full(n, z), v, rng_substream(54, 0))
+        p = law.absorbed_mass(z, v)
+        assert abs(np.mean(x == law.atom) - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n)
+
+    @pytest.mark.parametrize("name", ["gbm", "bessel0", "logdiff"])
+    def test_vectorized_over_start_and_variance(self, name):
+        law = builtin_model(name).law
+        z = np.array([0.2, 0.5, 0.7, 0.9])
+        v = np.array([0.0, 1e-3, 0.3, 2.0])
+        got = law.call(z, 0.6, v)
+        assert got.shape == (4,)
+        assert got[0] == max(z[0] - 0.6, 0.0)
+        assert np.array_equal(got, [law.call(float(a), 0.6, float(b)) for a, b in zip(z, v)])
 
 
 # ===== exact stepping =====
