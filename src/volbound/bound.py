@@ -12,11 +12,10 @@ constant-volatility statement in the limit.
 
 Naming used throughout, with x for the state and b for a strike level:
 
-* ``clipped_phi(b, x)`` = (phi(x) - phi(b)) 1_{x > b}, the convex tail of
-  the eigenfunction beyond b.
 * growth factor N  = exp(theta^2 (T - t)) phi(s).
 * moment ratio  X  = exp(theta^2 (T2 - T1)).
-* tail term     G  = E[clipped_phi(K_m, Z_T) | Z_t = s] at vol theta.
+* tail term     G  = E[(phi(Z_T) - phi(K_m)) 1_{Z_T > K_m} | Z_t = s] at vol
+  theta, the eigenfunction's convex tail beyond K_m (the law's tail).
 * strike-band   L  = sum_j int_{K_j}^{K_{j+1}} (C(K) - C(K_j)) phi''(K) dK.
 """
 
@@ -34,22 +33,20 @@ from .errors import (
 )
 from .models import (
     GENERATORS,
-    LognormalLaw,
     PathEnsemble,
     PhiFunction,
     ReferenceModel,
     SimConfig,
     ThetaProcess,
-    _map_blocks,
     bisect_increasing,
     sample_mean,
     simulate,  # not called here: the benchmark's tracer looks up volbound.bound.simulate
     step_paths,
-    worker_count,
     z_score,
 )
 from .phi import phi_mean, semigroup_route
-from .pricing import _bs_call_core, _bs_call_moments
+from .pricing import _bs_call_moments
+from .pricing import _bs_call_core  # not called here: the benchmark's tracer looks up volbound.bound._bs_call_core
 
 __all__ = [
     "MaturityGrid",
@@ -61,7 +58,6 @@ __all__ = [
     "ResidualTable",
     "DensificationStep",
     "DensificationReport",
-    "clipped_phi",
     "compute_alphas",
     "build_q",
     "joint_simulate",
@@ -320,13 +316,6 @@ def joint_simulate(scn: Scenario, time_grid, cfg: SimConfig) -> PathEnsemble:
 # ===== the bound's building blocks =====
 
 
-def clipped_phi(phi: PhiFunction, b: float, x):
-    """(phi(x) - phi(b)) 1_{x > b}: the eigenfunction tail beyond level b."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.where(x > b, np.asarray(phi(x), dtype=np.float64) - float(phi(b)), 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
 def n_value(t: float, T: float, theta, s, model: ReferenceModel):
     """Growth factor exp(theta^2 (T - t)) phi(s); exact arithmetic."""
     if not t <= T:
@@ -339,76 +328,23 @@ def n_value(t: float, T: float, theta, s, model: ReferenceModel):
     return float(out) if out.ndim == 0 else out
 
 
-def _closed_form(model: ReferenceModel) -> bool:
-    """Whether G and L are closed form: a lognormal law and a quadratic phi,
-    for which Taylor's formula about any strike is exact."""
-    return isinstance(model.law, LognormalLaw) and model.phi.curvature is not None
-
-
-#: rows of (s, v) pairs per block of _g_quadrature: one block's
-#: rows-by-nodes temporaries stay a few MB whatever the path count
-G_BLOCK_ROWS = 8192
-
-
-def _g_quadrature(model, s, v, k_max):
-    """Tail terms for many (s, v) pairs of 1-d arrays, v the variance left
-    to the maturity, by fixed-node quadrature against the model's exact
-    transition law, plus its atom when that lies above k_max.
-
-    Each row's sum over the nodes is its own reduction, so the blocks of
-    rows, run on the shared worker pool (worker_count), never change a
-    result.
-    """
-    law = model.law
-    s, v = np.broadcast_arrays(s, v)
-    out = np.empty(s.shape, dtype=np.float64)
-    phi_b = float(model.phi(k_max))
-    atom_gain = None
-    if law.atom is not None and law.atom > k_max:
-        atom_gain = float(model.phi(law.atom)) - phi_b
-
-    def run_block(_, rows):
-        s_b, v_b, out_b = s[rows], v[rows], out[rows]
-        # no variance left, or a path already held at a boundary: Z_T = s
-        deg = (v_b == 0.0) | (s_b <= model.beta.lower) | (s_b >= model.beta.upper)
-        if np.any(deg):
-            out_b[deg] = clipped_phi(model.phi, k_max, s_b[deg])
-        live = ~deg
-        if not np.any(live):
-            return
-        s_l, v_l = s_b[live], v_b[live]
-        x, dens, half = law.tail_rule(s_l, v_l, k_max)
-        vals = (np.asarray(model.phi(x), dtype=np.float64) - phi_b) * dens
-        g = (vals * law.weights[None, :]).sum(axis=1) * half
-        if atom_gain is not None:
-            g += atom_gain * law.absorbed_mass(s_l, v_l)
-        out_b[live] = g
-
-    _map_blocks(s.size, G_BLOCK_ROWS, worker_count(), run_block)
-    return out
+def _law(model: ReferenceModel):
+    """The model's transition law, against which every tail term and call
+    price is taken; a model without one is refused."""
+    if model.law is None:
+        raise ConfigurationError(f"model {model.name!r} has no transition law")
+    return model.law
 
 
 def tail_route(model: ReferenceModel) -> dict:
-    """How check_bound computes the tail term G: closed form, or quadrature
-    against the model's law with its node count and window."""
-    if _closed_form(model):
-        return {"route": "closed-form"}
-    if not hasattr(model.law, "tail_rule"):
-        raise ConfigurationError(f"model {model.name!r} has no transition law for its tail term")
-    return {"route": "quadrature", "nodes": model.law.nodes, "window": model.law.window}
+    """How check_bound computes the tail term G: the law's route for phi."""
+    return _law(model).tail_route(model.phi)
 
 
 def _g_tail(model, s, v, k_max):
-    """The tail term per (s, v) pair of 1-d arrays, by tail_route's route:
-    E[clipped_phi(k_max, Z)] for Z drawn from the law at state s and
-    variance v."""
-    if tail_route(model)["route"] == "quadrature":
-        return _g_quadrature(model, s, v, k_max)
-    s, v = np.broadcast_arrays(s, v)
-    # Taylor's formula about k_max is exact: G = phi' C + phi''/2 E[((Z_T - K)^+)^2]
-    k = np.full(s.shape, float(k_max))
-    c, s2 = _bs_call_moments(s, k, v)
-    return float(model.phi.deriv1(k_max)) * c + 0.5 * model.phi.curvature * s2
+    """The tail term per (s, v) pair of 1-d arrays, from the law at state s
+    and variance v."""
+    return _law(model).tail(model.phi, s, v, k_max)
 
 
 def _g_batch(model, theta, s, t, T, k_max):
@@ -425,14 +361,14 @@ def l_value(t: float, T: float, theta, s, strikes: StrikeGrid, model: ReferenceM
     price at the band's left edge, and phi'' >= 0. theta and s may be 1-d
     arrays (an array of terms, one per pair) or scalars (a float).
 
-    Closed form, for a lognormal law with a quadratic phi only: int_a^b C dK
-    = (S2(a) - S2(b))/2 with S2(K) = E[((Z_T - K)^+)^2], so each band is
-    phi'' ((S2(K_j) - S2(K_j+1))/2 - C(K_j) dK_j), floored at its bound 0.
-    Any other model is refused.
+    Closed form, where tail_route is (a lognormal law with a quadratic phi):
+    int_a^b C dK = (S2(a) - S2(b))/2 with S2(K) = E[((Z_T - K)^+)^2], so
+    each band is phi'' ((S2(K_j) - S2(K_j+1))/2 - C(K_j) dK_j), floored at
+    its bound 0. Any other model is refused.
     """
     if not t <= T:
         raise DomainError(f"need t <= T, got t={t}, T={T}")
-    if not _closed_form(model):
+    if tail_route(model)["route"] != "closed-form":
         raise ConfigurationError(f"model {model.name!r} has no closed-form strike-band term")
     scalar = np.ndim(theta) == 0 and np.ndim(s) == 0
     theta, s = (np.atleast_1d(np.asarray(a, dtype=np.float64)) for a in (theta, s))
@@ -583,7 +519,7 @@ def check_bound(
         z_stab = z_score(m1 - m2, math.hypot(se1, se2))
 
     l_diag = []
-    if _closed_form(model):
+    if tail_route(model)["route"] == "closed-form":
         take = np.unique(np.linspace(0, n - 1, min(n, L_SAMPLE_PATHS)).astype(int))
         for t_k in times:
             l0 = l_value(0.0, t_k, scn.sigma0, scn.s0, strikes, model)
@@ -740,7 +676,7 @@ def pricing_residuals(
 ) -> tuple:
     """Mean payoff minus mean model price, per maturity and strike: one
     ResidualTable per scenario of a group that shares its model and its theta
-    history up to t.
+    history up to t. The model price is the law's call, on every path.
 
     Tests the unconditional consequence of the repricing identity: the
     pathwise difference (S_T - K)^+ - C(T, t, K, theta_t, S_t) has mean 0
@@ -756,12 +692,7 @@ def pricing_residuals(
     scenarios = tuple(scenarios)
     if not scenarios:
         raise DomainError("need at least one scenario to reprice")
-    model = scenarios[0].reference
-    if not isinstance(model.law, LognormalLaw):
-        raise ConfigurationError(
-            "pathwise repricing needs the closed-form price map; "
-            f"model {model.name!r} does not have one"
-        )
+    call = _law(scenarios[0].reference).call
     times = mats.times
     if not 0.0 <= t <= times[0]:
         raise DomainError(f"evaluation time {t} must lie in [0, {times[0]}]")
@@ -801,7 +732,7 @@ def pricing_residuals(
     for i, t_i in enumerate(times):
         v = theta_t * theta_t * (t_i - t)
         for j, k in enumerate(ks):
-            price = _bs_call_core(s_t, k, v)
+            price = call(s_t, k, v)
             for g in range(len(scenarios)):
                 np.subtract(ends[g, i], k, out=payoff)
                 np.maximum(payoff, 0.0, out=payoff)

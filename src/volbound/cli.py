@@ -41,7 +41,7 @@ from .errors import (
     SearchError,
     VolboundError,
 )
-from .models import BUILTIN_MODELS, LognormalLaw, builtin_model, stepping_route, worker_count
+from .models import BUILTIN_MODELS, builtin_model, stepping_route, worker_count
 from .phi import (
     martingale_check_U,
     martingale_check_V,
@@ -160,16 +160,16 @@ def _cmd_validate_phi(rc: ResolvedConfig | None, _doc):
     return {"models": per}, ok
 
 
-def _need_pricing(rc: ResolvedConfig):
-    if rc.pricing is None:
-        raise ConfigParseError(
-            "this command needs a pricing section (maturity, strike)", key="pricing"
-        )
-    return rc.pricing
+def _need(value, section: str, keys: str):
+    """value, what the command reads of the config's section, or a config
+    error naming the section where the document has none."""
+    if not value:
+        raise ConfigParseError(f"this command needs a {section} section ({keys})", key=section)
+    return value
 
 
 def _cmd_price(rc: ResolvedConfig, _doc):
-    spec = _need_pricing(rc)
+    spec = _need(rc.pricing, "pricing", "maturity, strike")
     model, sigma = rc.model, rc.scenario.sigma0
     T, strike = spec["maturity"], spec["strike"]
     results = {
@@ -182,7 +182,7 @@ def _cmd_price(rc: ResolvedConfig, _doc):
 
 
 def _cmd_implied_vol(rc: ResolvedConfig, _doc):
-    spec = _need_pricing(rc)
+    spec = _need(rc.pricing, "pricing", "maturity, strike")
     if "price" not in spec:
         raise ConfigParseError(
             "implied-vol inverts an observed price; add it to the pricing section",
@@ -256,12 +256,13 @@ def _bound_run(rcs):
     """(check_bound's report, each config's repricing residuals, each
     config's stepping route) for resolved configs that share one
     _history_key, which makes the report theirs alike. The residuals are
-    None where the law has no closed-form price; the report's steps count
+    None where the law's call is not closed form: off it, pricing every path
+    takes a quadrature rule per path and cell. The report's steps count
     toward every route."""
     rc = rcs[0]
     rep = check_bound(rc.scenario, rc.mats, rc.strikes, rc.weights, rc.eval_time, rc.sim)
     tables = (None,) * len(rcs)
-    if isinstance(rc.model.law, LognormalLaw):
+    if rc.model.law.call_route()["route"] == "closed-form":
         tables = pricing_residuals(
             [p.scenario for p in rcs], rc.mats, rc.strikes, rc.eval_time, rc.sim
         )
@@ -276,6 +277,7 @@ def _bound_run(rcs):
 
 
 def _cmd_check_bound(rc: ResolvedConfig, _doc):
+    _need(rc.sim, "simulation", "paths, dt, seed")
     rep, (res,), (route,) = _bound_run([rc])
     results = {"bound": _bound_payload(rc, rep)}
     if res is not None:
@@ -286,11 +288,8 @@ def _cmd_check_bound(rc: ResolvedConfig, _doc):
 
 
 def _cmd_densify(rc: ResolvedConfig, _doc):
-    if rc.densify_sizes is None:
-        raise ConfigParseError(
-            "the densify command needs a densify section (grid_sizes)", key="densify"
-        )
-    schedule = [densify_grid(rc.model, n) for n in rc.densify_sizes]
+    sizes = _need(rc.densify_sizes, "densify", "grid_sizes")
+    schedule = [densify_grid(rc.model, n) for n in sizes]
     rep = densification_study(rc.model, rc.scenario.sigma0, rc.mats, rc.weights, schedule)
     results = {
         "schedule_ok": rep.schedule_ok,
@@ -302,10 +301,10 @@ def _cmd_densify(rc: ResolvedConfig, _doc):
 
 def _cmd_martingale_check(rc: ResolvedConfig, _doc):
     model, sigma = rc.model, rc.scenario.sigma0
-    times = rc.martingale_times
-    u = martingale_check_U(model, sigma, times, rc.sim)
-    v = martingale_check_V(model, sigma, times, rc.sim)
-    sg = semigroup_check(model, sigma, times[-1], rc.sim)
+    times, sim = rc.martingale_times, _need(rc.sim, "simulation", "paths, dt, seed")
+    u = martingale_check_U(model, sigma, times, sim)
+    v = martingale_check_V(model, sigma, times, sim)
+    sg = semigroup_check(model, sigma, times[-1], sim)
     results = {
         "times": times,
         "discounted_eigenfunction": _mart_payload(u, model, sigma),
@@ -314,16 +313,13 @@ def _cmd_martingale_check(rc: ResolvedConfig, _doc):
             **_mart_payload(sg, model, sigma),
             "reference_route": semigroup_route(model),
         },
-        "stepping": stepping_route(model, rc.sim.dt, u.steps + v.steps + sg.steps),
+        "stepping": stepping_route(model, sim.dt, u.steps + v.steps + sg.steps),
     }
     return results, u.verdict and v.verdict and sg.verdict
 
 
 def _cmd_scan(rc: ResolvedConfig, base_doc):
-    if not rc.scan_axes:
-        raise ConfigParseError(
-            "the scan command needs a scan section (axes)", key="scan"
-        )
+    _need(rc.scan_axes, "scan", "axes")
     keys = [k for k, _ in rc.scan_axes]
     # every point is resolved before any is computed, so a bad axis value
     # fails at once, named as the user wrote it
@@ -333,7 +329,9 @@ def _cmd_scan(rc: ResolvedConfig, base_doc):
         for key, value in zip(keys, point):
             set_path(doc, key, value)
         try:
-            points.append((point, resolve(doc)))
+            point_rc = resolve(doc)
+            _need(point_rc.sim, "simulation", "paths, dt, seed")
+            points.append((point, point_rc))
         except ConfigParseError as exc:
             where = ", ".join(f"{k}={v}" for k, v in zip(keys, point))
             raise ConfigParseError(f"scan point {where}: {exc}") from exc
@@ -355,8 +353,9 @@ def _cmd_scan(rc: ResolvedConfig, base_doc):
         for i, res, route in zip(members, tables, group_routes):
             max_z = None if res is None else res.max_abs_z
             routes[i] = route
-            # a scenario that reprices honestly cannot break the bound, so a
-            # violated bound alongside quiet residuals marks an internal error
+            # a violated bound must come with noisy residuals. They test
+            # repricing at t only, so a theta that moved before t can
+            # reprice there and still break the bound, and fail this check
             conjunction_ok = max_z is None or rep.satisfied or max_z > 3.0
             feasible = rep.satisfied and (max_z is None or max_z <= 3.0)
             rows[i] = {

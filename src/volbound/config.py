@@ -245,7 +245,7 @@ class ResolvedConfig:
     mats: MaturityGrid
     strikes: StrikeGrid
     weights: WeightVector
-    sim: SimConfig
+    sim: SimConfig | None
     eval_time: float
     pricing: dict | None
     densify_sizes: tuple | None
@@ -342,19 +342,22 @@ def resolve(doc: dict) -> ResolvedConfig:
             f"evaluation time {eval_time} outside [0, first maturity {mats.times[0]}]",
         )
 
-    sim_sec = top.take_section("simulation")
-    paths = sim_sec.take_int("paths")
-    if paths < 1:
-        sim_sec.fail("paths", f"paths must be >= 1, got {paths}")
-    dt = sim_sec.take_number("dt")
-    if dt <= 0.0:
-        sim_sec.fail("dt", f"dt must be positive, got {dt}")
-    seed = sim_sec.take_int("seed")
-    block_size = sim_sec.take_int("block_size", 16384)
-    if block_size < 1:
-        sim_sec.fail("block_size", f"block_size must be >= 1, got {block_size}")
-    sim_sec.finish()
-    sim = SimConfig(n_paths=paths, dt=dt, seed=seed, block_size=block_size)
+    sim = sim_doc = None
+    sim_sec = top.take_section("simulation", None)
+    if sim_sec is not None:
+        paths = sim_sec.take_int("paths")
+        if paths < 1:
+            sim_sec.fail("paths", f"paths must be >= 1, got {paths}")
+        dt = sim_sec.take_number("dt")
+        if dt <= 0.0:
+            sim_sec.fail("dt", f"dt must be positive, got {dt}")
+        seed = sim_sec.take_int("seed")
+        block_size = sim_sec.take_int("block_size", 16384)
+        if block_size < 1:
+            sim_sec.fail("block_size", f"block_size must be >= 1, got {block_size}")
+        sim_sec.finish()
+        sim = SimConfig(n_paths=paths, dt=dt, seed=seed, block_size=block_size)
+        sim_doc = {"paths": paths, "dt": dt, "seed": seed, "block_size": block_size}
 
     pricing = None
     psec = top.take_section("pricing", None)
@@ -428,13 +431,9 @@ def resolve(doc: dict) -> ResolvedConfig:
         "strikes": list(strikes.strikes),
         "weights": list(weights.p),
         "eval_time": eval_time,
-        "simulation": {
-            "paths": paths,
-            "dt": dt,
-            "seed": seed,
-            "block_size": block_size,
-        },
     }
+    if sim_doc is not None:
+        document["simulation"] = sim_doc
     if theta_doc:
         document["theta"] = theta_doc
     if pricing is not None:

@@ -115,6 +115,10 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+#: phi(x) = x, whose tail term above a strike is the call price
+_IDENTITY = PhiFunction(lambda x: x, np.ones_like, np.zeros_like, curvature=0.0)
+
+
 @dataclass(frozen=True)
 class TransitionLaw:
     """Exact law of Z_T given Z_t = s, indexed by the variance v = sigma^2 (T - t).
@@ -126,21 +130,27 @@ class TransitionLaw:
     absorbed_mass(s, v), and absorption_fraction(z, v, rng) places the
     absorption of a path that reached it inside its step.
 
-    Every law integrates above a cutoff k by fixed-node Gauss-Legendre
-    quadrature: tail_rule(s, v, k) returns (x, dens, half) for 1-d arrays s
-    and v, such that, the atom left out,
+    Every integral against the law is tail(phi, s, v, k), by a closed form
+    where the law has one for phi (tail_route(phi) names the route), else
+    by fixed-node Gauss-Legendre quadrature: tail_rule(s, v, k) returns
+    (x, dens, half) for 1-d arrays s and v, such that, the atom left out,
 
         E[f(Z_T); Z_T > k] ~= half_i * sum_j weights_j f(x_ij) dens_ij.
 
     The rule's ``nodes`` nodes reach ``window`` standard deviations either
     side of the law's bulk, clipped at the cutoff, so the node count need
-    not grow with s/v. call(z, K, v) prices a call on that rule unless the
-    law has a closed form, and call_route() names which.
+    not grow with s/v. call(z, K, v) is the tail term of phi(x) = x, and
+    call_route() its route.
     """
 
     nodes: ClassVar[int] = 64
     window: ClassVar[float] = 16.0
     atom: ClassVar[float | None] = None
+    #: the state space's ends (the model's beta domain): a state there is held
+    domain: ClassVar[tuple[float, float]] = (0.0, math.inf)
+    #: rows of (s, v) pairs per block of tail: one block's rows-by-nodes
+    #: temporaries stay a few MB whatever the row count
+    tail_rows: ClassVar[int] = 8192
 
     @property
     def weights(self) -> np.ndarray:
@@ -151,9 +161,44 @@ class TransitionLaw:
         half = 0.5 * (hi - lo)
         return (0.5 * (hi + lo))[:, None] + half[:, None] * _gauss_legendre(self.nodes)[0], half
 
-    def call_route(self) -> dict:
-        """How call prices: by tail_rule, named with its budget."""
+    def tail_route(self, phi: PhiFunction) -> dict:
+        """How tail integrates phi: by tail_rule, named with its budget."""
         return {"route": "quadrature", "nodes": self.nodes, "window": self.window}
+
+    def call_route(self) -> dict:
+        """How call prices: the route of the tail term of phi(x) = x."""
+        return self.tail_route(_IDENTITY)
+
+    def tail(self, phi: PhiFunction, s, v, k: float):
+        """The tail term E[(phi(Z_T) - phi(k)) 1{Z_T > k}] per (s, v) pair
+        of 1-d arrays: tail_rule's sum, plus the atom's share where it lies
+        above k. A row with no variance left, or held at an end of domain,
+        keeps Z_T = s. Each row is its own reduction, so the blocks of
+        tail_rows rows on the worker pool never change a result."""
+        s, v = np.broadcast_arrays(s, v)
+        out = np.empty(s.shape, dtype=np.float64)
+        phi_k = float(phi(k))
+        atom_above = self.atom is not None and self.atom > k
+        lower, upper = self.domain
+
+        def run_block(_, rows):
+            s_b, v_b, out_b = s[rows], v[rows], out[rows]
+            held = (v_b == 0.0) | (s_b <= lower) | (s_b >= upper)
+            s_h = s_b[held]
+            out_b[held] = np.where(s_h > k, np.asarray(phi(s_h), dtype=np.float64) - phi_k, 0.0)
+            live = ~held
+            if not np.any(live):
+                return
+            s_l, v_l = s_b[live], v_b[live]
+            x, dens, half = self.tail_rule(s_l, v_l, k)
+            vals = (np.asarray(phi(x), dtype=np.float64) - phi_k) * dens
+            g = (vals * self.weights[None, :]).sum(axis=1) * half
+            if atom_above:
+                g += (float(phi(self.atom)) - phi_k) * self.absorbed_mass(s_l, v_l)
+            out_b[live] = g
+
+        _map_blocks(s.size, self.tail_rows, worker_count(), run_block)
+        return out
 
     def call(self, z, strike: float, v):
         """Call price E[(Z_T - K)^+] given Z_t = z at variance v, clamped to
@@ -168,15 +213,8 @@ class TransitionLaw:
         z, v = np.broadcast_arrays(
             *(np.atleast_1d(np.asarray(a, dtype=np.float64)) for a in (z, v))
         )
-        out = np.maximum(z - strike, 0.0)
-        live = v > 0.0
-        if np.any(live):
-            z_l, v_l = z[live], v[live]
-            x, dens, half = self.tail_rule(z_l, v_l, strike)
-            body = ((x - strike) * dens * self.weights[None, :]).sum(axis=1) * half
-            if self.atom is not None and self.atom > strike:
-                body += (self.atom - strike) * self.absorbed_mass(z_l, v_l)
-            out[live] = np.minimum(np.maximum(body, out[live]), z_l)
+        body = self.tail(_IDENTITY, z, v, strike)
+        out = np.minimum(np.maximum(body, np.maximum(z - strike, 0.0)), z)
         return float(out[0]) if scalar else out
 
 
@@ -198,8 +236,20 @@ class LognormalLaw(TransitionLaw):
         """Draws of Z_T given Z_t = z at variance v."""
         return self.step(z, v, rng.standard_normal(np.shape(z)))
 
-    def call_route(self) -> dict:
-        return {"route": "closed-form"}
+    def tail_route(self, phi):
+        return super().tail_route(phi) if phi.curvature is None else {"route": "closed-form"}
+
+    def tail(self, phi, s, v, k):
+        """Closed form where phi'' is a constant, since Taylor's formula
+        about k is then exact: phi'(k) C(k) + (phi''/2) E[((Z_T - k)^+)^2];
+        otherwise tail_rule's quadrature."""
+        if phi.curvature is None:
+            return super().tail(phi, s, v, k)
+        from .pricing import _bs_call_moments  # pricing imports this module
+
+        s, v = np.broadcast_arrays(s, v)
+        c, s2 = _bs_call_moments(s, np.full(s.shape, float(k)), v)
+        return float(phi.deriv1(k)) * c + 0.5 * phi.curvature * s2
 
     def call(self, z, strike, v):
         """The closed-form call price (pricing._bs_call_core)."""
@@ -336,6 +386,7 @@ class LogBesselLaw(TransitionLaw):
     """
 
     atom: ClassVar[float] = 1.0
+    domain: ClassVar[tuple[float, float]] = (0.0, 1.0)
     nodes: ClassVar[int] = SquaredBesselLaw.nodes
     window: ClassVar[float] = SquaredBesselLaw.window
     #: tail_rule caps v here, where e^v is still finite. Past it the atom

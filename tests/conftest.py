@@ -15,9 +15,17 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import quad
 
-from volbound.bound import _g_batch, clipped_phi, l_value, n_value
+from volbound.bound import _g_batch, l_value, n_value
 from volbound.models import sample_mean, simulate, step_paths, z_score
 from volbound.phi import MartingaleTestReport
+
+
+def clipped_phi(phi, b: float, x):
+    """(phi(x) - phi(b)) 1_{x > b}: the eigenfunction tail beyond level b,
+    pathwise."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.where(x > b, np.asarray(phi(x), dtype=np.float64) - float(phi(b)), 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def bessel_k_oracle(order: int, x: float) -> float:
@@ -131,6 +139,23 @@ def _besq0_density(z: float, v: float):
         return float(np.exp(log_pois + log_gamma).sum())
 
     return density
+
+
+def besq0_call_oracle(z: float, k: float, v: float) -> float:
+    """E[(Z_T - k)^+] on bessel0's law in closed form (Schroder 1989,
+    J. Finance 44): 4 Z_T / v given Z_t = z is noncentral chi-square with 0
+    degrees of freedom and noncentrality 4z/v, so
+
+        C = z (1 - chndtr(4k/v, 4, 4z/v)) - k chndtr(4z/v, 2, 4k/v).
+
+    chndtr(x, 0, nc) is nan, so the second term takes P(chi'^2_0(lam) > x)
+    = P(chi'^2_2(x) <= lam). No quadrature and no Bessel function."""
+    from scipy.special import chndtr
+
+    if v == 0.0:
+        return max(z - k, 0.0)
+    x, lam = 4.0 * k / v, 4.0 * z / v
+    return z * (1.0 - chndtr(x, 4.0, lam)) - k * chndtr(lam, 2.0, x)
 
 
 def besq0_phi_hat_oracle(z: float, k_m: float, v: float, phi) -> float:

@@ -28,7 +28,6 @@ from conftest import (
     tail_mc_oracle,
 )
 from volbound.bound import (
-    G_BLOCK_ROWS,
     BoundReport,
     DensificationStep,
     MaturityGrid,
@@ -38,11 +37,9 @@ from volbound.bound import (
     ThetaProcess,
     WeightVector,
     _g_batch,
-    _g_quadrature,
     _rhs_detail,
     build_q,
     check_bound,
-    clipped_phi,
     compute_alphas,
     densification_study,
     densify_grid,
@@ -551,8 +548,8 @@ class TestTailTerm:
         finer = dataclasses.replace(model, law=Finer())
         for theta, s, T, k_m in cases:
             s_v = np.array([s]), np.array([theta * theta * T])
-            a = _g_quadrature(model, *s_v, k_m)
-            b = _g_quadrature(finer, *s_v, k_m)
+            a = model.law.tail(model.phi, *s_v, k_m)
+            b = finer.law.tail(finer.phi, *s_v, k_m)
             assert b[0] == pytest.approx(a[0], rel=1e-12)
 
     def test_bessel_law_converged_in_nodes(self):
@@ -614,9 +611,9 @@ class TestTailTerm:
             else:
                 s = rng.uniform(0.01, 0.99, 30)
                 k_m = rng.uniform(1e-3, 0.999)
-            want = _g_quadrature(reference, s, theta * theta * T, k_m)
+            want = reference.law.tail(model.phi, s, theta * theta * T, k_m)
             for name, m in (("law", model), ("wide", wide)):
-                err = np.abs(_g_quadrature(m, s, theta * theta * T, k_m) - want).max()
+                err = np.abs(m.law.tail(model.phi, s, theta * theta * T, k_m) - want).max()
                 worst[name] = max(worst[name], err / float(model.phi(k_m)))
         assert worst["law"] <= worst["wide"]
         assert worst["wide"] < 1e-10
@@ -652,7 +649,7 @@ class TestTailTerm:
         # in the atom, with rows already held at the boundary and rows with
         # no variance left; eight workers with a short switch interval stress
         # the blocks' disjoint writes into one output
-        n = 2 * G_BLOCK_ROWS + 3617
+        n = 2 * model.law.tail_rows + 3617
         rng = np.random.default_rng(3)
         states = rng.uniform(0.05, 0.95, n) if model is LOGDIFF else rng.uniform(0.0, 3.0, n)
         states[::101] = model.beta.lower
@@ -675,7 +672,7 @@ class TestTailTerm:
         assert np.array(single).tobytes() == one[rows].tobytes()
 
     def test_paths_at_the_boundary_keep_their_clipped_value(self):
-        got = _g_quadrature(BESSEL, np.array([0.0, 1.0]), np.array([0.25, 0.25]), 1.5)
+        got = BESSEL.law.tail(BESSEL.phi, np.array([0.0, 1.0]), np.array([0.25, 0.25]), 1.5)
         assert got[0] == 0.0
         assert got[1] < 0.0
 
@@ -1276,15 +1273,21 @@ class TestRepricingResiduals:
             tracemalloc.stop()
         assert peak < (members * MATS.q + 8) * 8 * n_paths
 
-    def test_needs_closed_form_reference(self):
-        with pytest.raises(ConfigurationError):
-            pricing_residuals(
-                [self_consistent_scenario(BESSEL, 0.5)],
-                MaturityGrid(times=(0.5, 1.0, 1.5)),
-                KS3,
-                0.25,
-                self.CFG,
-            )
+    @pytest.mark.parametrize(
+        "model,strikes", [(BESSEL, KS5), (LOGDIFF, StrikeGrid(strikes=(0.0, 0.3, 0.6, 0.9)))],
+        ids=["bessel0", "logdiff"],
+    )
+    def test_reprices_by_the_law_off_closed_form(self, model, strikes):
+        # every law prices by its own call: the self-consistent scenario is
+        # calm, and a jump at 0.75, after t = 0.5, fires (about 22 on
+        # bessel0 and 42 on logdiff at 4000 paths)
+        cfg = SimConfig(n_paths=4000, dt=0.01, seed=11)
+        (calm,) = pricing_residuals([self_consistent_scenario(model, 0.2)], MATS, strikes, 0.5, cfg)
+        (jump,) = pricing_residuals(
+            [step_vol_scenario(model, 0.2, 0.75, 0.4)], MATS, strikes, 0.5, cfg
+        )
+        assert calm.max_abs_z < 3.5
+        assert jump.max_abs_z > 10.0
 
     def test_time_validation(self):
         with pytest.raises(DomainError):

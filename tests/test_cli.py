@@ -988,6 +988,44 @@ class TestCliCommands:
         assert main(["densify", "--config", str(cfg), "--paths", "16", "--seed", "3"]) == 0
         assert json.loads(capsys.readouterr().out)["results"] == own
 
+    #: BASE without its simulation section, with what densify and
+    #: implied-vol read
+    NO_SIM = (
+        BASE.replace("simulation:\n  paths: 4000\n  dt: 0.01\n  seed: 11\n\n", "")
+        + "  price: 0.0796556745541312\ndensify:\n  grid_sizes: [4, 16, 64]\n"
+    )
+
+    @pytest.mark.parametrize("command", ["price", "implied-vol", "densify", "validate-phi"])
+    def test_commands_that_do_not_simulate_need_no_simulation(self, command, tmp_path, capsys):
+        # their results are those of a run with the section; only the
+        # config echo, which leaves it out, differs
+        assert "simulation" not in self.NO_SIM
+        bare, full = tmp_path / "bare.yaml", tmp_path / "full.yaml"
+        bare.write_text(self.NO_SIM)
+        full.write_text(self.NO_SIM + "simulation: {paths: 100, dt: 0.5, seed: 3}\n")
+        docs = []
+        for path in (bare, full):
+            assert main([command, "--config", str(path)]) == 0
+            out = capsys.readouterr()
+            assert out.err == ""
+            docs.append(json.loads(out.out))
+        assert docs[0]["results"] == docs[1]["results"]
+        assert "simulation" not in docs[0]["config"]
+        assert docs[1]["config"]["simulation"] == {
+            "paths": 100, "dt": 0.5, "seed": 3, "block_size": 16384,
+        }
+
+    @pytest.mark.parametrize("command", ["check-bound", "scan", "martingale-check"])
+    def test_simulating_commands_name_the_missing_simulation(self, command, tmp_path, capsys):
+        cfg = tmp_path / "bare.yaml"
+        cfg.write_text(
+            self.NO_SIM + "scan:\n  axes:\n    - {key: sigma, values: [0.2, 0.3]}\n"
+        )
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("volbound: config error: ")
+        assert "needs a simulation section" in err and "[key: simulation]" in err
+
     def test_martingale_check(self, base_path, capsys):
         assert main(["martingale-check", "--config", base_path, "--paths", "4000"]) == 0
         r = json.loads(capsys.readouterr().out)["results"]

@@ -146,15 +146,44 @@ def test_adaptive_quadrature_only_in_the_oracles():
 
 
 def test_law_type_checks_only_shrink():
-    # a route follows from what a law can do (call, tail_rule, sample), not
-    # from its type; the checks that remain may go, and none may be added
+    # a route follows from what a law can do (call, tail, sample) and the
+    # route it names, not from its type: no check on it is left, and none
+    # may be added
     def checks_lognormal(node):
         return (isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance"
                 and "LognormalLaw" in ast.unparse(node.args[1]))
 
-    assert sites(checks_lognormal) <= {
-        "bound._closed_form", "bound.pricing_residuals", "cli._bound_run",
-    }
+    assert sites(checks_lognormal) == set()
+
+
+def callers_of(method: str) -> set[str]:
+    """module.Class.function (or module.function) of each function, nested
+    functions folded into the one that holds them, that calls a method of
+    that name."""
+    found = set()
+
+    def visit(node, scope, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef) and not in_function:
+                visit(child, scope + [child.name], False)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and not in_function:
+                visit(child, scope + [child.name], True)
+            else:
+                if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                        and child.func.attr == method):
+                    found.add(".".join(scope))
+                visit(child, scope, in_function)
+
+    for name, tree in parsed_sources(SRC):
+        visit(tree, [name.removesuffix(".py")], False)
+    return found
+
+
+def test_one_tail_integral():
+    # every fixed-node integral against a law is the law's own tail: the
+    # call price, the tail term G and repricing all ask it, so no second
+    # integrator sums a tail_rule
+    assert callers_of("tail_rule") == {"models.TransitionLaw.tail"}
 
 
 def test_every_definition_is_reached():

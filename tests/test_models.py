@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (
-    besq0_phi_hat_oracle,
+    besq0_call_oracle,
     logbesq0_phi_hat_oracle,
     lognormal_call_oracle,
     mc_call_price,
@@ -422,23 +422,34 @@ LAW_CASES = [
 ]
 
 
+#: besides LAW_CASES, the states a path is held at: bessel0's atom at 0,
+#: and both ends of logdiff's domain, where the atom at 1 sits
+BOUNDARY_CASES = [
+    (name, z, v) for name, z in (("bessel0", 0.0), ("logdiff", 0.0), ("logdiff", 1.0))
+    for v in (1e-3, 1.0)
+]
+
+
 def _call_oracle(name, z, k, v):
-    """The call price by a route independent of law.call: adaptive
-    quadrature against the law's density, the atom added in closed form."""
+    """The call price by a route independent of law.call: Schroder's closed
+    form on bessel0; elsewhere adaptive quadrature against the law's
+    density, the atom added in closed form."""
     if name == "gbm":
         return lognormal_call_oracle(z, k, v)
-    oracle = besq0_phi_hat_oracle if name == "bessel0" else logbesq0_phi_hat_oracle
-    return oracle(z, k, v, lambda x: x)
+    if name == "bessel0":
+        return besq0_call_oracle(z, k, v)
+    return logbesq0_phi_hat_oracle(z, k, v, lambda x: x)
 
 
 class TestLawCall:
     """The contract every transition law's call(z, K, v) keeps."""
 
-    @pytest.mark.parametrize("name,z,v", LAW_CASES)
+    @pytest.mark.parametrize("name,z,v", LAW_CASES + BOUNDARY_CASES)
     def test_limits_and_shape(self, name, z, v):
         law = builtin_model(name).law
-        ks = np.linspace(0.0, 2.0 * z, 41)
-        c = np.array([law.call(z, k, v) for k in ks])
+        ks = np.linspace(0.0, 2.0 * max(z, 0.5), 41)
+        with np.errstate(divide="raise", invalid="raise"):
+            c = np.array([law.call(z, k, v) for k in ks])
         # the hard limits hold exactly, with the zero strike at z itself
         assert np.all((np.maximum(z - ks, 0.0) <= c) & (c <= z))
         assert c[0] == pytest.approx(z, rel=0.0, abs=1e-12 * z)
