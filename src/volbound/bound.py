@@ -637,15 +637,23 @@ def _variance_clock(proc: ThetaProcess, t: float, T: float) -> float:
 
 @dataclass(frozen=True)
 class ResidualTable:
-    """Repricing residuals per (maturity, strike), with common-noise errors.
+    """Repricing residuals per (maturity, strike): the mean payoff minus the
+    mean model price, with standard errors and z-scores.
 
-    A cell's z-score is trustworthy only where the payoff tail is actually
-    sampled: deep out-of-the-money cells with a handful of in-the-money
-    paths have standard errors dominated by whichever rare paths happened
-    to land, and their z is not close to normal. calibrated marks cells
-    with at least min_tail_count (MIN_TAIL_COUNT) in-the-money paths;
-    max_abs_z reads only those (falling back to the full table if nothing
-    is calibrated).
+    route names how they were taken (pricing_residuals): {"route": "exact"}
+    from the law, with every se 0, so each z is 0.0 where the cell reprices
+    and inf where it does not; or {"route": "monte-carlo", "paths": n} over
+    simulated paths.
+
+    On the path route a cell's z-score is trustworthy only where the payoff
+    tail is actually sampled: deep out-of-the-money cells with a handful of
+    in-the-money paths have standard errors dominated by whichever rare
+    paths happened to land, and their z is not close to normal. calibrated
+    marks cells with at least min_tail_count (MIN_TAIL_COUNT) in-the-money
+    paths; max_abs_z reads only those (falling back to the full table if
+    nothing is calibrated). The exact route has no paths: tail_counts,
+    calibrated, min_tail_count and n_paths are None, and max_abs_z reads
+    every cell.
     """
 
     maturities: tuple
@@ -653,16 +661,17 @@ class ResidualTable:
     residuals: np.ndarray
     ses: np.ndarray
     z_scores: np.ndarray
-    tail_counts: np.ndarray
-    calibrated: np.ndarray
-    min_tail_count: int
-    n_paths: int
+    route: dict
+    tail_counts: np.ndarray | None = None
+    calibrated: np.ndarray | None = None
+    min_tail_count: int | None = None
+    n_paths: int | None = None
     steps: int = 0
 
     @property
     def max_abs_z(self) -> float:
         z = np.abs(self.z_scores)
-        if np.any(self.calibrated):
+        if self.calibrated is not None and np.any(self.calibrated):
             z = z[self.calibrated]
         return float(np.max(z))
 
@@ -676,12 +685,87 @@ def pricing_residuals(
 ) -> tuple:
     """Mean payoff minus mean model price, per maturity and strike: one
     ResidualTable per scenario of a group that shares its model and its theta
-    history up to t. The model price is the law's call, on every path.
+    history up to t.
 
     Tests the unconditional consequence of the repricing identity: the
-    pathwise difference (S_T - K)^+ - C(T, t, K, theta_t, S_t) has mean 0
-    when the scenario reprices like the reference. Differences share
-    paths, so the standard error is that of the paired sample.
+    difference (S_T - K)^+ - C(T, t, K, theta_t, S_t), C the law's call, has
+    mean 0 when the scenario reprices like the reference. Where no member's
+    theta moves that mean is exact (_residuals_exact) and nothing is
+    simulated, so cfg is not read; otherwise it is taken over simulated
+    paths (_residuals_paths). On either route a member whose history up to t
+    differs from the first member's is an error.
+    """
+    scenarios = tuple(scenarios)
+    if not scenarios:
+        raise DomainError("need at least one scenario to reprice")
+    times = mats.times
+    if not 0.0 <= t <= times[0]:
+        raise DomainError(f"evaluation time {t} must lie in [0, {times[0]}]")
+    if any(scn.theta_process.moves for scn in scenarios):
+        return _residuals_paths(scenarios, mats, strikes, t, cfg)
+    return _residuals_exact(scenarios, mats, strikes, t)
+
+
+def _history_differs(g: int, scn: Scenario, t: float) -> DomainError:
+    return DomainError(
+        f"scenario {g} of the group ({scn.theta_process}) does not share scenario 0's "
+        f"(S_t, theta_t) at t={t}: its history differs at or before t"
+    )
+
+
+def _residuals_exact(scenarios, mats, strikes, t):
+    """Residuals from the law, for thetas that do not move: S_T has the law
+    at s0 and variance V_T = int_0^T theta^2, and S_t at v_t, so
+
+        E[(S_T - K)^+] = C(s0, K, V_T),
+        E[C(T, t, K, theta_t, S_t)] = C(s0, K, v_t + theta_t^2 (T - t))
+
+    by Chapman-Kolmogorov in the variance clock. Both variances are
+    _variance_clock's, which accrues them over the same intervals wherever
+    theta is constant after t, so such a member reads 0.0 exactly. The model
+    prices are the group's, taken once; the group shares them when each
+    member's law, s0, v_t and theta_t equal the first member's, which is
+    checked.
+    """
+    first = scenarios[0]
+    times, ks = mats.times, strikes.strikes
+
+    def time_t_law(scn):
+        proc = scn.theta_process
+        return scn.reference.law, scn.s0, _variance_clock(proc, t, t), proc.deterministic_value(t)
+
+    for g, scn in enumerate(scenarios[1:], start=1):
+        if time_t_law(scn) != time_t_law(first):
+            raise _history_differs(g, scn, t)
+
+    call = _law(first.reference).call
+
+    def prices(variances):
+        # one call per strike over the maturities: the payoff and the model
+        # price of a cell are taken at the same place in equal-shaped arrays,
+        # so equal variances give equal floats
+        v = np.array(variances)
+        return np.stack([call(first.s0, k, v) for k in ks], axis=1)
+
+    model_price = prices([_variance_clock(first.theta_process, t, t_i) for t_i in times])
+    tables = []
+    for scn in scenarios:
+        res = prices([_variance_clock(scn.theta_process, t_i, t_i) for t_i in times]) - model_price
+        tables.append(ResidualTable(
+            maturities=times,
+            strikes=ks,
+            residuals=res,
+            ses=np.zeros_like(res),
+            z_scores=np.vectorize(z_score, otypes=[float])(res, 0.0),
+            route={"route": "exact"},
+        ))
+    return tuple(tables)
+
+
+def _residuals_paths(scenarios, mats, strikes, t, cfg):
+    """Residuals over simulated paths: the law's call on every path at t,
+    against the payoffs at each maturity. Differences share paths, so the
+    standard error is that of the paired sample.
 
     Each scenario's paths are its own joint_simulate run, as if it were
     alone, of which only the maturity columns are kept. The prices read the
@@ -689,13 +773,8 @@ def pricing_residuals(
     group; that needs S_t and theta_t of every member to equal the first
     member's bit for bit, which is checked.
     """
-    scenarios = tuple(scenarios)
-    if not scenarios:
-        raise DomainError("need at least one scenario to reprice")
     call = _law(scenarios[0].reference).call
     times = mats.times
-    if not 0.0 <= t <= times[0]:
-        raise DomainError(f"evaluation time {t} must lie in [0, {times[0]}]")
     grid = sorted({0.0, t, *times})
     at_t = grid.index(t)
     n = cfg.n_paths
@@ -714,10 +793,7 @@ def pricing_residuals(
             np.array_equal(joint.states[:, at_t], s_t)
             and np.array_equal(joint.theta[:, at_t], theta_t)
         ):
-            raise DomainError(
-                f"scenario {g} of the group ({scn.theta_process}) does not share scenario 0's "
-                f"(S_t, theta_t) at t={t}: its history differs at or before t"
-            )
+            raise _history_differs(g, scn, t)
         for i, t_i in enumerate(times):
             ends[g, i] = joint.states[:, grid.index(t_i)]
         steps.append(joint.steps)
@@ -748,6 +824,7 @@ def pricing_residuals(
             residuals=res[g],
             ses=ses[g],
             z_scores=zs[g],
+            route={"route": "monte-carlo", "paths": n},
             tail_counts=counts[g],
             calibrated=counts[g] >= MIN_TAIL_COUNT,
             min_tail_count=MIN_TAIL_COUNT,

@@ -1191,21 +1191,97 @@ class TestMartingaleStructure:
 
 class TestRepricingResiduals:
     CFG = SimConfig(n_paths=20000, dt=0.01, seed=11)
+    #: a theta that moves, near the reference: its table is taken over paths
+    MOVING = meanrev_vol_scenario(GBM, 0.2, 1.0, 0.2, 0.05)
 
     def test_self_consistent_reprices_cleanly(self):
         scn = self_consistent_scenario(GBM, 0.2)
         (res,) = pricing_residuals([scn], MATS, KS5, 0.5, self.CFG)
-        assert res.max_abs_z < 3.5
+        assert res.route == {"route": "exact"}
         assert res.residuals.shape == (3, 5)
-        # the zero-strike column is the plain martingale statement
-        assert np.all(np.abs(res.z_scores[:, 0]) < 3.5)
+        assert res.max_abs_z == 0.0
+        assert np.array_equal(res.ses, np.zeros((3, 5)))
+        # nothing was simulated, so nothing describes paths
+        assert (res.tail_counts, res.calibrated, res.min_tail_count, res.n_paths) == (None,) * 4
+        assert res.steps == 0
+
+    @pytest.mark.parametrize(
+        "model,strikes",
+        [(GBM, KS5), (BESSEL, KS5), (LOGDIFF, StrikeGrid(strikes=(0.0, 0.3, 0.6, 0.9)))],
+        ids=["gbm", "bessel0", "logdiff"],
+    )
+    @pytest.mark.parametrize(
+        "theta",
+        [
+            ThetaProcess(kind="constant", sigma0=0.3),
+            ThetaProcess(kind="step", sigma0=0.3, jump_times=(0.75,), jump_values=(0.3,)),
+            ThetaProcess(kind="step", sigma0=0.3, jump_times=(0.25,), jump_values=(0.6,)),
+            ThetaProcess(kind="step", sigma0=0.3, jump_times=(0.5,), jump_values=(0.1,)),
+        ],
+        ids=["constant", "zero-jump-after-t", "jump-before-t", "jump-at-t"],
+    )
+    def test_a_theta_constant_after_t_reads_zero_exactly(self, model, strikes, theta):
+        # both prices of a cell accrue the same variance over the same
+        # intervals, so they are the same float
+        (res,) = pricing_residuals([Scenario(model, theta)], MATS, strikes, 0.5, self.CFG)
+        assert np.all(res.residuals == 0.0) and not np.any(np.signbit(res.residuals))
+        assert np.all(res.z_scores == 0.0)
+
+    #: (model, sigma, jump time, jump size, strikes): jumps up and down,
+    #: before and after t = 0.5, and bessel0 where it absorbs (sigma 1)
+    AGREEMENT = [
+        (model, sigma, jump_time, size, strikes)
+        for model, sigma, strikes in (
+            (GBM, 0.2, KS5),
+            (BESSEL, 0.2, KS5),
+            (LOGDIFF, 0.2, StrikeGrid(strikes=(0.0, 0.3, 0.6, 0.9))),
+            (BESSEL, 1.0, KS5),
+        )
+        for jump_time in (0.25, 0.75)
+        for size in (0.5 * sigma, -0.5 * sigma)
+    ]
+
+    @pytest.mark.parametrize(
+        "model,sigma,jump_time,size,strikes", AGREEMENT,
+        ids=[f"{m.name}-{s}-at-{jt}-by-{d:+}" for m, s, jt, d, _ in AGREEMENT],
+    )
+    def test_exact_route_matches_the_path_route(self, model, sigma, jump_time, size, strikes):
+        # the path route on the same step theta, through its private entry:
+        # the public one takes the exact route for it
+        scn = step_vol_scenario(model, sigma, jump_time, size)
+        cfg = SimConfig(n_paths=4000, dt=0.01, seed=13)
+        (exact,) = pricing_residuals([scn], MATS, strikes, 0.5, cfg)
+        (paths,) = bound_module._residuals_paths((scn,), MATS, strikes, 0.5, cfg)
+        assert paths.route == {"route": "monte-carlo", "paths": 4000}
+        # on the cells whose tail the paths sample: elsewhere a path z-score
+        # is hit-count noise (test_rare_tail_cells_do_not_drive_the_headline)
+        sampled = paths.calibrated
+        assert np.count_nonzero(sampled) >= 2 * MATS.q
+        gap = np.abs(exact.residuals - paths.residuals)
+        assert np.all(gap[sampled] <= 4.0 * paths.ses[sampled])
+
+    def test_exact_tables_simulate_nothing_and_ignore_the_simulation_block(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the exact route simulated paths")
+
+        monkeypatch.setattr(bound_module, "joint_simulate", refuse)
+        want = pricing_residuals(self.GROUP, MATS, KS5, 0.5, self.CFG)
+        for workers, cfg in (
+            ("1", SimConfig(n_paths=16, dt=0.5, seed=1)),
+            ("2", SimConfig(n_paths=100_000, dt=0.01, seed=2, block_size=64)),
+        ):
+            monkeypatch.setenv(WORKERS_ENV_VAR, workers)
+            got = pricing_residuals(self.GROUP, MATS, KS5, 0.5, cfg)
+            for a, b in zip(got, want):
+                for field in dataclasses.fields(a):
+                    assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
 
     def test_rare_tail_cells_do_not_drive_the_headline(self):
-        # K=2 at T=1 under sigma=0.2 is in the money on ~2e-4 of paths, so
-        # its z-score is hit-count noise, not a unit normal; the cell stays
-        # in the table but is excluded from max_abs_z
-        scn = self_consistent_scenario(GBM, 0.2)
-        (res,) = pricing_residuals([scn], MATS, KS5, 0.5, self.CFG)
+        # K=2 at T=1 under a vol near 0.2 is in the money on ~2e-4 of paths,
+        # so its z-score is hit-count noise, not a unit normal; the cell
+        # stays in the table but is excluded from max_abs_z
+        (res,) = pricing_residuals([self.MOVING], MATS, KS5, 0.5, self.CFG)
+        assert res.route == {"route": "monte-carlo", "paths": 20000}
         assert np.array_equal(res.calibrated, res.tail_counts >= res.min_tail_count)
         assert not res.calibrated[0, -1]
         assert np.all(res.calibrated[:, 0])
@@ -1214,7 +1290,7 @@ class TestRepricingResiduals:
     def test_vol_jump_inside_window_is_flagged(self):
         scn = step_vol_scenario(GBM, 0.2, 0.75, 0.4)
         (res,) = pricing_residuals([scn], MATS, KS5, 0.5, self.CFG)
-        assert res.max_abs_z > 3.0
+        assert res.max_abs_z == math.inf
 
     def test_stochastic_vol_is_flagged(self):
         scn = meanrev_vol_scenario(GBM, 0.2, 1.5, 0.5, 0.6, -0.7)
@@ -1233,23 +1309,43 @@ class TestRepricingResiduals:
     )
 
     def test_a_group_gives_each_member_its_table_alone(self):
+        self.check_group_tables(pricing_residuals, "exact")
+
+    def test_a_group_on_the_path_route_gives_each_member_its_table_alone(self):
+        # the same step thetas through the path route's private entry
+        self.check_group_tables(bound_module._residuals_paths, "monte-carlo")
+
+    def check_group_tables(self, residuals, route):
         cfg = SimConfig(n_paths=5000, dt=0.01, seed=3)
-        grouped = pricing_residuals(self.GROUP, MATS, KS5, 0.5, cfg)
+        grouped = residuals(self.GROUP, MATS, KS5, 0.5, cfg)
         assert len(grouped) == len(self.GROUP)
         for scn, got in zip(self.GROUP, grouped):
-            (alone,) = pricing_residuals([scn], MATS, KS5, 0.5, cfg)
+            (alone,) = residuals([scn], MATS, KS5, 0.5, cfg)
+            assert got.route["route"] == route
             for field in dataclasses.fields(alone):
                 a, b = getattr(got, field.name), getattr(alone, field.name)
                 assert np.array_equal(a, b), field.name
-        # the members' own paths, not the first one's, feed the payoffs
+        # each member's own payoffs, not the first one's, are read
         assert grouped[0].max_abs_z < 3.5 < grouped[1].max_abs_z
 
     @pytest.mark.parametrize("jump_time", [0.25, 0.5])
     def test_a_group_whose_histories_differ_by_t_raises(self, jump_time):
+        # the exact route compares the members' laws at t
         cfg = SimConfig(n_paths=500, dt=0.01, seed=3)
         group = (self.GROUP[0], step_vol_scenario(GBM, 0.2, jump_time, 0.1))
         with pytest.raises(DomainError, match=r"scenario 1 of the group .* at t=0\.5"):
             pricing_residuals(group, MATS, KS5, 0.5, cfg)
+
+    @pytest.mark.parametrize(
+        "other",
+        [meanrev_vol_scenario(GBM, 0.2, 1.0, 0.2, 0.1), self_consistent_scenario(GBM, 0.2)],
+        ids=["other-vol-of-vol", "constant"],
+    )
+    def test_a_moving_group_whose_paths_differ_by_t_raises(self, other):
+        # the path route compares the members' (S_t, theta_t) bit for bit
+        cfg = SimConfig(n_paths=500, dt=0.01, seed=3)
+        with pytest.raises(DomainError, match=r"scenario 1 of the group .* at t=0\.5"):
+            pricing_residuals((self.MOVING, other), MATS, KS5, 0.5, cfg)
 
     @pytest.mark.parametrize("n_paths", [2**14, 2**16])
     @pytest.mark.parametrize("members", [1, 4])
@@ -1259,35 +1355,37 @@ class TestRepricingResiduals:
         # a group holds its members' maturity columns, q per member, and a
         # fixed number of columns besides: S_t, the variance, the payoff
         # buffers and the pricing temporaries, or one ensemble being
-        # simulated. One worker and small blocks keep the stepping kernel's
-        # per-block temporaries to a fraction of a column.
+        # simulated. A moving theta's ensemble also holds its theta at the
+        # 5 stored times, and the group keeps a copy of theta_t. One worker
+        # and small blocks keep the stepping kernel's per-block temporaries
+        # to a fraction of a column.
         monkeypatch.setenv(WORKERS_ENV_VAR, "1")
-        group = self.GROUP[:members]
-        cfg = SimConfig(n_paths=n_paths, dt=0.01, seed=3, block_size=n_paths // 16)
-        pricing_residuals(group, MATS, KS5, 0.5, SimConfig(n_paths=64, dt=0.01, seed=3))
+        group = (self.MOVING,) * members
+        cfg = SimConfig(n_paths=n_paths, dt=0.1, seed=3, block_size=n_paths // 16)
+        pricing_residuals(group, MATS, KS5, 0.5, SimConfig(n_paths=64, dt=0.1, seed=3))
         tracemalloc.start()
         try:
             pricing_residuals(group, MATS, KS5, 0.5, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < (members * MATS.q + 8) * 8 * n_paths
+        theta_columns = len({0.0, 0.5, *MATS.times}) + 1
+        assert peak < (members * MATS.q + 8 + theta_columns) * 8 * n_paths
 
     @pytest.mark.parametrize(
         "model,strikes", [(BESSEL, KS5), (LOGDIFF, StrikeGrid(strikes=(0.0, 0.3, 0.6, 0.9)))],
         ids=["bessel0", "logdiff"],
     )
     def test_reprices_by_the_law_off_closed_form(self, model, strikes):
-        # every law prices by its own call: the self-consistent scenario is
-        # calm, and a jump at 0.75, after t = 0.5, fires (about 22 on
-        # bessel0 and 42 on logdiff at 4000 paths)
+        # every law prices by its own call: the self-consistent scenario
+        # reads 0.0 exactly, and a jump at 0.75, after t = 0.5, reads inf
         cfg = SimConfig(n_paths=4000, dt=0.01, seed=11)
         (calm,) = pricing_residuals([self_consistent_scenario(model, 0.2)], MATS, strikes, 0.5, cfg)
         (jump,) = pricing_residuals(
             [step_vol_scenario(model, 0.2, 0.75, 0.4)], MATS, strikes, 0.5, cfg
         )
-        assert calm.max_abs_z < 3.5
-        assert jump.max_abs_z > 10.0
+        assert calm.max_abs_z == 0.0
+        assert jump.max_abs_z == math.inf
 
     def test_time_validation(self):
         with pytest.raises(DomainError):
@@ -1417,7 +1515,7 @@ class TestImpossibleConjunction:
         rep = check_bound(scn, MATS, KS5, W1, 0.5, cfg)
         (res,) = pricing_residuals([scn], MATS, KS5, 0.5, cfg)
         assert (not rep.satisfied) or res.max_abs_z > 3.0
-        assert res.max_abs_z > 10.0
+        assert res.max_abs_z == math.inf
 
 
 class TestReportValidation:

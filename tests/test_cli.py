@@ -507,7 +507,13 @@ class TestCliCommands:
         coeffs = tuple(b["rhs_inputs"]["coefficients"])
         grid = StrikeGrid(strikes=tuple(b["rhs_inputs"]["strikes"]))
         assert rhs_bound(coeffs, grid, builtin_model("gbm").phi) == b["rhs"]
-        assert doc["results"]["repricing"]["max_abs_z"] < 3.5
+        # the self-consistent residuals are exact, and no field describes paths
+        rp = doc["results"]["repricing"]
+        assert rp["route"] == {"route": "exact"}
+        assert rp["max_abs_z"] == 0.0 and rp["ses"] == [[0.0] * 5] * 3
+        assert [rp[k] for k in ("tail_counts", "calibrated", "min_tail_count", "n_paths")] == [
+            None
+        ] * 4
 
     def test_check_bound_flags_convention_for_bessel(self, tmp_path, capsys):
         cfg = tmp_path / "bes.yaml"
@@ -597,13 +603,13 @@ class TestCliCommands:
             return json.loads(capsys.readouterr().out)["results"]["stepping"]
 
         # gbm's law samples exactly: one step per interval between the
-        # stored times and theta's change times. [0, 0.5] for the bound,
-        # [0, 0.5, 1, 2, 3] for the repricing
+        # stored times and theta's change times, [0, 0.5] for the bound.
+        # Where theta does not move the repricing is exact and steps no path
         assert stepping("check-bound", "--config", base_path) == {
-            "route": "exact-law", "steps": 5
+            "route": "exact-law", "steps": 1
         }
-        # the same per scan point, plus the jump at 0.75 where it is nonzero
-        assert stepping("scan", "--config", scan_path) == {"route": "exact-law", "steps": 17}
+        # the same per scan point
+        assert stepping("scan", "--config", scan_path) == {"route": "exact-law", "steps": 3}
         # U on [0, 0.25, 0.5, 1], V on 65 points, the semigroup on [0, 1]
         assert stepping("martingale-check", "--config", base_path, "--paths", "64") == {
             "route": "exact-law", "steps": 68
@@ -927,9 +933,9 @@ class TestCliCommands:
         assert [r["theta.jump_size"] for r in rows] == [0.0, 0.1, 0.3]
         assert all(r["conjunction_ok"] for r in rows)
         assert rows[0]["feasible"] is True
-        # detection strengthens with the lie, at matched seeds
-        zs = [r["max_resid_z"] for r in rows]
-        assert zs[0] < 3.0 and zs == sorted(zs)
+        # theta does not move, so the residuals are exact: 0.0 where the
+        # point reprices, inf (spelled out, as JSON has no literal) where not
+        assert [r["max_resid_z"] for r in rows] == [0.0, "inf", "inf"]
         # a post-evaluation-time jump cannot move time-t data
         assert rows[0]["lhs"] == rows[1]["lhs"] == rows[2]["lhs"]
 
@@ -1024,6 +1030,38 @@ class TestCliCommands:
         assert main([command, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("volbound: config error: ")
+        assert "needs a simulation section" in err and "[key: simulation]" in err
+
+    SHORTCUTS = [("--paths", "100"), ("--seed", "5"), ("--dt", "0.05")]
+
+    @pytest.mark.parametrize("flag,value", SHORTCUTS, ids=[f for f, _ in SHORTCUTS])
+    @pytest.mark.parametrize("command", ["price", "implied-vol", "densify", "validate-phi"])
+    def test_a_shortcut_without_simulation_changes_nothing(
+        self, command, flag, value, tmp_path, capsys
+    ):
+        # a shortcut completes a simulation section and never starts one, so
+        # a command that does not simulate runs as without the flag
+        cfg = tmp_path / "bare.yaml"
+        cfg.write_text(self.NO_SIM)
+        bodies = []
+        for extra in ([], [flag, value]):
+            assert main([command, "--config", str(cfg), *extra]) == 0
+            out = capsys.readouterr()
+            assert out.err == ""
+            bodies.append(canonical_json(json.loads(out.out)))
+        assert bodies[0] == bodies[1]
+
+    @pytest.mark.parametrize("flag,value", SHORTCUTS, ids=[f for f, _ in SHORTCUTS])
+    @pytest.mark.parametrize("command", ["check-bound", "scan", "martingale-check"])
+    def test_a_shortcut_does_not_stand_in_for_simulation(
+        self, command, flag, value, tmp_path, capsys
+    ):
+        cfg = tmp_path / "bare.yaml"
+        cfg.write_text(
+            self.NO_SIM + "scan:\n  axes:\n    - {key: sigma, values: [0.2, 0.3]}\n"
+        )
+        assert main([command, "--config", str(cfg), flag, value]) == 2
+        err = capsys.readouterr().err
         assert "needs a simulation section" in err and "[key: simulation]" in err
 
     def test_martingale_check(self, base_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (
     besq0_call_oracle,
+    law_expectation_oracle,
     logbesq0_phi_hat_oracle,
     lognormal_call_oracle,
     mc_call_price,
@@ -474,6 +475,27 @@ class TestLawCall:
         x = law.sample(np.full(n, z), v, rng_substream(54, 0))
         p = law.absorbed_mass(z, v)
         assert abs(np.mean(x == law.atom) - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n)
+
+    @pytest.mark.parametrize("name", ["gbm", "bessel0", "logdiff"])
+    def test_chapman_kolmogorov_in_the_variance_clock(self, name):
+        # E[C(Z, K, v2)] over Z from s at variance v1 is C(s, K, v1 + v2):
+        # the identity the exact repricing residuals rest on. Random cells,
+        # most with v1 + v2 >= 1, where bessel0 and logdiff put much of their
+        # mass on the atom
+        law = builtin_model(name).law
+        rng = np.random.default_rng(27)
+        sums = []
+        for _ in range(25):
+            if name == "logdiff":
+                s, k = rng.uniform(0.05, 0.95), rng.uniform(0.0, 1.0)
+            else:
+                s = rng.uniform(0.2, 2.0)
+                k = rng.uniform(0.0, 2.0 * s)
+            v1, v2 = (float(v) for v in rng.uniform(0.01, 1.5, 2))
+            got = law_expectation_oracle(name, lambda z: law.call(z, k, v2), s, v1)
+            assert got == pytest.approx(law.call(s, k, v1 + v2), rel=0.0, abs=1e-13 * s)
+            sums.append(v1 + v2)
+        assert sum(v >= 1.0 for v in sums) >= 15
 
     @pytest.mark.parametrize("name", ["gbm", "bessel0", "logdiff"])
     def test_vectorized_over_start_and_variance(self, name):
