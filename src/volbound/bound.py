@@ -435,9 +435,9 @@ class BoundReport:
     from the law, with every se 0, or as the mean over the simulated paths.
     absorbed_fraction is the share of simulated paths absorbed by time t;
     absorbed_mass is the law's probability of the same where the law has an
-    atom and theta does not move, else None. On the exact route these, like
-    n_stable, describe the simulation only; the left side does not read the
-    paths. steps is the number of steps each path took. q is the pinned
+    atom and theta does not move, else None. On the exact route these
+    describe the simulation only; the left side does not read the paths.
+    steps is the number of steps each path took. q is the pinned
     polynomial Q, whose coefficients give the right side.
     """
 
@@ -451,8 +451,6 @@ class BoundReport:
     g_corr_mean: float
     g_corr_se: float
     l_diagnostics: tuple
-    n_stable: bool
-    n_stability_z: float
     phi_prime_convention: bool
     n_paths: int
     steps: int = 0
@@ -487,8 +485,8 @@ def check_bound(
     integral of theta^2 up to t, so the left side is exact (_lhs_exact) and
     its se is 0. A moving theta takes the mean over the simulated paths
     (_lhs_paths). Either way one step of joint_simulate over [0, t] gives
-    the simulation-health diagnostics: n_stable, the absorbed fraction and,
-    for a closed-form model, the band terms L.
+    the absorbed fraction and, for a closed-form model, the band terms L;
+    the verdict reads neither.
     """
     model = scn.reference
     times = mats.times
@@ -518,13 +516,6 @@ def check_bound(
         route = {"route": "exact", "phi_mean": semigroup_route(model)}
     rhs, convention = _rhs_detail(qp.coeffs, strikes, model.phi)
 
-    n_q_full = n_value(t, times[-1], theta_t, s_t, model)
-    half = n // 2
-    z_stab = 0.0
-    if half >= 2:
-        (m1, se1), (m2, se2) = sample_mean(n_q_full[:half]), sample_mean(n_q_full[half:])
-        z_stab = z_score(m1 - m2, math.hypot(se1, se2))
-
     l_diag = []
     if tail_route(model)["route"] == "closed-form":
         take = _band_sample(n)
@@ -550,8 +541,6 @@ def check_bound(
         g_corr_mean=gc_mean,
         g_corr_se=gc_se,
         l_diagnostics=tuple(l_diag),
-        n_stable=abs(z_stab) <= 3.0,
-        n_stability_z=z_stab,
         phi_prime_convention=convention,
         n_paths=n,
         steps=joint.steps,

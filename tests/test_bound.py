@@ -874,7 +874,6 @@ class TestBoundCheck:
         assert rep.nq_se == 0.0
         assert rep.lhs <= 4.0 * rep.lhs_se
         assert abs(rep.g_corr_mean) <= 4.0 * rep.g_corr_se
-        assert rep.n_stable
         assert not rep.phi_prime_convention
         assert rep.n_paths == 20000
 
@@ -1102,7 +1101,6 @@ class TestBoundCheck:
         )
         assert math.isfinite(rep.lhs) and math.isfinite(rep.lhs_se)
         assert rep.nq_mean > 0.0
-        assert rep.n_stable
 
     def test_scaling_phi_scales_both_sides(self):
         gbm2 = dataclasses.replace(GBM, phi=GBM.phi.scaled(2.0))
@@ -1534,7 +1532,7 @@ class TestReportValidation:
             BoundReport(
                 t=0.0, lhs=0.0, lhs_se=0.0, rhs=-1.0, satisfied=True,
                 nq_mean=0.0, nq_se=0.0, g_corr_mean=0.0, g_corr_se=0.0,
-                l_diagnostics=(), n_stable=True, n_stability_z=0.0,
+                l_diagnostics=(),
                 phi_prime_convention=False, n_paths=1,
             )
 
@@ -1543,6 +1541,6 @@ class TestReportValidation:
             BoundReport(
                 t=0.0, lhs=0.0, lhs_se=0.0, rhs=1.0, satisfied=True,
                 nq_mean=-0.5, nq_se=0.0, g_corr_mean=0.0, g_corr_se=0.0,
-                l_diagnostics=(), n_stable=True, n_stability_z=0.0,
+                l_diagnostics=(),
                 phi_prime_convention=False, n_paths=1,
             )

@@ -1,5 +1,6 @@
 """Config parsing, report serialization, and the CLI front end."""
 
+import itertools
 import json
 import math
 import re
@@ -1087,6 +1088,83 @@ class TestCliCommands:
         )
         assert proc.returncode == 2
         assert "csv is only available" in proc.stderr
+
+
+class TestCheckBoundVerdict:
+    """check-bound exits 0 exactly when the bound holds: lhs <= rhs + 3 se."""
+
+    BENCH_BOUND = Path(__file__).resolve().parents[1] / "bench" / "configs" / "bessel0-bound.yaml"
+    STEP = "generator: step-vol\ntheta: {jump_time: 0.25, jump_size: %s}"
+    MEANREV = (
+        "generator: meanrev-vol\n"
+        "theta: {rate: 4.0, level: %s, vol_of_vol: 0.4, correlation: -0.5}"
+    )
+    #: the three exact-route fields, then every number of the left side
+    LAW_FIELDS = (
+        "lhs_route", "satisfied", "lhs", "lhs_se", "rhs", "gap_term_mean", "gap_term_se",
+        "tail_correction_mean", "tail_correction_se",
+    )
+
+    @staticmethod
+    def bound(capsys) -> dict:
+        return json.loads(capsys.readouterr().out)["results"]["bound"]
+
+    @pytest.mark.parametrize("seed", [533, 601, 920])
+    def test_bench_seeds_pass_with_the_exact_zero_left_side(self, seed, capsys):
+        # the paths at these seeds once failed a split-half comparison of
+        # their means, which the exact left side never reads
+        argv = ["check-bound", "--config", str(self.BENCH_BOUND), "--seed", str(seed)]
+        assert main(argv) == 0
+        b = self.bound(capsys)
+        assert (b["lhs"], b["rhs"], b["satisfied"]) == (0.0, 1.711514163394151, True)
+
+    @pytest.mark.parametrize(
+        "route, theta, values",
+        [("exact", STEP, [0.0, 0.3, 1.0]), ("monte-carlo", MEANREV, [0.3, 1.5])],
+    )
+    def test_exit_code_is_satisfied(self, route, theta, values, tmp_path, capsys):
+        cfg = tmp_path / "bes.yaml"
+        verdicts = []
+        for value in values:
+            cfg.write_text(
+                BASE.replace("model: gbm", "model: bessel0")
+                .replace("generator: self-consistent", theta % value)
+            )
+            code = main(["check-bound", "--config", str(cfg), "--paths", "2000"])
+            b = self.bound(capsys)
+            assert b["lhs_route"]["route"] == route
+            assert code == (0 if b["satisfied"] else 1)
+            verdicts.append(b["satisfied"])
+        assert verdicts[0] and not verdicts[-1]
+
+    @pytest.mark.parametrize(
+        "model, strikes, jump",
+        [
+            ("gbm", "[0.0, 0.5, 1.0, 1.5, 2.0]", 0.3),
+            ("bessel0", "[0.0, 0.5, 1.0, 1.5, 2.0]", 1.0),
+            ("logdiff", "[0.0, 0.3, 0.6, 0.9]", 0.3),
+        ],
+    )
+    def test_exact_verdict_reads_the_law_alone(
+        self, model, strikes, jump, tmp_path, capsys, monkeypatch
+    ):
+        # where theta does not move, neither the seed, nor the path count,
+        # nor the worker count changes the left side or the exit code
+        cfg = tmp_path / f"{model}.yaml"
+        cfg.write_text(
+            BASE.replace("model: gbm", f"model: {model}")
+            .replace("strikes: [0.0, 0.5, 1.0, 1.5, 2.0]", f"strikes: {strikes}")
+            .replace("generator: self-consistent", self.STEP % jump)
+        )
+        outs = []
+        for seed, paths, workers in itertools.product((1, 533), (16, 20000), ("1", "2")):
+            monkeypatch.setenv("VOLBOUND_WORKERS", workers)
+            argv = ["check-bound", "--config", str(cfg), "--seed", str(seed), "--paths", str(paths)]
+            code = main(argv)
+            b = self.bound(capsys)
+            outs.append([code] + [b[k] for k in self.LAW_FIELDS])
+        assert outs[0][1]["route"] == "exact"
+        assert all(out == outs[0] for out in outs)
 
 
 def test_readme_python_examples_run():

@@ -309,6 +309,26 @@ def test_timed_gbm_scan_imports_nothing():
     assert not loaded_after(run, "scipy")
 
 
+
+def test_timed_validate_phi_imports_nothing():
+    # without --config validate-phi checks every builtin model, and building
+    # bessel0 and logdiff loads scipy.special; the models are built before
+    # the timer starts, so the report's wall_seconds times the check alone
+    run = (
+        "import sys\n"
+        "from volbound import cli\n"
+        "help_, command = cli._COMMANDS['validate-phi']\n"
+        "def timed(models, doc):\n"
+        "    before = set(sys.modules)\n"
+        "    out = command(models, doc)\n"
+        "    assert set(sys.modules) == before, sorted(set(sys.modules) - before)\n"
+        "    return out\n"
+        "cli._COMMANDS['validate-phi'] = (help_, timed)\n"
+        "assert cli.main(['validate-phi', '--out', '/dev/null']) == 0"
+    )
+    assert loaded_after(run, "scipy.special")
+
+
 @pytest.mark.parametrize("command", ["price", "implied-vol"])
 @pytest.mark.parametrize("model, z0", [("gbm", 1.0), ("bessel0", 1.0), ("logdiff", 0.5)])
 def test_pricing_commands_leave_scipy_integrate_out(command, model, z0, tmp_path):
