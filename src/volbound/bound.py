@@ -607,13 +607,18 @@ def _lhs_exact(scn, qp, times, k_max, t):
     # Q >= 0, floored as on the paths
     nq = float(n1 * np.maximum(qp.value(x_t), 0.0))
 
+    # every maturity's G in one tail call per side, a row each: each row is
+    # its own reduction, so the rows do not change one another
+    live = [(t_k, c_k) for t_k, c_k in zip(times, qp.coeffs) if c_k != 0.0]
+    s0 = np.full(len(live), scn.s0)
+    v_t = np.array([_variance_clock(proc, t, t_k) for t_k, _ in live])
+    gt = _g_tail(model, s0, v_t, k_max)
+    g0 = _g_batch(
+        model, np.full(len(live), scn.sigma0), s0, 0.0, np.array([t_k for t_k, _ in live]), k_max
+    )
     g_corr = 0.0
-    for t_k, c_k in zip(times, qp.coeffs):
-        if c_k == 0.0:
-            continue
-        gt = _g_tail(model, np.array([scn.s0]), np.array([_variance_clock(proc, t, t_k)]), k_max)
-        g0 = _g_batch(model, np.array([scn.sigma0]), np.array([scn.s0]), 0.0, t_k, k_max)
-        g_corr = g_corr + c_k * (float(g0[0]) - float(gt[0]))
+    for (_, c_k), g0_k, gt_k in zip(live, g0, gt):
+        g_corr = g_corr + c_k * (float(g0_k) - float(gt_k))
     return nq, g_corr
 
 

@@ -19,7 +19,6 @@ import dataclasses
 import itertools
 import sys
 import time
-from importlib import metadata
 from pathlib import Path
 
 import numpy as np
@@ -413,7 +412,7 @@ def _run(args) -> int:
     subject = rc
     if args.command == "validate-phi":
         # the models are built before the timer starts, as resolve builds a
-        # configured one: building bessel0 or logdiff loads scipy.special
+        # configured one
         subject = (rc.model,) if rc is not None else tuple(map(builtin_model, BUILTIN_MODELS))
     workers = worker_count()
     started = time.perf_counter()
@@ -429,9 +428,6 @@ def _run(args) -> int:
         "workers": workers,
         "python": ".".join(map(str, sys.version_info[:3])),
         "numpy": np.__version__,
-        # read from the installed metadata: importing scipy itself only for
-        # its version would cost start-up
-        "scipy": metadata.version("scipy"),
     }
 
     if args.format == "csv":

@@ -17,12 +17,14 @@ from dataclasses import dataclass, replace
 from typing import Callable, ClassVar
 
 import numpy as np
-# numpy loads numpy.random lazily on first use, which would land inside a
-# timed computation; load it with the module instead
+# numpy loads numpy.random and numpy.polynomial (the laws' Gauss-Legendre
+# rules) lazily on first use, which would land inside a timed computation;
+# load them with the module instead
+import numpy.polynomial.legendre  # noqa: F401
 import numpy.random  # noqa: F401
 
 from .errors import ConfigurationError, DomainError
-from .special_functions import bessel_k, bessel_kernels, norm_pdf
+from .special_functions import bessel_i1e, bessel_k, norm_pdf
 
 __all__ = [
     "StateDiffusion",
@@ -276,9 +278,8 @@ class SquaredBesselLaw(TransitionLaw):
     (2/v) sqrt(s/y) exp(-2(s+y)/v) I1(4 sqrt(sy)/v). In r = sqrt(y) that
     density is (4/v) sqrt(s) i1e(4 sqrt(s) r/v) exp(-2(sqrt(s)-r)^2/v),
     a bump of standard deviation sqrt(v)/2 around sqrt(s). i1e(x) is
-    scipy.special's e^{-x} I1(x) for real x (special_functions.bessel_kernels),
-    a Chebyshev series (Cephes) several times cheaper per element than the
-    complex-argument ive(1, x).
+    e^{-x} I1(x) for real x >= 0 (special_functions.bessel_i1e), a Chebyshev
+    series either side of x = 8.
 
     sample draws Z_T by that Poisson mixture of Gammas (Glasserman 2004,
     section 3.4); tail_rule and expect integrate in r.
@@ -297,8 +298,7 @@ class SquaredBesselLaw(TransitionLaw):
     @staticmethod
     def _density(a, r, v):
         """Density of r = sqrt(Z_T) at r given sqrt(s) = a, off the atom."""
-        i1e = bessel_kernels().i1e
-        return (4.0 / v) * a * i1e(4.0 * a * r / v) * np.exp(-2.0 * np.square(a - r) / v)
+        return (4.0 / v) * a * bessel_i1e(4.0 * a * r / v) * np.exp(-2.0 * np.square(a - r) / v)
 
     def tail_rule(self, s, v, k):
         a = np.sqrt(s)
@@ -464,10 +464,22 @@ def _bessel0_term(fill, f):
         out = np.full_like(z, fill)
         pos = z > 0.0
         if np.any(pos):
-            out[pos] = f(2.0 * np.sqrt(2.0 * z[pos]), z, pos)
+            # u in place: a path vector less at the peak of the martingale check
+            u = z[pos]
+            np.multiply(u, 2.0, u)
+            np.sqrt(u, u)
+            np.multiply(u, 2.0, u)
+            out[pos] = f(u, z, pos)
         return float(out) if out.ndim == 0 else out
 
     return term
+
+
+def _bessel0_phi(u, z, pos):
+    """bessel0's phi, u K1(u), with K1's output taking the product."""
+    out = bessel_k(1, u)
+    out *= u
+    return out
 
 
 def _logdiff_term(f):
@@ -495,9 +507,6 @@ def builtin_model(name: str, z0: float | None = None) -> ReferenceModel:
     logdiff: beta(z) = z sqrt(-2 ln z) on (0, 1), phi(z) = -ln z; paths absorb
              at both endpoints, and phi vanishes at 1 (positivity holds only in
              the open interval).
-
-    bessel0 and logdiff load scipy's Bessel kernels here, while the model is
-    built, so that no run pays for the import inside its timed computation.
     """
     if name == "gbm":
         return ReferenceModel(
@@ -512,8 +521,6 @@ def builtin_model(name: str, z0: float | None = None) -> ReferenceModel:
             z0=1.0 if z0 is None else float(z0),
             law=LognormalLaw(),
         )
-    if name in ("bessel0", "logdiff"):
-        bessel_kernels()
     if name == "bessel0":
         return ReferenceModel(
             name="bessel0",
@@ -523,7 +530,7 @@ def builtin_model(name: str, z0: float | None = None) -> ReferenceModel:
                 math.inf,
             ),
             phi=PhiFunction(
-                _bessel0_term(1.0, lambda u, z, pos: u * bessel_k(1, u)),
+                _bessel0_term(1.0, _bessel0_phi),
                 _bessel0_term(-np.inf, lambda u, z, pos: -4.0 * bessel_k(0, u)),
                 _bessel0_term(
                     np.inf, lambda u, z, pos: 4.0 * math.sqrt(2.0) * bessel_k(1, u) / np.sqrt(z[pos])

@@ -982,11 +982,12 @@ class TestBoundCheck:
         assert a.lhs == 0.0
 
     @pytest.mark.parametrize("model,strikes", LEFT_SIDE_MODELS, ids=["gbm", "bessel0", "logdiff"])
-    def test_exact_left_side_costs_one_tail_row_per_call(self, model, strikes, monkeypatch):
+    def test_exact_left_side_costs_one_tail_row_per_maturity(self, model, strikes, monkeypatch):
         # the per-path tail quadrature is the cost the exact route removes:
-        # under a theta that does not move every tail term has one row and
-        # nothing is simulated but the one joint_simulate step; a moving
-        # theta still integrates the tail on every path
+        # under a theta that does not move each side's tail terms take one
+        # call with a row per maturity, and nothing is simulated but the one
+        # joint_simulate step; a moving theta still integrates the tail on
+        # every path
         rows = {"batch": [], "tail": []}
         g_batch, g_tail = bound_module._g_batch, bound_module._g_tail
 
@@ -1009,7 +1010,7 @@ class TestBoundCheck:
         for scn in (self_consistent_scenario(model, 0.5), step_vol_scenario(model, 0.5, 0.25, 0.3)):
             check_bound(scn, MATS, strikes, W1, 0.5, cfg)
         assert rows["batch"] and rows["tail"]
-        assert set(rows["batch"]) == set(rows["tail"]) == {1}
+        assert set(rows["batch"]) == set(rows["tail"]) == {len(MATS.times)}
         if model is BESSEL:
             check_bound(meanrev_vol_scenario(model, 0.5, 2.0, 0.8, 0.4), MATS, strikes, W1, 0.5, cfg)
             assert 20000 in rows["batch"] and 20000 in rows["tail"]

@@ -1,6 +1,7 @@
 """Design guards: structural rules the source tree must keep."""
 
 import ast
+import json
 import os
 import re
 import subprocess
@@ -8,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import canonical_json
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "volbound"
 
@@ -37,8 +40,9 @@ def parsed_sources(src: Path):
 
 
 def test_bessel_density_takes_the_real_argument_kernel():
-    # scipy.special.i1e is e^-x I1(x) for real x at a fraction of the cost of
-    # the complex-argument ive(1, x); the density's argument is never negative
+    # the density's argument is never negative, so special_functions'
+    # bessel_i1e, e^-x I1(x) for real x >= 0, serves it: no kernel of
+    # complex argument such as scipy.special's ive(1, x) comes back
     uses = [
         f"{name}:{node.lineno}"
         for name, tree in parsed_sources(SRC)
@@ -238,9 +242,8 @@ def test_no_numeric_eigenfunction_construction():
     assert sites(ode_or_infeasible) == set()
 
 
-def loaded_after(code: str, module: str) -> bool:
-    """Whether module is imported once code has run in a fresh child."""
-    code += f"\nimport sys; print({module!r} in sys.modules)"
+def run_child(code: str) -> str:
+    """Run code in a fresh child and return what it prints."""
     child = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -248,12 +251,17 @@ def loaded_after(code: str, module: str) -> bool:
         env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
     )
     assert child.returncode == 0, child.stderr
-    return child.stdout.strip().splitlines()[-1] == "True"
+    return child.stdout
+
+
+def loaded_after(code: str, module: str) -> bool:
+    """Whether module is imported once code has run in a fresh child."""
+    out = run_child(code + f"\nimport sys; print({module!r} in sys.modules)")
+    return out.strip().splitlines()[-1] == "True"
 
 
 def test_cli_start_up_leaves_scipy_out():
-    # importing the CLI pays for no part of scipy: gbm needs none of it,
-    # and the Bessel models load their kernels when they are built
+    # importing the CLI pays for no part of scipy: no model needs any of it
     assert not loaded_after("import volbound.cli", "scipy")
 
 
@@ -262,31 +270,66 @@ GBM_RUN = (
     "theta: {jump_time: 0.75, jump_size: 0.1}\nmaturities: [1.0, 2.0, 3.0]\n"
     "strikes: [0.0, 0.5, 1.0, 1.5, 2.0]\neval_time: 0.5\n"
     "simulation: {paths: 2000, dt: 0.01, seed: 1}\n"
-    "pricing: {maturity: 1.0, strike: 1.0}\n"
+    "pricing: {maturity: 1.0, strike: 1.0, price: 0.1}\n"
     "scan: {axes: [{key: theta.jump_size, values: [0.0, 0.1]}]}\n"
+    "densify: {grid_sizes: [4, 8]}\nmartingale: {times: [0.25, 0.5]}\n"
 )
 
 
-@pytest.mark.parametrize("command", ["price", "check-bound", "scan"])
-def test_gbm_runs_leave_scipy_out(command, tmp_path):
-    # gbm's special function is the normal distribution function, which
-    # the standard library's erfc computes
-    cfg = tmp_path / "gbm.yaml"
-    cfg.write_text(GBM_RUN)
-    run = f"from volbound.cli import main\nassert main([{command!r}, '--config', {str(cfg)!r}]) in (0, 1)"
-    assert not loaded_after(run, "scipy")
-
-
-@pytest.mark.parametrize("model, z0", [("gbm", 1.0), ("bessel0", 1.0), ("logdiff", 0.5)])
-def test_bessel_models_load_scipy_special_when_resolved(model, z0):
-    # building a Bessel model imports its kernels, so the import is paid
-    # in config resolution, before the command's timer starts
-    run = (
-        "from volbound.config import resolve\n"
-        f"resolve({{'model': {model!r}, 'z0': {z0}, 'sigma': 0.5, "
-        "'maturities': [1.0, 2.0, 3.0], 'strikes': [0.0, 0.5]})"
+def bessel_run(model: str, z0: float) -> str:
+    """A config on which every command runs on a Bessel model, small."""
+    return (
+        f"model: {model}\nz0: {z0}\nsigma: 0.5\nmaturities: [1.0, 2.0, 3.0]\n"
+        "strikes: [0.0, 0.25, 0.5, 0.9]\neval_time: 0.5\n"
+        "simulation: {paths: 400, dt: 0.01, seed: 1}\n"
+        f"pricing: {{maturity: 1.0, strike: {z0}, price: {0.1 * z0}}}\n"
+        "scan: {axes: [{key: sigma, values: [0.4, 0.5]}]}\n"
+        "densify: {grid_sizes: [4, 8]}\nmartingale: {times: [0.25, 0.5]}\n"
     )
-    assert loaded_after(run, "scipy.special") == (model != "gbm")
+
+
+RUNS = {"gbm": GBM_RUN, "bessel0": bessel_run("bessel0", 1.0), "logdiff": bessel_run("logdiff", 0.5)}
+COMMANDS = ("validate-phi", "price", "implied-vol", "check-bound", "scan", "densify", "martingale-check")
+
+
+def run_every_command(model: str, tmp_path) -> str:
+    """Child code that runs every command on model's config, each report to
+    tmp_path/<command>.json."""
+    cfg = tmp_path / f"{model}.yaml"
+    cfg.write_text(RUNS[model])
+    return (
+        "from volbound.cli import main\n"
+        f"for command in {COMMANDS!r}:\n"
+        f"    out = {str(tmp_path)!r} + '/' + command + '.json'\n"
+        f"    argv = [command, '--config', {str(cfg)!r}, '--out', out]\n"
+        "    assert main(argv) in (0, 1), command\n"
+    )
+
+
+@pytest.mark.parametrize("model", ["gbm", "bessel0", "logdiff"])
+def test_runs_leave_scipy_out(model, tmp_path):
+    # gbm's special function is the normal distribution function, which the
+    # standard library's erfc computes, and the Bessel models' K0, K1 and
+    # scaled I1 are the package's own Chebyshev series
+    assert not loaded_after(run_every_command(model, tmp_path), "scipy")
+
+
+@pytest.mark.parametrize("model", ["bessel0", "logdiff"])
+def test_bessel_runs_need_no_scipy(model, tmp_path, capsys):
+    # with scipy made unimportable, every command writes the body a normal
+    # run writes, byte for byte
+    blocked, normal = tmp_path / "blocked", tmp_path / "normal"
+    blocked.mkdir()
+    normal.mkdir()
+    # an import of scipy or of any of its modules raises in the child
+    run_child("import sys\nsys.modules['scipy'] = None\n" + run_every_command(model, blocked))
+    exec(run_every_command(model, normal), {})
+    capsys.readouterr()
+    for command in COMMANDS:
+        bodies = [
+            canonical_json(json.loads((d / f"{command}.json").read_text())) for d in (blocked, normal)
+        ]
+        assert bodies[0] == bodies[1], command
 
 
 def test_timed_gbm_scan_imports_nothing():
@@ -311,9 +354,9 @@ def test_timed_gbm_scan_imports_nothing():
 
 
 def test_timed_validate_phi_imports_nothing():
-    # without --config validate-phi checks every builtin model, and building
-    # bessel0 and logdiff loads scipy.special; the models are built before
-    # the timer starts, so the report's wall_seconds times the check alone
+    # without --config validate-phi checks every builtin model; the models
+    # are built before the timer starts, so the report's wall_seconds times
+    # the check alone, and no model loads scipy
     run = (
         "import sys\n"
         "from volbound import cli\n"
@@ -326,7 +369,7 @@ def test_timed_validate_phi_imports_nothing():
         "cli._COMMANDS['validate-phi'] = (help_, timed)\n"
         "assert cli.main(['validate-phi', '--out', '/dev/null']) == 0"
     )
-    assert loaded_after(run, "scipy.special")
+    assert not loaded_after(run, "scipy")
 
 
 @pytest.mark.parametrize("command", ["price", "implied-vol"])

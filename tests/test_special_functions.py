@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy.special import ndtr
 
-from volbound.special_functions import bessel_k, norm_cdf, norm_pdf
+from volbound import special_functions
+from volbound.special_functions import bessel_i1e, bessel_k, norm_cdf, norm_pdf
 
 from conftest import bessel_k_oracle, norm_cdf_oracle
 
@@ -194,3 +196,150 @@ class TestBesselK:
         assert bessel_k(0, lo) > bessel_k(0, hi)
         assert bessel_k(1, lo) > bessel_k(1, hi)
 
+
+
+# mpmath at 40 digits (besselk, besseli, exp), rounded to the nearest double,
+# either side of each split (the doubles next to 2 and 8), at the ends of the
+# range and in between
+MPMATH_K = {
+    0: {
+        1e-300: 690.8914594138721, 1e-06: 13.93144207362642, 1.0: 0.42102443824070834,
+        1.9999999999999998: 0.11389387274953347, 2.0: 0.11389387274953344,
+        2.0000000000000004: 0.11389387274953337, 5.0: 0.0036910983340425942,
+        700.0: 4.669776431685377e-306,
+    },
+    1: {
+        1e-300: 9.999999999999999e299, 1e-06: 999999.9999927843, 1.0: 0.6019072301972346,
+        1.9999999999999998: 0.13986588181652246, 2.0: 0.13986588181652243,
+        2.0000000000000004: 0.13986588181652235, 5.0: 0.004044613445452165,
+        700.0: 4.6731107967079664e-306,
+    },
+}
+MPMATH_I1E = {
+    0.0: 0.0, 1e-300: 5e-301, 1e-06: 4.999995000003125e-07, 2.0: 0.21526928924893765,
+    7.999999999999999: 0.13414249329269817, 8.0: 0.13414249329269817,
+    8.000000000000002: 0.13414249329269817, 30.0: 0.07191633059864755,
+    700.0: 0.015070519444716848, 1e15: 1.2615662610100795e-08,
+}
+#: worst relative distance from scipy.special on the sweep below: 1.8e-15
+#: for k0 (at x = 0.99, where scipy is 1.2e-15 from mpmath and bessel_k
+#: 1.1e-15), 1.4e-15 for i1e (at x = 7.6) and 1.0e-15 for k1
+SCIPY_SWEEP_REL = 2.5e-15
+
+
+class TestBesselKernels:
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_k_matches_mpmath_at_the_split_and_the_ends(self, order):
+        xs = np.array(list(MPMATH_K[order]))
+        want = np.array(list(MPMATH_K[order].values()))
+        assert np.all(np.abs(bessel_k(order, xs) / want - 1.0) <= 1e-15)
+
+    def test_i1e_matches_mpmath_at_the_split_and_the_ends(self):
+        xs = np.array(list(MPMATH_I1E))
+        want = np.array(list(MPMATH_I1E.values()))
+        got = bessel_i1e(xs)
+        assert got[0] == 0.0
+        assert np.all(np.abs(got[1:] / want[1:] - 1.0) <= 1.5e-15)
+
+    def test_i1e_ends(self):
+        assert bessel_i1e(0.0) == 0.0
+        assert bessel_i1e(math.inf) == 0.0
+        assert math.isnan(bessel_i1e(math.nan))
+
+    def test_dense_sweep_matches_scipy(self):
+        # scipy.special's compiled Cephes kernels, a test-only oracle
+        x = np.geomspace(1e-6, 700.0, 200_001)
+        for ours, theirs in ((lambda v: bessel_k(0, v), special.k0),
+                             (lambda v: bessel_k(1, v), special.k1),
+                             (bessel_i1e, special.i1e)):
+            assert np.max(np.abs(ours(x) / theirs(x) - 1.0)) <= SCIPY_SWEEP_REL
+        x = np.geomspace(700.0, 1e15, 10_001)
+        assert np.max(np.abs(bessel_i1e(x) / special.i1e(x) - 1.0)) <= SCIPY_SWEEP_REL
+
+    def test_a_cell_does_not_depend_on_its_neighbours(self):
+        # each cell takes its own branch's arithmetic, whichever branch holds
+        # most of its chunk and however many cells share the call
+        rng = np.random.default_rng(8)
+        x = np.concatenate([rng.uniform(0.01, 2.0, 300), rng.uniform(2.0, 40.0, 100)])
+        for f in (lambda v: bessel_k(0, v), lambda v: bessel_k(1, v), bessel_i1e):
+            whole = f(x)
+            assert np.array_equal(whole, f(x[::-1])[::-1])
+            assert np.array_equal(whole[-100:], f(x[-100:]))
+            assert np.array_equal(whole[:3], [f(v) for v in x[:3]])
+            assert np.array_equal(whole, f(x.reshape(20, 20)).ravel())
+
+    @pytest.mark.parametrize("f,lo,hi", [(lambda v: bessel_k(1, v), 1.0, 3.0),
+                                         (bessel_i1e, 4.0, 12.0)])
+    def test_memory_is_the_output_plus_fixed_chunk_scratch(self, f, lo, hi):
+        # Clenshaw runs in place over chunks: beyond its output a call holds
+        # three chunk-sized scratch vectors, the chunk's mask and the indices
+        # of its minority branch, here half the chunk (4.15 chunks measured)
+        x = np.random.default_rng(9).uniform(lo, hi, 1_000_000)
+        f(x[:10])
+        tracemalloc.start()
+        try:
+            f(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        chunk = 8 * special_functions._CHUNK
+        assert peak <= x.nbytes + 5 * chunk
+
+
+# The recipe the tables in special_functions were made by: f at the Chebyshev
+# nodes of [-1, 1], a discrete cosine transform at 40 digits, each
+# coefficient rounded to the nearest double.
+CHEBYSHEV_NODES = 64
+#: name -> (x as a function of t, the function of x the table sums)
+TABLES = {
+    "_K0_LARGE": (lambda t: 4 / (t + 1), lambda mp, x: mp.exp(x) * mp.sqrt(x) * mp.besselk(0, x)),
+    "_K1_LARGE": (lambda t: 4 / (t + 1), lambda mp, x: mp.exp(x) * mp.sqrt(x) * mp.besselk(1, x)),
+    "_K0_SMALL": (lambda t: (2 * (t + 1)) ** 0.5,
+                  lambda mp, x: mp.besselk(0, x) + mp.log(x / 2) * mp.besseli(0, x)),
+    "_K1_SMALL": (lambda t: (2 * (t + 1)) ** 0.5,
+                  lambda mp, x: x * mp.besselk(1, x) - x * mp.log(x / 2) * mp.besseli(1, x)),
+    "_I1E_LARGE": (lambda t: 16 / (t + 1), lambda mp, x: mp.sqrt(x) * mp.exp(-x) * mp.besseli(1, x)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_chebyshev_tables_follow_their_recipe(name):
+    mp = pytest.importorskip("mpmath")
+    x_of_t, f = TABLES[name]
+    with mp.workdps(40):
+        angles = [mp.pi * (j + mp.mpf(0.5)) / CHEBYSHEV_NODES for j in range(CHEBYSHEV_NODES)]
+        values = [f(mp, x_of_t(mp.cos(a))) for a in angles]
+        coeffs = [
+            (2 - (k == 0)) * mp.fsum(v * mp.cos(k * a) for v, a in zip(values, angles))
+            / CHEBYSHEV_NODES
+            for k in range(40)
+        ]
+        frozen = [float(c) for c in getattr(special_functions, name).terms]
+        n = len(frozen)
+        assert frozen == [float(c) for c in coeffs[:n]]
+        # the cut: what the table drops is below 1e-17 of the smallest value
+        # on the nodes of the function it serves: K0 and x K1 for the tables
+        # below x = 2 (their own sums cross zero), the summed one otherwise
+        served = values
+        if name == "_K0_SMALL":
+            served = [mp.besselk(0, x_of_t(mp.cos(a))) for a in angles]
+        elif name == "_K1_SMALL":
+            served = [x_of_t(mp.cos(a)) * mp.besselk(1, x_of_t(mp.cos(a))) for a in angles]
+        assert mp.fsum(abs(c) for c in coeffs[n:]) < 1e-17 * min(abs(v) for v in served)
+
+
+@pytest.mark.parametrize("name,order,n,x_max", [
+    ("_I0_SERIES", 0, 12, 2.0), ("_I1_SERIES", 1, 12, 2.0), ("_I1_SERIES", 1, 22, 8.0),
+])
+def test_power_series_are_cut_below_1e17_of_their_sum(name, order, n, x_max):
+    # I0 and I1(x)/x in y = x^2/4: every term is positive, and on x <= x_max
+    # the terms left out sum to below 1e-17 of the sum (the rest is largest
+    # against the sum at x_max)
+    mp = pytest.importorskip("mpmath")
+    terms = getattr(special_functions, name)[:n]
+    with mp.workdps(40):
+        want = [1 / (mp.factorial(k) * mp.factorial(k + order) * 2**order) for k in range(60)]
+        assert [float(a) for a in terms] == [float(w) for w in want[:n]]
+        y = mp.mpf(x_max) ** 2 / 4
+        rest = mp.fsum(w * y**k for k, w in enumerate(want) if k >= n)
+        assert rest < 1e-17 * mp.fsum(w * y**k for k, w in enumerate(want[:n]))
