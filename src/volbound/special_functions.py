@@ -74,15 +74,13 @@ def norm_cdf(x):
 #   e^{-x} x times I1/x's power series.
 
 
-class _Chebyshev:
-    """A Chebyshev series' coefficients, one 0-d array each: numpy takes a
-    0-d array operand in a pass faster than a float."""
-
-    def __init__(self, *coeffs):
-        self.terms = tuple(np.array(c) for c in coeffs)
+def _terms(*coeffs):
+    """A series' coefficients as 0-d arrays, which numpy takes as an operand
+    of a pass faster than floats."""
+    return tuple(np.array(c) for c in coeffs)
 
 
-_K0_LARGE = _Chebyshev(
+_K0_LARGE = _terms(
     1.2201515410329777, -0.0314481013119645, 0.0015698838857300533,
     -0.00012849549581627802, 1.39498137188765e-05, -1.8317555227191195e-06,
     2.766813639445015e-07, -4.660489897687948e-08, 8.574034017414225e-09,
@@ -92,7 +90,7 @@ _K0_LARGE = _Chebyshev(
     6.340076476276646e-15, -1.848593377920907e-15, 5.5120559994043335e-16,
     -1.6782311257549006e-16, 5.2103917776435543e-17, -1.6475805939842632e-17,
 )
-_K1_LARGE = _Chebyshev(
+_K1_LARGE = _terms(
     1.3603130952422213, 0.10392373657681724, -0.002857816859622779,
     0.00019521551847135162, -1.936197974166083e-05, 2.406484947837217e-06,
     -3.5019606030878126e-07, 5.7410841254500495e-08, -1.0345762465678097e-08,
@@ -102,18 +100,18 @@ _K1_LARGE = _Chebyshev(
     -7.0198370892147685e-15, 2.038703166239861e-15, -6.057047270643018e-16,
     1.8380935752430455e-16, -5.689462849193648e-17, 1.7940510478863572e-17,
 )
-_K0_SMALL = _Chebyshev(
+_K0_SMALL = _terms(
     -0.2676636966169514, 0.3442898999246285, 0.0359799365153615, 0.001264615411446926,
     2.286212103119452e-05, 2.5347910790261494e-07, 1.904516377220209e-09,
     1.0349695257633625e-11, 4.2598161427910826e-14, 1.3744654358807508e-16,
 )
-_K1_SMALL = _Chebyshev(
+_K1_SMALL = _terms(
     0.7626501136694739, -0.3531559607765449, -0.12261118082265715,
     -0.006975723859639864, -0.0001730288957513052, -2.4334061415659684e-06,
     -2.213387630734726e-08, -1.4114883926335278e-10, -6.666901694199329e-13,
     -2.427449850519366e-15, -7.023863479386288e-18,
 )
-_I1E_LARGE = _Chebyshev(
+_I1E_LARGE = _terms(
     0.38928811750914005, -0.009761097491361469, -0.00011058893876262371,
     -3.882564808877691e-06, -2.512236237870209e-07, -2.6314688468895196e-08,
     -3.835380385964237e-09, -5.589743462196584e-10, -1.8974958123505413e-11,
@@ -131,8 +129,8 @@ _I1E_LARGE = _Chebyshev(
 #: Cut where the rest is below 1e-17 of the sum: I0 after 12 terms on
 #: x <= 2, I1/x after 12 on x <= 2 (K1) and after 22 on x <= 8 (e^{-x} I1)
 #: (int / int, which Python rounds correctly)
-_I0_SERIES = tuple(np.array(1 / math.factorial(k) ** 2) for k in range(12))
-_I1_SERIES = tuple(np.array(1 / (2 * math.factorial(k) * math.factorial(k + 1))) for k in range(22))
+_I0_SERIES = _terms(*(1 / math.factorial(k) ** 2 for k in range(12)))
+_I1_SERIES = _terms(*(1 / (2 * math.factorial(k) * math.factorial(k + 1)) for k in range(22)))
 
 #: cells per pass. A chunk makes a hundred-odd numpy calls, and two workers
 #: summing tail-term blocks hand the GIL to each other at each one: on the
@@ -143,8 +141,8 @@ _CHUNK = 65536
 _HALF = np.array(0.5)
 
 
-def _clenshaw(table, t2, out, b1, b2):
-    """sum_k c_k T_k(t) into out, for t2 = 2t; b1 and b2 are scratch of
+def _clenshaw(c, t2, out, b1, b2):
+    """sum_k c[k] T_k(t) into out, for t2 = 2t; b1 and b2 are scratch of
     out's shape.
 
     b_k = c_k + 2t b_{k+1} - b_{k+2} runs from the top, and the sum is
@@ -152,7 +150,6 @@ def _clenshaw(table, t2, out, b1, b2):
     a cell whatever else shares the call. The three buffers take b_k in
     turn, started so that the last write lands in out.
     """
-    c = table.terms
     n = len(c)
     bufs = [b1, b2]
     bufs.insert((n - 2) % 3, out)
@@ -172,13 +169,13 @@ def _clenshaw(table, t2, out, b1, b2):
     return np.add(out, c[0], out)
 
 
-def _horner(coeffs, y, out):
-    """sum_k a_k y^k into out: two numpy passes per term."""
-    np.multiply(y, coeffs[-1], out)
-    np.add(out, coeffs[-2], out)
-    for a in coeffs[-3::-1]:
+def _horner(a, y, out):
+    """sum_k a[k] y^k into out: two numpy passes per term."""
+    np.multiply(y, a[-1], out)
+    np.add(out, a[-2], out)
+    for a_k in a[-3::-1]:
         np.multiply(out, y, out)
-        np.add(out, a, out)
+        np.add(out, a_k, out)
     return out
 
 

@@ -273,7 +273,7 @@ class TestBesselKernels:
     def test_memory_is_the_output_plus_fixed_chunk_scratch(self, f, lo, hi):
         # Clenshaw runs in place over chunks: beyond its output a call holds
         # three chunk-sized scratch vectors, the chunk's mask and the indices
-        # of its minority branch, here half the chunk (4.15 chunks measured)
+        # of its minority branch, here half the chunk (4.1 chunks measured)
         x = np.random.default_rng(9).uniform(lo, hi, 1_000_000)
         f(x[:10])
         tracemalloc.start()
@@ -314,7 +314,7 @@ def test_chebyshev_tables_follow_their_recipe(name):
             / CHEBYSHEV_NODES
             for k in range(40)
         ]
-        frozen = [float(c) for c in getattr(special_functions, name).terms]
+        frozen = [float(c) for c in getattr(special_functions, name)]
         n = len(frozen)
         assert frozen == [float(c) for c in coeffs[:n]]
         # the cut: what the table drops is below 1e-17 of the smallest value
