@@ -278,8 +278,7 @@ class SquaredBesselLaw(TransitionLaw):
     (2/v) sqrt(s/y) exp(-2(s+y)/v) I1(4 sqrt(sy)/v). In r = sqrt(y) that
     density is (4/v) sqrt(s) i1e(4 sqrt(s) r/v) exp(-2(sqrt(s)-r)^2/v),
     a bump of standard deviation sqrt(v)/2 around sqrt(s). i1e(x) is
-    e^{-x} I1(x) for real x >= 0 (special_functions.bessel_i1e), a Chebyshev
-    series either side of x = 8.
+    e^{-x} I1(x) for real x >= 0 (special_functions.bessel_i1e).
 
     sample draws Z_T by that Poisson mixture of Gammas (Glasserman 2004,
     section 3.4); tail_rule and expect integrate in r.
