@@ -127,8 +127,8 @@ _I1E_LARGE = _terms(
 #: y = x^2/4 (Abramowitz & Stegun 9.6.10): positive terms, which Horner's
 #: rule sums to a few ulps with one scratch vector fewer than Clenshaw.
 #: Cut where the rest is below 1e-17 of the sum: I0 after 12 terms on
-#: x <= 2, I1/x after 12 on x <= 2 (K1) and after 22 on x <= 8 (e^{-x} I1)
-#: (int / int, which Python rounds correctly)
+#: x <= 2, I1/x after 12 on x <= 2 (K1) and after 22 on x <= 8 (e^{-x} I1).
+#: Each coefficient is an int over an int, which Python rounds correctly.
 _I0_SERIES = _terms(*(1 / math.factorial(k) ** 2 for k in range(12)))
 _I1_SERIES = _terms(*(1 / (2 * math.factorial(k) * math.factorial(k + 1)) for k in range(22)))
 

@@ -310,7 +310,7 @@ def run_every_command(model: str, tmp_path) -> str:
 def test_runs_leave_scipy_out(model, tmp_path):
     # gbm's special function is the normal distribution function, which the
     # standard library's erfc computes, and the Bessel models' K0, K1 and
-    # scaled I1 are the package's own Chebyshev series
+    # scaled I1 are the package's own series
     assert not loaded_after(run_every_command(model, tmp_path), "scipy")
 
 
