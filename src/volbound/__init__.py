@@ -20,7 +20,6 @@ __all__ = [
     "verify_phi",
     "MaturityGrid",
     "StrikeGrid",
-    "WeightVector",
     "Scenario",
     "self_consistent_scenario",
     "step_vol_scenario",
@@ -36,7 +35,6 @@ from .bound import (  # noqa: E402
     MaturityGrid,
     Scenario,
     StrikeGrid,
-    WeightVector,
     build_q,
     check_bound,
     densification_study,

@@ -51,7 +51,6 @@ from .pricing import _bs_call_core  # not called here: the benchmark's tracer lo
 __all__ = [
     "MaturityGrid",
     "StrikeGrid",
-    "WeightVector",
     "QPolynomial",
     "Scenario",
     "BoundReport",
@@ -89,7 +88,7 @@ def _band_sample(n: int) -> np.ndarray:
     return np.linspace(0, n - 1, min(n, L_SAMPLE_PATHS)).astype(int)
 
 
-# ===== grids, weights, and the convex power polynomial =====
+# ===== grids and the convex power polynomial =====
 
 
 @dataclass(frozen=True)
@@ -129,23 +128,6 @@ class StrikeGrid:
 
 
 @dataclass(frozen=True)
-class WeightVector:
-    """Free nonnegative weights attached to the third and later maturities."""
-
-    p: tuple
-
-    def __post_init__(self):
-        p = tuple(float(x) for x in self.p)
-        object.__setattr__(self, "p", p)
-        if not p:
-            raise DomainError("weight vector cannot be empty")
-        if any(x < 0.0 or not math.isfinite(x) for x in p):
-            raise DomainError(f"weights must be finite and nonnegative: {p}")
-        if not any(x > 0.0 for x in p):
-            raise DomainError("at least one weight must be strictly positive")
-
-
-@dataclass(frozen=True)
 class QPolynomial:
     """sum_k c_k x^{a_k} with a double root pinned at x0.
 
@@ -177,7 +159,7 @@ class QPolynomial:
         if not (self.x0 > 0.0 and math.isfinite(self.x0)):
             raise DomainError(f"pin point must be positive and finite, got {self.x0}")
         if not all(math.isfinite(c) for c in coeffs):
-            raise DomainError("coefficients are not finite; weights or maturities too extreme")
+            raise DomainError("coefficients are not finite; maturities or volatility too extreme")
 
     def _tail(self, x):
         """p2*x plus the free terms, accumulated in fixed order."""
@@ -227,26 +209,29 @@ def pin_point(sigma: float, i_12: float) -> float:
     return float(np.exp(s * s * np.float64(i_12)))
 
 
-def build_q(w: WeightVector, alphas, x0: float) -> QPolynomial:
-    """Pin the double root: the linear and constant coefficients are forced.
+def build_q(alphas, x0: float, j: int) -> QPolynomial:
+    """Q_j: the unit weight on the exponent alphas[j] (j >= 2, one free
+    maturity), with the double root pinned at x0 by the forced linear and
+    constant coefficients.
 
     The two leading coefficients are the negated slope and value of the
     other terms at x0, taken by the evaluators' own accumulations
     (QPolynomial._slope_tail, _tail), so they cancel exactly in floats; the
-    closing numerical check is then conservative.
+    closing numerical check is then conservative. They come out c0 >= 0 and
+    c1 <= 0, so both sides of the bound are linear in the free weights, and
+    the Q_j span every weight vector.
     """
     alphas = tuple(float(a) for a in alphas)
-    if len(alphas) < 3 or len(w.p) != len(alphas) - 2:
-        raise DomainError(
-            f"{len(w.p)} weights cannot dress {len(alphas)} exponents (need q-2)"
-        )
+    if len(alphas) < 3 or not 2 <= j < len(alphas):
+        raise DomainError(f"no free exponent {j} among {len(alphas)} (need 2 <= j < q)")
+    free = tuple(1.0 if k == j else 0.0 for k in range(2, len(alphas)))
     # a 0-d array, as the evaluators see x0 (numpy scalar pow can differ
     # from 0-d array pow in the last bit)
     x0a = np.asarray(x0, dtype=np.float64)
-    qp = QPolynomial(alphas=alphas, coeffs=(0.0, 0.0) + w.p, x0=float(x0))
+    qp = QPolynomial(alphas=alphas, coeffs=(0.0, 0.0) + free, x0=float(x0))
     p2 = float(-qp._slope_tail(x0a))
-    qp = replace(qp, coeffs=(0.0, p2) + w.p)
-    qp = replace(qp, coeffs=(float(-qp._tail(x0a)), p2) + w.p)
+    qp = replace(qp, coeffs=(0.0, p2) + free)
+    qp = replace(qp, coeffs=(float(-qp._tail(x0a)), p2) + free)
     scale = max(1.0, sum(abs(c) * x0**a for a, c in zip(alphas, qp.coeffs)))
     if abs(qp.value(x0)) > 1e-10 * scale or abs(qp.deriv1(x0)) > 1e-10 * scale:
         raise DivergenceError("double-root pinning failed its numerical check")
@@ -431,14 +416,20 @@ def rhs_bound(coeffs, strikes: StrikeGrid, phi: PhiFunction) -> float:
 class BoundReport:
     """Both sides of the universal bound for one scenario, with diagnostics.
 
+    per_weight has a row per free maturity T_j (j >= 3): maturity, lhs,
+    lhs_se, rhs, satisfied and the coefficients of Q_j, the unit weight on
+    T_j. satisfied holds when every row does, which by linearity in the
+    weights is the bound for every weight vector p >= 0. lhs, lhs_se, rhs,
+    the decomposition (nq_*, g_corr_*) and q are the sharpest row's: largest
+    lhs/rhs, the earliest maturity on a tie.
+
     lhs_route names how the left side was computed (check_bound): exactly
     from the law, with every se 0, or as the mean over the simulated paths.
     absorbed_fraction is the share of simulated paths absorbed by time t;
     absorbed_mass is the law's probability of the same where the law has an
     atom and theta does not move, else None. On the exact route these
     describe the simulation only; the left side does not read the paths.
-    steps is the number of steps each path took. q is the pinned
-    polynomial Q, whose coefficients give the right side.
+    steps is the number of steps each path took.
     """
 
     t: float
@@ -458,6 +449,7 @@ class BoundReport:
     absorbed_mass: float | None = None
     q: QPolynomial | None = None
     lhs_route: dict | None = None
+    per_weight: tuple = ()
 
     def __post_init__(self):
         if self.rhs < 0.0:
@@ -470,29 +462,30 @@ def check_bound(
     scn: Scenario,
     mats: MaturityGrid,
     strikes: StrikeGrid,
-    w: WeightVector,
     t: float,
     cfg: SimConfig,
 ) -> BoundReport:
-    """Evaluate both sides of the universal bound for a scenario at time t.
-
-    The left side is the mean of N * Q(X_t) + sum_k c_k (G0_k - Gt_k) over
-    the market's time-t state; the right side is exact arithmetic and
-    identical across scenarios sharing (weights, strikes, phi). satisfied
-    means lhs <= rhs + 3 se.
+    """Evaluate both sides of the universal bound for a scenario at time t,
+    a row per unit weight Q_j. A row's left side is the mean of N Q_j(X_t) +
+    sum_k c_k (G0_k - Gt_k) over the market's time-t state; its right side
+    is exact arithmetic and identical across scenarios sharing (maturities,
+    strikes, phi). A row is satisfied when lhs <= rhs + 3 se.
 
     Where theta does not move, S_t has the law at s0 and variance v_t, the
     integral of theta^2 up to t, so the left side is exact (_lhs_exact) and
     its se is 0. A moving theta takes the mean over the simulated paths
-    (_lhs_paths). Either way one step of joint_simulate over [0, t] gives
-    the absorbed fraction and, for a closed-form model, the band terms L;
-    the verdict reads neither.
+    (_lhs_paths). Either route takes each maturity's tail terms once for
+    all the rows. One step of joint_simulate over [0, t] gives the absorbed
+    fraction and, for a closed-form model, the band terms L; the verdict
+    reads neither.
     """
     model = scn.reference
     times = mats.times
     if not 0.0 <= t <= times[0]:
         raise DomainError(f"evaluation time {t} must lie in [0, {times[0]}]")
-    qp = build_q(w, compute_alphas(mats), pin_point(scn.sigma0, times[1] - times[0]))
+    alphas = compute_alphas(mats)
+    x0 = pin_point(scn.sigma0, times[1] - times[0])
+    qs = [build_q(alphas, x0, j) for j in range(2, mats.q)]
 
     grid = [0.0] if t == 0.0 else [0.0, t]
     joint = joint_simulate(scn, grid, cfg)
@@ -505,16 +498,22 @@ def check_bound(
         mass = float(mass_fn(scn.s0, _variance_clock(scn.theta_process, t, t)))
 
     if scn.theta_process.moves:
-        (nq_mean, nq_se), (gc_mean, gc_se), (lhs_raw, se) = _lhs_paths(
-            scn, qp, times, strikes.k_max, t, theta_t, s_t
-        )
+        parts = _lhs_paths(scn, qs, times, strikes.k_max, t, theta_t, s_t)
         route = {"route": "monte-carlo", "paths": n}
     else:
-        nq_mean, gc_mean = _lhs_exact(scn, qp, times, strikes.k_max, t)
-        nq_se = gc_se = se = 0.0
-        lhs_raw = nq_mean + gc_mean
+        parts = _lhs_exact(scn, qs, times, strikes.k_max, t)
         route = {"route": "exact", "phi_mean": semigroup_route(model)}
-    rhs, convention = _rhs_detail(qp.coeffs, strikes, model.phi)
+    rows = []
+    for t_j, qp, (_, _, (lhs_raw, se)) in zip(times[2:], qs, parts):
+        rhs, convention = _rhs_detail(qp.coeffs, strikes, model.phi)
+        lhs = abs(lhs_raw)
+        rows.append({"maturity": t_j, "lhs": lhs, "lhs_se": se, "rhs": rhs,
+                     "satisfied": lhs <= rhs + 3.0 * se, "coefficients": qp.coeffs})
+    # each rhs is sum_k |c_k| times one grid factor, so lhs / sum_k |c_k|
+    # orders the rows as lhs / rhs does, also where that factor is 0; max
+    # keeps the first of a tie
+    best = max(range(len(qs)), key=lambda i: rows[i]["lhs"] / sum(map(abs, qs[i].coeffs)))
+    (nq_mean, nq_se), (gc_mean, gc_se), _ = parts[best]
 
     l_diag = []
     if tail_route(model)["route"] == "closed-form":
@@ -529,13 +528,12 @@ def check_bound(
                  "n_sampled": int(lt.size)}
             )
 
-    lhs = abs(lhs_raw)
     return BoundReport(
         t=t,
-        lhs=lhs,
-        lhs_se=se,
-        rhs=rhs,
-        satisfied=lhs <= rhs + 3.0 * se,
+        lhs=rows[best]["lhs"],
+        lhs_se=rows[best]["lhs_se"],
+        rhs=rows[best]["rhs"],
+        satisfied=all(row["satisfied"] for row in rows),
         nq_mean=nq_mean,
         nq_se=nq_se,
         g_corr_mean=gc_mean,
@@ -546,14 +544,15 @@ def check_bound(
         steps=joint.steps,
         absorbed_fraction=float(np.mean(joint.absorbed_at <= t)),
         absorbed_mass=mass,
-        q=qp,
+        q=qs[best],
         lhs_route=route,
+        per_weight=tuple(rows),
     )
 
 
-def _lhs_paths(scn, qp, times, k_max, t, theta_t, s_t):
-    """(mean, se) of N Q(X_t), of the tail corrections and of their sum over
-    the paths' (theta_t, s_t)."""
+def _lhs_paths(scn, qs, times, k_max, t, theta_t, s_t):
+    """Per polynomial of qs, (mean, se) of N Q(X_t), of the tail corrections
+    and of their sum over the paths' (theta_t, s_t)."""
     model = scn.reference
     n = s_t.size
     with np.errstate(over="ignore", invalid="ignore"):
@@ -566,22 +565,27 @@ def _lhs_paths(scn, qp, times, k_max, t, theta_t, s_t):
             f"growth factor at t={t} is not finite on {bad.size} of {n} paths of model "
             f"{model.name!r}; first (theta_t, s_t): {pairs} on paths {bad[:5].tolist()}"
         )
-    # Q >= 0 holds exactly in real arithmetic; floats may dip an ulp below
-    # zero right next to the pinned root, so floor at zero
-    nq = n1 * np.maximum(qp.value(x_t), 0.0)
-
-    g_corr = np.zeros(n)
-    for t_k, c_k in zip(times, qp.coeffs):
-        if c_k == 0.0:
-            continue
+    # each maturity's G0_k - Gt_k on every path, taken once for all of qs
+    gaps = []
+    for t_k in times:
         gt = _g_batch(model, theta_t, s_t, t, t_k, k_max)
         g0 = _g_batch(model, np.array([scn.sigma0]), np.array([scn.s0]), 0.0, t_k, k_max)
-        g_corr = g_corr + c_k * (float(g0[0]) - gt)
-    return sample_mean(nq), sample_mean(g_corr), sample_mean(nq + g_corr)
+        gaps.append(float(g0[0]) - gt)
+    out = []
+    for qp in qs:
+        # Q >= 0 holds exactly in real arithmetic; floats may dip an ulp
+        # below zero right next to the pinned root, so floor at zero
+        nq = n1 * np.maximum(qp.value(x_t), 0.0)
+        g_corr = np.zeros(n)
+        for c_k, gap in zip(qp.coeffs, gaps):
+            if c_k != 0.0:
+                g_corr = g_corr + c_k * gap
+        out.append((sample_mean(nq), sample_mean(g_corr), sample_mean(nq + g_corr)))
+    return out
 
 
-def _lhs_exact(scn, qp, times, k_max, t):
-    """(E[N Q(X_t)], E[sum_k c_k (G0_k - Gt_k)]) for a theta that does not
+def _lhs_exact(scn, qs, times, k_max, t):
+    """_lhs_paths's (mean, se) triples, each se 0, for a theta that does not
     move: theta_t is a number and S_t has the law at s0 and variance v_t, so
 
         E[N Q(X_t)] = exp(theta_t^2 (T_1 - t)) Q(X_t) E[phi(S_t)],
@@ -604,22 +608,22 @@ def _lhs_exact(scn, qp, times, k_max, t):
             f"growth factor at t={t} is not finite under the law of model {model.name!r}: "
             f"theta_t {theta_t:.6g}, E[N] {n1:.6g}, X_t {x_t:.6g}"
         )
-    # Q >= 0, floored as on the paths
-    nq = float(n1 * np.maximum(qp.value(x_t), 0.0))
-
     # every maturity's G in one tail call per side, a row each: each row is
     # its own reduction, so the rows do not change one another
-    live = [(t_k, c_k) for t_k, c_k in zip(times, qp.coeffs) if c_k != 0.0]
-    s0 = np.full(len(live), scn.s0)
-    v_t = np.array([_variance_clock(proc, t, t_k) for t_k, _ in live])
+    s0 = np.full(len(times), scn.s0)
+    v_t = np.array([_variance_clock(proc, t, t_k) for t_k in times])
     gt = _g_tail(model, s0, v_t, k_max)
-    g0 = _g_batch(
-        model, np.full(len(live), scn.sigma0), s0, 0.0, np.array([t_k for t_k, _ in live]), k_max
-    )
-    g_corr = 0.0
-    for (_, c_k), g0_k, gt_k in zip(live, g0, gt):
-        g_corr = g_corr + c_k * (float(g0_k) - float(gt_k))
-    return nq, g_corr
+    g0 = _g_batch(model, np.full(len(times), scn.sigma0), s0, 0.0, np.array(times), k_max)
+    out = []
+    for qp in qs:
+        # Q >= 0, floored as on the paths
+        nq = float(n1 * np.maximum(qp.value(x_t), 0.0))
+        g_corr = 0.0
+        for c_k, g0_k, gt_k in zip(qp.coeffs, g0, gt):
+            if c_k != 0.0:
+                g_corr = g_corr + c_k * (float(g0_k) - float(gt_k))
+        out.append(((nq, 0.0), (g_corr, 0.0), (nq + g_corr, 0.0)))
+    return out
 
 
 def _variance_clock(proc: ThetaProcess, t: float, T: float) -> float:
@@ -874,23 +878,24 @@ def densification_study(
     model: ReferenceModel,
     sigma: float,
     mats: MaturityGrid,
-    w: WeightVector,
     grid_schedule,
 ) -> DensificationReport:
     """Track the bound along a schedule of finer, wider strike grids.
 
-    Per grid: the diagnostic K_m * max_j dphi'_j and the exact right side.
-    The self-consistent left side is exactly 0: X_t sits at the pin, so
-    N Q(X_t) = 0 on every path, and E[G(t, T_k, sigma, S_t)] = G(0, T_k,
-    sigma, s0) by the Markov property. The schedule is flagged healthy when
-    the diagnostic strictly decreases.
+    Per grid: the diagnostic K_m * max_j dphi'_j and the exact right side of
+    Q_q, the unit weight on the last maturity. Every unit weight's right
+    side is its own sum_k |c_k| times the same grid factor, so this one
+    column shows how all of them shrink. The self-consistent left side is
+    exactly 0: X_t sits at the pin, so N Q(X_t) = 0 on every path, and
+    E[G(t, T_k, sigma, S_t)] = G(0, T_k, sigma, s0) by the Markov property.
+    The schedule is flagged healthy when the diagnostic strictly decreases.
     """
     schedule = list(grid_schedule)
     if not schedule:
         raise DomainError("grid schedule cannot be empty")
     scn = self_consistent_scenario(model, sigma)
     i_12 = mats.times[1] - mats.times[0]
-    qp = build_q(w, compute_alphas(mats), pin_point(scn.sigma0, i_12))
+    qp = build_q(compute_alphas(mats), pin_point(scn.sigma0, i_12), mats.q - 1)
     steps = []
     convention = False
     for grid in schedule:

@@ -57,6 +57,10 @@ PHI_TOLERANCE = 1e-10
 #: the commands with a CSV form: the key of their rows in the results
 _TABULAR = {"scan": "rows", "densify": "steps"}
 
+#: the commands that read the simulation section; the others leave it out
+#: of the report's config echo
+_SIMULATING = ("check-bound", "scan", "martingale-check")
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -225,8 +229,8 @@ def _bound_payload(rc: ResolvedConfig, rep) -> dict:
             "coefficients": rep.q.coeffs,
             "pin_point": rep.q.x0,
             "strikes": rc.strikes.strikes,
-            "weights": rc.weights.p,
         },
+        "per_weight": list(rep.per_weight),
     }
 
 
@@ -244,7 +248,7 @@ def _history_key(rc: ResolvedConfig) -> tuple:
     is fixed by its name and start."""
     return (
         rc.scenario.theta_process.until(rc.eval_time), rc.model.name, rc.model.z0,
-        rc.mats, rc.strikes, rc.weights, rc.eval_time, rc.sim,
+        rc.mats, rc.strikes, rc.eval_time, rc.sim,
     )
 
 
@@ -257,7 +261,7 @@ def _bound_run(rcs):
     not yet extended to bessel0 and logdiff, on which bench/workloads.py
     predicts no repricing. The report's steps count toward every route."""
     rc = rcs[0]
-    rep = check_bound(rc.scenario, rc.mats, rc.strikes, rc.weights, rc.eval_time, rc.sim)
+    rep = check_bound(rc.scenario, rc.mats, rc.strikes, rc.eval_time, rc.sim)
     tables = (None,) * len(rcs)
     if rc.model.law.call_route()["route"] == "closed-form":
         tables = pricing_residuals(
@@ -286,7 +290,7 @@ def _cmd_check_bound(rc: ResolvedConfig, _doc):
 def _cmd_densify(rc: ResolvedConfig, _doc):
     sizes = _need(rc.densify_sizes, "densify", "grid_sizes")
     schedule = [densify_grid(rc.model, n) for n in sizes]
-    rep = densification_study(rc.model, rc.scenario.sigma0, rc.mats, rc.weights, schedule)
+    rep = densification_study(rc.model, rc.scenario.sigma0, rc.mats, schedule)
     results = {
         "schedule_ok": rep.schedule_ok,
         "phi_prime_convention": rep.phi_prime_convention,
@@ -361,6 +365,7 @@ def _cmd_scan(rc: ResolvedConfig, base_doc):
                 "lhs": rep.lhs, "lhs_se": rep.lhs_se, "rhs": rep.rhs, "satisfied": rep.satisfied,
                 "gap_term_mean": rep.nq_mean, "tail_correction_mean": rep.g_corr_mean,
                 "max_resid_z": max_z, "feasible": feasible, "conjunction_ok": conjunction_ok,
+                "per_weight": list(rep.per_weight),
             }
     verdict = all(row["conjunction_ok"] for row in rows)
     results = {
@@ -420,6 +425,8 @@ def _run(args) -> int:
     elapsed = time.perf_counter() - started
 
     config_doc = rc.document if rc is not None else {}
+    if args.command not in _SIMULATING:
+        config_doc = {k: v for k, v in config_doc.items() if k != "simulation"}
     report = build_report(args.command, config_doc, results, verdict)
     # how this run was made, outside the canonical body: no reported number
     # depends on it

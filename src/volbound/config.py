@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import yaml
 
-from .bound import MaturityGrid, Scenario, StrikeGrid, WeightVector
+from .bound import MaturityGrid, Scenario, StrikeGrid
 from .errors import ConfigParseError, VolboundError
 from .models import GENERATORS, ReferenceModel, SimConfig, ThetaProcess, builtin_model
 
@@ -244,7 +244,6 @@ class ResolvedConfig:
     scenario: Scenario
     mats: MaturityGrid
     strikes: StrikeGrid
-    weights: WeightVector
     sim: SimConfig | None
     eval_time: float
     pricing: dict | None
@@ -325,16 +324,6 @@ def resolve(doc: dict) -> ResolvedConfig:
     mats = top.build("maturities", lambda: MaturityGrid(times=top.take_number_list("maturities")))
     strikes = top.build("strikes", lambda: StrikeGrid(strikes=top.take_number_list("strikes")))
 
-    wdefault = (1.0,) * (mats.q - 2)
-    weights = top.build(
-        "weights", lambda: WeightVector(p=top.take_number_list("weights", wdefault))
-    )
-    if len(weights.p) != mats.q - 2:
-        top.fail(
-            "weights",
-            f"{len(weights.p)} weights for {mats.q} maturities (need q-2)",
-        )
-
     eval_time = top.take_number("eval_time", 0.0)
     if not 0.0 <= eval_time <= mats.times[0]:
         top.fail(
@@ -352,12 +341,9 @@ def resolve(doc: dict) -> ResolvedConfig:
         if dt <= 0.0:
             sim_sec.fail("dt", f"dt must be positive, got {dt}")
         seed = sim_sec.take_int("seed")
-        block_size = sim_sec.take_int("block_size", 16384)
-        if block_size < 1:
-            sim_sec.fail("block_size", f"block_size must be >= 1, got {block_size}")
         sim_sec.finish()
-        sim = SimConfig(n_paths=paths, dt=dt, seed=seed, block_size=block_size)
-        sim_doc = {"paths": paths, "dt": dt, "seed": seed, "block_size": block_size}
+        sim = SimConfig(n_paths=paths, dt=dt, seed=seed)
+        sim_doc = {"paths": paths, "dt": dt, "seed": seed}
 
     pricing = None
     psec = top.take_section("pricing", None)
@@ -429,7 +415,6 @@ def resolve(doc: dict) -> ResolvedConfig:
         "generator": gen,
         "maturities": list(mats.times),
         "strikes": list(strikes.strikes),
-        "weights": list(weights.p),
         "eval_time": eval_time,
     }
     if sim_doc is not None:
@@ -451,7 +436,6 @@ def resolve(doc: dict) -> ResolvedConfig:
         scenario=scenario,
         mats=mats,
         strikes=strikes,
-        weights=weights,
         sim=sim,
         eval_time=eval_time,
         pricing=pricing,

@@ -841,7 +841,8 @@ def step_paths(
     takes out of the open domain is set to the nearest boundary and frozen
     there. A moving theta follows its process on those substeps with one
     draw per substep from substream (b, 1), correlated with the state's
-    draw; its negative excursions feed the state step clipped at zero.
+    draw, and the state steps at |theta|, the variance rate theta^2 that
+    every formula of the bound reads.
 
     visit(rows, c, z, absorbed_at) is called on the worker thread of each
     block right after it draws stored column c: rows is the block's slice
@@ -941,7 +942,7 @@ def step_paths(
                     corr = rho * xi + rho_c * theta_rng.standard_normal(z.size)
                     th = th + proc.rate * (proc.level - th) * step_dt \
                         + proc.vol_of_vol * math.sqrt(step_dt) * corr
-                    vol_theta = np.maximum(th, 0.0)
+                    vol_theta = np.abs(th)
             if j == store_idx[c]:
                 visit(rows, c, z, absorbed_at)
                 if moves:

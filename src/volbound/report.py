@@ -68,6 +68,9 @@ def _cell(value) -> str:
         return repr(float(value))
     if value is None:
         return ""
+    if isinstance(value, (list, tuple, dict)):
+        # a nested block (a scan row's per_weight) as canonical JSON
+        return json.dumps(plain(value), sort_keys=True)
     return str(value)
 
 

@@ -15,9 +15,23 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import quad
 
-from volbound.bound import _g_batch, l_value, n_value
+from volbound.bound import QPolynomial, _g_batch, l_value, n_value
 from volbound.models import sample_mean, simulate, step_paths, z_score
 from volbound.phi import MartingaleTestReport
+
+
+def pinned_q_oracle(p, alphas, x0: float) -> QPolynomial:
+    """Q for the general free weights p >= 0 on the exponents alphas[2:], its
+    double root pinned at x0: the forced linear and constant coefficients
+    are the negated slope and value of the weighted terms at x0, each taken
+    by QPolynomial's own accumulation. This is build_q's arithmetic with p
+    in place of a unit weight; the package itself pins unit weights only."""
+    p = tuple(float(x) for x in p)
+    x0a = np.asarray(x0, dtype=np.float64)
+    qp = QPolynomial(alphas=alphas, coeffs=(0.0, 0.0) + p, x0=float(x0))
+    c1 = float(-qp._slope_tail(x0a))
+    qp = QPolynomial(alphas=alphas, coeffs=(0.0, c1) + p, x0=float(x0))
+    return QPolynomial(alphas=alphas, coeffs=(float(-qp._tail(x0a)), c1) + p, x0=float(x0))
 
 
 def clipped_phi(phi, b: float, x):

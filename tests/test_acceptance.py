@@ -20,11 +20,11 @@ from conftest import (
     lognormal_call_oracle,
     martingale_check_integral,
     mc_call_price,
+    pinned_q_oracle,
 )
 from volbound.bound import (
     MaturityGrid,
     StrikeGrid,
-    WeightVector,
     build_q,
     check_bound,
     compute_alphas,
@@ -52,7 +52,6 @@ LOGDIFF = builtin_model("logdiff")
 
 MATS = MaturityGrid(times=(1.0, 2.0, 3.0))
 KS = StrikeGrid(strikes=(0.0, 0.5, 1.0, 1.5, 2.0))
-W1 = WeightVector(p=(1.0,))
 
 
 def _verdict(name, ok, detail=""):
@@ -146,46 +145,61 @@ def test_implied_vol_round_trip():
 
 
 def test_pinned_polynomial_suite():
+    # every unit weight on random grids, and the linearity that makes them
+    # span every weight vector: the polynomial pinned for random weights p
+    # (the oracle) is sum_j p_j Q_j, with c0 >= 0 and c1 <= 0
     rng = np.random.default_rng(20260817)
-    worst_pin = 0.0
-    shape_ok = True
+    worst_pin = worst_linear = 0.0
+    shape_ok = signs_ok = True
     for _ in range(100):
         q = int(rng.integers(3, 8))
         t1 = float(rng.uniform(0.25, 2.0))
         gaps = rng.uniform(0.25, 2.0, size=q - 1)
         times = tuple(t1 + np.concatenate([[0.0], np.cumsum(gaps)]))
-        weights = WeightVector(p=tuple(rng.uniform(0.1, 5.0, size=q - 2)))
         sigma = float(rng.uniform(0.05, 1.0))
         mats = MaturityGrid(times=times)
         alphas = compute_alphas(mats)
         x0 = pin_point(sigma, times[1] - times[0])
-        qp = build_q(weights, alphas, x0)
+        qs = [build_q(alphas, x0, j) for j in range(2, q)]
+        for qp in qs:
+            scale0 = sum(abs(c) * x0**a for a, c in zip(qp.alphas, qp.coeffs))
+            scale1 = sum(
+                abs(c * a) * x0 ** (a - 1.0) for a, c in zip(qp.alphas, qp.coeffs) if a > 0.0
+            )
+            worst_pin = max(
+                worst_pin,
+                abs(qp.value(x0)) / max(1.0, scale0),
+                abs(qp.deriv1(x0)) / max(1.0, scale1),
+            )
+            grid = np.geomspace(x0 * 1e-3, x0 * 1e3, 201)
+            vals = qp.value(grid)
+            floor = -1e-12 * max(1.0, float(np.max(np.abs(vals))))
+            shape_ok = shape_ok and bool(np.all(vals >= floor))
+            shape_ok = shape_ok and bool(np.all(qp.deriv2(grid) >= 0.0))
 
-        scale0 = sum(abs(c) * x0**a for a, c in zip(qp.alphas, qp.coeffs))
-        scale1 = sum(abs(c * a) * x0 ** (a - 1.0) for a, c in zip(qp.alphas, qp.coeffs) if a > 0.0)
-        worst_pin = max(
-            worst_pin,
-            abs(qp.value(x0)) / max(1.0, scale0),
-            abs(qp.deriv1(x0)) / max(1.0, scale1),
+        p = rng.uniform(0.0, 5.0, size=q - 2)
+        general = pinned_q_oracle(p, alphas, x0)
+        combined = np.array([qp.coeffs for qp in qs]).T @ p
+        worst_linear = max(
+            worst_linear,
+            float(np.max(np.abs(np.array(general.coeffs) - combined) / np.abs(combined))),
         )
-
-        grid = np.geomspace(x0 * 1e-3, x0 * 1e3, 201)
-        vals = qp.value(grid)
-        floor = -1e-12 * max(1.0, float(np.max(np.abs(vals))))
-        shape_ok = shape_ok and bool(np.all(vals >= floor)) and bool(np.all(qp.deriv2(grid) >= 0.0))
+        signs_ok = signs_ok and general.coeffs[0] >= 0.0 and general.coeffs[1] <= 0.0
 
     # three equidistant maturities, unweighted: the polynomial is (x - x0)^2
     x0 = pin_point(0.2, 1.0)
-    qp = build_q(W1, compute_alphas(MATS), x0)
+    qp = build_q(compute_alphas(MATS), x0, 2)
     expected = (x0 * x0, -2.0 * x0, 1.0)
     coeff_err = max(
         abs(c - e) / max(1.0, abs(e)) for c, e in zip(qp.coeffs, expected)
     )
     ok = worst_pin <= 1e-10 and shape_ok and coeff_err <= 1e-12
+    ok = ok and worst_linear <= 1e-14 and signs_ok
     assert _verdict(
         "pinned-polynomial suite",
         ok,
-        f"worst pin {worst_pin:.1e}, coeff err {coeff_err:.1e}, shapes {'ok' if shape_ok else 'BAD'}",
+        f"worst pin {worst_pin:.1e}, coeff err {coeff_err:.1e}, linearity {worst_linear:.1e}, "
+        f"shapes {'ok' if shape_ok else 'BAD'}, signs {'ok' if signs_ok else 'BAD'}",
     )
 
 
@@ -239,7 +253,7 @@ def test_stochastic_integral_mean_zero():
 def test_bound_self_consistency():
     scn = self_consistent_scenario(GBM, 0.2)
     cfg = SimConfig(n_paths=100_000, dt=0.01, seed=88)
-    rep = check_bound(scn, MATS, KS, W1, 0.5, cfg)
+    rep = check_bound(scn, MATS, KS, 0.5, cfg)
     # hand evaluation: coefficients (x0^2, -2 x0, 1) sum in absolute value
     # to (x0+1)^2, and each of the four half-unit bands contributes
     # dK * dphi' = 0.5 * 1.0, so rhs = 2 (x0+1)^2 * 2
@@ -301,7 +315,7 @@ def test_densification_schedule():
         return StrikeGrid(strikes=tuple(k_max * i / n for i in range(n + 1)))
 
     sizes = (4, 16, 64, 256)
-    study = densification_study(GBM, 0.2, MATS, W1, [uniform_grid(n) for n in sizes])
+    study = densification_study(GBM, 0.2, MATS, [uniform_grid(n) for n in sizes])
     diag_err = max(
         abs(step.diagnostic - 2.0 / math.sqrt(n)) / (2.0 / math.sqrt(n))
         for step, n in zip(study.steps, sizes)
@@ -325,7 +339,7 @@ def test_no_impossible_conjunction():
     ok = True
     for size in (0.0, 0.1, 0.3, 0.5):
         scn = step_vol_scenario(GBM, 0.2, 0.75, size)
-        rep = check_bound(scn, MATS, KS, W1, 0.5, cfg)
+        rep = check_bound(scn, MATS, KS, 0.5, cfg)
         (tbl,) = pricing_residuals([scn], MATS, KS, 0.5, cfg)
         hard_violation = rep.lhs > rep.rhs + 3.0 * rep.lhs_se
         looks_honest = tbl.max_abs_z <= 3.0

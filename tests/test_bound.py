@@ -25,6 +25,7 @@ from conftest import (
     decomposition_check,
     logbesq0_phi_hat_oracle,
     lognormal_phi_hat_oracle,
+    pinned_q_oracle,
     tail_mc_oracle,
 )
 from volbound.bound import (
@@ -36,7 +37,6 @@ from volbound.bound import (
     Scenario,
     StrikeGrid,
     ThetaProcess,
-    WeightVector,
     _band_sample,
     _g_batch,
     _rhs_detail,
@@ -80,7 +80,6 @@ LOGDIFF = builtin_model("logdiff")
 MATS = MaturityGrid(times=(1.0, 2.0, 3.0))
 KS3 = StrikeGrid(strikes=(0.0, 1.0, 2.0))
 KS5 = StrikeGrid(strikes=(0.0, 0.5, 1.0, 1.5, 2.0))
-W1 = WeightVector(p=(1.0,))
 
 
 def pin_point(sigma, i12):
@@ -89,15 +88,15 @@ def pin_point(sigma, i12):
     return float(np.exp(s * s * np.float64(i12)))
 
 
-def per_path_left_side(scn, mats, strikes, w, t, cfg):
-    """The left side's two parts on each simulated path, N Q(X_t) and
-    sum_k c_k (G0_k - Gt_k), from one joint_simulate step over [0, t] and the
-    tail term at every path's (theta_t, s_t): the Monte Carlo estimator the
-    exact left side stands in for."""
+def per_path_left_side(scn, mats, strikes, t, cfg, j=2):
+    """The left side's two parts for Q_j on each simulated path, N Q(X_t)
+    and sum_k c_k (G0_k - Gt_k), from one joint_simulate step over [0, t]
+    and the tail term at every path's (theta_t, s_t): the Monte Carlo
+    estimator the exact left side stands in for."""
     model = scn.reference
     times = mats.times
     i12 = times[1] - times[0]
-    qp = build_q(w, compute_alphas(mats), pin_point(scn.sigma0, i12))
+    qp = build_q(compute_alphas(mats), pin_point(scn.sigma0, i12), j)
     joint = joint_simulate(scn, [0.0, t], cfg)
     theta_t, s_t = joint.theta[:, -1], joint.states[:, -1]
     x_t = np.exp(theta_t * theta_t * np.float64(i12))
@@ -126,14 +125,6 @@ class TestGrids:
             StrikeGrid(strikes=(0.0, 1.0, 1.0))
         assert KS5.k_max == 2.0
 
-    def test_weight_vector_validation(self):
-        with pytest.raises(DomainError):
-            WeightVector(p=())
-        with pytest.raises(DomainError):
-            WeightVector(p=(-0.5,))
-        with pytest.raises(DomainError):
-            WeightVector(p=(0.0, 0.0))
-
 
 class TestAlphas:
     def test_unit_weight_equidistant(self):
@@ -149,19 +140,20 @@ class TestPinnedPolynomial:
         # with exponents (0, 1, 2) and free weight 1 the pinned polynomial
         # is (x - x0)^2 expanded, so the forced coefficients are x0^2, -2x0
         x0 = pin_point(0.2, 1.0)
-        qp = build_q(W1, (0.0, 1.0, 2.0), x0)
+        qp = build_q((0.0, 1.0, 2.0), x0, 2)
         assert qp.coeffs == (x0 * x0, -2.0 * x0, 1.0)
 
     def test_pin_is_exact_in_floats(self):
         for sigma, i12 in ((0.2, 1.0), (0.5, 2.5), (1.3, 0.7)):
             x0 = pin_point(sigma, i12)
-            qp = build_q(WeightVector(p=(0.7, 2.0)), (0.0, 1.0, 2.0, 4.5), x0)
-            assert qp.value(x0) == 0.0
-            assert qp.deriv1(x0) == 0.0
+            for j in (2, 3):
+                qp = build_q((0.0, 1.0, 2.0, 4.5), x0, j)
+                assert qp.value(x0) == 0.0
+                assert qp.deriv1(x0) == 0.0
 
     def test_pin_exact_on_arrays_too(self):
         x0 = pin_point(0.3, 1.0)
-        qp = build_q(W1, (0.0, 1.0, 2.0), x0)
+        qp = build_q((0.0, 1.0, 2.0), x0, 2)
         vals = qp.value(np.array([x0, 2.0 * x0, x0]))
         assert vals[0] == 0.0 and vals[2] == 0.0 and vals[1] > 0.0
 
@@ -173,14 +165,7 @@ class TestPinnedPolynomial:
     )
     def test_nonnegative_convex_minimum_at_pin(self, x0, extras, data):
         alphas = (0.0, 1.0, *sorted(extras))
-        ws = data.draw(
-            st.lists(
-                st.floats(0.1, 3.0),
-                min_size=len(extras),
-                max_size=len(extras),
-            )
-        )
-        qp = build_q(WeightVector(p=tuple(ws)), alphas, x0)
+        qp = build_q(alphas, x0, data.draw(st.integers(2, len(alphas) - 1)))
         assert qp.value(x0) == 0.0
         assert qp.deriv1(x0) == 0.0
         xs = x0 * np.exp(np.linspace(-3.0, 2.0, 41))
@@ -192,11 +177,13 @@ class TestPinnedPolynomial:
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            build_q(W1, (0.0, 1.0), 1.0)
+            build_q((0.0, 1.0), 1.0, 2)
         with pytest.raises(DomainError):
-            build_q(W1, (0.0, 1.0, 2.0), 0.0)
-        with pytest.raises(DomainError):
-            build_q(WeightVector(p=(1.0, 1.0)), (0.0, 1.0, 2.0), 1.0)
+            build_q((0.0, 1.0, 2.0), 0.0, 2)
+        # the unit weight sits on a free exponent: index 2 to q - 1
+        for j in (1, 3):
+            with pytest.raises(DomainError):
+                build_q((0.0, 1.0, 2.0), 1.0, j)
         with pytest.raises(DomainError):
             QPolynomial(alphas=(0.5, 1.0, 2.0), coeffs=(1.0, 1.0, 1.0), x0=1.0)
 
@@ -412,7 +399,7 @@ class TestJointSimulate:
     def test_moving_theta_draw_schedule_is_kept(self):
         # a moving theta and its state step on dt substeps as they always
         # have: per substep one normal for S, then one for theta from its
-        # own substream, correlated through the S-draw
+        # own substream, correlated through the S-draw; S steps at |theta|
         rate, level, nu, rho, dt, n = 2.0, 0.4, 0.5, -0.5, 0.01, 3000
         scn = meanrev_vol_scenario(GBM, 0.3, rate, level, nu, correlation=rho)
         ens = joint_simulate(scn, [0.0, 0.5], SimConfig(n_paths=n, dt=dt, seed=29))
@@ -426,7 +413,7 @@ class TestJointSimulate:
             z = GBM.law.step(z, vol * vol * step, xi)
             corr = rho * xi + rho_c * theta_rng.standard_normal(n)
             th = th + rate * (level - th) * step + nu * math.sqrt(step) * corr
-            vol = np.maximum(th, 0.0) * 1.0
+            vol = np.abs(th)
         assert ens.steps == 50
         assert np.array_equal(ens.states[:, -1], z)
         assert np.array_equal(ens.theta[:, -1], th)
@@ -514,7 +501,7 @@ class TestTailTerm:
             tail_route(bare)
         scn = self_consistent_scenario(bare, 0.5)
         with pytest.raises(ConfigurationError, match="'bare'"):
-            check_bound(scn, MATS, KS3, W1, 0.5, SimConfig(n_paths=64, dt=0.01, seed=1))
+            check_bound(scn, MATS, KS3, 0.5, SimConfig(n_paths=64, dt=0.01, seed=1))
 
     # (theta, s, T, k_max): bulk below, at, and far above the cutoff, and
     # vols at which most of the mass is absorbed at 0
@@ -822,20 +809,20 @@ class TestRightSide:
         # phi = z^2 on strikes (0,1,2): inner sum = 1*2 + 1*2 = 4, and the
         # pinned coefficients sum to (x0+1)^2 in absolute value
         x0 = pin_point(0.2, 1.0)
-        qp = build_q(W1, (0.0, 1.0, 2.0), x0)
+        qp = build_q((0.0, 1.0, 2.0), x0, 2)
         got = rhs_bound(qp.coeffs, KS3, GBM.phi)
         assert got == pytest.approx(8.0 * (x0 + 1.0) ** 2, rel=1e-12)
 
     def test_five_strike_pattern(self):
         # halving the spacing halves the inner sum: 4 bands of 0.5*1 = 2
         x0 = pin_point(0.2, 1.0)
-        qp = build_q(W1, (0.0, 1.0, 2.0), x0)
+        qp = build_q((0.0, 1.0, 2.0), x0, 2)
         got = rhs_bound(qp.coeffs, KS5, GBM.phi)
         assert got == pytest.approx(4.0 * (x0 + 1.0) ** 2, rel=1e-12)
 
     def test_refinement_never_increases(self):
         x0 = pin_point(0.3, 1.0)
-        qp = build_q(W1, (0.0, 1.0, 2.0), x0)
+        qp = build_q((0.0, 1.0, 2.0), x0, 2)
         rng = np.random.default_rng(5)
         inner = np.sort(rng.uniform(0.1, 2.9, 6))
         coarse = StrikeGrid(strikes=(0.0, *inner, 3.0))
@@ -845,14 +832,14 @@ class TestRightSide:
 
     def test_scaling_phi_scales_the_bound(self):
         x0 = pin_point(0.2, 1.0)
-        qp = build_q(W1, (0.0, 1.0, 2.0), x0)
+        qp = build_q((0.0, 1.0, 2.0), x0, 2)
         base = rhs_bound(qp.coeffs, KS5, GBM.phi)
         doubled = rhs_bound(qp.coeffs, KS5, GBM.phi.scaled(2.0))
         assert doubled == 2.0 * base
 
     def test_slope_convention_at_zero(self):
         x0 = pin_point(0.5, 0.5)
-        qp = build_q(W1, (0.0, 1.0, 2.0), x0)
+        qp = build_q((0.0, 1.0, 2.0), x0, 2)
         value, used = _rhs_detail(qp.coeffs, StrikeGrid(strikes=(0.0, 0.75, 1.5)), BESSEL.phi)
         assert used is True
         assert math.isfinite(value) and value > 0.0
@@ -868,7 +855,7 @@ class TestBoundCheck:
     CFG = SimConfig(n_paths=20000, dt=0.01, seed=11)
 
     def test_self_consistent_holds_with_exact_zero_gap(self):
-        rep = check_bound(self_consistent_scenario(GBM, 0.2), MATS, KS5, W1, 0.5, self.CFG)
+        rep = check_bound(self_consistent_scenario(GBM, 0.2), MATS, KS5, 0.5, self.CFG)
         assert rep.satisfied
         assert rep.nq_mean == 0.0
         assert rep.nq_se == 0.0
@@ -895,7 +882,7 @@ class TestBoundCheck:
         # where G does not vanish
         scn = self_consistent_scenario(model, sigma)
         nq, g_corr = per_path_left_side(
-            scn, MATS, strikes, W1, 0.5, SimConfig(n_paths=20000, dt=0.01, seed=1)
+            scn, MATS, strikes, 0.5, SimConfig(n_paths=20000, dt=0.01, seed=1)
         )
         assert np.all(nq == 0.0)
         g_corr_mean, g_corr_se = sample_mean(g_corr)
@@ -924,11 +911,11 @@ class TestBoundCheck:
         # variance from t to each maturity, to the new one.
         scn = step_vol_scenario(model, sigma, jump_time, jump)
         cfg = SimConfig(n_paths=100_000, dt=0.01, seed=7)
-        rep = check_bound(scn, MATS, strikes, W1, 0.5, cfg)
+        rep = check_bound(scn, MATS, strikes, 0.5, cfg)
         assert rep.lhs_route == {"route": "exact", "phi_mean": semigroup_route(model)}
         assert rep.lhs_se == rep.nq_se == rep.g_corr_se == 0.0
         assert rep.lhs == abs(rep.nq_mean + rep.g_corr_mean)
-        nq, g_corr = per_path_left_side(scn, MATS, strikes, W1, 0.5, cfg)
+        nq, g_corr = per_path_left_side(scn, MATS, strikes, 0.5, cfg)
         for exact, sample in ((rep.nq_mean, nq), (rep.g_corr_mean, g_corr),
                               (rep.nq_mean + rep.g_corr_mean, nq + g_corr)):
             mean, se = sample_mean(sample)
@@ -940,8 +927,8 @@ class TestBoundCheck:
         # for bit
         scn = meanrev_vol_scenario(BESSEL, 1.0, 2.0, 0.8, 0.4, correlation=-0.5)
         cfg = SimConfig(n_paths=3000, dt=0.01, seed=3)
-        rep = check_bound(scn, MATS, KS5, W1, 0.5, cfg)
-        nq, g_corr = per_path_left_side(scn, MATS, KS5, W1, 0.5, cfg)
+        rep = check_bound(scn, MATS, KS5, 0.5, cfg)
+        nq, g_corr = per_path_left_side(scn, MATS, KS5, 0.5, cfg)
         assert rep.lhs_route == {"route": "monte-carlo", "paths": 3000}
         assert (rep.nq_mean, rep.nq_se) == sample_mean(nq)
         assert (rep.g_corr_mean, rep.g_corr_se) == sample_mean(g_corr)
@@ -957,7 +944,7 @@ class TestBoundCheck:
         cfg = SimConfig(n_paths=256, dt=0.01, seed=2)
         for grid in (strikes, *(densify_grid(model, n) for n in (4, 16, 64))):
             reps = [
-                check_bound(scn, MATS, grid, W1, 0.5, cfg)
+                check_bound(scn, MATS, grid, 0.5, cfg)
                 for scn in (
                     self_consistent_scenario(model, sigma),
                     meanrev_vol_scenario(model, sigma, 2.0, sigma, 0.0),
@@ -972,11 +959,11 @@ class TestBoundCheck:
     @pytest.mark.parametrize("model,strikes", LEFT_SIDE_MODELS, ids=["gbm", "bessel0", "logdiff"])
     def test_jumps_after_t_give_the_self_consistent_report(self, model, strikes):
         cfg = SimConfig(n_paths=2000, dt=0.01, seed=5)
-        a = check_bound(self_consistent_scenario(model, 0.3), MATS, strikes, W1, 0.5, cfg)
+        a = check_bound(self_consistent_scenario(model, 0.3), MATS, strikes, 0.5, cfg)
         b = check_bound(
             Scenario(model, ThetaProcess(kind="step", sigma0=0.3, jump_times=(0.75, 0.9),
                                          jump_values=(0.6, 0.1))),
-            MATS, strikes, W1, 0.5, cfg,
+            MATS, strikes, 0.5, cfg,
         )
         assert repr(a) == repr(b)
         assert a.lhs == 0.0
@@ -1008,11 +995,11 @@ class TestBoundCheck:
         monkeypatch.setattr(models_module, "simulate", no_simulate)
         cfg = SimConfig(n_paths=20000, dt=0.01, seed=4)
         for scn in (self_consistent_scenario(model, 0.5), step_vol_scenario(model, 0.5, 0.25, 0.3)):
-            check_bound(scn, MATS, strikes, W1, 0.5, cfg)
+            check_bound(scn, MATS, strikes, 0.5, cfg)
         assert rows["batch"] and rows["tail"]
         assert set(rows["batch"]) == set(rows["tail"]) == {len(MATS.times)}
         if model is BESSEL:
-            check_bound(meanrev_vol_scenario(model, 0.5, 2.0, 0.8, 0.4), MATS, strikes, W1, 0.5, cfg)
+            check_bound(meanrev_vol_scenario(model, 0.5, 2.0, 0.8, 0.4), MATS, strikes, 0.5, cfg)
             assert 20000 in rows["batch"] and 20000 in rows["tail"]
 
     def test_negative_meanrev_theta_enters_the_band_term_as_its_modulus(self):
@@ -1026,7 +1013,7 @@ class TestBoundCheck:
         message = f"got {negative.size} negative value(s), the first {negative[0]}"
         with pytest.raises(DomainError, match=re.escape(message) + "$"):
             l_value(0.5, 1.0, theta_t, np.ones_like(theta_t), KS5, GBM)
-        rep = check_bound(scn, MATS, KS5, W1, 0.5, cfg)
+        rep = check_bound(scn, MATS, KS5, 0.5, cfg)
         assert [d["maturity"] for d in rep.l_diagnostics] == list(MATS.times)
         assert all(math.isfinite(d["lt_mean"]) and d["lt_mean"] <= 0.0 for d in rep.l_diagnostics)
 
@@ -1039,7 +1026,7 @@ class TestBoundCheck:
             assert np.all(np.diff(take) > 0)
 
     def test_self_consistent_band_diagnostics(self):
-        rep = check_bound(self_consistent_scenario(GBM, 0.2), MATS, KS5, W1, 0.5, self.CFG)
+        rep = check_bound(self_consistent_scenario(GBM, 0.2), MATS, KS5, 0.5, self.CFG)
         assert len(rep.l_diagnostics) == 3
         for d in rep.l_diagnostics:
             assert d["lt_se"] > 0.0
@@ -1047,15 +1034,15 @@ class TestBoundCheck:
             assert abs(z) < 3.5
 
     def test_deterministic_given_seed(self):
-        a = check_bound(self_consistent_scenario(GBM, 0.2), MATS, KS5, W1, 0.5, self.CFG)
-        b = check_bound(self_consistent_scenario(GBM, 0.2), MATS, KS5, W1, 0.5, self.CFG)
+        a = check_bound(self_consistent_scenario(GBM, 0.2), MATS, KS5, 0.5, self.CFG)
+        b = check_bound(self_consistent_scenario(GBM, 0.2), MATS, KS5, 0.5, self.CFG)
         assert a == b
 
     def test_right_side_is_scenario_independent(self):
         # same weights, strikes, vol and eigenfunction: the right side is
         # the same number no matter what generator produced the paths
         reps = [
-            check_bound(scn, MATS, KS5, W1, 0.5, self.CFG)
+            check_bound(scn, MATS, KS5, 0.5, self.CFG)
             for scn in (
                 self_consistent_scenario(GBM, 0.2),
                 step_vol_scenario(GBM, 0.2, 0.75, 0.4),
@@ -1064,22 +1051,22 @@ class TestBoundCheck:
         ]
         assert reps[0].rhs == reps[1].rhs == reps[2].rhs
         x0 = pin_point(0.2, 1.0)
-        qp = build_q(W1, (0.0, 1.0, 2.0), x0)
+        qp = build_q((0.0, 1.0, 2.0), x0, 2)
         assert reps[0].rhs == rhs_bound(qp.coeffs, KS5, GBM.phi)
 
     def test_jump_before_t_still_holds(self):
         # after the jump the market runs the reference dynamics at theta_t,
         # so the bound's hypothesis is genuinely met from t onward; the gap
         # component turns on because X_t leaves the pin
-        rep = check_bound(step_vol_scenario(GBM, 0.2, 0.25, 0.4), MATS, KS5, W1, 0.5, self.CFG)
+        rep = check_bound(step_vol_scenario(GBM, 0.2, 0.25, 0.4), MATS, KS5, 0.5, self.CFG)
         assert rep.nq_mean > 0.0
         assert rep.satisfied
 
     def test_jump_after_t_reads_identically(self):
         # the check only consumes time-t data; a jump beyond t has not
         # happened yet at matched seeds, so the report coincides
-        a = check_bound(self_consistent_scenario(GBM, 0.2), MATS, KS5, W1, 0.5, self.CFG)
-        b = check_bound(step_vol_scenario(GBM, 0.2, 0.75, 0.4), MATS, KS5, W1, 0.5, self.CFG)
+        a = check_bound(self_consistent_scenario(GBM, 0.2), MATS, KS5, 0.5, self.CFG)
+        b = check_bound(step_vol_scenario(GBM, 0.2, 0.75, 0.4), MATS, KS5, 0.5, self.CFG)
         assert a.lhs == b.lhs
         assert a.rhs == b.rhs
 
@@ -1091,14 +1078,14 @@ class TestBoundCheck:
         cfg = SimConfig(n_paths=2000, dt=0.01, seed=5)
         scn = step_vol_scenario(model, 0.3, jump_time, 0.2)
         twin = Scenario(model, scn.theta_process.until(0.5))
-        a = check_bound(scn, MATS, KS5, W1, 0.5, cfg)
-        b = check_bound(twin, MATS, KS5, W1, 0.5, cfg)
+        a = check_bound(scn, MATS, KS5, 0.5, cfg)
+        b = check_bound(twin, MATS, KS5, 0.5, cfg)
         assert a == b
         assert repr(a) == repr(b)
 
     def test_meanrev_report_is_finite_and_consistent(self):
         rep = check_bound(
-            meanrev_vol_scenario(GBM, 0.2, 1.5, 0.5, 0.6, -0.7), MATS, KS5, W1, 0.5, self.CFG
+            meanrev_vol_scenario(GBM, 0.2, 1.5, 0.5, 0.6, -0.7), MATS, KS5, 0.5, self.CFG
         )
         assert math.isfinite(rep.lhs) and math.isfinite(rep.lhs_se)
         assert rep.nq_mean > 0.0
@@ -1107,8 +1094,8 @@ class TestBoundCheck:
         gbm2 = dataclasses.replace(GBM, phi=GBM.phi.scaled(2.0))
         scn1 = step_vol_scenario(GBM, 0.2, 0.25, 0.4)
         scn2 = step_vol_scenario(gbm2, 0.2, 0.25, 0.4)
-        a = check_bound(scn1, MATS, KS5, W1, 0.5, self.CFG)
-        b = check_bound(scn2, MATS, KS5, W1, 0.5, self.CFG)
+        a = check_bound(scn1, MATS, KS5, 0.5, self.CFG)
+        b = check_bound(scn2, MATS, KS5, 0.5, self.CFG)
         assert b.rhs == 2.0 * a.rhs
         assert b.nq_mean == 2.0 * a.nq_mean
         assert b.g_corr_mean == 2.0 * a.g_corr_mean
@@ -1119,7 +1106,7 @@ class TestBoundCheck:
         mats = MaturityGrid(times=(0.5, 1.0, 1.5))
         ks = StrikeGrid(strikes=(0.0, 0.75, 1.5))
         cfg = SimConfig(n_paths=1024, dt=0.02, seed=23)
-        rep = check_bound(self_consistent_scenario(bes, 0.5), mats, ks, W1, 0.25, cfg)
+        rep = check_bound(self_consistent_scenario(bes, 0.5), mats, ks, 0.25, cfg)
         assert rep.nq_mean == 0.0
         assert rep.satisfied
         assert rep.phi_prime_convention
@@ -1132,24 +1119,22 @@ class TestBoundCheck:
         mats = MaturityGrid(times=(0.5, 1.0, 1.5))
         ks = StrikeGrid(strikes=(0.0, 0.75, 1.5))
         cfg = SimConfig(n_paths=4096, dt=0.02, seed=5)
-        rep = check_bound(step_vol_scenario(bes, 1.0, 0.2, 0.5), mats, ks, W1, 0.4, cfg)
+        rep = check_bound(step_vol_scenario(bes, 1.0, 0.2, 0.5), mats, ks, 0.4, cfg)
         assert rep.steps == 2
         mass = math.exp(-2.0 * 0.3 / (1.0 * 0.2 + 1.5**2 * 0.2))
         assert rep.absorbed_mass == pytest.approx(mass, rel=1e-14, abs=0.0)
         assert abs(rep.absorbed_fraction - mass) < 4.0 * math.sqrt(mass * (1.0 - mass) / 4096)
         # a moving theta has no deterministic variance, so no law mass
         moving = meanrev_vol_scenario(bes, 1.0, 1.0, 1.0, 0.3)
-        rep = check_bound(moving, mats, ks, W1, 0.4, SimConfig(n_paths=256, dt=0.02, seed=5))
+        rep = check_bound(moving, mats, ks, 0.4, SimConfig(n_paths=256, dt=0.02, seed=5))
         assert rep.absorbed_mass is None and 0.0 < rep.absorbed_fraction < 1.0
 
     def test_time_window_validation(self):
         scn = self_consistent_scenario(GBM, 0.2)
         with pytest.raises(DomainError):
-            check_bound(scn, MATS, KS5, W1, 1.5, self.CFG)
+            check_bound(scn, MATS, KS5, 1.5, self.CFG)
         with pytest.raises(DomainError):
-            check_bound(scn, MATS, KS5, W1, -0.1, self.CFG)
-        with pytest.raises(DomainError):
-            check_bound(scn, MATS, KS5, WeightVector(p=(1.0, 1.0)), 0.5, self.CFG)
+            check_bound(scn, MATS, KS5, -0.1, self.CFG)
 
     def test_overflowing_vol_is_reported_not_propagated(self):
         wild = meanrev_vol_scenario(GBM, 0.2, 0.0, 0.2, 4000.0)
@@ -1157,7 +1142,71 @@ class TestBoundCheck:
         # the error names the phase, the model and the first offending pairs
         named = r"growth factor at t=0\.5 .* model 'gbm'; first \(theta_t, s_t\): \("
         with pytest.raises(DivergenceError, match=named):
-            check_bound(wild, MATS, KS5, W1, 0.5, cfg)
+            check_bound(wild, MATS, KS5, 0.5, cfg)
+
+
+class TestEveryWeightVector:
+    """check_bound's rows are the unit weights Q_j; by linearity in the
+    weights no weight vector p >= 0 reads a larger lhs/rhs than the
+    sharpest row."""
+
+    @pytest.mark.parametrize(
+        "model, strikes",
+        [(GBM, KS5), (BESSEL, KS5), (LOGDIFF, StrikeGrid(strikes=(0.0, 0.3, 0.6, 0.9)))],
+        ids=["gbm", "bessel0", "logdiff"],
+    )
+    def test_no_weight_vector_beats_the_sharpest_row(self, model, strikes):
+        rng = np.random.default_rng(20261019)
+        cfg = SimConfig(n_paths=64, dt=0.01, seed=3)
+        t = 0.5
+        for _ in range(6):
+            q = int(rng.integers(3, 8))
+            gaps = rng.uniform(0.25, 1.5, size=q - 1)
+            times = tuple(float(rng.uniform(0.75, 1.5)) + np.concatenate([[0.0], np.cumsum(gaps)]))
+            mats = MaturityGrid(times=times)
+            sigma = float(rng.uniform(0.2, 1.0))
+            scn = step_vol_scenario(
+                model, sigma, float(rng.uniform(0.05, t)), float(rng.uniform(-0.15, 0.6))
+            )
+            rep = check_bound(scn, mats, strikes, t, cfg)
+            rows = rep.per_weight
+            assert rep.lhs_route["route"] == "exact"
+            assert [row["maturity"] for row in rows] == list(times[2:])
+            ratios = [row["lhs"] / row["rhs"] for row in rows]
+            assert rep.lhs / rep.rhs == max(ratios)
+            assert rep.satisfied == all(row["satisfied"] for row in rows)
+            assert rep.q.coeffs == rows[ratios.index(max(ratios))]["coefficients"]
+
+            alphas = compute_alphas(mats)
+            x0 = pin_point(sigma, times[1] - times[0])
+            for _ in range(10):
+                p = rng.uniform(0.0, 1.0, size=q - 2) * (rng.uniform(size=q - 2) < 0.7)
+                if not p.any():
+                    continue
+                qp = pinned_q_oracle(p, alphas, x0)
+                ((_, _, (lhs, _)),) = bound_module._lhs_exact(
+                    scn, [qp], times, strikes.k_max, t
+                )
+                rhs = rhs_bound(qp.coeffs, strikes, model.phi)
+                # the right side is linear in p
+                assert rhs == pytest.approx(
+                    sum(pj * row["rhs"] for pj, row in zip(p, rows)), rel=1e-14, abs=0.0
+                )
+                assert abs(lhs) / rhs <= max(ratios) * (1.0 + 1e-12) + 1e-12
+
+    def test_moving_theta_rows_are_the_per_path_estimators(self):
+        # five maturities: a row per unit weight, each the per-path mean of
+        # its own Q_j, bit for bit
+        mats = MaturityGrid(times=(1.0, 1.5, 2.0, 3.0, 4.0))
+        scn = meanrev_vol_scenario(GBM, 0.2, 2.0, 0.3, 0.4, correlation=-0.5)
+        cfg = SimConfig(n_paths=3000, dt=0.01, seed=3)
+        rep = check_bound(scn, mats, KS5, 0.5, cfg)
+        assert rep.lhs_route == {"route": "monte-carlo", "paths": 3000}
+        for j, row in enumerate(rep.per_weight, start=2):
+            nq, g_corr = per_path_left_side(scn, mats, KS5, 0.5, cfg, j)
+            lhs, se = sample_mean(nq + g_corr)
+            assert (row["lhs"], row["lhs_se"]) == (abs(lhs), se)
+            assert row["satisfied"] == (abs(lhs) <= row["rhs"] + 3.0 * se)
 
 
 class TestMartingaleStructure:
@@ -1186,9 +1235,9 @@ class TestMartingaleStructure:
         # same quantity through different terms; they must agree within the
         # subsample's noise
         cfg = SimConfig(n_paths=20000, dt=0.01, seed=11)
-        rep = check_bound(self_consistent_scenario(GBM, 0.2), MATS, KS5, W1, 0.5, cfg)
+        rep = check_bound(self_consistent_scenario(GBM, 0.2), MATS, KS5, 0.5, cfg)
         x0 = pin_point(0.2, 1.0)
-        qp = build_q(W1, (0.0, 1.0, 2.0), x0)
+        qp = build_q((0.0, 1.0, 2.0), x0, 2)
         delta_l = sum(
             c * (d["lt_mean"] - d["l0"]) for c, d in zip(qp.coeffs, rep.l_diagnostics)
         )
@@ -1413,7 +1462,7 @@ class TestDensification:
         # and their differences round, so it lands within a few ulps of that
         # (8.2e-15 relative at n = 64)
         schedule = [self.uniform_grid(n) for n in (4, 16, 64, 256)]
-        report = densification_study(GBM, 0.2, MATS, W1, schedule)
+        report = densification_study(GBM, 0.2, MATS, schedule)
         assert report.schedule_ok
         assert not report.phi_prime_convention
         for step, n in zip(report.steps, (4, 16, 64, 256)):
@@ -1422,7 +1471,7 @@ class TestDensification:
 
     def test_right_side_shrinks_along_schedule(self):
         schedule = [self.uniform_grid(n) for n in (4, 16, 64)]
-        report = densification_study(GBM, 0.2, MATS, W1, schedule)
+        report = densification_study(GBM, 0.2, MATS, schedule)
         rhs = [s.rhs for s in report.steps]
         assert rhs[1] == pytest.approx(rhs[0] / 2.0, rel=1e-12)
         assert rhs[2] == pytest.approx(rhs[1] / 2.0, rel=1e-12)
@@ -1433,17 +1482,17 @@ class TestDensification:
             StrikeGrid(strikes=tuple(0.5 * i for i in range(int(2 * km) + 1)))
             for km in (2.0, 4.0)
         ]
-        report = densification_study(GBM, 0.2, MATS, W1, bad)
+        report = densification_study(GBM, 0.2, MATS, bad)
         assert not report.schedule_ok
 
     def test_empty_schedule_rejected(self):
         with pytest.raises(DomainError):
-            densification_study(GBM, 0.2, MATS, W1, [])
+            densification_study(GBM, 0.2, MATS, [])
 
     @pytest.mark.parametrize("sigma", [0.0, -0.2])
     def test_vol_must_be_positive(self, sigma):
         with pytest.raises(DomainError, match="initial vol must be positive"):
-            densification_study(GBM, sigma, MATS, W1, [self.uniform_grid(4)])
+            densification_study(GBM, sigma, MATS, [self.uniform_grid(4)])
 
     @pytest.mark.parametrize("model", [GBM, BESSEL, LOGDIFF], ids=["gbm", "bessel0", "logdiff"])
     def test_derived_schedule_stays_in_the_domain_and_densifies(self, model):
@@ -1455,7 +1504,7 @@ class TestDensification:
             assert np.all(np.diff(ks) > 0.0)
             assert all(model.beta.in_closure(k) for k in ks)
             assert grid.k_max < model.beta.upper
-        report = densification_study(model, 0.2, MATS, W1, grids)
+        report = densification_study(model, 0.2, MATS, grids)
         assert report.schedule_ok
         assert [s.k_min for s in report.steps] == [g.strikes[1] for g in grids]
         rhs = [s.rhs for s in report.steps]
@@ -1485,7 +1534,7 @@ class TestDensification:
         monkeypatch.setattr(bound_module, "simulate", refuse)
         for model in (GBM, BESSEL, LOGDIFF):
             grids = [densify_grid(model, n) for n in (4, 16)]
-            assert densification_study(model, 0.2, MATS, W1, grids).schedule_ok
+            assert densification_study(model, 0.2, MATS, grids).schedule_ok
 
 
 class TestDecomposition:
@@ -1521,7 +1570,7 @@ class TestImpossibleConjunction:
         # residuals blow up: at least one detector always fires
         cfg = SimConfig(n_paths=20000, dt=0.01, seed=11)
         scn = step_vol_scenario(GBM, 0.2, 0.75, 0.4)
-        rep = check_bound(scn, MATS, KS5, W1, 0.5, cfg)
+        rep = check_bound(scn, MATS, KS5, 0.5, cfg)
         (res,) = pricing_residuals([scn], MATS, KS5, 0.5, cfg)
         assert (not rep.satisfied) or res.max_abs_z > 3.0
         assert res.max_abs_z == math.inf

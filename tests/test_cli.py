@@ -1,5 +1,6 @@
 """Config parsing, report serialization, and the CLI front end."""
 
+import csv
 import itertools
 import json
 import math
@@ -98,7 +99,6 @@ class TestConfigParsing:
         assert rc.scenario.sigma0 == 0.2
         assert rc.mats.times == (1.0, 2.0, 3.0)
         assert rc.strikes.k_max == 2.0
-        assert rc.weights.p == (1.0,)  # defaulted to unweighted
         assert rc.eval_time == 0.5
         assert rc.sim.seed == 11
 
@@ -136,10 +136,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigParseError):
             parse_config(BASE.replace("sigma: 0.2", "sigma: true"))
 
-    def test_wrong_weight_count(self):
-        with pytest.raises(ConfigParseError) as err:
-            parse_config(BASE + "weights: [1.0, 2.0]\n")
-        assert "q-2" in str(err.value)
+    @pytest.mark.parametrize(
+        "extra, key", [("weights: [1.0]", "weights"), ("  block_size: 16384", "simulation.block_size")]
+    )
+    def test_removed_keys_fail_as_unknown_keys(self, extra, key, tmp_path, capsys):
+        # check-bound answers for every weight vector and the path blocks are
+        # fixed, so neither key is read: each fails as any unknown key does
+        cfg = tmp_path / "old.yaml"
+        cfg.write_text(BASE.replace("  seed: 11\n", f"  seed: 11\n{extra}\n"))
+        assert main(["check-bound", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"volbound: config error: unknown key [key: {key}] (line 13)\n"
 
     def test_eval_time_window(self):
         with pytest.raises(ConfigParseError) as err:
@@ -181,12 +188,11 @@ class TestConfigParsing:
         assert err.value.key == "theta.correlation"
         assert err.value.line == doc.splitlines().index("  correlation: 1.5") + 1
 
-    @pytest.mark.parametrize("key", ["maturities", "strikes", "weights"])
+    @pytest.mark.parametrize("key", ["maturities", "strikes"])
     def test_type_error_in_a_grid_names_its_key_once(self, key):
         # the typed read's own location is not wrapped a second time
-        doc = BASE + "weights: [1.0]\n"
         doc = "\n".join(f"{key}: [abc]" if ln.startswith(f"{key}:") else ln
-                        for ln in doc.splitlines())
+                        for ln in BASE.splitlines())
         with pytest.raises(ConfigParseError) as err:
             parse_config(doc)
         line = doc.splitlines().index(f"{key}: [abc]") + 1
@@ -198,13 +204,12 @@ class TestConfigParsing:
         [
             ("paths", "file"), ("paths", "set"), ("paths", "flag"),
             ("dt", "file"), ("dt", "set"), ("dt", "flag"),
-            ("block_size", "file"), ("block_size", "set"),
         ],
     )
     def test_simulation_errors_name_their_key(self, key, source, tmp_path, capsys):
         # the bad value is named by its own dotted key, in the config's words,
         # and by its line only where the file holds it
-        text = BASE.replace("  seed: 11\n", "  seed: 11\n  block_size: 16384\n")
+        text = BASE
         argv = []
         if source == "file":
             text = text.replace(f"  {key}: ", f"  {key}: 0 #")
@@ -221,7 +226,6 @@ class TestConfigParsing:
         message = {
             "paths": "paths must be >= 1, got 0",
             "dt": "dt must be positive, got 0.0",
-            "block_size": "block_size must be >= 1, got 0",
         }[key]
         assert err == f"volbound: config error: {message} [key: simulation.{key}]{where}\n"
 
@@ -946,6 +950,10 @@ class TestCliCommands:
         first = lines[1].split(",")
         assert first[0] == "0.0"
         assert first[4] == "true"
+        # the nested per_weight block, last, is one cell of canonical JSON
+        header, row = list(csv.reader(lines[:2]))
+        assert header[-1] == "per_weight"
+        assert [w["maturity"] for w in json.loads(row[-1])] == [3.0]
 
     def test_scan_rejects_a_bad_axis_value_before_computing(self, tmp_path, capsys, bound_calls):
         # the third point's jump takes theta below zero: no point runs, and the
@@ -1002,8 +1010,8 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("command", ["price", "implied-vol", "densify", "validate-phi"])
     def test_commands_that_do_not_simulate_need_no_simulation(self, command, tmp_path, capsys):
-        # their results are those of a run with the section; only the
-        # config echo, which leaves it out, differs
+        # they read no simulation section, and their config echo leaves it
+        # out, so a run with one has the body of a run without
         assert "simulation" not in self.NO_SIM
         bare, full = tmp_path / "bare.yaml", tmp_path / "full.yaml"
         bare.write_text(self.NO_SIM)
@@ -1014,11 +1022,8 @@ class TestCliCommands:
             out = capsys.readouterr()
             assert out.err == ""
             docs.append(json.loads(out.out))
-        assert docs[0]["results"] == docs[1]["results"]
-        assert "simulation" not in docs[0]["config"]
-        assert docs[1]["config"]["simulation"] == {
-            "paths": 100, "dt": 0.5, "seed": 3, "block_size": 16384,
-        }
+        assert "simulation" not in docs[1]["config"]
+        assert canonical_json(docs[0]) == canonical_json(docs[1])
 
     @pytest.mark.parametrize("command", ["check-bound", "scan", "martingale-check"])
     def test_simulating_commands_name_the_missing_simulation(self, command, tmp_path, capsys):
@@ -1163,6 +1168,40 @@ class TestCheckBoundVerdict:
             outs.append([code] + [b[k] for k in self.LAW_FIELDS])
         assert outs[0][1]["route"] == "exact"
         assert all(out == outs[0] for out in outs)
+
+
+    @pytest.mark.parametrize(
+        "model, sigma, ratios, code",
+        [("bessel0", 1.0, [0.646, 3.07, 9.24], 1), ("gbm", 0.2, None, 0)],
+    )
+    def test_every_weight_vector_rules_the_scenario_out(
+        self, model, sigma, ratios, code, tmp_path, capsys
+    ):
+        # a +0.5 jump at 0.25 under five maturities: weighting T_3 alone
+        # passes bessel0, weighting T_5 alone breaks it nine times over, and
+        # the verdict reads every weight; gbm at sigma 0.2 passes them all
+        cfg = tmp_path / "five.yaml"
+        cfg.write_text(
+            BASE.replace("model: gbm", f"model: {model}")
+            .replace("sigma: 0.2", f"sigma: {sigma}")
+            .replace("[1.0, 2.0, 3.0]", "[1.0, 1.5, 2.0, 3.0, 4.0]")
+            .replace("generator: self-consistent", self.STEP % 0.5)
+        )
+        assert main(["check-bound", "--config", str(cfg)]) == code
+        b = self.bound(capsys)
+        rows = b["per_weight"]
+        assert [row["maturity"] for row in rows] == [2.0, 3.0, 4.0]
+        got = [row["lhs"] / row["rhs"] for row in rows]
+        if ratios is None:
+            assert all(row["satisfied"] for row in rows) and b["satisfied"]
+        else:
+            assert got == pytest.approx(ratios, abs=5e-3)
+            assert [row["satisfied"] for row in rows] == [True, False, False]
+            # the top level is the sharpest row, T_5's
+            top = rows[-1]
+            assert (b["lhs"], b["rhs"], b["rhs_inputs"]["coefficients"]) == (
+                top["lhs"], top["rhs"], top["coefficients"]
+            )
 
 
 def test_readme_python_examples_run():

@@ -659,3 +659,21 @@ class TestStepping:
         assert e.steps == 100
         assert np.array_equal(e.states, np.column_stack(stored))
         assert np.array_equal(e.absorbed_at, tau, equal_nan=True)
+
+    def test_a_negative_theta_steps_at_its_square(self):
+        # vol_of_vol 0 makes theta deterministic: it reverts from 0.2 toward
+        # -0.3 and crosses 0 near t = 0.26. The lognormal step multiplies
+        # E[S^2] by exp(theta_j^2 dt) on each substep, so E[S_T^2]/s0^2 is
+        # exp(sum_j theta_j^2 dt) over the same Euler recursion of theta,
+        # also after theta turns negative
+        gbm = builtin_model("gbm")
+        proc = ThetaProcess(kind="meanrev", sigma0=0.2, rate=2.0, level=-0.3, vol_of_vol=0.0)
+        cfg = SimConfig(n_paths=100_000, dt=0.01, seed=17)
+        e = step_paths(gbm, proc, 1.0, 0.0, [0.0, 1.0], cfg)
+        th, clock = proc.sigma0, 0.0
+        for _ in range(e.steps):
+            clock += th * th * cfg.dt
+            th = th + proc.rate * (proc.level - th) * cfg.dt
+        assert e.steps == 100 and e.theta[0, -1] == pytest.approx(th, rel=1e-12) and th < 0.0
+        mean, se = sample_mean(e.states[:, -1] ** 2)
+        assert abs(mean - math.exp(clock)) <= 4.0 * se
