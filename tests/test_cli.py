@@ -137,7 +137,9 @@ class TestConfigParsing:
             parse_config(BASE.replace("sigma: 0.2", "sigma: true"))
 
     @pytest.mark.parametrize(
-        "extra, key", [("weights: [1.0]", "weights"), ("  block_size: 16384", "simulation.block_size")]
+        "extra, key",
+        [("weights: [1.0]", "weights"), ("  block_size: 16384", "simulation.block_size")],
+        ids=["weights", "block_size"],
     )
     def test_removed_keys_fail_as_unknown_keys(self, extra, key, tmp_path, capsys):
         # check-bound answers for every weight vector and the path blocks are
@@ -1173,6 +1175,7 @@ class TestCheckBoundVerdict:
     @pytest.mark.parametrize(
         "model, sigma, ratios, code",
         [("bessel0", 1.0, [0.646, 3.07, 9.24], 1), ("gbm", 0.2, None, 0)],
+        ids=["bessel0", "gbm"],
     )
     def test_every_weight_vector_rules_the_scenario_out(
         self, model, sigma, ratios, code, tmp_path, capsys
