@@ -60,7 +60,6 @@ __all__ = [
     "compute_alphas",
     "build_q",
     "joint_simulate",
-    "n_value",
     "tail_route",
     "l_value",
     "rhs_bound",
@@ -308,18 +307,6 @@ def joint_simulate(scn: Scenario, time_grid, cfg: SimConfig) -> PathEnsemble:
 # ===== the bound's building blocks =====
 
 
-def n_value(t: float, T: float, theta, s, model: ReferenceModel):
-    """Growth factor exp(theta^2 (T - t)) phi(s); exact arithmetic."""
-    if not t <= T:
-        raise DomainError(f"need t <= T, got t={t}, T={T}")
-    theta = np.asarray(theta, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    if not np.all((s >= model.beta.lower) & (s <= model.beta.upper)):
-        raise DomainError("state outside the domain closure")
-    out = np.exp(theta * theta * (T - t)) * np.asarray(model.phi(s), dtype=np.float64)
-    return float(out) if out.ndim == 0 else out
-
-
 def _law(model: ReferenceModel):
     """The model's transition law, against which every tail term and call
     price is taken; a model without one is refused."""
@@ -423,8 +410,9 @@ class BoundReport:
     the decomposition (nq_*, g_corr_*) and q are the sharpest row's: largest
     lhs/rhs, the earliest maturity on a tie.
 
-    lhs_route names how the left side was computed (check_bound): exactly
-    from the law, with every se 0, or as the mean over the simulated paths.
+    lhs_route names the rows the left side is the mean over (check_bound):
+    {"route": "exact", ...}, the one row of the law at time t, with every se
+    0, or {"route": "monte-carlo", "paths": n}, a row per simulated path.
     absorbed_fraction is the share of simulated paths absorbed by time t;
     absorbed_mass is the law's probability of the same where the law has an
     atom and theta does not move, else None. On the exact route these
@@ -466,18 +454,23 @@ def check_bound(
     cfg: SimConfig,
 ) -> BoundReport:
     """Evaluate both sides of the universal bound for a scenario at time t,
-    a row per unit weight Q_j. A row's left side is the mean of N Q_j(X_t) +
-    sum_k c_k (G0_k - Gt_k) over the market's time-t state; its right side
-    is exact arithmetic and identical across scenarios sharing (maturities,
-    strikes, phi). A row is satisfied when lhs <= rhs + 3 se.
+    a per_weight row per unit weight Q_j. Its right side is exact arithmetic
+    and identical across scenarios sharing (maturities, strikes, phi). Its
+    left side is one formula (_lhs_rows) over time-t rows (s, v_t, theta_t,
+    v_to), each standing for S_t drawn from the law at state s and variance
+    v_t:
 
-    Where theta does not move, S_t has the law at s0 and variance v_t, the
-    integral of theta^2 up to t, so the left side is exact (_lhs_exact) and
-    its se is 0. A moving theta takes the mean over the simulated paths
-    (_lhs_paths). Either route takes each maturity's tail terms once for
-    all the rows. One step of joint_simulate over [0, t] gives the absorbed
-    fraction and, for a closed-form model, the band terms L; the verdict
-    reads neither.
+        mean over the rows of exp(theta_t^2 (T_1 - t)) Q_j(X_t) E[phi(S_t)]
+                              + sum_k c_k (G(s0, sigma0^2 T_k) - G(s, v_to[k]))
+
+    The routes differ only in the rows. Where theta does not move there is
+    one row, (s0, v_t, theta_t) with v_to accrued by _variance_clock
+    (_exact_rows), so the left side is exact and its se is 0. A moving theta
+    has a row per simulated path, the point mass (S_t, 0, theta_t) with
+    v_to[k] = theta_t^2 (T_k - t). A per_weight row is satisfied when
+    lhs <= rhs + 3 se. One step of joint_simulate over [0, t] gives the
+    absorbed fraction and, for a closed-form model, the band terms L; the
+    verdict reads neither.
     """
     model = scn.reference
     times = mats.times
@@ -494,15 +487,15 @@ def check_bound(
     n = s_t.size
     mass_fn = getattr(model.law, "absorbed_mass", None)
     mass = None
-    if mass_fn is not None and not scn.theta_process.moves:
-        mass = float(mass_fn(scn.s0, _variance_clock(scn.theta_process, t, t)))
-
     if scn.theta_process.moves:
-        parts = _lhs_paths(scn, qs, times, strikes.k_max, t, theta_t, s_t)
+        law_rows = (s_t, np.zeros(n), theta_t, theta_t * theta_t * (np.array(times)[:, None] - t))
         route = {"route": "monte-carlo", "paths": n}
     else:
-        parts = _lhs_exact(scn, qs, times, strikes.k_max, t)
+        law_rows = _exact_rows(scn, t, times)
         route = {"route": "exact", "phi_mean": semigroup_route(model)}
+        if mass_fn is not None:
+            mass = float(mass_fn(scn.s0, float(law_rows[1][0])))
+    parts = _lhs_rows(scn, qs, times, strikes.k_max, t, law_rows)
     rows = []
     for t_j, qp, (_, _, (lhs_raw, se)) in zip(times[2:], qs, parts):
         rhs, convention = _rhs_detail(qp.coeffs, strikes, model.phi)
@@ -550,79 +543,66 @@ def check_bound(
     )
 
 
-def _lhs_paths(scn, qs, times, k_max, t, theta_t, s_t):
+def _exact_rows(scn, t, times):
+    """The one row of a theta that does not move, as _lhs_rows reads rows:
+    theta_t is a number and S_t has the law at s0 and variance v_t, the
+    integral of theta^2 up to t, with each maturity's variance accrued by
+    _variance_clock over the same intervals as at time 0."""
+    proc = scn.theta_process
+    return (
+        np.array([scn.s0]),
+        np.array([_variance_clock(proc, t, t)]),
+        np.array([proc.deterministic_value(t)]),
+        np.array([[_variance_clock(proc, t, t_k)] for t_k in times]),
+    )
+
+
+def _lhs_rows(scn, qs, times, k_max, t, rows):
     """Per polynomial of qs, (mean, se) of N Q(X_t), of the tail corrections
-    and of their sum over the paths' (theta_t, s_t)."""
+    and of their sum over the rows (s, v_t, theta_t, v_to). Row i stands for
+    S_t drawn from the law at state s_i and variance v_t_i, with theta_t_i at
+    t, and v_to[k, i] is the variance it accrues up to T_k, so per row
+
+        E[N Q(X_t)] = exp(theta_t^2 (T_1 - t)) Q(X_t) E[phi(S_t)],
+        E[G(t, T_k, theta_t, S_t)] = G(s, v_to[k])
+
+    by Chapman-Kolmogorov in the variance clock, with E[phi(S_t)] = phi(s)
+    where v_t is 0 and phi_mean(s, v_t) where it is not. X_t is pin_point's
+    expression at theta_t. A single row has se 0.
+    """
     model = scn.reference
-    n = s_t.size
+    s, v_t, theta_t, v_to = rows
+    n = s.size
+    held = v_t == 0.0
+    e_phi = np.empty(n)
+    e_phi[held] = model.phi(s[held])
+    e_phi[~held] = [phi_mean(model, a, b) for a, b in zip(s[~held].tolist(), v_t[~held].tolist())]
     with np.errstate(over="ignore", invalid="ignore"):
-        n1 = n_value(t, times[0], theta_t, s_t, model)
+        n1 = np.exp(theta_t * theta_t * (times[0] - t)) * e_phi
         x_t = np.exp(theta_t * theta_t * np.float64(times[1] - times[0]))
     bad = np.nonzero(~(np.isfinite(n1) & np.isfinite(x_t)))[0]
     if bad.size:
-        pairs = ", ".join(f"({theta_t[i]:.6g}, {s_t[i]:.6g})" for i in bad[:5])
+        first = ", ".join(f"({theta_t[i]:.6g}, {s[i]:.6g}, {v_t[i]:.6g})" for i in bad[:5])
         raise DivergenceError(
-            f"growth factor at t={t} is not finite on {bad.size} of {n} paths of model "
-            f"{model.name!r}; first (theta_t, s_t): {pairs} on paths {bad[:5].tolist()}"
+            f"growth factor at t={t} is not finite on {bad.size} of {n} rows of model "
+            f"{model.name!r}; first (theta_t, s, v_t): {first} on rows {bad[:5].tolist()}"
         )
-    # each maturity's G0_k - Gt_k on every path, taken once for all of qs
-    gaps = []
-    for t_k in times:
-        gt = _g_batch(model, theta_t, s_t, t, t_k, k_max)
-        g0 = _g_batch(model, np.array([scn.sigma0]), np.array([scn.s0]), 0.0, t_k, k_max)
-        gaps.append(float(g0[0]) - gt)
+    # every maturity's G in one tail call per side, G_t over the q n stacked
+    # rows: each row is its own reduction, so the rows do not change one
+    # another
+    q = len(times)
+    gt = _g_tail(model, np.tile(s, q), v_to.ravel(), k_max).reshape(q, n)
+    g0 = _g_batch(model, np.full(q, scn.sigma0), np.full(q, scn.s0), 0.0, np.array(times), k_max)
     out = []
     for qp in qs:
         # Q >= 0 holds exactly in real arithmetic; floats may dip an ulp
         # below zero right next to the pinned root, so floor at zero
         nq = n1 * np.maximum(qp.value(x_t), 0.0)
         g_corr = np.zeros(n)
-        for c_k, gap in zip(qp.coeffs, gaps):
-            if c_k != 0.0:
-                g_corr = g_corr + c_k * gap
-        out.append((sample_mean(nq), sample_mean(g_corr), sample_mean(nq + g_corr)))
-    return out
-
-
-def _lhs_exact(scn, qs, times, k_max, t):
-    """_lhs_paths's (mean, se) triples, each se 0, for a theta that does not
-    move: theta_t is a number and S_t has the law at s0 and variance v_t, so
-
-        E[N Q(X_t)] = exp(theta_t^2 (T_1 - t)) Q(X_t) E[phi(S_t)],
-        E[G(t, T_k, theta_t, S_t)] = G(s0, v_t + theta_t^2 (T_k - t))
-
-    by Chapman-Kolmogorov in the variance clock. X_t is pin_point's
-    expression at theta_t, and each variance accrues over the same
-    intervals as G0's, so the self-consistent left side is 0.0 exactly.
-    """
-    model = scn.reference
-    proc = scn.theta_process
-    theta_t = proc.deterministic_value(t)
-    with np.errstate(over="ignore", invalid="ignore"):
-        x_t = pin_point(theta_t, times[1] - times[0])
-        n1 = np.exp(theta_t * theta_t * (times[0] - t)) * phi_mean(
-            model, scn.s0, _variance_clock(proc, t, t)
-        )
-    if not (math.isfinite(n1) and math.isfinite(x_t)):
-        raise DivergenceError(
-            f"growth factor at t={t} is not finite under the law of model {model.name!r}: "
-            f"theta_t {theta_t:.6g}, E[N] {n1:.6g}, X_t {x_t:.6g}"
-        )
-    # every maturity's G in one tail call per side, a row each: each row is
-    # its own reduction, so the rows do not change one another
-    s0 = np.full(len(times), scn.s0)
-    v_t = np.array([_variance_clock(proc, t, t_k) for t_k in times])
-    gt = _g_tail(model, s0, v_t, k_max)
-    g0 = _g_batch(model, np.full(len(times), scn.sigma0), s0, 0.0, np.array(times), k_max)
-    out = []
-    for qp in qs:
-        # Q >= 0, floored as on the paths
-        nq = float(n1 * np.maximum(qp.value(x_t), 0.0))
-        g_corr = 0.0
         for c_k, g0_k, gt_k in zip(qp.coeffs, g0, gt):
             if c_k != 0.0:
-                g_corr = g_corr + c_k * (float(g0_k) - float(gt_k))
-        out.append(((nq, 0.0), (g_corr, 0.0), (nq + g_corr, 0.0)))
+                g_corr = g_corr + c_k * (g0_k - gt_k)
+        out.append((sample_mean(nq), sample_mean(g_corr), sample_mean(nq + g_corr)))
     return out
 
 
@@ -725,22 +705,20 @@ def _residuals_exact(scenarios, mats, strikes, t):
         E[(S_T - K)^+] = C(s0, K, V_T),
         E[C(T, t, K, theta_t, S_t)] = C(s0, K, v_t + theta_t^2 (T - t))
 
-    by Chapman-Kolmogorov in the variance clock. Both variances are
-    _variance_clock's, which accrues them over the same intervals wherever
-    theta is constant after t, so such a member reads 0.0 exactly. The model
-    prices are the group's, taken once; the group shares them when each
-    member's law, s0, v_t and theta_t equal the first member's, which is
-    checked.
+    by Chapman-Kolmogorov in the variance clock, the second at the exact
+    row's variances (_exact_rows). Both are _variance_clock's, which accrues
+    them over the same intervals wherever theta is constant after t, so such
+    a member reads 0.0 exactly. The model prices are the group's, taken
+    once; the group shares them when each member's law and exact row equal
+    the first member's, which is checked.
     """
     first = scenarios[0]
     times, ks = mats.times, strikes.strikes
-
-    def time_t_law(scn):
-        proc = scn.theta_process
-        return scn.reference.law, scn.s0, _variance_clock(proc, t, t), proc.deterministic_value(t)
-
+    row = _exact_rows(first, t, times)
     for g, scn in enumerate(scenarios[1:], start=1):
-        if time_t_law(scn) != time_t_law(first):
+        if scn.reference.law != first.reference.law or not all(
+            map(np.array_equal, _exact_rows(scn, t, times), row)
+        ):
             raise _history_differs(g, scn, t)
 
     call = _law(first.reference).call
@@ -752,7 +730,7 @@ def _residuals_exact(scenarios, mats, strikes, t):
         v = np.array(variances)
         return np.stack([call(first.s0, k, v) for k in ks], axis=1)
 
-    model_price = prices([_variance_clock(first.theta_process, t, t_i) for t_i in times])
+    model_price = prices(row[3][:, 0])
     tables = []
     for scn in scenarios:
         res = prices([_variance_clock(scn.theta_process, t_i, t_i) for t_i in times]) - model_price

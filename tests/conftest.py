@@ -15,7 +15,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import quad
 
-from volbound.bound import QPolynomial, _g_batch, l_value, n_value
+from volbound.bound import QPolynomial, _g_batch, l_value
+from volbound.errors import DomainError
 from volbound.models import sample_mean, simulate, step_paths, z_score
 from volbound.phi import MartingaleTestReport
 
@@ -304,6 +305,20 @@ def band_integral_oracle(prices, phi, strikes, splits=()):
     k = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half[:, None] * x
     gaps = prices(k.ravel()).reshape(k.shape) - prices(ks[:-1])[band][:, None]
     return float(half @ ((gaps * np.asarray(phi.deriv2(k))) @ w))
+
+
+def n_value(t: float, T: float, theta, s, model):
+    """Growth factor exp(theta^2 (T - t)) phi(s) per (theta, s) pair, by
+    direct arithmetic: the per-path N of the left side, which check_bound
+    takes as the point-mass rows of its one left-side formula."""
+    if not t <= T:
+        raise DomainError(f"need t <= T, got t={t}, T={T}")
+    theta = np.asarray(theta, dtype=np.float64)
+    s = np.asarray(s, dtype=np.float64)
+    if not np.all((s >= model.beta.lower) & (s <= model.beta.upper)):
+        raise DomainError("state outside the domain closure")
+    out = np.exp(theta * theta * (T - t)) * np.asarray(model.phi(s), dtype=np.float64)
+    return float(out) if out.ndim == 0 else out
 
 
 def decomposition_check(model, theta: float, s: float, t: float, T: float, strikes) -> dict:

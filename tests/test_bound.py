@@ -25,6 +25,7 @@ from conftest import (
     decomposition_check,
     logbesq0_phi_hat_oracle,
     lognormal_phi_hat_oracle,
+    n_value,
     pinned_q_oracle,
     tail_mc_oracle,
 )
@@ -48,7 +49,6 @@ from volbound.bound import (
     joint_simulate,
     l_value,
     meanrev_vol_scenario,
-    n_value,
     pricing_residuals,
     rhs_bound,
     self_consistent_scenario,
@@ -974,7 +974,7 @@ class TestBoundCheck:
         # under a theta that does not move each side's tail terms take one
         # call with a row per maturity, and nothing is simulated but the one
         # joint_simulate step; a moving theta still integrates the tail on
-        # every path
+        # every path, at every maturity
         rows = {"batch": [], "tail": []}
         g_batch, g_tail = bound_module._g_batch, bound_module._g_tail
 
@@ -994,13 +994,19 @@ class TestBoundCheck:
         monkeypatch.setattr(bound_module, "simulate", no_simulate)
         monkeypatch.setattr(models_module, "simulate", no_simulate)
         cfg = SimConfig(n_paths=20000, dt=0.01, seed=4)
+        q = len(MATS.times)
         for scn in (self_consistent_scenario(model, 0.5), step_vol_scenario(model, 0.5, 0.25, 0.3)):
             check_bound(scn, MATS, strikes, 0.5, cfg)
         assert rows["batch"] and rows["tail"]
-        assert set(rows["batch"]) == set(rows["tail"]) == {len(MATS.times)}
+        assert set(rows["batch"]) == set(rows["tail"]) == {q}
         if model is BESSEL:
+            # one call per side: G_t over the q n stacked path rows, and G0
+            # over q rows through _g_batch, which reaches _g_tail too
+            rows["batch"].clear()
+            rows["tail"].clear()
             check_bound(meanrev_vol_scenario(model, 0.5, 2.0, 0.8, 0.4), MATS, strikes, 0.5, cfg)
-            assert 20000 in rows["batch"] and 20000 in rows["tail"]
+            assert rows["batch"] == [q]
+            assert sorted(rows["tail"]) == [q, q * 20000]
 
     def test_negative_meanrev_theta_enters_the_band_term_as_its_modulus(self):
         # a mean-reverting theta crosses below 0 on some paths; L reads
@@ -1139,8 +1145,8 @@ class TestBoundCheck:
     def test_overflowing_vol_is_reported_not_propagated(self):
         wild = meanrev_vol_scenario(GBM, 0.2, 0.0, 0.2, 4000.0)
         cfg = SimConfig(n_paths=64, dt=0.05, seed=2)
-        # the error names the phase, the model and the first offending pairs
-        named = r"growth factor at t=0\.5 .* model 'gbm'; first \(theta_t, s_t\): \("
+        # the error names the phase, the model and the first offending rows
+        named = r"growth factor at t=0\.5 .* model 'gbm'; first \(theta_t, s, v_t\): \("
         with pytest.raises(DivergenceError, match=named):
             check_bound(wild, MATS, KS5, 0.5, cfg)
 
@@ -1184,8 +1190,8 @@ class TestEveryWeightVector:
                 if not p.any():
                     continue
                 qp = pinned_q_oracle(p, alphas, x0)
-                ((_, _, (lhs, _)),) = bound_module._lhs_exact(
-                    scn, [qp], times, strikes.k_max, t
+                ((_, _, (lhs, _)),) = bound_module._lhs_rows(
+                    scn, [qp], times, strikes.k_max, t, bound_module._exact_rows(scn, t, times)
                 )
                 rhs = rhs_bound(qp.coeffs, strikes, model.phi)
                 # the right side is linear in p

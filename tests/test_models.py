@@ -353,6 +353,11 @@ class TestSquaredBesselLaw:
     def test_density_matches_mpmath(self, arv, want):
         assert self.LAW._density(*arv) == pytest.approx(want, rel=2e-15, abs=0.0)
 
+    @pytest.mark.parametrize("s,v", BESQ_CASES + [(2e-4, 1e-3), (0.2, 1.0)])
+    def test_expect_of_the_identity_is_the_start(self, s, v):
+        # the martingale mean by the rule phi_mean reads, atom included
+        assert self.LAW.expect(lambda x: x, s, v) == pytest.approx(s, rel=1e-12, abs=0.0)
+
     def test_absorbed_mass_matches_simulated_fraction(self):
         m = builtin_model("bessel0")
         n = 40000
@@ -431,6 +436,20 @@ BOUNDARY_CASES = [
 ]
 
 
+#: per law, a start where absorption is likely at v = 1e-3 and at v = 1:
+#: bessel0's atom holds exp(-2z/v) and logdiff's z^(1/(1 - e^-v)), each
+#: e^-0.4 = 0.67 here; gbm has no atom
+MARTINGALE_CASES = [
+    (name, start(v), v)
+    for name, start in (
+        ("gbm", lambda v: 1.0),
+        ("bessel0", lambda v: 0.2 * v),
+        ("logdiff", lambda v: math.exp(0.4 * math.expm1(-v))),
+    )
+    for v in (1e-3, 1.0)
+]
+
+
 def _call_oracle(name, z, k, v):
     """The call price by a route independent of law.call: Schroder's closed
     form on bessel0; elsewhere adaptive quadrature against the law's
@@ -490,6 +509,16 @@ class TestLawCall:
         x = law.sample(np.full(n, z), v, rng_substream(54, 0))
         p = law.absorbed_mass(z, v)
         assert abs(np.mean(x == law.atom) - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n)
+
+    @pytest.mark.parametrize("name,z,v", MARTINGALE_CASES)
+    def test_sampled_mean_is_the_start(self, name, z, v):
+        # Z is a martingale: E[Z_T] = z, also where most draws sit on the atom
+        law = builtin_model(name).law
+        n = 200_000
+        x = law.sample(np.full(n, z), v, rng_substream(55, 0))
+        if law.atom is not None:
+            assert np.mean(x == law.atom) > 0.5
+        assert abs(x.mean() - z) < 4.0 * x.std(ddof=1) / math.sqrt(n)
 
     @pytest.mark.parametrize("name", ["gbm", "bessel0", "logdiff"])
     def test_chapman_kolmogorov_in_the_variance_clock(self, name):
