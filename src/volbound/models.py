@@ -17,10 +17,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, ClassVar
 
 import numpy as np
-# numpy loads numpy.random and numpy.polynomial (the laws' Gauss-Legendre
-# rules) lazily on first use, which would land inside a timed computation;
-# load them with the module instead
-import numpy.polynomial.legendre  # noqa: F401
+# numpy loads numpy.random lazily on first use, which would land inside a
+# timed computation; load it with the module instead
 import numpy.random  # noqa: F401
 
 from .errors import ConfigurationError, DomainError
@@ -111,9 +109,75 @@ class PhiFunction:
 # ===== exact transition laws =====
 
 
+# The laws' two Gauss-Legendre rules on [-1, 1], frozen so that no run builds
+# one: n -> (nodes, weights) of the rule's nonnegative half, ascending, the
+# values numpy.polynomial.legendre.leggauss(n) gives (numpy 2.4.6), whose
+# rules are exactly symmetric. Each node is within 1 ulp of the rule at 40
+# digits and each weight within 2e-12 relative (leggauss's own error);
+# tests/test_models.py remakes the rules by a Newton iteration on P_n.
+_GAUSS_LEGENDRE_HALVES = {
+    48: (
+        (
+            0.03238017096286937, 0.0970046992094627, 0.1612223560688917,
+            0.22476379039468905, 0.28736248735545555, 0.3487558862921607,
+            0.4086864819907167, 0.4669029047509584, 0.523160974722233,
+            0.5772247260839727, 0.6288673967765136, 0.6778723796326639,
+            0.7240341309238146, 0.7671590325157404, 0.8070662040294426,
+            0.8435882616243935, 0.8765720202742479, 0.9058791367155696,
+            0.9313866907065543, 0.9529877031604308, 0.9705915925462473,
+            0.9841245837228269, 0.9935301722663508, 0.9987710072524261,
+        ),
+        (
+            0.06473769681268365, 0.06446616443594982, 0.06392423858464787,
+            0.06311419228625373, 0.06203942315989242, 0.0607044391658936,
+            0.059114839698395344, 0.057277292100402916, 0.05519950369998403,
+            0.05289018948519344, 0.0503590355538542, 0.04761665849249024,
+            0.04467456085669423, 0.04154508294346455, 0.0382413510658305,
+            0.034777222564770394, 0.031167227832798097, 0.027426509708357034,
+            0.023570760839324047, 0.019616160457356056, 0.015579315722943226,
+            0.011477234579234614, 0.007327553901276135, 0.0031533460523098414,
+        ),
+    ),
+    64: (
+        (
+            0.02435029266342443, 0.07299312178779904, 0.12146281929612054,
+            0.16964442042399283, 0.21742364374000708, 0.2646871622087674,
+            0.31132287199021097, 0.3572201583376681, 0.4022701579639916,
+            0.4463660172534641, 0.48940314570705296, 0.5312794640198946,
+            0.571895646202634, 0.6111553551723933, 0.6489654712546573,
+            0.6852363130542333, 0.7198818501716109, 0.7528199072605319,
+            0.7839723589433414, 0.8132653151227975, 0.8406292962525803,
+            0.8659993981540928, 0.8893154459951141, 0.9105221370785028,
+            0.9295691721319396, 0.9464113748584028, 0.9610087996520538,
+            0.973326827789911, 0.983336253884626, 0.9910133714767443,
+            0.9963401167719552, 0.9993050417357722,
+        ),
+        (
+            0.048690957009139814, 0.04857546744150351, 0.048344762234802996,
+            0.04799938859645842, 0.04754016571483042, 0.046968182816210076,
+            0.04628479658131447, 0.045491627927418184, 0.044590558163756566,
+            0.04358372452932355, 0.04247351512365361, 0.041262563242623576,
+            0.039953741132720544, 0.03855015317861564, 0.03705512854024009,
+            0.0354722132568823, 0.033805161837141794, 0.032057928354851495,
+            0.030234657072402554, 0.028339672614259535, 0.02637746971505491,
+            0.0243527025687112, 0.02227017380838297, 0.020134823153530088,
+            0.017951715775697284, 0.01572603047602503, 0.01346304789671786,
+            0.011168139460131028, 0.008846759826363397, 0.006504457968978502,
+            0.004147033260564499, 0.00178328072169414,
+        ),
+    ),
+}
+
+
 @functools.cache
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+    """The n-node rule on [-1, 1] as read-only arrays, nodes ascending: the
+    frozen half mirrored, or leggauss's for any other n."""
+    if n in _GAUSS_LEGENDRE_HALVES:
+        x, w = map(np.array, _GAUSS_LEGENDRE_HALVES[n])
+        nodes, weights = np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
+    else:
+        nodes, weights = np.polynomial.legendre.leggauss(n)
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
