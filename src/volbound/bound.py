@@ -467,7 +467,8 @@ def check_bound(
     one row, (s0, v_t, theta_t) with v_to accrued by _variance_clock
     (_exact_rows), so the left side is exact and its se is 0. A moving theta
     has a row per simulated path, the point mass (S_t, 0, theta_t) with
-    v_to[k] = theta_t^2 (T_k - t). A per_weight row is satisfied when
+    v_to[k] = theta_t^2 (T_k - t) (_path_rows, which the path route of
+    pricing_residuals reads too). A per_weight row is satisfied when
     lhs <= rhs + 3 se. One step of joint_simulate over [0, t] gives the
     absorbed fraction and, for a closed-form model, the band terms L; the
     verdict reads neither.
@@ -488,7 +489,7 @@ def check_bound(
     mass_fn = getattr(model.law, "absorbed_mass", None)
     mass = None
     if scn.theta_process.moves:
-        law_rows = (s_t, np.zeros(n), theta_t, theta_t * theta_t * (np.array(times)[:, None] - t))
+        law_rows = _path_rows(s_t, theta_t, times, t)
         route = {"route": "monte-carlo", "paths": n}
     else:
         law_rows = _exact_rows(scn, t, times)
@@ -674,11 +675,12 @@ def pricing_residuals(
 
     Tests the unconditional consequence of the repricing identity: the
     difference (S_T - K)^+ - C(T, t, K, theta_t, S_t), C the law's call, has
-    mean 0 when the scenario reprices like the reference. Where no member's
-    theta moves that mean is exact (_residuals_exact) and nothing is
-    simulated, so cfg is not read; otherwise it is taken over simulated
-    paths (_residuals_paths). On either route a member whose history up to t
-    differs from the first member's is an error.
+    mean 0 when the scenario reprices like the reference. _repricing takes
+    that mean over the group's rows. Where no member's theta moves they are
+    the law's one row (_exact_group) and nothing is simulated, so cfg is not
+    read; otherwise they are a row per simulated path (_path_group). On
+    either route a member whose history up to t differs from the first
+    member's is an error.
     """
     scenarios = tuple(scenarios)
     if not scenarios:
@@ -686,9 +688,9 @@ def pricing_residuals(
     times = mats.times
     if not 0.0 <= t <= times[0]:
         raise DomainError(f"evaluation time {t} must lie in [0, {times[0]}]")
-    if any(scn.theta_process.moves for scn in scenarios):
-        return _residuals_paths(scenarios, mats, strikes, t, cfg)
-    return _residuals_exact(scenarios, mats, strikes, t)
+    moves = any(scn.theta_process.moves for scn in scenarios)
+    group = (_path_group if moves else _exact_group)(scenarios, times, t, cfg)
+    return _repricing(_law(scenarios[0].reference).call, mats, strikes, *group)
 
 
 def _history_differs(g: int, scn: Scenario, t: float) -> DomainError:
@@ -698,72 +700,46 @@ def _history_differs(g: int, scn: Scenario, t: float) -> DomainError:
     )
 
 
-def _residuals_exact(scenarios, mats, strikes, t):
-    """Residuals from the law, for thetas that do not move: S_T has the law
-    at s0 and variance V_T = int_0^T theta^2, and S_t at v_t, so
+def _exact_group(scenarios, times, t, _cfg):
+    """(rows, ends, route, steps) of a group whose thetas do not move: the
+    law's one row at t (_exact_rows), and per member the terminal rows
+    (s0, V_T), S_T having the law at s0 and variance V_T = int_0^T theta^2.
 
-        E[(S_T - K)^+] = C(s0, K, V_T),
-        E[C(T, t, K, theta_t, S_t)] = C(s0, K, v_t + theta_t^2 (T - t))
-
-    by Chapman-Kolmogorov in the variance clock, the second at the exact
-    row's variances (_exact_rows). Both are _variance_clock's, which accrues
-    them over the same intervals wherever theta is constant after t, so such
-    a member reads 0.0 exactly. The model prices are the group's, taken
-    once; the group shares them when each member's law and exact row equal
-    the first member's, which is checked.
+    Both variances are _variance_clock's, which accrues them over the same
+    intervals wherever theta is constant after t, so such a member reads
+    0.0 exactly. The group shares the row when each member's law and exact
+    row equal the first member's, which is checked.
     """
     first = scenarios[0]
-    times, ks = mats.times, strikes.strikes
-    row = _exact_rows(first, t, times)
+    rows = _exact_rows(first, t, times)
     for g, scn in enumerate(scenarios[1:], start=1):
         if scn.reference.law != first.reference.law or not all(
-            map(np.array_equal, _exact_rows(scn, t, times), row)
+            map(np.array_equal, _exact_rows(scn, t, times), rows)
         ):
             raise _history_differs(g, scn, t)
-
-    call = _law(first.reference).call
-
-    def prices(variances):
-        # one call per strike over the maturities: the payoff and the model
-        # price of a cell are taken at the same place in equal-shaped arrays,
-        # so equal variances give equal floats
-        v = np.array(variances)
-        return np.stack([call(first.s0, k, v) for k in ks], axis=1)
-
-    model_price = prices(row[3][:, 0])
-    tables = []
-    for scn in scenarios:
-        res = prices([_variance_clock(scn.theta_process, t_i, t_i) for t_i in times]) - model_price
-        tables.append(ResidualTable(
-            maturities=times,
-            strikes=ks,
-            residuals=res,
-            ses=np.zeros_like(res),
-            z_scores=np.vectorize(z_score, otypes=[float])(res, 0.0),
-            route={"route": "exact"},
-        ))
-    return tuple(tables)
+    v_ts = [[[_variance_clock(scn.theta_process, t_i, t_i)] for t_i in times] for scn in scenarios]
+    return rows, [(rows[0], np.array(v)) for v in v_ts], {"route": "exact"}, [0] * len(scenarios)
 
 
-def _residuals_paths(scenarios, mats, strikes, t, cfg):
-    """Residuals over simulated paths: the law's call on every path at t,
-    against the payoffs at each maturity. Differences share paths, so the
-    standard error is that of the paired sample.
+def _path_rows(s_t, theta_t, times, t):
+    """A row per simulated path, as _lhs_rows reads rows: the point mass
+    (S_t, 0, theta_t), with v_to[k] = theta_t^2 (T_k - t)."""
+    return s_t, np.zeros(s_t.size), theta_t, theta_t * theta_t * (np.array(times)[:, None] - t)
 
-    Each scenario's paths are its own joint_simulate run, as if it were
-    alone, of which only the maturity columns are kept. The prices read the
-    paths at t only, so each (T_i, K) cell is priced once for the whole
-    group; that needs S_t and theta_t of every member to equal the first
-    member's bit for bit, which is checked.
+
+def _path_group(scenarios, times, t, cfg):
+    """(rows, ends, route, steps) of a group over simulated paths: the
+    first member's _path_rows, and per member the terminal rows (S_T, 0),
+    its paths at each maturity at zero variance, whose call is the payoff.
+
+    Each member's paths are its own joint_simulate run, as if it were
+    alone, of which only the maturity columns are kept. The group shares
+    the rows when every member's S_t and theta_t equal the first member's
+    bit for bit, which is checked.
     """
-    call = _law(scenarios[0].reference).call
-    times = mats.times
     grid = sorted({0.0, t, *times})
     at_t = grid.index(t)
-    n = cfg.n_paths
-    # ends[g, i] holds member g's paths at maturity i, all a group keeps
-    ends = np.empty((len(scenarios), mats.q, n))
-    steps = []
+    ends, steps = [], []
     for g, scn in enumerate(scenarios):
         joint = joint_simulate(scn, grid, cfg)
         if g == 0:
@@ -777,45 +753,65 @@ def _residuals_paths(scenarios, mats, strikes, t, cfg):
             and np.array_equal(joint.theta[:, at_t], theta_t)
         ):
             raise _history_differs(g, scn, t)
-        for i, t_i in enumerate(times):
-            ends[g, i] = joint.states[:, grid.index(t_i)]
+        ends.append((joint.states[:, [grid.index(t_i) for t_i in times]].T, 0.0))
         steps.append(joint.steps)
         # freed before the next member is simulated
         del joint
+    route = {"route": "monte-carlo", "paths": cfg.n_paths}
+    return _path_rows(s_t, theta_t, times, t), ends, route, steps
 
-    ks = strikes.strikes
-    shape = (len(scenarios), mats.q, len(ks))
+
+def _repricing(call, mats, strikes, rows, ends, route, steps):
+    """One ResidualTable per member of a group, from the group's rows (s,
+    v_t, theta_t, v_to) and the member's terminal rows (z_T, v_T), which
+    stand for S_T as the rows stand for S_t: at (T_i, K) the mean over them
+
+        C(z_T[i], K, v_T[i]) - C(s, K, v_to[i]),
+
+    with the standard error of the paired sample and its z-score, and where
+    the route has paths, each cell's count of in-the-money paths.
+
+    A call takes a slice of maturities, at most max(n, q) cells of n rows:
+    all q of a single row, one maturity of many. A cell's two prices sit at
+    the same place in equal-shaped arrays, so equal variances give equal
+    floats.
+    """
+    times, ks = mats.times, strikes.strikes
+    model = np.broadcast_arrays(rows[0], rows[3])
+    ends = [np.broadcast_arrays(*end) for end in ends]
+    q, n = model[0].shape
+    width = max(1, q // n)
+    shape = (len(ends), q, len(ks))
     res, ses, zs = np.empty(shape), np.empty(shape), np.empty(shape)
     counts = np.empty(shape, dtype=np.int64)
-    payoff, diff = np.empty(n), np.empty(n)
-    for i, t_i in enumerate(times):
-        v = theta_t * theta_t * (t_i - t)
+    for i in range(0, q, width):
+        cells = slice(i, i + width)
         for j, k in enumerate(ks):
-            price = call(s_t, k, v)
-            for g in range(len(scenarios)):
-                np.subtract(ends[g, i], k, out=payoff)
-                np.maximum(payoff, 0.0, out=payoff)
-                mean, se = sample_mean(np.subtract(payoff, price, out=diff))
-                res[g, i, j], ses[g, i, j], zs[g, i, j] = mean, se, z_score(mean, se)
-                counts[g, i, j] = np.count_nonzero(payoff > 0.0)
-            # freed before the next cell is priced
-            del price
+            price = _call_cells(call, model, k, cells)
+            for g, end in enumerate(ends):
+                diff = _call_cells(call, end, k, cells)
+                counts[g, cells, j] = np.count_nonzero(diff > 0.0, axis=1)
+                diff -= price
+                for r, cell in enumerate(diff, start=i):
+                    mean, se = sample_mean(cell)
+                    res[g, r, j], ses[g, r, j], zs[g, r, j] = mean, se, z_score(mean, se)
+    paths = route.get("paths")
     return tuple(
         ResidualTable(
-            maturities=times,
-            strikes=ks,
-            residuals=res[g],
-            ses=ses[g],
-            z_scores=zs[g],
-            route={"route": "monte-carlo", "paths": n},
-            tail_counts=counts[g],
-            calibrated=counts[g] >= MIN_TAIL_COUNT,
-            min_tail_count=MIN_TAIL_COUNT,
-            n_paths=n,
-            steps=steps[g],
+            maturities=times, strikes=ks, residuals=res[g], ses=ses[g], z_scores=zs[g],
+            route=route, steps=steps[g],
+            **({"tail_counts": counts[g], "calibrated": counts[g] >= MIN_TAIL_COUNT,
+                "min_tail_count": MIN_TAIL_COUNT, "n_paths": paths} if paths else {}),
         )
-        for g in range(len(scenarios))
+        for g in range(len(ends))
     )
+
+
+def _call_cells(call, zv, k, cells):
+    """call at strike k over the maturity slice cells of the broadcast
+    (q, n) pair zv = (z, v), as one call on 1-d arrays."""
+    z, v = (a[cells] for a in zv)
+    return call(z.reshape(-1), k, v.reshape(-1)).reshape(z.shape)
 
 
 @dataclass(frozen=True)

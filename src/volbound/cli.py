@@ -256,10 +256,10 @@ def _bound_run(rcs):
     """(check_bound's report, each config's repricing residuals, each
     config's stepping route) for resolved configs that share one
     _history_key, which makes the report theirs alike. The residuals are
-    None where the law's call is not closed form: under a moving theta it
-    would take a quadrature rule per path and cell, and the exact route is
-    not yet extended to bessel0 and logdiff, on which bench/workloads.py
-    predicts no repricing. The report's steps count toward every route."""
+    None where the law's call is not closed form, although pricing_residuals
+    reprices on every law: the gate stays only because bench/workloads.py
+    predicts bound.residuals.s zero on bessel0-bound. The report's steps
+    count toward every route."""
     rc = rcs[0]
     rep = check_bound(rc.scenario, rc.mats, rc.strikes, rc.eval_time, rc.sim)
     tables = (None,) * len(rcs)

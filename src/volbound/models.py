@@ -281,7 +281,7 @@ class TransitionLaw:
         z, v = np.broadcast_arrays(
             *(np.atleast_1d(np.asarray(a, dtype=np.float64)) for a in (z, v))
         )
-        body = self.tail(_IDENTITY, z, v, strike)
+        body = self.tail(_IDENTITY, z, v, strike) if v.any() else 0.0
         out = np.minimum(np.maximum(body, np.maximum(z - strike, 0.0)), z)
         return float(out[0]) if scalar else out
 
@@ -376,9 +376,10 @@ class SquaredBesselLaw(TransitionLaw):
         f(0) times the atom's mass, plus the density's integral in r by one
         expect_nodes rule on each side of sqrt(s), reaching expect_window sd.
         Where that reaches r = 0 the lower side runs in y with r = sqrt(s) y^2,
-        which smooths an r^2 ln r kink of f(r^2) at 0 (bessel0's phi) and
-        keeps the rule at ~1e-14 relative.
-        """
+        which smooths an r^2 ln r kink of f(r^2) at 0 (bessel0's phi). The
+        result is good to ~1e-14 relative, tested at 2e-14 against mpmath;
+        the frozen weights carry leggauss's own 1.3e-12 error, most of which
+        cancels."""
         if v <= 0.0:
             return float(f(s))
         x, w = _gauss_legendre(self.expect_nodes)

@@ -1253,6 +1253,14 @@ class TestMartingaleStructure:
         assert abs(rep.g_corr_mean - delta_l) < 3.5 * math.hypot(se_l, rep.g_corr_se)
 
 
+def path_route(scenarios, mats, strikes, t, cfg):
+    """pricing_residuals over the path route's rows, whether or not theta
+    moves: the repricing evaluator on bound._path_group."""
+    scenarios = tuple(scenarios)
+    group = bound_module._path_group(scenarios, mats.times, t, cfg)
+    return bound_module._repricing(scenarios[0].reference.law.call, mats, strikes, *group)
+
+
 class TestRepricingResiduals:
     CFG = SimConfig(n_paths=20000, dt=0.01, seed=11)
     #: a theta that moves, near the reference: its table is taken over paths
@@ -1315,7 +1323,7 @@ class TestRepricingResiduals:
         scn = step_vol_scenario(model, sigma, jump_time, size)
         cfg = SimConfig(n_paths=4000, dt=0.01, seed=13)
         (exact,) = pricing_residuals([scn], MATS, strikes, 0.5, cfg)
-        (paths,) = bound_module._residuals_paths((scn,), MATS, strikes, 0.5, cfg)
+        (paths,) = path_route((scn,), MATS, strikes, 0.5, cfg)
         assert paths.route == {"route": "monte-carlo", "paths": 4000}
         # on the cells whose tail the paths sample: elsewhere a path z-score
         # is hit-count noise (test_rare_tail_cells_do_not_drive_the_headline)
@@ -1377,7 +1385,7 @@ class TestRepricingResiduals:
 
     def test_a_group_on_the_path_route_gives_each_member_its_table_alone(self):
         # the same step thetas through the path route's private entry
-        self.check_group_tables(bound_module._residuals_paths, "monte-carlo")
+        self.check_group_tables(path_route, "monte-carlo")
 
     def check_group_tables(self, residuals, route):
         cfg = SimConfig(n_paths=5000, dt=0.01, seed=3)
@@ -1391,6 +1399,51 @@ class TestRepricingResiduals:
                 assert np.array_equal(a, b), field.name
         # each member's own payoffs, not the first one's, are read
         assert grouped[0].max_abs_z < 3.5 < grouped[1].max_abs_z
+
+    def test_exact_route_prices_every_maturity_of_a_strike_in_one_call(self, monkeypatch):
+        # the one exact row's q maturities go into one call per strike: the
+        # group's model prices once, then each member's terminal prices
+        shapes = []
+        call = type(GBM.law).call
+
+        def counted(law, z, strike, v):
+            shapes.append(np.shape(z))
+            return call(law, z, strike, v)
+
+        monkeypatch.setattr(type(GBM.law), "call", counted)
+        pricing_residuals(self.GROUP, MATS, KS5, 0.5, self.CFG)
+        assert len(shapes) <= len(KS5.strikes) * (1 + len(self.GROUP))
+        assert set(shapes) == {(MATS.q,)}
+
+    @pytest.mark.parametrize(
+        "scn",
+        [
+            meanrev_vol_scenario(GBM, 0.2, 2.0, 0.3, 0.4, -0.5),
+            meanrev_vol_scenario(BESSEL, 1.0, 2.0, 1.0, 0.4, -0.5),
+        ],
+        ids=["gbm-rho-0.5", "bessel0-sigma-1"],
+    )
+    def test_check_bound_reads_the_path_routes_rows(self, scn, monkeypatch):
+        # both are _path_rows of (S_t, theta_t), check_bound's from a run
+        # over [0, t] and the path route's from a run over {0, t, T_k}: the
+        # two runs draw the same (S_t, theta_t) bit for bit
+        cfg = SimConfig(n_paths=2000, dt=0.01, seed=5)
+        seen = []
+        lhs_rows = bound_module._lhs_rows
+
+        def spy(*args):
+            seen.append(args[-1])
+            return lhs_rows(*args)
+
+        monkeypatch.setattr(bound_module, "_lhs_rows", spy)
+        check_bound(scn, MATS, KS5, 0.5, cfg)
+        rows, _, route, _ = bound_module._path_group((scn,), MATS.times, 0.5, cfg)
+        (read,) = seen
+        assert route == {"route": "monte-carlo", "paths": 2000}
+        assert np.ptp(rows[2]) > 0.0
+        assert len(read) == len(rows) == 4
+        for a, b in zip(read, rows):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("jump_time", [0.25, 0.5])
     def test_a_group_whose_histories_differ_by_t_raises(self, jump_time):
