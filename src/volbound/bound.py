@@ -320,17 +320,10 @@ def tail_route(model: ReferenceModel) -> dict:
     return _law(model).tail_route(model.phi)
 
 
-def _g_tail(model, s, v, k_max):
+def _g_batch(model, s, v, k_max):
     """The tail term per (s, v) pair of 1-d arrays, from the law at state s
-    and variance v."""
+    and variance v: G at vol theta over [t, T] is the row (s, theta^2 (T - t))."""
     return _law(model).tail(model.phi, s, v, k_max)
-
-
-def _g_batch(model, theta, s, t, T, k_max):
-    """The tail term per (theta, s) pair of 1-d arrays: _g_tail at the
-    variance theta^2 (T - t)."""
-    theta, s = np.broadcast_arrays(theta, s)
-    return _g_tail(model, s, theta * theta * (T - t), k_max)
 
 
 def l_value(t: float, T: float, theta, s, strikes: StrikeGrid, model: ReferenceModel):
@@ -463,15 +456,16 @@ def check_bound(
         mean over the rows of exp(theta_t^2 (T_1 - t)) Q_j(X_t) E[phi(S_t)]
                               + sum_k c_k (G(s0, sigma0^2 T_k) - G(s, v_to[k]))
 
-    The routes differ only in the rows. Where theta does not move there is
-    one row, (s0, v_t, theta_t) with v_to accrued by _variance_clock
-    (_exact_rows), so the left side is exact and its se is 0. A moving theta
-    has a row per simulated path, the point mass (S_t, 0, theta_t) with
-    v_to[k] = theta_t^2 (T_k - t) (_path_rows, which the path route of
-    pricing_residuals reads too). A per_weight row is satisfied when
-    lhs <= rhs + 3 se. One step of joint_simulate over [0, t] gives the
-    absorbed fraction and, for a closed-form model, the band terms L; the
-    verdict reads neither.
+    All 2q tail terms G of the exact route, and the q n + q on paths, take
+    one _g_batch call. The routes differ only in the rows. Where theta does
+    not move there is one row, (s0, v_t, theta_t) with v_to accrued by
+    _variance_clock (_exact_rows), so the left side is exact and its se is
+    0. A moving theta has a row per simulated path, the point mass
+    (S_t, 0, theta_t) with v_to[k] = theta_t^2 (T_k - t) (_path_rows, which
+    the path route of pricing_residuals reads too). A per_weight row is
+    satisfied when lhs <= rhs + 3 se. One step of joint_simulate over
+    [0, t] gives the absorbed fraction and, for a closed-form model, the
+    band terms L; the verdict reads neither.
     """
     model = scn.reference
     times = mats.times
@@ -569,7 +563,8 @@ def _lhs_rows(scn, qs, times, k_max, t, rows):
 
     by Chapman-Kolmogorov in the variance clock, with E[phi(S_t)] = phi(s)
     where v_t is 0 and phi_mean(s, v_t) where it is not. X_t is pin_point's
-    expression at theta_t. A single row has se 0.
+    expression at theta_t. Every G, the q n of G(s, v_to[k]) and the q of
+    G(s0, sigma0^2 T_k), comes from one _g_batch call. A single row has se 0.
     """
     model = scn.reference
     s, v_t, theta_t, v_to = rows
@@ -588,12 +583,13 @@ def _lhs_rows(scn, qs, times, k_max, t, rows):
             f"growth factor at t={t} is not finite on {bad.size} of {n} rows of model "
             f"{model.name!r}; first (theta_t, s, v_t): {first} on rows {bad[:5].tolist()}"
         )
-    # every maturity's G in one tail call per side, G_t over the q n stacked
-    # rows: each row is its own reduction, so the rows do not change one
-    # another
+    # each row of the tail call is its own reduction, so stacking the rows
+    # changes none of their results
     q = len(times)
-    gt = _g_tail(model, np.tile(s, q), v_to.ravel(), k_max).reshape(q, n)
-    g0 = _g_batch(model, np.full(q, scn.sigma0), np.full(q, scn.s0), 0.0, np.array(times), k_max)
+    s_g = np.concatenate([np.tile(s, q), np.full(q, scn.s0)])
+    v_g = np.concatenate([v_to.ravel(), scn.sigma0 * scn.sigma0 * np.array(times)])
+    g = _g_batch(model, s_g, v_g, k_max)
+    gt, g0 = g[:-q].reshape(q, n), g[-q:]
     out = []
     for qp in qs:
         # Q >= 0 holds exactly in real arithmetic; floats may dip an ulp

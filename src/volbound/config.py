@@ -174,15 +174,18 @@ class _Section:
             )
         return default
 
+    def _finite(self, key, value, kind):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            self.fail(key, f"expected {kind}, got {value!r}")
+        if not math.isfinite(value):
+            self.fail(key, f"expected a finite number, got {value!r}")
+        return float(value)
+
     def take_number(self, key, default=_MISSING):
         value = self.take(key, default)
         if value is default and default is not _MISSING:
             return value
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            self.fail(key, f"expected a number, got {value!r}")
-        if not math.isfinite(value):
-            self.fail(key, f"expected a finite number, got {value!r}")
-        return float(value)
+        return self._finite(key, value, "a number")
 
     def take_int(self, key, default=_MISSING):
         value = self.take(key, default)
@@ -206,12 +209,7 @@ class _Section:
             return value
         if not isinstance(value, list) or not value:
             self.fail(key, f"expected a non-empty list of numbers, got {value!r}")
-        out = []
-        for item in value:
-            if isinstance(item, bool) or not isinstance(item, (int, float)):
-                self.fail(key, f"expected numbers in the list, got {item!r}")
-            out.append(float(item))
-        return tuple(out)
+        return tuple(self._finite(key, item, "numbers in the list") for item in value)
 
     def take_section(self, key, default=_MISSING):
         value = self.take(key, default)
@@ -341,6 +339,8 @@ def resolve(doc: dict) -> ResolvedConfig:
         if dt <= 0.0:
             sim_sec.fail("dt", f"dt must be positive, got {dt}")
         seed = sim_sec.take_int("seed")
+        if seed < 0:
+            sim_sec.fail("seed", f"seed must be >= 0, got {seed}")
         sim_sec.finish()
         sim = SimConfig(n_paths=paths, dt=dt, seed=seed)
         sim_doc = {"paths": paths, "dt": dt, "seed": seed}
@@ -393,6 +393,8 @@ def resolve(doc: dict) -> ResolvedConfig:
             asec.finish()
             if not isinstance(values, list) or not values:
                 asec.fail("values", f"expected a non-empty list, got {values!r}")
+            if key in dict(axes):
+                asec.fail("key", f"axis key {key!r} is already scanned by an earlier axis")
             axes.append((key, tuple(values)))
         scan_axes = tuple(axes)
 

@@ -414,13 +414,13 @@ class SquaredBesselLaw(TransitionLaw):
 
     def sample(self, z, v, rng):
         """Draws of Z_T given Z_t = z at variance v; z and v broadcast."""
-        z, v = np.broadcast_arrays(np.asarray(z, dtype=np.float64), np.asarray(v, dtype=np.float64))
         with np.errstate(divide="ignore", invalid="ignore"):
             lam = np.where(v > 0.0, 2.0 * z / v, 0.0)
         big = lam > self.normal_mean
         out = 0.5 * v * rng.standard_gamma(rng.poisson(np.where(big, 0.0, lam)))
         out = np.where(v > 0.0, out, z)
         if np.any(big):
+            z, v = np.broadcast_arrays(z, v)
             zb = z[big]
             out[big] = zb + np.sqrt(v[big] * zb) * rng.standard_normal(zb.size)
         return out

@@ -336,7 +336,7 @@ def decomposition_check(model, theta: float, s: float, t: float, T: float, strik
     """
     # first: l_value refuses T < t and a model without the closed forms
     l_term = l_value(t, T, theta, s, strikes, model)
-    g_term = float(_g_batch(model, np.array([theta]), np.array([s]), t, T, strikes.k_max)[0])
+    g_term = float(_g_batch(model, np.array([s]), np.array([theta * theta * (T - t)]), strikes.k_max)[0])
     n_term = float(n_value(t, T, theta, s, model))
     v = theta * theta * (T - t)
 

@@ -103,8 +103,9 @@ def per_path_left_side(scn, mats, strikes, t, cfg, j=2):
     nq = n_value(t, times[0], theta_t, s_t, model) * np.maximum(qp.value(x_t), 0.0)
     g_corr = np.zeros(s_t.size)
     for t_k, c_k in zip(times, qp.coeffs):
-        g0 = _g_batch(model, np.array([scn.sigma0]), np.array([scn.s0]), 0.0, t_k, strikes.k_max)
-        g_corr = g_corr + c_k * (float(g0[0]) - _g_batch(model, theta_t, s_t, t, t_k, strikes.k_max))
+        g0 = _g_batch(model, np.array([scn.s0]), np.array([scn.sigma0 * scn.sigma0 * t_k]), strikes.k_max)
+        gt = _g_batch(model, s_t, theta_t * theta_t * (t_k - t), strikes.k_max)
+        g_corr = g_corr + c_k * (float(g0[0]) - gt)
     return nq, g_corr
 
 
@@ -455,14 +456,14 @@ class TestGrowthFactor:
 class TestTailTerm:
     def test_quadrature_matches_oracle(self):
         for theta, s, k_m in ((0.2, 1.0, 2.0), (0.5, 0.7, 1.0), (1.0, 2.5, 2.0)):
-            got = float(_g_batch(GBM, np.array([theta]), np.array([s]), 0.0, 1.0, k_m)[0])
+            got = float(_g_batch(GBM, np.array([s]), np.array([theta * theta]), k_m)[0])
             want = lognormal_phi_hat_oracle(s, k_m, theta * theta, GBM.phi)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-14)
 
     def test_batch_route_matches_scalar_route(self):
         thetas = np.array([0.2, 0.5, 0.35, 1.0, 0.05])
         states = np.array([1.0, 0.7, 1.4, 2.5, 0.9])
-        batch = _g_batch(GBM, thetas, states, 0.0, 1.0, 2.0)
+        batch = _g_batch(GBM, states, thetas * thetas, 2.0)
         for i in range(thetas.size):
             scalar = lognormal_phi_hat_oracle(float(states[i]), 2.0, float(thetas[i] * thetas[i]), GBM.phi)
             assert batch[i] == pytest.approx(scalar, rel=1e-9, abs=1e-12)
@@ -472,16 +473,16 @@ class TestTailTerm:
         # window no fixed-node rule from w_k resolves (160 nodes: 0.25% low)
         want = lognormal_phi_hat_oracle(4.0, 1.5, 0.002 * 0.002, GBM.phi)
         assert want == pytest.approx(13.750064000128, rel=1e-12)
-        got = _g_batch(GBM, np.array([0.002]), np.array([4.0]), 0.0, 1.0, 1.5)
+        got = _g_batch(GBM, np.array([4.0]), np.array([0.002 * 0.002]), 1.5)
         assert float(got[0]) == pytest.approx(want, rel=1e-10)
 
     def test_cutoff_above_support_is_exactly_zero(self):
         for model in (GBM, INV):
-            assert _g_batch(model, np.array([0.2]), np.array([1.0]), 0.0, 1.0, 1e9)[0] == 0.0
+            assert _g_batch(model, np.array([1.0]), np.array([0.2 * 0.2]), 1e9)[0] == 0.0
 
     def test_zero_vol_is_the_clipped_value(self):
         # phi(3) - phi(2) = 9 - 4 with the state above the cutoff, 0 below it
-        got = _g_batch(GBM, np.zeros(2), np.array([3.0, 1.5]), 0.0, 1.0, 2.0)
+        got = _g_batch(GBM, np.array([3.0, 1.5]), np.zeros(2), 2.0)
         assert got.tolist() == [5.0, 0.0]
 
     def test_decreasing_phi_gives_negative_tail(self):
@@ -489,14 +490,14 @@ class TestTailTerm:
         mean, se = tail_mc_oracle(BESSEL, 0.5, 1.0, 1.0, 1.5, cfg)
         assert mean < 0.0
         assert se > 0.0
-        assert _g_batch(BESSEL, np.array([0.5]), np.array([1.0]), 0.0, 1.0, 1.5)[0] < 0.0
+        assert _g_batch(BESSEL, np.array([1.0]), np.array([0.25]), 1.5)[0] < 0.0
 
     def test_model_without_a_law_is_refused(self):
         # G is closed form or quadrature against the law; there is no
         # Monte Carlo fallback to take instead
         bare = dataclasses.replace(BESSEL, name="bare", law=None)
         with pytest.raises(ConfigurationError, match="'bare' has no transition law"):
-            _g_batch(bare, np.array([0.5]), np.array([1.0]), 0.0, 1.0, 1.5)
+            _g_batch(bare, np.array([1.0]), np.array([0.25]), 1.5)
         with pytest.raises(ConfigurationError, match="'bare'"):
             tail_route(bare)
         scn = self_consistent_scenario(bare, 0.5)
@@ -513,7 +514,7 @@ class TestTailTerm:
 
     @pytest.mark.parametrize("theta,s,T,k_m", BESQ_TAIL_CASES)
     def test_bessel_law_matches_oracle(self, theta, s, T, k_m):
-        got = _g_batch(BESSEL, np.array([theta]), np.array([s]), 0.0, T, k_m)
+        got = _g_batch(BESSEL, np.array([s]), np.array([theta * theta * T]), k_m)
         want = besq0_phi_hat_oracle(s, k_m, theta * theta * T, BESSEL.phi)
         assert float(got[0]) == pytest.approx(want, rel=1e-10, abs=1e-14)
 
@@ -521,7 +522,7 @@ class TestTailTerm:
         # sigma = 1 from s = 1: exp(-2) of the mass sits in the atom at 0
         cfg = SimConfig(n_paths=40000, dt=0.002, seed=5)
         mean, se = tail_mc_oracle(BESSEL, 1.0, 1.0, 1.0, 0.5, cfg)
-        got = _g_batch(BESSEL, np.array([1.0]), np.array([1.0]), 0.0, 1.0, 0.5)
+        got = _g_batch(BESSEL, np.array([1.0]), np.array([1.0]), 0.5)
         assert abs(mean - float(got[0])) < 3.5 * se
 
     # besides the oracle cases: sigma = 1, where a third of the mass or more
@@ -616,7 +617,7 @@ class TestTailTerm:
 
     @pytest.mark.parametrize("theta,s,T,k_m", LOGDIFF_TAIL_CASES)
     def test_logdiff_law_matches_oracle(self, theta, s, T, k_m):
-        got = _g_batch(LOGDIFF, np.array([theta]), np.array([s]), 0.0, T, k_m)
+        got = _g_batch(LOGDIFF, np.array([s]), np.array([theta * theta * T]), k_m)
         want = logbesq0_phi_hat_oracle(s, k_m, theta * theta * T, LOGDIFF.phi)
         assert float(got[0]) == pytest.approx(want, rel=1e-10, abs=1e-14)
 
@@ -624,13 +625,13 @@ class TestTailTerm:
         # the Monte Carlo tail on logdiff without its law (Euler, dt 1e-3)
         cfg = SimConfig(n_paths=20000, dt=1e-3, seed=61)
         mean, se = tail_mc_oracle(dataclasses.replace(LOGDIFF, law=None), 1.0, 0.5, 1.0, 0.3, cfg)
-        got = _g_batch(LOGDIFF, np.array([1.0]), np.array([0.5]), 0.0, 1.0, 0.3)
+        got = _g_batch(LOGDIFF, np.array([0.5]), np.array([1.0]), 0.3)
         assert abs(mean - float(got[0])) < 3.5 * se
 
     def test_logdiff_cutoff_at_or_above_one_is_exactly_zero(self):
         thetas, states = np.array([0.0, 0.3, 1.0, 2.0]), np.array([0.5, 0.5, 0.99, 1e-3])
         for k_m in (1.0, 1.5):
-            assert np.all(_g_batch(LOGDIFF, thetas, states, 0.0, 1.0, k_m) == 0.0)
+            assert np.all(_g_batch(LOGDIFF, states, thetas * thetas, k_m) == 0.0)
 
     @pytest.mark.parametrize("model,k_m", [(BESSEL, 0.5), (LOGDIFF, 0.3)])
     def test_blocks_and_workers_never_change_results(self, model, k_m, monkeypatch):
@@ -642,21 +643,21 @@ class TestTailTerm:
         rng = np.random.default_rng(3)
         states = rng.uniform(0.05, 0.95, n) if model is LOGDIFF else rng.uniform(0.0, 3.0, n)
         states[::101] = model.beta.lower
-        thetas = np.ones(n)
-        thetas[::89] = 0.0
+        variances = np.ones(n)
+        variances[::89] = 0.0
         monkeypatch.setenv(WORKERS_ENV_VAR, "1")
-        one = _g_batch(model, thetas, states, 0.0, 1.0, k_m)
+        one = _g_batch(model, states, variances, k_m)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for workers in (2, 8):
                 monkeypatch.setenv(WORKERS_ENV_VAR, str(workers))
-                many = _g_batch(model, thetas, states, 0.0, 1.0, k_m)
+                many = _g_batch(model, states, variances, k_m)
                 assert many.tobytes() == one.tobytes()
         finally:
             sys.setswitchinterval(interval)
         rows = np.arange(0, n, 7)
-        single = [_g_batch(model, thetas[i : i + 1], states[i : i + 1], 0.0, 1.0, k_m)[0]
+        single = [_g_batch(model, states[i : i + 1], variances[i : i + 1], k_m)[0]
                   for i in rows]
         assert np.array(single).tobytes() == one[rows].tobytes()
 
@@ -785,7 +786,7 @@ class TestClosedFormGate:
         cases = [(0.5, 1.0, 1.0, 1.5), (1.0, 1.0, 1.0, 0.5), (0.2, 1.0, 1.0, 2.0),
                  (1.0, 2.5, 2.0, 2.0), (0.01, 1.0, 1.0, 0.99), (0.002, 4.0, 1.0, 1.5)]
         for theta, s, T, k_m in cases:
-            got = _g_batch(INV, np.array([theta]), np.array([s]), 0.0, T, k_m)
+            got = _g_batch(INV, np.array([s]), np.array([theta * theta * T]), k_m)
             want = lognormal_phi_hat_oracle(s, k_m, theta * theta * T, INV.phi)
             assert float(got[0]) == pytest.approx(want, rel=1e-9, abs=1e-14)
 
@@ -796,8 +797,8 @@ class TestClosedFormGate:
         assert tail_route(inv2)["route"] == "quadrature"
         thetas = np.array([0.0, 0.002, 0.2, 0.5, 1.0])
         states = np.array([1.2, 4.0, 0.7, 1.0, 2.5])
-        g1 = _g_batch(GBM, thetas, states, 0.0, 1.0, 1.5)
-        g2 = _g_batch(gbm2, thetas, states, 0.0, 1.0, 1.5)
+        g1 = _g_batch(GBM, states, thetas * thetas, 1.5)
+        g2 = _g_batch(gbm2, states, thetas * thetas, 1.5)
         assert np.array_equal(g2, 2.0 * g1)
         l1 = l_value(0.0, 1.0, thetas, states, KS5, GBM)
         l2 = l_value(0.0, 1.0, thetas, states, KS5, gbm2)
@@ -971,42 +972,60 @@ class TestBoundCheck:
     @pytest.mark.parametrize("model,strikes", LEFT_SIDE_MODELS, ids=["gbm", "bessel0", "logdiff"])
     def test_exact_left_side_costs_one_tail_row_per_maturity(self, model, strikes, monkeypatch):
         # the per-path tail quadrature is the cost the exact route removes:
-        # under a theta that does not move each side's tail terms take one
-        # call with a row per maturity, and nothing is simulated but the one
-        # joint_simulate step; a moving theta still integrates the tail on
-        # every path, at every maturity
-        rows = {"batch": [], "tail": []}
-        g_batch, g_tail = bound_module._g_batch, bound_module._g_tail
+        # under a theta that does not move both sides' tail terms take one
+        # call with a row per maturity each, and nothing is simulated but
+        # the one joint_simulate step; a moving theta still integrates the
+        # tail on every path, at every maturity, in that same call. The
+        # benchmark's tracer counts rows from the third positional argument
+        rows = []
+        g_batch = bound_module._g_batch
 
-        def counted_batch(model, theta, s, *args):
-            rows["batch"].append(len(s))
-            return g_batch(model, theta, s, *args)
-
-        def counted_tail(model, s, *args):
-            rows["tail"].append(len(s))
-            return g_tail(model, s, *args)
+        def counted_batch(*args):
+            assert len(args) == 4
+            rows.append((len(args[1]), len(args[2])))
+            return g_batch(*args)
 
         def no_simulate(*args, **kwargs):
             raise AssertionError("simulate called")
 
         monkeypatch.setattr(bound_module, "_g_batch", counted_batch)
-        monkeypatch.setattr(bound_module, "_g_tail", counted_tail)
         monkeypatch.setattr(bound_module, "simulate", no_simulate)
         monkeypatch.setattr(models_module, "simulate", no_simulate)
         cfg = SimConfig(n_paths=20000, dt=0.01, seed=4)
         q = len(MATS.times)
         for scn in (self_consistent_scenario(model, 0.5), step_vol_scenario(model, 0.5, 0.25, 0.3)):
+            rows.clear()
             check_bound(scn, MATS, strikes, 0.5, cfg)
-        assert rows["batch"] and rows["tail"]
-        assert set(rows["batch"]) == set(rows["tail"]) == {q}
+            assert rows == [(2 * q, 2 * q)]
         if model is BESSEL:
-            # one call per side: G_t over the q n stacked path rows, and G0
-            # over q rows through _g_batch, which reaches _g_tail too
-            rows["batch"].clear()
-            rows["tail"].clear()
+            rows.clear()
             check_bound(meanrev_vol_scenario(model, 0.5, 2.0, 0.8, 0.4), MATS, strikes, 0.5, cfg)
-            assert rows["batch"] == [q]
-            assert sorted(rows["tail"]) == [q, q * 20000]
+            assert rows == [(q * 20000 + q, q * 20000 + q)]
+
+    @pytest.mark.parametrize("model,strikes", LEFT_SIDE_MODELS, ids=["gbm", "bessel0", "logdiff"])
+    def test_one_tail_call_equals_a_call_per_side(self, model, strikes, monkeypatch):
+        # G_0's q rows (s0, sigma0^2 T_k) stacked under G_t's rows change
+        # no bit of either side's tail terms, on the exact route and on paths
+        calls = []
+        g_batch = bound_module._g_batch
+
+        def spy(*args):
+            calls.append((args, g_batch(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(bound_module, "_g_batch", spy)
+        cfg = SimConfig(n_paths=500, dt=0.01, seed=9)
+        q = len(MATS.times)
+        scenarios = (step_vol_scenario(model, 0.5, 0.25, 0.3),
+                     meanrev_vol_scenario(model, 0.5, 2.0, 0.8, 0.4))
+        for scn in scenarios:
+            calls.clear()
+            check_bound(scn, MATS, strikes, 0.5, cfg)
+            (((_, s, v, k_max), g),) = calls
+            assert s[-q:].tolist() == [scn.s0] * q
+            assert v[-q:].tolist() == [scn.sigma0 * scn.sigma0 * (t_k - 0.0) for t_k in MATS.times]
+            for side in (slice(None, -q), slice(-q, None)):
+                assert g_batch(model, s[side], v[side], k_max).tobytes() == g[side].tobytes()
 
     def test_negative_meanrev_theta_enters_the_band_term_as_its_modulus(self):
         # a mean-reverting theta crosses below 0 on some paths; L reads
@@ -1231,7 +1250,7 @@ class TestMartingaleStructure:
             lt = np.array(
                 [l_value(0.5, T, float(a), float(b), KS3, GBM) for a, b in zip(th, sv)]
             )
-            gt = _g_batch(GBM, th, sv, 0.5, T, KS3.k_max)
+            gt = _g_batch(GBM, sv, th * th * (T - 0.5), KS3.k_max)
             h_t = lt + gt
             se = h_t.std(ddof=1) / math.sqrt(h_t.size)
             assert abs(h_t.mean() - (l0 + g0)) < 3.5 * se

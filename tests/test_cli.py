@@ -206,6 +206,7 @@ class TestConfigParsing:
         [
             ("paths", "file"), ("paths", "set"), ("paths", "flag"),
             ("dt", "file"), ("dt", "set"), ("dt", "flag"),
+            ("seed", "file"), ("seed", "set"), ("seed", "flag"),
         ],
     )
     def test_simulation_errors_name_their_key(self, key, source, tmp_path, capsys):
@@ -213,12 +214,13 @@ class TestConfigParsing:
         # and by its line only where the file holds it
         text = BASE
         argv = []
+        bad = "-1" if key == "seed" else "0"
         if source == "file":
-            text = text.replace(f"  {key}: ", f"  {key}: 0 #")
+            text = text.replace(f"  {key}: ", f"  {key}: {bad} #")
         elif source == "set":
-            argv = ["--set", f"simulation.{key}=0"]
+            argv = ["--set", f"simulation.{key}={bad}"]
         else:
-            argv = [f"--{key}", "0"]
+            argv = [f"--{key}", bad]
         cfg = tmp_path / "bad.yaml"
         cfg.write_text(text)
         assert main(["check-bound", "--config", str(cfg), *argv]) == 2
@@ -228,8 +230,32 @@ class TestConfigParsing:
         message = {
             "paths": "paths must be >= 1, got 0",
             "dt": "dt must be positive, got 0.0",
+            "seed": "seed must be >= 0, got -1",
         }[key]
         assert err == f"volbound: config error: {message} [key: simulation.{key}]{where}\n"
+
+    @pytest.mark.parametrize("value", [".inf", ".nan"])
+    @pytest.mark.parametrize("command, key, values", [
+        ("check-bound", "strikes", "[0.0, 0.5, {}]"),
+        ("check-bound", "maturities", "[1.0, 2.0, {}]"),
+        ("martingale-check", "martingale.times", "[0.5, {}]"),
+        ("check-bound", "theta.jump_values", "[{}]"),
+    ], ids=["strikes", "maturities", "martingale.times", "theta.jump_values"])
+    def test_non_finite_list_entries_name_their_key(
+        self, command, key, values, value, tmp_path, capsys
+    ):
+        # an entry of a number list is checked as a single number is, in the
+        # config layer, not later by the special functions on bessel0
+        cfg = tmp_path / "bessel0.yaml"
+        cfg.write_text(BASE.replace("model: gbm", "model: bessel0"))
+        argv = ["--set", f"{key}={values.format(value)}"]
+        if key.startswith("theta."):
+            argv += ["--set", "generator=step-vol", "--set", "theta.jump_times=[0.75]"]
+        assert main([command, "--config", str(cfg), *argv]) == 2
+        got = {".inf": "inf", ".nan": "nan"}[value]
+        assert capsys.readouterr().err == (
+            f"volbound: config error: expected a finite number, got {got} [key: {key}]\n"
+        )
 
     @pytest.mark.parametrize("times", ["[0.5, 0.25]", "[0.5, 0.5]"])
     @pytest.mark.parametrize("source", ["file", "set"])
@@ -370,6 +396,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigParseError) as err:
             parse_config(four)
         assert "at most 3" in str(err.value)
+
+    def test_a_repeated_scan_axis_names_its_key(self, tmp_path, capsys):
+        # a second axis on the same key would override the first on every
+        # point, so the scan's rows would not read the values they report
+        text = SCAN.replace("[0.0, 0.1, 0.3]", "[0.1, 0.3]") + (
+            "    - key: theta.jump_size\n      values: [0.2]\n"
+        )
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(text)
+        assert main(["scan", "--config", str(cfg)]) == 2
+        line = len(text.splitlines()) - 1
+        assert capsys.readouterr().err == (
+            "volbound: config error: axis key 'theta.jump_size' is already scanned by an "
+            f"earlier axis [key: scan.axes[1].key] (line {line})\n"
+        )
 
     def test_not_yaml_and_not_mapping(self):
         with pytest.raises(ConfigParseError):

@@ -237,7 +237,7 @@ class TestMartingaleV:
         # A full collection before each traced run empties it for both runs
         # alike: at n = 4000 the growth then reads 0.5-0.75 and the peak
         # 15.3-15.5 path vectors. A collection before the 257-point run
-        # alone still reads a growth of 1.05-1.09, which is not pinned here
+        # alone still reads a growth of about 1.04, which is not pinned here
         def run(n_paths, points):
             martingale_check_V(
                 BESSEL, 1.0, [0.25, 0.5, 1.0],
