@@ -228,9 +228,12 @@ def build_q(alphas, x0: float, j: int) -> QPolynomial:
     # from 0-d array pow in the last bit)
     x0a = np.asarray(x0, dtype=np.float64)
     qp = QPolynomial(alphas=alphas, coeffs=(0.0, 0.0) + free, x0=float(x0))
-    p2 = float(-qp._slope_tail(x0a))
-    qp = replace(qp, coeffs=(0.0, p2) + free)
-    qp = replace(qp, coeffs=(float(-qp._tail(x0a)), p2) + free)
+    # an overflowing power makes a coefficient inf or nan, which
+    # QPolynomial refuses by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        p2 = float(-qp._slope_tail(x0a))
+        qp = replace(qp, coeffs=(0.0, p2) + free)
+        qp = replace(qp, coeffs=(float(-qp._tail(x0a)), p2) + free)
     scale = max(1.0, sum(abs(c) * x0**a for a, c in zip(alphas, qp.coeffs)))
     if abs(qp.value(x0)) > 1e-10 * scale or abs(qp.deriv1(x0)) > 1e-10 * scale:
         raise DivergenceError("double-root pinning failed its numerical check")
@@ -360,8 +363,10 @@ def l_value(t: float, T: float, theta, s, strikes: StrikeGrid, model: ReferenceM
 
 
 def _strike_slopes(phi: PhiFunction, ks: np.ndarray):
-    """(phi' at the strikes, whether the zero-strike convention was used)."""
-    d = np.asarray(phi.deriv1(ks), dtype=np.float64)
+    """(phi' at the strikes, whether the zero-strike convention was used).
+    A slope that overflows is inf or nan, which _rhs_detail refuses."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.asarray(phi.deriv1(ks), dtype=np.float64)
     convention = not np.isfinite(d[0])
     if convention:
         # slope undefined at zero strike (its one-sided limit diverges):
@@ -474,6 +479,8 @@ def check_bound(
     alphas = compute_alphas(mats)
     x0 = pin_point(scn.sigma0, times[1] - times[0])
     qs = [build_q(alphas, x0, j) for j in range(2, mats.q)]
+    # the right sides read no rows, so a grid they refuse fails first
+    rhs_details = [_rhs_detail(qp.coeffs, strikes, model.phi) for qp in qs]
 
     grid = [0.0] if t == 0.0 else [0.0, t]
     joint = joint_simulate(scn, grid, cfg)
@@ -492,8 +499,7 @@ def check_bound(
             mass = float(mass_fn(scn.s0, float(law_rows[1][0])))
     parts = _lhs_rows(scn, qs, times, strikes.k_max, t, law_rows)
     rows = []
-    for t_j, qp, (_, _, (lhs_raw, se)) in zip(times[2:], qs, parts):
-        rhs, convention = _rhs_detail(qp.coeffs, strikes, model.phi)
+    for t_j, qp, (rhs, convention), (_, _, (lhs_raw, se)) in zip(times[2:], qs, rhs_details, parts):
         lhs = abs(lhs_raw)
         rows.append({"maturity": t_j, "lhs": lhs, "lhs_se": se, "rhs": rhs,
                      "satisfied": lhs <= rhs + 3.0 * se, "coefficients": qp.coeffs})
@@ -619,8 +625,8 @@ def _variance_clock(proc: ThetaProcess, t: float, T: float) -> float:
 
 @dataclass(frozen=True)
 class ResidualTable:
-    """Repricing residuals per (maturity, strike): the mean payoff minus the
-    mean model price, with standard errors and z-scores.
+    """Repricing residuals of one scenario per (maturity, strike): the mean
+    payoff minus the mean model price, with standard errors and z-scores.
 
     route names how they were taken (pricing_residuals): {"route": "exact"}
     from the law, with every se 0, so each z is 0.0 where the cell reprices
@@ -659,62 +665,41 @@ class ResidualTable:
 
 
 def pricing_residuals(
-    scenarios,
+    scn: Scenario,
     mats: MaturityGrid,
     strikes: StrikeGrid,
     t: float,
     cfg: SimConfig,
-) -> tuple:
-    """Mean payoff minus mean model price, per maturity and strike: one
-    ResidualTable per scenario of a group that shares its model and its theta
-    history up to t.
+) -> ResidualTable:
+    """Mean payoff minus mean model price of one scenario, per maturity and
+    strike.
 
     Tests the unconditional consequence of the repricing identity: the
     difference (S_T - K)^+ - C(T, t, K, theta_t, S_t), C the law's call, has
     mean 0 when the scenario reprices like the reference. _repricing takes
-    that mean over the group's rows. Where no member's theta moves they are
-    the law's one row (_exact_group) and nothing is simulated, so cfg is not
-    read; otherwise they are a row per simulated path (_path_group). On
-    either route a member whose history up to t differs from the first
-    member's is an error.
+    that mean over the scenario's rows. Where theta does not move they are
+    the law's one row (_exact_ends) and nothing is simulated, so cfg is not
+    read; otherwise they are a row per simulated path (_path_ends).
     """
-    scenarios = tuple(scenarios)
-    if not scenarios:
-        raise DomainError("need at least one scenario to reprice")
     times = mats.times
     if not 0.0 <= t <= times[0]:
         raise DomainError(f"evaluation time {t} must lie in [0, {times[0]}]")
-    moves = any(scn.theta_process.moves for scn in scenarios)
-    group = (_path_group if moves else _exact_group)(scenarios, times, t, cfg)
-    return _repricing(_law(scenarios[0].reference).call, mats, strikes, *group)
+    ends = (_path_ends if scn.theta_process.moves else _exact_ends)(scn, times, t, cfg)
+    return _repricing(_law(scn.reference).call, mats, strikes, *ends)
 
 
-def _history_differs(g: int, scn: Scenario, t: float) -> DomainError:
-    return DomainError(
-        f"scenario {g} of the group ({scn.theta_process}) does not share scenario 0's "
-        f"(S_t, theta_t) at t={t}: its history differs at or before t"
-    )
-
-
-def _exact_group(scenarios, times, t, _cfg):
-    """(rows, ends, route, steps) of a group whose thetas do not move: the
-    law's one row at t (_exact_rows), and per member the terminal rows
-    (s0, V_T), S_T having the law at s0 and variance V_T = int_0^T theta^2.
+def _exact_ends(scn, times, t, _cfg):
+    """(rows, end, route, steps) of a theta that does not move: the law's
+    one row at t (_exact_rows), and the terminal rows (s0, V_T), S_T having
+    the law at s0 and variance V_T = int_0^T theta^2.
 
     Both variances are _variance_clock's, which accrues them over the same
-    intervals wherever theta is constant after t, so such a member reads
-    0.0 exactly. The group shares the row when each member's law and exact
-    row equal the first member's, which is checked.
+    intervals wherever theta is constant after t, so such a scenario reads
+    0.0 exactly.
     """
-    first = scenarios[0]
-    rows = _exact_rows(first, t, times)
-    for g, scn in enumerate(scenarios[1:], start=1):
-        if scn.reference.law != first.reference.law or not all(
-            map(np.array_equal, _exact_rows(scn, t, times), rows)
-        ):
-            raise _history_differs(g, scn, t)
-    v_ts = [[[_variance_clock(scn.theta_process, t_i, t_i)] for t_i in times] for scn in scenarios]
-    return rows, [(rows[0], np.array(v)) for v in v_ts], {"route": "exact"}, [0] * len(scenarios)
+    rows = _exact_rows(scn, t, times)
+    v_ts = [[_variance_clock(scn.theta_process, t_i, t_i)] for t_i in times]
+    return rows, (rows[0], np.array(v_ts)), {"route": "exact"}, 0
 
 
 def _path_rows(s_t, theta_t, times, t):
@@ -723,44 +708,28 @@ def _path_rows(s_t, theta_t, times, t):
     return s_t, np.zeros(s_t.size), theta_t, theta_t * theta_t * (np.array(times)[:, None] - t)
 
 
-def _path_group(scenarios, times, t, cfg):
-    """(rows, ends, route, steps) of a group over simulated paths: the
-    first member's _path_rows, and per member the terminal rows (S_T, 0),
-    its paths at each maturity at zero variance, whose call is the payoff.
-
-    Each member's paths are its own joint_simulate run, as if it were
-    alone, of which only the maturity columns are kept. The group shares
-    the rows when every member's S_t and theta_t equal the first member's
-    bit for bit, which is checked.
+def _path_ends(scn, times, t, cfg):
+    """(rows, end, route, steps) over simulated paths: _path_rows of the
+    paths at t, and the terminal rows (S_T, 0), the paths at each maturity
+    at zero variance, whose call is the payoff. Of the joint_simulate run
+    only the columns at t and at the maturities are kept.
     """
     grid = sorted({0.0, t, *times})
     at_t = grid.index(t)
-    ends, steps = [], []
-    for g, scn in enumerate(scenarios):
-        joint = joint_simulate(scn, grid, cfg)
-        if g == 0:
-            s_t, theta_t = joint.states[:, at_t].copy(), joint.theta[:, at_t]
-            if theta_t.strides[0]:
-                # a moving theta's column, copied so its path matrix can go;
-                # one that does not move is a broadcast row and costs nothing
-                theta_t = theta_t.copy()
-        elif not (
-            np.array_equal(joint.states[:, at_t], s_t)
-            and np.array_equal(joint.theta[:, at_t], theta_t)
-        ):
-            raise _history_differs(g, scn, t)
-        ends.append((joint.states[:, [grid.index(t_i) for t_i in times]].T, 0.0))
-        steps.append(joint.steps)
-        # freed before the next member is simulated
-        del joint
+    joint = joint_simulate(scn, grid, cfg)
+    # copies, so that the path matrices are freed before the rows are built
+    s_t, theta_t = joint.states[:, at_t].copy(), joint.theta[:, at_t].copy()
+    end = (joint.states[:, [grid.index(t_i) for t_i in times]].T, 0.0)
+    steps = joint.steps
+    del joint
     route = {"route": "monte-carlo", "paths": cfg.n_paths}
-    return _path_rows(s_t, theta_t, times, t), ends, route, steps
+    return _path_rows(s_t, theta_t, times, t), end, route, steps
 
 
-def _repricing(call, mats, strikes, rows, ends, route, steps):
-    """One ResidualTable per member of a group, from the group's rows (s,
-    v_t, theta_t, v_to) and the member's terminal rows (z_T, v_T), which
-    stand for S_T as the rows stand for S_t: at (T_i, K) the mean over them
+def _repricing(call, mats, strikes, rows, end, route, steps):
+    """The ResidualTable of the rows (s, v_t, theta_t, v_to) and the
+    terminal rows (z_T, v_T), which stand for S_T as the rows stand for
+    S_t: at (T_i, K) the mean over them
 
         C(z_T[i], K, v_T[i]) - C(s, K, v_to[i]),
 
@@ -774,32 +743,28 @@ def _repricing(call, mats, strikes, rows, ends, route, steps):
     """
     times, ks = mats.times, strikes.strikes
     model = np.broadcast_arrays(rows[0], rows[3])
-    ends = [np.broadcast_arrays(*end) for end in ends]
+    end = np.broadcast_arrays(*end)
     q, n = model[0].shape
     width = max(1, q // n)
-    shape = (len(ends), q, len(ks))
+    shape = (q, len(ks))
     res, ses, zs = np.empty(shape), np.empty(shape), np.empty(shape)
     counts = np.empty(shape, dtype=np.int64)
     for i in range(0, q, width):
         cells = slice(i, i + width)
         for j, k in enumerate(ks):
             price = _call_cells(call, model, k, cells)
-            for g, end in enumerate(ends):
-                diff = _call_cells(call, end, k, cells)
-                counts[g, cells, j] = np.count_nonzero(diff > 0.0, axis=1)
-                diff -= price
-                for r, cell in enumerate(diff, start=i):
-                    mean, se = sample_mean(cell)
-                    res[g, r, j], ses[g, r, j], zs[g, r, j] = mean, se, z_score(mean, se)
+            diff = _call_cells(call, end, k, cells)
+            counts[cells, j] = np.count_nonzero(diff > 0.0, axis=1)
+            diff -= price
+            for r, cell in enumerate(diff, start=i):
+                mean, se = sample_mean(cell)
+                res[r, j], ses[r, j], zs[r, j] = mean, se, z_score(mean, se)
     paths = route.get("paths")
-    return tuple(
-        ResidualTable(
-            maturities=times, strikes=ks, residuals=res[g], ses=ses[g], z_scores=zs[g],
-            route=route, steps=steps[g],
-            **({"tail_counts": counts[g], "calibrated": counts[g] >= MIN_TAIL_COUNT,
-                "min_tail_count": MIN_TAIL_COUNT, "n_paths": paths} if paths else {}),
-        )
-        for g in range(len(ends))
+    return ResidualTable(
+        maturities=times, strikes=ks, residuals=res, ses=ses, z_scores=zs,
+        route=route, steps=steps,
+        **({"tail_counts": counts, "calibrated": counts >= MIN_TAIL_COUNT,
+            "min_tail_count": MIN_TAIL_COUNT, "n_paths": paths} if paths else {}),
     )
 
 

@@ -242,10 +242,9 @@ def _residual_payload(res) -> dict:
 
 
 def _history_key(rc: ResolvedConfig) -> tuple:
-    """Everything check_bound reads of a resolved config, and everything
-    pricing_residuals prices from. The market enters only up to the
-    evaluation time, so theta enters as its history there; a builtin model
-    is fixed by its name and start."""
+    """Everything check_bound reads of a resolved config. The market enters
+    only up to the evaluation time, so theta enters as its history there; a
+    builtin model is fixed by its name and start."""
     return (
         rc.scenario.theta_process.until(rc.eval_time), rc.model.name, rc.model.z0,
         rc.mats, rc.strikes, rc.eval_time, rc.sim,
@@ -256,17 +255,16 @@ def _bound_run(rcs):
     """(check_bound's report, each config's repricing residuals, each
     config's stepping route) for resolved configs that share one
     _history_key, which makes the report theirs alike. The residuals are
-    None where the law's call is not closed form, although pricing_residuals
-    reprices on every law: the gate stays only because bench/workloads.py
-    predicts bound.residuals.s zero on bessel0-bound. The report's steps
-    count toward every route."""
+    each config's own pricing_residuals table, or None where the law's call
+    is not closed form, although pricing_residuals reprices on every law:
+    the gate stays only because bench/workloads.py predicts
+    bound.residuals.s zero on bessel0-bound. The report's steps count
+    toward every route."""
     rc = rcs[0]
     rep = check_bound(rc.scenario, rc.mats, rc.strikes, rc.eval_time, rc.sim)
-    tables = (None,) * len(rcs)
+    tables = [None] * len(rcs)
     if rc.model.law.call_route()["route"] == "closed-form":
-        tables = pricing_residuals(
-            [p.scenario for p in rcs], rc.mats, rc.strikes, rc.eval_time, rc.sim
-        )
+        tables = [pricing_residuals(p.scenario, p.mats, p.strikes, p.eval_time, p.sim) for p in rcs]
     routes = [
         stepping_route(
             p.model, p.sim.dt, rep.steps + (0 if res is None else res.steps),
@@ -335,8 +333,8 @@ def _cmd_scan(rc: ResolvedConfig, base_doc):
         except ConfigParseError as exc:
             where = ", ".join(f"{k}={v}" for k, v in zip(keys, point))
             raise ConfigParseError(f"scan point {where}: {exc}") from exc
-    # points that share a history share its bound and its repricing run:
-    # one computation per group, in order of first appearance
+    # points that share a history share its bound: one check_bound per
+    # group, in order of first appearance; each point reprices on its own
     groups = {}
     for i, (_, point_rc) in enumerate(points):
         groups.setdefault(_history_key(point_rc), []).append(i)

@@ -19,6 +19,8 @@ import math
 
 import numpy as np
 
+from .errors import DomainError
+
 __all__ = [
     "norm_cdf",
     "norm_pdf",
@@ -50,7 +52,7 @@ def norm_cdf(x):
     arr = np.asarray(x, dtype=np.float64)
     # a nan anywhere makes min and max nan, and every comparison false
     if arr.size and not -math.inf < arr.min() <= arr.max() < math.inf:
-        raise ValueError("norm_cdf requires finite input")
+        raise DomainError("norm_cdf requires finite input")
     y = arr * -_SQRT_HALF  # a * sqrt(1/2), the argument ndtr forms
     out = np.fromiter(map(math.erfc, y.flat), np.float64, y.size).reshape(arr.shape)
     out *= 0.5
@@ -287,14 +289,14 @@ def bessel_k(order: int, x):
     """Modified Bessel function of the second kind, order 0 or 1.
 
     Positive and strictly decreasing on x > 0, within 1e-15 relative of
-    mpmath. Raises DomainError-compatible ValueError for x <= 0 or
+    mpmath. Raises DomainError for x <= 0, a non-finite x or an
     unsupported order.
     """
     if order not in (0, 1):
-        raise ValueError(f"bessel_k supports orders 0 and 1, got {order!r}")
+        raise DomainError(f"bessel_k supports orders 0 and 1, got {order!r}")
     arr = np.asarray(x, dtype=np.float64)
     if arr.size and not 0.0 < arr.min() <= arr.max() < math.inf:
-        raise ValueError("bessel_k requires finite x > 0")
+        raise DomainError("bessel_k requires finite x > 0")
     return _piecewise(arr, 2.0, *_K_BRANCHES[order])
 
 

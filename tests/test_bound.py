@@ -1272,12 +1272,11 @@ class TestMartingaleStructure:
         assert abs(rep.g_corr_mean - delta_l) < 3.5 * math.hypot(se_l, rep.g_corr_se)
 
 
-def path_route(scenarios, mats, strikes, t, cfg):
+def path_route(scn, mats, strikes, t, cfg):
     """pricing_residuals over the path route's rows, whether or not theta
-    moves: the repricing evaluator on bound._path_group."""
-    scenarios = tuple(scenarios)
-    group = bound_module._path_group(scenarios, mats.times, t, cfg)
-    return bound_module._repricing(scenarios[0].reference.law.call, mats, strikes, *group)
+    moves: the repricing evaluator on bound._path_ends."""
+    ends = bound_module._path_ends(scn, mats.times, t, cfg)
+    return bound_module._repricing(scn.reference.law.call, mats, strikes, *ends)
 
 
 class TestRepricingResiduals:
@@ -1287,7 +1286,7 @@ class TestRepricingResiduals:
 
     def test_self_consistent_reprices_cleanly(self):
         scn = self_consistent_scenario(GBM, 0.2)
-        (res,) = pricing_residuals([scn], MATS, KS5, 0.5, self.CFG)
+        res = pricing_residuals(scn, MATS, KS5, 0.5, self.CFG)
         assert res.route == {"route": "exact"}
         assert res.residuals.shape == (3, 5)
         assert res.max_abs_z == 0.0
@@ -1314,7 +1313,7 @@ class TestRepricingResiduals:
     def test_a_theta_constant_after_t_reads_zero_exactly(self, model, strikes, theta):
         # both prices of a cell accrue the same variance over the same
         # intervals, so they are the same float
-        (res,) = pricing_residuals([Scenario(model, theta)], MATS, strikes, 0.5, self.CFG)
+        res = pricing_residuals(Scenario(model, theta), MATS, strikes, 0.5, self.CFG)
         assert np.all(res.residuals == 0.0) and not np.any(np.signbit(res.residuals))
         assert np.all(res.z_scores == 0.0)
 
@@ -1341,8 +1340,8 @@ class TestRepricingResiduals:
         # the public one takes the exact route for it
         scn = step_vol_scenario(model, sigma, jump_time, size)
         cfg = SimConfig(n_paths=4000, dt=0.01, seed=13)
-        (exact,) = pricing_residuals([scn], MATS, strikes, 0.5, cfg)
-        (paths,) = path_route((scn,), MATS, strikes, 0.5, cfg)
+        exact = pricing_residuals(scn, MATS, strikes, 0.5, cfg)
+        paths = path_route(scn, MATS, strikes, 0.5, cfg)
         assert paths.route == {"route": "monte-carlo", "paths": 4000}
         # on the cells whose tail the paths sample: elsewhere a path z-score
         # is hit-count noise (test_rare_tail_cells_do_not_drive_the_headline)
@@ -1356,22 +1355,22 @@ class TestRepricingResiduals:
             raise AssertionError("the exact route simulated paths")
 
         monkeypatch.setattr(bound_module, "joint_simulate", refuse)
-        want = pricing_residuals(self.GROUP, MATS, KS5, 0.5, self.CFG)
-        for workers, cfg in (
-            ("1", SimConfig(n_paths=16, dt=0.5, seed=1)),
-            ("2", SimConfig(n_paths=100_000, dt=0.01, seed=2, block_size=64)),
-        ):
-            monkeypatch.setenv(WORKERS_ENV_VAR, workers)
-            got = pricing_residuals(self.GROUP, MATS, KS5, 0.5, cfg)
-            for a, b in zip(got, want):
-                for field in dataclasses.fields(a):
-                    assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
+        for scn in self.GROUP:
+            want = pricing_residuals(scn, MATS, KS5, 0.5, self.CFG)
+            for workers, cfg in (
+                ("1", SimConfig(n_paths=16, dt=0.5, seed=1)),
+                ("2", SimConfig(n_paths=100_000, dt=0.01, seed=2, block_size=64)),
+            ):
+                monkeypatch.setenv(WORKERS_ENV_VAR, workers)
+                got = pricing_residuals(scn, MATS, KS5, 0.5, cfg)
+                for field in dataclasses.fields(got):
+                    assert np.array_equal(getattr(got, field.name), getattr(want, field.name))
 
     def test_rare_tail_cells_do_not_drive_the_headline(self):
         # K=2 at T=1 under a vol near 0.2 is in the money on ~2e-4 of paths,
         # so its z-score is hit-count noise, not a unit normal; the cell
         # stays in the table but is excluded from max_abs_z
-        (res,) = pricing_residuals([self.MOVING], MATS, KS5, 0.5, self.CFG)
+        res = pricing_residuals(self.MOVING, MATS, KS5, 0.5, self.CFG)
         assert res.route == {"route": "monte-carlo", "paths": 20000}
         assert np.array_equal(res.calibrated, res.tail_counts >= res.min_tail_count)
         assert not res.calibrated[0, -1]
@@ -1380,12 +1379,12 @@ class TestRepricingResiduals:
 
     def test_vol_jump_inside_window_is_flagged(self):
         scn = step_vol_scenario(GBM, 0.2, 0.75, 0.4)
-        (res,) = pricing_residuals([scn], MATS, KS5, 0.5, self.CFG)
+        res = pricing_residuals(scn, MATS, KS5, 0.5, self.CFG)
         assert res.max_abs_z == math.inf
 
     def test_stochastic_vol_is_flagged(self):
         scn = meanrev_vol_scenario(GBM, 0.2, 1.5, 0.5, 0.6, -0.7)
-        (res,) = pricing_residuals([scn], MATS, KS5, 0.5, self.CFG)
+        res = pricing_residuals(scn, MATS, KS5, 0.5, self.CFG)
         assert res.max_abs_z > 3.0
 
     #: step thetas that agree up to t = 0.5: every jump, of any size, falls after it
@@ -1399,29 +1398,22 @@ class TestRepricingResiduals:
         )),
     )
 
-    def test_a_group_gives_each_member_its_table_alone(self):
-        self.check_group_tables(pricing_residuals, "exact")
-
-    def test_a_group_on_the_path_route_gives_each_member_its_table_alone(self):
-        # the same step thetas through the path route's private entry
-        self.check_group_tables(path_route, "monte-carlo")
-
-    def check_group_tables(self, residuals, route):
+    @pytest.mark.parametrize(
+        "residuals, route",
+        [(pricing_residuals, "exact"), (path_route, "monte-carlo")],
+        ids=["exact", "paths"],
+    )
+    def test_thetas_alike_up_to_t_each_price_their_own_payoffs(self, residuals, route):
+        # the same time-t rows, but a jump after t moves the terminal
+        # payoffs: each table reads its own scenario's, not a shared one
         cfg = SimConfig(n_paths=5000, dt=0.01, seed=3)
-        grouped = residuals(self.GROUP, MATS, KS5, 0.5, cfg)
-        assert len(grouped) == len(self.GROUP)
-        for scn, got in zip(self.GROUP, grouped):
-            (alone,) = residuals([scn], MATS, KS5, 0.5, cfg)
-            assert got.route["route"] == route
-            for field in dataclasses.fields(alone):
-                a, b = getattr(got, field.name), getattr(alone, field.name)
-                assert np.array_equal(a, b), field.name
-        # each member's own payoffs, not the first one's, are read
-        assert grouped[0].max_abs_z < 3.5 < grouped[1].max_abs_z
+        calm, jumped = (residuals(scn, MATS, KS5, 0.5, cfg) for scn in self.GROUP[:2])
+        assert calm.route["route"] == jumped.route["route"] == route
+        assert calm.max_abs_z < 3.5 < jumped.max_abs_z
 
     def test_exact_route_prices_every_maturity_of_a_strike_in_one_call(self, monkeypatch):
         # the one exact row's q maturities go into one call per strike: the
-        # group's model prices once, then each member's terminal prices
+        # model prices, then the terminal prices
         shapes = []
         call = type(GBM.law).call
 
@@ -1430,9 +1422,9 @@ class TestRepricingResiduals:
             return call(law, z, strike, v)
 
         monkeypatch.setattr(type(GBM.law), "call", counted)
-        pricing_residuals(self.GROUP, MATS, KS5, 0.5, self.CFG)
-        assert len(shapes) <= len(KS5.strikes) * (1 + len(self.GROUP))
-        assert set(shapes) == {(MATS.q,)}
+        for scn in self.GROUP:
+            pricing_residuals(scn, MATS, KS5, 0.5, self.CFG)
+        assert shapes == [(MATS.q,)] * (2 * len(KS5.strikes) * len(self.GROUP))
 
     @pytest.mark.parametrize(
         "scn",
@@ -1456,7 +1448,7 @@ class TestRepricingResiduals:
 
         monkeypatch.setattr(bound_module, "_lhs_rows", spy)
         check_bound(scn, MATS, KS5, 0.5, cfg)
-        rows, _, route, _ = bound_module._path_group((scn,), MATS.times, 0.5, cfg)
+        rows, _, route, _ = bound_module._path_ends(scn, MATS.times, 0.5, cfg)
         (read,) = seen
         assert route == {"route": "monte-carlo", "paths": 2000}
         assert np.ptp(rows[2]) > 0.0
@@ -1464,49 +1456,26 @@ class TestRepricingResiduals:
         for a, b in zip(read, rows):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
-    @pytest.mark.parametrize("jump_time", [0.25, 0.5])
-    def test_a_group_whose_histories_differ_by_t_raises(self, jump_time):
-        # the exact route compares the members' laws at t
-        cfg = SimConfig(n_paths=500, dt=0.01, seed=3)
-        group = (self.GROUP[0], step_vol_scenario(GBM, 0.2, jump_time, 0.1))
-        with pytest.raises(DomainError, match=r"scenario 1 of the group .* at t=0\.5"):
-            pricing_residuals(group, MATS, KS5, 0.5, cfg)
-
-    @pytest.mark.parametrize(
-        "other",
-        [meanrev_vol_scenario(GBM, 0.2, 1.0, 0.2, 0.1), self_consistent_scenario(GBM, 0.2)],
-        ids=["other-vol-of-vol", "constant"],
-    )
-    def test_a_moving_group_whose_paths_differ_by_t_raises(self, other):
-        # the path route compares the members' (S_t, theta_t) bit for bit
-        cfg = SimConfig(n_paths=500, dt=0.01, seed=3)
-        with pytest.raises(DomainError, match=r"scenario 1 of the group .* at t=0\.5"):
-            pricing_residuals((self.MOVING, other), MATS, KS5, 0.5, cfg)
-
     @pytest.mark.parametrize("n_paths", [2**14, 2**16])
-    @pytest.mark.parametrize("members", [1, 4])
-    def test_memory_is_linear_in_paths_and_bounded_per_group(
-        self, n_paths, members, monkeypatch
-    ):
-        # a group holds its members' maturity columns, q per member, and a
-        # fixed number of columns besides: S_t, the variance, the payoff
-        # buffers and the pricing temporaries, or one ensemble being
-        # simulated. A moving theta's ensemble also holds its theta at the
-        # 5 stored times, and the group keeps a copy of theta_t. One worker
-        # and small blocks keep the stepping kernel's per-block temporaries
-        # to a fraction of a column.
+    def test_memory_is_linear_in_paths_and_bounded(self, n_paths, monkeypatch):
+        # a scenario's table holds its q maturity columns and a fixed
+        # number of columns besides: S_t, the variance, the payoff buffers
+        # and the pricing temporaries, or the ensemble being simulated. A
+        # moving theta's ensemble also holds its theta at the 5 stored
+        # times, and a copy of theta_t is kept. One worker and small blocks
+        # keep the stepping kernel's per-block temporaries to a fraction of
+        # a column.
         monkeypatch.setenv(WORKERS_ENV_VAR, "1")
-        group = (self.MOVING,) * members
         cfg = SimConfig(n_paths=n_paths, dt=0.1, seed=3, block_size=n_paths // 16)
-        pricing_residuals(group, MATS, KS5, 0.5, SimConfig(n_paths=64, dt=0.1, seed=3))
+        pricing_residuals(self.MOVING, MATS, KS5, 0.5, SimConfig(n_paths=64, dt=0.1, seed=3))
         tracemalloc.start()
         try:
-            pricing_residuals(group, MATS, KS5, 0.5, cfg)
+            pricing_residuals(self.MOVING, MATS, KS5, 0.5, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         theta_columns = len({0.0, 0.5, *MATS.times}) + 1
-        assert peak < (members * MATS.q + 8 + theta_columns) * 8 * n_paths
+        assert peak < (MATS.q + 8 + theta_columns) * 8 * n_paths
 
     @pytest.mark.parametrize(
         "model,strikes", [(BESSEL, KS5), (LOGDIFF, StrikeGrid(strikes=(0.0, 0.3, 0.6, 0.9)))],
@@ -1516,16 +1485,14 @@ class TestRepricingResiduals:
         # every law prices by its own call: the self-consistent scenario
         # reads 0.0 exactly, and a jump at 0.75, after t = 0.5, reads inf
         cfg = SimConfig(n_paths=4000, dt=0.01, seed=11)
-        (calm,) = pricing_residuals([self_consistent_scenario(model, 0.2)], MATS, strikes, 0.5, cfg)
-        (jump,) = pricing_residuals(
-            [step_vol_scenario(model, 0.2, 0.75, 0.4)], MATS, strikes, 0.5, cfg
-        )
+        calm = pricing_residuals(self_consistent_scenario(model, 0.2), MATS, strikes, 0.5, cfg)
+        jump = pricing_residuals(step_vol_scenario(model, 0.2, 0.75, 0.4), MATS, strikes, 0.5, cfg)
         assert calm.max_abs_z == 0.0
         assert jump.max_abs_z == math.inf
 
     def test_time_validation(self):
         with pytest.raises(DomainError):
-            pricing_residuals([self_consistent_scenario(GBM, 0.2)], MATS, KS5, 2.0, self.CFG)
+            pricing_residuals(self_consistent_scenario(GBM, 0.2), MATS, KS5, 2.0, self.CFG)
 
 
 class TestDensification:
@@ -1649,7 +1616,7 @@ class TestImpossibleConjunction:
         cfg = SimConfig(n_paths=20000, dt=0.01, seed=11)
         scn = step_vol_scenario(GBM, 0.2, 0.75, 0.4)
         rep = check_bound(scn, MATS, KS5, 0.5, cfg)
-        (res,) = pricing_residuals([scn], MATS, KS5, 0.5, cfg)
+        res = pricing_residuals(scn, MATS, KS5, 0.5, cfg)
         assert (not rep.satisfied) or res.max_abs_z > 3.0
         assert res.max_abs_z == math.inf
 

@@ -4,6 +4,7 @@ import csv
 import itertools
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -861,6 +862,11 @@ class TestCliCommands:
         "lhs", "lhs_se", "rhs", "satisfied", "gap_term_mean", "tail_correction_mean",
     )
 
+    #: a step theta by its one jump's time and size
+    STEP_AT = "generator: step-vol\ntheta: {jump_time: %s, jump_size: %s}"
+    #: a mean-reverting theta, which is its own history
+    MOVING = "generator: meanrev-vol\ntheta: {rate: 2.0, level: 0.3, vol_of_vol: %s}"
+
     @pytest.mark.parametrize(
         "model, key, values, evaluations",
         [
@@ -910,25 +916,47 @@ class TestCliCommands:
         cfg = tmp_path / "scan.yaml"
         cfg.write_text(text)
         runs = []
-        residual_groups = []
+        repriced = []
         pricing_residuals = cli.pricing_residuals
 
-        def counted(scenarios, *args):
-            residual_groups.append(len(scenarios))
-            return pricing_residuals(scenarios, *args)
+        def counted(scn, *args):
+            repriced.append(scn)
+            return pricing_residuals(scn, *args)
 
         monkeypatch.setattr(cli, "pricing_residuals", counted)
         for workers in ("1", "2"):
             monkeypatch.setenv("VOLBOUND_WORKERS", workers)
             assert main(["scan", "--config", str(cfg)]) in (0, 1)
             runs.append(json.loads(capsys.readouterr().out))
-        assert residual_groups == [1, 1, 4, 1, 1] * 2
+        # one repricing per point, whatever the groups
+        assert len(repriced) == 8 * 2
         # a key no two points share: every point is a group of one
         monkeypatch.setattr(cli, "_history_key", lambda rc: object())
         assert main(["scan", "--config", str(cfg)]) in (0, 1)
         runs.append(json.loads(capsys.readouterr().out))
-        assert residual_groups[10:] == [1] * 8
+        assert len(repriced) == 8 * 3
         assert canonical_json(runs[0]) == canonical_json(runs[1]) == canonical_json(runs[2])
+
+    @pytest.mark.parametrize(
+        "theta, same, other",
+        [
+            (STEP_AT % (0.75, 0.1), STEP_AT % (0.75, 0.4), STEP_AT % (0.25, 0.1)),
+            (STEP_AT % (0.75, 0.1), STEP_AT % (1.5, 0.1), STEP_AT % (0.5, 0.1)),
+            (MOVING % 0.4, MOVING % 0.4, MOVING % 0.3),
+            (MOVING % 0.4, MOVING % 0.4, "generator: self-consistent"),
+        ],
+        ids=["jump-before-t", "jump-at-t", "other-vol-of-vol", "constant"],
+    )
+    def test_history_key_parts_points_whose_histories_differ_by_t(self, theta, same, other):
+        # a scan shares one check_bound across the points of a key, so a
+        # point whose market differs by eval_time must get a key of its own
+        key = cli._history_key
+        first, twin, apart = (
+            parse_config(BASE.replace("generator: self-consistent", text))
+            for text in (theta, same, other)
+        )
+        assert key(first) == key(twin)
+        assert key(first) != key(apart)
 
     @pytest.mark.parametrize(
         "axes, code, named, error",
@@ -971,6 +999,29 @@ class TestCliCommands:
         rows = json.loads(capsys.readouterr().out)["results"]["rows"]
         assert [scn.theta_process.correlation for scn in bound_calls] == [0.0, -0.5, 0.5]
         assert len({row["lhs"] for row in rows}) == 3
+
+    def test_duplicate_moving_points_are_each_the_point_alone(
+        self, tmp_path, capsys, bound_calls
+    ):
+        # two equal points of a moving theta share one history, so one
+        # check_bound; each reprices over its own paths, as check-bound does
+        cfg = tmp_path / "meanrev.yaml"
+        cfg.write_text(
+            BASE.replace(
+                "generator: self-consistent",
+                "generator: meanrev-vol\n"
+                "theta: {rate: 2.0, level: 0.3, vol_of_vol: 0.4, correlation: -0.5}",
+            )
+            + "scan:\n  axes:\n    - key: theta.vol_of_vol\n      values: [0.4, 0.4]\n"
+        )
+        assert main(["scan", "--config", str(cfg), "--paths", "1000"]) in (0, 1)
+        rows = json.loads(capsys.readouterr().out)["results"]["rows"]
+        assert len(bound_calls) == 1
+        assert canonical_json(rows[0]) == canonical_json(rows[1])
+        assert main(["check-bound", "--config", str(cfg), "--paths", "1000"]) in (0, 1)
+        alone = json.loads(capsys.readouterr().out)["results"]["repricing"]
+        assert alone["route"] == {"route": "monte-carlo", "paths": 1000}
+        assert [row["max_resid_z"] for row in rows] == [alone["max_abs_z"]] * 2
 
     def test_scan_sweep_structure(self, scan_path, capsys):
         assert main(["scan", "--config", scan_path]) == 0
@@ -1125,6 +1176,30 @@ class TestCliCommands:
         assert main(["price", "--config", base_path, "--set", "sigma=-1"]) == 2
         assert main(["check-bound"]) == 2  # config required
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            ("model=gbm", "strikes=[0.0, 0.5, 1e308]"),
+            ("strikes=[0.0, 0.5, 1e308]",),
+            ("model=gbm", "maturities=[1.0, 2.0, 1e300]"),
+        ],
+        ids=["gbm-strike-overflows", "bessel0-strike-overflows", "gbm-maturity-overflows"],
+    )
+    def test_out_of_range_finite_inputs_fail_in_one_line(self, overrides):
+        # finite values whose slopes or weights overflow: exit 2 naming the
+        # input, with no numpy warning and no traceback
+        config = Path(__file__).resolve().parents[1] / "bench" / "configs" / "bessel0-bound.yaml"
+        sets = [arg for value in overrides for arg in ("--set", value)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "volbound", "check-bound", "--config", str(config), *sets],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])),
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("volbound: invalid input:"), proc.stderr
 
     def test_console_entry_point(self, base_path):
         proc = subprocess.run(
