@@ -205,7 +205,9 @@ def pin_point(sigma: float, i_12: float) -> float:
     through this one expression so the float is bit-identical everywhere.
     """
     s = np.float64(sigma)
-    return float(np.exp(s * s * np.float64(i_12)))
+    # an overflow reads inf, which callers refuse as a pin point
+    with np.errstate(over="ignore"):
+        return float(np.exp(s * s * np.float64(i_12)))
 
 
 def build_q(alphas, x0: float, j: int) -> QPolynomial:
@@ -577,9 +579,11 @@ def _lhs_rows(scn, qs, times, k_max, t, rows):
     n = s.size
     held = v_t == 0.0
     e_phi = np.empty(n)
-    e_phi[held] = model.phi(s[held])
-    e_phi[~held] = [phi_mean(model, a, b) for a, b in zip(s[~held].tolist(), v_t[~held].tolist())]
     with np.errstate(over="ignore", invalid="ignore"):
+        e_phi[held] = model.phi(s[held])
+        e_phi[~held] = [
+            phi_mean(model, a, b) for a, b in zip(s[~held].tolist(), v_t[~held].tolist())
+        ]
         n1 = np.exp(theta_t * theta_t * (times[0] - t)) * e_phi
         x_t = np.exp(theta_t * theta_t * np.float64(times[1] - times[0]))
     bad = np.nonzero(~(np.isfinite(n1) & np.isfinite(x_t)))[0]

@@ -1,10 +1,10 @@
 """Scenario configuration files.
 
 Documents are YAML mappings. The loader records the source line of every
-key so validation failures can point at the offending line, and the
-resolver rebuilds a canonical document (defaults filled in, sugar
-expanded) that is embedded in reports; feeding that document back in
-reproduces the run.
+key so validation failures can point at the offending line. The resolver
+records each key as it validates it, with the value it accepted or the
+constant default it filled in, and that record is the document embedded in
+reports; feeding it back in reproduces the run.
 """
 
 from __future__ import annotations
@@ -145,12 +145,13 @@ def set_path(doc: dict, dotted: str, value) -> None:
 
 
 class _Section:
-    """Validation cursor over one mapping: typed reads, leftover detection."""
+    """Validation cursor over one mapping: typed reads, their record, leftovers."""
 
     def __init__(self, mapping, path=""):
         self.mapping = mapping
         self.path = path
         self.pending = set(mapping.keys())
+        self.record = {}
 
     def _key(self, key):
         return f"{self.path}.{key}" if self.path else key
@@ -163,16 +164,22 @@ class _Section:
     def fail(self, key, message):
         raise ConfigParseError(message, key=self._key(key), line=self._line(key))
 
+    def _keep(self, key, value):
+        """value, recorded under key; a None default (z0, pricing.price) is not."""
+        if value is not None:
+            self.record[key] = list(value) if isinstance(value, tuple) else value
+        return value
+
     def take(self, key, default=_MISSING):
         self.pending.discard(key)
         if key in self.mapping:
-            return self.mapping[key]
+            return self._keep(key, self.mapping[key])
         if default is _MISSING:
             raise ConfigParseError(
                 f"required key is missing from section {self.path or '<top>'!r}",
                 key=self._key(key),
             )
-        return default
+        return self._keep(key, default)
 
     def _finite(self, key, value, kind):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -185,12 +192,10 @@ class _Section:
         value = self.take(key, default)
         if value is default and default is not _MISSING:
             return value
-        return self._finite(key, value, "a number")
+        return self._keep(key, self._finite(key, value, "a number"))
 
-    def take_int(self, key, default=_MISSING):
-        value = self.take(key, default)
-        if value is default and default is not _MISSING:
-            return value
+    def take_int(self, key):
+        value = self.take(key)
         if isinstance(value, bool) or not isinstance(value, int):
             self.fail(key, f"expected an integer, got {value!r}")
         return value
@@ -209,7 +214,8 @@ class _Section:
             return value
         if not isinstance(value, list) or not value:
             self.fail(key, f"expected a non-empty list of numbers, got {value!r}")
-        return tuple(self._finite(key, item, "numbers in the list") for item in value)
+        items = tuple(self._finite(key, item, "numbers in the list") for item in value)
+        return self._keep(key, items)
 
     def take_section(self, key, default=_MISSING):
         value = self.take(key, default)
@@ -217,7 +223,9 @@ class _Section:
             return value
         if not isinstance(value, dict):
             self.fail(key, f"expected a section (mapping), got {value!r}")
-        return _Section(value, self._key(key))
+        section = _Section(value, self._key(key))
+        self.record[key] = section.record
+        return section
 
     def build(self, key, make):
         """make(), whose errors are located at key, except a ConfigParseError
@@ -237,7 +245,7 @@ class _Section:
 
 @dataclass(frozen=True)
 class ResolvedConfig:
-    """A validated run specification plus its canonical document."""
+    """A validated run specification plus the document that reproduces it."""
 
     scenario: Scenario
     mats: MaturityGrid
@@ -256,11 +264,10 @@ class ResolvedConfig:
 
 
 def _resolve_theta(gen, sigma, top: _Section):
-    theta_doc = {}
     if gen == "self-consistent":
         if top.take("theta", None) is not None:
             top.fail("theta", "self-consistent scenarios take no theta section")
-        return ThetaProcess(kind="constant", sigma0=sigma), theta_doc
+        return ThetaProcess(kind="constant", sigma0=sigma)
 
     sec = top.take_section("theta")
     if gen == "step-vol":
@@ -273,12 +280,10 @@ def _resolve_theta(gen, sigma, top: _Section):
             jt = sec.take_number_list("jump_times")
             jv = sec.take_number_list("jump_values")
         sec.finish()
-        theta_doc = {"jump_times": list(jt), "jump_values": list(jv)}
-        proc = sec.build(
+        return sec.build(
             "jump_values",
             lambda: ThetaProcess(kind="step", sigma0=sigma, jump_times=jt, jump_values=jv),
         )
-        return proc, theta_doc
 
     # meanrev-vol
     rate = sec.take_number("rate")
@@ -286,15 +291,13 @@ def _resolve_theta(gen, sigma, top: _Section):
     nu = sec.take_number("vol_of_vol")
     corr = sec.take_number("correlation", 0.0)
     sec.finish()
-    theta_doc = {"rate": rate, "level": level, "vol_of_vol": nu, "correlation": corr}
-    proc = sec.build(
+    return sec.build(
         "vol_of_vol" if -1.0 <= corr <= 1.0 else "correlation",
         lambda: ThetaProcess(
             kind="meanrev", sigma0=sigma, rate=rate, level=level, vol_of_vol=nu,
             correlation=corr,
         ),
     )
-    return proc, theta_doc
 
 
 def resolve(doc: dict) -> ResolvedConfig:
@@ -302,6 +305,9 @@ def resolve(doc: dict) -> ResolvedConfig:
 
     Every domain invariant is enforced here so a bad file fails before
     any simulation starts, with the failing key and line in the message.
+    Its document is what the sections recorded: each key given, as
+    validated, and each constant default filled in, so z0 appears only where
+    given and a step theta in the form it was written in.
     """
     top = _Section(doc)
 
@@ -316,8 +322,7 @@ def resolve(doc: dict) -> ResolvedConfig:
     gen = top.take_str("generator", "self-consistent")
     if gen not in GENERATORS.values():
         top.fail("generator", f"unknown generator {gen!r}")
-    theta_proc, theta_doc = _resolve_theta(gen, sigma, top)
-    scenario = Scenario(model, theta_proc)
+    scenario = Scenario(model, _resolve_theta(gen, sigma, top))
 
     mats = top.build("maturities", lambda: MaturityGrid(times=top.take_number_list("maturities")))
     strikes = top.build("strikes", lambda: StrikeGrid(strikes=top.take_number_list("strikes")))
@@ -329,7 +334,7 @@ def resolve(doc: dict) -> ResolvedConfig:
             f"evaluation time {eval_time} outside [0, first maturity {mats.times[0]}]",
         )
 
-    sim = sim_doc = None
+    sim = None
     sim_sec = top.take_section("simulation", None)
     if sim_sec is not None:
         paths = sim_sec.take_int("paths")
@@ -343,7 +348,6 @@ def resolve(doc: dict) -> ResolvedConfig:
             sim_sec.fail("seed", f"seed must be >= 0, got {seed}")
         sim_sec.finish()
         sim = SimConfig(n_paths=paths, dt=dt, seed=seed)
-        sim_doc = {"paths": paths, "dt": dt, "seed": seed}
 
     pricing = None
     psec = top.take_section("pricing", None)
@@ -354,11 +358,9 @@ def resolve(doc: dict) -> ResolvedConfig:
         strike = psec.take_number("strike")
         if strike < 0.0:
             psec.fail("strike", f"strike cannot be negative, got {strike}")
-        price = psec.take_number("price", None)
+        psec.take_number("price", None)
         psec.finish()
-        pricing = {"maturity": maturity, "strike": strike}
-        if price is not None:
-            pricing["price"] = price
+        pricing = dict(psec.record)
 
     densify_sizes = None
     dsec = top.take_section("densify", None)
@@ -410,30 +412,6 @@ def resolve(doc: dict) -> ResolvedConfig:
 
     top.finish()
 
-    document = {
-        "model": model.name,
-        "z0": model.z0,
-        "sigma": sigma,
-        "generator": gen,
-        "maturities": list(mats.times),
-        "strikes": list(strikes.strikes),
-        "eval_time": eval_time,
-    }
-    if sim_doc is not None:
-        document["simulation"] = sim_doc
-    if theta_doc:
-        document["theta"] = theta_doc
-    if pricing is not None:
-        document["pricing"] = dict(pricing)
-    if densify_sizes is not None:
-        document["densify"] = {"grid_sizes": list(densify_sizes)}
-    if scan_axes:
-        document["scan"] = {
-            "axes": [{"key": k, "values": list(v)} for k, v in scan_axes]
-        }
-    if msec is not None:
-        document["martingale"] = {"times": list(martingale_times)}
-
     return ResolvedConfig(
         scenario=scenario,
         mats=mats,
@@ -444,7 +422,7 @@ def resolve(doc: dict) -> ResolvedConfig:
         densify_sizes=densify_sizes,
         scan_axes=scan_axes,
         martingale_times=martingale_times,
-        document=document,
+        document=top.record,
     )
 
 

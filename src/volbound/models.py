@@ -359,8 +359,11 @@ class SquaredBesselLaw(TransitionLaw):
     expect_window: ClassVar[float] = 16.0
 
     @staticmethod
+    @np.errstate(over="ignore")
     def _density(a, r, v):
-        """Density of r = sqrt(Z_T) at r given sqrt(s) = a, off the atom."""
+        """Density of r = sqrt(Z_T) at r given sqrt(s) = a, off the atom. Far
+        in the tail i1e's argument overflows to inf, where the density reads 0
+        as it should; this runs on tail's worker threads, so it silences that."""
         return (4.0 / v) * a * bessel_i1e(4.0 * a * r / v) * np.exp(-2.0 * np.square(a - r) / v)
 
     def tail_rule(self, s, v, k):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DivergenceError, DomainError
 from .models import ReferenceModel, SimConfig, sample_mean, simulate, step_paths, z_score
 
 __all__ = [
@@ -140,6 +140,19 @@ def _summarize(times, samples, references, ens):
     )
 
 
+def _reference(model: ReferenceModel, v=None) -> float:
+    """A check's reference, phi(z0) or E[phi(Z)] at variance v, refused unless finite."""
+    with np.errstate(over="ignore"):
+        phi0 = float(model.phi(model.z0))
+        ref = phi0 if v is None else phi_mean(model, model.z0, v)
+    if not math.isfinite(ref):
+        raise DivergenceError(
+            f"the reference {ref} is not finite: phi(z0) is {phi0} for model "
+            f"{model.name!r} at z0={model.z0}"
+        )
+    return ref
+
+
 def _simulation_grid(times, extra=None):
     pts = {0.0, *times}
     if extra is not None:
@@ -158,8 +171,8 @@ def martingale_check_U(
     """
     times = _check_times(times)
     grid = _simulation_grid(times)
+    ref = _reference(model)
     ens = simulate(model, sigma, model.z0, 0.0, grid, cfg)
-    ref = float(model.phi(model.z0))
     idx = {t: i for i, t in enumerate(grid)}
     samples = []
     for t in times:
@@ -187,6 +200,7 @@ def martingale_check_V(
     times = _check_times(times)
     if integration_points < 2:
         raise ConfigurationError("need at least 2 integration points")
+    ref = _reference(model)
     fine = np.linspace(0.0, times[-1], integration_points)
     # an array, not a list of floats: the grid is V's only per-point state
     grid = np.array(_simulation_grid(times, extra=fine))
@@ -212,7 +226,6 @@ def martingale_check_V(
             wanted[c][rows] = phi_hi - sigma * sigma * cum[rows]
 
     ens = step_paths(model, sigma, model.z0, 0.0, grid, cfg, visit=visit)
-    ref = float(model.phi(model.z0))
     return _summarize(times, list(wanted.values()), [ref] * len(times), ens)
 
 
@@ -263,7 +276,7 @@ def semigroup_check(
     """
     if not t > 0.0:
         raise DomainError(f"test time must be positive, got {t}")
-    ref = phi_mean(model, model.z0, sigma * sigma * t)
+    ref = _reference(model, sigma * sigma * t)
     ens = simulate(model, sigma, model.z0, 0.0, [0.0, t], cfg)
     sample = np.asarray(model.phi(ens.states[:, -1]), dtype=np.float64)
     return _summarize([t], [sample], [ref], ens)

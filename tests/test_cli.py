@@ -382,6 +382,9 @@ class TestConfigParsing:
         rc = parse_config(SCAN)
         again = resolve(rc.document)
         assert again.document == rc.document
+        # the step sugar as written, and no z0 where none is given
+        assert rc.document["theta"] == {"jump_time": 0.75, "jump_size": 0.0}
+        assert "z0" not in rc.document
         assert again.scenario.reference.name == rc.scenario.reference.name
         assert again.scenario.sigma0 == rc.scenario.sigma0
         assert again.scenario.generator == rc.scenario.generator
@@ -813,6 +816,52 @@ class TestCliCommands:
             bodies.append(canonical_json(json.loads(capsys.readouterr().out)))
         assert bodies[0] == bodies[1] == bodies[2]
 
+    @pytest.mark.parametrize(
+        "command, bench, overrides",
+        [
+            ("check-bound", None, ()),
+            ("price", None, ()),
+            ("densify", None, ("densify={grid_sizes: [3, 5]}",)),
+            ("martingale-check", None, ()),
+            ("scan", "gbm-scan", ()),
+            (
+                "scan", None,
+                (
+                    "generator=step-vol", "theta={jump_time: 0.25, jump_size: 0.1}",
+                    "scan={axes: [{key: sigma, values: [0.2, 0.3]}]}",
+                ),
+            ),
+            (
+                "scan", None,
+                (
+                    "model=bessel0", "strikes=[0.0, 0.3, 0.6, 0.9]",
+                    "scan={axes: [{key: model, values: [bessel0, logdiff]}]}",
+                ),
+            ),
+        ],
+        ids=[
+            "check-bound", "price", "densify", "martingale-check", "bench-gbm-scan",
+            "sigma-scan-with-step-sugar", "model-scan-without-z0",
+        ],
+    )
+    def test_a_reports_config_reproduces_its_run(
+        self, command, bench, overrides, base_path, tmp_path, capsys
+    ):
+        # the config block alone, passed back, gives the same body: a scan
+        # axis on the step sugar still finds it, the sugar's jump still
+        # rides on each point's sigma, and each scanned model starts at its
+        # own z0
+        config = base_path
+        if bench is not None:
+            config = str(Path(__file__).resolve().parents[1] / "bench" / "configs" / f"{bench}.yaml")
+        sets = [arg for value in overrides for arg in ("--set", value)]
+        code = main([command, "--config", config, *sets])
+        first = json.loads(capsys.readouterr().out)
+        echo = tmp_path / "echo.json"
+        echo.write_text(json.dumps(first["config"]))
+        assert main([command, "--config", str(echo)]) == code
+        assert canonical_json(json.loads(capsys.readouterr().out)) == canonical_json(first)
+
     @pytest.mark.parametrize("command", ["check-bound", "scan"])
     def test_meanrev_readme_example_runs(self, command, tmp_path, capsys):
         # the README's meanrev-vol theta goes below 0 on some paths by the
@@ -1178,28 +1227,42 @@ class TestCliCommands:
         capsys.readouterr()
 
     @pytest.mark.parametrize(
-        "overrides",
+        "command, bench, overrides, code",
         [
-            ("model=gbm", "strikes=[0.0, 0.5, 1e308]"),
-            ("strikes=[0.0, 0.5, 1e308]",),
-            ("model=gbm", "maturities=[1.0, 2.0, 1e300]"),
+            ("check-bound", "bessel0-bound", ("model=gbm", "strikes=[0.0, 0.5, 1e308]"), 2),
+            ("check-bound", "bessel0-bound", ("strikes=[0.0, 0.5, 1e308]",), 2),
+            ("check-bound", "bessel0-bound", ("model=gbm", "maturities=[1.0, 2.0, 1e300]"), 2),
+            ("check-bound", "bessel0-bound", ("sigma=50",), 2),
+            (
+                "implied-vol", "bessel0-bound",
+                ("pricing={maturity: 1.0, strike: 1e300, price: 1e-300}",), 1,
+            ),
+            ("check-bound", "bessel0-bound", ("model=gbm", "z0=1e300"), 1),
+            ("martingale-check", "bessel0-martingale", ("model=gbm", "z0=1e200"), 1),
         ],
-        ids=["gbm-strike-overflows", "bessel0-strike-overflows", "gbm-maturity-overflows"],
+        ids=[
+            "gbm-strike-overflows", "bessel0-strike-overflows", "gbm-maturity-overflows",
+            "pin-point-overflows", "bessel0-density-overflows", "gbm-phi-overflows",
+            "gbm-martingale-reference-overflows",
+        ],
     )
-    def test_out_of_range_finite_inputs_fail_in_one_line(self, overrides):
-        # finite values whose slopes or weights overflow: exit 2 naming the
-        # input, with no numpy warning and no traceback
-        config = Path(__file__).resolve().parents[1] / "bench" / "configs" / "bessel0-bound.yaml"
+    def test_out_of_range_finite_inputs_fail_in_one_line(self, command, bench, overrides, code):
+        # finite values whose slopes, weights, density or phi overflow: an
+        # invalid input (exit 2) or a failed computation (exit 1) named in
+        # one line, with no numpy warning, no traceback and no report
+        config = Path(__file__).resolve().parents[1] / "bench" / "configs" / f"{bench}.yaml"
         sets = [arg for value in overrides for arg in ("--set", value)]
         proc = subprocess.run(
-            [sys.executable, "-m", "volbound", "check-bound", "--config", str(config), *sets],
+            [sys.executable, "-m", "volbound", command, "--config", str(config), *sets],
             capture_output=True,
             text=True,
             env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])),
         )
-        assert proc.returncode == 2
+        assert proc.returncode == code
+        prefix = {1: "volbound: computation failed:", 2: "volbound: invalid input:"}[code]
         lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("volbound: invalid input:"), proc.stderr
+        assert len(lines) == 1 and lines[0].startswith(prefix), proc.stderr
+        assert proc.stdout == ""
 
     def test_console_entry_point(self, base_path):
         proc = subprocess.run(
