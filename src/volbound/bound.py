@@ -137,7 +137,8 @@ class QPolynomial:
     Evaluation order matters: value() accumulates the k >= 2 terms first
     and adds the constant last, mirroring exactly how that constant was
     built, so value(x0) is 0.0 in floating point, not merely small. The
-    same holds for deriv1(x0).
+    same holds for deriv1(x0). A zero coefficient's term is skipped: it
+    adds +0.0, or nan where its power overflows.
     """
 
     alphas: tuple
@@ -160,10 +161,14 @@ class QPolynomial:
         if not all(math.isfinite(c) for c in coeffs):
             raise DomainError("coefficients are not finite; maturities or volatility too extreme")
 
+    def _free_terms(self):
+        """(a_k, c_k) for k >= 2 where c_k is nonzero."""
+        return [(a, c) for a, c in zip(self.alphas[2:], self.coeffs[2:]) if c != 0.0]
+
     def _tail(self, x):
         """p2*x plus the free terms, accumulated in fixed order."""
         acc = self.coeffs[1] * x
-        for a, c in zip(self.alphas[2:], self.coeffs[2:]):
+        for a, c in self._free_terms():
             acc = acc + c * x**a
         return acc
 
@@ -174,7 +179,7 @@ class QPolynomial:
 
     def _slope_tail(self, x):
         acc = np.zeros_like(np.asarray(x, dtype=np.float64))
-        for a, c in zip(self.alphas[2:], self.coeffs[2:]):
+        for a, c in self._free_terms():
             acc = acc + c * a * x ** (a - 1.0)
         return acc
 
@@ -186,7 +191,7 @@ class QPolynomial:
     def deriv2(self, x):
         x = np.asarray(x, dtype=np.float64)
         acc = np.zeros_like(x)
-        for a, c in zip(self.alphas[2:], self.coeffs[2:]):
+        for a, c in self._free_terms():
             acc = acc + c * a * (a - 1.0) * x ** (a - 2.0)
         return float(acc) if acc.ndim == 0 else acc
 
@@ -417,7 +422,7 @@ class BoundReport:
     absorbed_mass is the law's probability of the same where the law has an
     atom and theta does not move, else None. On the exact route these
     describe the simulation only; the left side does not read the paths.
-    steps is the number of steps each path took.
+    stepping is how the simulation stepped (PathEnsemble.stepping).
     """
 
     t: float
@@ -432,7 +437,7 @@ class BoundReport:
     l_diagnostics: tuple
     phi_prime_convention: bool
     n_paths: int
-    steps: int = 0
+    stepping: dict | None = None
     absorbed_fraction: float = 0.0
     absorbed_mass: float | None = None
     q: QPolynomial | None = None
@@ -537,7 +542,7 @@ def check_bound(
         l_diagnostics=tuple(l_diag),
         phi_prime_convention=convention,
         n_paths=n,
-        steps=joint.steps,
+        stepping=joint.stepping,
         absorbed_fraction=float(np.mean(joint.absorbed_at <= t)),
         absorbed_mass=mass,
         q=qs[best],
@@ -573,6 +578,8 @@ def _lhs_rows(scn, qs, times, k_max, t, rows):
     where v_t is 0 and phi_mean(s, v_t) where it is not. X_t is pin_point's
     expression at theta_t. Every G, the q n of G(s, v_to[k]) and the q of
     G(s0, sigma0^2 T_k), comes from one _g_batch call. A single row has se 0.
+    A row whose growth factor, or whose total for some Q, is not finite is
+    refused with a DivergenceError (_refuse_rows).
     """
     model = scn.reference
     s, v_t, theta_t, v_to = rows
@@ -586,31 +593,42 @@ def _lhs_rows(scn, qs, times, k_max, t, rows):
         ]
         n1 = np.exp(theta_t * theta_t * (times[0] - t)) * e_phi
         x_t = np.exp(theta_t * theta_t * np.float64(times[1] - times[0]))
-    bad = np.nonzero(~(np.isfinite(n1) & np.isfinite(x_t)))[0]
-    if bad.size:
-        first = ", ".join(f"({theta_t[i]:.6g}, {s[i]:.6g}, {v_t[i]:.6g})" for i in bad[:5])
-        raise DivergenceError(
-            f"growth factor at t={t} is not finite on {bad.size} of {n} rows of model "
-            f"{model.name!r}; first (theta_t, s, v_t): {first} on rows {bad[:5].tolist()}"
-        )
+    _refuse_rows(f"growth factor at t={t}", np.isfinite(n1) & np.isfinite(x_t), model, rows)
     # each row of the tail call is its own reduction, so stacking the rows
     # changes none of their results
     q = len(times)
     s_g = np.concatenate([np.tile(s, q), np.full(q, scn.s0)])
     v_g = np.concatenate([v_to.ravel(), scn.sigma0 * scn.sigma0 * np.array(times)])
-    g = _g_batch(model, s_g, v_g, k_max)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = _g_batch(model, s_g, v_g, k_max)
     gt, g0 = g[:-q].reshape(q, n), g[-q:]
     out = []
-    for qp in qs:
-        # Q >= 0 holds exactly in real arithmetic; floats may dip an ulp
-        # below zero right next to the pinned root, so floor at zero
-        nq = n1 * np.maximum(qp.value(x_t), 0.0)
-        g_corr = np.zeros(n)
-        for c_k, g0_k, gt_k in zip(qp.coeffs, g0, gt):
-            if c_k != 0.0:
-                g_corr = g_corr + c_k * (g0_k - gt_k)
-        out.append((sample_mean(nq), sample_mean(g_corr), sample_mean(nq + g_corr)))
+    for t_j, qp in zip(times[2:], qs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            # Q >= 0 holds exactly in real arithmetic; floats may dip an ulp
+            # below zero right next to the pinned root, so floor at zero
+            nq = n1 * np.maximum(qp.value(x_t), 0.0)
+            g_corr = np.zeros(n)
+            for c_k, g0_k, gt_k in zip(qp.coeffs, g0, gt):
+                if c_k != 0.0:
+                    g_corr = g_corr + c_k * (g0_k - gt_k)
+            total = nq + g_corr
+        _refuse_rows(f"left side of the unit weight on T={t_j}", np.isfinite(total), model, rows)
+        out.append((sample_mean(nq), sample_mean(g_corr), sample_mean(total)))
     return out
+
+
+def _refuse_rows(what, finite, model, rows):
+    """A DivergenceError naming what is not finite, unless finite holds on
+    every row (s, v_t, theta_t, v_to), with the first five rows that fail."""
+    bad = np.nonzero(~finite)[0]
+    if bad.size:
+        s, v_t, theta_t, _ = rows
+        first = ", ".join(f"({theta_t[i]:.6g}, {s[i]:.6g}, {v_t[i]:.6g})" for i in bad[:5])
+        raise DivergenceError(
+            f"{what} is not finite on {bad.size} of {s.size} rows of model {model.name!r}; "
+            f"first (theta_t, s, v_t): {first} on rows {bad[:5].tolist()}"
+        )
 
 
 def _variance_clock(proc: ThetaProcess, t: float, T: float) -> float:
@@ -643,9 +661,10 @@ class ResidualTable:
     paths happened to land, and their z is not close to normal. calibrated
     marks cells with at least min_tail_count (MIN_TAIL_COUNT) in-the-money
     paths; max_abs_z reads only those (falling back to the full table if
-    nothing is calibrated). The exact route has no paths: tail_counts,
-    calibrated, min_tail_count and n_paths are None, and max_abs_z reads
-    every cell.
+    nothing is calibrated). stepping is how the paths were stepped
+    (PathEnsemble.stepping). The exact route has no paths: tail_counts,
+    calibrated, min_tail_count, n_paths and stepping are None, and max_abs_z
+    reads every cell.
     """
 
     maturities: tuple
@@ -658,7 +677,7 @@ class ResidualTable:
     calibrated: np.ndarray | None = None
     min_tail_count: int | None = None
     n_paths: int | None = None
-    steps: int = 0
+    stepping: dict | None = None
 
     @property
     def max_abs_z(self) -> float:
@@ -693,7 +712,7 @@ def pricing_residuals(
 
 
 def _exact_ends(scn, times, t, _cfg):
-    """(rows, end, route, steps) of a theta that does not move: the law's
+    """(rows, end, route, stepping) of a theta that does not move: the law's
     one row at t (_exact_rows), and the terminal rows (s0, V_T), S_T having
     the law at s0 and variance V_T = int_0^T theta^2.
 
@@ -703,7 +722,7 @@ def _exact_ends(scn, times, t, _cfg):
     """
     rows = _exact_rows(scn, t, times)
     v_ts = [[_variance_clock(scn.theta_process, t_i, t_i)] for t_i in times]
-    return rows, (rows[0], np.array(v_ts)), {"route": "exact"}, 0
+    return rows, (rows[0], np.array(v_ts)), {"route": "exact"}, None
 
 
 def _path_rows(s_t, theta_t, times, t):
@@ -713,7 +732,7 @@ def _path_rows(s_t, theta_t, times, t):
 
 
 def _path_ends(scn, times, t, cfg):
-    """(rows, end, route, steps) over simulated paths: _path_rows of the
+    """(rows, end, route, stepping) over simulated paths: _path_rows of the
     paths at t, and the terminal rows (S_T, 0), the paths at each maturity
     at zero variance, whose call is the payoff. Of the joint_simulate run
     only the columns at t and at the maturities are kept.
@@ -724,13 +743,13 @@ def _path_ends(scn, times, t, cfg):
     # copies, so that the path matrices are freed before the rows are built
     s_t, theta_t = joint.states[:, at_t].copy(), joint.theta[:, at_t].copy()
     end = (joint.states[:, [grid.index(t_i) for t_i in times]].T, 0.0)
-    steps = joint.steps
+    stepping = joint.stepping
     del joint
     route = {"route": "monte-carlo", "paths": cfg.n_paths}
-    return _path_rows(s_t, theta_t, times, t), end, route, steps
+    return _path_rows(s_t, theta_t, times, t), end, route, stepping
 
 
-def _repricing(call, mats, strikes, rows, end, route, steps):
+def _repricing(call, mats, strikes, rows, end, route, stepping):
     """The ResidualTable of the rows (s, v_t, theta_t, v_to) and the
     terminal rows (z_T, v_T), which stand for S_T as the rows stand for
     S_t: at (T_i, K) the mean over them
@@ -766,7 +785,7 @@ def _repricing(call, mats, strikes, rows, end, route, steps):
     paths = route.get("paths")
     return ResidualTable(
         maturities=times, strikes=ks, residuals=res, ses=ses, z_scores=zs,
-        route=route, steps=steps,
+        route=route, stepping=stepping,
         **({"tail_counts": counts, "calibrated": counts >= MIN_TAIL_COUNT,
             "min_tail_count": MIN_TAIL_COUNT, "n_paths": paths} if paths else {}),
     )

@@ -40,7 +40,7 @@ from .errors import (
     SearchError,
     VolboundError,
 )
-from .models import BUILTIN_MODELS, builtin_model, stepping_route, worker_count
+from .models import BUILTIN_MODELS, builtin_model, worker_count
 from .phi import (
     martingale_check_U,
     martingale_check_V,
@@ -124,13 +124,15 @@ def _mart_payload(rep, model, sigma) -> dict:
     }
 
 
-def _stepping(routes) -> dict | list:
-    """The stepping routes of a command's simulations (models.stepping_route),
-    named once: the steps of simulations on one route add up. Simulations on
-    different routes (a scan over dt, or over a theta that moves at some
-    points only) give one entry per route."""
+def _stepping(results) -> dict | list:
+    """The stepping routes that a command's results carry, each from the
+    simulation that took it (PathEnsemble.stepping), named once: the steps
+    of simulations on one route add up. A result that is None, or whose
+    stepping is None, simulated nothing. Simulations on different routes (a
+    scan over dt, or over a theta that moves at some points only) give one
+    entry per route."""
     merged = {}
-    for route in routes:
+    for route in filter(None, [r.stepping for r in results if r is not None]):
         key = tuple(item for item in route.items() if item[0] != "steps")
         if key in merged and "steps" in route:
             merged[key]["steps"] += route["steps"]
@@ -192,7 +194,7 @@ def _cmd_implied_vol(rc: ResolvedConfig, _doc):
         )
     model = rc.model
     T, strike, price = spec["maturity"], spec["strike"], spec["price"]
-    res = implied_vol(model, price, 0.0, T, strike, model.z0)
+    res = implied_vol(model, price, T, strike, model.z0)
     results = {
         "maturity": T,
         "strike": strike,
@@ -235,9 +237,9 @@ def _bound_payload(rc: ResolvedConfig, rep) -> dict:
 
 
 def _residual_payload(res) -> dict:
-    # the steps go into the command's stepping route instead
+    # the stepping goes into the command's stepping routes instead
     payload = dataclasses.asdict(res)
-    del payload["steps"]
+    del payload["stepping"]
     return {**payload, "max_abs_z": res.max_abs_z}
 
 
@@ -252,36 +254,27 @@ def _history_key(rc: ResolvedConfig) -> tuple:
 
 
 def _bound_run(rcs):
-    """(check_bound's report, each config's repricing residuals, each
-    config's stepping route) for resolved configs that share one
-    _history_key, which makes the report theirs alike. The residuals are
-    each config's own pricing_residuals table, or None where the law's call
-    is not closed form, although pricing_residuals reprices on every law:
-    the gate stays only because bench/workloads.py predicts
-    bound.residuals.s zero on bessel0-bound. The report's steps count
-    toward every route."""
+    """(check_bound's report, each config's repricing residuals) for
+    resolved configs that share one _history_key, which makes the report
+    theirs alike. The residuals are each config's own pricing_residuals
+    table, or None where the law's call is not closed form, although
+    pricing_residuals reprices on every law: the gate stays only because
+    bench/workloads.py predicts bound.residuals.s zero on bessel0-bound."""
     rc = rcs[0]
     rep = check_bound(rc.scenario, rc.mats, rc.strikes, rc.eval_time, rc.sim)
     tables = [None] * len(rcs)
     if rc.model.law.call_route()["route"] == "closed-form":
         tables = [pricing_residuals(p.scenario, p.mats, p.strikes, p.eval_time, p.sim) for p in rcs]
-    routes = [
-        stepping_route(
-            p.model, p.sim.dt, rep.steps + (0 if res is None else res.steps),
-            p.scenario.theta_process.moves,
-        )
-        for p, res in zip(rcs, tables)
-    ]
-    return rep, tables, routes
+    return rep, tables
 
 
 def _cmd_check_bound(rc: ResolvedConfig, _doc):
     _need(rc.sim, "simulation", "paths, dt, seed")
-    rep, (res,), (route,) = _bound_run([rc])
+    rep, (res,) = _bound_run([rc])
     results = {"bound": _bound_payload(rc, rep)}
     if res is not None:
         results["repricing"] = _residual_payload(res)
-    results["stepping"] = route
+    results["stepping"] = _stepping([rep, res])
     return results, rep.satisfied
 
 
@@ -311,7 +304,7 @@ def _cmd_martingale_check(rc: ResolvedConfig, _doc):
             **_mart_payload(sg, model, sigma),
             "reference_route": semigroup_route(model),
         },
-        "stepping": stepping_route(model, sim.dt, u.steps + v.steps + sg.steps),
+        "stepping": _stepping([u, v, sg]),
     }
     return results, u.verdict and v.verdict and sg.verdict
 
@@ -339,18 +332,19 @@ def _cmd_scan(rc: ResolvedConfig, base_doc):
     for i, (_, point_rc) in enumerate(points):
         groups.setdefault(_history_key(point_rc), []).append(i)
     rows = [None] * len(points)
-    routes = [None] * len(points)
+    # each point's results; check_bound's counts toward every point that shares it
+    ran = [None] * len(points)
     for members in groups.values():
         try:
-            rep, tables, group_routes = _bound_run([points[i][1] for i in members])
+            rep, tables = _bound_run([points[i][1] for i in members])
         except VolboundError as exc:
             where = "; ".join(
                 ", ".join(f"{k}={v}" for k, v in zip(keys, points[i][0])) for i in members
             )
             raise type(exc)(f"scan point {where}: {exc}") from exc
-        for i, res, route in zip(members, tables, group_routes):
+        for i, res in zip(members, tables):
             max_z = None if res is None else res.max_abs_z
-            routes[i] = route
+            ran[i] = (rep, res)
             # a violated bound must come with residuals that do not
             # reprice: noisy ones on the path route, any nonzero one (z inf)
             # on the exact route. They test repricing at t only, so a theta
@@ -369,7 +363,7 @@ def _cmd_scan(rc: ResolvedConfig, base_doc):
     results = {
         "axes": [{"key": k, "values": list(v)} for k, v in rc.scan_axes],
         "rows": rows,
-        "stepping": _stepping(routes),
+        "stepping": _stepping(itertools.chain.from_iterable(ran)),
     }
     return results, verdict
 

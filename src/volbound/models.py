@@ -40,7 +40,6 @@ __all__ = [
     "builtin_model",
     "step_paths",
     "simulate",
-    "stepping_route",
     "rng_substream",
     "sample_mean",
     "z_score",
@@ -758,16 +757,21 @@ class PathEnsemble:
     boundary value from their absorption time onward. states is None after a
     run that handed each stored column to a visitor instead of storing it
     (step_paths' visit). absorbed_at[p] is nan for paths that never left the
-    open domain. steps is the number of steps each path took. theta[p, j] is
-    the volatility of path p at time_grid[j] when the paths were stepped
-    under a ThetaProcess, else None; for a theta that does not move it is one
-    row broadcast over the paths, read-only.
+    open domain. steps is the number of steps each path took, and stepping
+    how step_paths took them: {"route": "exact-law", "steps": steps} for one
+    exact draw per interval between change points, else the law's exact
+    step ("exact-law", while theta moves) or Euler's ("euler") on substeps
+    of at most dt, {"route": ..., "dt": dt}. theta[p, j] is the volatility
+    of path p at time_grid[j] when the paths were stepped under a
+    ThetaProcess, else None; for a theta that does not move it is one row
+    broadcast over the paths, read-only.
     """
 
     time_grid: np.ndarray
     states: np.ndarray | None
     absorbed_at: np.ndarray
     steps: int = 0
+    stepping: dict | None = None
     theta: np.ndarray | None = None
 
     @property
@@ -825,25 +829,19 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _samples_exactly(model: ReferenceModel, moving: bool) -> bool:
-    """Whether the stepping kernel spans each interval between change points
-    with one exact draw: the law samples exactly and theta does not move."""
-    return not moving and hasattr(model.law, "sample")
-
-
 def _step_grid(
-    model: ReferenceModel, time_grid: np.ndarray, dt: float, change_times, moving: bool
+    time_grid: np.ndarray, dt: float, change_times, exact: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The stepping kernel's grid for model: the stored times and theta's
-    change times, with substeps of at most dt in between unless the law
-    samples each interval between them exactly.
+    """The stepping kernel's grid: the stored times and theta's change
+    times, with substeps of at most dt in between unless exact, where the
+    law samples each interval between them.
 
     Returns (fine_grid, store_idx) with fine_grid[store_idx] == time_grid
     exactly.
     """
     t0, t1 = time_grid[0], time_grid[-1]
     anchors = np.array(sorted(set(time_grid.tolist()) | {b for b in change_times if t0 < b < t1}))
-    if _samples_exactly(model, moving):
+    if exact:
         fine_grid = anchors
     else:
         fine = []
@@ -856,17 +854,6 @@ def _step_grid(
     if not np.array_equal(fine_grid[store_idx], time_grid):
         raise AssertionError("internal grid refinement lost a user point")
     return fine_grid, store_idx
-
-
-def stepping_route(model: ReferenceModel, dt: float, steps: int, moving: bool = False) -> dict:
-    """How the kernel steps model, with its budget: {"route": "exact-law",
-    "steps": steps} for one exact draw per interval between change points,
-    steps being the draws per path; otherwise the step is the law's exact
-    step ("exact-law", while theta moves) or Euler's ("euler") on substeps of
-    at most dt, and the budget is {"dt": dt}."""
-    if _samples_exactly(model, moving):
-        return {"route": "exact-law", "steps": int(steps)}
-    return {"route": "exact-law" if hasattr(model.law, "step") else "euler", "dt": dt}
 
 
 def _map_blocks(n_rows: int, block_size: int, n_workers: int, run_block) -> None:
@@ -937,8 +924,11 @@ def step_paths(
         )
 
     moves = proc is not None and proc.moves
+    # one exact draw per interval between change points where the law
+    # samples exactly and theta does not move
+    exact = not moves and hasattr(model.law, "sample")
     change_times = () if proc is None else proc.change_times
-    fine_grid, store_idx = _step_grid(model, grid, cfg.dt, change_times, moves)
+    fine_grid, store_idx = _step_grid(grid, cfg.dt, change_times, exact)
     states = None
     if visit is None:
         states = np.empty((cfg.n_paths, grid.size))
@@ -959,9 +949,13 @@ def step_paths(
     elif proc is not None:
         row = np.array([theta_at(float(t)) for t in grid])
         thetas = np.broadcast_to(row, (cfg.n_paths, grid.size))
-    sample = model.law.sample if _samples_exactly(model, moves) else None
+    sample = model.law.sample if exact else None
     absorb = getattr(model.law, "absorption_fraction", None)
     exact_step = getattr(model.law, "step", None)
+    if exact:
+        stepping = {"route": "exact-law", "steps": len(fine_grid) - 1}
+    else:
+        stepping = {"route": "euler" if exact_step is None else "exact-law", "dt": cfg.dt}
     lower, upper = model.beta.lower, model.beta.upper
 
     def run_block(b, rows):
@@ -1020,7 +1014,7 @@ def step_paths(
     _map_blocks(cfg.n_paths, cfg.block_size, worker_count(), run_block)
     return PathEnsemble(
         time_grid=grid, states=states, absorbed_at=absorbed, steps=len(fine_grid) - 1,
-        theta=thetas,
+        stepping=stepping, theta=thetas,
     )
 
 

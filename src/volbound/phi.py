@@ -52,7 +52,7 @@ class MartingaleTestReport:
     """Sample means of a tested process against its no-drift reference.
 
     absorbed_fraction is the share of simulated paths absorbed by each test
-    time, and steps the number of steps each path took.
+    time, and stepping how the simulation stepped (PathEnsemble.stepping).
     """
 
     times: tuple
@@ -62,7 +62,7 @@ class MartingaleTestReport:
     z_scores: tuple
     verdict: bool
     absorbed_fraction: tuple = ()
-    steps: int = 0
+    stepping: dict | None = None
 
     def __post_init__(self):
         if any(se < 0.0 for se in self.ses):
@@ -119,11 +119,19 @@ def _check_times(times):
     return times
 
 
-def _summarize(times, samples, references, ens):
-    """Fold per-time sample vectors into a MartingaleTestReport on ens."""
+def _summarize(check, model, times, samples, references, ens):
+    """Fold per-time sample vectors into a MartingaleTestReport on ens,
+    refusing a sample whose mean or se is not finite with a DivergenceError
+    naming the check, the time, the model and z0."""
     means, ses, zs = [], [], []
-    for x, ref in zip(samples, references):
-        mean, se = sample_mean(x)
+    for t, x, ref in zip(times, samples, references):
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, se = sample_mean(x)
+        if not (math.isfinite(mean) and math.isfinite(se)):
+            raise DivergenceError(
+                f"{check} at t={t}: the sample mean {mean} (se {se}) is not finite for "
+                f"model {model.name!r} at z0={model.z0}"
+            )
         means.append(mean)
         ses.append(se)
         zs.append(z_score(mean - ref, se))
@@ -136,7 +144,7 @@ def _summarize(times, samples, references, ens):
         z_scores=tuple(zs),
         verdict=verdict,
         absorbed_fraction=tuple(float(np.mean(ens.absorbed_at <= t)) for t in times),
-        steps=ens.steps,
+        stepping=ens.stepping,
     )
 
 
@@ -178,8 +186,9 @@ def martingale_check_U(
     for t in times:
         states = ens.states[:, idx[t]]
         weight = np.exp(-sigma * sigma * np.fmin(ens.absorbed_at, t))  # nan: never absorbed
-        samples.append(weight * np.asarray(model.phi(states), dtype=np.float64))
-    return _summarize(times, samples, [ref] * len(times), ens)
+        with np.errstate(over="ignore"):
+            samples.append(weight * np.asarray(model.phi(states), dtype=np.float64))
+    return _summarize("discounted eigenfunction", model, times, samples, [ref] * len(times), ens)
 
 
 def martingale_check_V(
@@ -211,6 +220,9 @@ def martingale_check_V(
     # equal np.cumsum's bit for bit
     cum = np.full(cfg.n_paths, -0.0)
 
+    # on the worker threads, where the caller's errstate does not reach: a
+    # sample that overflows is refused whole by _summarize
+    @np.errstate(over="ignore", invalid="ignore")
     def visit(rows, c, z, absorbed_at):
         # grid segment c - 1 ends at column c: its overlap with [0, tau)
         # stops the integrand where the path was absorbed; a path absorbed
@@ -226,7 +238,9 @@ def martingale_check_V(
             wanted[c][rows] = phi_hi - sigma * sigma * cum[rows]
 
     ens = step_paths(model, sigma, model.z0, 0.0, grid, cfg, visit=visit)
-    return _summarize(times, list(wanted.values()), [ref] * len(times), ens)
+    return _summarize(
+        "compensated eigenfunction", model, times, list(wanted.values()), [ref] * len(times), ens
+    )
 
 
 def semigroup_route(model: ReferenceModel) -> dict:
@@ -278,5 +292,6 @@ def semigroup_check(
         raise DomainError(f"test time must be positive, got {t}")
     ref = _reference(model, sigma * sigma * t)
     ens = simulate(model, sigma, model.z0, 0.0, [0.0, t], cfg)
-    sample = np.asarray(model.phi(ens.states[:, -1]), dtype=np.float64)
-    return _summarize([t], [sample], [ref], ens)
+    with np.errstate(over="ignore"):
+        sample = np.asarray(model.phi(ens.states[:, -1]), dtype=np.float64)
+    return _summarize("semigroup", model, [t], [sample], [ref], ens)

@@ -155,13 +155,13 @@ def _bs_call_moments(z, strike, variance):
 def implied_vol(
     model: ReferenceModel,
     price: float,
-    t: float,
     T: float,
     strike: float,
     z: float,
 ) -> ImpliedVolResult:
     """Invert the model's forward map, its law's call price, for the
-    volatility matching ``price``.
+    volatility matching ``price``: the call on strike from z, with T left
+    to maturity.
 
     Brackets the quote, then bisects law.call to the least sigma pricing at
     or above it: the float just below sigma prices under the quote.
@@ -174,8 +174,8 @@ def implied_vol(
         raise DomainError(f"need finite price and nonnegative strike, got {price}, {strike}")
     if not (math.isfinite(z) and z > 0.0):
         raise DomainError(f"start value must be positive, got {z}")
-    if T <= t:
-        raise DomainError(f"no volatility is recoverable at zero maturity (t={t}, T={T})")
+    if T <= 0.0:
+        raise DomainError(f"no volatility is recoverable at zero maturity (T={T})")
     intrinsic = max(z - strike, 0.0)
     if not intrinsic < price < z:
         raise DomainError(
@@ -195,7 +195,7 @@ def implied_vol(
     def price_fn(sig):
         nonlocal evals
         evals += 1
-        return call(z, strike, sig * sig * (T - t))
+        return call(z, strike, sig * sig * T)
 
     lo, hi = 1e-4, 5.0
     while price_fn(lo) >= price:

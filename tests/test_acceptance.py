@@ -139,7 +139,7 @@ def test_implied_vol_round_trip():
                 up, down = (m.law.call(z, k, s * s * T) for s in (sigma + 1e-6, sigma - 1e-6))
                 if (up - down) / 2e-6 < 1e-3:
                     continue
-                got = implied_vol(m, price, 0.0, T, k, z).sigma
+                got = implied_vol(m, price, T, k, z).sigma
                 worst = max(worst, abs(got - sigma))
     assert _verdict("implied-vol round trip", worst <= 1e-8, f"worst err {worst:.1e}")
 

@@ -158,6 +158,17 @@ class TestPinnedPolynomial:
         vals = qp.value(np.array([x0, 2.0 * x0, x0]))
         assert vals[0] == 0.0 and vals[2] == 0.0 and vals[1] > 0.0
 
+    def test_a_zero_weight_term_is_skipped_where_its_power_overflows(self):
+        # at x = e^256 the unused x^3 overflows; 0 * inf would make Q nan
+        x0 = pin_point(0.2, 1.0)
+        qp = build_q((0.0, 1.0, 2.0, 3.0), x0, 2)
+        three = build_q((0.0, 1.0, 2.0), x0, 2)
+        x = np.array([math.exp(256.0)])
+        with np.errstate(all="raise"):
+            for f in ("value", "deriv1", "deriv2"):
+                got = getattr(qp, f)(x)
+                assert np.isfinite(got[0]) and got[0] == getattr(three, f)(x)[0]
+
     @settings(max_examples=100, deadline=None)
     @given(
         x0=st.floats(0.2, 5.0),
@@ -1136,7 +1147,7 @@ class TestBoundCheck:
         assert rep.satisfied
         assert rep.phi_prime_convention
         assert rep.l_diagnostics == ()
-        assert rep.steps == 1
+        assert rep.stepping == {"route": "exact-law", "steps": 1}
 
     def test_absorbed_fraction_next_to_the_law(self):
         # from z0 = 0.3 at vol 1 a jump to 1.5 at t = 0.2 absorbs ~31% by t = 0.4
@@ -1145,7 +1156,7 @@ class TestBoundCheck:
         ks = StrikeGrid(strikes=(0.0, 0.75, 1.5))
         cfg = SimConfig(n_paths=4096, dt=0.02, seed=5)
         rep = check_bound(step_vol_scenario(bes, 1.0, 0.2, 0.5), mats, ks, 0.4, cfg)
-        assert rep.steps == 2
+        assert rep.stepping == {"route": "exact-law", "steps": 2}
         mass = math.exp(-2.0 * 0.3 / (1.0 * 0.2 + 1.5**2 * 0.2))
         assert rep.absorbed_mass == pytest.approx(mass, rel=1e-14, abs=0.0)
         assert abs(rep.absorbed_fraction - mass) < 4.0 * math.sqrt(mass * (1.0 - mass) / 4096)
@@ -1293,7 +1304,7 @@ class TestRepricingResiduals:
         assert np.array_equal(res.ses, np.zeros((3, 5)))
         # nothing was simulated, so nothing describes paths
         assert (res.tail_counts, res.calibrated, res.min_tail_count, res.n_paths) == (None,) * 4
-        assert res.steps == 0
+        assert res.stepping is None
 
     @pytest.mark.parametrize(
         "model,strikes",

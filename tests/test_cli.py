@@ -683,6 +683,20 @@ class TestCliCommands:
         assert stepping("check-bound", "--config", str(ld), "--paths", "256") == {
             "route": "euler", "dt": 0.01
         }
+        # a scan whose points step differently lists each route once, the
+        # exact draws of the points whose theta stays put added up
+        gbm_scan = Path(__file__).resolve().parents[1] / "bench" / "configs" / "gbm-scan.yaml"
+        assert stepping(
+            "scan", "--config", str(gbm_scan), "--paths", "256",
+            "--set", "generator=meanrev-vol",
+            "--set", "theta={rate: 2.0, level: 0.2, vol_of_vol: 0.4}",
+            "--set", "scan.axes=[{key: simulation.dt, values: [0.01, 0.02]}, "
+            "{key: theta.vol_of_vol, values: [0.0, 0.4]}]",
+        ) == [
+            {"route": "exact-law", "steps": 2},
+            {"route": "exact-law", "dt": 0.01},
+            {"route": "exact-law", "dt": 0.02},
+        ]
 
     def test_absorbed_fraction_is_reported_next_to_the_law(self, base_path, tmp_path, capsys):
         bes = tmp_path / "bes.yaml"
@@ -1239,15 +1253,26 @@ class TestCliCommands:
             ),
             ("check-bound", "bessel0-bound", ("model=gbm", "z0=1e300"), 1),
             ("martingale-check", "bessel0-martingale", ("model=gbm", "z0=1e200"), 1),
+            (
+                "check-bound", "bessel0-bound",
+                ("model=gbm", "maturities=[1.0, 2.0, 3.0, 4.0]", "generator=step-vol",
+                 "theta={jump_time: 0.25, jump_size: 15.8}"), 1,
+            ),
+            (
+                "martingale-check", "bessel0-martingale",
+                ("model=gbm", "z0=1e153", "simulation.paths=2000"), 1,
+            ),
         ],
         ids=[
             "gbm-strike-overflows", "bessel0-strike-overflows", "gbm-maturity-overflows",
             "pin-point-overflows", "bessel0-density-overflows", "gbm-phi-overflows",
-            "gbm-martingale-reference-overflows",
+            "gbm-martingale-reference-overflows", "gbm-left-side-overflows",
+            "gbm-martingale-mean-overflows",
         ],
     )
     def test_out_of_range_finite_inputs_fail_in_one_line(self, command, bench, overrides, code):
-        # finite values whose slopes, weights, density or phi overflow: an
+        # finite values whose slopes, weights, density, phi, left side or
+        # sample means overflow: an
         # invalid input (exit 2) or a failed computation (exit 1) named in
         # one line, with no numpy warning, no traceback and no report
         config = Path(__file__).resolve().parents[1] / "bench" / "configs" / f"{bench}.yaml"

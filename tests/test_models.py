@@ -23,7 +23,6 @@ from volbound.models import (
     sample_mean,
     simulate,
     step_paths,
-    stepping_route,
 )
 
 
@@ -687,16 +686,18 @@ class TestStepping:
         theta = ThetaProcess(kind="step", sigma0=0.3, jump_times=(0.4,), jump_values=(0.6,))
         e = step_paths(m, theta, m.z0, 0.0, self.GRID, self.CFG)
         assert e.steps == 4  # anchors 0, 0.25, 0.4 (theta jumps), 1, 2
-        assert stepping_route(m, self.CFG.dt, e.steps) == {"route": "exact-law", "steps": 4}
+        assert e.stepping == {"route": "exact-law", "steps": 4}
 
     def test_euler_takes_dt_substeps(self):
         m = dataclasses.replace(builtin_model("gbm"), law=None)
         e = simulate(m, 0.3, 1.0, 0.0, self.GRID, self.CFG)
         assert e.steps == 200
-        assert stepping_route(m, self.CFG.dt, e.steps) == {"route": "euler", "dt": 0.01}
+        assert e.stepping == {"route": "euler", "dt": 0.01}
         # while theta moves, the lognormal law steps exactly on dt substeps
         gbm = builtin_model("gbm")
-        assert stepping_route(gbm, 0.01, 100, moving=True) == {"route": "exact-law", "dt": 0.01}
+        theta = ThetaProcess(kind="meanrev", sigma0=0.3, rate=2.0, level=0.3, vol_of_vol=0.4)
+        moving = step_paths(gbm, theta, 1.0, 0.0, [0.0, 1.0], self.CFG)
+        assert (moving.steps, moving.stepping) == (100, {"route": "exact-law", "dt": 0.01})
 
     def test_euler_draw_schedule_is_kept(self):
         # a model without an exact sampler steps as it always has: one

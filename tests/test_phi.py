@@ -145,9 +145,9 @@ def spy_on_check(monkeypatch):
 
     summarize = phi_module._summarize
 
-    def spy_summarize(times, samples, references, ens):
+    def spy_summarize(check, model, times, samples, references, ens):
         seen["samples"].append(samples)
-        return summarize(times, samples, references, ens)
+        return summarize(check, model, times, samples, references, ens)
 
     monkeypatch.setattr(phi_module, "simulate", spy_on(simulate))
     monkeypatch.setattr(phi_module, "step_paths", spy_on(step_paths))
@@ -188,7 +188,8 @@ class TestMartingaleV:
             a = check(BESSEL, 1.0, times, SimConfig(n_paths=20000, dt=1e-3, seed=48))
             b = check(euler, 1.0, times, SimConfig(n_paths=20000, dt=1e-3, seed=49))
             assert a.verdict and b.verdict
-            assert a.steps < 100 and b.steps >= 1000
+            assert a.stepping["route"] == "exact-law" and a.stepping["steps"] < 100
+            assert b.stepping == {"route": "euler", "dt": 1e-3}
             for ma, sa, mb, sb in zip(a.means, a.ses, b.means, b.ses):
                 assert abs(ma - mb) < 4.0 * math.hypot(sa, sb)
 

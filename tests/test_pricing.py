@@ -209,36 +209,36 @@ class TestImpliedVol:
         for sigma in (0.05, 0.2, 0.5, 1.0):
             for k in (0.5, 1.0, 1.5):
                 price = bs_call(0.0, 10.0, k, sigma, 1.0)
-                r = implied_vol(GBM, price, 0.0, 10.0, k, 1.0)
+                r = implied_vol(GBM, price, 10.0, k, 1.0)
                 assert r.sigma == pytest.approx(sigma, abs=1e-8)
                 assert r.forward_map == "gbm-closed-form"
 
     def test_quadrature_oracle_forward_price(self):
-        r = implied_vol(GBM, K12_1Y_S035, 0.0, 1.0, 1.2, 1.0)
+        r = implied_vol(GBM, K12_1Y_S035, 1.0, 1.2, 1.0)
         assert r.sigma == pytest.approx(0.35, abs=1e-8)
 
     def test_result_invariants(self):
         price = bs_call(0.0, 1.0, 1.0, 0.4, 1.0)
-        r = implied_vol(GBM, price, 0.0, 1.0, 1.0, 1.0)
+        r = implied_vol(GBM, price, 1.0, 1.0, 1.0)
         assert r.bracket[0] < r.sigma < r.bracket[1]
         assert r.residual <= 1e-10
         assert r.iterations > 0
 
     def test_boundary_price_rejected(self):
         with pytest.raises(DomainError):
-            implied_vol(GBM, 0.3, 0.0, 1.0, 0.7, 1.0)  # price == intrinsic
+            implied_vol(GBM, 0.3, 1.0, 0.7, 1.0)  # price == intrinsic
         with pytest.raises(DomainError):
-            implied_vol(GBM, 1.0, 0.0, 1.0, 0.7, 1.0)  # price == start value
+            implied_vol(GBM, 1.0, 1.0, 0.7, 1.0)  # price == start value
         with pytest.raises(DomainError):
-            implied_vol(GBM, 1.2, 0.0, 1.0, 0.7, 1.0)
+            implied_vol(GBM, 1.2, 1.0, 0.7, 1.0)
 
     def test_zero_maturity_rejected(self):
         with pytest.raises(DomainError):
-            implied_vol(GBM, 0.1, 1.0, 1.0, 1.0, 1.0)
+            implied_vol(GBM, 0.1, 0.0, 1.0, 1.0)
 
     def test_sigma_outside_default_bracket(self):
         price = bs_call(0.0, 1.0, 1.0, 7.0, 1.0)
-        r = implied_vol(GBM, price, 0.0, 1.0, 1.0, 1.0)
+        r = implied_vol(GBM, price, 1.0, 1.0, 1.0)
         assert r.sigma == pytest.approx(7.0, rel=1e-7)
 
     @pytest.mark.parametrize("sigma, k", [(0.2, 1.0), (0.02, 1.5), (7.0, 0.5), (1e-5, 1.0)])
@@ -247,7 +247,7 @@ class TestImpliedVol:
         # quote and sigma at or above it. sigma = 1e-5 lies below the default
         # bracket, whose lower end is first moved down to reach it
         price = bs_call(0.0, 1.0, k, sigma, 1.0)
-        r = implied_vol(GBM, price, 0.0, 1.0, k, 1.0)
+        r = implied_vol(GBM, price, 1.0, k, 1.0)
         below = math.nextafter(r.sigma, 0.0)
         price_at = lambda sig: _bs_call_core(1.0, k, sig * sig)  # noqa: E731
         assert price_at(below) < price <= price_at(r.sigma)
@@ -269,7 +269,7 @@ class TestImpliedVol:
                     bumped = [m.law.call(z, k, s * s * T) for s in (sigma - 1e-6, sigma + 1e-6)]
                     if (bumped[1] - bumped[0]) / 2e-6 < 1e-3:
                         continue
-                    r = implied_vol(m, price, 0.0, T, k, z)
+                    r = implied_vol(m, price, T, k, z)
                     assert r.sigma == pytest.approx(sigma, rel=0.0, abs=1e-8)
                     assert r.forward_map == f"{name}-quadrature"
                     checked += 1
@@ -284,12 +284,12 @@ class TestImpliedVol:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SearchError, match="large-sigma limit"):
-                implied_vol(m, 0.35, 0.0, 1.0, 0.4, 0.5)
+                implied_vol(m, 0.35, 1.0, 0.4, 0.5)
 
     def test_model_without_a_law_is_rejected(self):
         euler = dataclasses.replace(builtin_model("bessel0"), law=None)
         with pytest.raises(ConfigurationError, match="transition law"):
-            implied_vol(euler, 0.1, 0.0, 1.0, 0.6, 0.5)
+            implied_vol(euler, 0.1, 1.0, 0.6, 0.5)
 
     @given(st.floats(0.02, 2.0), st.floats(0.3, 2.5))
     @example(sigma=0.02, k=2.123046875)
@@ -304,14 +304,14 @@ class TestImpliedVol:
             # subnormal price (1.7e-313 at the example): the closed form is not
             # monotone in sigma there, so the inversion refuses it
             with pytest.raises(DomainError, match="normal range"):
-                implied_vol(GBM, price, 0.0, 1.0, k, 1.0)
+                implied_vol(GBM, price, 1.0, k, 1.0)
             return
         # one ulp of price maps to eps*price/vega of sigma; skip cells where
         # float64 simply does not carry the digits being asserted
         vega = norm_pdf((math.log(1.0 / k) + sigma * sigma / 2.0) / sigma)
         if math.ulp(price) > 1e-8 * vega:
             return
-        r = implied_vol(GBM, price, 0.0, 1.0, k, 1.0)
+        r = implied_vol(GBM, price, 1.0, k, 1.0)
         assert r.sigma == pytest.approx(sigma, abs=1e-7)
 
 
