@@ -1,6 +1,7 @@
 """Config parsing, report serialization, and the CLI front end."""
 
 import csv
+import gc
 import itertools
 import json
 import math
@@ -1289,7 +1290,7 @@ class TestCliCommands:
         assert len(lines) == 1 and lines[0].startswith(prefix), proc.stderr
         assert proc.stdout == ""
 
-    def test_console_entry_point(self, base_path):
+    def test_python_m_volbound_reports_a_usage_error(self, base_path):
         proc = subprocess.run(
             [sys.executable, "-m", "volbound", "validate-phi", "--format", "csv"],
             capture_output=True,
@@ -1297,6 +1298,76 @@ class TestCliCommands:
         )
         assert proc.returncode == 2
         assert "csv is only available" in proc.stderr
+
+
+class TestProcessEntry:
+    """``cli.run`` is the process entry: ``python -m volbound``, ``python -m
+    volbound.cli`` and the console script run ``main`` through it, and it
+    freezes the collector once ``main`` is done, so the interpreter's exit
+    collections skip the run's objects. ``main`` is the in-process API."""
+
+    BOUND_ARGV = (
+        "check-bound", "--config",
+        str(Path(__file__).resolve().parents[1] / "bench" / "configs" / "bessel0-bound.yaml"),
+    )
+    #: starts a module as ``python -m`` does, after registering an exit hook
+    #: that reports how many objects the collector holds frozen
+    LAUNCH = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n"
+        "runpy.run_module(sys.argv.pop(1), run_name='__main__', alter_sys=True)\n"
+    )
+
+    @staticmethod
+    def launch(*argv) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, *argv],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])),
+        )
+
+    @pytest.mark.parametrize(
+        "sets, code",
+        [
+            ((), 0),
+            (("generator=step-vol", "theta={jump_time: 0.25, jump_size: 1.0}"), 1),
+            (("strikes=[0.5, 1.0]",), 2),
+        ],
+        ids=["pass", "failed-verdict", "config-error"],
+    )
+    def test_main_leaves_the_collector_alone(self, sets, code, capsys):
+        # tests and the bench tracer call main in one long process, where a
+        # freeze would keep every later object out of collection
+        before = (gc.get_freeze_count(), gc.isenabled())
+        assert main([*self.BOUND_ARGV, *(arg for s in sets for arg in ("--set", s))]) == code
+        capsys.readouterr()
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+    @pytest.mark.parametrize("module", ["volbound", "volbound.cli"])
+    def test_python_m_writes_mains_report(self, module, capsys):
+        proc = self.launch("-m", module, *self.BOUND_ARGV)
+        code = main(list(self.BOUND_ARGV))
+        assert (proc.returncode, proc.stderr) == (code, "")
+        assert canonical_json(json.loads(proc.stdout)) == canonical_json(
+            json.loads(capsys.readouterr().out)
+        )
+
+    @pytest.mark.parametrize("argv", [BOUND_ARGV, ("--version",)], ids=["check-bound", "version"])
+    @pytest.mark.parametrize("module", ["volbound", "volbound.cli"])
+    def test_exit_hooks_see_a_frozen_collector(self, module, argv):
+        # --version leaves main by argparse's SystemExit, not by a return
+        proc = self.launch("-c", self.LAUNCH, module, *argv)
+        assert proc.returncode == 0
+        frozen = re.fullmatch(r"frozen (\d+)\n", proc.stderr)
+        assert frozen and int(frozen[1]) > 0, proc.stderr
+
+    def test_console_script_runs_the_process_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        assert tomllib.loads(pyproject.read_text())["project"]["scripts"] == {
+            "volbound": "volbound.cli:run"
+        }
 
 
 class TestCheckBoundVerdict:
