@@ -759,29 +759,40 @@ def _repricing(call, mats, strikes, rows, end, route, stepping):
     with the standard error of the paired sample and its z-score, and where
     the route has paths, each cell's count of in-the-money paths.
 
-    A call takes a slice of maturities, at most max(n, q) cells of n rows:
-    all q of a single row, one maturity of many. A cell's two prices sit at
-    the same place in equal-shaped arrays, so equal variances give equal
-    floats.
+    Each side's call takes a run of (maturity, strike) cells in row-major
+    order, at most max(n, q K) prices of n rows each: the whole table of a
+    single row (the exact route), one cell of many (the path route). A
+    cell's two prices sit at the same place in equal-shaped arrays, so
+    equal variances give equal floats.
     """
     times, ks = mats.times, strikes.strikes
     model = np.broadcast_arrays(rows[0], rows[3])
     end = np.broadcast_arrays(*end)
     q, n = model[0].shape
-    width = max(1, q // n)
-    shape = (q, len(ks))
-    res, ses, zs = np.empty(shape), np.empty(shape), np.empty(shape)
-    counts = np.empty(shape, dtype=np.int64)
-    for i in range(0, q, width):
-        cells = slice(i, i + width)
-        for j, k in enumerate(ks):
-            price = _call_cells(call, model, k, cells)
-            diff = _call_cells(call, end, k, cells)
-            counts[cells, j] = np.count_nonzero(diff > 0.0, axis=1)
-            diff -= price
-            for r, cell in enumerate(diff, start=i):
-                mean, se = sample_mean(cell)
-                res[r, j], ses[r, j], zs[r, j] = mean, se, z_score(mean, se)
+    n_cells = q * len(ks)
+    width = max(1, n_cells // n)
+    mat, col = np.divmod(np.arange(n_cells), len(ks))
+    strike = np.asarray(ks, dtype=np.float64)[col, None]
+    res, ses, zs = np.empty(n_cells), np.empty(n_cells), np.empty(n_cells)
+    counts = np.empty(n_cells, dtype=np.int64)
+
+    def priced(zv, cells):
+        i = mat[cells]
+        if i[0] == i[-1]:  # a run within one maturity reads its rows as views
+            i = slice(i[0], i[0] + 1)
+        z, k, v = np.broadcast_arrays(zv[0][i], strike[cells], zv[1][i])
+        return call(z.reshape(-1), k.reshape(-1), v.reshape(-1)).reshape(z.shape)
+
+    for lo in range(0, n_cells, width):
+        cells = slice(lo, lo + width)
+        price = priced(model, cells)
+        diff = priced(end, cells)
+        counts[cells] = np.count_nonzero(diff > 0.0, axis=1)
+        diff -= price
+        for c, cell in enumerate(diff, start=lo):
+            mean, se = sample_mean(cell)
+            res[c], ses[c], zs[c] = mean, se, z_score(mean, se)
+    res, ses, zs, counts = (a.reshape(q, len(ks)) for a in (res, ses, zs, counts))
     paths = route.get("paths")
     return ResidualTable(
         maturities=times, strikes=ks, residuals=res, ses=ses, z_scores=zs,
@@ -789,13 +800,6 @@ def _repricing(call, mats, strikes, rows, end, route, stepping):
         **({"tail_counts": counts, "calibrated": counts >= MIN_TAIL_COUNT,
             "min_tail_count": MIN_TAIL_COUNT, "n_paths": paths} if paths else {}),
     )
-
-
-def _call_cells(call, zv, k, cells):
-    """call at strike k over the maturity slice cells of the broadcast
-    (q, n) pair zv = (z, v), as one call on 1-d arrays."""
-    z, v = (a[cells] for a in zv)
-    return call(z.reshape(-1), k, v.reshape(-1)).reshape(z.shape)
 
 
 @dataclass(frozen=True)

@@ -31,13 +31,14 @@ class LocatedDict(dict):
         return getattr(self, "key_lines", {}).get(key)
 
 
-class _Loader(yaml.SafeLoader):
-    """SafeLoader that resolves plain scalars as YAML 1.2's core schema does:
-    010 is ten, 0o10 eight and 0x10 sixteen; 1e-3, json's 1e-05, .inf and
-    .nan are floats; true and false are the only booleans. YAML 1.1 (PyYAML)
-    takes 010 for octal, 1:30 for 90 in base 60, 1_000 and 1_000.0 for
-    1000, yes/no/on/off for booleans and 1e-3 for a string; here the first
-    four stay strings, which a typed key rejects by name."""
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """SafeLoader, on libyaml's parser where pyyaml was built with it, that
+    resolves plain scalars as YAML 1.2's core schema does: 010 is ten, 0o10
+    eight and 0x10 sixteen; 1e-3, json's 1e-05, .inf and .nan are floats;
+    true and false are the only booleans. YAML 1.1 (PyYAML) takes 010 for
+    octal, 1:30 for 90 in base 60, 1_000 and 1_000.0 for 1000, yes/no/on/off
+    for booleans and 1e-3 for a string; here the first four stay strings,
+    which a typed key rejects by name."""
 
 
 _INT = re.compile(r"^(?:[-+]?[0-9]+|0o[0-7]+|0x[0-9a-fA-F]+)$")

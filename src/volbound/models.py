@@ -12,7 +12,8 @@ from __future__ import annotations
 import functools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable, ClassVar
 
@@ -186,7 +187,6 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 _IDENTITY = PhiFunction(lambda x: x, np.ones_like, np.zeros_like, curvature=0.0)
 
 
-@dataclass(frozen=True)
 class TransitionLaw:
     """Exact law of Z_T given Z_t = s, indexed by the variance v = sigma^2 (T - t).
 
@@ -200,9 +200,9 @@ class TransitionLaw:
     Every integral against the law is tail(phi, s, v, k), by a closed form
     where the law has one for phi (tail_route(phi) names the route), else
     by fixed-node Gauss-Legendre quadrature: tail_rule(s, v, k) returns
-    (x, dens, half) for 1-d arrays s and v, such that, the atom left out,
+    (x, dens, half) for 1-d arrays s, v and k, such that, the atom left out,
 
-        E[f(Z_T); Z_T > k] ~= half_i * sum_j weights_j f(x_ij) dens_ij.
+        E[f(Z_T); Z_T > k_i] ~= half_i * sum_j weights_j f(x_ij) dens_ij.
 
     The rule's ``nodes`` nodes reach ``window`` standard deviations either
     side of the law's bulk, clipped at the cutoff, so the node count need
@@ -236,56 +236,60 @@ class TransitionLaw:
         """How call prices: the route of the tail term of phi(x) = x."""
         return self.tail_route(_IDENTITY)
 
-    def tail(self, phi: PhiFunction, s, v, k: float):
-        """The tail term E[(phi(Z_T) - phi(k)) 1{Z_T > k}] per (s, v) pair
-        of 1-d arrays: tail_rule's sum, plus the atom's share where it lies
-        above k. A row with no variance left, or held at an end of domain,
+    def tail(self, phi: PhiFunction, s, v, k):
+        """The tail term E[(phi(Z_T) - phi(k)) 1{Z_T > k}] per row of the
+        1-d arrays s and v and the strikes k, all three broadcast (one
+        strike serves every row): tail_rule's sum, plus the atom's share on
+        the rows whose atom lies above their k. phi(k) is one call on k as
+        given. A row with no variance left, or held at an end of domain,
         keeps Z_T = s. Each row is its own reduction, so the blocks of
-        tail_rows rows on the worker pool never change a result."""
-        s, v = np.broadcast_arrays(s, v)
+        tail_rows rows on the workers never change a result."""
+        k = np.asarray(k, dtype=np.float64)
+        s, v, k, phi_k = np.broadcast_arrays(s, v, k, np.asarray(phi(k), dtype=np.float64))
         out = np.empty(s.shape, dtype=np.float64)
-        phi_k = float(phi(k))
-        atom_above = self.atom is not None and self.atom > k
         lower, upper = self.domain
 
         def run_block(_, rows):
-            s_b, v_b, out_b = s[rows], v[rows], out[rows]
+            s_b, v_b, k_b, phi_kb, out_b = s[rows], v[rows], k[rows], phi_k[rows], out[rows]
             held = (v_b == 0.0) | (s_b <= lower) | (s_b >= upper)
-            s_h = s_b[held]
-            out_b[held] = np.where(s_h > k, np.asarray(phi(s_h), dtype=np.float64) - phi_k, 0.0)
+            if held.any():
+                s_h = s_b[held]
+                phi_h = np.asarray(phi(s_h), dtype=np.float64)
+                out_b[held] = np.where(s_h > k_b[held], phi_h - phi_kb[held], 0.0)
             live = ~held
-            if not np.any(live):
+            if not live.any():
                 return
-            s_l, v_l = s_b[live], v_b[live]
-            x, dens, half = self.tail_rule(s_l, v_l, k)
-            vals = (np.asarray(phi(x), dtype=np.float64) - phi_k) * dens
+            s_l, v_l, k_l, phi_kl = s_b[live], v_b[live], k_b[live], phi_kb[live]
+            x, dens, half = self.tail_rule(s_l, v_l, k_l)
+            vals = (np.asarray(phi(x), dtype=np.float64) - phi_kl[:, None]) * dens
             g = (vals * self.weights[None, :]).sum(axis=1) * half
-            if atom_above:
-                g += (float(phi(self.atom)) - phi_k) * self.absorbed_mass(s_l, v_l)
+            above = self.atom is not None and self.atom > k_l
+            if np.any(above):
+                mass = self.absorbed_mass(s_l[above], v_l[above])
+                g[above] += (float(phi(self.atom)) - phi_kl[above]) * mass
             out_b[live] = g
 
         _map_blocks(s.size, self.tail_rows, worker_count(), run_block)
         return out
 
-    def call(self, z, strike: float, v):
+    def call(self, z, strike, v):
         """Call price E[(Z_T - K)^+] given Z_t = z at variance v, clamped to
-        [(z - K)^+, z]; z and v broadcast, strike is a scalar, and zero
-        variance gives the intrinsic value.
+        [(z - K)^+, z]; z, strike and v broadcast, so one call prices a
+        table of strikes, and zero variance gives the intrinsic value.
 
         The tail term with phi(x) = x: tail_rule integrates x - K from the
         strike up, so no node straddles the payoff's kink, and an atom above
         the strike adds (atom - K) times its mass.
         """
-        scalar = np.ndim(z) == 0 and np.ndim(v) == 0
-        z, v = np.broadcast_arrays(
-            *(np.atleast_1d(np.asarray(a, dtype=np.float64)) for a in (z, v))
+        scalar = np.ndim(z) == 0 and np.ndim(strike) == 0 and np.ndim(v) == 0
+        z, strike, v = np.broadcast_arrays(
+            *(np.atleast_1d(np.asarray(a, dtype=np.float64)) for a in (z, strike, v))
         )
         body = self.tail(_IDENTITY, z, v, strike) if v.any() else 0.0
         out = np.minimum(np.maximum(body, np.maximum(z - strike, 0.0)), z)
         return float(out[0]) if scalar else out
 
 
-@dataclass(frozen=True)
 class LognormalLaw(TransitionLaw):
     """gbm: Z_T = s exp(-v/2 + sqrt(v) W), W standard normal.
 
@@ -308,15 +312,17 @@ class LognormalLaw(TransitionLaw):
 
     def tail(self, phi, s, v, k):
         """Closed form where phi'' is a constant, since Taylor's formula
-        about k is then exact: phi'(k) C(k) + (phi''/2) E[((Z_T - k)^+)^2];
-        otherwise tail_rule's quadrature."""
+        about k is then exact: phi'(k) C(k) + (phi''/2) E[((Z_T - k)^+)^2],
+        with phi'(k) one call on k as given; otherwise tail_rule's
+        quadrature."""
         if phi.curvature is None:
             return super().tail(phi, s, v, k)
         from .pricing import _bs_call_moments  # pricing imports this module
 
-        s, v = np.broadcast_arrays(s, v)
-        c, s2 = _bs_call_moments(s, np.full(s.shape, float(k)), v)
-        return float(phi.deriv1(k)) * c + 0.5 * phi.curvature * s2
+        k = np.asarray(k, dtype=np.float64)
+        slope = np.asarray(phi.deriv1(k), dtype=np.float64)
+        c, s2 = _bs_call_moments(*np.broadcast_arrays(s, k, v))
+        return slope * c + 0.5 * phi.curvature * s2
 
     def call(self, z, strike, v):
         """The closed-form call price (pricing._bs_call_core)."""
@@ -331,7 +337,6 @@ class LognormalLaw(TransitionLaw):
         return self.step(s[:, None], v[:, None], w), norm_pdf(w), half
 
 
-@dataclass(frozen=True)
 class SquaredBesselLaw(TransitionLaw):
     """bessel0: Z_T = (v/2) Gamma(N) with N ~ Poisson(2s/v).
 
@@ -368,7 +373,7 @@ class SquaredBesselLaw(TransitionLaw):
     def tail_rule(self, s, v, k):
         a = np.sqrt(s)
         reach = self.window * 0.5 * np.sqrt(v)
-        r_k = math.sqrt(k)
+        r_k = np.sqrt(k)
         r, half = self._abscissae(np.maximum(r_k, a - reach), np.maximum(r_k, a) + reach)
         return r * r, self._density(a[:, None], r, v[:, None]), half
 
@@ -441,7 +446,6 @@ class SquaredBesselLaw(TransitionLaw):
 _BESQ = SquaredBesselLaw()
 
 
-@dataclass(frozen=True)
 class LogBesselLaw(TransitionLaw):
     """logdiff: Z_T = exp(-e^v X), X drawn from SquaredBesselLaw at state
     -ln s and variance 2(1 - e^{-v}).
@@ -819,7 +823,8 @@ def bisect_increasing(f, targets, lo: float, hi: float) -> np.ndarray:
 
 
 def worker_count() -> int:
-    """Threads for path and quadrature blocks: VOLBOUND_WORKERS, else all CPUs."""
+    """Threads that work path and quadrature blocks, the calling thread
+    among them: VOLBOUND_WORKERS, else all CPUs."""
     env = os.environ.get(WORKERS_ENV_VAR)
     if env:
         try:
@@ -858,16 +863,34 @@ def _step_grid(
 
 def _map_blocks(n_rows: int, block_size: int, n_workers: int, run_block) -> None:
     """run_block(b, rows) for every block b of block_size consecutive rows
-    out of n_rows, rows being its slice, on up to n_workers threads."""
-    starts = range(0, n_rows, block_size)
-    jobs = [(b, slice(lo, min(lo + block_size, n_rows))) for b, lo in enumerate(starts)]
-    n_workers = min(n_workers, len(jobs))
-    if n_workers <= 1:
-        for job in jobs:
-            run_block(*job)
-        return
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        list(pool.map(lambda job: run_block(*job), jobs))
+    out of n_rows, rows being its slice. The calling thread and up to
+    n_workers - 1 more threads take blocks from one queue, so a single
+    block starts no thread. Every block runs; once all have, the error of
+    the lowest-numbered block that failed is raised."""
+    jobs = deque(enumerate(range(0, n_rows, block_size)))
+    errors = {}
+
+    def work():
+        while True:
+            try:
+                b, lo = jobs.popleft()
+            except IndexError:
+                return
+            try:
+                run_block(b, slice(lo, min(lo + block_size, n_rows)))
+            except Exception as exc:
+                errors[b] = exc
+
+    threads = [threading.Thread(target=work) for _ in range(min(n_workers, len(jobs)) - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        work()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
 
 
 def step_paths(

@@ -1422,20 +1422,24 @@ class TestRepricingResiduals:
         assert calm.route["route"] == jumped.route["route"] == route
         assert calm.max_abs_z < 3.5 < jumped.max_abs_z
 
-    def test_exact_route_prices_every_maturity_of_a_strike_in_one_call(self, monkeypatch):
-        # the one exact row's q maturities go into one call per strike: the
-        # model prices, then the terminal prices
+    @pytest.mark.parametrize("model", [GBM, BESSEL, LOGDIFF], ids=["gbm", "bessel0", "logdiff"])
+    def test_exact_route_prices_each_side_in_one_call(self, model, monkeypatch):
+        # the one exact row's whole (maturity, strike) table goes into one
+        # call per side, on every law: the model prices, then the terminal
+        # prices
+        strikes = StrikeGrid(strikes=(0.0, 0.3, 0.6, 0.9)) if model is LOGDIFF else KS5
         shapes = []
-        call = type(GBM.law).call
+        law_type = type(model.law)
+        call = law_type.call
 
         def counted(law, z, strike, v):
             shapes.append(np.shape(z))
             return call(law, z, strike, v)
 
-        monkeypatch.setattr(type(GBM.law), "call", counted)
+        monkeypatch.setattr(law_type, "call", counted)
         for scn in self.GROUP:
-            pricing_residuals(scn, MATS, KS5, 0.5, self.CFG)
-        assert shapes == [(MATS.q,)] * (2 * len(KS5.strikes) * len(self.GROUP))
+            pricing_residuals(dataclasses.replace(scn, reference=model), MATS, strikes, 0.5, self.CFG)
+        assert shapes == [(MATS.q * len(strikes.strikes),)] * (2 * len(self.GROUP))
 
     @pytest.mark.parametrize(
         "scn",

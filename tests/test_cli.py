@@ -112,6 +112,27 @@ class TestConfigParsing:
         assert err.value.key == "strikes"
         assert err.value.line == 6
 
+    def test_a_bad_last_strike_of_a_dense_grid_names_its_line(self):
+        # a 4097-strike document, the size of a dense grid, keeps its line
+        # marks on the loader's parser
+        ks = ", ".join(repr(8.0 * i / 4096) for i in range(4096))
+        bad = BASE.replace("strikes: [0.0, 0.5, 1.0, 1.5, 2.0]", f"strikes: [{ks}, abc]")
+        with pytest.raises(ConfigParseError) as err:
+            parse_config(bad)
+        assert "'abc'" in str(err.value)
+        assert err.value.key == "strikes"
+        assert err.value.line == next(
+            i for i, ln in enumerate(bad.splitlines(), 1) if ln.endswith(", abc]")
+        ) == 6
+
+    def test_the_loader_parses_with_libyaml_where_pyyaml_has_it(self):
+        yaml = pytest.importorskip("yaml")
+        if not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("pyyaml was built without libyaml")
+        from volbound import config
+
+        assert issubclass(config._Loader, yaml.CSafeLoader)
+
     def test_two_maturities_rejected(self):
         with pytest.raises(ConfigParseError) as err:
             parse_config(BASE.replace("[1.0, 2.0, 3.0]", "[1.0, 2.0]"))

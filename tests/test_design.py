@@ -55,12 +55,14 @@ def test_bessel_density_takes_the_real_argument_kernel():
 
 
 def test_one_thread_pool_site():
-    # simulation blocks and the tail term's quadrature blocks share one pool
-    # helper, so one worker count governs both
+    # simulation blocks and the tail term's quadrature blocks share one
+    # block runner, so one worker count governs both: every thread start in
+    # src is the one in _map_blocks
     calls, helper = [], range(0)
     for name, tree in parsed_sources(SRC):
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("ThreadPoolExecutor"):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith(
+                    ("Thread", "PoolExecutor", "start_new_thread")):
                 calls.append((name, node.lineno))
             if name == "models.py" and getattr(node, "name", None) == "_map_blocks":
                 helper = range(node.lineno, node.end_lineno + 1)
@@ -263,6 +265,13 @@ def loaded_after(code: str, module: str) -> bool:
 def test_cli_start_up_leaves_scipy_out():
     # importing the CLI pays for no part of scipy: no model needs any of it
     assert not loaded_after("import volbound.cli", "scipy")
+
+
+@pytest.mark.parametrize("module", ["concurrent.futures", "logging"])
+def test_cli_start_up_leaves_the_executor_out(module):
+    # the block runner starts plain threads, so importing the CLI pays for
+    # no executor and for no logging module behind one
+    assert not loaded_after("import volbound.cli", module)
 
 
 GBM_RUN = (

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -143,6 +146,76 @@ class TestSampleMean:
 
 
 # ===== simulation =====
+
+
+class TestMapBlocks:
+    """The block runner: the calling thread and n_workers - 1 threads take
+    blocks from one queue."""
+
+    def test_the_calling_thread_works_a_block(self):
+        # three blocks that each wait until three threads are inside: with
+        # two threads started, the third can only be the caller
+        meet = threading.Barrier(3, timeout=10.0)
+        seen = []
+
+        def run_block(b, rows):
+            seen.append(threading.get_ident())
+            meet.wait()
+
+        models._map_blocks(3, 1, 3, run_block)
+        assert threading.get_ident() in seen and len(set(seen)) == 3
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 8])
+    def test_each_block_runs_once_on_at_most_n_workers_threads(self, n_workers):
+        # more workers than cores, switching threads every microsecond: a
+        # block taken twice or lost from the shared queue shows
+        lock = threading.Lock()
+        inside, most, ran, threads = [0], [0], [], set()
+
+        def run_block(b, rows):
+            with lock:
+                inside[0] += 1
+                most[0] = max(most[0], inside[0])
+                ran.append((b, rows))
+                threads.add(threading.get_ident())
+            time.sleep(0.002)
+            with lock:
+                inside[0] -= 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            models._map_blocks(103, 10, n_workers, run_block)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(ran, key=lambda job: job[0]) == [
+            (b, slice(lo, min(lo + 10, 103))) for b, lo in enumerate(range(0, 103, 10))
+        ]
+        assert most[0] <= n_workers and len(threads) <= n_workers
+
+    def test_one_block_starts_no_thread(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(models.threading, "Thread", lambda *a, **k: started.append(a))
+        seen = []
+        models._map_blocks(5, 10, 4, lambda b, rows: seen.append(threading.get_ident()))
+        assert started == [] and seen == [threading.get_ident()]
+
+    @pytest.mark.parametrize("n_workers", [1, 3])
+    def test_the_lowest_failing_block_raises_after_every_block_ran(self, n_workers):
+        # block 5 fails first in time, block 2 later: block 2's error is
+        # raised, and only once every block has run
+        ran = set()
+
+        def run_block(b, rows):
+            if b == 2:
+                time.sleep(0.02)
+            ran.add(b)
+            if b in (2, 5):
+                raise ValueError(f"block {b}")
+
+        with pytest.raises(ValueError, match="block 2"):
+            models._map_blocks(80, 10, n_workers, run_block)
+        assert ran == set(range(8))
 
 
 class TestSimulate:
@@ -596,6 +669,63 @@ class TestLawCall:
         assert got.shape == (4,)
         assert got[0] == max(z[0] - 0.6, 0.0)
         assert np.array_equal(got, [law.call(float(a), 0.6, float(b)) for a, b in zip(z, v)])
+
+
+#: per law, rows crossing states (the ends of the domain, where a row is
+#: held, among them), variances (0 among them) and strikes (0 among them;
+#: on logdiff, strikes below and above its atom at 1)
+STRIKE_ROWS = {
+    "gbm": ((0.0, 0.3, 1.0, 2.5), (0.0, 1e-3, 0.5, 2.0), (0.0, 0.5, 1.0, 3.0)),
+    "bessel0": ((0.0, 0.3, 1.0, 2.5), (0.0, 1e-3, 0.5, 2.0), (0.0, 0.5, 1.0, 3.0)),
+    "logdiff": ((0.0, 0.2, 0.5, 0.9, 1.0), (0.0, 1e-3, 0.5, 2.0), (0.0, 0.3, 0.6, 1.0, 1.5)),
+}
+
+
+def _strike_rows(name):
+    """(s, v, k): every combination of STRIKE_ROWS[name] as 1-d arrays."""
+    grid = np.meshgrid(*STRIKE_ROWS[name], indexing="ij")
+    return tuple(a.ravel() for a in grid)
+
+
+def _per_strike(price, k):
+    """price(mask, strike) on the rows of each distinct strike in turn, one
+    call per strike, as the rows' results."""
+    out = np.empty(k.shape)
+    for strike in np.unique(k):
+        rows = k == strike
+        out[rows] = price(rows, float(strike))
+    return out
+
+
+class TestStrikePerRow:
+    """A strike per row gives each row what the per-strike call gives it,
+    bit for bit: signed zeros, infinities and nans included."""
+
+    @pytest.mark.parametrize("name", ["gbm", "bessel0", "logdiff"])
+    def test_call(self, name):
+        law = builtin_model(name).law
+        s, v, k = _strike_rows(name)
+        with np.errstate(all="ignore"):
+            got = law.call(s, k, v)
+            want = _per_strike(lambda rows, strike: law.call(s[rows], strike, v[rows]), k)
+        assert got.tobytes() == want.tobytes()
+        assert np.all((np.maximum(s - k, 0.0) <= got) & (got <= s))
+        # each row is the scalar call of its own cell
+        cells = [law.call(*cell) for cell in zip(s.tolist(), k.tolist(), v.tolist())]
+        assert np.array(cells).tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("phi_of", ["gbm", "bessel0", "logdiff"])
+    @pytest.mark.parametrize("name", ["gbm", "bessel0", "logdiff"])
+    def test_tail(self, name, phi_of):
+        # each law against each model's phi: gbm's takes its closed form on
+        # the lognormal law and the quadrature elsewhere
+        law, phi = builtin_model(name).law, builtin_model(phi_of).phi
+        s, v, k = _strike_rows(name)
+        with np.errstate(all="ignore"):
+            got = law.tail(phi, s, v, k)
+            want = _per_strike(lambda rows, strike: law.tail(phi, s[rows], v[rows], strike), k)
+        assert got.tobytes() == want.tobytes()
+        assert np.isfinite(got).sum() > got.size // 2
 
 
 # ===== exact stepping =====
