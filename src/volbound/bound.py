@@ -62,6 +62,7 @@ __all__ = [
     "joint_simulate",
     "tail_route",
     "l_value",
+    "grid_factor",
     "rhs_bound",
     "check_bound",
     "pricing_residuals",
@@ -369,36 +370,29 @@ def l_value(t: float, T: float, theta, s, strikes: StrikeGrid, model: ReferenceM
     return float(out[0]) if scalar else out
 
 
-def _strike_slopes(phi: PhiFunction, ks: np.ndarray):
-    """(phi' at the strikes, whether the zero-strike convention was used).
-    A slope that overflows is inf or nan, which _rhs_detail refuses."""
+def grid_factor(strikes: StrikeGrid, phi: PhiFunction):
+    """(factor, slopes, convention): the grid factor sum_j dK_j dphi'_j that
+    every right side scales, phi' at the strikes, taken once, and whether
+    phi'(K_1) stood in at the strike 0 because phi' is not finite there (its
+    one-sided limit diverges). A slope not finite at another strike is
+    refused."""
+    ks = np.asarray(strikes.strikes)
     with np.errstate(over="ignore", invalid="ignore"):
         d = np.asarray(phi.deriv1(ks), dtype=np.float64)
     convention = not np.isfinite(d[0])
     if convention:
-        # slope undefined at zero strike (its one-sided limit diverges):
-        # reuse the next strike's slope so the first band contributes 0
         d = d.copy()
         d[0] = d[1]
-    return d, convention
-
-
-def _rhs_detail(coeffs, strikes: StrikeGrid, phi: PhiFunction):
-    ks = np.asarray(strikes.strikes)
-    d, convention = _strike_slopes(phi, ks)
     if not np.all(np.isfinite(d)):
         raise DomainError("phi' is not finite at an interior strike")
-    inner = float(np.sum(np.diff(ks) * np.diff(d)))
-    value = 2.0 * float(np.sum(np.abs(np.asarray(coeffs, dtype=np.float64)))) * inner
-    return value, convention
+    return float(np.sum(np.diff(ks) * np.diff(d))), d, convention
 
 
-def rhs_bound(coeffs, strikes: StrikeGrid, phi: PhiFunction) -> float:
-    """Scenario-independent side: 2 sum_k |p_k| sum_j dK_j dphi'_j."""
+def rhs_bound(coeffs, factor: float) -> float:
+    """Scenario-independent side: 2 sum_k |p_k| times grid_factor's factor."""
     if len(tuple(coeffs)) == 0:
         raise DomainError("coefficient vector cannot be empty")
-    value, _ = _rhs_detail(coeffs, strikes, phi)
-    return value
+    return 2.0 * float(np.sum(np.abs(np.asarray(coeffs, dtype=np.float64)))) * factor
 
 
 # ===== the bound check and its companions =====
@@ -459,11 +453,11 @@ def check_bound(
     cfg: SimConfig,
 ) -> BoundReport:
     """Evaluate both sides of the universal bound for a scenario at time t,
-    a per_weight row per unit weight Q_j. Its right side is exact arithmetic
-    and identical across scenarios sharing (maturities, strikes, phi). Its
-    left side is one formula (_lhs_rows) over time-t rows (s, v_t, theta_t,
-    v_to), each standing for S_t drawn from the law at state s and variance
-    v_t:
+    a per_weight row per unit weight Q_j. Its right side is rhs_bound of the
+    grid's one grid_factor, so it is identical across scenarios sharing
+    (maturities, strikes, phi). Its left side is one formula (_lhs_rows)
+    over time-t rows (s, v_t, theta_t, v_to), each standing for S_t drawn
+    from the law at state s and variance v_t:
 
         mean over the rows of exp(theta_t^2 (T_1 - t)) Q_j(X_t) E[phi(S_t)]
                               + sum_k c_k (G(s0, sigma0^2 T_k) - G(s, v_to[k]))
@@ -487,7 +481,7 @@ def check_bound(
     x0 = pin_point(scn.sigma0, times[1] - times[0])
     qs = [build_q(alphas, x0, j) for j in range(2, mats.q)]
     # the right sides read no rows, so a grid they refuse fails first
-    rhs_details = [_rhs_detail(qp.coeffs, strikes, model.phi) for qp in qs]
+    factor, _, convention = grid_factor(strikes, model.phi)
 
     grid = [0.0] if t == 0.0 else [0.0, t]
     joint = joint_simulate(scn, grid, cfg)
@@ -506,8 +500,9 @@ def check_bound(
             mass = float(mass_fn(scn.s0, float(law_rows[1][0])))
     parts = _lhs_rows(scn, qs, times, strikes.k_max, t, law_rows)
     rows = []
-    for t_j, qp, (rhs, convention), (_, _, (lhs_raw, se)) in zip(times[2:], qs, rhs_details, parts):
+    for t_j, qp, (_, _, (lhs_raw, se)) in zip(times[2:], qs, parts):
         lhs = abs(lhs_raw)
+        rhs = rhs_bound(qp.coeffs, factor)
         rows.append({"maturity": t_j, "lhs": lhs, "lhs_se": se, "rhs": rhs,
                      "satisfied": lhs <= rhs + 3.0 * se, "coefficients": qp.coeffs})
     # each rhs is sum_k |c_k| times one grid factor, so lhs / sum_k |c_k|
@@ -844,13 +839,14 @@ def densification_study(
 ) -> DensificationReport:
     """Track the bound along a schedule of finer, wider strike grids.
 
-    Per grid: the diagnostic K_m * max_j dphi'_j and the exact right side of
-    Q_q, the unit weight on the last maturity. Every unit weight's right
-    side is its own sum_k |c_k| times the same grid factor, so this one
-    column shows how all of them shrink. The self-consistent left side is
-    exactly 0: X_t sits at the pin, so N Q(X_t) = 0 on every path, and
-    E[G(t, T_k, sigma, S_t)] = G(0, T_k, sigma, s0) by the Markov property.
-    The schedule is flagged healthy when the diagnostic strictly decreases.
+    Per grid, from its one grid_factor: the diagnostic K_m * max_j dphi'_j
+    and the exact right side of Q_q, the unit weight on the last maturity.
+    Every unit weight's right side is its own sum_k |c_k| times the same
+    grid factor, so this one column shows how all of them shrink. The
+    self-consistent left side is exactly 0: X_t sits at the pin, so
+    N Q(X_t) = 0 on every path, and E[G(t, T_k, sigma, S_t)] =
+    G(0, T_k, sigma, s0) by the Markov property. The schedule is flagged
+    healthy when the diagnostic strictly decreases.
     """
     schedule = list(grid_schedule)
     if not schedule:
@@ -861,12 +857,12 @@ def densification_study(
     steps = []
     convention = False
     for grid in schedule:
-        d, zero_slope = _strike_slopes(model.phi, np.asarray(grid.strikes))
+        factor, d, zero_slope = grid_factor(grid, model.phi)
         convention = convention or zero_slope
         steps.append(DensificationStep(
             n_strikes=len(grid.strikes), k_min=grid.strikes[1], k_max=grid.k_max,
             diagnostic=float(grid.k_max * np.max(np.diff(d))),
-            rhs=rhs_bound(qp.coeffs, grid, model.phi),
+            rhs=rhs_bound(qp.coeffs, factor),
         ))
     diags = [s.diagnostic for s in steps]
     return DensificationReport(

@@ -255,24 +255,20 @@ def _history_key(rc: ResolvedConfig) -> tuple:
     )
 
 
-def _bound_run(rcs):
-    """(check_bound's report, each config's repricing residuals) for
-    resolved configs that share one _history_key, which makes the report
-    theirs alike. The residuals are each config's own pricing_residuals
-    table, or None where the law's call is not closed form, although
-    pricing_residuals reprices on every law: the gate stays only because
-    bench/workloads.py predicts bound.residuals.s zero on bessel0-bound."""
-    rc = rcs[0]
-    rep = check_bound(rc.scenario, rc.mats, rc.strikes, rc.eval_time, rc.sim)
-    tables = [None] * len(rcs)
-    if rc.model.law.call_route()["route"] == "closed-form":
-        tables = [pricing_residuals(p.scenario, p.mats, p.strikes, p.eval_time, p.sim) for p in rcs]
-    return rep, tables
+def _residuals(rc: ResolvedConfig):
+    """rc's pricing_residuals table, or None where the law's call is not
+    closed form, although pricing_residuals reprices on every law: the gate
+    stays only because bench/workloads.py predicts bound.residuals.s zero
+    on bessel0-bound."""
+    if rc.model.law.call_route()["route"] != "closed-form":
+        return None
+    return pricing_residuals(rc.scenario, rc.mats, rc.strikes, rc.eval_time, rc.sim)
 
 
 def _cmd_check_bound(rc: ResolvedConfig, _doc):
     _need(rc.sim, "simulation", "paths, dt, seed")
-    rep, (res,) = _bound_run([rc])
+    rep = check_bound(rc.scenario, rc.mats, rc.strikes, rc.eval_time, rc.sim)
+    res = _residuals(rc)
     results = {"bound": _bound_payload(rc, rep)}
     if res is not None:
         results["repricing"] = _residual_payload(res)
@@ -324,48 +320,48 @@ def _cmd_scan(rc: ResolvedConfig, base_doc):
         try:
             point_rc = resolve(doc)
             _need(point_rc.sim, "simulation", "paths, dt, seed")
-            points.append((point, point_rc))
+            points.append((_history_key(point_rc), point, point_rc))
         except ConfigParseError as exc:
             where = ", ".join(f"{k}={v}" for k, v in zip(keys, point))
             raise ConfigParseError(f"scan point {where}: {exc}") from exc
-    # points that share a history share its bound: one check_bound per
-    # group, in order of first appearance; each point reprices on its own
-    groups = {}
-    for i, (_, point_rc) in enumerate(points):
-        groups.setdefault(_history_key(point_rc), []).append(i)
-    rows = [None] * len(points)
-    # each point's results; check_bound's counts toward every point that shares it
-    ran = [None] * len(points)
-    for members in groups.values():
+    # points that share a history share its bound, made at the first of
+    # them; each point reprices on its own, and the shared bound's steps
+    # count toward every point that shares it
+    bounds = {}
+    rows, ran = [], []
+    for key, point, point_rc in points:
         try:
-            rep, tables = _bound_run([points[i][1] for i in members])
+            if key not in bounds:
+                bounds[key] = check_bound(
+                    point_rc.scenario, point_rc.mats, point_rc.strikes, point_rc.eval_time, point_rc.sim
+                )
+            rep, res = bounds[key], _residuals(point_rc)
         except VolboundError as exc:
             where = "; ".join(
-                ", ".join(f"{k}={v}" for k, v in zip(keys, points[i][0])) for i in members
+                ", ".join(f"{k}={v}" for k, v in zip(keys, p)) for other, p, _ in points if other == key
             )
             raise type(exc)(f"scan point {where}: {exc}") from exc
-        for i, res in zip(members, tables):
-            max_z = None if res is None else res.max_abs_z
-            ran[i] = (rep, res)
-            # a violated bound must come with residuals that do not
-            # reprice: noisy ones on the path route, any nonzero one (z inf)
-            # on the exact route. They test repricing at t only, so a theta
-            # that moved before t can reprice there (z 0.0) and still break
-            # the bound, and fail this check
-            conjunction_ok = max_z is None or rep.satisfied or max_z > 3.0
-            feasible = rep.satisfied and (max_z is None or max_z <= 3.0)
-            rows[i] = {
-                **dict(zip(keys, points[i][0])),
-                "lhs": rep.lhs, "lhs_se": rep.lhs_se, "rhs": rep.rhs, "satisfied": rep.satisfied,
-                "gap_term_mean": rep.nq_mean, "tail_correction_mean": rep.g_corr_mean,
-                "max_resid_z": max_z, "feasible": feasible, "conjunction_ok": conjunction_ok,
-                "per_weight": list(rep.per_weight),
-            }
+        ran += [rep, res]
+        max_z = None if res is None else res.max_abs_z
+        # a violated bound must come with residuals that do not reprice:
+        # noisy ones on the path route, any nonzero one (z inf) on the exact
+        # route. They test repricing at t only, so a theta that moved before
+        # t can reprice there (z 0.0) and still break the bound, and fail
+        # this check
+        conjunction_ok = max_z is None or rep.satisfied or max_z > 3.0
+        feasible = rep.satisfied and (max_z is None or max_z <= 3.0)
+        rows.append({
+            **dict(zip(keys, point)),
+            "lhs": rep.lhs, "lhs_se": rep.lhs_se, "rhs": rep.rhs, "satisfied": rep.satisfied,
+            "gap_term_mean": rep.nq_mean, "tail_correction_mean": rep.g_corr_mean,
+            "max_resid_z": max_z, "feasible": feasible, "conjunction_ok": conjunction_ok,
+            "per_weight": list(rep.per_weight),
+        })
     verdict = all(row["conjunction_ok"] for row in rows)
     results = {
         "axes": [{"key": k, "values": list(v)} for k, v in rc.scan_axes],
         "rows": rows,
-        "stepping": _stepping(itertools.chain.from_iterable(ran)),
+        "stepping": _stepping(ran),
     }
     return results, verdict
 

@@ -213,7 +213,6 @@ def martingale_check_V(
     fine = np.linspace(0.0, times[-1], integration_points)
     # an array, not a list of floats: the grid is V's only per-point state
     grid = np.array(_simulation_grid(times, extra=fine))
-    grid = grid[grid <= times[-1]]
     wanted = {int(np.searchsorted(grid, t)): np.empty(cfg.n_paths) for t in times}
     phi_lo = np.empty(cfg.n_paths)
     # -0.0, not 0.0, is the identity of float addition, so the running sums

@@ -40,12 +40,12 @@ from volbound.bound import (
     ThetaProcess,
     _band_sample,
     _g_batch,
-    _rhs_detail,
     build_q,
     check_bound,
     compute_alphas,
     densification_study,
     densify_grid,
+    grid_factor,
     joint_simulate,
     l_value,
     meanrev_vol_scenario,
@@ -822,14 +822,14 @@ class TestRightSide:
         # pinned coefficients sum to (x0+1)^2 in absolute value
         x0 = pin_point(0.2, 1.0)
         qp = build_q((0.0, 1.0, 2.0), x0, 2)
-        got = rhs_bound(qp.coeffs, KS3, GBM.phi)
+        got = rhs_bound(qp.coeffs, grid_factor(KS3, GBM.phi)[0])
         assert got == pytest.approx(8.0 * (x0 + 1.0) ** 2, rel=1e-12)
 
     def test_five_strike_pattern(self):
         # halving the spacing halves the inner sum: 4 bands of 0.5*1 = 2
         x0 = pin_point(0.2, 1.0)
         qp = build_q((0.0, 1.0, 2.0), x0, 2)
-        got = rhs_bound(qp.coeffs, KS5, GBM.phi)
+        got = rhs_bound(qp.coeffs, grid_factor(KS5, GBM.phi)[0])
         assert got == pytest.approx(4.0 * (x0 + 1.0) ** 2, rel=1e-12)
 
     def test_refinement_never_increases(self):
@@ -840,27 +840,68 @@ class TestRightSide:
         coarse = StrikeGrid(strikes=(0.0, *inner, 3.0))
         mids = 0.5 * (np.asarray(coarse.strikes[:-1]) + np.asarray(coarse.strikes[1:]))
         fine = StrikeGrid(strikes=tuple(sorted((*coarse.strikes, *mids))))
-        assert rhs_bound(qp.coeffs, fine, GBM.phi) <= rhs_bound(qp.coeffs, coarse, GBM.phi)
+        fine_rhs = rhs_bound(qp.coeffs, grid_factor(fine, GBM.phi)[0])
+        assert fine_rhs <= rhs_bound(qp.coeffs, grid_factor(coarse, GBM.phi)[0])
 
     def test_scaling_phi_scales_the_bound(self):
         x0 = pin_point(0.2, 1.0)
         qp = build_q((0.0, 1.0, 2.0), x0, 2)
-        base = rhs_bound(qp.coeffs, KS5, GBM.phi)
-        doubled = rhs_bound(qp.coeffs, KS5, GBM.phi.scaled(2.0))
+        base = rhs_bound(qp.coeffs, grid_factor(KS5, GBM.phi)[0])
+        doubled = rhs_bound(qp.coeffs, grid_factor(KS5, GBM.phi.scaled(2.0))[0])
         assert doubled == 2.0 * base
 
     def test_slope_convention_at_zero(self):
         x0 = pin_point(0.5, 0.5)
         qp = build_q((0.0, 1.0, 2.0), x0, 2)
-        value, used = _rhs_detail(qp.coeffs, StrikeGrid(strikes=(0.0, 0.75, 1.5)), BESSEL.phi)
+        factor, slopes, used = grid_factor(StrikeGrid(strikes=(0.0, 0.75, 1.5)), BESSEL.phi)
         assert used is True
+        assert slopes[0] == slopes[1]
+        value = rhs_bound(qp.coeffs, factor)
         assert math.isfinite(value) and value > 0.0
-        _, used_gbm = _rhs_detail(qp.coeffs, KS3, GBM.phi)
-        assert used_gbm is False
+        assert grid_factor(KS3, GBM.phi)[2] is False
 
     def test_empty_coefficients_rejected(self):
         with pytest.raises(DomainError):
-            rhs_bound((), KS3, GBM.phi)
+            rhs_bound((), grid_factor(KS3, GBM.phi)[0])
+
+    def test_a_slope_that_is_not_finite_inside_the_grid_is_refused(self):
+        # only the strike 0 may take the convention; an inf at K_1 is not
+        # papered over
+        phi = dataclasses.replace(GBM.phi, deriv1=lambda z: np.where(z == 1.0, np.inf, 2.0 * z))
+        with pytest.raises(DomainError, match="interior strike"):
+            grid_factor(KS3, phi)
+
+    @staticmethod
+    def slope_spy(model, grids):
+        """model with a phi' that records, per call made on the strike
+        array of one of grids, that grid's index; and the record."""
+        calls = []
+        deriv1 = model.phi.deriv1
+        arrays = [np.asarray(g.strikes) for g in grids]
+
+        def spy(z):
+            calls.extend(i for i, a in enumerate(arrays) if np.shape(z) == a.shape and np.array_equal(z, a))
+            return deriv1(z)
+
+        return dataclasses.replace(model, phi=dataclasses.replace(model.phi, deriv1=spy)), calls
+
+    def test_check_bound_takes_phi_prime_at_the_strikes_once(self):
+        # five maturities give three unit weights, which share one grid
+        # factor; bessel0 takes the zero-strike convention
+        strikes = StrikeGrid(strikes=(0.0, 0.5, 1.0, 1.5, 2.0))
+        model, calls = self.slope_spy(BESSEL, [strikes])
+        mats = MaturityGrid(times=(1.0, 2.0, 3.0, 4.0, 5.0))
+        rep = check_bound(self_consistent_scenario(model, 0.2), mats, strikes, 0.5,
+                          SimConfig(n_paths=64, dt=0.01, seed=1))
+        assert len(rep.per_weight) == 3 and rep.phi_prime_convention is True
+        assert calls == [0]
+
+    def test_densification_takes_phi_prime_at_each_grid_once(self):
+        schedule = [densify_grid(BESSEL, n) for n in (4, 16, 64)]
+        model, calls = self.slope_spy(BESSEL, schedule)
+        report = densification_study(model, 0.5, MATS, schedule)
+        assert report.phi_prime_convention is True
+        assert calls == [0, 1, 2]
 
 
 class TestBoundCheck:
@@ -1088,7 +1129,7 @@ class TestBoundCheck:
         assert reps[0].rhs == reps[1].rhs == reps[2].rhs
         x0 = pin_point(0.2, 1.0)
         qp = build_q((0.0, 1.0, 2.0), x0, 2)
-        assert reps[0].rhs == rhs_bound(qp.coeffs, KS5, GBM.phi)
+        assert reps[0].rhs == rhs_bound(qp.coeffs, grid_factor(KS5, GBM.phi)[0])
 
     def test_jump_before_t_still_holds(self):
         # after the jump the market runs the reference dynamics at theta_t,
@@ -1223,7 +1264,7 @@ class TestEveryWeightVector:
                 ((_, _, (lhs, _)),) = bound_module._lhs_rows(
                     scn, [qp], times, strikes.k_max, t, bound_module._exact_rows(scn, t, times)
                 )
-                rhs = rhs_bound(qp.coeffs, strikes, model.phi)
+                rhs = rhs_bound(qp.coeffs, grid_factor(strikes, model.phi)[0])
                 # the right side is linear in p
                 assert rhs == pytest.approx(
                     sum(pj * row["rhs"] for pj, row in zip(p, rows)), rel=1e-14, abs=0.0

@@ -574,12 +574,12 @@ class TestCliCommands:
         zero_fields = ("lhs", "lhs_se", "gap_term_mean", "tail_correction_mean")
         assert [math.copysign(1.0, b[k]) if b[k] == 0.0 else b[k] for k in zero_fields] == [1.0] * 4
         # the embedded inputs recompute the embedded right side
-        from volbound.bound import StrikeGrid, rhs_bound
+        from volbound.bound import StrikeGrid, grid_factor, rhs_bound
         from volbound.models import builtin_model
 
         coeffs = tuple(b["rhs_inputs"]["coefficients"])
         grid = StrikeGrid(strikes=tuple(b["rhs_inputs"]["strikes"]))
-        assert rhs_bound(coeffs, grid, builtin_model("gbm").phi) == b["rhs"]
+        assert rhs_bound(coeffs, grid_factor(grid, builtin_model("gbm").phi)[0]) == b["rhs"]
         # the self-consistent residuals are exact, and no field describes paths
         rp = doc["results"]["repricing"]
         assert rp["route"] == {"route": "exact"}
@@ -587,6 +587,34 @@ class TestCliCommands:
         assert [rp[k] for k in ("tail_counts", "calibrated", "min_tail_count", "n_paths")] == [
             None
         ] * 4
+
+    @pytest.mark.parametrize(
+        "model, z0, strikes",
+        [("bessel0", 1.0, "[0.0, 0.5, 1.0, 1.5, 2.0]"), ("logdiff", 0.5, "[0.0, 0.3, 0.6, 0.9]")],
+    )
+    def test_bessel_right_sides_recompute_from_the_report(self, model, z0, strikes, tmp_path, capsys):
+        # phi' diverges at the strike 0 on both Bessel models, so the grid
+        # factor takes the zero-strike convention; the report's inputs still
+        # recompute its right side, and each unit weight's, bit for bit
+        from volbound.bound import StrikeGrid, grid_factor, rhs_bound
+
+        cfg = tmp_path / f"{model}.yaml"
+        cfg.write_text(
+            BASE.replace("model: gbm", f"model: {model}\nz0: {z0}")
+            .replace("sigma: 0.2", "sigma: 0.5")
+            .replace("[1.0, 2.0, 3.0]", "[1.0, 2.0, 3.0, 4.0, 5.0]")
+            .replace("strikes: [0.0, 0.5, 1.0, 1.5, 2.0]", f"strikes: {strikes}")
+            .replace("paths: 4000", "paths: 256")
+        )
+        assert main(["check-bound", "--config", str(cfg)]) in (0, 1)
+        b = json.loads(capsys.readouterr().out)["results"]["bound"]
+        assert b["phi_prime_convention"] is True
+        grid = StrikeGrid(strikes=tuple(b["rhs_inputs"]["strikes"]))
+        factor = grid_factor(grid, builtin_model(model).phi)[0]
+        assert rhs_bound(tuple(b["rhs_inputs"]["coefficients"]), factor) == b["rhs"]
+        rows = b["per_weight"]
+        assert len(rows) == 3
+        assert [rhs_bound(tuple(r["coefficients"]), factor) for r in rows] == [r["rhs"] for r in rows]
 
     def test_check_bound_flags_convention_for_bessel(self, tmp_path, capsys):
         cfg = tmp_path / "bes.yaml"
