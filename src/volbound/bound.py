@@ -38,6 +38,7 @@ from .models import (
     ReferenceModel,
     SimConfig,
     ThetaProcess,
+    Z_GATE,
     bisect_increasing,
     sample_mean,
     simulate,  # not called here: the benchmark's tracer looks up volbound.bound.simulate
@@ -100,6 +101,8 @@ class MaturityGrid:
         object.__setattr__(self, "times", times)
         if len(times) < 3:
             raise DomainError(f"need at least 3 maturities, got {len(times)}")
+        if times[0] < 0.0:
+            raise DomainError(f"maturities must be nonnegative, got first maturity {times[0]}")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise DomainError(f"maturities must be strictly increasing: {times}")
 
@@ -504,7 +507,7 @@ def check_bound(
         lhs = abs(lhs_raw)
         rhs = rhs_bound(qp.coeffs, factor)
         rows.append({"maturity": t_j, "lhs": lhs, "lhs_se": se, "rhs": rhs,
-                     "satisfied": lhs <= rhs + 3.0 * se, "coefficients": qp.coeffs})
+                     "satisfied": lhs <= rhs + Z_GATE * se, "coefficients": qp.coeffs})
     # each rhs is sum_k |c_k| times one grid factor, so lhs / sum_k |c_k|
     # orders the rows as lhs / rhs does, also where that factor is 0; max
     # keeps the first of a tie
@@ -758,7 +761,8 @@ def _repricing(call, mats, strikes, rows, end, route, stepping):
     order, at most max(n, q K) prices of n rows each: the whole table of a
     single row (the exact route), one cell of many (the path route). A
     cell's two prices sit at the same place in equal-shaped arrays, so
-    equal variances give equal floats.
+    equal variances give equal floats. Each run's cells are reduced in one
+    sample_mean call, and the table's z-scores are one z_score call.
     """
     times, ks = mats.times, strikes.strikes
     model = np.broadcast_arrays(rows[0], rows[3])
@@ -768,7 +772,7 @@ def _repricing(call, mats, strikes, rows, end, route, stepping):
     width = max(1, n_cells // n)
     mat, col = np.divmod(np.arange(n_cells), len(ks))
     strike = np.asarray(ks, dtype=np.float64)[col, None]
-    res, ses, zs = np.empty(n_cells), np.empty(n_cells), np.empty(n_cells)
+    res, ses = np.empty(n_cells), np.empty(n_cells)
     counts = np.empty(n_cells, dtype=np.int64)
 
     def priced(zv, cells):
@@ -784,13 +788,11 @@ def _repricing(call, mats, strikes, rows, end, route, stepping):
         diff = priced(end, cells)
         counts[cells] = np.count_nonzero(diff > 0.0, axis=1)
         diff -= price
-        for c, cell in enumerate(diff, start=lo):
-            mean, se = sample_mean(cell)
-            res[c], ses[c], zs[c] = mean, se, z_score(mean, se)
-    res, ses, zs, counts = (a.reshape(q, len(ks)) for a in (res, ses, zs, counts))
+        res[cells], ses[cells] = sample_mean(diff)
+    res, ses, counts = (a.reshape(q, len(ks)) for a in (res, ses, counts))
     paths = route.get("paths")
     return ResidualTable(
-        maturities=times, strikes=ks, residuals=res, ses=ses, z_scores=zs,
+        maturities=times, strikes=ks, residuals=res, ses=ses, z_scores=z_score(res, ses),
         route=route, stepping=stepping,
         **({"tail_counts": counts, "calibrated": counts >= MIN_TAIL_COUNT,
             "min_tail_count": MIN_TAIL_COUNT, "n_paths": paths} if paths else {}),

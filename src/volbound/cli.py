@@ -42,7 +42,7 @@ from .errors import (
     SearchError,
     VolboundError,
 )
-from .models import BUILTIN_MODELS, builtin_model, worker_count
+from .models import BUILTIN_MODELS, Z_GATE, builtin_model, worker_count
 from .phi import (
     martingale_check_U,
     martingale_check_V,
@@ -348,8 +348,8 @@ def _cmd_scan(rc: ResolvedConfig, base_doc):
         # route. They test repricing at t only, so a theta that moved before
         # t can reprice there (z 0.0) and still break the bound, and fail
         # this check
-        conjunction_ok = max_z is None or rep.satisfied or max_z > 3.0
-        feasible = rep.satisfied and (max_z is None or max_z <= 3.0)
+        conjunction_ok = max_z is None or rep.satisfied or max_z > Z_GATE
+        feasible = rep.satisfied and (max_z is None or max_z <= Z_GATE)
         rows.append({
             **dict(zip(keys, point)),
             "lhs": rep.lhs, "lhs_se": rep.lhs_se, "rhs": rep.rhs, "satisfied": rep.satisfied,

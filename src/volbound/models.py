@@ -44,6 +44,7 @@ __all__ = [
     "rng_substream",
     "sample_mean",
     "z_score",
+    "Z_GATE",
     "bisect_increasing",
     "worker_count",
     "WORKERS_ENV_VAR",
@@ -790,21 +791,34 @@ def rng_substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def sample_mean(x) -> tuple[float, float]:
-    """(mean, standard error) of a 1-d sample; a sample whose values are all
-    equal (no noise, e.g. sigma = 0) gives its value exactly, with se 0."""
+def sample_mean(x):
+    """(mean, standard error) along the last axis: floats for a 1-d sample,
+    an array of each per row for a 2-d table. A sample (row) whose values are
+    all equal (no noise, e.g. sigma = 0) gives its value exactly, with se 0;
+    mean and se are computed on the other rows only."""
     x = np.asarray(x, dtype=np.float64)
-    if np.all(x == x[0]):
-        return float(x[0]), 0.0
-    return float(x.mean()), float(x.std(ddof=1) / math.sqrt(x.size))
+    table = np.atleast_2d(x)
+    noisy = ~np.all(table == table[:, :1], axis=1)
+    mean, se = table[:, 0].copy(), np.zeros(len(table))
+    if np.any(noisy):
+        rows = table if np.all(noisy) else table[noisy]
+        mean[noisy] = rows.mean(axis=1)
+        se[noisy] = rows.std(axis=1, ddof=1) / math.sqrt(table.shape[1])
+    return (float(mean[0]), float(se[0])) if x.ndim == 1 else (mean, se)
 
 
-def z_score(diff: float, se: float) -> float:
-    """diff in units of its standard error se; with se 0 (no noise), 0 where
-    there is no difference and inf where there is one."""
-    if se > 0.0:
-        return diff / se
-    return 0.0 if diff == 0.0 else math.inf
+#: the verdicts' gate: a difference passes within Z_GATE standard errors
+Z_GATE = 3.0
+
+
+def z_score(diff, se):
+    """diff in units of its standard error se, elementwise (floats give a
+    float); with se 0 (no noise), 0 where there is no difference and inf
+    where there is one."""
+    diff, se = np.asarray(diff, dtype=np.float64), np.asarray(se, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        z = np.where(se > 0.0, diff / se, np.where(diff == 0.0, 0.0, np.inf))
+    return float(z) if z.ndim == 0 else z
 
 
 def bisect_increasing(f, targets, lo: float, hi: float) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, DomainError
-from .models import ReferenceModel, SimConfig, sample_mean, simulate, step_paths, z_score
+from .models import Z_GATE, ReferenceModel, SimConfig, sample_mean, simulate, step_paths, z_score
 
 __all__ = [
     "OdeResidualReport",
@@ -135,7 +135,7 @@ def _summarize(check, model, times, samples, references, ens):
         means.append(mean)
         ses.append(se)
         zs.append(z_score(mean - ref, se))
-    verdict = all(abs(z) <= 3.0 for z in zs)
+    verdict = all(abs(z) <= Z_GATE for z in zs)
     return MartingaleTestReport(
         times=tuple(times),
         means=tuple(means),

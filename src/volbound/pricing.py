@@ -87,8 +87,9 @@ def _live_calls(z, strike, variance):
     """The lognormal call z N(d1) - K N(d1 - sqrt v) on live cells, clamped.
 
     Built in place, freeing each piece once used, so that at most three
-    arrays of the cells' shape are alive at once: the repricing table
-    prices every path of an ensemble in one call.
+    arrays of the cells' shape are alive at once: a repricing call takes up
+    to max(n, q K) cells, the whole table of the exact route's one row or a
+    run of cells over n paths (bound._repricing).
     """
     s, d1 = _d1(z, strike, variance)
     n1 = norm_cdf(d1)

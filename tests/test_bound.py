@@ -68,6 +68,7 @@ from volbound.models import (
     sample_mean,
     simulate,
     step_paths,
+    z_score,
 )
 from volbound.phi import semigroup_route
 from volbound.pricing import _bs_call_core
@@ -116,6 +117,13 @@ class TestGrids:
         with pytest.raises(DomainError):
             MaturityGrid(times=(1.0, 2.0, 2.0))
         assert MaturityGrid(times=(0.0, 0.5, 1.5, 3.5)).q == 4
+
+    def test_maturity_grid_refuses_a_negative_maturity(self):
+        # T_1 = 0 is a grid (above); a first maturity below 0 is refused
+        # where the grid is made, so densification_study, which reads no
+        # evaluation time, never sees one
+        with pytest.raises(DomainError, match="nonnegative, got first maturity -1.0"):
+            MaturityGrid(times=(-1.0, 1.0, 2.0))
 
     def test_strike_grid_starts_at_zero(self):
         with pytest.raises(DomainError):
@@ -1549,6 +1557,50 @@ class TestRepricingResiduals:
     def test_time_validation(self):
         with pytest.raises(DomainError):
             pricing_residuals(self_consistent_scenario(GBM, 0.2), MATS, KS5, 2.0, self.CFG)
+
+    @pytest.mark.parametrize(
+        "scn, n_strikes, n_paths",
+        [
+            (step_vol_scenario(GBM, 0.2, 0.75, 0.4), 1025, 1),
+            (MOVING, 101, 64),
+        ],
+        ids=["exact-1025-strikes", "paths-several-cells-a-call"],
+    )
+    def test_table_equals_a_cell_by_cell_reduction(self, scn, n_strikes, n_paths):
+        # _repricing reduces each run of cells in one sample_mean call and
+        # the table in one z_score call: the same floats as pricing and
+        # reducing every cell on its own. The exact route's jump after t
+        # leaves z 0.0 at strike 0 and inf further out; on the path route 64
+        # paths and 3 x 101 cells put four cells in a call, the last call
+        # holding three
+        strikes = StrikeGrid(strikes=tuple(2.0 * i / (n_strikes - 1) for i in range(n_strikes)))
+        cfg = SimConfig(n_paths=n_paths, dt=0.01, seed=7)
+        ends_of = bound_module._path_ends if scn.theta_process.moves else bound_module._exact_ends
+        rows, end, route, stepping = ends_of(scn, MATS.times, 0.5, cfg)
+        call = scn.reference.law.call
+        got = bound_module._repricing(call, MATS, strikes, rows, end, route, stepping)
+
+        s, v = np.broadcast_arrays(rows[0], rows[3])
+        z_end, v_end = np.broadcast_arrays(*end)
+        assert s.shape[1] == n_paths
+        shape = (MATS.q, n_strikes)
+        res, ses, zs = np.empty(shape), np.empty(shape), np.empty(shape)
+        counts = np.empty(shape, dtype=np.int64)
+        for i in range(MATS.q):
+            for j, k in enumerate(strikes.strikes):
+                strike = np.full(n_paths, k)
+                payoff = call(z_end[i], strike, v_end[i])
+                res[i, j], ses[i, j] = sample_mean(payoff - call(s[i], strike, v[i]))
+                zs[i, j] = z_score(res[i, j], ses[i, j])
+                counts[i, j] = np.count_nonzero(payoff > 0.0)
+        for name, want in (("residuals", res), ("ses", ses), ("z_scores", zs)):
+            have = getattr(got, name)
+            assert have.dtype == want.dtype and have.tobytes() == want.tobytes(), name
+        if route.get("paths"):
+            assert MATS.q * n_strikes // n_paths == 4 and np.all(ses > 0.0)
+            assert np.array_equal(got.tail_counts, counts)
+        else:
+            assert np.all(zs[:, 0] == 0.0) and set(np.unique(zs)) == {0.0, math.inf}
 
 
 class TestDensification:

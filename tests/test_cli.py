@@ -138,6 +138,20 @@ class TestConfigParsing:
             parse_config(BASE.replace("[1.0, 2.0, 3.0]", "[1.0, 2.0]"))
         assert "at least 3 maturities" in str(err.value)
 
+    @pytest.mark.parametrize("command", ["densify", "check-bound"])
+    def test_negative_maturity_names_its_key_and_line(self, command, tmp_path, capsys):
+        # the grid is refused as the maturities it is, not as an eval_time
+        # that the file never set and that would lie outside [0, -1.0]
+        text = BASE.replace("[1.0, 2.0, 3.0]", "[-1.0, 1.0, 2.0]").replace("eval_time: 0.5\n", "")
+        cfg = tmp_path / "negative.yaml"
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg)]) == 2
+        line = text.splitlines().index("maturities: [-1.0, 1.0, 2.0]") + 1
+        assert capsys.readouterr().err == (
+            "volbound: config error: maturities must be nonnegative, got first maturity -1.0 "
+            f"[key: maturities] (line {line})\n"
+        )
+
     def test_unknown_key_named_with_line(self):
         with pytest.raises(ConfigParseError) as err:
             parse_config(BASE + "mystery: 1\n")

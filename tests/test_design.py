@@ -109,8 +109,10 @@ def test_one_path_engine():
 
 def test_one_sample_mean():
     # the exact shortcut for a sample without noise is taken in one place,
-    # with the mean and standard error that go with it
-    shortcut = re.compile(r"np\.all\((\w+) == \1\[0\]\)")
+    # with the mean and standard error that go with it: a sample's form
+    # np.all(x == x[0]) or a table's, each row against its first column
+    shortcut = re.compile(
+        r"np\.all\((\w+) == \1\[(0|(\.\.\.|:), (0?:1|\[0\]|0, None))\](, axis=-?1)?\)")
 
     def takes_shortcut(node):
         return isinstance(node, ast.Call) and shortcut.fullmatch(ast.unparse(node))
@@ -419,12 +421,43 @@ def test_martingale_check_leaves_scipy_integrate_out(model, tmp_path):
 
 def test_one_z_score_rule():
     # a difference without noise (se = 0) reads z = 0 when there is none and
-    # inf otherwise; every verdict takes that rule from one place
+    # inf otherwise; every verdict takes that rule from one place, in a
+    # scalar's form (a conditional expression) or a table's (np.where)
     def takes_rule(node):
-        return (isinstance(node, ast.IfExp) and "inf" in ast.unparse(node)
-                and ast.unparse(node.test).endswith("== 0.0"))
+        if isinstance(node, ast.IfExp):
+            test = node.test
+        elif (isinstance(node, ast.Call) and node.args
+              and ast.unparse(node.func) in ("np.where", "numpy.where")):
+            test = node.args[0]
+        else:
+            return False
+        return "inf" in ast.unparse(node) and ast.unparse(test).endswith("== 0.0")
 
     assert sites(takes_rule) == {"models.z_score"}
+
+
+def test_one_verdict_gate():
+    # every verdict passes within models.Z_GATE standard errors, so a
+    # recalibration changes one line: no comparison or product in the
+    # package states the gate's 3.0 itself
+    def states_gate(node):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            operands = [node.left, node.right]
+        else:
+            return False
+        return any(isinstance(x, ast.Constant) and type(x.value) is float and x.value == 3.0
+                   for x in operands)
+
+    assert sites(states_gate) == set()
+    gates = [
+        name
+        for name, tree in parsed_sources(SRC)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and "Z_GATE" in map(ast.unparse, node.targets)
+    ]
+    assert gates == ["models.py"]
 
 
 # the midpoint of two names: 0.5 * (a + b), (a + b) * 0.5 or (a + b) / 2

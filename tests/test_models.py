@@ -6,6 +6,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     besq0_call_oracle,
@@ -26,6 +28,7 @@ from volbound.models import (
     sample_mean,
     simulate,
     step_paths,
+    z_score,
 )
 
 
@@ -143,6 +146,68 @@ class TestSampleMean:
         assert float(x.mean()) != 0.1
         assert sample_mean(x) == (0.1, 0.0)
         assert sample_mean(np.array([2.5])) == (2.5, 0.0)
+
+    @staticmethod
+    @st.composite
+    def tables(draw):
+        """2-d tables whose rows are noisy, all equal, or noisy with a nan,
+        from one column to several thousand."""
+        n = draw(st.one_of(st.integers(1, 40), st.sampled_from([1000, 8193])))
+        kinds = draw(st.lists(st.sampled_from(["noisy", "equal", "nan"]), min_size=1, max_size=6))
+        rng = rng_substream(draw(st.integers(0, 2**32 - 1)), 0)
+        rows = []
+        for kind in kinds:
+            level = draw(st.floats(-1e3, 1e3))
+            if kind == "equal":
+                rows.append(np.full(n, level))
+            else:
+                rows.append(level + draw(st.floats(1e-6, 1e3)) * rng.standard_normal(n))
+                if kind == "nan":
+                    rows[-1][draw(st.integers(0, n - 1))] = math.nan
+        return np.array(rows)
+
+    # a one-column row holding nan has no degrees of freedom: numpy warns of
+    # it in either form
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(table=tables())
+    def test_table_reduces_row_by_row_bit_for_bit(self, table):
+        mean, se = sample_mean(table)
+        rows = [sample_mean(row) for row in table]
+        assert mean.shape == se.shape == (len(table),)
+        assert mean.tobytes() == np.array([m for m, _ in rows]).tobytes()
+        assert se.tobytes() == np.array([e for _, e in rows]).tobytes()
+
+    def test_one_column_table_is_its_column_without_a_warning(self, recwarn):
+        table = np.array([[0.1], [2.5], [-3.0]])
+        mean, se = sample_mean(table)
+        assert mean.tolist() == [0.1, 2.5, -3.0] and se.tolist() == [0.0] * 3
+        assert len(recwarn) == 0
+
+
+class TestZScore:
+    @staticmethod
+    def rule(diff, se):
+        if se > 0.0:
+            return diff / se
+        return 0.0 if diff == 0.0 else math.inf
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(
+        st.one_of(st.just(0.0), st.floats(allow_nan=False, allow_infinity=False)),
+        st.one_of(st.just(0.0), st.floats(1e-300, 1e300)),
+    ), min_size=1, max_size=30))
+    def test_array_form_applies_the_scalar_rule_elementwise(self, cells):
+        diff, se = (np.array(col) for col in zip(*cells))
+        z = z_score(diff, se)
+        want = [self.rule(d, e) for d, e in cells]
+        assert z.tobytes() == np.array(want).tobytes()
+        assert [z_score(d, e) for d, e in cells] == want
+
+    def test_zero_standard_error(self):
+        # no noise: 0.0 where there is no difference, +inf for either sign
+        assert z_score(np.array([0.0, 1.0, -1.0]), np.zeros(3)).tolist() == [0.0, math.inf, math.inf]
+        assert z_score(-3.0, 0.5) == -6.0 and type(z_score(-3.0, 0.5)) is float
 
 
 # ===== simulation =====
